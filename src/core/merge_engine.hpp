@@ -37,12 +37,11 @@ enum class PriorityPolicy : std::uint8_t {
 
 /// Which evaluator answers select(). Decisions are bit-identical; only
 /// speed differs. kTreeReference exists for validation and benchmarking.
+/// The values are hashed into result-store point keys, so they never
+/// change (2 stays the tree reference; 1 was a retired evaluator).
 enum class EvalMode : std::uint8_t {
-  kPlan,             ///< flattened MergePlan (default, hot path)
-  kPlanSpecialized,  ///< MergePlan shape-specialized fast paths (uniform
-                     ///< chains unroll; other shapes fall back to kPlan's
-                     ///< evaluator — see MergePlan::has_fixed_path())
-  kTreeReference,    ///< recursive Scheme::Node walk (reference)
+  kPlan = 0,           ///< flattened MergePlan (default, hot path)
+  kTreeReference = 2,  ///< recursive Scheme::Node walk (reference)
 };
 
 /// Outcome of one merge cycle.
@@ -180,10 +179,7 @@ inline MergeDecision MergeEngine::select(
   MergeNodeStats* stats =
       stats_level_ == StatsLevel::kFull ? node_stats_.data() : nullptr;
   const MergePlan::Eval r =
-      eval_mode_ == EvalMode::kPlanSpecialized
-          ? plan_->select_specialized(candidates, rotation_, scratch_.data(),
-                                      stats)
-          : plan_->select(candidates, rotation_, scratch_.data(), stats);
+      plan_->select(candidates, rotation_, scratch_.data(), stats);
   MergeDecision d;
   d.issued_mask = r.issued_mask;
   d.packet = r.packet;
@@ -208,11 +204,8 @@ inline std::uint32_t MergeEngine::select_mask_gathered(
   } else if (num_offers > 1) {
     MergeNodeStats* stats =
         stats_level_ == StatsLevel::kFull ? node_stats_.data() : nullptr;
-    mask = (eval_mode_ == EvalMode::kPlanSpecialized
-                ? plan_->select_multi_specialized(candidates, rotation_,
-                                                  scratch_.data(), stats)
-                : plan_->select_multi(candidates, rotation_,
-                                      scratch_.data(), stats))
+    mask = plan_->select_multi(candidates, rotation_, scratch_.data(),
+                               stats)
                .issued_mask;
   }
   finish_cycle(std::popcount(mask), candidates);

@@ -109,29 +109,6 @@ MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
     }
   }
 
-  // Classify the shape and bind the unrolled fast path where it applies.
-  // A chain whose every merging block (entry 0 never merges — the first
-  // offer seeds) has the same non-select kind folds with a compile-time
-  // trip count AND a compile-time compatibility check; other linear
-  // chains (mixed cascades, select chains like IMT/BMT) still get the
-  // compile-time trip count, reading the per-level kind from the chain
-  // table. Only balanced trees keep the generic stack pass.
-  if (is_linear()) {
-    shape_ = PlanShape::kLinearChain;
-    if (chain_.size() >= 2) {
-      const MergeKind kind = chain_[1].kind;
-      bool uniform = kind != MergeKind::kSelect;
-      for (std::size_t i = 2; i < chain_.size(); ++i)
-        uniform &= chain_[i].kind == kind;
-      if (uniform) {
-        shape_ = PlanShape::kUniformChain;
-        bind_fixed(kind);
-      } else {
-        bind_chain();
-      }
-    }
-  }
-
   // Precompute every rotation's leaf->thread permutation so the hot path
   // replaces (port + rotation) % n with one table read.
   const auto n = static_cast<std::size_t>(num_threads_);
@@ -265,132 +242,6 @@ MergePlan::Eval MergePlan::select_linear(
   return {acc, mask};
 }
 
-template <int N, MergeKind K, bool kCountStats>
-MergePlan::Eval MergePlan::select_fixed(
-    std::span<const Footprint* const> candidates, int rotation,
-    MergeNodeStats* stats) const {
-  CVMT_DCHECK(static_cast<int>(chain_.size()) == N);
-  // num_threads_ == N for a bound fixed path, so the permutation stride
-  // is the compile-time constant.
-  const std::uint8_t* perm =
-      leaf_tid_.data() + static_cast<std::size_t>(rotation) * N;
-  Footprint acc;
-  std::uint32_t mask = 0;
-  for (int i = 0; i < N; ++i) {  // constant trip count: fully unrollable
-    const int tid = perm[i];
-    const Footprint* fp = candidates[static_cast<std::size_t>(tid)];
-    if (fp == nullptr) continue;  // nothing offered on this input
-    if (mask == 0) {
-      // The highest-priority input seeds the packet unconditionally.
-      acc = *fp;
-      mask = 1u << static_cast<unsigned>(tid);
-      continue;
-    }
-    if constexpr (kCountStats)
-      ++stats[chain_[static_cast<std::size_t>(i)].stats_index].attempts;
-    bool ok;
-    if constexpr (K == MergeKind::kCsmt)
-      ok = Footprint::csmt_compatible(acc, *fp);
-    else
-      ok = Footprint::smt_compatible(acc, *fp, config_);
-    if (ok) {
-      acc.merge_with(*fp, config_);
-      mask |= 1u << static_cast<unsigned>(tid);
-    } else if constexpr (kCountStats) {
-      ++stats[chain_[static_cast<std::size_t>(i)].stats_index].rejects;
-    }
-  }
-  return {acc, mask};
-}
-
-template <int N, bool kCountStats>
-MergePlan::Eval MergePlan::select_chain(
-    std::span<const Footprint* const> candidates, int rotation,
-    MergeNodeStats* stats) const {
-  CVMT_DCHECK(static_cast<int>(chain_.size()) == N);
-  const std::uint8_t* perm =
-      leaf_tid_.data() + static_cast<std::size_t>(rotation) * N;
-  Footprint acc;
-  std::uint32_t mask = 0;
-  for (int i = 0; i < N; ++i) {  // constant trip count: fully unrollable
-    const int tid = perm[i];
-    const Footprint* fp = candidates[static_cast<std::size_t>(tid)];
-    if (fp == nullptr) continue;  // nothing offered on this input
-    if (mask == 0) {
-      // The highest-priority input seeds the packet unconditionally.
-      acc = *fp;
-      mask = 1u << static_cast<unsigned>(tid);
-      continue;
-    }
-    const BlockRef& blk = chain_[static_cast<std::size_t>(i)];
-    if constexpr (kCountStats) ++stats[blk.stats_index].attempts;
-    bool ok = false;
-    // Each unrolled position sees one kind per plan lifetime: the switch
-    // predicts perfectly even though it is not compiled away.
-    switch (blk.kind) {
-      case MergeKind::kCsmt:
-        ok = Footprint::csmt_compatible(acc, *fp);
-        break;
-      case MergeKind::kSmt:
-        ok = Footprint::smt_compatible(acc, *fp, config_);
-        break;
-      case MergeKind::kSelect:
-        ok = false;  // never merges: the first offering input wins
-        break;
-    }
-    if (ok) {
-      acc.merge_with(*fp, config_);
-      mask |= 1u << static_cast<unsigned>(tid);
-    } else {
-      if constexpr (kCountStats) ++stats[blk.stats_index].rejects;
-    }
-  }
-  return {acc, mask};
-}
-
-template <int N>
-void MergePlan::bind_fixed_n(MergeKind kind) {
-  if (kind == MergeKind::kCsmt) {
-    fixed_full_ = &MergePlan::select_fixed<N, MergeKind::kCsmt, true>;
-    fixed_fast_ = &MergePlan::select_fixed<N, MergeKind::kCsmt, false>;
-  } else {
-    fixed_full_ = &MergePlan::select_fixed<N, MergeKind::kSmt, true>;
-    fixed_fast_ = &MergePlan::select_fixed<N, MergeKind::kSmt, false>;
-  }
-}
-
-void MergePlan::bind_fixed(MergeKind kind) {
-  switch (num_threads_) {
-    case 2: bind_fixed_n<2>(kind); break;
-    case 3: bind_fixed_n<3>(kind); break;
-    case 4: bind_fixed_n<4>(kind); break;
-    case 5: bind_fixed_n<5>(kind); break;
-    case 6: bind_fixed_n<6>(kind); break;
-    case 7: bind_fixed_n<7>(kind); break;
-    case 8: bind_fixed_n<8>(kind); break;
-    default: break;  // wider uniform chains keep the generic fold
-  }
-}
-
-template <int N>
-void MergePlan::bind_chain_n() {
-  fixed_full_ = &MergePlan::select_chain<N, true>;
-  fixed_fast_ = &MergePlan::select_chain<N, false>;
-}
-
-void MergePlan::bind_chain() {
-  switch (num_threads_) {
-    case 2: bind_chain_n<2>(); break;
-    case 3: bind_chain_n<3>(); break;
-    case 4: bind_chain_n<4>(); break;
-    case 5: bind_chain_n<5>(); break;
-    case 6: bind_chain_n<6>(); break;
-    case 7: bind_chain_n<7>(); break;
-    case 8: bind_chain_n<8>(); break;
-    default: break;  // wider chains keep the generic fold
-  }
-}
-
 MergePlan::Eval MergePlan::select(
     std::span<const Footprint* const> candidates, int rotation,
     Frame* scratch, MergeNodeStats* stats) const {
@@ -428,30 +279,6 @@ MergePlan::Eval MergePlan::select_multi(
   return stats != nullptr
              ? select_impl<true>(candidates, rotation, scratch, stats)
              : select_impl<false>(candidates, rotation, scratch, stats);
-}
-
-MergePlan::Eval MergePlan::select_specialized(
-    std::span<const Footprint* const> candidates, int rotation,
-    Frame* scratch, MergeNodeStats* stats) const {
-  CVMT_DCHECK(candidates.size() == static_cast<std::size_t>(num_threads_));
-  CVMT_DCHECK(rotation >= 0 && rotation < num_threads_);
-
-  // Same zero/one-offer short circuit as select(): no merge check can
-  // fire, so neither fast path nor fallback needs to run.
-  int offers = 0;
-  int only = -1;
-  for (std::size_t t = 0; t < candidates.size(); ++t) {
-    if (candidates[t] != nullptr) {
-      ++offers;
-      only = static_cast<int>(t);
-    }
-  }
-  if (offers == 0) return {};
-  if (offers == 1)
-    return {*candidates[static_cast<std::size_t>(only)],
-            1u << static_cast<unsigned>(only)};
-
-  return select_multi_specialized(candidates, rotation, scratch, stats);
 }
 
 }  // namespace cvmt

@@ -42,29 +42,6 @@ enum class StatsLevel : std::uint8_t {
   kFast,  ///< decisions only: IPC sweeps skip all merge-stat writes
 };
 
-/// Structural class of a compiled plan, decided once at build time. The
-/// shape picks the select() implementation the plan can run: trees walk
-/// the frame stack, linear chains fold in registers, and uniform chains
-/// (one merge kind, no selects) additionally qualify for the
-/// fixed-thread-count unrolled fast path (see has_fixed_path()).
-enum class PlanShape : std::uint8_t {
-  kTree,          ///< general shape: frame-stack pass
-  kLinearChain,   ///< left-deep chain, mixed merge kinds: register fold
-  kUniformChain,  ///< left-deep chain, single non-select merge kind
-};
-
-[[nodiscard]] constexpr const char* to_string(PlanShape shape) {
-  switch (shape) {
-    case PlanShape::kTree:
-      return "tree";
-    case PlanShape::kLinearChain:
-      return "linear-chain";
-    case PlanShape::kUniformChain:
-      return "uniform-chain";
-  }
-  return "?";
-}
-
 /// Attempt/reject counters for one merge block of the scheme.
 struct MergeNodeStats {
   std::string label;          ///< canonical sub-scheme, e.g. "S(0,1)"
@@ -140,30 +117,6 @@ class MergePlan {
       std::span<const Footprint* const> candidates, int rotation,
       Frame* scratch, MergeNodeStats* stats) const;
 
-  /// select() routed through the shape-specialized evaluator: linear
-  /// chains of up to 8 threads dispatch a fixed-trip-count instantiation
-  /// bound at plan build time (uniform chains additionally resolve the
-  /// merge kind at compile time); every other shape falls back to
-  /// select_multi(). Decisions and statistics are bit-identical to
-  /// select() for all shapes.
-  [[nodiscard]] Eval select_specialized(
-      std::span<const Footprint* const> candidates, int rotation,
-      Frame* scratch, MergeNodeStats* stats) const;
-
-  /// select_specialized() minus the offer-count scan (the
-  /// select_multi() counterpart for pre-counted offers). Inline: the
-  /// body is a two-way dispatch in front of the bound evaluator, and
-  /// this is the per-decision entry of the cycle-loop hot paths.
-  [[nodiscard]] Eval select_multi_specialized(
-      std::span<const Footprint* const> candidates, int rotation,
-      Frame* scratch, MergeNodeStats* stats) const {
-    if (fixed_full_ != nullptr)
-      return stats != nullptr
-                 ? (this->*fixed_full_)(candidates, rotation, stats)
-                 : (this->*fixed_fast_)(candidates, rotation, stats);
-    return select_multi(candidates, rotation, scratch, stats);
-  }
-
   /// Fresh zeroed stats array matching this plan: one entry per merge
   /// block, preorder, labelled with the block's canonical sub-scheme.
   [[nodiscard]] std::vector<MergeNodeStats> make_stats() const {
@@ -184,16 +137,6 @@ class MergePlan {
   /// register-resident fold over the leaves with no frame stack. Balanced
   /// trees (2CC-style) use the general stack pass.
   [[nodiscard]] bool is_linear() const { return !chain_.empty(); }
-  /// The structural class decided at build time (see PlanShape).
-  [[nodiscard]] PlanShape shape() const { return shape_; }
-  /// True when this plan bound an unrolled fixed-thread-count fast path:
-  /// any linear chain of 2..8 threads. Uniform chains bind the
-  /// compile-time-merge-kind instantiation, mixed/select chains the
-  /// fixed-trip-count fold with per-level kinds from the chain table.
-  /// Wider chains keep the generic register fold.
-  [[nodiscard]] bool has_fixed_path() const {
-    return fixed_full_ != nullptr;
-  }
   /// Maximum number of simultaneously open blocks during a pass (the
   /// frame-stack depth select() needs).
   [[nodiscard]] int depth() const { return depth_; }
@@ -227,36 +170,6 @@ class MergePlan {
   Eval select_linear(std::span<const Footprint* const> candidates,
                      int rotation, MergeNodeStats* stats) const;
 
-  /// The unrolled uniform-chain fold: trip count `N` and merge kind `K`
-  /// are template parameters, so the compiler emits straight-line code
-  /// with the kind switch resolved away. Only bound (via fixed_full_/
-  /// fixed_fast_) when the shape check in the constructor passes.
-  template <int N, MergeKind K, bool kCountStats>
-  Eval select_fixed(std::span<const Footprint* const> candidates,
-                    int rotation, MergeNodeStats* stats) const;
-
-  /// The unrolled mixed-kind chain fold: trip count `N` is a template
-  /// parameter, the per-level merge kind comes from the chain table (a
-  /// perfectly predicted branch — the kind at each unrolled position
-  /// never changes for a given plan). Bound for linear chains that are
-  /// not uniform.
-  template <int N, bool kCountStats>
-  Eval select_chain(std::span<const Footprint* const> candidates,
-                    int rotation, MergeNodeStats* stats) const;
-
-  using FixedSelectFn = Eval (MergePlan::*)(
-      std::span<const Footprint* const>, int, MergeNodeStats*) const;
-
-  /// Instantiates and stores the select_fixed pointers for this plan's
-  /// thread count and merge kind (constructor helper).
-  void bind_fixed(MergeKind kind);
-  template <int N>
-  void bind_fixed_n(MergeKind kind);
-  /// Same for select_chain (mixed-kind linear chains).
-  void bind_chain();
-  template <int N>
-  void bind_chain_n();
-
   MachineConfig config_;
   int num_threads_ = 0;
   int depth_ = 0;
@@ -269,11 +182,6 @@ class MergePlan {
   /// leaf_tid_[r * num_threads + leaf_index] = (port + r) % num_threads.
   std::vector<std::uint8_t> leaf_tid_;
   std::vector<MergeNodeStats> stats_template_;
-  PlanShape shape_ = PlanShape::kTree;
-  /// Unrolled fast-path entry points (null unless kUniformChain of 2..8
-  /// threads): with and without stat-counter maintenance.
-  FixedSelectFn fixed_full_ = nullptr;
-  FixedSelectFn fixed_fast_ = nullptr;
 };
 
 }  // namespace cvmt

@@ -1,10 +1,7 @@
 #include "exp/batch_runner.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <future>
 
-#include "sim/batch_engine.hpp"
 #include "sim/session.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
@@ -37,28 +34,6 @@ SimResult run_one(const BatchJob& job, SimSession& session,
                      std::span<const std::string>(job.benchmarks), job.sim);
 }
 
-/// The lanes>1 path: one SimBatch drains a contiguous job range in
-/// lockstep. Artifacts come from the same process-wide cache as the
-/// session path, so the two paths compile identical schemes/programs and
-/// produce bit-identical results (batch_engine_test pins this).
-void run_jobs_batched(std::span<const BatchJob> jobs,
-                      std::span<SimResult> results, unsigned lanes) {
-  ArtifactCache& cache = ArtifactCache::global();
-  SimBatch batch(static_cast<int>(lanes));
-  for (const BatchJob& job : jobs) {
-    BatchRunSpec spec;
-    spec.scheme = cache.scheme(job.scheme, job.sim.machine);
-    const std::shared_ptr<const CompiledWorkload> wl = cache.workload(
-        std::span<const std::string>(job.benchmarks), job.sim.machine);
-    spec.shared_programs = {wl, &wl->programs};
-    spec.config = job.sim;
-    batch.enqueue(std::move(spec));
-  }
-  std::vector<SimResult> out = batch.run_all();
-  for (std::size_t i = 0; i < out.size(); ++i)
-    results[i] = std::move(out[i]);
-}
-
 }  // namespace
 
 BatchJob make_job(const Scheme& scheme, const Workload& workload,
@@ -83,27 +58,10 @@ std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,
                                  const BatchOptions& opts) {
   std::vector<SimResult> results(jobs.size());
   const unsigned workers = resolve_workers(opts, jobs.size());
-  // The store mediates per job (skip/load/append around each point), so
-  // it rides the session path; lanes>1 would simulate a whole lockstep
-  // group before any store decision. Results are bit-identical anyway,
-  // but a sharded sweep runs at session throughput — say so instead of
-  // leaving --shard ... --lanes 8 users mystified.
-  if (opts.store != nullptr && opts.lanes > 1)
-    std::fprintf(stderr,
-                 "cvmt: --store runs the per-job session path; ignoring "
-                 "--lanes=%u (results are bit-identical, only sweep "
-                 "throughput differs)\n",
-                 opts.lanes);
-  const unsigned lanes =
-      opts.store != nullptr ? 1u : (opts.lanes == 0 ? 1u : opts.lanes);
   if (workers <= 1) {
-    if (lanes <= 1) {
-      SimSession& session = session_for_this_thread();
-      for (std::size_t i = 0; i < jobs.size(); ++i)
-        results[i] = run_one(jobs[i], session, opts.store);
-    } else {
-      run_jobs_batched(jobs, results, lanes);
-    }
+    SimSession& session = session_for_this_thread();
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      results[i] = run_one(jobs[i], session, opts.store);
     return results;
   }
 
@@ -112,30 +70,12 @@ std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,
   // for one artifact block on a single build and then share it.
   ThreadPool pool(workers);
   std::vector<std::future<void>> pending;
-  if (lanes <= 1) {
-    pending.reserve(jobs.size());
-    SweepStore* const store = opts.store;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      pending.push_back(pool.submit([&jobs, &results, store, i] {
-        results[i] =
-            run_one(jobs[i], session_for_this_thread(), store);
-      }));
-  } else {
-    // Contiguous per-worker job ranges, each drained by one SimBatch.
-    // Every result lands in its own pre-allocated slot, so the output is
-    // independent of worker count and lane count alike.
-    const std::size_t chunk = (jobs.size() + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = static_cast<std::size_t>(w) * chunk;
-      if (begin >= jobs.size()) break;
-      const std::size_t count = std::min(chunk, jobs.size() - begin);
-      pending.push_back(pool.submit([jobs, &results, begin, count, lanes] {
-        run_jobs_batched(
-            jobs.subspan(begin, count),
-            std::span<SimResult>(results).subspan(begin, count), lanes);
-      }));
-    }
-  }
+  pending.reserve(jobs.size());
+  SweepStore* const store = opts.store;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    pending.push_back(pool.submit([&jobs, &results, store, i] {
+      results[i] = run_one(jobs[i], session_for_this_thread(), store);
+    }));
   for (auto& f : pending) f.get();  // rethrows the first job failure
   return results;
 }

@@ -42,18 +42,12 @@ struct BatchOptions {
   /// CVMT_WORKERS environment knob is applied by
   /// ExperimentConfig::from_env, not here.
   unsigned workers = 0;
-  /// Lockstep lanes per worker (the CVMT_BATCH_LANES knob, applied by
-  /// ExperimentParams::resolve). 1 = the classic per-job session path;
-  /// >1 routes each worker's contiguous job range through a SimBatch.
-  /// Results are bit-identical for any lane count.
-  unsigned lanes = 1;
   /// When set, every job is mediated by the on-disk result store
   /// (src/store/sweep_store.hpp): points outside the store's shard are
   /// skipped (their results default-constructed), already-stored points
   /// are served from the logs without simulating, and fresh results are
-  /// appended before they return. The store forces the per-job session
-  /// path (`lanes` is ignored; results are bit-identical either way).
-  /// Not owned; must outlive the run_batch call.
+  /// appended before they return. Not owned; must outlive the run_batch
+  /// call.
   SweepStore* store = nullptr;
 };
 

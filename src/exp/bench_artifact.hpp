@@ -9,7 +9,7 @@
 //    "sections": [{"title", "columns", "rows"}]}
 //
 // — which lets the CI structure diff treat BENCH_session_reuse.json and
-// BENCH_batch_engine.json with the same tooling as BENCH_cycle_loop.json.
+// BENCH_serve.json with the same tooling as BENCH_cycle_loop.json.
 // Wall-clock cells live in their own columns so a structure diff (titles
 // and columns) is stable across machines while the values float.
 //

@@ -98,10 +98,9 @@ JsonValue params_to_json(const Experiment& experiment,
       machine.set("heterogeneous", true);
     out.set("machine", std::move(machine));
   }
-  // ParamKind::kWorkers and ParamKind::kLanes are intentionally absent:
-  // worker and lane counts are execution details and results are
-  // bit-identical for any value, so the machine-readable output must not
-  // depend on them.
+  // ParamKind::kWorkers is intentionally absent: the worker count is an
+  // execution detail and results are bit-identical for any value, so the
+  // machine-readable output must not depend on it.
   return out;
 }
 
@@ -160,7 +159,6 @@ ParamKind param_kind_of_flag(std::string_view flag) {
   if (flag == "fast" || flag == "budget") return ParamKind::kBudget;
   if (flag == "timeslice") return ParamKind::kTimeslice;
   if (flag == "workers") return ParamKind::kWorkers;
-  if (flag == "lanes") return ParamKind::kLanes;
   if (flag == "stats") return ParamKind::kStats;
   if (flag == "schemes") return ParamKind::kSchemes;
   if (flag == "workloads") return ParamKind::kWorkloads;

@@ -6,7 +6,6 @@
 
 #include "core/scheme.hpp"
 #include "isa/machine_file.hpp"
-#include "sim/batch_engine.hpp"
 #include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
@@ -20,7 +19,6 @@ const char* to_string(ParamKind k) {
     case ParamKind::kBudget: return "budget";
     case ParamKind::kTimeslice: return "timeslice";
     case ParamKind::kWorkers: return "workers";
-    case ParamKind::kLanes: return "lanes";
     case ParamKind::kStats: return "stats";
     case ParamKind::kSchemes: return "schemes";
     case ParamKind::kWorkloads: return "workloads";
@@ -40,11 +38,6 @@ void ExperimentParams::add_standard_flags(ArgParser& parser) {
                  "Batch-runner worker threads (0 = all hardware cores); "
                  "results are bit-identical for any count.",
                  "CVMT_WORKERS");
-  parser.add_u64("lanes", "n",
-                 "Lockstep batch-simulation lanes per worker (power of "
-                 "two; 1 = classic per-job path); results are "
-                 "bit-identical for any count.",
-                 "CVMT_BATCH_LANES");
   parser.add_string("stats", "level",
                     "Merge-statistics accounting for the sweeps.",
                     "CVMT_STATS", {"full", "fast"});
@@ -114,27 +107,6 @@ ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
   p.cfg.batch.workers = static_cast<unsigned>(
       std::min(parser.get_u64("workers", 0), kMaxWorkers));
 
-  // Lanes fail eagerly — a bad CVMT_BATCH_LANES must not surface hours
-  // into a sweep. Powers of two only: lane counts are compared across
-  // the {1,2,4,8} identity matrix and benches, and a stray value like 0
-  // or 3 is always a typo. Each rejection names its own mistake, and the
-  // ceiling is the engine's lane-pool max, not a copy of it.
-  constexpr std::uint64_t kMaxLanes =
-      static_cast<std::uint64_t>(SimBatch::kMaxLanes);
-  const std::uint64_t lanes = parser.get_u64("lanes", 1);
-  CVMT_CHECK_MSG(lanes != 0,
-                 "--lanes/CVMT_BATCH_LANES: 0 is not \"auto\" — lane count "
-                 "must be >= 1 (omit the flag for the default single-lane "
-                 "path)");
-  CVMT_CHECK_MSG(lanes <= kMaxLanes,
-                 "--lanes/CVMT_BATCH_LANES exceeds the lane-pool max " +
-                     std::to_string(kMaxLanes) + ", got " +
-                     std::to_string(lanes));
-  CVMT_CHECK_MSG((lanes & (lanes - 1)) == 0,
-                 "--lanes/CVMT_BATCH_LANES must be a power of two, got " +
-                     std::to_string(lanes));
-  p.cfg.batch.lanes = static_cast<unsigned>(lanes);
-
   // Stats: the experiment layer's sweeps are pure-IPC, so the resolved
   // default is kFast (the library SimConfig default stays kFull). A bad
   // --stats value was already rejected by the parser's choices; a bad
@@ -171,8 +143,8 @@ ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
                                  static_cast<int>(issue ? issue : 4));
   }
 
-  // Store and shard, validated eagerly like lanes: a malformed CVMT_SHARD
-  // must fail up front, not silently compute the whole grid.
+  // Store and shard, validated eagerly: a malformed CVMT_SHARD must fail
+  // up front, not silently compute the whole grid.
   p.store_dir = parser.get_string("store", "");
   const std::string shard = parser.get_string("shard", "");
   if (!shard.empty()) {

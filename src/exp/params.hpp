@@ -35,8 +35,6 @@ enum class ParamKind : std::uint8_t {
   kTimeslice,  ///< --timeslice over CVMT_TIMESLICE
   kWorkers,    ///< --workers over CVMT_WORKERS (execution detail; never
                ///< part of machine-readable output)
-  kLanes,      ///< --lanes over CVMT_BATCH_LANES (execution detail like
-               ///< kWorkers: lockstep batch lanes, bit-identical results)
   kStats,      ///< --stats over CVMT_STATS (full|fast)
   kSchemes,    ///< --schemes=A,B,... filter
   kWorkloads,  ///< --workloads=A,B,... filter
@@ -85,8 +83,8 @@ struct ExperimentParams {
   /// The store manifest describing this parameter set for `experiment`
   /// sharded `shard_count` ways: everything a later resume or merge needs
   /// to reconstruct the exact sweep (fast scale, budgets, stats level,
-  /// filters, machine shape). Workers and lanes are excluded — execution
-  /// details, bit-identical results for any value.
+  /// filters, machine shape). Workers are excluded — an execution
+  /// detail, bit-identical results for any value.
   [[nodiscard]] JsonValue to_manifest_json(std::string_view experiment,
                                            unsigned shard_count) const;
 

@@ -69,7 +69,7 @@ const RegisterExperiment reg{{
     .description = "Paper schemes swept over machine description files "
                    "(heterogeneous, L2/banked, switch policies).",
     .schema = {ParamKind::kBudget, ParamKind::kTimeslice,
-               ParamKind::kWorkers, ParamKind::kLanes, ParamKind::kStats},
+               ParamKind::kWorkers, ParamKind::kStats},
     .sort_key = 235,
     .run = run,
 }};

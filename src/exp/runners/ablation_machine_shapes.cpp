@@ -63,7 +63,7 @@ const RegisterExperiment reg{{
     .description = "Scheme trade-off across (clusters x issue-width) "
                    "machine shapes.",
     .schema = {ParamKind::kBudget, ParamKind::kTimeslice,
-               ParamKind::kWorkers, ParamKind::kLanes, ParamKind::kStats},
+               ParamKind::kWorkers, ParamKind::kStats},
     .sort_key = 230,
     .run = run,
 }};

@@ -75,7 +75,7 @@ const RegisterExperiment reg{{
     .description = "Serial-vs-parallel batch runner bit-identity and "
                    "wall-clock speedup.",
     .schema = {ParamKind::kBudget, ParamKind::kTimeslice,
-               ParamKind::kWorkers, ParamKind::kLanes, ParamKind::kStats},
+               ParamKind::kWorkers, ParamKind::kStats},
     .sort_key = 300,
     .run = run,
 }};

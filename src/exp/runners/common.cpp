@@ -25,7 +25,6 @@ ExperimentResult one_section(std::string title, Dataset data,
 
 std::vector<ParamKind> sim_schema() {
   return {ParamKind::kBudget, ParamKind::kTimeslice, ParamKind::kWorkers,
-          ParamKind::kLanes,
           ParamKind::kStats, ParamKind::kMachine};
 }
 

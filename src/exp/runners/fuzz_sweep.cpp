@@ -1,8 +1,7 @@
 // The deterministic differential-fuzz sweep as a registered experiment:
 // 200 generated cases from seed 1 (the same sweep `cvmt fuzz` runs by
 // default and PR CI executes), every case checked against the plan/tree,
-// full/fast-stats, fast-forward/stepped, replay and
-// specialized-interpreter oracles. The result is
+// full/fast-stats, fast-forward/stepped and replay oracles. The result is
 // bit-identical for any --workers value; ok = false on any mismatch, so
 // the CI experiment-json job doubles as a fuzz gate.
 #include "exp/runners/common.hpp"
@@ -16,7 +15,6 @@ ExperimentResult run(const RunContext& ctx) {
   options.cases = 200;
   options.seed = 1;
   options.workers = ctx.params.cfg.batch.workers;
-  options.lanes = ctx.params.cfg.batch.lanes;
   const FuzzSweepResult sweep = run_fuzz_sweep(options);
 
   ExperimentResult result = runners::one_section(
@@ -40,7 +38,7 @@ const RegisterExperiment reg{{
     .artifact = "validation",
     .description = "Deterministic 200-case differential fuzz of the "
                    "evaluator/stats/loop bit-identity contracts.",
-    .schema = {ParamKind::kWorkers, ParamKind::kLanes},
+    .schema = {ParamKind::kWorkers},
     .sort_key = 310,
     .run = run,
 }};

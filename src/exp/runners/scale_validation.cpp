@@ -60,7 +60,7 @@ const RegisterExperiment reg{{
     .artifact = "extension",
     .description = "Stability of the headline relations across run "
                    "lengths and timeslices.",
-    .schema = {ParamKind::kWorkers, ParamKind::kLanes},
+    .schema = {ParamKind::kWorkers},
     .sort_key = 250,
     .run = run,
 }};

@@ -72,21 +72,6 @@ class MemorySystem {
   /// layer reuses it across runs.
   void reset();
 
-  /// Rebinds the system to a run with `num_threads` hardware threads
-  /// without reconstruction. With shared caches the built arrays do not
-  /// depend on the thread count, so any count fits; with private caches
-  /// the per-thread arrays are sized at construction and only the same
-  /// count fits. Returns false when reconstruction is required (the
-  /// caller re-emplaces then). Does not reset; pair with reset() for a
-  /// fresh run.
-  [[nodiscard]] bool rebind(int num_threads) {
-    if (config_.sharing == CacheSharing::kPrivate &&
-        num_threads != num_threads_)
-      return false;
-    num_threads_ = num_threads;
-    return true;
-  }
-
   [[nodiscard]] const MemorySystemConfig& config() const { return config_; }
 
   /// Aggregate hit-rate over all ICache (resp. DCache) instances.
@@ -94,14 +79,6 @@ class MemorySystem {
   [[nodiscard]] RatioCounter dcache_stats() const;
   /// L2 hit-rate; zero counters when the machine has no L2.
   [[nodiscard]] RatioCounter l2_stats() const;
-
-  /// The one shared DCache (requires sharing == kShared). The batch
-  /// engine's fused replay kernel drives it directly — same access order,
-  /// same RatioCounter, no per-access routing.
-  [[nodiscard]] SetAssocCache& shared_dcache() {
-    CVMT_DCHECK(config_.sharing == CacheSharing::kShared);
-    return dcaches_[0];
-  }
 
   /// DCache bank of `addr` (0 when unbanked). Line-interleaved.
   [[nodiscard]] int bank_of(std::uint64_t addr) const {

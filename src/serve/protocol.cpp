@@ -163,7 +163,7 @@ ExperimentParams params_from_json(const JsonValue& id,
   reject_unknown_keys(id, obj, "\"params\"",
                       {"fast", "budget", "timeslice", "stats", "machine",
                        "clusters", "issue", "schemes", "workloads",
-                       "workers", "lanes"});
+                       "workers"});
   ExperimentParams p;
   p.fast = get_bool_field(id, obj, "fast", false);
   apply_sim_fields(id, obj, p.cfg.sim, &p.machine_spec);
@@ -174,10 +174,6 @@ ExperimentParams params_from_json(const JsonValue& id,
   // server is known to be otherwise idle.
   p.cfg.batch.workers = static_cast<unsigned>(std::min<std::uint64_t>(
       get_u64_field(id, obj, "workers", 1), 1024));
-  const std::uint64_t lanes = get_u64_field(id, obj, "lanes", 1, 1);
-  if (lanes > 4096 || (lanes & (lanes - 1)) != 0)
-    bad(id, "field \"lanes\" must be a power of two in [1, 4096]");
-  p.cfg.batch.lanes = static_cast<unsigned>(lanes);
 
   p.schemes = get_string_array(id, obj, "schemes");
   for (const std::string& s : p.schemes) {

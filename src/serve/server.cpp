@@ -89,9 +89,14 @@ void ServeServer::stop() {
     // is written (pool drain); (3) only then shut the client connections
     // down and join the readers. A job admitted before (1) is never lost,
     // and nothing re-runs, so nothing is duplicated.
+    //
+    // The listener closes only after the accept thread is joined: closing
+    // under a blocked accept(2) would race on the descriptor (and could
+    // accept on a recycled one).
     draining_.store(true);
-    listener_.close();
+    listener_.shutdown();
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     if (pool_) pool_->drain();
 
     std::vector<std::shared_ptr<Connection>> conns;

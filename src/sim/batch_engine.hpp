@@ -1,382 +1,84 @@
-// Lockstep batch simulation engine: many small runs through one engine.
+// SimBatch: a queue of simulations run through the session path.
 //
-// Dense sweeps (fuzz campaigns, shrinking, scheme searches) issue
-// thousands of short simulations; the per-run cost of the session path —
-// canonical-key lookup, OsScheduler construction (shared_ptr pool copy +
-// policy heap allocation), per-thread context churn — is as large as the
-// runs themselves at those budgets. SimBatch amortizes all of it:
-//
-//   * N *lanes*, each a SimInstance-equivalent run state, laid out
-//     structure-of-arrays: per-lane cycle counters, timeslice bounds,
-//     active masks and OS-stat accumulators live in contiguous arrays the
-//     lockstep loop walks linearly; the per-lane heavy state (memory
-//     system, core, contexts) is re-emplaced in place only when the next
-//     job actually changes scheme or memory geometry.
-//   * Per-run small state (thread contexts, pools) is carved from a
-//     per-batch Arena instead of per-run heap allocations, and recycled
-//     with in-place reset()s between jobs.
-//   * The loop steps every active lane one timeslice window per round
-//     (merge arbitration and stall fast-forwarding stay inside
-//     MultithreadedCore::run_until, exactly as in the sequential path),
-//     and a finished lane immediately swaps in the next queued job —
-//     persistent-kernel style, the batch stays full until the grid
-//     drains.
-//   * Cross-run structure: a thread's instruction stream is a pure
-//     function of (program, stream_seed) — the scheme and memory system
-//     only decide *when* instructions issue. The batch records each
-//     distinct stream once (TraceReplay) and every job that shares it
-//     replays from the arrays, eliminating RNG draws, address-cursor
-//     arithmetic and template patching from the hot path. A scheme x
-//     workload grid re-uses each workload's recordings across every
-//     scheme. Cache fetches and data accesses stay live per lane.
-//   * Affinity-aware refill: a finished lane prefers a queued job whose
-//     compiled scheme matches the core already built in the lane (bounded
-//     look-ahead window), so lanes striding a scheme-major grid reset
-//     their core in place instead of re-emplacing it per job. Results are
-//     keyed by job index, so the pick order is unobservable in the
-//     output.
-//
-// The contract is strict bit-identity: every SimResult a batch produces
-// equals, field for field, what SimInstance::run would produce for the
-// same (scheme, programs, config) — the batch only reorders *wall-clock*
-// work across independent runs, never the cycle-level decisions inside
-// one run (batch_engine_test pins this across lane counts, machines and
-// switch policies).
-// Batch-only cycle-loop kernels (see DESIGN.md §13). On top of the
-// lockstep machinery, jobs that qualify run specialized code paths that
-// stay bit-identical to the generic one:
-//
-//   * Structurally-eviction-free ICache (src/mem/icache_structural):
-//     when the workload's recorded fetch-line sets are disjoint per
-//     thread and no set is over-subscribed, hit/miss is the recording's
-//     first-touch bit and the fetch-path cache walk disappears.
-//   * A fused replay window kernel for the shared-unbanked-no-L2 replay
-//     configs: refill + consume + merge-select inlined into one loop
-//     over dense per-thread arrays, no ThreadContext dispatch at all.
-//     Merge decisions still route through the lane's own MergeEngine,
-//     so rotation and statistics are the generic path's exactly.
-//   * Slot-state persistence: the fused kernel's ready/footprint state
-//     and the recorded switch-policy cursors live in lane-persistent
-//     arrays that survive windows and harvest-and-refill.
-//
-// CVMT_BATCH_KERNELS=off (or set_kernels_enabled(false)) forces every
-// job onto the generic path; the fuzz oracle and CI byte-compare the
-// two modes.
+// This surface exists only for perfbench/probe.cpp, which the benchmark
+// compiles on every run and which calls it on the sweep-fast grid. Every
+// job runs one at a time, in enqueue order, through SimSession ->
+// SimInstance — the same path as every CLI command — so the results are
+// bit-identical to SimSession::run by construction. The next change to
+// the benchmark can drop this file together with the probe's batch pass.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/session.hpp"
-#include "sim/switch_replay.hpp"
-#include "support/arena.hpp"
-#include "trace/trace_replay.hpp"
+#include "support/check.hpp"
 
 namespace cvmt {
 
 /// One queued simulation: compiled scheme, materialized programs, knobs.
 /// The machine of `config` must equal the compiled scheme's machine.
-/// Grid submitters that enqueue the same workload many times should set
-/// `shared_programs` (e.g. aliasing the CompiledWorkload's vector) —
-/// one refcount bump per job instead of copying the vector; `programs`
-/// stays for one-off callers. When both are set, `shared_programs` wins.
 struct BatchRunSpec {
   std::shared_ptr<const CompiledScheme> scheme;
-  std::vector<std::shared_ptr<const SyntheticProgram>> programs;
   std::shared_ptr<const std::vector<std::shared_ptr<const SyntheticProgram>>>
       shared_programs;
   SimConfig config;
-
-  [[nodiscard]] const std::vector<std::shared_ptr<const SyntheticProgram>>&
-  progs() const {
-    return shared_programs != nullptr ? *shared_programs : programs;
-  }
 };
 
-/// A pool of `lanes` lockstep run states draining a job queue.
-/// Not thread-safe — one batch per worker thread.
+/// Runs queued specs on one reused SimSession. Not thread-safe.
 class SimBatch {
  public:
-  /// `lanes` >= 1. A 1-lane batch runs jobs one at a time, never
-  /// interleaved (the affinity-aware refill may permute which job runs
-  /// next; results always land in enqueue order).
-  explicit SimBatch(int lanes);
-  ~SimBatch();
+  /// `lanes` must be 1: jobs run one at a time.
+  explicit SimBatch(int lanes) {
+    CVMT_CHECK_MSG(lanes == 1, "SimBatch runs one job at a time (lanes 1)");
+  }
 
-  SimBatch(const SimBatch&) = delete;
-  SimBatch& operator=(const SimBatch&) = delete;
+  /// Queues one run. Invalid specs (no scheme, empty workload, machine
+  /// mismatch, zero timeslice) are rejected here, before anything runs.
+  void enqueue(BatchRunSpec spec) {
+    CVMT_CHECK_MSG(spec.scheme != nullptr,
+                   "batch job needs a compiled scheme");
+    CVMT_CHECK_MSG(
+        spec.shared_programs != nullptr && !spec.shared_programs->empty(),
+        "empty workload");
+    CVMT_CHECK_MSG(spec.config.machine == spec.scheme->machine(),
+                   "SimConfig.machine must equal the compiled scheme's "
+                   "machine");
+    CVMT_CHECK_MSG(spec.config.timeslice_cycles >= 1,
+                   "timeslice must be positive");
+    jobs_.push_back(std::move(spec));
+  }
 
-  /// Queues one run. Invalid specs (empty workload, machine mismatch,
-  /// zero timeslice) are rejected here, before any lane state moves.
-  void enqueue(BatchRunSpec spec);
+  /// Runs every queued job and returns the results in enqueue order,
+  /// leaving the queue empty.
+  [[nodiscard]] std::vector<SimResult> run_all() {
+    std::vector<SimResult> results;
+    results.reserve(jobs_.size());
+    for (const BatchRunSpec& spec : jobs_)
+      results.push_back(session_.run(spec.scheme->scheme(),
+                                     *spec.shared_programs, spec.config));
+    kernel_stats_.generic_jobs += jobs_.size();
+    jobs_.clear();
+    return results;
+  }
 
-  /// Runs every queued job to completion and returns the results in
-  /// enqueue order. The queue is left empty; the batch (lanes, arena,
-  /// warmed caches) is reusable for the next grid.
-  [[nodiscard]] std::vector<SimResult> run_all();
-
-  [[nodiscard]] int lanes() const { return lanes_; }
-  [[nodiscard]] std::size_t queued() const { return jobs_.size(); }
-  /// Arena footprint of the per-run state (diagnostics/benchmarks).
-  [[nodiscard]] const Arena& arena() const { return arena_; }
-
-  /// Hard lane-pool ceiling; the arg layer validates --lanes against it.
-  static constexpr int kMaxLanes = 4096;
-
-  /// Batch-only specialized kernels (structural ICache + fused window).
-  /// Default from CVMT_BATCH_KERNELS (on|off; on unless set). Results are
-  /// bit-identical either way — the knob exists for verification and for
-  /// measuring the kernels' contribution.
-  void set_kernels_enabled(bool on) { kernels_enabled_ = on; }
-  [[nodiscard]] bool kernels_enabled() const { return kernels_enabled_; }
-
-  /// Which path each job ran, accumulated across run_all calls (the
-  /// bench's kernel-coverage decomposition).
+  /// Jobs run so far. Every job takes the session path, so the two
+  /// kernel counters stay 0.
   struct KernelStats {
-    std::uint64_t fused_jobs = 0;       ///< fused replay window kernel
-    std::uint64_t structural_jobs = 0;  ///< structural ICache, generic loop
-    std::uint64_t generic_jobs = 0;     ///< fully generic path
+    std::uint64_t fused_jobs = 0;
+    std::uint64_t structural_jobs = 0;
+    std::uint64_t generic_jobs = 0;
   };
   [[nodiscard]] const KernelStats& kernel_stats() const {
     return kernel_stats_;
   }
 
  private:
-  /// Per-lane heavy state. The memory system and core are re-emplaced in
-  /// place only when the incoming job changes memory geometry or scheme;
-  /// std::optional re-emplacement keeps the object address stable, so
-  /// the core's MemorySystem& stays valid across mem re-emplacements.
-  struct Lane {
-    std::size_t job = 0;  ///< index into jobs_ / results slot
-    std::optional<MemorySystem> mem;
-    /// Constructed cores, cached per compiled-scheme identity.
-    /// Construction is the dominant per-job cost at small budgets
-    /// (~35us vs ~4us for the whole run at budget 40), so a 16-scheme
-    /// grid cycling through a lane constructs each core once and resets
-    /// it thereafter — the same reset-equals-fresh contract the old
-    /// keep-if-same-scheme logic relied on, generalized to every scheme
-    /// the lane has seen. Keyed by the CompiledScheme pointer (each
-    /// entry pins its scheme, so the address cannot be recycled while
-    /// cached) and scanned linearly: grids hold a handful of schemes
-    /// and a pointer compare beats a string-keyed map walk in the
-    /// per-job hot path. All cores reference this lane's `mem` payload,
-    /// whose address is stable across optional re-emplacement.
-    struct CoreSlot {
-      std::shared_ptr<const CompiledScheme> scheme;
-      std::unique_ptr<MultithreadedCore> core;
-    };
-    std::vector<CoreSlot> cores;
-    [[nodiscard]] CoreSlot* find_core(const CompiledScheme* scheme) {
-      for (CoreSlot& slot : cores)
-        if (slot.scheme.get() == scheme) return &slot;
-      return nullptr;
-    }
-    MultithreadedCore* core = nullptr;  ///< current job's entry in cores
-    /// Arena-constructed contexts, recycled across jobs. The first
-    /// `pool_size` entries are the current job's software threads; any
-    /// further entries stay constructed (idle) for reuse by later jobs.
-    std::vector<ThreadContext*> pool;
-    std::size_t pool_size = 0;  ///< contexts bound to the current job
-    std::unique_ptr<SwitchPolicy> policy;
-    SwitchPolicyKind policy_kind = SwitchPolicyKind::kRandomTimeslice;
-    /// Batch-shared recorded pick sequence for this job's (policy, seed,
-    /// pool size, slots); nullptr when the policy is not oblivious (the
-    /// live policy decides then).
-    SwitchReplay* sreplay = nullptr;
-    /// Memo of the last switch_replays_ lookup: consecutive jobs in a
-    /// grid mostly share the key, so four scalar compares replace the
-    /// map walk. sr_hit is only read when the key matches, and entries
-    /// are never removed from switch_replays_ while a batch lives.
-    std::tuple<SwitchPolicyKind, std::uint64_t, int, int> sr_key{};
-    SwitchReplay* sr_hit = nullptr;
-    std::vector<ThreadContext*> next;  ///< reschedule scratch
-    /// Reuse key of the memory system currently constructed in this lane.
-    MemorySystemConfig mem_cfg;
-
-    /// Kernel selection for the current job (see prepare): `fused` runs
-    /// step_window_fused over the f_* arrays below; `structural` runs the
-    /// generic loop with contexts in structural-fetch mode; neither = the
-    /// fully generic path.
-    bool fused = false;
-    bool structural = false;
-
-    // --- fused-kernel state --------------------------------------------
-    // Per-job constants, hoisted out of the cycle loop.
-    std::uint64_t f_budget = 0;
-    int f_ipen = 0;  ///< ICache miss penalty
-    int f_dpen = 0;  ///< DCache miss penalty
-    int f_bpen = 0;  ///< taken-branch penalty
-    MissPolicy f_miss_policy = MissPolicy::kSerialized;
-    bool f_stall_ff = true;
-    SetAssocCache* f_dcache = nullptr;  ///< the one shared DCache
-    /// Per software thread (size pool_size), persistent across windows
-    /// and across the OS descheduling a thread: replay cursor, ready
-    /// cycle, pending footprint (null = needs refill), done flag, stats,
-    /// structural fetch-miss count. The ThreadContext-equivalent state,
-    /// flattened to dense arrays the window kernel indexes directly.
-    std::vector<const TraceReplay*> f_replay;
-    std::vector<const FirstTouchIndex*> f_ft;
-    std::vector<std::uint64_t> f_pos;
-    std::vector<std::uint64_t> f_ready;
-    std::vector<const Footprint*> f_fp;
-    /// Entry behind f_fp (same refill), so consume reads the issue's
-    /// op/branch/memory metadata without re-indexing the replay.
-    std::vector<const TraceReplay::Entry*> f_entry;
-    std::vector<std::uint8_t> f_done;
-    std::vector<ThreadStats> f_stats;
-    std::vector<std::uint64_t> f_imiss;
-    /// Pool index resident in each hardware slot (-1 = idle slot).
-    std::array<std::int16_t, kMaxThreads> f_slot{};
-    /// Lane-level core counters (the CoreStats equivalents the fused
-    /// kernel accumulates instead of core->stats()).
-    std::uint64_t f_ops = 0;
-    std::uint64_t f_instr = 0;
-    std::uint64_t f_idle = 0;
-  };
-
-  /// Per-workload resolution memo: replay pointers and the
-  /// structural-ICache verdict per memory config. Grids re-bind the same
-  /// programs vector job after job; everything here is computed once per
-  /// workload instead of once per job.
-  struct WorkloadBinding {
-    std::vector<TraceReplay*> replays;
-    bool all_replayed = false;
-    /// All programs compiled for the same machine (checked once per
-    /// binding; each job then compares one program against its config
-    /// instead of all of them).
-    bool machines_uniform = false;
-    std::vector<std::pair<MemorySystemConfig, bool>> structural;
-  };
-
-  /// Binds jobs_[job] onto `lane`: resets or re-emplaces the heavy state,
-  /// rebinds the context pool, zeroes this lane's SoA slots. Equivalent
-  /// to the entry reset of SimInstance::run.
-  void prepare(std::size_t lane, std::size_t job);
-
-  /// Advances one timeslice window (the body of OsScheduler::run's
-  /// while-iteration). Returns false once the run finished — a thread
-  /// completed its budget or the cycle limit was reached. Dispatches to
-  /// step_window_fused for fused-kernel jobs.
-  bool step_window(std::size_t lane);
-
-  /// The fused replay window kernel: one window of refill + consume +
-  /// merge-select inlined over the lane's f_* arrays. Bit-identical to
-  /// the generic window (same engine, same DCache access order, same
-  /// fast-forward arithmetic).
-  bool step_window_fused(std::size_t lane);
-
-  /// Applies the lane policy's pick at a slice boundary (the
-  /// OsScheduler::reschedule equivalent, accumulating into the SoA OS
-  /// counters).
-  void reschedule(std::size_t lane);
-
-  /// reschedule() for fused jobs: replays the recorded pick row into the
-  /// f_slot map (fused jobs always have a switch replay).
-  void reschedule_fused(std::size_t lane);
-
-  /// Memoized structural-ICache verdict for this job's workload x memory
-  /// config (exact recorded-line-set analysis; requires bind.all_replayed).
-  bool structural_for(WorkloadBinding& bind, const BatchRunSpec& spec);
-
-  /// First-touch flags of `replay` at `line_shift`, covering `budget`
-  /// entries, with the cache byte budget kept accurate.
-  const FirstTouchIndex* first_touch_for(TraceReplay* replay,
-                                         std::uint32_t line_shift,
-                                         std::uint64_t budget);
-
-  /// Collects the finished lane's SimResult (field-for-field the
-  /// construction at the end of SimInstance::run).
-  [[nodiscard]] SimResult harvest(std::size_t lane);
-
-  /// The shared recording for (program, stream_seed), extended to cover
-  /// `budget` instructions — or nullptr when the budget is over the
-  /// recording cap or the cache is at its byte budget (the context then
-  /// drives its own generator, bit-identically).
-  TraceReplay* replay_for(
-      const std::shared_ptr<const SyntheticProgram>& program,
-      std::uint64_t stream_seed, std::uint64_t budget);
-
-  /// Budgets above this run on the live generator: recording a stream
-  /// costs memory linear in its length, and long runs amortize generation
-  /// anyway. Well above the fuzz/shrink regime (budgets <= ~2500).
-  static constexpr std::uint64_t kReplayBudgetCap = 1u << 16;
-  /// Recording-cache byte budget; at capacity, new streams fall back to
-  /// the generator path and the cache is dropped between run_all calls.
-  static constexpr std::size_t kReplayByteCap = 64u << 20;
-  /// How far into the pending queue a freed lane looks for a job whose
-  /// scheme matches its built core.
-  static constexpr std::size_t kAffinityWindow = 64;
-  /// Per-lane cached-core cap; a grid has a handful of schemes, so this
-  /// only trips on fuzz-style queues with unbounded scheme churn.
-  static constexpr std::size_t kMaxCachedCores = 64;
-  /// Workload-binding memo cap; like the core cap, only workload churn
-  /// (fuzzing) ever reaches it, and a dropped memo merely re-analyzes.
-  static constexpr std::size_t kMaxWorkloadBindings = 256;
-
-  int lanes_;
-  Arena arena_;
+  SimSession session_;
   std::vector<BatchRunSpec> jobs_;
-  std::vector<Lane> lane_state_;
-
-  // --- structure-of-arrays lockstep state, indexed by lane -------------
-  std::vector<std::uint64_t> cycle_;        ///< current cycle of the run
-  std::vector<std::uint64_t> timeslice_;    ///< slice length (cycles)
-  std::vector<std::uint64_t> max_cycles_;   ///< hard stop
-  std::vector<std::uint64_t> switches_;     ///< OS context switches so far
-  std::vector<std::uint64_t> timeslices_;   ///< OS slices started so far
-  std::vector<std::uint8_t> active_;        ///< lane occupied by a live run
-
-  /// Stream recordings shared by every lane and job of this batch, keyed
-  /// by (program identity, stream seed); the shared_ptr pins the program
-  /// the entries point into. Kept across run_all calls while under the
-  /// byte budget — a reused batch keeps its warm recordings.
-  struct ReplaySlot {
-    std::shared_ptr<const SyntheticProgram> program;
-    std::unique_ptr<TraceReplay> replay;
-  };
-  std::map<std::pair<const SyntheticProgram*, std::uint64_t>, ReplaySlot>
-      replays_;
-  std::size_t replay_bytes_ = 0;
-
-  /// Per-workload bindings (replays + structural analysis), keyed by the
-  /// identities of the programs themselves + the knobs the resolution
-  /// depends on. Keying by program identity (not the enqueued vector's
-  /// data address, which differs for every copied BatchRunSpec) lets the
-  /// whole scheme grid share one binding per workload, so the recorded
-  /// structural-ICache analysis runs once per workload instead of once
-  /// per job. A linearly scanned vector: a batch sees a handful of
-  /// workloads, and the scan compares two integers before it ever
-  /// touches the pointer vector. The key owns its programs, so a cached
-  /// entry can never be re-matched by a recycled address — which is
-  /// what lets the memo persist across run_all calls (repeated grids
-  /// skip re-analysis entirely). Dropped together with `replays_` (the
-  /// bindings point into it) and when the entry cap is hit.
-  struct WorkloadKey {
-    std::vector<std::shared_ptr<const SyntheticProgram>> progs;
-    std::uint64_t seed_base = 0;
-    std::uint64_t budget = 0;
-  };
-  std::vector<std::pair<WorkloadKey, WorkloadBinding>> workload_replays_;
-
-  bool kernels_enabled_ = true;  ///< ctor reads CVMT_BATCH_KERNELS
   KernelStats kernel_stats_;
-
-  /// Recorded pick sequences for oblivious switch policies, keyed by
-  /// everything the sequence depends on. A 16-scheme grid has 2-4 distinct
-  /// thread counts, so the whole grid's reschedules cost 2-4 recordings
-  /// instead of one RNG-driven pick per window per job. Kept across
-  /// run_all calls (the key owns no job state); bytes stay tiny — one
-  /// byte per assigned slot per window.
-  std::map<std::tuple<SwitchPolicyKind, std::uint64_t, int, int>,
-           std::unique_ptr<SwitchReplay>>
-      switch_replays_;
 };
 
 }  // namespace cvmt

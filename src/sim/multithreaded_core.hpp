@@ -88,11 +88,6 @@ class MultithreadedCore {
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] const MergeEngine& engine() const { return engine_; }
-  /// Mutable engine access for the batch engine's fused window kernel,
-  /// which runs the cycle loop itself but must route every merge decision
-  /// through this exact engine (same rotation, same stats) to stay
-  /// bit-identical to run_until().
-  [[nodiscard]] MergeEngine& engine_mut() { return engine_; }
   [[nodiscard]] MemorySystem& memory() { return mem_; }
   [[nodiscard]] const CoreOptions& options() const { return options_; }
 

@@ -53,17 +53,6 @@ class CompiledScheme {
   /// The cache key this artifact is stored under (see make_key).
   [[nodiscard]] const std::string& key() const { return key_; }
 
-  /// The eval mode this artifact wants its engines to run: decided once
-  /// at compile time from the plan's shape. Chain plans with a bound
-  /// fixed path run the shape-specialized interpreter; everything else
-  /// runs the generic plan pass. Decisions are bit-identical either
-  /// way — this only picks the faster evaluator. Callers that ask for
-  /// EvalMode::kTreeReference keep it (validation paths).
-  [[nodiscard]] EvalMode preferred_eval_mode() const {
-    return plan_->has_fixed_path() ? EvalMode::kPlanSpecialized
-                                   : EvalMode::kPlan;
-  }
-
   /// Canonical key of (scheme, machine): display name + canonical tree +
   /// the full machine configuration. The display name is part of the key
   /// because SimResult::scheme carries it — two schemes with identical

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/multithreaded_core.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace cvmt {
@@ -34,32 +35,9 @@ class RandomTimeslicePolicy final : public SwitchPolicy {
     for (std::size_t s = 0; s < take; ++s) next[s] = runnable_[s];
   }
 
-  void reset(std::uint64_t seed) override { rng_ = Xoshiro256(seed); }
-
-  [[nodiscard]] bool oblivious() const override { return true; }
-
-  void pick_indices(int pool_size, int slots,
-                    std::vector<std::uint8_t>& out) override {
-    // Mirrors pick() with every pooled thread runnable: same collection
-    // order, same prefix shuffle, same RNG draw sequence — so a recorded
-    // index stream replays the exact decisions pick() would have made.
-    const std::size_t n = static_cast<std::size_t>(pool_size);
-    idx_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      idx_[i] = static_cast<std::uint8_t>(i);
-    const std::size_t take =
-        std::min(static_cast<std::size_t>(slots), n);
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t j = i + rng_.next_below(n - i);
-      std::swap(idx_[i], idx_[j]);
-    }
-    out.assign(idx_.begin(), idx_.begin() + static_cast<std::ptrdiff_t>(take));
-  }
-
  private:
   Xoshiro256 rng_;
   std::vector<ThreadContext*> runnable_;
-  std::vector<std::uint8_t> idx_;
 };
 
 /// simtrax PRESTALL at timeslice granularity: rotate the resident set
@@ -80,23 +58,6 @@ class PrestallPolicy final : public SwitchPolicy {
     for (std::size_t s = 0; s < take; ++s)
       next[s] = runnable_[(cursor_ + s) % runnable_.size()];
     cursor_ = (cursor_ + take) % runnable_.size();
-  }
-
-  void reset(std::uint64_t /*seed*/) override { cursor_ = 0; }
-
-  [[nodiscard]] bool oblivious() const override { return true; }
-
-  void pick_indices(int pool_size, int slots,
-                    std::vector<std::uint8_t>& out) override {
-    // pick() with every pooled thread runnable: rotate the cursor over
-    // the full pool.
-    const std::size_t n = static_cast<std::size_t>(pool_size);
-    const std::size_t take =
-        std::min(static_cast<std::size_t>(slots), n);
-    out.resize(take);
-    for (std::size_t s = 0; s < take; ++s)
-      out[s] = static_cast<std::uint8_t>((cursor_ + s) % n);
-    cursor_ = (cursor_ + take) % n;
   }
 
  private:
@@ -159,11 +120,6 @@ class PoststallPolicy final : public SwitchPolicy {
               claim_next(pool, [](const ThreadContext&) { return true; }))
         next[s] = t;
     }
-  }
-
-  void reset(std::uint64_t /*seed*/) override {
-    cursor_ = 0;
-    used_.clear();
   }
 
  private:

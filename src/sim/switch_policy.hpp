@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "sim/thread_context.hpp"
-#include "support/check.hpp"
 
 namespace cvmt {
 
@@ -48,32 +47,6 @@ class SwitchPolicy {
   virtual void pick(std::span<ThreadContext* const> pool,
                     const MultithreadedCore& core, std::uint64_t cycle,
                     std::vector<ThreadContext*>& next) = 0;
-
-  /// Rewinds all mutable decision state to the freshly-constructed value
-  /// under a (possibly new) seed, so one policy instance can serve many
-  /// runs back to back (the batch engine recycles policies per lane).
-  /// Bit-identical to constructing a new policy with that seed.
-  virtual void reset(std::uint64_t seed) = 0;
-
-  /// True when the pick sequence is *oblivious*: as long as no pooled
-  /// thread is done, every decision depends only on (pool size, slot
-  /// count) and the policy's own state — never on the threads' execution
-  /// state. An oblivious policy's whole pick sequence is a pure function
-  /// of its reset seed, so runs sharing (policy, seed, sizes) share it;
-  /// the batch engine records it once via pick_indices and replays it
-  /// (sim/switch_replay.hpp). Poststall inspects stall state and is the
-  /// one built-in that is not oblivious.
-  [[nodiscard]] virtual bool oblivious() const { return false; }
-
-  /// pick() in index form, valid only for oblivious policies with no done
-  /// thread in the pool: writes min(slots, pool_size) pool indices (the
-  /// threads assigned to slots 0..take) and advances the policy state
-  /// exactly as the equivalent pick() call would — the two are
-  /// interchangeable draw for draw.
-  virtual void pick_indices(int /*pool_size*/, int /*slots*/,
-                            std::vector<std::uint8_t>& /*out*/) {
-    CVMT_CHECK_MSG(false, "policy is not oblivious");
-  }
 };
 
 /// Factory for the built-in policies. `seed` feeds kRandomTimeslice's RNG

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "trace/trace_replay.hpp"
-
 namespace cvmt {
 
 ThreadContext::ThreadContext(std::string name,
@@ -33,57 +31,22 @@ void ThreadContext::reset(std::string_view name,
   pending_patches_ = nullptr;
   ready_at_ = 0;
   stats_ = ThreadStats{};
-  replay_ = nullptr;
-  replay_pos_ = 0;
-  first_touch_ = nullptr;
-  icache_penalty_ = 0;
-  structural_misses_ = 0;
 }
 
 void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
                            int hw_tid) {
-  std::uint64_t pc;
-  if (replay_ != nullptr) {
-    // The stream content comes from the recording; the fetch below stays
-    // live (hits depend on the cross-thread interleaving) — unless the
-    // batch proved the ICache structurally eviction free, in which case
-    // hit/miss is the recording's precomputed first-touch bit and the
-    // cache walk is skipped entirely (its only effect was unobservable
-    // LRU/tag state).
-    CVMT_CHECK_MSG(replay_pos_ < replay_->recorded(),
-                   "replay recording shorter than the thread's budget");
-    const std::uint64_t pos = replay_pos_++;
-    const TraceReplay::Entry& e = replay_->entry(pos);
-    pending_ = nullptr;
-    pending_fp_ = e.fp;
-    pending_patches_ = nullptr;
-    if (first_touch_ != nullptr) {
-      has_pending_ = true;
-      if (first_touch_->miss(pos)) {
-        ready_at_ = std::max(ready_at_, cycle) +
-                    static_cast<std::uint64_t>(icache_penalty_);
-        stats_.icache_stall_cycles +=
-            static_cast<std::uint64_t>(icache_penalty_);
-        ++structural_misses_;
-      }
-      return;
-    }
-    pc = e.pc;
-  } else {
-    if (gen_stale_) {
-      gen_.reset(std::move(pending_program_), pending_seed_);
-      gen_stale_ = false;
-    }
-    gen_.advance();
-    pending_ = &gen_.current_instruction();
-    pending_fp_ = &gen_.current_footprint();
-    pending_patches_ = &gen_.current_patches();
-    pc = gen_.current_pc();
+  if (gen_stale_) {
+    gen_.reset(std::move(pending_program_), pending_seed_);
+    gen_stale_ = false;
   }
+  gen_.advance();
+  pending_ = &gen_.current_instruction();
+  pending_fp_ = &gen_.current_footprint();
+  pending_patches_ = &gen_.current_patches();
   has_pending_ = true;
   // Fetch starts once the previous instruction's stalls resolve; an
   // ICache miss then delays issue further.
-  const MemAccessResult fetch = mem.fetch(hw_tid, pc);
+  const MemAccessResult fetch = mem.fetch(hw_tid, gen_.current_pc());
   if (!fetch.hit) {
     ready_at_ = std::max(ready_at_, cycle) +
                 static_cast<std::uint64_t>(fetch.penalty_cycles);
@@ -98,10 +61,8 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   CVMT_CHECK_MSG(has_pending_ && cycle >= ready_at_,
                  "consume without a ready offer");
   // Execution stalls: taken-branch squash plus DCache misses. Only the
-  // patched (memory/branch) ops are timing-relevant; on the generator
-  // path the precomputed patch list visits exactly those, in op order,
-  // and on the replay path the recording already holds their values in
-  // that order — the data accesses below are identical either way.
+  // patched (memory/branch) ops are timing-relevant, and the precomputed
+  // patch list visits exactly those, in op order.
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
@@ -121,26 +82,15 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
       banks_touched |= bit;
     }
   };
-  if (replay_ != nullptr) {
-    const TraceReplay::Entry& e = replay_->entry(replay_pos_ - 1);
-    ++stats_.instructions;
-    stats_.ops += e.op_count;
-    if (e.empty) ++stats_.bubbles;
-    const std::uint64_t* addrs = replay_->mem_addrs(e);
-    for (int k = 0; k < static_cast<int>(e.mem_count); ++k)
-      data_op(addrs[k]);
-    taken = e.taken;
-  } else {
-    ++stats_.instructions;
-    stats_.ops += pending_->op_count();
-    if (pending_->empty()) ++stats_.bubbles;
-    for (const std::uint8_t idx : *pending_patches_) {
-      const Operation& op = pending_->op(idx);
-      if (is_memory(op.kind)) {
-        data_op(op.addr);
-      } else if (op.taken) {  // patch lists hold only memory and branch ops
-        taken = true;
-      }
+  ++stats_.instructions;
+  stats_.ops += pending_->op_count();
+  if (pending_->empty()) ++stats_.bubbles;
+  for (const std::uint8_t idx : *pending_patches_) {
+    const Operation& op = pending_->op(idx);
+    if (is_memory(op.kind)) {
+      data_op(op.addr);
+    } else if (op.taken) {  // patch lists hold only memory and branch ops
+      taken = true;
     }
   }
   if (bank_conflicts > 0) {

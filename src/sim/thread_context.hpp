@@ -17,9 +17,6 @@
 
 namespace cvmt {
 
-class FirstTouchIndex;
-class TraceReplay;
-
 /// How multiple DCache misses inside one issued packet are charged.
 enum class MissPolicy : std::uint8_t {
   kSerialized,  ///< each miss blocks in turn (simple blocking LSU, default;
@@ -63,44 +60,6 @@ class ThreadContext {
   void reset(std::string_view name,
              std::shared_ptr<const SyntheticProgram> program,
              std::uint64_t stream_seed, std::uint64_t instruction_budget);
-
-  /// Switches this context to replay a recorded stream instead of driving
-  /// its own generator. `replay` must have been recorded from the same
-  /// (program, stream_seed) this context was reset with, and must hold at
-  /// least `instruction_budget` entries; the caller keeps it alive for the
-  /// run. Cache fetches and data accesses still happen live — only the
-  /// stream *content* comes from the recording, so the execution is
-  /// bit-identical to the generator path. reset() clears replay mode.
-  void set_replay(const TraceReplay* replay) {
-    replay_ = replay;
-    replay_pos_ = 0;
-    first_touch_ = nullptr;
-    icache_penalty_ = 0;
-    structural_misses_ = 0;
-  }
-
-  /// Structurally-eviction-free fetch mode (batch engine, replay runs
-  /// only): the caller has proven the shared ICache never evicts for this
-  /// workload, so refill() charges `miss_penalty` exactly when the
-  /// recording's first-touch bit is set instead of walking the cache —
-  /// bit-identical timing, and the per-thread fetch/miss counts feed the
-  /// harvested ICache stats (structural_fetches/structural_misses).
-  /// Requires an active set_replay(); cleared by set_replay()/reset().
-  void set_structural_fetch(const FirstTouchIndex* first_touch,
-                            int miss_penalty) {
-    first_touch_ = first_touch;
-    icache_penalty_ = miss_penalty;
-    structural_misses_ = 0;
-  }
-
-  /// Fetches performed so far on the replay path (one per refill).
-  [[nodiscard]] std::uint64_t structural_fetches() const {
-    return replay_pos_;
-  }
-  /// First-touch misses charged in structural fetch mode.
-  [[nodiscard]] std::uint64_t structural_misses() const {
-    return structural_misses_;
-  }
 
   /// Offers this thread's next instruction for merging at `cycle`.
   /// Fetches (and charges ICache penalties) lazily; returns nullptr while
@@ -154,11 +113,10 @@ class ThreadContext {
   std::uint64_t budget_;
 
   /// Deferred generator rebind: reset() only records the target stream
-  /// here and refill() arms the generator on first use. A replay-backed
-  /// run never touches its generator, so the batch engine skips the
-  /// stream-start work (RNG seeding, loop setup) entirely; on the
-  /// generator path the same work happens at first refill instead of at
-  /// reset — bit-identical either way, the stream is a pure function of
+  /// here and refill() arms the generator on first use, so a context
+  /// that is reset but never fetches (a thread the run never schedules)
+  /// skips the stream-start work (RNG seeding, loop setup) entirely —
+  /// bit-identical either way, the stream is a pure function of
   /// (program, seed).
   std::shared_ptr<const SyntheticProgram> pending_program_;
   std::uint64_t pending_seed_ = 0;
@@ -173,15 +131,6 @@ class ThreadContext {
   const Instruction* pending_ = nullptr;
   const SyntheticProgram::PatchList* pending_patches_ = nullptr;
   std::uint64_t ready_at_ = 0;
-
-  /// Replay mode (batch engine): recorded stream and the index of the
-  /// next entry to fetch. Null on the classic generator path.
-  const TraceReplay* replay_ = nullptr;
-  std::uint64_t replay_pos_ = 0;
-  /// Structural fetch mode (see set_structural_fetch); null = live cache.
-  const FirstTouchIndex* first_touch_ = nullptr;
-  int icache_penalty_ = 0;
-  std::uint64_t structural_misses_ = 0;
 
   ThreadStats stats_;
 };

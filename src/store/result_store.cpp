@@ -77,7 +77,7 @@ std::string point_key(const BatchJob& job) {
   // The full run configuration beyond the machine (which the scheme key
   // carries): any knob that can change a result must be here, so two
   // jobs share a record only when the simulator guarantees bit-identical
-  // outcomes. Workers/lanes are deliberately absent — results are
+  // outcomes. The worker count is deliberately absent — results are
   // bit-identical for any value (the batch runner's contract).
   key += "|C:";
   append_cache(key, c.mem.icache);

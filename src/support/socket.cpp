@@ -127,13 +127,11 @@ TcpListener TcpListener::bind_local(std::uint16_t port) {
 }
 
 TcpStream TcpListener::accept_one() {
-  // Snapshot the descriptor: close() from another thread is the accept
-  // loop's exit signal, and accept(2) on the closed descriptor returns
-  // EBADF, which maps to the invalid stream below.
-  const int fd = fd_;
-  if (fd < 0) return TcpStream{};
+  if (fd_ < 0) return TcpStream{};
   for (;;) {
-    const int conn = ::accept(fd, nullptr, nullptr);
+    // After shutdown() from another thread, accept(2) fails with EINVAL,
+    // which maps to the invalid stream below.
+    const int conn = ::accept(fd_, nullptr, nullptr);
     if (conn >= 0) {
       // Request/response lines are small; Nagle would add 40ms stalls to
       // pipelined clients.
@@ -146,11 +144,13 @@ TcpStream TcpListener::accept_one() {
   }
 }
 
+void TcpListener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void TcpListener::close() {
   if (fd_ >= 0) {
-    // shutdown() first: close() alone does not reliably wake a thread
-    // blocked in accept(2) on all platforms.
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

@@ -72,13 +72,19 @@ class TcpListener {
   /// The actually-bound port (meaningful after bind_local(0)).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Blocks for the next connection. Returns an invalid stream when the
-  /// listener was closed from another thread (the accept loop's exit
-  /// signal) or on a transient accept failure.
+  /// Blocks for the next connection. Returns an invalid stream once the
+  /// listener is shut down (the accept loop's exit signal) or on a
+  /// transient accept failure.
   [[nodiscard]] TcpStream accept_one();
 
-  /// Closes the listening descriptor; a blocked accept_one() returns an
-  /// invalid stream. Safe to call from another thread.
+  /// Stops accepting: a blocked accept_one() wakes and returns an invalid
+  /// stream, and so does every later call. The descriptor stays open, so
+  /// it cannot be recycled under a thread still inside accept_one(). Safe
+  /// to call from another thread while the listener is open.
+  void shutdown();
+
+  /// Closes the listening descriptor. Not safe against a concurrent
+  /// accept_one(): shut down, join the accepting thread, then close.
   void close();
 
  private:

@@ -19,21 +19,20 @@ namespace {
 /// run knobs far more often than the profiles, so most of the hundreds
 /// of oracle evaluations reuse the already-built programs instead of
 /// rebuilding them from scratch.
-ShrinkResult shrink_against_oracles(const FuzzCase& failing,
-                                    unsigned lanes) {
+ShrinkResult shrink_against_oracles(const FuzzCase& failing) {
   ArtifactCache artifacts;
-  return shrink_case(failing, [&artifacts, lanes](const FuzzCase& c) {
-    return !run_oracles(c, &artifacts, lanes).ok;
+  return shrink_case(failing, [&artifacts](const FuzzCase& c) {
+    return !run_oracles(c, artifacts).ok;
   });
 }
 
-void shrink_failures(FuzzSweepResult& sweep, unsigned lanes) {
+void shrink_failures(FuzzSweepResult& sweep) {
   for (FuzzOutcome& o : sweep.outcomes) {
     if (o.report.ok) continue;
-    const ShrinkResult s = shrink_against_oracles(o.c, lanes);
+    const ShrinkResult s = shrink_against_oracles(o.c);
     o.shrunk = true;
     o.minimized = s.minimized;
-    o.minimized_report = run_oracles(o.minimized, nullptr, lanes);
+    o.minimized_report = run_oracles(o.minimized);
     o.shrink_attempts = s.attempts;
   }
 }
@@ -108,7 +107,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzOptions& options) {
     FuzzOutcome& o = sweep.outcomes[i];
     o.c = std::move(cases[i]);
     o.from_corpus = i < sweep.corpus_cases;
-    o.report = run_oracles(o.c, nullptr, options.lanes);
+    o.report = run_oracles(o.c);
   };
   if (workers == 1) {
     for (std::size_t i = 0; i < cases.size(); ++i) run_one(i);
@@ -123,7 +122,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzOptions& options) {
   for (const FuzzOutcome& o : sweep.outcomes)
     if (!o.report.ok) ++sweep.failures;
 
-  if (options.shrink) shrink_failures(sweep, options.lanes);
+  if (options.shrink) shrink_failures(sweep);
   save_outcomes(sweep, options);
   return sweep;
 }
@@ -133,8 +132,7 @@ int fuzz_main(int argc, const char* const* argv) {
       "cvmt fuzz",
       "Property-based differential fuzzing: generates random scheme/"
       "workload/machine cases from a seed, runs every case through the "
-      "plan/tree, full/fast-stats, fast-forward/stepped, replay and "
-      "specialized-interpreter "
+      "plan/tree, full/fast-stats, fast-forward/stepped and replay "
       "configurations, and reports any SimResult counter mismatch. "
       "Failures shrink (--shrink) to minimal JSON repros; check them in "
       "under tests/corpus/ to pin the regression forever.");
@@ -146,11 +144,6 @@ int fuzz_main(int argc, const char* const* argv) {
                  "Worker threads (0 = all hardware cores); outcomes are "
                  "bit-identical for any count.",
                  "CVMT_WORKERS");
-  parser.add_u64("lanes", "n",
-                 "Lockstep batch-simulation lanes per oracle run (power "
-                 "of two; 1 = sequential); outcomes are bit-identical "
-                 "for any count.",
-                 "CVMT_BATCH_LANES");
   parser.add_flag("shrink", "Minimize failing cases before reporting.");
   parser.add_string("corpus", "dir",
                     "Replay every *.json case in this directory before "
@@ -169,14 +162,6 @@ int fuzz_main(int argc, const char* const* argv) {
     case ArgParser::Outcome::kOk: break;
   }
 
-  const std::uint64_t lanes = parser.get_u64("lanes", 1);
-  if (lanes == 0 || lanes > 4096 || (lanes & (lanes - 1)) != 0) {
-    std::cerr << "cvmt fuzz: --lanes/CVMT_BATCH_LANES must be a power of "
-                 "two in [1, 4096], got "
-              << lanes << '\n';
-    return 2;
-  }
-
   // Single-file replay: the repro loop a failure report points at.
   const std::string one_case = parser.get_string("case", "");
   if (!one_case.empty()) {
@@ -187,13 +172,11 @@ int fuzz_main(int argc, const char* const* argv) {
       std::cerr << "cvmt fuzz: " << e.what() << '\n';
       return 2;
     }
-    OracleReport report =
-        run_oracles(c, nullptr, static_cast<unsigned>(lanes));
+    OracleReport report = run_oracles(c);
     std::cout << c.label << ": " << report.to_string() << '\n'
               << "  " << c.summary() << '\n';
     if (!report.ok && parser.get_flag("shrink")) {
-      const ShrinkResult s =
-          shrink_against_oracles(c, static_cast<unsigned>(lanes));
+      const ShrinkResult s = shrink_against_oracles(c);
       std::cout << "shrunk (" << s.attempts << " attempts): "
                 << s.minimized.summary() << '\n'
                 << s.minimized.to_json().dump() << '\n';
@@ -206,7 +189,6 @@ int fuzz_main(int argc, const char* const* argv) {
   options.seed = parser.get_u64("seed", options.seed);
   options.workers =
       static_cast<unsigned>(parser.get_u64("workers", options.workers));
-  options.lanes = static_cast<unsigned>(lanes);
   options.shrink = parser.get_flag("shrink");
   options.corpus_dir = parser.get_string("corpus", "");
   options.save_dir = parser.get_string("save", "");

@@ -24,8 +24,6 @@ struct FuzzOptions {
   std::uint64_t seed = 1;     ///< sweep seed; case i uses the i-th
                               ///< SplitMix64 draw of this seed
   unsigned workers = 0;       ///< 0 = all hardware cores
-  unsigned lanes = 1;         ///< lockstep batch lanes per oracle run
-                              ///< (CVMT_BATCH_LANES; 1 = sequential)
   bool shrink = false;        ///< minimize failures before reporting
   std::string corpus_dir;     ///< replayed before generation when set
   std::string save_dir;       ///< failing (shrunk) repros land here
@@ -58,7 +56,7 @@ struct FuzzSweepResult {
 
 [[nodiscard]] FuzzSweepResult run_fuzz_sweep(const FuzzOptions& options);
 
-/// `cvmt fuzz [--cases=N] [--seed=S] [--shrink] [--workers=N] [--lanes=N]
+/// `cvmt fuzz [--cases=N] [--seed=S] [--shrink] [--workers=N]
 ///            [--corpus=DIR] [--save=DIR] [--save-all] [--case=FILE]`.
 /// Exit 0 when every oracle passed, 1 on failures, 2 on usage errors.
 [[nodiscard]] int fuzz_main(int argc, const char* const* argv);

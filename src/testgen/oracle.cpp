@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "sim/batch_engine.hpp"
 #include "sim/session.hpp"
 #include "support/check.hpp"
 
@@ -235,168 +234,6 @@ OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
     record("baseline-vs-replay",
            run_simulation(scheme, programs, baseline_cfg),
            /*compare_merge_stats=*/true);
-    if (!report.ok) return report;
-
-    // Oracle 5: the shape-specialized plan interpreter. Uniform chains
-    // take the fixed-thread-count fast path here; every other shape
-    // falls back to the generic interpreter, so this row is a no-op
-    // exactly when the specialization is.
-    SimConfig spec_cfg = baseline_cfg;
-    spec_cfg.eval_mode = EvalMode::kPlanSpecialized;
-    check("baseline-vs-specialized", spec_cfg, /*compare_merge_stats=*/true);
-    if (!report.ok) return report;
-
-    // Oracle 6: the batch engine's specialized window kernels. A one-lane
-    // SimBatch with kernels forced on runs the baseline configuration
-    // (kFull — exercises the fused/structural kernels when the case is
-    // eligible, the generic window loop when not) and the fast-stats
-    // configuration; each must match the corresponding SimInstance run
-    // bit-for-bit. On kernel-ineligible cases this degenerates to a
-    // batch-vs-session identity check, so the row is never vacuous.
-    SimBatch kbatch(1);
-    kbatch.set_kernels_enabled(true);
-    for (const SimConfig* cfg : {&baseline_cfg, &fast_cfg}) {
-      BatchRunSpec spec;
-      spec.scheme = compiled;
-      spec.programs = programs;
-      spec.config = *cfg;
-      kbatch.enqueue(std::move(spec));
-    }
-    const std::vector<SimResult> kernel_results = kbatch.run_all();
-    record("baseline-vs-batch-kernels", kernel_results[0],
-           /*compare_merge_stats=*/true);
-    if (!report.ok) return report;
-    ++report.simulations;
-    const std::string kernel_fast_mismatch =
-        compare_sim_results(fast, kernel_results[1],
-                            /*compare_merge_stats=*/false);
-    if (!kernel_fast_mismatch.empty()) {
-      report.ok = false;
-      report.failed_oracle = "faststats-vs-batch-kernels";
-      report.mismatch = kernel_fast_mismatch;
-    }
-  } catch (const CheckError& e) {
-    report.ok = false;
-    report.construction_error = e.what();
-  }
-  return report;
-}
-
-/// The lanes>1 mode: the same six configurations, enqueued as six lanes
-/// of one SimBatch, plus the two kernel-flipped runs of oracle 6. The
-/// replay row is the baseline configuration enqueued a second time — two
-/// lanes of one batch share nothing but immutable artifacts, so
-/// lane-vs-lane identity doubles as the batch engine's determinism
-/// oracle. Comparison order and rules match the sequential path; the
-/// first six simulations always run (the batch has no early-out), so
-/// `simulations` matches the sequential path's 8 on clean cases.
-OracleReport run_oracles_batched(const FuzzCase& c, ArtifactCache* artifacts,
-                                 unsigned lanes) {
-  OracleReport report;
-  try {
-    const Scheme scheme = c.parse_scheme();
-    const std::vector<std::shared_ptr<const SyntheticProgram>> programs =
-        case_programs(c, artifacts);
-    const std::shared_ptr<const CompiledScheme> compiled =
-        artifacts != nullptr
-            ? artifacts->scheme(scheme, c.sim.machine)
-            : std::make_shared<const CompiledScheme>(scheme, c.sim.machine);
-
-    SimConfig baseline_cfg = c.sim;
-    baseline_cfg.stats = StatsLevel::kFull;
-    baseline_cfg.eval_mode = EvalMode::kPlan;
-    baseline_cfg.stall_fast_forward = true;
-    SimConfig tree_cfg = baseline_cfg;
-    tree_cfg.eval_mode = EvalMode::kTreeReference;
-    tree_cfg.stall_fast_forward = false;
-    SimConfig stepped_cfg = baseline_cfg;
-    stepped_cfg.stall_fast_forward = false;
-    SimConfig fast_cfg = baseline_cfg;
-    fast_cfg.stats = StatsLevel::kFast;
-    SimConfig spec_cfg = baseline_cfg;
-    spec_cfg.eval_mode = EvalMode::kPlanSpecialized;
-
-    const SimConfig* cfgs[] = {&baseline_cfg, &tree_cfg, &stepped_cfg,
-                               &fast_cfg, &baseline_cfg, &spec_cfg};
-    SimBatch batch(static_cast<int>(lanes));
-    for (const SimConfig* cfg : cfgs) {
-      BatchRunSpec spec;
-      spec.scheme = compiled;
-      spec.programs = programs;
-      spec.config = *cfg;
-      batch.enqueue(std::move(spec));
-    }
-    const std::vector<SimResult> results = batch.run_all();
-    report.simulations = static_cast<int>(results.size());
-
-    const SimResult& baseline = results[0];
-    const auto check = [&](const char* name, const SimResult& result,
-                           bool compare_merge_stats) {
-      const std::string mismatch =
-          compare_sim_results(baseline, result, compare_merge_stats);
-      if (!mismatch.empty() && report.ok) {
-        report.ok = false;
-        report.failed_oracle = name;
-        report.mismatch = mismatch;
-      }
-      return report.ok;
-    };
-    if (!check("baseline-vs-tree", results[1], true)) return report;
-    if (!check("baseline-vs-stepped", results[2], true)) return report;
-    if (!check("baseline-vs-faststats", results[3], false)) return report;
-    const SimResult& fast = results[3];
-    if (fast.issued_per_cycle.total() != 0) {
-      report.ok = false;
-      report.failed_oracle = "faststats-zeroing";
-      report.mismatch =
-          "issued_per_cycle histogram moved under StatsLevel::kFast";
-      return report;
-    }
-    for (const MergeNodeStats& node : fast.merge_nodes) {
-      if (node.attempts != 0 || node.rejects != 0) {
-        report.ok = false;
-        report.failed_oracle = "faststats-zeroing";
-        report.mismatch =
-            "merge counter moved under StatsLevel::kFast (" + node.label +
-            ")";
-        return report;
-      }
-      if (node.label.empty()) {
-        report.ok = false;
-        report.failed_oracle = "faststats-zeroing";
-        report.mismatch = "merge-node label lost under StatsLevel::kFast";
-        return report;
-      }
-    }
-    if (!check("baseline-vs-replay", results[4], true)) return report;
-    if (!check("baseline-vs-specialized", results[5], true)) return report;
-
-    // Oracle 6: a second batch with the window kernels forced to the
-    // OPPOSITE of the ambient batch's setting reruns the baseline and
-    // fast-stats configurations — whichever way CVMT_BATCH_KERNELS points,
-    // the fuzz sweep always compares a kernels-on run against a
-    // kernels-off run of the same case. Two extra simulations, matching
-    // the sequential path's count so fuzz summaries agree across --lanes.
-    SimBatch flipped(static_cast<int>(lanes));
-    flipped.set_kernels_enabled(!batch.kernels_enabled());
-    for (const SimConfig* cfg : {&baseline_cfg, &fast_cfg}) {
-      BatchRunSpec spec;
-      spec.scheme = compiled;
-      spec.programs = programs;
-      spec.config = *cfg;
-      flipped.enqueue(std::move(spec));
-    }
-    const std::vector<SimResult> kernel_results = flipped.run_all();
-    report.simulations += static_cast<int>(kernel_results.size());
-    if (!check("baseline-vs-batch-kernels", kernel_results[0], true))
-      return report;
-    const std::string kernel_fast_mismatch = compare_sim_results(
-        results[3], kernel_results[1], /*compare_merge_stats=*/false);
-    if (!kernel_fast_mismatch.empty() && report.ok) {
-      report.ok = false;
-      report.failed_oracle = "faststats-vs-batch-kernels";
-      report.mismatch = kernel_fast_mismatch;
-    }
   } catch (const CheckError& e) {
     report.ok = false;
     report.construction_error = e.what();
@@ -412,12 +249,6 @@ OracleReport run_oracles(const FuzzCase& c) {
 
 OracleReport run_oracles(const FuzzCase& c, ArtifactCache& artifacts) {
   return run_oracles_impl(c, &artifacts);
-}
-
-OracleReport run_oracles(const FuzzCase& c, ArtifactCache* artifacts,
-                         unsigned lanes) {
-  if (lanes <= 1) return run_oracles_impl(c, artifacts);
-  return run_oracles_batched(c, artifacts, lanes);
 }
 
 }  // namespace cvmt

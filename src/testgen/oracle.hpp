@@ -6,8 +6,6 @@
 //   stepped    plan evaluator with the fast-forward disabled
 //   faststats  StatsLevel::kFast (merge counters intentionally zeroed)
 //   replay     the baseline re-run from scratch (determinism)
-//   specialized  the shape-specialized plan interpreter (uniform-chain
-//                fast paths; generic fallback elsewhere)
 //
 // and every SimResult counter must agree (faststats: every shared field
 // agrees AND the merge counters are verifiably zeroed). This turns each
@@ -55,7 +53,7 @@ struct OracleReport {
 /// reusable SimInstance (compiled once, reset between configurations);
 /// the replay oracle re-runs through the one-shot run_simulation facade,
 /// so instance reuse itself is cross-checked on every case. A run costs
-/// six small simulations.
+/// five small simulations.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c);
 
 /// run_oracles with the case's programs materialized through `artifacts`
@@ -65,16 +63,5 @@ struct OracleReport {
 /// hit the cache instead of rebuilding every program.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c,
                                        ArtifactCache& artifacts);
-
-/// run_oracles routed through the lockstep batch engine when `lanes` > 1:
-/// the baseline and every comparison configuration run as lanes of one
-/// SimBatch (same artifacts, same comparison order and rules), which
-/// turns every fuzz case into a differential test of the batch engine
-/// across eval modes and stats levels. On a passing case the report is
-/// identical to the sequential path's (six simulations, ok). `lanes` <= 1
-/// is exactly the sequential path; `artifacts` may be null.
-[[nodiscard]] OracleReport run_oracles(const FuzzCase& c,
-                                       ArtifactCache* artifacts,
-                                       unsigned lanes);
 
 }  // namespace cvmt

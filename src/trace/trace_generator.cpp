@@ -25,15 +25,10 @@ void TraceGenerator::reset(std::shared_ptr<const SyntheticProgram> program,
   start_stream(stream_seed);
 }
 
-std::uint64_t TraceGenerator::salt_for_seed(std::uint64_t stream_seed) {
+void TraceGenerator::start_stream(std::uint64_t stream_seed) {
   // 1MB-granular address-space salt: keeps threads disjoint in shared
   // caches while preserving intra-thread set behaviour.
-  SplitMix64 sm(stream_seed);
-  return (sm.next() % 2048) * 0x100000ULL;
-}
-
-void TraceGenerator::start_stream(std::uint64_t stream_seed) {
-  address_salt_ = salt_for_seed(stream_seed);
+  address_salt_ = (SplitMix64(stream_seed).next() % 2048) * 0x100000ULL;
   const std::size_t n = program_->loops().size();
   hot_cursor_.assign(n, 0);
   cold_cursor_.assign(n, 0);

@@ -75,13 +75,6 @@ class TraceGenerator {
   /// subtract it to map addresses back to the program's regions.
   [[nodiscard]] std::uint64_t address_salt() const { return address_salt_; }
 
-  /// The salt a stream started with `stream_seed` would use, without
-  /// constructing a generator. Static analyses (the batch engine's
-  /// structurally-eviction-free ICache detection) enumerate a thread's
-  /// fetch lines as {template pc + salt}; this keeps their salt derivation
-  /// and start_stream()'s one definition.
-  [[nodiscard]] static std::uint64_t salt_for_seed(std::uint64_t stream_seed);
-
  private:
   void enter_next_loop();
   /// Shared tail of construction and reset(): seeds the RNG and salt,

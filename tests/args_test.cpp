@@ -293,49 +293,6 @@ TEST_P(StandardKnobTest, EnvSuppliesValueAndCliOverrides) {
   }
 }
 
-// Lane counts must fail at resolve() time, before any sweep work, and
-// each class of mistake gets its own message: an explicit 0 (not an
-// "auto" spelling), values over the engine's lane-pool max, and
-// non-powers-of-two. Every message names the knob.
-TEST(LanesKnob, EagerValidationNamesEachMistake) {
-  struct BadLane {
-    const char* value;
-    const char* expect;
-  };
-  const BadLane bads[] = {
-      {"0", "must be >= 1"},
-      {"3", "power of two"},
-      {"6", "power of two"},
-      {"5000", "lane-pool max"},
-      {"8192", "lane-pool max"},
-  };
-  for (const BadLane& bad : bads) {
-    ArgParser p("prog", "");
-    ExperimentParams::add_standard_flags(p);
-    const std::string flag = std::string("--lanes=") + bad.value;
-    const char* argv[] = {"prog", flag.c_str()};
-    ASSERT_EQ(p.parse(2, argv), ArgParser::Outcome::kOk);
-    try {
-      (void)ExperimentParams::resolve(p);
-      FAIL() << "--lanes=" << bad.value << " should have been rejected";
-    } catch (const CheckError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(bad.expect), std::string::npos) << what;
-      EXPECT_NE(what.find("--lanes/CVMT_BATCH_LANES"), std::string::npos)
-          << what;
-    }
-  }
-  for (const char* good : {"8", "4096"}) {
-    ArgParser p("prog", "");
-    ExperimentParams::add_standard_flags(p);
-    const std::string flag = std::string("--lanes=") + good;
-    const char* argv[] = {"prog", flag.c_str()};
-    ASSERT_EQ(p.parse(2, argv), ArgParser::Outcome::kOk);
-    EXPECT_EQ(ExperimentParams::resolve(p).cfg.batch.lanes,
-              std::strtoull(good, nullptr, 10));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     EveryCvmtKnob, StandardKnobTest,
     ::testing::Values(
@@ -344,7 +301,6 @@ INSTANTIATE_TEST_SUITE_P(
         Knob{"timeslice", "CVMT_TIMESLICE", Knob::Kind::kU64, "777",
              "555"},
         Knob{"workers", "CVMT_WORKERS", Knob::Kind::kU64, "3", "2"},
-        Knob{"lanes", "CVMT_BATCH_LANES", Knob::Kind::kU64, "8", "4"},
         Knob{"stats", "CVMT_STATS", Knob::Kind::kString, "full", "fast"},
         // env_word() canonicalizes environment words to lower case, so
         // the env-layer expectations must be lower case already; CLI

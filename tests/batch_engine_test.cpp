@@ -1,268 +1,102 @@
-// SimBatch contract tests: lockstep execution at any lane count is
-// bit-identical to running the same jobs one at a time through the
-// classic SimInstance path — every SimResult counter, including the full
-// merge statistics — across randomly generated fuzz cases (mixed schemes,
-// machine shapes, memory systems and switch policies), and lane
-// retirement/refill keeps results in job order when lanes finish at
-// staggered times.
+// SimBatch contract tests: the queue surface runs every job through the
+// session path, so its results equal SimSession::run's field for field,
+// in enqueue order, and malformed specs are rejected at enqueue.
 #include "sim/batch_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "exp/batch_runner.hpp"
 #include "sim/session.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
-#include "testgen/generators.hpp"
 #include "testgen/oracle.hpp"
 #include "trace/benchmark_suite.hpp"
 
 namespace cvmt {
 namespace {
 
-/// Full-stats SimConfig for `c` so the comparison covers the merge
-/// counters, not just the IPC-level fields.
-SimConfig full_stats_config(const FuzzCase& c) {
-  SimConfig cfg = c.sim;
-  cfg.stats = StatsLevel::kFull;
-  cfg.eval_mode = EvalMode::kPlan;
-  cfg.stall_fast_forward = true;
-  return cfg;
-}
-
-/// The case as a batch spec plus its sequential reference result.
-struct CaseJob {
+BatchRunSpec spec_for(ArtifactCache& cache, const Scheme& scheme,
+                      const Workload& workload, const SimConfig& config) {
+  const auto wl = cache.workload(workload.benchmarks, config.machine);
   BatchRunSpec spec;
-  SimResult reference;
-};
-
-std::vector<CaseJob> build_case_jobs(std::uint64_t seed, int count) {
-  std::vector<CaseJob> jobs;
-  SplitMix64 sm(seed);
-  while (static_cast<int>(jobs.size()) < count) {
-    const FuzzCase c = generate_case(sm.next());
-    CaseJob job;
-    job.spec.scheme = std::make_shared<const CompiledScheme>(
-        c.parse_scheme(), c.sim.machine);
-    job.spec.programs = c.build_programs();
-    job.spec.config = full_stats_config(c);
-    job.reference =
-        run_simulation(c.parse_scheme(), job.spec.programs, job.spec.config);
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
+  spec.scheme = cache.scheme(scheme, config.machine);
+  spec.shared_programs = {wl, &wl->programs};
+  spec.config = config;
+  return spec;
 }
 
-// The core property: a mixed bag of random cases — different thread
-// counts, machines, memory systems and switch policies in one batch —
-// comes out of SimBatch bit-identical to the sequential reference at
-// every lane count, in job order.
-TEST(BatchEngine, LockstepMatchesSequentialAcrossFuzzCases) {
-  const std::vector<CaseJob> jobs = build_case_jobs(0xBA7C4u, 10);
-  for (const int lanes : {1, 2, 4, 8}) {
-    SimBatch batch(lanes);
-    for (const CaseJob& job : jobs) batch.enqueue(job.spec);
-    const std::vector<SimResult> results = batch.run_all();
-    ASSERT_EQ(results.size(), jobs.size()) << "lanes=" << lanes;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const std::string mismatch =
-          compare_sim_results(jobs[i].reference, results[i],
-                              /*compare_merge_stats=*/true);
-      EXPECT_EQ(mismatch, "") << "lanes=" << lanes << " job=" << i;
+// A grid that interleaves schemes (chains, trees, select) and changes
+// the budget between jobs comes back in enqueue order, each result equal
+// to a fresh session's on every counter, merge statistics included.
+TEST(BatchEngine, MatchesSessionInEnqueueOrder) {
+  ArtifactCache cache;
+  SimSession reference(cache);
+  SimBatch batch(1);
+  std::vector<SimResult> expected;
+  const char* schemes[] = {"3SSS", "2CC", "2SC3", "IMT4", "3CCC"};
+  const std::vector<Workload>& workloads = table2_workloads();
+  for (std::size_t w = 0; w < 3; ++w) {
+    for (std::size_t s = 0; s < std::size(schemes); ++s) {
+      SimConfig cfg;
+      cfg.stats = StatsLevel::kFull;
+      cfg.instruction_budget = 1000 + 700 * ((w + s) % 3);
+      cfg.timeslice_cycles = 400;
+      const Scheme scheme = Scheme::parse(schemes[s]);
+      batch.enqueue(spec_for(cache, scheme, workloads[w], cfg));
+      expected.push_back(reference.run(
+          scheme, std::span<const std::string>(workloads[w].benchmarks),
+          cfg));
     }
   }
-}
-
-// Staggered finishes: the same scheme/workload at budgets spanning two
-// orders of magnitude, deliberately ordered so short and long runs share
-// a lockstep window. Early lanes must retire, refill from the queue and
-// land every result in its own job slot.
-TEST(BatchEngine, StaggeredRetirementRefillsInJobOrder) {
-  const FuzzCase c = generate_case(0x5EEDu);
-  const Scheme scheme = c.parse_scheme();
-  const auto compiled =
-      std::make_shared<const CompiledScheme>(scheme, c.sim.machine);
-  const std::vector<std::shared_ptr<const SyntheticProgram>> programs =
-      c.build_programs();
-
-  const std::uint64_t budgets[] = {50,    20000, 120,  7000, 30,
-                                   15000, 400,   9000, 60,   2500};
-  std::vector<BatchRunSpec> specs;
-  std::vector<SimResult> reference;
-  for (const std::uint64_t budget : budgets) {
-    SimConfig cfg = full_stats_config(c);
-    cfg.instruction_budget = budget;
-    BatchRunSpec spec;
-    spec.scheme = compiled;
-    spec.programs = programs;
-    spec.config = cfg;
-    reference.push_back(run_simulation(scheme, programs, cfg));
-    specs.push_back(std::move(spec));
-  }
-
-  for (const int lanes : {2, 4, 8}) {
-    SimBatch batch(lanes);
-    for (const BatchRunSpec& spec : specs) batch.enqueue(spec);
-    const std::vector<SimResult> results = batch.run_all();
-    ASSERT_EQ(results.size(), specs.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::string mismatch = compare_sim_results(
-          reference[i], results[i], /*compare_merge_stats=*/true);
-      EXPECT_EQ(mismatch, "") << "lanes=" << lanes << " job=" << i;
-    }
-  }
-}
-
-// More lanes than jobs: the surplus lanes stay inactive and the batch
-// still returns exactly one result per job.
-TEST(BatchEngine, MoreLanesThanJobs) {
-  const std::vector<CaseJob> jobs = build_case_jobs(0xF00Du, 3);
-  SimBatch batch(8);
-  for (const CaseJob& job : jobs) batch.enqueue(job.spec);
   const std::vector<SimResult> results = batch.run_all();
-  ASSERT_EQ(results.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    EXPECT_EQ(compare_sim_results(jobs[i].reference, results[i], true), "")
-        << "job=" << i;
+  ASSERT_EQ(results.size(), expected.size());
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(compare_sim_results(expected[i], results[i],
+                                  /*compare_merge_stats=*/true),
+              "")
+        << "job " << i;
+  const SimBatch::KernelStats& ks = batch.kernel_stats();
+  EXPECT_EQ(ks.generic_jobs, expected.size());
+  EXPECT_EQ(ks.fused_jobs, 0u);
+  EXPECT_EQ(ks.structural_jobs, 0u);
+  EXPECT_TRUE(batch.run_all().empty());  // the queue was drained
 }
 
-// A SimBatch is reusable: run_all drains the queue, a second enqueue +
-// run_all on the same batch (recycled lanes, arena-pooled contexts)
-// reproduces the sequential reference just the same.
-TEST(BatchEngine, BatchReuseAcrossRunAllCalls) {
-  const std::vector<CaseJob> jobs = build_case_jobs(0xCAFEu, 6);
-  SimBatch batch(4);
-  for (int round = 0; round < 2; ++round) {
-    for (const CaseJob& job : jobs) batch.enqueue(job.spec);
-    const std::vector<SimResult> results = batch.run_all();
-    ASSERT_EQ(results.size(), jobs.size()) << "round=" << round;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      EXPECT_EQ(compare_sim_results(jobs[i].reference, results[i], true),
-                "")
-          << "round=" << round << " job=" << i;
-    EXPECT_EQ(batch.queued(), 0u);
-  }
-}
-
-// Malformed specs fail eagerly at enqueue, not deep inside a lockstep
-// window.
+// Malformed specs fail at enqueue, before anything runs, and the batch
+// accepts only one lane.
 TEST(BatchEngine, EnqueueValidatesEagerly) {
-  const FuzzCase c = generate_case(1);
-  const auto compiled = std::make_shared<const CompiledScheme>(
-      c.parse_scheme(), c.sim.machine);
-  SimBatch batch(2);
+  ArtifactCache cache;
+  SimConfig cfg;
+  const BatchRunSpec good =
+      spec_for(cache, Scheme::parse("2SC3"), table2_workloads().front(), cfg);
+  SimBatch batch(1);
 
-  BatchRunSpec no_programs;
-  no_programs.scheme = compiled;
-  no_programs.config = c.sim;
-  EXPECT_THROW(batch.enqueue(no_programs), CheckError);
-
-  BatchRunSpec no_scheme;
-  no_scheme.programs = c.build_programs();
-  no_scheme.config = c.sim;
+  BatchRunSpec no_scheme = good;
+  no_scheme.scheme = nullptr;
   EXPECT_THROW(batch.enqueue(no_scheme), CheckError);
 
+  BatchRunSpec no_programs = good;
+  no_programs.shared_programs = nullptr;
+  EXPECT_THROW(batch.enqueue(no_programs), CheckError);
+  no_programs.shared_programs = std::make_shared<
+      const std::vector<std::shared_ptr<const SyntheticProgram>>>();
+  EXPECT_THROW(batch.enqueue(no_programs), CheckError);
+
+  BatchRunSpec other_machine = good;
+  other_machine.config.machine = MachineConfig::clustered(2, 4);
+  EXPECT_THROW(batch.enqueue(other_machine), CheckError);
+
+  BatchRunSpec zero_slice = good;
+  zero_slice.config.timeslice_cycles = 0;
+  EXPECT_THROW(batch.enqueue(zero_slice), CheckError);
+
+  EXPECT_TRUE(batch.run_all().empty());  // nothing was queued
   EXPECT_THROW(SimBatch(0), CheckError);
-}
-
-// The specialized window kernels (structural ICache + fused replay,
-// CVMT_BATCH_KERNELS) forced on and forced off must both reproduce the
-// sequential reference bit-for-bit on a mixed fuzz bag, and the
-// per-path job accounting must cover every job exactly once.
-TEST(BatchEngine, KernelsOnOffBitIdentical) {
-  const std::vector<CaseJob> jobs = build_case_jobs(0xD00Du, 8);
-  for (const int lanes : {1, 4}) {
-    for (const bool kernels : {true, false}) {
-      SimBatch batch(lanes);
-      batch.set_kernels_enabled(kernels);
-      for (const CaseJob& job : jobs) batch.enqueue(job.spec);
-      const std::vector<SimResult> results = batch.run_all();
-      ASSERT_EQ(results.size(), jobs.size());
-      for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(compare_sim_results(jobs[i].reference, results[i],
-                                      /*compare_merge_stats=*/true),
-                  "")
-            << "kernels=" << kernels << " lanes=" << lanes << " job=" << i;
-      const SimBatch::KernelStats& ks = batch.kernel_stats();
-      EXPECT_EQ(ks.fused_jobs + ks.structural_jobs + ks.generic_jobs,
-                jobs.size())
-          << "kernels=" << kernels << " lanes=" << lanes;
-      if (!kernels) {
-        EXPECT_EQ(ks.fused_jobs, 0u);
-        EXPECT_EQ(ks.structural_jobs, 0u);
-      }
-    }
-  }
-}
-
-// Slot-state persistence (the fused kernel's per-thread cursors live in
-// lane arrays, not contexts): more software threads than hardware slots
-// and a tiny timeslice force constant deschedule/reschedule churn across
-// hundreds of windows; every cursor must survive it bit-exactly.
-TEST(BatchEngine, FusedSlotStatePersistsAcrossWindows) {
-  const Scheme scheme = Scheme::parse("2SC");
-  SimConfig cfg;
-  cfg.instruction_budget = 3000;
-  cfg.timeslice_cycles = 37;
-  cfg.stats = StatsLevel::kFull;
-  std::vector<std::shared_ptr<const SyntheticProgram>> programs;
-  for (const std::string& name : table2_workloads().front().benchmarks)
-    programs.push_back(std::make_shared<const SyntheticProgram>(
-        profile_by_name(name), cfg.machine));
-  const SimResult reference = run_simulation(scheme, programs, cfg);
-
-  SimBatch batch(1);
-  batch.set_kernels_enabled(true);
-  BatchRunSpec spec;
-  spec.scheme = std::make_shared<const CompiledScheme>(scheme, cfg.machine);
-  spec.programs = programs;
-  spec.config = cfg;
-  batch.enqueue(std::move(spec));
-  const std::vector<SimResult> results = batch.run_all();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(batch.kernel_stats().fused_jobs, 1u)
-      << "expected the fused kernel to engage on the paper machine";
-  EXPECT_EQ(compare_sim_results(reference, results[0],
-                                /*compare_merge_stats=*/true),
-            "");
-}
-
-// run_batch with lanes > 1 routes through SimBatch and must stay
-// bit-identical to the classic lanes=1 session path for any worker
-// count — the property the CVMT_BATCH_LANES knob advertises.
-TEST(BatchEngine, RunBatchLanesKnobIsBitIdentical) {
-  const std::vector<Scheme> schemes = {Scheme::parse("3SSS"),
-                                       Scheme::parse("3CCC")};
-  std::vector<BatchJob> jobs;
-  SimConfig cfg;
-  cfg.instruction_budget = 2000;
-  cfg.timeslice_cycles = 500;
-  for (const Scheme& scheme : schemes)
-    for (const Workload& wl : table2_workloads())
-      jobs.push_back(make_job(scheme, wl, cfg));
-
-  BatchOptions serial;
-  serial.workers = 1;
-  serial.lanes = 1;
-  const std::vector<SimResult> reference = run_batch(jobs, serial);
-
-  for (const unsigned lanes : {2u, 4u}) {
-    for (const unsigned workers : {1u, 3u}) {
-      BatchOptions opts;
-      opts.workers = workers;
-      opts.lanes = lanes;
-      const std::vector<SimResult> results = run_batch(jobs, opts);
-      ASSERT_EQ(results.size(), reference.size());
-      for (std::size_t i = 0; i < results.size(); ++i)
-        EXPECT_EQ(compare_sim_results(reference[i], results[i], true), "")
-            << "workers=" << workers << " lanes=" << lanes << " job=" << i;
-    }
-  }
+  EXPECT_THROW(SimBatch(2), CheckError);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/driver.hpp"
 #include "isa/machine_file.hpp"
@@ -214,6 +216,22 @@ TEST(Driver, OutFlagToUnwritablePathIsAUsageError) {
   testing::internal::CaptureStdout();
   EXPECT_EQ(cvmt_main(4, argv), 2);
   EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+}
+
+// There is one simulation path and no lane count to choose: --lanes is an
+// unknown option to `cvmt run` and `cvmt fuzz` alike, a usage error.
+TEST(Driver, LanesFlagIsAnUnknownOption) {
+  for (std::vector<const char*> argv :
+       {std::vector<const char*>{"cvmt", "run", "fig10", "--lanes=2"},
+        std::vector<const char*>{"cvmt", "fuzz", "--lanes=2"}}) {
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(cvmt_main(static_cast<int>(argv.size()), argv.data()), 2)
+        << argv[1];
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << argv[1];
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown option --lanes"), std::string::npos) << err;
+  }
 }
 
 TEST(Driver, MachineShapeFlagChangesTheMachine) {

@@ -188,6 +188,23 @@ TEST(OracleTest, CacheBackedOraclesMatchThePlainPath) {
   EXPECT_EQ(artifacts.size(), warm);
 }
 
+// A clean case costs exactly five simulations: the baseline plus the
+// tree, stepped, fast-stats and replay oracles.
+TEST(OracleTest, CleanCaseRunsFiveSimulations) {
+  FuzzOptions options;
+  options.cases = 12;
+  options.seed = 1;
+  options.workers = 1;
+  const FuzzSweepResult sweep = run_fuzz_sweep(options);
+  ASSERT_EQ(sweep.failures, 0u);
+  for (const FuzzOutcome& o : sweep.outcomes)
+    EXPECT_EQ(o.report.simulations, 5) << o.c.label;
+  std::ostringstream csv;
+  sweep.summary().write_csv(csv);
+  EXPECT_NE(csv.str().find("simulations run,60"), std::string::npos)
+      << csv.str();
+}
+
 // ----------------------------------------------------- corpus + sweeps
 
 TEST(FuzzSweepTest, CheckedInCorpusReplaysClean) {

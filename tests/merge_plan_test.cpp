@@ -164,79 +164,6 @@ TEST_P(PlanTreeEquivalenceTest, DecisionsAndStatsMatchEverywhere) {
 INSTANTIATE_TEST_SUITE_P(AllSchemes, PlanTreeEquivalenceTest,
                          ::testing::ValuesIn(kEquivSchemes));
 
-// ------------------------------------------ shape-specialized evaluator
-
-TEST(MergePlanShape, ClassifiesChainsAndBindsFixedPaths) {
-  // Single-kind chains (serial cascades, pure SMT/CSMT blocks): the
-  // fixed-thread-count fast path.
-  for (const char* name : {"1S", "1C", "3CCC", "3SSS", "C4"}) {
-    const MergePlan plan(Scheme::parse(name), kM);
-    EXPECT_EQ(plan.shape(), PlanShape::kUniformChain) << name;
-    EXPECT_TRUE(plan.has_fixed_path()) << name;
-  }
-  // Linear but mixed-kind or select-containing chains: the fixed-trip-
-  // count fold with per-level kinds from the chain table.
-  for (const char* name : {"3SCC", "2SC3", "3CSC", "IMT4"}) {
-    const MergePlan plan(Scheme::parse(name), kM);
-    EXPECT_EQ(plan.shape(), PlanShape::kLinearChain) << name;
-    EXPECT_TRUE(plan.has_fixed_path()) << name;
-  }
-  // Balanced trees keep the general stack pass.
-  for (const char* name : {"2CC", "2SS", "2CS", "2SC"}) {
-    const MergePlan plan(Scheme::parse(name), kM);
-    EXPECT_EQ(plan.shape(), PlanShape::kTree) << name;
-    EXPECT_FALSE(plan.has_fixed_path()) << name;
-  }
-}
-
-// The specialization law: kPlanSpecialized decisions AND statistics are
-// bit-identical to kPlan for every scheme shape (fast path on uniform
-// chains, transparent fallback elsewhere), every priority policy, both
-// stats levels.
-TEST(MergePlanShape, SpecializedEvaluatorMatchesPlanEverywhere) {
-  for (const char* name : kEquivSchemes) {
-    for (const PriorityPolicy policy :
-         {PriorityPolicy::kRoundRobin, PriorityPolicy::kFixed,
-          PriorityPolicy::kStickyOnStall}) {
-      for (const StatsLevel stats :
-           {StatsLevel::kFull, StatsLevel::kFast}) {
-        const Scheme scheme = Scheme::parse(name);
-        MergeEngine plain(scheme, kM, policy, stats, EvalMode::kPlan);
-        MergeEngine spec(scheme, kM, policy, stats,
-                         EvalMode::kPlanSpecialized);
-        StreamGen gen(0x5BEC ^ std::hash<std::string>{}(name) ^
-                      (static_cast<std::uint64_t>(policy) << 8) ^
-                      static_cast<std::uint64_t>(stats));
-        const int n = scheme.num_threads();
-        for (int cycle = 0; cycle < 800; ++cycle) {
-          std::array<Footprint, kMaxThreads> storage;
-          const Candidates cands = gen.draw(storage, n);
-          const MergeDecision dp = select(plain, cands);
-          const MergeDecision ds = select(spec, cands);
-          ASSERT_EQ(dp.issued_mask, ds.issued_mask)
-              << name << " diverged at cycle " << cycle;
-          ASSERT_EQ(dp.num_issued, ds.num_issued);
-          ASSERT_TRUE(dp.packet == ds.packet)
-              << name << " packet mismatch at cycle " << cycle;
-        }
-        ASSERT_EQ(plain.node_stats().size(), spec.node_stats().size());
-        for (std::size_t i = 0; i < plain.node_stats().size(); ++i) {
-          EXPECT_EQ(plain.node_stats()[i].attempts,
-                    spec.node_stats()[i].attempts)
-              << name << " node " << i;
-          EXPECT_EQ(plain.node_stats()[i].rejects,
-                    spec.node_stats()[i].rejects)
-              << name << " node " << i;
-        }
-        for (std::size_t k = 0;
-             k < plain.issued_histogram().num_buckets(); ++k)
-          EXPECT_EQ(plain.issued_histogram().bucket(k),
-                    spec.issued_histogram().bucket(k));
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------ stats levels
 
 TEST(MergePlanStats, FastLevelKeepsDecisionsDropsCounters) {

@@ -178,6 +178,20 @@ TEST(Serve, UnknownExperimentAndTypeAndFields) {
   EXPECT_EQ(error_code_of(r), "bad_request");
 }
 
+// Requests carry no lane count: "lanes" is an unknown field like any
+// other, rejected before the request is admitted.
+TEST(Serve, ExperimentParamsRejectLanes) {
+  TestServer ts;
+  Client c(ts.server->port());
+  const JsonValue r = c.request(
+      R"({"id":7,"type":"experiment","experiment":"fig10",)"
+      R"("params":{"fast":true,"lanes":2}})");
+  EXPECT_EQ(r.get("id").as_int(), 7);
+  EXPECT_EQ(error_code_of(r), "bad_request");
+  EXPECT_EQ(r.get("error").get("message").as_string(),
+            "unknown field \"lanes\" in \"params\"");
+}
+
 TEST(Serve, OversizedLineIsRejectedAndClosed) {
   TestServer ts;
   Client c(ts.server->port());

@@ -1,10 +1,12 @@
 // The TCP wrapper's delivery contracts: send_all loops over short writes
-// until the whole buffer is on the wire, and a peer that hangs up
-// mid-send surfaces as a false return (EPIPE via MSG_NOSIGNAL), never as
-// a SIGPIPE that kills the process.
+// until the whole buffer is on the wire, a peer that hangs up mid-send
+// surfaces as a false return (EPIPE via MSG_NOSIGNAL), never as a
+// SIGPIPE that kills the process, and a listener shutdown wakes a blocked
+// accept without closing the descriptor under it.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -81,6 +83,31 @@ TEST(Socket, SendAllOnAnInvalidStreamFailsCleanly) {
   EXPECT_FALSE(invalid.valid());
   EXPECT_FALSE(invalid.send_all("data"));
   EXPECT_TRUE(invalid.send_all(""));  // nothing to send, nothing to fail
+}
+
+// The server's stop handshake: shutdown() from another thread wakes an
+// accept_one() blocked on the listener with an invalid stream, leaves
+// the descriptor open until the accepting thread is joined, and close()
+// afterwards is clean (and idempotent).
+TEST(Socket, ShutdownWakesABlockedAcceptBeforeClose) {
+  TcpListener listener = TcpListener::bind_local(0);
+  std::promise<void> entered;
+  std::thread acceptor([&listener, &entered] {
+    entered.set_value();
+    const TcpStream stream = listener.accept_one();
+    EXPECT_FALSE(stream.valid());
+  });
+  entered.get_future().wait();
+  // Give accept(2) a moment to block; shutdown() must wake it either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener.shutdown();
+  acceptor.join();
+  EXPECT_TRUE(listener.valid());  // shut down, not closed
+  EXPECT_FALSE(listener.accept_one().valid());  // stays woken
+  listener.close();
+  EXPECT_FALSE(listener.valid());
+  listener.close();
+  listener.shutdown();  // no-op once closed
 }
 
 TEST(Socket, RecvReportsOrderlyShutdownAsZero) {

@@ -274,40 +274,6 @@ TEST(Store, SimResultJsonRoundTripIsBitExact) {
 
 // --- the sweep store ------------------------------------------------------
 
-// A store forces the per-job session path: asking for lanes on top of it
-// warns once on stderr (naming the ignored value) instead of leaving the
-// user mystified about sweep throughput — and the results stay
-// bit-identical to the storeless serial reference. No warning without
-// lanes.
-TEST(Store, StoreWithLanesWarnsAndStaysIdentical) {
-  const std::string dir = fresh_dir("lanes_warn");
-  std::vector<BatchJob> jobs = small_grid();
-  jobs.resize(6);
-  const std::vector<SimResult> reference = run_batch(jobs, {.workers = 1});
-
-  auto store =
-      SweepStore::open_shard(dir, ShardSpec{0, 1}, test_manifest(1));
-  BatchOptions opts;
-  opts.workers = 1;
-  opts.lanes = 8;
-  opts.store = store.get();
-  testing::internal::CaptureStderr();
-  const std::vector<SimResult> results = run_batch(jobs, opts);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("ignoring --lanes=8"), std::string::npos) << err;
-  EXPECT_NE(err.find("session path"), std::string::npos) << err;
-  ASSERT_EQ(results.size(), reference.size());
-  for (std::size_t i = 0; i < results.size(); ++i)
-    expect_identical(reference[i], results[i]);
-
-  BatchOptions quiet;
-  quiet.workers = 1;
-  quiet.store = store.get();
-  testing::internal::CaptureStderr();
-  (void)run_batch(jobs, quiet);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
 TEST(Store, ShardsComputeDisjointSubsetsAndUnionIsTheGrid) {
   const std::string dir = fresh_dir("shards");
   const std::vector<BatchJob> jobs = small_grid();
