@@ -117,6 +117,25 @@ MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
     for (std::size_t i = 0; i < n; ++i)
       leaf_tid_[r * n + i] =
           static_cast<std::uint8_t>((st.ports[i] + r) % n);
+
+  // The decision signature encodes exactly what select() reads besides
+  // the candidates: the leaf->thread tables (thread count + ports) and,
+  // per evaluator, the fold kinds or the step program.
+  signature_ = (is_linear() ? "L" : "T") + std::to_string(num_threads_) + ':';
+  if (is_linear()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) signature_ += to_char(chain_[i].kind);
+      signature_ += std::to_string(st.ports[i]);
+    }
+  } else {
+    for (const LeafStep& step : steps_) {
+      for (std::uint16_t b = 0; b < step.opens; ++b)
+        signature_ += to_char(blocks_[step.first_block + b].kind);
+      signature_ += std::to_string(st.ports[step.leaf_index]);
+      signature_.append(step.closes, ')');
+      signature_ += ',';
+    }
+  }
 }
 
 template <bool kCountStats>

@@ -137,6 +137,16 @@ class MergePlan {
   /// register-resident fold over the leaves with no frame stack. Balanced
   /// trees (2CC-style) use the general stack pass.
   [[nodiscard]] bool is_linear() const { return !chain_.empty(); }
+  /// The decision signature, computed at construction: two plans on one
+  /// machine with equal signatures return the same Eval from select() for
+  /// every candidate vector and every rotation. A left-deep chain is keyed
+  /// by its thread count, leaf ports and the block kind each leaf i >= 1
+  /// merges under (so C4 and 3CCC, which fold the same ports under CSMT in
+  /// the same order, share one signature); any other tree by its full
+  /// leaf-step program (opened block kinds, leaf port, close count). Stats
+  /// indices and labels are not part of it. Sound but not complete: two
+  /// trees with different signatures may still decide alike.
+  [[nodiscard]] const std::string& signature() const { return signature_; }
   /// Maximum number of simultaneously open blocks during a pass (the
   /// frame-stack depth select() needs).
   [[nodiscard]] int depth() const { return depth_; }
@@ -182,6 +192,7 @@ class MergePlan {
   /// leaf_tid_[r * num_threads + leaf_index] = (port + r) % num_threads.
   std::vector<std::uint8_t> leaf_tid_;
   std::vector<MergeNodeStats> stats_template_;
+  std::string signature_;
 };
 
 }  // namespace cvmt

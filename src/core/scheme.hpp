@@ -57,6 +57,8 @@ class Scheme {
     std::vector<Node> children;
 
     [[nodiscard]] bool is_leaf() const { return port >= 0; }
+
+    friend bool operator==(const Node&, const Node&) = default;
   };
 
   /// Builds a scheme from an AST; validates structure (leaves are exactly
@@ -117,6 +119,10 @@ class Scheme {
   /// Canonical rendering of an arbitrary (sub-)tree, e.g. "S(0,1)" for the
   /// innermost block of 3SCC. Used for per-merge-block stat labels.
   [[nodiscard]] static std::string canonical(const Node& node);
+
+  /// Same display name and same tree (a cheaper test than comparing
+  /// canonical keys, which build strings).
+  friend bool operator==(const Scheme&, const Scheme&) = default;
 
  private:
   std::string name_;

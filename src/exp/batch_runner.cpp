@@ -1,6 +1,9 @@
 #include "exp/batch_runner.hpp"
 
 #include <future>
+#include <memory>
+#include <string_view>
+#include <unordered_map>
 
 #include "sim/session.hpp"
 #include "store/sweep_store.hpp"
@@ -22,16 +25,75 @@ SimSession& session_for_this_thread() {
   return session;
 }
 
-SimResult run_one(const BatchJob& job, SimSession& session,
-                  SweepStore* store) {
-  if (store != nullptr)
-    return store->run_point(job, [&job, &session] {
-      return session.run(job.scheme,
-                         std::span<const std::string>(job.benchmarks),
-                         job.sim);
-    });
-  return session.run(job.scheme,
-                     std::span<const std::string>(job.benchmarks), job.sim);
+SimResult simulate(const BatchJob& job) {
+  return session_for_this_thread().run(
+      job.scheme, std::span<const std::string>(job.benchmarks), job.sim);
+}
+
+/// The decision-equivalent jobs of a batch (DESIGN.md §14): `first[i]` is
+/// the index of the first job whose run is bit-identical to job i's up to
+/// the scheme name and the merge-block stats — i itself for every job
+/// that simulates. A later member i relabels with `plans[plan_of[i]]`.
+struct DecisionGroups {
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> plan_of;
+  std::vector<std::shared_ptr<const MergePlan>> plans;
+  bool any_twin = false;
+};
+
+DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs) {
+  constexpr std::size_t kNone = ~std::size_t{0};
+  DecisionGroups g;
+  g.first.resize(jobs.size());
+  g.plan_of.assign(jobs.size(), kNone);
+  // Each kFast job's plan, resolved once per distinct scheme x machine: a
+  // batch repeats a few schemes over many workloads, and each cache
+  // lookup builds a key string. kFull jobs are never grouped — their
+  // per-block counters differ between equivalent trees (C4 has one
+  // block, 3CCC three).
+  std::vector<std::size_t> resolved_by;  // per plan: the job that resolved it
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    g.first[i] = i;
+    const BatchJob& job = jobs[i];
+    if (job.sim.stats != StatsLevel::kFast) continue;
+    for (std::size_t p = 0; p < resolved_by.size(); ++p) {
+      const BatchJob& seen = jobs[resolved_by[p]];
+      if (seen.scheme == job.scheme && seen.sim.machine == job.sim.machine) {
+        g.plan_of[i] = p;
+        break;
+      }
+    }
+    if (g.plan_of[i] != kNone) continue;
+    g.plan_of[i] = g.plans.size();
+    g.plans.push_back(
+        ArtifactCache::global().scheme(job.scheme, job.sim.machine)->plan());
+    resolved_by.push_back(i);
+  }
+  // Only a signature that two distinct schemes share can group jobs, so
+  // only those jobs pay for a decision key.
+  std::unordered_map<std::string_view, int> schemes_per_signature;
+  for (const auto& plan : g.plans) ++schemes_per_signature[plan->signature()];
+  std::unordered_map<std::string, std::size_t> firsts;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (g.plan_of[i] == kNone) continue;
+    const std::string& signature = g.plans[g.plan_of[i]]->signature();
+    if (schemes_per_signature[signature] < 2) continue;
+    const auto [it, inserted] =
+        firsts.emplace(decision_key(jobs[i], signature), i);
+    if (inserted) continue;
+    g.first[i] = it->second;
+    g.any_twin = true;
+  }
+  return g;
+}
+
+/// A later group member's result: its group's first result under its own
+/// name and (zero-counter, kFast) merge-block stats — the only fields in
+/// which decision-equivalent runs differ.
+SimResult relabel(SimResult r, const BatchJob& job, const MergePlan& plan) {
+  r.scheme = job.scheme.name();
+  r.merge_nodes = plan.make_stats();
+  return r;
 }
 
 }  // namespace
@@ -57,26 +119,64 @@ unsigned resolve_workers(const BatchOptions& opts, std::size_t num_jobs) {
 std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,
                                  const BatchOptions& opts) {
   std::vector<SimResult> results(jobs.size());
-  const unsigned workers = resolve_workers(opts, jobs.size());
-  if (workers <= 1) {
-    SimSession& session = session_for_this_thread();
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      results[i] = run_one(jobs[i], session, opts.store);
-    return results;
-  }
+  DecisionGroups groups;
+  SweepStore* const store = opts.store;
+  // held[i]: results[i] is job i's real result, not a skipped point's
+  // placeholder (char, not bool: pass-1 workers write distinct slots).
+  std::vector<char> held(jobs.size(), 1);
 
+  // Pass 1: every group's first job, exactly as without grouping.
+  const auto run_first = [&](std::size_t i) {
+    if (store == nullptr) {
+      results[i] = simulate(jobs[i]);
+      return;
+    }
+    bool real = true;
+    results[i] = store->run_point(
+        jobs[i], [&jobs, i] { return simulate(jobs[i]); }, &real);
+    held[i] = real;
+  };
+  // Pass 2: the other members derive their result from their group's
+  // first — through the store when one is set, so each point is still
+  // logged, resumed or skipped on its own key. A twin whose first job
+  // belongs to another shard (and is not yet logged) simulates itself.
+  const auto run_twin = [&](std::size_t i) {
+    const std::size_t f = groups.first[i];
+    const auto derive = [&, i, f] {
+      return held[f] != 0 ? relabel(results[f], jobs[i],
+                                    *groups.plans[groups.plan_of[i]])
+                          : simulate(jobs[i]);
+    };
+    results[i] = store != nullptr ? store->run_point(jobs[i], derive)
+                                  : derive();
+  };
+  // A pass over the jobs it selects: inline at one worker, otherwise on
+  // `pool`. A second pass rather than waiting on an in-flight first job:
+  // a worker blocked on its twin would idle for a whole run.
+  const auto run_pass = [&](ThreadPool* pool, bool twins, const auto& run) {
+    std::vector<std::future<void>> pending;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if ((groups.first[i] != i) != twins) continue;
+      if (pool == nullptr)
+        run(i);
+      else
+        pending.push_back(pool->submit([&run, i] { run(i); }));
+    }
+    for (auto& f : pending) f.get();  // rethrows the first job failure
+  };
+
+  const unsigned workers = resolve_workers(opts, jobs.size());
   // No pre-build pass: the artifact cache serialises the build of any
   // missing program/scheme under its lock, so concurrent first requests
   // for one artifact block on a single build and then share it.
-  ThreadPool pool(workers);
-  std::vector<std::future<void>> pending;
-  pending.reserve(jobs.size());
-  SweepStore* const store = opts.store;
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    pending.push_back(pool.submit([&jobs, &results, store, i] {
-      results[i] = run_one(jobs[i], session_for_this_thread(), store);
-    }));
-  for (auto& f : pending) f.get();  // rethrows the first job failure
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
+  groups = group_decision_equivalent(jobs);  // while the workers start
+  run_pass(pool.get(), false, run_first);
+  // Without a store every twin is a copy, cheaper inline than through
+  // the pool; with one, a twin may have to simulate.
+  if (groups.any_twin)
+    run_pass(store != nullptr ? pool.get() : nullptr, true, run_twin);
   return results;
 }
 

@@ -10,6 +10,12 @@
 // scheme reuse one SimInstance (reset in place) instead of rebuilding the
 // simulator per grid point — the reuse is invisible in the results (the
 // reset contract is bit-identity, pinned by sim_golden_test).
+//
+// Jobs whose schemes make the same merge decision on every cycle (equal
+// MergePlan::signature, e.g. C4 and 3CCC) and whose other inputs all
+// match simulate once per batch under StatsLevel::kFast: the other jobs
+// of such a group take the first job's result under their own name and
+// stats template (DESIGN.md §14).
 #pragma once
 
 #include <cstddef>

@@ -10,14 +10,16 @@ Footprint Footprint::of(const Instruction& instr,
   for (const Operation& op : instr) {
     CVMT_DCHECK(op.cluster < config.num_clusters);
     CVMT_DCHECK(op.slot < config.cluster_issue(op.cluster));
-    ClusterUse& use = fp.use_[op.cluster];
+    std::uint64_t& lane = fp.lanes_[op.cluster / 4];
+    const unsigned shift = lane_shift(op.cluster);
     if (is_fixed_slot(op.kind)) {
-      const auto bit = static_cast<std::uint8_t>(1u << op.slot);
-      CVMT_DCHECK((use.fixed_mask & bit) == 0);
-      use.fixed_mask = static_cast<std::uint8_t>(use.fixed_mask | bit);
+      const std::uint64_t bit = std::uint64_t{1} << (op.slot + shift);
+      CVMT_DCHECK((lane & bit) == 0);
+      lane |= bit;
     }
-    ++use.op_count;
-    CVMT_DCHECK(use.op_count <= config.cluster_issue(op.cluster));
+    lane += std::uint64_t{1} << (shift + 8);  // op count byte
+    CVMT_DCHECK(fp.cluster(op.cluster).op_count <=
+                config.cluster_issue(op.cluster));
     fp.cluster_mask_ |= 1u << op.cluster;
     ++fp.total_ops_;
   }
@@ -31,8 +33,8 @@ bool smt_compatible_het(const Footprint& a, const Footprint& b,
   while (shared != 0) {
     const int c = std::countr_zero(shared);
     shared &= shared - 1;
-    const ClusterUse& ua = a.cluster(c);
-    const ClusterUse& ub = b.cluster(c);
+    const ClusterUse ua = a.cluster(c);
+    const ClusterUse ub = b.cluster(c);
     if ((ua.fixed_mask & ub.fixed_mask) != 0) return false;
     if (ua.op_count + ub.op_count > config.cluster_issue(c)) return false;
   }

@@ -44,8 +44,12 @@ class Footprint {
   /// Bit c set <=> cluster c holds at least one operation.
   [[nodiscard]] std::uint32_t cluster_mask() const { return cluster_mask_; }
 
-  [[nodiscard]] const ClusterUse& cluster(int c) const {
-    return use_[static_cast<std::size_t>(c)];
+  /// Usage of cluster `c`, unpacked from its lane.
+  [[nodiscard]] ClusterUse cluster(int c) const {
+    const std::uint64_t lane =
+        lanes_[static_cast<std::size_t>(c) / 4] >> lane_shift(c);
+    return {static_cast<std::uint8_t>(lane),
+            static_cast<std::uint8_t>(lane >> 8)};
   }
 
   [[nodiscard]] int total_ops() const { return total_ops_; }
@@ -58,7 +62,7 @@ class Footprint {
   }
 
   /// SMT check: per-cluster fixed-slot disjointness + issue-width fit.
-  /// Implemented as byte-lane SWAR over the packed ClusterUse array (all
+  /// Implemented as byte-lane SWAR over the packed ClusterUse lanes (all
   /// clusters checked at once; unused clusters are vacuously compatible,
   /// so the result equals the per-shared-cluster walk). Hot: called for
   /// every SMT merge attempt of every simulated cycle.
@@ -72,29 +76,31 @@ class Footprint {
   void merge_with(const Footprint& b, const MachineConfig& config);
 
   friend bool operator==(const Footprint& a, const Footprint& b) {
-    return a.cluster_mask_ == b.cluster_mask_ && a.use_ == b.use_ &&
+    return a.cluster_mask_ == b.cluster_mask_ && a.lanes_ == b.lanes_ &&
            a.total_ops_ == b.total_ops_;
   }
 
  private:
-  /// Byte-lane view of use_: even bytes are fixed masks, odd bytes are op
-  /// counts (ClusterUse layout, asserted below).
-  using Lanes = std::array<std::uint64_t, kMaxClusters * 2 / 8>;
+  /// Four clusters per 64-bit lane, 16 bits each: the fixed mask in the
+  /// low byte, the op count in the high byte — so the even bytes of a
+  /// lane are fixed masks and the odd bytes op counts.
+  using Lanes = std::array<std::uint64_t, kMaxClusters / 4>;
   static constexpr std::uint64_t kFixedLanes = 0x00FF00FF00FF00FFULL;
   static constexpr std::uint64_t kCountLanes = 0xFF00FF00FF00FF00ULL;
   /// 0x80 bit of every count lane (overflow detector of the SWAR compare).
   static constexpr std::uint64_t kCountHighBits = 0x8000800080008000ULL;
 
-  std::array<ClusterUse, kMaxClusters> use_{};
+  [[nodiscard]] static unsigned lane_shift(int c) {
+    return 16u * (static_cast<unsigned>(c) % 4u);
+  }
+
+  Lanes lanes_{};
   std::uint32_t cluster_mask_ = 0;
   int total_ops_ = 0;
 };
 
-static_assert(sizeof(ClusterUse) == 2 && kMaxClusters % 4 == 0,
-              "SWAR predicates assume 2-byte ClusterUse lanes");
-static_assert(std::endian::native == std::endian::little,
-              "SWAR lane masks assume little-endian byte order (fixed "
-              "masks in even bytes, op counts in odd bytes)");
+static_assert(kMaxClusters % 4 == 0,
+              "SWAR predicates pack four 16-bit clusters per lane");
 
 /// Heterogeneous-machine slow path of smt_compatible (per-cluster widths
 /// break the single-adjust SWAR trick); out of line, rarely taken.
@@ -109,8 +115,8 @@ static_assert(std::endian::native == std::endian::little,
     const Footprint& a, const Footprint& b, const MachineConfig& config) {
   if (config.heterogeneous) [[unlikely]]
     return smt_compatible_het(a, b, config);
-  const auto la = std::bit_cast<Lanes>(a.use_);
-  const auto lb = std::bit_cast<Lanes>(b.use_);
+  const Lanes& la = a.lanes_;
+  const Lanes& lb = b.lanes_;
   // Per count byte: sum + (127 - width) has bit 7 set iff sum > width.
   // Counts are at most 2 * issue width <= 16, so lanes never carry.
   const std::uint64_t adjust =
@@ -128,12 +134,9 @@ static_assert(std::endian::native == std::endian::little,
 [[gnu::always_inline]] inline void Footprint::merge_with(
     const Footprint& b, const MachineConfig& config) {
   CVMT_DCHECK(smt_compatible(*this, b, config));
-  auto la = std::bit_cast<Lanes>(use_);
-  const auto lb = std::bit_cast<Lanes>(b.use_);
-  for (std::size_t i = 0; i < la.size(); ++i)
-    la[i] = ((la[i] & kCountLanes) + (lb[i] & kCountLanes)) |
-            ((la[i] | lb[i]) & kFixedLanes);
-  use_ = std::bit_cast<std::array<ClusterUse, kMaxClusters>>(la);
+  for (std::size_t i = 0; i < lanes_.size(); ++i)
+    lanes_[i] = ((lanes_[i] & kCountLanes) + (b.lanes_[i] & kCountLanes)) |
+                ((lanes_[i] | b.lanes_[i]) & kFixedLanes);
   cluster_mask_ |= b.cluster_mask_;
   total_ops_ += b.total_ops_;
 }

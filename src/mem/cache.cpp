@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace cvmt {
@@ -17,43 +18,38 @@ void CacheConfig::validate() const {
 }
 
 SetAssocCache::SetAssocCache(const CacheConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
+    : config_(config), num_sets_(config.num_sets()), ways_(config.ways) {
   config_.validate();
-  lines_.resize(num_sets_ * config_.ways);
+  tags_.resize(num_sets_ * ways_);
+  stamps_.resize(num_sets_ * ways_);
   line_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(config_.line_bytes)));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
 }
 
-bool SetAssocCache::fill(Line* base, std::uint64_t set, std::uint64_t tag) {
-  // Prefer an invalid way; otherwise the least recently used one.
-  Line* victim = base;
-  for (std::uint32_t w = 1; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (victim->gen != gen_) break;
-    if (line.gen != gen_ || line.last_used < victim->last_used)
-      victim = &line;
+bool SetAssocCache::fill(std::size_t base, std::uint64_t tag) {
+  // Prefer the first invalid way; otherwise the least recently used one.
+  std::size_t victim = base;
+  for (std::size_t w = base + 1; w < base + ways_; ++w) {
+    if (tags_[victim] == 0) break;
+    if (tags_[w] == 0 || stamps_[w] < stamps_[victim]) victim = w;
   }
-  victim->gen = gen_;
-  victim->tag = tag;
-  victim->last_used = clock_;
-  mru_set_ = set;
-  mru_line_ = victim;
+  tags_[victim] = tag;
+  stamps_[victim] = clock_;
   stats_.record(false);
   return false;
 }
 
 bool SetAssocCache::contains(std::uint64_t addr) const {
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  const Line* base = &lines_[set * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w)
-    if (base[w].gen == gen_ && base[w].tag == tag) return true;
+  const std::size_t base = static_cast<std::size_t>(set_index(addr)) * ways_;
+  const std::uint64_t tag = tag_of(addr) + 1;
+  for (std::size_t w = base; w < base + ways_; ++w)
+    if (tags_[w] == tag) return true;
   return false;
 }
 
 void SetAssocCache::flush() {
-  ++gen_;  // every line's generation is now stale = invalid
+  std::fill(tags_.begin(), tags_.end(), 0);
   clock_ = 0;
 }
 

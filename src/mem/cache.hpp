@@ -37,43 +37,21 @@ class SetAssocCache {
   explicit SetAssocCache(const CacheConfig& config);
 
   /// Looks up `addr`, fills on miss, updates LRU. Returns true on hit.
-  /// The single-probe MRU fast path is inline — consecutive accesses
-  /// mostly re-touch the last line (sequential fetches stream through a
-  /// 64B line), and the probe is cheap enough that the call overhead of
-  /// an outlined lookup would dominate it. See mru_line_'s comment for
-  /// why the probe is exactly the way scan's hit path.
+  /// Inline: the way match is a branch-free scan of one set's tags (valid
+  /// tags are unique within a set, so at most one way matches), and the
+  /// call overhead of an outlined lookup would be comparable to it. Only
+  /// the miss path (victim search and fill) is out of line.
   bool access(std::uint64_t addr) {
-    const std::uint64_t set = set_index(addr);
-    const std::uint64_t tag = tag_of(addr);
+    const std::size_t base = static_cast<std::size_t>(set_index(addr)) * ways_;
+    const std::uint64_t tag = tag_of(addr) + 1;
     ++clock_;
-    if (mru_line_ != nullptr && mru_set_ == set && mru_line_->gen == gen_ &&
-        mru_line_->tag == tag) {
-      mru_line_->last_used = clock_;
-      stats_.record(true);
-      return true;
-    }
-    return access_scan(set, tag);
-  }
-
-  /// access() past the MRU probe: way scan, then victim fill on a miss.
-  /// Also inline — interleaved data streams (several threads sharing one
-  /// DCache) defeat the MRU probe, making the scan the common path there.
-  bool access_scan(std::uint64_t set, std::uint64_t tag) {
-    Line* base = &lines_[set * config_.ways];
-
-    // Hit path first (the common case): a tight tag scan with no
-    // replacement bookkeeping. Only a miss pays for the victim search.
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (line.gen == gen_ && line.tag == tag) {
-        line.last_used = clock_;
-        mru_set_ = set;
-        mru_line_ = &line;
-        stats_.record(true);
-        return true;
-      }
-    }
-    return fill(base, set, tag);
+    std::size_t hit = kNoWay;
+    for (std::size_t w = 0; w < ways_; ++w)
+      hit = tags_[base + w] == tag ? base + w : hit;
+    if (hit == kNoWay) return fill(base, tag);
+    stamps_[hit] = clock_;
+    stats_.record(true);
+    return true;
   }
 
   /// True if the line holding `addr` is currently resident (no LRU update,
@@ -81,14 +59,14 @@ class SetAssocCache {
   [[nodiscard]] bool contains(std::uint64_t addr) const;
 
   /// Invalidates all lines and resets the LRU clock (stats are kept).
-  /// O(1): validity is generation-tagged, so no line is touched.
   void flush();
 
   /// Restores the freshly-constructed state: every line invalid, LRU clock
   /// and statistics zeroed. Unlike flush(), a reset cache is bit-identical
   /// to a newly built one — the session layer reuses cache arrays across
-  /// runs on this guarantee. O(1) (generation bump), which is what makes
-  /// per-run instance reuse cheaper than reconstruction.
+  /// runs on this guarantee. Clears the tag array (8 KB at the paper's
+  /// 64 KB / 64 B geometry); stamps need no clearing, because an invalid
+  /// way is always the victim before any stamp is compared.
   void reset();
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
@@ -98,16 +76,7 @@ class SetAssocCache {
   }
 
  private:
-  /// A line is valid iff `gen` equals the cache's current generation.
-  /// flush()/reset() invalidate every line by bumping the generation —
-  /// O(1) instead of rewriting the (tens-of-KB) line array, so reusing a
-  /// cache across simulation runs costs nothing. Lines start at gen 0,
-  /// the cache at gen 1: a fresh cache has only invalid lines.
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t last_used = 0;
-    std::uint64_t gen = 0;
-  };
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
 
   [[nodiscard]] std::uint64_t set_index(std::uint64_t addr) const {
     return (addr >> line_shift_) & (num_sets_ - 1);
@@ -115,27 +84,22 @@ class SetAssocCache {
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const {
     return (addr >> line_shift_) >> set_shift_;
   }
-  /// Miss tail of access_scan(): victim search and fill.
-  bool fill(Line* base, std::uint64_t set, std::uint64_t tag);
+  /// Miss tail of access(): victim search and fill of the set at `base`.
+  bool fill(std::size_t base, std::uint64_t tag);
 
   CacheConfig config_;
   std::uint64_t num_sets_;
+  std::size_t ways_;
   /// line_bytes and num_sets are validated powers of two; shifting beats
   /// the two 64-bit divisions that used to sit in every lookup.
   std::uint32_t line_shift_ = 0;
   std::uint32_t set_shift_ = 0;
-  std::vector<Line> lines_;  // num_sets_ x ways, row-major
-  std::uint64_t gen_ = 1;
+  /// Per line (num_sets_ x ways, row-major): the stored tag is the
+  /// address tag + 1, so 0 marks an invalid line; the stamp is the LRU
+  /// clock of the line's last access.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
   std::uint64_t clock_ = 0;
-  /// Most recently hit/filled line, for the single-probe fast path in
-  /// access(). Valid tags are unique within a set (fills happen only on
-  /// misses), so when the remembered line still matches (set, tag, gen)
-  /// it *is* the line the way scan would find — the fast path repeats the
-  /// scan's hit bookkeeping exactly and is bit-identical. lines_ never
-  /// reallocates after construction, so the pointer stays safe; a stale
-  /// generation (flush/reset) simply fails the probe.
-  std::uint64_t mru_set_ = 0;
-  Line* mru_line_ = nullptr;
   RatioCounter stats_;
 };
 

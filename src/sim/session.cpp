@@ -27,7 +27,9 @@ void append_double(std::string& out, double v) {
   append_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-void append_machine(std::string& out, const MachineConfig& m) {
+}  // namespace
+
+void append_machine_key(std::string& out, const MachineConfig& m) {
   append_i64(out, m.num_clusters);
   append_i64(out, m.issue_per_cluster);
   append_u64(out, m.mul_slot_mask);
@@ -50,6 +52,8 @@ void append_machine(std::string& out, const MachineConfig& m) {
     }
   }
 }
+
+namespace {
 
 std::string profile_program_key(const BenchmarkProfile& p,
                                 const MachineConfig& machine) {
@@ -76,7 +80,7 @@ std::string profile_program_key(const BenchmarkProfile& p,
   append_u64(key, p.code_bytes_per_instr);
   append_u64(key, p.seed);
   key += '@';
-  append_machine(key, machine);
+  append_machine_key(key, machine);
   return key;
 }
 
@@ -101,7 +105,7 @@ std::string CompiledScheme::make_key(const Scheme& scheme,
   key += '|';
   key += scheme.canonical();
   key += '@';
-  append_machine(key, machine);
+  append_machine_key(key, machine);
   return key;
 }
 
@@ -183,7 +187,7 @@ std::shared_ptr<const CompiledWorkload> ArtifactCache::workload(
     key += ',';
   }
   key += '@';
-  append_machine(key, machine);
+  append_machine_key(key, machine);
 
   // The workload build pulls its member programs through program(), so a
   // cold workload's programs build under their own per-key locks — two

@@ -38,6 +38,10 @@
 
 namespace cvmt {
 
+/// Appends the canonical serialization of `machine` that every artifact
+/// key embeds (and the result store's keys after them).
+void append_machine_key(std::string& out, const MachineConfig& machine);
+
 /// Immutable compiled form of one scheme on one machine: the validated
 /// Scheme, its flattened MergePlan (shared by every engine built from this
 /// artifact) and the canonical cache key. Thread-safe by immutability.

@@ -27,8 +27,6 @@ void ThreadContext::reset(std::string_view name,
   has_pending_ = false;
   done_ = false;
   pending_fp_ = nullptr;
-  pending_ = nullptr;
-  pending_patches_ = nullptr;
   ready_at_ = 0;
   stats_ = ThreadStats{};
 }
@@ -40,9 +38,7 @@ void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
     gen_stale_ = false;
   }
   gen_.advance();
-  pending_ = &gen_.current_instruction();
   pending_fp_ = &gen_.current_footprint();
-  pending_patches_ = &gen_.current_patches();
   has_pending_ = true;
   // Fetch starts once the previous instruction's stalls resolve; an
   // ICache miss then delays issue further.
@@ -61,16 +57,19 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   CVMT_CHECK_MSG(has_pending_ && cycle >= ready_at_,
                  "consume without a ready offer");
   // Execution stalls: taken-branch squash plus DCache misses. Only the
-  // patched (memory/branch) ops are timing-relevant, and the precomputed
-  // patch list visits exactly those, in op order.
+  // memory and branch ops are timing-relevant, and the generator hands
+  // over exactly their per-execution data: the data addresses in op order
+  // and whether a branch is taken.
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
-  bool taken = false;
   const bool banked = mem.config().dcache_banks > 1;
   std::uint32_t banks_touched = 0;
   int bank_conflicts = 0;
-  const auto data_op = [&](std::uint64_t addr) {
+  ++stats_.instructions;
+  stats_.ops += static_cast<std::uint64_t>(gen_.current_op_count());
+  if (gen_.current_op_count() == 0) ++stats_.bubbles;
+  for (const std::uint64_t addr : gen_.current_addresses()) {
     const MemAccessResult r = mem.data_access(hw_tid, addr);
     dmiss_total += r.penalty_cycles;
     dmiss_max = std::max(dmiss_max, r.penalty_cycles);
@@ -80,17 +79,6 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
       const std::uint32_t bit = 1u << r.bank;
       if ((banks_touched & bit) != 0) ++bank_conflicts;
       banks_touched |= bit;
-    }
-  };
-  ++stats_.instructions;
-  stats_.ops += pending_->op_count();
-  if (pending_->empty()) ++stats_.bubbles;
-  for (const std::uint8_t idx : *pending_patches_) {
-    const Operation& op = pending_->op(idx);
-    if (is_memory(op.kind)) {
-      data_op(op.addr);
-    } else if (op.taken) {  // patch lists hold only memory and branch ops
-      taken = true;
     }
   }
   if (bank_conflicts > 0) {
@@ -103,7 +91,7 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
       policy == MissPolicy::kSerialized ? dmiss_total : dmiss_max;
   stall += static_cast<std::uint64_t>(dmiss);
   stats_.dcache_stall_cycles += static_cast<std::uint64_t>(dmiss);
-  if (taken) {
+  if (gen_.current_taken()) {
     ++stats_.taken_branches;
     stall += static_cast<std::uint64_t>(machine.taken_branch_penalty);
     stats_.branch_stall_cycles +=

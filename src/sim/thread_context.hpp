@@ -46,10 +46,8 @@ class ThreadContext {
                 std::uint64_t stream_seed,
                 std::uint64_t instruction_budget);
 
-  // Not copyable: the pending-instruction pointers alias this object's
-  // own generator scratch, so a copy would silently track the source's
-  // mutable state (and dangle past its lifetime). Contexts are shared by
-  // pointer (see OsScheduler), never by value.
+  // Not copyable: contexts are shared by pointer (see OsScheduler), never
+  // by value — a copy would fork one software thread's execution.
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
@@ -124,12 +122,10 @@ class ThreadContext {
 
   bool has_pending_ = false;
   bool done_ = false;
-  /// Pending instruction state: pointers into our own generator (its
-  /// scratch stays untouched between refill() and consume()) and into the
-  /// shared immutable program (footprint, patch list).
+  /// The pending instruction is the generator's current one (it does not
+  /// advance between refill() and consume()); its footprint points into
+  /// the shared immutable program.
   const Footprint* pending_fp_ = nullptr;
-  const Instruction* pending_ = nullptr;
-  const SyntheticProgram::PatchList* pending_patches_ = nullptr;
   std::uint64_t ready_at_ = 0;
 
   ThreadStats stats_;

@@ -63,12 +63,11 @@ MergeKind merge_kind_from_char(char c) {
   }
 }
 
-}  // namespace
-
-std::string point_key(const BatchJob& job) {
+/// Everything a point key holds beyond the scheme and its machine: the
+/// workload and the full run configuration. Shared by point_key and
+/// decision_key, so a knob added here reaches both.
+void append_run_inputs(std::string& key, const BatchJob& job) {
   const SimConfig& c = job.sim;
-  std::string key = "R1|";
-  key += CompiledScheme::make_key(job.scheme, c.machine);
   key += "|W:";
   for (const std::string& b : job.benchmarks) {
     key += b;
@@ -100,6 +99,23 @@ std::string point_key(const BatchJob& job) {
   append_u64(key, static_cast<std::uint64_t>(c.stats));
   append_u64(key, static_cast<std::uint64_t>(c.eval_mode));
   append_u64(key, c.stall_fast_forward ? 1 : 0);
+}
+
+}  // namespace
+
+std::string point_key(const BatchJob& job) {
+  std::string key = "R1|";
+  key += CompiledScheme::make_key(job.scheme, job.sim.machine);
+  append_run_inputs(key, job);
+  return key;
+}
+
+std::string decision_key(const BatchJob& job, std::string_view signature) {
+  std::string key = "D1|";
+  key += signature;
+  key += '@';
+  append_machine_key(key, job.sim.machine);
+  append_run_inputs(key, job);
   return key;
 }
 

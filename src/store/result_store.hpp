@@ -50,6 +50,15 @@ struct ShardSpec {
 /// key only when the simulator contract guarantees bit-identical results.
 [[nodiscard]] std::string point_key(const BatchJob& job);
 
+/// The key under which run_batch groups decision-equivalent jobs: the
+/// compiled plan's decision `signature` (MergePlan::signature) in place of
+/// the scheme's name and tree, then the machine, workload and run
+/// configuration exactly as point_key serializes them. Jobs with equal
+/// decision keys simulate bit-identically except for the scheme name and
+/// the merge-block stats. In memory only; never written to a store.
+[[nodiscard]] std::string decision_key(const BatchJob& job,
+                                       std::string_view signature);
+
 /// The shard that owns `key` in an `count`-way partition.
 [[nodiscard]] unsigned shard_of(std::string_view key, unsigned count);
 

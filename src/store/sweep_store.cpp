@@ -50,9 +50,11 @@ std::unique_ptr<SweepStore> SweepStore::open_merge(const std::string& dir) {
   return store;
 }
 
-SimResult SweepStore::run_point(
-    const BatchJob& job, const std::function<SimResult()>& compute) {
+SimResult SweepStore::run_point(const BatchJob& job,
+                                const std::function<SimResult()>& compute,
+                                bool* held) {
   const std::string key = point_key(job);
+  if (held != nullptr) *held = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.total;
@@ -77,6 +79,7 @@ SimResult SweepStore::run_point(
   if (shard_of(key, shard_.count) != shard_.index) {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.skipped;
+    if (held != nullptr) *held = false;
     return SimResult{};
   }
   SimResult result;

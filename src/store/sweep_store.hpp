@@ -52,9 +52,13 @@ class SweepStore {
       const std::string& dir);
 
   /// Mediates one grid point (thread-safe; run_batch workers share one
-  /// SweepStore). `compute` runs outside the lock.
-  [[nodiscard]] SimResult run_point(
-      const BatchJob& job, const std::function<SimResult()>& compute);
+  /// SweepStore). `compute` runs outside the lock. When `held` is set it
+  /// receives whether the returned result is the point's real one
+  /// (computed, resumed or replayed) rather than a skipped point's
+  /// default-constructed placeholder.
+  [[nodiscard]] SimResult run_point(const BatchJob& job,
+                                    const std::function<SimResult()>& compute,
+                                    bool* held = nullptr);
 
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] const JsonValue& manifest() const { return manifest_; }

@@ -50,16 +50,23 @@ bool place_op(Instruction& instr, std::uint32_t occupied[kMaxClusters],
   return false;
 }
 
-/// Ops the trace generator must patch at emission: memory (address) and
-/// branch (direction), in op order.
-SyntheticProgram::PatchList patch_list_of(const Instruction& instr) {
-  SyntheticProgram::PatchList patches;
-  for (std::size_t i = 0; i < instr.op_count(); ++i) {
-    const OpKind kind = instr.op(i).kind;
-    if (is_memory(kind) || kind == OpKind::kBranch)
-      patches.push_back(static_cast<std::uint8_t>(i));
+/// Appends the derived caches of body instruction `i` (its PC already
+/// set): its footprint and the trace generator's record.
+void cache_instruction(SyntheticProgram::Loop& loop, std::size_t i,
+                       const MachineConfig& machine) {
+  const Instruction& instr = loop.body[i];
+  SyntheticProgram::Record rec;
+  rec.pc = instr.pc();
+  rec.op_count = static_cast<std::uint8_t>(instr.op_count());
+  for (const Operation& op : instr) {
+    if (is_memory(op.kind))
+      rec.mem_mask |= 1u << rec.num_patches++;
+    else if (op.kind == OpKind::kBranch)
+      ++rec.num_patches;
   }
-  return patches;
+  rec.last = i + 1 == loop.body.size();
+  loop.footprints.push_back(Footprint::of(instr, machine));
+  loop.records.push_back(rec);
 }
 
 }  // namespace
@@ -156,8 +163,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
       loop.body[i].set_pc(loop.code_base +
                           static_cast<std::uint64_t>(i) *
                               profile_.code_bytes_per_instr);
-      loop.footprints.push_back(Footprint::of(loop.body[i], machine_));
-      loop.patch_ops.push_back(patch_list_of(loop.body[i]));
+      cache_instruction(loop, i, machine_);
     }
 
     // --- Timing bookkeeping and the IPCr miss mix ---------------------
@@ -204,7 +210,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                    "miss fraction out of range");
     CVMT_CHECK_MSG(loop.hot_window >= 1, "hot window must be non-empty");
     loop.footprints.clear();
-    loop.patch_ops.clear();
+    loop.records.clear();
     loop.real_instrs = 0;
     loop.total_ops = 0;
     loop.mem_ops = 0;
@@ -213,8 +219,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
       const Instruction& instr = loop.body[i];
       const std::string err = instr.validate(machine_);
       CVMT_CHECK_MSG(err.empty(), "invalid instruction in loop: " + err);
-      loop.footprints.push_back(Footprint::of(instr, machine_));
-      loop.patch_ops.push_back(patch_list_of(instr));
+      cache_instruction(loop, i, machine_);
       if (!instr.empty()) ++loop.real_instrs;
       loop.total_ops += static_cast<std::int64_t>(instr.op_count());
       bool has_branch = false;

@@ -30,17 +30,24 @@ namespace cvmt {
 /// shared_ptr (it is read-only after construction).
 class SyntheticProgram {
  public:
-  /// Per body instruction: indices of the operations patched at emission
-  /// time (memory ops get addresses, branches get directions), in op
-  /// order. Precomputed so the emission and issue hot paths touch only
-  /// these instead of scanning every operation.
-  using PatchList = InlineVec<std::uint8_t, kMaxTotalOps>;
+  /// What the trace generator's hot path needs of one body instruction,
+  /// in 16 bytes instead of the instruction's full template. Its patches
+  /// are the memory ops (which get a data address at emission) and the
+  /// branches (which get a direction), in op order.
+  struct Record {
+    std::uint64_t pc = 0;        ///< unsalted PC of the template
+    std::uint32_t mem_mask = 0;  ///< bit j: patch j is a memory op
+                                 ///< (otherwise a branch)
+    std::uint8_t op_count = 0;   ///< 0 = bubble
+    std::uint8_t num_patches = 0;
+    bool last = false;           ///< the loop-closing instruction
+  };
 
   /// One scheduled loop.
   struct Loop {
     std::vector<Instruction> body;      ///< templates; empty = bubble
     std::vector<Footprint> footprints;  ///< cached per body instruction
-    std::vector<PatchList> patch_ops;   ///< cached per body instruction
+    std::vector<Record> records;        ///< cached per body instruction
     std::uint64_t code_base = 0;  ///< PC of body[0]
     std::uint64_t hot_base = 0;   ///< cache-resident data region base
     std::uint64_t hot_window = 0;
@@ -59,8 +66,9 @@ class SyntheticProgram {
 
   /// Constructs directly from pre-built loops. Used by the VEX-asm loader
   /// (trace/vex_asm.hpp) and by tests that need hand-crafted programs.
-  /// Derived per-loop fields (footprints, op totals, expected cycles) are
-  /// recomputed from the bodies; caller-provided values are ignored.
+  /// Derived per-loop fields (footprints, records, op totals, expected
+  /// cycles) are recomputed from the bodies; caller-provided values are
+  /// ignored.
   SyntheticProgram(BenchmarkProfile profile, MachineConfig machine,
                    std::vector<Loop> loops);
 

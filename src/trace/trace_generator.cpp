@@ -37,10 +37,10 @@ void TraceGenerator::start_stream(std::uint64_t stream_seed) {
     hot_stride_mod_[l] =
         program_->profile().hot_stride % program_->loops()[l].hot_window;
   cur_fp_ = nullptr;
-  cur_patches_ = nullptr;
-  cur_tmpl_ = nullptr;
-  cur_is_scratch_ = false;
   cur_pc_ = 0;
+  cur_op_count_ = 0;
+  addrs_.clear();
+  taken_mask_ = 0;
   emitted_ = 0;
   enter_next_loop();
 }
@@ -54,47 +54,39 @@ void TraceGenerator::enter_next_loop() {
 
 void TraceGenerator::advance() {
   const SyntheticProgram::Loop& loop = program_->loops()[loop_idx_];
+  const SyntheticProgram::Record& rec = loop.records[body_pos_];
 
-  cur_tmpl_ = &loop.body[body_pos_];
   cur_fp_ = &loop.footprints[body_pos_];
-  cur_patches_ = &loop.patch_ops[body_pos_];
-  cur_pc_ = cur_tmpl_->pc() + address_salt_;
-  cur_is_scratch_ = !cur_patches_->empty();
-
-  const bool is_last = body_pos_ + 1 == loop.body.size();
-  if (cur_is_scratch_) {
-    // Only memory and branch ops need per-execution patching; the
-    // precomputed patch list (op order preserved, so RNG draws are
-    // reproducible) skips the rest — and a patch-free instruction skips
-    // the copy altogether.
-    scratch_ = *cur_tmpl_;
-    scratch_.set_pc(cur_pc_);
-    for (const std::uint8_t i : *cur_patches_) {
-      Operation& op = scratch_.op(i);
-      if (is_memory(op.kind)) {
-        if (rng_.next_bool(loop.miss_frac)) {
-          std::uint64_t& cur = cold_cursor_[loop_idx_];
-          op.addr = loop.cold_base + address_salt_ + cur;
-          cur = (cur + kColdLineBytes) % kColdWrapBytes;
-        } else {
-          // cur is maintained in [0, hot_window): same addresses as the
-          // raw-cursor modulo, without the division.
-          std::uint64_t& cur = hot_cursor_[loop_idx_];
-          op.addr = loop.hot_base + address_salt_ + cur;
-          cur += hot_stride_mod_[loop_idx_];
-          if (cur >= loop.hot_window) cur -= loop.hot_window;
-        }
+  cur_pc_ = rec.pc + address_salt_;
+  cur_op_count_ = rec.op_count;
+  addrs_.clear();
+  taken_mask_ = 0;
+  // Only memory and branch ops (the record's patches) need per-execution
+  // data, drawn in op order so the RNG stream is reproducible.
+  for (unsigned j = 0; j < rec.num_patches; ++j) {
+    if ((rec.mem_mask >> j) & 1u) {
+      if (rng_.next_bool(loop.miss_frac)) {
+        std::uint64_t& cur = cold_cursor_[loop_idx_];
+        addrs_.push_back(loop.cold_base + address_salt_ + cur);
+        cur = (cur + kColdLineBytes) % kColdWrapBytes;
       } else {
-        // The loop-closing branch is always taken (back edge or exit
-        // jump); mid-body branches resolve randomly.
-        op.taken = is_last ||
-                   rng_.next_bool(program_->profile().mid_branch_taken);
+        // cur is maintained in [0, hot_window): same addresses as the
+        // raw-cursor modulo, without the division.
+        std::uint64_t& cur = hot_cursor_[loop_idx_];
+        addrs_.push_back(loop.hot_base + address_salt_ + cur);
+        cur += hot_stride_mod_[loop_idx_];
+        if (cur >= loop.hot_window) cur -= loop.hot_window;
       }
+    } else if (rec.last ||
+               rng_.next_bool(program_->profile().mid_branch_taken)) {
+      // The loop-closing branch is always taken (back edge or exit
+      // jump); mid-body branches resolve randomly.
+      taken_mask_ |= 1u << j;
     }
   }
 
   ++emitted_;
-  if (is_last) {
+  if (rec.last) {
     body_pos_ = 0;
     if (--trips_left_ == 0) enter_next_loop();
   } else {
@@ -103,19 +95,24 @@ void TraceGenerator::advance() {
 }
 
 const Instruction& TraceGenerator::next() {
+  const SyntheticProgram::Loop& loop = program_->loops()[loop_idx_];
+  const std::size_t pos = body_pos_;
   advance();
-  if (!cur_is_scratch_) {
-    // Preserve next()'s contract: the returned instruction carries the
-    // salted PC, so materialise the template into scratch.
-    scratch_ = *cur_tmpl_;
-    scratch_.set_pc(cur_pc_);
-    cur_is_scratch_ = true;
+  // Patch the template with what advance() drew, in the same op order.
+  scratch_ = loop.body[pos];
+  scratch_.set_pc(cur_pc_);
+  std::size_t patch = 0;
+  std::size_t next_addr = 0;
+  for (std::size_t i = 0; i < scratch_.op_count(); ++i) {
+    Operation& op = scratch_.op(i);
+    if (is_memory(op.kind)) {
+      op.addr = addrs_[next_addr++];
+      ++patch;
+    } else if (op.kind == OpKind::kBranch) {
+      op.taken = ((taken_mask_ >> patch++) & 1u) != 0;
+    }
   }
   return scratch_;
-}
-
-const Footprint& TraceGenerator::current_footprint() const {
-  return *cur_fp_;
 }
 
 }  // namespace cvmt

@@ -34,36 +34,38 @@ class TraceGenerator {
   void reset(std::shared_ptr<const SyntheticProgram> program,
              std::uint64_t stream_seed);
 
-  /// Emits the next dynamic VLIW instruction. The reference stays valid
-  /// until the next call. Never ends (programs loop forever); the caller
+  /// Emits the next dynamic VLIW instruction, fully patched (salted PC,
+  /// data addresses, branch directions). The reference stays valid until
+  /// the next call. Never ends (programs loop forever); the caller
   /// decides the instruction budget.
   const Instruction& next();
 
-  /// Hot-path variant of next(): advances the stream but materialises a
-  /// patched copy only when the instruction has memory/branch ops. Read
-  /// the result via current_instruction()/current_pc()/...; note that a
-  /// patch-free current_instruction() aliases the program template, whose
-  /// pc is unsalted — use current_pc() for the fetch address.
+  /// Hot-path variant of next(): advances the stream, drawing exactly the
+  /// same random values, but never materialises the instruction — it
+  /// reads the body's compact SyntheticProgram::Record and writes only
+  /// the per-execution data (data addresses, branch directions) into a
+  /// small buffer. Read the result via the current_*() accessors.
   void advance();
 
-  /// The instruction advance() emitted (template or patched scratch).
-  [[nodiscard]] const Instruction& current_instruction() const {
-    return cur_is_scratch_ ? scratch_ : *cur_tmpl_;
-  }
   /// Salted PC of the current instruction.
   [[nodiscard]] std::uint64_t current_pc() const { return cur_pc_; }
 
   /// Footprint of the most recently emitted instruction (cached template
   /// footprint; patches never change placement). Points into the shared
   /// immutable program — stable until the program itself goes away.
-  [[nodiscard]] const Footprint& current_footprint() const;
+  [[nodiscard]] const Footprint& current_footprint() const { return *cur_fp_; }
 
-  /// Patch list of the most recently emitted instruction: indices of its
-  /// memory and branch operations, in op order. Lets the issue path visit
-  /// only the timing-relevant ops. Same lifetime as current_footprint().
-  [[nodiscard]] const SyntheticProgram::PatchList& current_patches() const {
-    return *cur_patches_;
+  /// Operation count of the current instruction (0 for a bubble).
+  [[nodiscard]] int current_op_count() const { return cur_op_count_; }
+
+  /// Data addresses of the current instruction's memory ops, in op order.
+  [[nodiscard]] const InlineVec<std::uint64_t, kMaxTotalOps>&
+  current_addresses() const {
+    return addrs_;
   }
+
+  /// True when a branch of the current instruction is taken.
+  [[nodiscard]] bool current_taken() const { return taken_mask_ != 0; }
 
   [[nodiscard]] std::uint64_t instructions_emitted() const {
     return emitted_;
@@ -97,18 +99,18 @@ class TraceGenerator {
   std::vector<std::uint64_t> hot_stride_mod_;
   std::vector<std::uint64_t> cold_cursor_;
 
-  Instruction scratch_;
-  /// Cached views of the current instruction. The template, footprint and
-  /// patch-list pointers reach into program_ (immutable, shared), so
-  /// generator copies — snapshots — keep them valid; whether the emitted
-  /// instruction lives in scratch_ is a flag rather than a self-pointer
-  /// for the same reason.
+  /// The current instruction. The footprint pointer reaches into program_
+  /// (immutable, shared), so generator copies — snapshots — keep it
+  /// valid; everything else is held by value.
   const Footprint* cur_fp_ = nullptr;
-  const SyntheticProgram::PatchList* cur_patches_ = nullptr;
-  const Instruction* cur_tmpl_ = nullptr;
-  bool cur_is_scratch_ = false;
   std::uint64_t cur_pc_ = 0;
+  int cur_op_count_ = 0;
+  InlineVec<std::uint64_t, kMaxTotalOps> addrs_;
+  /// Bit j: patch j of the current record is a taken branch.
+  std::uint32_t taken_mask_ = 0;
   std::uint64_t emitted_ = 0;
+  /// next()'s fully patched copy (never touched by advance()).
+  Instruction scratch_;
 };
 
 }  // namespace cvmt

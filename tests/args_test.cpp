@@ -222,6 +222,11 @@ struct Knob {
   const char* cli_value;
 };
 
+/// Prints a knob as its flag name. Without it gtest prints a byte dump of
+/// the struct, pointers included, and the discovered ctest names moved
+/// whenever the string literals' addresses did.
+void PrintTo(const Knob& k, std::ostream* os) { *os << k.flag; }
+
 class StandardKnobTest : public ::testing::TestWithParam<Knob> {
  protected:
   void TearDown() override { ::unsetenv(GetParam().env); }

@@ -1,12 +1,18 @@
 // Determinism tests for the batch experiment runner: identical runs are
-// bit-identical, and fanning a job grid across any number of workers
-// reproduces the serial reference exactly, cell for cell.
+// bit-identical, fanning a job grid across any number of workers
+// reproduces the serial reference exactly, cell for cell, and jobs that
+// take a decision-equivalent twin's result match their own direct run.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "exp/batch_runner.hpp"
 #include "exp/experiments.hpp"
+#include "sim/session.hpp"
+#include "store/sweep_store.hpp"
 #include "support/check.hpp"
 
 namespace cvmt {
@@ -155,6 +161,114 @@ TEST(BatchRunner, ResolveWorkersClampsToJobs) {
 
 TEST(BatchRunner, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(run_batch({}, {.workers = 4}).empty());
+}
+
+// ------------------------------------------ decision-equivalent grouping
+
+/// Figure 10's 144 jobs (workload-major, as run_fig10 lays them out).
+std::vector<BatchJob> fig10_grid(StatsLevel stats) {
+  SimConfig sim;
+  sim.instruction_budget = 2'000;
+  sim.timeslice_cycles = 500;
+  sim.stats = stats;
+  std::vector<BatchJob> jobs;
+  for (const Workload& w : table2_workloads())
+    for (const Scheme& s : Scheme::paper_schemes_4t())
+      jobs.push_back(make_job(s, w, sim));
+  return jobs;
+}
+
+std::string result_bytes(const SimResult& r) {
+  return sim_result_to_json(r).dump(-1);
+}
+
+std::vector<std::string> direct_runs(const std::vector<BatchJob>& jobs) {
+  SimSession session;
+  std::vector<std::string> bytes;
+  for (const BatchJob& job : jobs)
+    bytes.push_back(result_bytes(session.run(
+        job.scheme, std::span<const std::string>(job.benchmarks), job.sim)));
+  return bytes;
+}
+
+/// Simulations run so far in this process: every SimSession::run looks
+/// its workload up in the process-wide artifact cache exactly once.
+std::uint64_t simulations_run() {
+  const ArtifactCacheStats s = ArtifactCache::global().stats();
+  return s.workload_hits + s.workload_misses;
+}
+
+std::unique_ptr<SweepStore> fresh_store(const std::string& name,
+                                        ShardSpec shard) {
+  const std::string dir = testing::TempDir() + "cvmt_batch_" + name;
+  if (shard.index == 0) std::filesystem::remove_all(dir);
+  JsonValue manifest = JsonValue::object();
+  manifest.set("experiment", "fig10");
+  manifest.set("shards", static_cast<std::int64_t>(shard.count));
+  return SweepStore::open_shard(dir, shard, manifest);
+}
+
+TEST(BatchRunner, Fig10GridSimulatesEachDecisionClassOnce) {
+  // C4 = 3CCC, 2SC3 = 3SCC and 2C3S = 3CCS decide alike: 3 x 9 of the
+  // 144 kFast jobs take their twin's result. kFull jobs never group.
+  for (const unsigned workers : {1u, 4u}) {
+    std::uint64_t before = simulations_run();
+    (void)run_batch(fig10_grid(StatsLevel::kFast), {.workers = workers});
+    EXPECT_EQ(simulations_run() - before, 117u) << workers << " workers";
+    before = simulations_run();
+    (void)run_batch(fig10_grid(StatsLevel::kFull), {.workers = workers});
+    EXPECT_EQ(simulations_run() - before, 144u) << workers << " workers";
+  }
+}
+
+TEST(BatchRunner, GroupedResultsEqualDirectRuns) {
+  for (const StatsLevel stats : {StatsLevel::kFast, StatsLevel::kFull}) {
+    const std::vector<BatchJob> jobs = fig10_grid(stats);
+    const std::vector<std::string> direct = direct_runs(jobs);
+    for (const unsigned workers : {1u, 4u}) {
+      for (const bool with_store : {false, true}) {
+        std::unique_ptr<SweepStore> store;
+        if (with_store) store = fresh_store("direct", ShardSpec{0, 1});
+        const std::vector<SimResult> results =
+            run_batch(jobs, {.workers = workers, .store = store.get()});
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+          ASSERT_EQ(result_bytes(results[i]), direct[i])
+              << jobs[i].scheme.name() << " job " << i << ", " << workers
+              << " workers, store " << with_store;
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, ShardedStoreTwinsDeriveOnlyFromHeldResults) {
+  // Three shards run in turn on one store: a twin whose first job belongs
+  // to a later shard simulates on its own; one whose first job is
+  // computed here or already logged derives from it. Either way every
+  // point this shard returns, and every point the merge replays, equals
+  // a direct run.
+  const std::vector<BatchJob> jobs = fig10_grid(StatsLevel::kFast);
+  const std::vector<std::string> direct = direct_runs(jobs);
+  std::size_t returned = 0;
+  for (unsigned k = 0; k < 3; ++k) {
+    const std::unique_ptr<SweepStore> store =
+        fresh_store("sharded", ShardSpec{k, 3});
+    const std::vector<SimResult> results =
+        run_batch(jobs, {.workers = 4, .store = store.get()});
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (results[i].threads.empty()) continue;  // another shard's point
+      ++returned;
+      ASSERT_EQ(result_bytes(results[i]), direct[i]) << "shard " << k
+                                                     << " job " << i;
+    }
+  }
+  EXPECT_GE(returned, jobs.size());
+  const std::unique_ptr<SweepStore> merged = SweepStore::open_merge(
+      testing::TempDir() + "cvmt_batch_sharded");
+  const std::vector<SimResult> replayed =
+      run_batch(jobs, {.workers = 4, .store = merged.get()});
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    ASSERT_EQ(result_bytes(replayed[i]), direct[i]) << "job " << i;
+  EXPECT_EQ(merged->counters().replayed, jobs.size());
 }
 
 TEST(Experiments, Fig10IdenticalAcrossWorkerCounts) {

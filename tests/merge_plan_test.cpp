@@ -1,15 +1,20 @@
 // MergePlan: flattened layout, permutation tables, canonical stat labels,
-// and — most importantly — cycle-exact equivalence between the compiled
-// plan evaluator and the reference recursive tree walk for every paper
-// scheme, priority policy and merge-block kind.
+// sound decision signatures, and — most importantly — cycle-exact
+// equivalence between the compiled plan evaluator and the reference
+// recursive tree walk for every paper scheme, priority policy and
+// merge-block kind.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/merge_engine.hpp"
 #include "support/rng.hpp"
+#include "testgen/generators.hpp"
 
 namespace cvmt {
 namespace {
@@ -101,6 +106,80 @@ TEST(MergePlan, StatsTemplateUsesCanonicalSubSchemeLabels) {
   MergeEngine c4(Scheme::parse("C4"), kM);
   ASSERT_EQ(c4.node_stats().size(), 1u);
   EXPECT_EQ(c4.node_stats()[0].label, "CP(0,1,2,3)");
+}
+
+// --------------------------------------------------- decision signatures
+
+TEST(MergePlanSignature, PaperSchemesFormThirteenClasses) {
+  std::map<std::string, std::vector<std::string>> classes;
+  for (const Scheme& s : Scheme::paper_schemes_4t())
+    classes[MergePlan(s, kM).signature()].push_back(s.name());
+  EXPECT_EQ(classes.size(), 13u);
+  std::set<std::vector<std::string>> shared;
+  for (const auto& [signature, names] : classes)
+    if (names.size() > 1) shared.insert(names);
+  const std::set<std::vector<std::string>> expected = {
+      {"C4", "3CCC"}, {"2SC3", "3SCC"}, {"2C3S", "3CCS"}};
+  EXPECT_EQ(shared, expected);
+}
+
+/// Rewrites every n-ary block K(a,b,c,...) into the left-nested
+/// K(K(K(a,b),c),...): the same fold over the same ports for a left-deep
+/// chain, a different tree everywhere else.
+Scheme::Node left_nested(const Scheme::Node& node) {
+  if (node.is_leaf()) return node;
+  Scheme::Node acc;
+  acc.kind = node.kind;
+  acc.children = {left_nested(node.children[0]),
+                  left_nested(node.children[1])};
+  for (std::size_t i = 2; i < node.children.size(); ++i) {
+    Scheme::Node outer;
+    outer.kind = node.kind;
+    outer.children = {std::move(acc), left_nested(node.children[i])};
+    acc = std::move(outer);
+  }
+  return acc;
+}
+
+TEST(MergePlanSignature, EqualSignaturesSelectAlikeAtEveryRotation) {
+  // Soundness: plans that share a signature must return the same packet
+  // for every candidate vector under every rotation.
+  SchemeGen gen(0x5161);
+  std::map<std::string, std::vector<MergePlan>> by_signature;
+  for (int i = 0; i < 300; ++i) {
+    const Scheme s = gen.next();
+    for (const Scheme& variant :
+         {s, Scheme(s.name() + "/nested", left_nested(s.root()))}) {
+      MergePlan plan(variant, kM);
+      by_signature[plan.signature()].push_back(std::move(plan));
+    }
+  }
+  StreamGen draws(0xD1CE);
+  int pairs = 0;
+  for (const auto& [signature, plans] : by_signature) {
+    const MergePlan& a = plans.front();
+    std::vector<MergePlan::Frame> scratch_a = a.make_scratch();
+    for (std::size_t k = 1; k < plans.size(); ++k) {
+      const MergePlan& b = plans[k];
+      std::vector<MergePlan::Frame> scratch_b = b.make_scratch();
+      ++pairs;
+      for (int trial = 0; trial < 40; ++trial) {
+        std::array<Footprint, kMaxThreads> storage;
+        const Candidates c = draws.draw(storage, a.num_threads());
+        const std::span<const Footprint* const> span(c.data(), c.size());
+        for (int r = 0; r < a.num_threads(); ++r) {
+          const MergePlan::Eval ea =
+              a.select(span, r, scratch_a.data(), nullptr);
+          const MergePlan::Eval eb =
+              b.select(span, r, scratch_b.data(), nullptr);
+          ASSERT_EQ(ea.issued_mask, eb.issued_mask)
+              << signature << " rotation " << r;
+          ASSERT_TRUE(ea.packet == eb.packet) << signature;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 20);  // the property is not vacuous
 }
 
 // ------------------------------------------------------- plan==tree law

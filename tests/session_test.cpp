@@ -264,6 +264,33 @@ TEST(SimSession, SharedArtifactsAcrossSessions) {
   EXPECT_EQ(worker_b.num_instances(), 1u);
 }
 
+TEST(SimSession, InstanceCapEvictsOneAndStaysCorrect) {
+  // 65 distinct compiled-scheme keys (one tree, 65 display names) through
+  // one session whose cap is 64 instances: every miss past the cap evicts
+  // exactly one instance, and every run — including reruns of evicted
+  // keys — equals the one-shot facade.
+  ArtifactCache cache;
+  SimSession session(cache);
+  SimConfig cfg = tiny_config();
+  cfg.instruction_budget = 300;
+  const std::vector<std::string> names = lmhh_names();
+  const Scheme base = Scheme::parse("2SC3");
+  std::vector<Scheme> schemes;
+  for (int k = 0; k < 65; ++k)
+    schemes.emplace_back("cap" + std::to_string(100 + k), base.root());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Scheme& s : schemes) {
+      const SimResult fresh =
+          run_simulation(s, cache.workload(names, kM)->programs, cfg);
+      EXPECT_EQ(compare_sim_results(fresh, session.run(s, names, cfg), true),
+                "")
+          << s.name() << " pass " << pass;
+      EXPECT_LE(session.num_instances(), 64u);
+    }
+    EXPECT_EQ(session.num_instances(), 64u) << "pass " << pass;
+  }
+}
+
 TEST(SimSession, ClearDropsInstancesButKeepsCorrectness) {
   SimSession session;  // the process-global artifact cache
   const SimConfig cfg = tiny_config();
