@@ -77,6 +77,6 @@ int main(int argc, char** argv) {
   std::cout << "\n'*' = on the area/delay Pareto frontier (cost only:\n"
                "CSMT-only schemes dominate it by construction). The\n"
                "performance dimension that makes one-SMT-level schemes\n"
-               "like 2SC3 attractive is in bench_fig11/bench_fig12.\n";
+               "like 2SC3 attractive is in `cvmt run fig11` / `fig12`.\n";
   return 0;
 }

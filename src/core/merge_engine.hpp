@@ -9,8 +9,8 @@
 // plan owns the flattened scheme and the per-rotation permutation tables;
 // the engine owns the rotation index, the priority policy and the
 // statistics. The original recursive tree walk is retained as
-// EvalMode::kTreeReference — bit-identical by construction, used by the
-// equivalence tests and as the baseline of bench_cycle_loop.
+// EvalMode::kTreeReference — bit-identical by construction, the oracle of
+// the equivalence tests and the differential fuzzer.
 #pragma once
 
 #include <bit>
@@ -36,7 +36,7 @@ enum class PriorityPolicy : std::uint8_t {
 };
 
 /// Which evaluator answers select(). Decisions are bit-identical; only
-/// speed differs. kTreeReference exists for validation and benchmarking.
+/// speed differs. kTreeReference exists as the validation oracle.
 /// The values are hashed into result-store point keys, so they never
 /// change (2 stays the tree reference; 1 was a retired evaluator).
 enum class EvalMode : std::uint8_t {

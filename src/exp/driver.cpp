@@ -244,7 +244,8 @@ bool commit_out(const std::string& path, const std::ostringstream& buffer,
   return false;
 }
 
-/// Runs one experiment end to end; 0/1 exit semantics of the benches.
+/// Runs one experiment end to end: exit code 0, or 1 when the result is
+/// not ok.
 int run_and_print(const Experiment& experiment,
                   const ExperimentParams& params, OutputFormat format,
                   std::ostream& os) {
@@ -299,7 +300,7 @@ void print_shard_summary(std::ostream& os, const Experiment& experiment,
 ///           itself (counters.failed > 0) stays a hard error.
 int run_with_optional_store(const Experiment& experiment,
                             ExperimentParams& params, OutputFormat format,
-                            std::ostream& os, std::string_view who) {
+                            std::ostream& os) {
   if (params.store_dir.empty())
     return run_and_print(experiment, params, format, os);
   std::unique_ptr<SweepStore> store;
@@ -309,7 +310,7 @@ int run_with_optional_store(const Experiment& experiment,
         ShardSpec{params.shard_index, params.shard_count},
         params.to_manifest_json(experiment.id, params.shard_count));
   } catch (const CheckError& e) {
-    std::cerr << who << ": " << e.what() << '\n';
+    std::cerr << "cvmt run: " << e.what() << '\n';
     return 2;
   }
   params.cfg.batch.store = store.get();
@@ -319,12 +320,12 @@ int run_with_optional_store(const Experiment& experiment,
     (void)experiment.run(RunContext{params});
   } catch (const CheckError& e) {
     if (store->counters().failed > 0) {
-      std::cerr << who << ": " << e.what() << '\n';
+      std::cerr << "cvmt run: " << e.what() << '\n';
       return 1;
     }
-    std::cerr << who
-              << ": note: derived sections skipped on this partial grid "
-                 "(expected under --shard; `cvmt merge` renders them): "
+    std::cerr << "cvmt run: note: derived sections skipped on this "
+                 "partial grid (expected under --shard; `cvmt merge` "
+                 "renders them): "
               << e.what() << '\n';
   }
   print_shard_summary(os, experiment, params, *store, format);
@@ -541,8 +542,7 @@ int cvmt_run(int argc, const char* const* argv) {
     code = ok ? 0 : 1;
   } else {
     warn_flags_outside_schema(*experiment, parser);
-    code = run_with_optional_store(*experiment, params, format, os,
-                                   "cvmt run");
+    code = run_with_optional_store(*experiment, params, format, os);
   }
   if (!out_path.empty() && !commit_out(out_path, buffer, "cvmt run"))
     return 1;
@@ -615,48 +615,6 @@ int cvmt_merge(int argc, const char* const* argv) {
 }
 
 }  // namespace
-
-int run_experiment_main(std::string_view id, int argc,
-                        const char* const* argv) {
-  const Experiment* experiment = ExperimentRegistry::instance().find(id);
-  CVMT_CHECK_MSG(experiment != nullptr,
-                 "experiment not registered: " + std::string(id) +
-                     " (is the cvmt_exp object library linked?)");
-
-  ArgParser parser(
-      "bench " + std::string(id),
-      experiment->description +
-          "\nEquivalent to `cvmt run " + std::string(id) +
-          "`; every flag layers over its CVMT_* environment variable.");
-  ExperimentParams::add_standard_flags(parser);
-  add_format_flag(parser);
-  add_out_flag(parser);
-  switch (parser.parse(argc, argv)) {
-    case ArgParser::Outcome::kHelp: return 0;
-    case ArgParser::Outcome::kError: return 2;
-    case ArgParser::Outcome::kOk: break;
-  }
-
-  ExperimentParams params;
-  try {
-    params = ExperimentParams::resolve(parser);
-  } catch (const CheckError& e) {
-    std::cerr << "bench " << id << ": " << e.what() << '\n';
-    return 2;
-  }
-  const std::string who = "bench " + std::string(id);
-  const std::string out_path = parser.get_string("out", "");
-  if (!out_path.empty() && !probe_out(out_path, who)) return 2;
-  std::ostringstream buffer;
-  std::ostream& os =
-      out_path.empty() ? static_cast<std::ostream&>(std::cout) : buffer;
-  warn_flags_outside_schema(*experiment, parser);
-  const int code = run_with_optional_store(
-      *experiment, params,
-      format_from_string(parser.get_string("format", "table")), os, who);
-  if (!out_path.empty() && !commit_out(out_path, buffer, who)) return 1;
-  return code;
-}
 
 int cvmt_main(int argc, const char* const* argv) {
   if (argc < 2) return usage(std::cerr, 2);

@@ -1,8 +1,7 @@
-// The cvmt experiment driver: one code path behind the `cvmt` CLI binary
-// (tools/cvmt_main.cpp) and every bench_* shim. Resolves parameters
-// (CLI flags over CVMT_* environment over defaults), runs experiments
-// from the registry, and emits results as an aligned table (the legacy
-// bench output, byte-identical), CSV or JSON.
+// The cvmt experiment driver behind the `cvmt` CLI binary
+// (tools/cvmt_main.cpp). Resolves parameters (CLI flags over CVMT_*
+// environment over defaults), runs experiments from the registry, and
+// emits results as an aligned table, CSV or JSON.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +17,9 @@ enum class OutputFormat : std::uint8_t { kTable, kCsv, kJson };
 
 [[nodiscard]] std::string_view to_string(OutputFormat f);
 
-/// Writes one experiment's result in `format`. Table format reproduces
-/// the historical bench output (banner, preamble, aligned table with the
-/// CVMT_CSV appendix, note). JSON carries id/artifact/description/params/
+/// Writes one experiment's result in `format`. Table format prints each
+/// section's banner, preamble, aligned table (with the CVMT_CSV
+/// appendix) and note. JSON carries id/artifact/description/params/
 /// sections; the batch-runner worker count is deliberately excluded from
 /// the JSON params block — output is byte-identical for any worker count.
 void print_result(std::ostream& os, const Experiment& experiment,
@@ -38,13 +37,6 @@ void print_result(std::ostream& os, const Experiment& experiment,
 [[nodiscard]] std::string run_to_string(const Experiment& experiment,
                                         const ExperimentParams& params,
                                         OutputFormat format);
-
-/// Entry point of a bench_* shim: parse `argv` (standard experiment flags
-/// plus --format), run the experiment registered under `id`, print to
-/// stdout. Returns a process exit code (0 success, 1 experiment failure,
-/// 2 usage error).
-[[nodiscard]] int run_experiment_main(std::string_view id, int argc,
-                                      const char* const* argv);
 
 /// Entry point of the `cvmt` binary: `cvmt list`, `cvmt run <id|all>`.
 [[nodiscard]] int cvmt_main(int argc, const char* const* argv);

@@ -2,7 +2,7 @@
 // experiment consumes, and the resolution of those knobs from CLI flags
 // layered over CVMT_* environment defaults.
 //
-// Resolution order (documented contract, driver and bench shims alike):
+// Resolution order (documented contract of the driver):
 //   1. SimConfig built-in defaults (400k budget, 50k timeslice, vex4x4)
 //   2. fast scale (--fast flag or CVMT_FAST=1): kFastBudget/kFastTimeslice
 //   3. CVMT_BUDGET / CVMT_TIMESLICE environment values

@@ -1,9 +1,9 @@
 // Rendering of typed experiment rows into generic Datasets. The typed row
 // structs (exp/experiments.hpp) are the computation currency; a Dataset is
 // what crosses the experiment API boundary (registry runners, the cvmt
-// driver, the bench shims) and what every output format — aligned table,
-// CSV, JSON — is derived from. Table text is byte-identical to the
-// historical per-figure TableWriter renderers.
+// driver) and what every output format — aligned table, CSV, JSON — is
+// derived from. Table text is byte-identical to the historical
+// per-figure TableWriter renderers.
 #pragma once
 
 #include <iosfwd>

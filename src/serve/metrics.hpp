@@ -7,7 +7,7 @@
 // [2^(i-1), 2^i) microseconds (bucket 0 is < 1us, the last bucket
 // clamps). Percentiles reported from the histogram are bucket upper
 // bounds — intentionally coarse; exact per-request latencies belong to
-// the client side (cvmt client --load and bench_serve measure there).
+// the client side (cvmt client --load measures there).
 #pragma once
 
 #include <cstdint>

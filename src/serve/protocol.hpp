@@ -32,9 +32,10 @@
 
 namespace cvmt {
 
-/// Hard cap on one request line. A line that exceeds this is answered
-/// with an "oversized" error and the connection is closed (the framing
-/// cannot be resynchronized once a line is abandoned mid-way).
+/// Hard cap on one request line, counted without its "\n" or "\r\n"
+/// terminator. A line that exceeds this is answered with an "oversized"
+/// error and the connection is closed (the framing cannot be
+/// resynchronized once a line is abandoned mid-way).
 inline constexpr std::size_t kMaxRequestLine = 1 << 20;
 
 enum class RequestType : std::uint8_t {

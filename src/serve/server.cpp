@@ -140,38 +140,36 @@ void ServeServer::accept_loop() {
 }
 
 void ServeServer::connection_loop(const std::shared_ptr<Connection>& conn) {
+  // The cap applies to a line's content: neither the '\n' nor the
+  // optional '\r' before it counts against kMaxRequestLine. Past the cap
+  // the framing cannot recover, so the server answers and hangs up.
+  const auto reject_oversized = [&] {
+    metrics_->on_received();
+    metrics_->on_protocol_error();
+    conn->send_line(error_response(JsonValue(), ServeError::kOversized,
+                                   "request line exceeds " +
+                                       std::to_string(kMaxRequestLine) +
+                                       " bytes"));
+    conn->alive.store(false);
+    conn->stream.shutdown_both();
+  };
   std::string buf;
   std::array<char, 16384> chunk;
   for (;;) {
     std::size_t pos;
     while ((pos = buf.find('\n')) != std::string::npos) {
-      if (pos > kMaxRequestLine) {
-        metrics_->on_received();
-        metrics_->on_protocol_error();
-        conn->send_line(error_response(JsonValue(), ServeError::kOversized,
-                                       "request line exceeds " +
-                                           std::to_string(kMaxRequestLine) +
-                                           " bytes"));
-        conn->alive.store(false);
-        conn->stream.shutdown_both();
-        return;
-      }
       std::string_view line(buf.data(), pos);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (line.size() > kMaxRequestLine) {
+        reject_oversized();
+        return;
+      }
       if (!line.empty()) handle_line(conn, line);
       buf.erase(0, pos + 1);
     }
-    if (buf.size() > kMaxRequestLine) {
-      // More than a line's worth buffered with no terminator in sight:
-      // the framing cannot recover, so answer and hang up.
-      metrics_->on_received();
-      metrics_->on_protocol_error();
-      conn->send_line(error_response(JsonValue(), ServeError::kOversized,
-                                     "request line exceeds " +
-                                         std::to_string(kMaxRequestLine) +
-                                         " bytes"));
-      conn->alive.store(false);
-      conn->stream.shutdown_both();
+    // No terminator buffered yet; a trailing '\r' may be half of one.
+    if (buf.size() - (buf.ends_with('\r') ? 1 : 0) > kMaxRequestLine) {
+      reject_oversized();
       return;
     }
     const long n = conn->stream.recv_some(chunk.data(), chunk.size());

@@ -39,10 +39,11 @@ struct SimConfig {
   /// field is bit-identical between the two levels.
   StatsLevel stats = StatsLevel::kFull;
   /// Merge evaluator. kTreeReference is the pre-plan recursive walk, kept
-  /// for golden bit-identity tests and baseline benchmarking.
+  /// as the oracle of the golden bit-identity tests and the fuzzer.
   EvalMode eval_mode = EvalMode::kPlan;
   /// Jump the cycle counter over all-stalled windows (bit-identical to
-  /// stepping them; off only for baseline benchmarking).
+  /// stepping them; off only as the stepped oracle the golden tests and
+  /// the fuzzer compare against).
   bool stall_fast_forward = true;
 };
 

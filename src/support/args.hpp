@@ -1,6 +1,6 @@
-// Command-line flag parser shared by the cvmt driver, the bench shims and
-// the examples. Each option may name a CVMT_* environment variable; values
-// then resolve in layers:
+// Command-line flag parser shared by the cvmt driver and the examples.
+// Each option may name a CVMT_* environment variable; values then resolve
+// in layers:
 //
 //   CLI flag  >  environment variable  >  built-in default
 //

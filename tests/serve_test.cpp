@@ -209,6 +209,44 @@ TEST(Serve, OversizedLineIsRejectedAndClosed) {
   EXPECT_TRUE(c2.request(R"({"id":1,"type":"ping"})").get("ok").as_bool());
 }
 
+// The line cap at its edge, under both terminators: the cap counts the
+// line's content, never its "\n" or the "\r" of a "\r\n".
+TEST(Serve, LineCapCountsContentNotTerminator) {
+  TestServer ts;
+  // A ping padded with trailing JSON whitespace to exactly `size` bytes.
+  const auto ping_of_size = [](std::size_t size) {
+    std::string line = R"({"id":1,"type":"ping"})";
+    line.append(size - line.size(), ' ');
+    return line;
+  };
+  for (const std::string terminator : {"\n", "\r\n"}) {
+    SCOPED_TRACE(terminator == "\n" ? "LF" : "CRLF");
+    {
+      // kMaxRequestLine bytes: answered, and the connection stays open.
+      Client c(ts.server->port());
+      ASSERT_TRUE(
+          c.stream.send_all(ping_of_size(kMaxRequestLine) + terminator));
+      std::string response;
+      ASSERT_TRUE(c.recv_line(&response));
+      EXPECT_TRUE(JsonValue::parse(response).get("ok").as_bool())
+          << response;
+      EXPECT_TRUE(
+          c.request(R"({"id":2,"type":"ping"})").get("ok").as_bool());
+    }
+    {
+      // One byte more: oversized, and the server hangs up. The send may
+      // fail once the server has closed, so its result is not asserted.
+      Client c(ts.server->port());
+      (void)c.stream.send_all(ping_of_size(kMaxRequestLine + 1) +
+                              terminator);
+      std::string response;
+      ASSERT_TRUE(c.recv_line(&response));
+      EXPECT_EQ(error_code_of(JsonValue::parse(response)), "oversized");
+      EXPECT_FALSE(c.recv_line(&response));
+    }
+  }
+}
+
 TEST(Serve, MidRequestDisconnectDoesNotWedgeAWorker) {
   TestServer ts(/*workers=*/1);
   {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/experiments.hpp"
 #include "sim/session.hpp"
 
 namespace cvmt {
@@ -39,9 +40,12 @@ SimConfig golden_config() {
 }
 
 /// Field-by-field equality of two results, including per-thread stats,
-/// cache counters, OS stats, the issued histogram and merge-node stats.
+/// cache counters, OS stats and merge-node labels; with
+/// `compare_merge_stats`, also the issued histogram and merge-node
+/// counters (the fields StatsLevel::kFast leaves empty).
 void expect_identical(const SimResult& a, const SimResult& b,
                       const std::string& what, bool compare_merge_stats) {
+  EXPECT_EQ(a.scheme, b.scheme) << what;
   EXPECT_EQ(a.cycles, b.cycles) << what;
   EXPECT_EQ(a.total_ops, b.total_ops) << what;
   EXPECT_EQ(a.total_instructions, b.total_instructions) << what;
@@ -54,7 +58,9 @@ void expect_identical(const SimResult& a, const SimResult& b,
     EXPECT_EQ(ta.benchmark, tb.benchmark) << what;
     EXPECT_EQ(ta.instructions, tb.instructions) << what;
     EXPECT_EQ(ta.ops, tb.ops) << what;
+    EXPECT_EQ(ta.stats.instructions, tb.stats.instructions) << what;
     EXPECT_EQ(ta.stats.bubbles, tb.stats.bubbles) << what;
+    EXPECT_EQ(ta.stats.ops, tb.stats.ops) << what;
     EXPECT_EQ(ta.stats.taken_branches, tb.stats.taken_branches) << what;
     EXPECT_EQ(ta.stats.dcache_stall_cycles, tb.stats.dcache_stall_cycles)
         << what;
@@ -62,22 +68,29 @@ void expect_identical(const SimResult& a, const SimResult& b,
         << what;
     EXPECT_EQ(ta.stats.branch_stall_cycles, tb.stats.branch_stall_cycles)
         << what;
+    EXPECT_EQ(ta.stats.bank_conflict_cycles, tb.stats.bank_conflict_cycles)
+        << what;
   }
   EXPECT_EQ(a.icache.hits, b.icache.hits) << what;
   EXPECT_EQ(a.icache.total, b.icache.total) << what;
   EXPECT_EQ(a.dcache.hits, b.dcache.hits) << what;
   EXPECT_EQ(a.dcache.total, b.dcache.total) << what;
+  EXPECT_EQ(a.l2.hits, b.l2.hits) << what;
+  EXPECT_EQ(a.l2.total, b.l2.total) << what;
   EXPECT_EQ(a.os.context_switches, b.os.context_switches) << what;
   EXPECT_EQ(a.os.timeslices, b.os.timeslices) << what;
+  ASSERT_EQ(a.merge_nodes.size(), b.merge_nodes.size()) << what;
+  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
+    EXPECT_EQ(a.merge_nodes[i].label, b.merge_nodes[i].label) << what;
+    EXPECT_EQ(a.merge_nodes[i].kind, b.merge_nodes[i].kind) << what;
+  }
   if (!compare_merge_stats) return;
   ASSERT_EQ(a.issued_per_cycle.num_buckets(), b.issued_per_cycle.num_buckets())
       << what;
   for (std::size_t k = 0; k < a.issued_per_cycle.num_buckets(); ++k)
     EXPECT_EQ(a.issued_per_cycle.bucket(k), b.issued_per_cycle.bucket(k))
         << what << " bucket " << k;
-  ASSERT_EQ(a.merge_nodes.size(), b.merge_nodes.size()) << what;
   for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    EXPECT_EQ(a.merge_nodes[i].label, b.merge_nodes[i].label) << what;
     EXPECT_EQ(a.merge_nodes[i].attempts, b.merge_nodes[i].attempts)
         << what << " node " << i;
     EXPECT_EQ(a.merge_nodes[i].rejects, b.merge_nodes[i].rejects)
@@ -113,6 +126,34 @@ TEST(SimGolden, PlanAndFastForwardAreBitIdenticalToReference) {
                            std::to_string(static_cast<int>(policy)),
                        /*compare_merge_stats=*/true);
     }
+  }
+
+  // Fig 10's configuration at --fast scale (workload LMHH, long enough
+  // for many timeslices and cache warm-up): the reference against the
+  // sweep default, which also switches to fast stats, so every field the
+  // two stats levels share must agree.
+  std::vector<std::shared_ptr<const SyntheticProgram>> lmhh;
+  for (const Workload& w : table2_workloads())
+    if (w.ilp_combo == "LMHH")
+      for (const std::string& b : w.benchmarks)
+        lmhh.push_back(library().get(b));
+  ASSERT_EQ(lmhh.size(), 4u);
+  SimConfig reference;
+  reference.instruction_budget = kFastInstructionBudget;
+  reference.timeslice_cycles = kFastTimesliceCycles;
+  reference.eval_mode = EvalMode::kTreeReference;
+  reference.stats = StatsLevel::kFull;
+  reference.stall_fast_forward = false;
+  SimConfig sweep_default = reference;
+  sweep_default.eval_mode = EvalMode::kPlan;
+  sweep_default.stats = StatsLevel::kFast;
+  sweep_default.stall_fast_forward = true;
+  for (const char* name : {"3CCC", "2SC3", "3SSS", "C4"}) {
+    const Scheme scheme = Scheme::parse(name);
+    expect_identical(run_simulation(scheme, lmhh, reference),
+                     run_simulation(scheme, lmhh, sweep_default),
+                     std::string("LMHH/") + name,
+                     /*compare_merge_stats=*/false);
   }
 }
 
