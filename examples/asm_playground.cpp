@@ -5,8 +5,9 @@
 //   ./asm_playground            # run the built-in hand-written kernels
 //   ./asm_playground mcf        # dump a benchmark's program instead
 #include <iostream>
+#include <memory>
 
-#include "sim/simulation.hpp"
+#include "sim/session.hpp"
 #include "support/args.hpp"
 #include "support/string_util.hpp"
 #include "trace/vex_asm.hpp"
@@ -62,8 +63,8 @@ int main(int argc, char** argv) {
   const MachineConfig machine = MachineConfig::vex4x4();
 
   if (args.num_positionals() > 0) {
-    ProgramLibrary lib(machine);
-    std::cout << dump_program(*lib.get(args.positional(0)));
+    std::cout << dump_program(
+        *ArtifactCache::global().program(args.positional(0), machine));
     return 0;
   }
 

@@ -5,9 +5,10 @@
 //   ./scheme_explorer "C(CP(S(0,1),2,3),...)" [workload] [budget]
 //   ./scheme_explorer 3SCC MMHH               (--help for details)
 #include <iostream>
+#include <memory>
 
 #include "exp/report.hpp"
-#include "sim/simulation.hpp"
+#include "sim/session.hpp"
 #include "support/args.hpp"
 #include "support/check.hpp"
 #include "support/string_util.hpp"
@@ -54,7 +55,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  ProgramLibrary library(config.machine);
   const Workload* workload = nullptr;
   for (const Workload& w : table2_workloads())
     if (w.ilp_combo == workload_name) workload = &w;
@@ -68,8 +68,9 @@ int main(int argc, char** argv) {
   // round-robin if the scheme is wider than 4.
   std::vector<std::shared_ptr<const SyntheticProgram>> programs;
   for (int t = 0; t < scheme.num_threads(); ++t)
-    programs.push_back(library.get(
-        workload->benchmarks[static_cast<std::size_t>(t) % 4]));
+    programs.push_back(ArtifactCache::global().program(
+        workload->benchmarks[static_cast<std::size_t>(t) % 4],
+        config.machine));
 
   const SimResult r = run_simulation(scheme, programs, config);
 

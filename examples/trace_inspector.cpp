@@ -6,8 +6,8 @@
 #include <iostream>
 
 #include "isa/footprint.hpp"
+#include "sim/session.hpp"
 #include "support/args.hpp"
-#include "trace/benchmark_suite.hpp"
 #include "trace/trace_generator.hpp"
 
 int main(int argc, char** argv) {
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   }
   const MachineConfig machine = MachineConfig::vex4x4();
 
-  ProgramLibrary library(machine);
-  TraceGenerator gen(library.get(name), 1);
+  ArtifactCache& artifacts = ArtifactCache::global();
+  TraceGenerator gen(artifacts.program(name, machine), 1);
 
   std::cout << "dynamic VLIW stream of '" << name << "' (one line per\n"
             << "instruction; clusters separated by '|', '-' = empty slot):\n\n";
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   // Fig 1 in miniature: pair this thread against a second one and apply
   // both merge checks.
   const std::string other_name = name == "idct" ? "mcf" : "idct";
-  TraceGenerator other(library.get(other_name), 2);
+  TraceGenerator other(artifacts.program(other_name, machine), 2);
   std::cout << "\nmerge checks against '" << other_name << "':\n\n";
   int csmt_ok = 0, smt_ok = 0, trials = 0;
   for (int i = 0; i < 2000; ++i) {

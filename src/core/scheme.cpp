@@ -73,7 +73,7 @@ std::vector<Token> tokenize(std::string_view body) {
   while (i < body.size()) {
     const char c = body[i++];
     CVMT_CHECK_MSG(c == 'S' || c == 'C',
-                   "scheme letter must be S or C: " + std::string(body));
+                   "scheme letter must be S or C: " + excerpt(body));
     MergeKind kind = c == 'S' ? MergeKind::kSmt : MergeKind::kCsmt;
     int width = 2;
     if (i < body.size() && std::isdigit(static_cast<unsigned char>(body[i]))) {
@@ -87,6 +87,20 @@ std::vector<Token> tokenize(std::string_view body) {
   return tokens;
 }
 
+/// The value of a decimal thread count or port, or -1 unless `digits` is
+/// one to three digits. kMaxThreads is 16, so three digits are plenty and
+/// keep the accumulation far from signed overflow; range checks come
+/// later, on the value.
+int small_decimal(std::string_view digits) {
+  if (digits.empty() || digits.size() > 3) return -1;
+  int n = 0;
+  for (const char c : digits) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return -1;
+    n = n * 10 + (c - '0');
+  }
+  return n;
+}
+
 /// Recursive-descent parser for the functional syntax
 ///   expr := ('S' | 'C' | 'CP') '(' expr (',' expr)* ')' | port-number
 class FunctionalParser {
@@ -94,22 +108,32 @@ class FunctionalParser {
   explicit FunctionalParser(std::string_view text) : text_(text) {}
 
   Scheme::Node parse() {
-    Scheme::Node n = expr();
+    Scheme::Node n = expr(1);
     skip_ws();
     CVMT_CHECK_MSG(pos_ == text_.size(), "trailing input in scheme");
     return n;
   }
 
  private:
-  Scheme::Node expr() {
+  /// Parses the node at nesting level `depth` (the root is level 1). A
+  /// valid tree has at most kMaxThreads leaves and every block has two
+  /// or more inputs, so no node sits deeper than kMaxThreads; deeper input
+  /// is rejected before recursing, which bounds the stack on untrusted
+  /// input.
+  Scheme::Node expr(int depth) {
+    CVMT_CHECK_MSG(depth <= kMaxThreads,
+                   "scheme nests deeper than " +
+                       std::to_string(kMaxThreads) + " levels");
     skip_ws();
     CVMT_CHECK_MSG(pos_ < text_.size(), "unexpected end of scheme");
     const char c = text_[pos_];
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      int port = 0;
+      const std::size_t start = pos_;
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        port = port * 10 + (text_[pos_++] - '0');
+        ++pos_;
+      const int port = small_decimal(text_.substr(start, pos_ - start));
+      CVMT_CHECK_MSG(port >= 0, "thread id in scheme has more than 3 digits");
       return leaf(port);
     }
     MergeKind kind;
@@ -134,11 +158,11 @@ class FunctionalParser {
     }
     expect('(');
     std::vector<Scheme::Node> children;
-    children.push_back(expr());
+    children.push_back(expr(depth + 1));
     skip_ws();
     while (pos_ < text_.size() && text_[pos_] == ',') {
       ++pos_;
-      children.push_back(expr());
+      children.push_back(expr(depth + 1));
       skip_ws();
     }
     expect(')');
@@ -212,25 +236,19 @@ Scheme Scheme::parse(std::string_view text) {
 
   // A bare port number is the canonical rendering of a single leaf ("0" =
   // the 1-thread scheme), so parse(canonical()) round-trips. Any port
-  // other than 0 fails dense-port validation with a clear message; the
-  // length cap keeps the accumulation far from signed overflow.
+  // other than 0 fails dense-port validation with a clear message.
   if (std::all_of(s.begin(), s.end(), [](unsigned char c) {
         return std::isdigit(c) != 0;
       })) {
-    CVMT_CHECK_MSG(s.size() <= 3, "scheme cannot be a bare number: " + s);
-    int port = 0;
-    for (const char c : s) port = port * 10 + (c - '0');
+    const int port = small_decimal(s);
+    CVMT_CHECK_MSG(port >= 0, "scheme cannot be a bare number: " + excerpt(s));
     return Scheme(s, leaf(port));
   }
 
   // "IMT<k>": the interleaved-multithreading baseline.
   if (s.rfind("IMT", 0) == 0) {
-    int k = 0;
-    for (std::size_t i = 3; i < s.size(); ++i) {
-      CVMT_CHECK_MSG(std::isdigit(static_cast<unsigned char>(s[i])),
-                     "malformed IMT scheme name: " + s);
-      k = k * 10 + (s[i] - '0');
-    }
+    const int k = small_decimal(std::string_view(s).substr(3));
+    CVMT_CHECK_MSG(k >= 0, "malformed IMT scheme name: " + excerpt(s));
     Scheme sch = imt(k);
     return Scheme(s, sch.root());
   }
@@ -238,22 +256,20 @@ Scheme Scheme::parse(std::string_view text) {
   // "C<k>": one parallel CSMT block over k threads.
   if (s[0] == 'C' && s.size() >= 2 &&
       std::isdigit(static_cast<unsigned char>(s[1]))) {
-    int k = 0;
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      CVMT_CHECK_MSG(std::isdigit(static_cast<unsigned char>(s[i])),
-                     "malformed parallel scheme name: " + s);
-      k = k * 10 + (s[i] - '0');
-    }
+    const int k = small_decimal(std::string_view(s).substr(1));
+    CVMT_CHECK_MSG(k >= 0, "malformed parallel scheme name: " + excerpt(s));
     Scheme sch = parallel_csmt(k);
     return Scheme(s, sch.root());
   }
 
   CVMT_CHECK_MSG(std::isdigit(static_cast<unsigned char>(s[0])),
-                 "scheme name must start with level count or C<k>: " + s);
+                 "scheme name must start with level count or C<k>: " +
+                     excerpt(s));
   const int levels = s[0] - '0';
   const std::vector<Token> tokens = tokenize(std::string_view(s).substr(1));
   CVMT_CHECK_MSG(static_cast<int>(tokens.size()) == levels,
-                 "level digit does not match number of merge blocks: " + s);
+                 "level digit does not match number of merge blocks: " +
+                     excerpt(s));
 
   // Paper convention: "2XY" with two plain letters is the balanced tree of
   // Fig 8(l)-(o): X merges (T0,T1) and (T2,T3); Y merges the group results.

@@ -45,8 +45,7 @@ struct BatchJob {
 struct BatchOptions {
   /// Worker threads. 0 resolves to the hardware concurrency. 1 runs the
   /// jobs inline on the calling thread (the serial reference path). The
-  /// CVMT_WORKERS environment knob is applied by
-  /// ExperimentConfig::from_env, not here.
+  /// --workers flag is applied by ExperimentParams::resolve, not here.
   unsigned workers = 0;
   /// When set, every job is mediated by the on-disk result store
   /// (src/store/sweep_store.hpp): points outside the store's shard are

@@ -8,7 +8,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "exp/report.hpp"
 #include "isa/machine_file.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -43,7 +42,7 @@ void print_table_format(std::ostream& os, const ExperimentResult& result) {
   for (const ResultSection& s : result.sections) {
     if (!s.title.empty()) print_banner(os, s.title);
     os << s.preamble;
-    if (!s.text_only && s.data.num_cols() > 0) emit(os, s.data);
+    if (!s.text_only && s.data.num_cols() > 0) s.data.to_table().print(os);
     os << s.note;
   }
 }
@@ -186,7 +185,7 @@ void add_format_flag(ArgParser& parser) {
   parser.add_string("format", "fmt",
                     "Output format: aligned table, machine-readable CSV, "
                     "or JSON.",
-                    {}, {"table", "csv", "json"});
+                    {"table", "csv", "json"});
 }
 
 void add_out_flag(ArgParser& parser) {
@@ -344,8 +343,7 @@ int usage(std::ostream& os, int code) {
         "      With --store, completed grid points persist to crash-safe\n"
         "      shard logs in DIR and are never recomputed (resume =\n"
         "      rerun); --shard=k/n computes only shard k's partition.\n"
-        "      `cvmt run <id> --help` lists the flags; each layers over\n"
-        "      its CVMT_* environment variable.\n"
+        "      `cvmt run <id> --help` lists the flags.\n"
         "  cvmt merge --store=DIR [--format=...] [--out=FILE]\n"
         "      Fold the shard logs of a --store sweep into the full\n"
         "      experiment result — byte-identical to the unsharded run.\n"
@@ -452,10 +450,7 @@ int cvmt_list(int argc, const char* const* argv) {
 }
 
 int cvmt_run(int argc, const char* const* argv) {
-  ArgParser parser(
-      "cvmt run <id|all>",
-      "Runs experiments from the registry. Every flag layers over its "
-      "CVMT_* environment variable (CLI > env > default).");
+  ArgParser parser("cvmt run <id|all>", "Runs experiments from the registry.");
   ExperimentParams::add_standard_flags(parser);
   add_format_flag(parser);
   add_out_flag(parser);
@@ -550,17 +545,15 @@ int cvmt_run(int argc, const char* const* argv) {
 }
 
 /// `cvmt merge --store=DIR`: replays the stored sweep. The experiment id
-/// and every sweep-defining parameter come from the manifest alone (not
-/// flags, not CVMT_* environment), so the fold is reproducible from the
-/// directory by itself.
+/// and every sweep-defining parameter come from the manifest alone, not
+/// from flags, so the fold is reproducible from the directory by itself.
 int cvmt_merge(int argc, const char* const* argv) {
   ArgParser parser(
       "cvmt merge",
       "Folds the shard logs of a --store sweep into the full experiment "
       "result; table/CSV/JSON bytes are identical to the unsharded run.");
   parser.add_string("store", "dir",
-                    "The store directory the shard runs wrote.",
-                    "CVMT_STORE");
+                    "The store directory the shard runs wrote.");
   add_format_flag(parser);
   add_out_flag(parser);
   switch (parser.parse(argc, argv)) {

@@ -1,7 +1,7 @@
 // The cvmt experiment driver behind the `cvmt` CLI binary
-// (tools/cvmt_main.cpp). Resolves parameters (CLI flags over CVMT_*
-// environment over defaults), runs experiments from the registry, and
-// emits results as an aligned table, CSV or JSON.
+// (tools/cvmt_main.cpp). Resolves parameters (CLI flags over defaults),
+// runs experiments from the registry, and emits results as an aligned
+// table, CSV or JSON.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,10 @@ enum class OutputFormat : std::uint8_t { kTable, kCsv, kJson };
 [[nodiscard]] std::string_view to_string(OutputFormat f);
 
 /// Writes one experiment's result in `format`. Table format prints each
-/// section's banner, preamble, aligned table (with the CVMT_CSV
-/// appendix) and note. JSON carries id/artifact/description/params/
-/// sections; the batch-runner worker count is deliberately excluded from
-/// the JSON params block — output is byte-identical for any worker count.
+/// section's banner, preamble, aligned table and note. JSON carries
+/// id/artifact/description/params/sections; the batch-runner worker
+/// count is deliberately excluded from the JSON params block — output is
+/// byte-identical for any worker count.
 void print_result(std::ostream& os, const Experiment& experiment,
                   const ExperimentParams& params,
                   const ExperimentResult& result, OutputFormat format);

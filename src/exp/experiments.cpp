@@ -2,17 +2,9 @@
 
 #include <algorithm>
 
-#include "exp/params.hpp"
 #include "support/check.hpp"
 
 namespace cvmt {
-
-ExperimentConfig ExperimentConfig::from_env() {
-  // One resolution path for env and CLI: this is ExperimentParams'
-  // environment-only layer (exp/params.cpp), which also owns the
-  // CVMT_STATS validation and the kFast default for sweeps.
-  return ExperimentParams::from_env().cfg;
-}
 
 std::vector<Table1Row> run_table1(const ExperimentConfig& cfg) {
   const auto& profiles = table1_profiles();

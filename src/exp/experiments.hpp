@@ -13,7 +13,7 @@
 
 namespace cvmt {
 
-/// The CVMT_FAST=1 / --fast smoke-test scale, shared by env and CLI
+/// The --fast smoke-test scale, shared by CLI and serve-request
 /// resolution (see ExperimentParams in exp/params.hpp).
 inline constexpr std::uint64_t kFastInstructionBudget = 60'000;
 inline constexpr std::uint64_t kFastTimesliceCycles = 10'000;
@@ -21,20 +21,10 @@ inline constexpr std::uint64_t kFastTimesliceCycles = 10'000;
 /// Common configuration for all simulation-backed experiments.
 struct ExperimentConfig {
   SimConfig sim;
-  /// Fan-out options for the batch runner. from_env() fills workers from
-  /// CVMT_WORKERS (0 = all hardware cores); results are identical for any
+  /// Fan-out options for the batch runner (--workers fills the worker
+  /// count, 0 = all hardware cores); results are identical for any
   /// worker count.
   BatchOptions batch;
-
-  /// Builds defaults, honouring environment overrides:
-  ///   CVMT_BUDGET    instructions per thread (default SimConfig's)
-  ///   CVMT_TIMESLICE timeslice cycles
-  ///   CVMT_FAST=1    small budgets for smoke tests
-  ///   CVMT_WORKERS   batch-runner worker threads (default: all cores)
-  ///   CVMT_STATS     full|fast merge statistics (default: fast — the
-  ///                  experiment sweeps are pure-IPC; runners that *read*
-  ///                  merge-node stats force kFull themselves)
-  [[nodiscard]] static ExperimentConfig from_env();
 };
 
 // ---------------------------------------------------------------- Table 1

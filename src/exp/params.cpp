@@ -1,14 +1,12 @@
 #include "exp/params.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 #include "core/scheme.hpp"
 #include "isa/machine_file.hpp"
 #include "store/result_store.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 #include "support/string_util.hpp"
 #include "trace/benchmark_suite.hpp"
 
@@ -28,51 +26,40 @@ const char* to_string(ParamKind k) {
 }
 
 void ExperimentParams::add_standard_flags(ArgParser& parser) {
-  parser.add_flag("fast", "Smoke-test scale (small budget and timeslice).",
-                  "CVMT_FAST");
-  parser.add_u64("budget", "instrs", "Instruction budget per thread.",
-                 "CVMT_BUDGET");
-  parser.add_u64("timeslice", "cycles", "OS timeslice in cycles.",
-                 "CVMT_TIMESLICE");
+  parser.add_flag("fast", "Smoke-test scale (small budget and timeslice).");
+  parser.add_u64("budget", "instrs", "Instruction budget per thread.");
+  parser.add_u64("timeslice", "cycles", "OS timeslice in cycles.");
   parser.add_u64("workers", "n",
                  "Batch-runner worker threads (0 = all hardware cores); "
-                 "results are bit-identical for any count.",
-                 "CVMT_WORKERS");
+                 "results are bit-identical for any count.");
   parser.add_string("stats", "level",
                     "Merge-statistics accounting for the sweeps.",
-                    "CVMT_STATS", {"full", "fast"});
+                    {"full", "fast"});
   parser.add_string("schemes", "a,b,...",
                     "Restrict to these schemes (paper names or functional "
-                    "syntax).",
-                    "CVMT_SCHEMES");
+                    "syntax).");
   parser.add_string("workloads", "a,b,...",
-                    "Restrict to these Table 2 workloads (ILP combos).",
-                    "CVMT_WORKLOADS");
+                    "Restrict to these Table 2 workloads (ILP combos).");
   parser.add_u64("clusters", "n",
                  "Machine shape: cluster count (with --issue; default "
-                 "machine is the paper's 4x4 VEX).",
-                 "CVMT_CLUSTERS");
-  parser.add_u64("issue", "n", "Machine shape: issue width per cluster.",
-                 "CVMT_ISSUE");
+                 "machine is the paper's 4x4 VEX).");
+  parser.add_u64("issue", "n", "Machine shape: issue width per cluster.");
   parser.add_string("machine", "name|file",
                     "Machine description: a built-in name (see `cvmt "
                     "machines`) or a .machine file path. Sets the machine, "
                     "memory system and switch policy together; conflicts "
-                    "with --clusters/--issue.",
-                    "CVMT_MACHINE");
+                    "with --clusters/--issue.");
   parser.add_string("store", "dir",
                     "On-disk result store: completed grid points append "
                     "to crash-safe shard logs in DIR, already-stored "
                     "points are never recomputed (resume = rerun the same "
                     "command), and `cvmt merge --store DIR` folds the "
-                    "logs into the full result. See DESIGN.md §12.",
-                    "CVMT_STORE");
+                    "logs into the full result. See DESIGN.md §12.");
   parser.add_string("shard", "k/n",
                     "With --store: compute only the grid points whose key "
                     "hashes to shard k of n (0 <= k < n). Each shard of a "
                     "partition can run in its own process or on its own "
-                    "machine against a shared DIR.",
-                    "CVMT_SHARD");
+                    "machine against a shared DIR.");
 }
 
 namespace {
@@ -91,13 +78,13 @@ std::vector<std::string> parse_list(const std::string& csv) {
 ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
   ExperimentParams p;
 
-  // Layers 1+2: defaults, then the fast scale (flag or CVMT_FAST).
+  // Layers 1+2: defaults, then the fast scale.
   p.fast = parser.get_flag("fast");
   if (p.fast) {
     p.cfg.sim.instruction_budget = kFastInstructionBudget;
     p.cfg.sim.timeslice_cycles = kFastTimesliceCycles;
   }
-  // Layers 3+4: get_u64 resolves CLI over env over the current value.
+  // Layer 3: an explicit --budget/--timeslice beats the fast scale.
   p.cfg.sim.instruction_budget =
       parser.get_u64("budget", p.cfg.sim.instruction_budget);
   p.cfg.sim.timeslice_cycles =
@@ -109,18 +96,10 @@ ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
 
   // Stats: the experiment layer's sweeps are pure-IPC, so the resolved
   // default is kFast (the library SimConfig default stays kFull). A bad
-  // --stats value was already rejected by the parser's choices; a bad
-  // CVMT_STATS value warns here and falls back.
-  p.cfg.sim.stats = StatsLevel::kFast;
-  const std::string stats = parser.get_string("stats", "fast");
-  if (stats == "full") {
-    p.cfg.sim.stats = StatsLevel::kFull;
-  } else if (stats != "fast") {
-    std::fprintf(stderr,
-                 "cvmt: ignoring CVMT_STATS=\"%s\" (expected full or "
-                 "fast); using fast\n",
-                 stats.c_str());
-  }
+  // --stats value was already rejected by the parser's choices.
+  p.cfg.sim.stats = parser.get_string("stats", "fast") == "full"
+                        ? StatsLevel::kFull
+                        : StatsLevel::kFast;
 
   // Machine: only override the paper's vex4x4 when asked. A --machine
   // spec (built-in name or .machine file) sets machine + memory + switch
@@ -143,8 +122,8 @@ ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
                                  static_cast<int>(issue ? issue : 4));
   }
 
-  // Store and shard, validated eagerly: a malformed CVMT_SHARD must fail
-  // up front, not silently compute the whole grid.
+  // Store and shard, validated eagerly: a malformed --shard must fail up
+  // front, not silently compute the whole grid.
   p.store_dir = parser.get_string("store", "");
   const std::string shard = parser.get_string("shard", "");
   if (!shard.empty()) {
@@ -243,14 +222,6 @@ ExperimentParams ExperimentParams::from_manifest_json(
   // shard_index/count stay 0/1: the replay run sees the whole grid (the
   // SweepStore carries the manifest's shard count for its diagnostics).
   return p;
-}
-
-ExperimentParams ExperimentParams::from_env() {
-  ArgParser parser("cvmt", "");
-  add_standard_flags(parser);
-  const char* argv[] = {"cvmt"};
-  CVMT_CHECK(parser.parse(1, argv) == ArgParser::Outcome::kOk);
-  return resolve(parser);
 }
 
 }  // namespace cvmt

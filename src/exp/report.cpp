@@ -1,6 +1,5 @@
 #include "exp/report.hpp"
 
-#include <cstdlib>
 #include <ostream>
 
 #include "support/string_util.hpp"
@@ -136,25 +135,6 @@ void print_headlines(std::ostream& os, const HeadlineRelations& h) {
      << "% (paper: -11%)\n"
      << "3SSS vs 1S:                   " << fx(h.smt4_vs_1s_pct, 1)
      << "% (paper's Fig 4 trend: +61% over 2-thread)\n";
-}
-
-void emit(std::ostream& os, const TableWriter& table) {
-  table.print(os);
-  if (const char* csv = std::getenv("CVMT_CSV"); csv && *csv == '1') {
-    os << "\n[csv]\n";
-    table.print_csv(os);
-  }
-}
-
-void emit(std::ostream& os, const Dataset& data) {
-  data.to_table().print(os);
-  if (const char* csv = std::getenv("CVMT_CSV"); csv && *csv == '1') {
-    // Unlike the legacy TableWriter path, the Dataset CSV is properly
-    // quoted and full-precision: thousands-grouped cells such as
-    // "13,128" would otherwise split into two columns.
-    os << "\n[csv]\n";
-    data.write_csv(os);
-  }
 }
 
 }  // namespace cvmt

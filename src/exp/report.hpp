@@ -49,10 +49,4 @@ namespace cvmt {
 /// Prints the conclusion's headline percentages as prose.
 void print_headlines(std::ostream& os, const HeadlineRelations& h);
 
-/// Prints `table`, then a CSV copy if the CVMT_CSV environment variable is
-/// set (machine-readable output for plotting scripts).
-void emit(std::ostream& os, const TableWriter& table);
-/// Dataset convenience overload of the same.
-void emit(std::ostream& os, const Dataset& data);
-
 }  // namespace cvmt

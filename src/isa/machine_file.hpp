@@ -54,9 +54,8 @@ struct MachineDescription {
 [[nodiscard]] bool find_builtin_machine(std::string_view name,
                                         MachineDescription& out);
 
-/// Resolves a --machine/CVMT_MACHINE spec: a built-in machine name, or
-/// else a path to a `.machine` file. Throws CheckError when the spec is
-/// neither.
+/// Resolves a --machine spec: a built-in machine name, or else a path to
+/// a `.machine` file. Throws CheckError when the spec is neither.
 [[nodiscard]] MachineDescription resolve_machine(const std::string& spec);
 
 }  // namespace cvmt

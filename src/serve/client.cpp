@@ -403,12 +403,12 @@ int client_main(int argc, const char* const* argv) {
                  "raw request lines (positionals, pipelined), and a "
                  "pipelined load generator with latency percentiles and "
                  "request-id accounting.");
-  args.add_u64("port", "N", "server port on --host", "CVMT_SERVE_PORT");
+  args.add_u64("port", "N", "server port on --host");
   args.add_string("host", "HOST", "server host (default 127.0.0.1)");
   args.add_string("format", "FMT",
                   "response format: line (raw response) or json (bare "
                   "result, pretty-printed like `cvmt run --format=json`)",
-                  {}, {"line", "json"});
+                  {"line", "json"});
 
   args.add_flag("ping", "liveness probe");
   args.add_flag("stats", "server metrics snapshot");
@@ -423,7 +423,7 @@ int client_main(int argc, const char* const* argv) {
   args.add_flag("fast", "fast preset (short budget/timeslice)");
   args.add_u64("budget", "N", "per-thread instruction budget");
   args.add_u64("timeslice", "N", "OS timeslice in cycles");
-  args.add_string("stats-level", "L", "stats level", {}, {"full", "fast"});
+  args.add_string("stats-level", "L", "stats level", {"full", "fast"});
   args.add_string("machine", "SPEC", "machine name or .machine file");
   args.add_u64("clusters", "N", "cluster count (vs --machine)");
   args.add_u64("issue", "N", "per-cluster issue width (vs --machine)");
@@ -452,8 +452,7 @@ int client_main(int argc, const char* const* argv) {
 
   const std::uint64_t port64 = args.get_u64("port", 0);
   if (port64 == 0 || port64 > 65535) {
-    std::fprintf(stderr,
-                 "cvmt client: --port is required (or CVMT_SERVE_PORT)\n");
+    std::fprintf(stderr, "cvmt client: --port is required\n");
     return 2;
   }
   const auto port = static_cast<std::uint16_t>(port64);

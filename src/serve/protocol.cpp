@@ -5,6 +5,7 @@
 #include "core/scheme.hpp"
 #include "isa/machine_file.hpp"
 #include "support/check.hpp"
+#include "support/string_util.hpp"
 #include "trace/benchmark_suite.hpp"
 
 namespace cvmt {
@@ -102,14 +103,14 @@ void reject_unknown_keys(const JsonValue& id, const JsonValue& obj,
                          std::initializer_list<std::string_view> known) {
   for (const auto& member : obj.members()) {
     if (std::find(known.begin(), known.end(), member.first) == known.end())
-      bad(id, "unknown field \"" + member.first + "\" in " +
+      bad(id, "unknown field \"" + excerpt(member.first) + "\" in " +
                   std::string(where));
   }
 }
 
 /// Applies the shared simulation knobs (budget/timeslice/stats/machine)
 /// of a params or config object onto `sim`. Resolution is defaults +
-/// request only (never the daemon's environment); the layering mirrors
+/// request only (never the daemon's own flags); the layering mirrors
 /// ExperimentParams::resolve so an experiment request reproduces the
 /// bytes of the equivalent `cvmt run` invocation.
 void apply_sim_fields(const JsonValue& id, const JsonValue& obj,
@@ -180,7 +181,7 @@ ExperimentParams params_from_json(const JsonValue& id,
     try {
       (void)Scheme::parse(s);
     } catch (const CheckError& e) {
-      bad(id, "bad scheme \"" + s + "\": " + e.what());
+      bad(id, "bad scheme \"" + excerpt(s) + "\": " + e.what());
     }
   }
   p.workloads = get_string_array(id, obj, "workloads");
@@ -189,7 +190,7 @@ ExperimentParams params_from_json(const JsonValue& id,
     for (const Workload& t2 : table2_workloads())
       known = known || t2.ilp_combo == w;
     if (!known)
-      bad(id, "unknown workload \"" + w +
+      bad(id, "unknown workload \"" + excerpt(w) +
                   "\" (expected a Table 2 ILP combo such as LLHH)");
   }
   return p;
@@ -251,7 +252,8 @@ Request parse_request(std::string_view line) {
     try {
       (void)Scheme::parse(req.scheme);
     } catch (const CheckError& e) {
-      bad(req.id, "bad scheme \"" + req.scheme + "\": " + e.what());
+      bad(req.id,
+          "bad scheme \"" + excerpt(req.scheme) + "\": " + e.what());
     }
     req.benchmarks = get_string_array(req.id, doc, "benchmarks");
     if (req.benchmarks.empty())
@@ -260,7 +262,7 @@ Request parse_request(std::string_view line) {
       try {
         (void)profile_by_name(b);
       } catch (const CheckError&) {
-        bad(req.id, "unknown benchmark \"" + b + "\"");
+        bad(req.id, "unknown benchmark \"" + excerpt(b) + "\"");
       }
     }
     // The serve default matches the experiment layer's sweeps (kFast),
@@ -291,7 +293,7 @@ Request parse_request(std::string_view line) {
   }
 
   throw RequestError(ServeError::kUnknownType,
-                     "unknown request type \"" + t + "\"", req.id);
+                     "unknown request type \"" + excerpt(t) + "\"", req.id);
 }
 
 std::string response_line(const JsonValue& response) {

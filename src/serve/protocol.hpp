@@ -100,8 +100,8 @@ class RequestError : public std::runtime_error {
 
 /// Parses one request line; throws RequestError on malformed input.
 /// Parameter resolution is self-contained: defaults + request fields
-/// only — the daemon's CVMT_* environment is deliberately NOT consulted,
-/// so identical requests yield identical results on any server.
+/// only — the daemon's own flags never reach a request, so identical
+/// requests yield identical results on any server.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 // --- response builders (compact single-line JSON, no trailing \n) --------

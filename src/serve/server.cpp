@@ -354,12 +354,9 @@ int serve_main(int argc, const char* const* argv) {
                  "pool. See DESIGN.md §11 for the protocol.");
   args.add_u64("port", "N",
                "TCP port on 127.0.0.1 (0 picks an ephemeral port and "
-               "prints it)",
-               "CVMT_SERVE_PORT");
-  args.add_u64("workers", "K", "worker threads (0 = all hardware cores)",
-               "CVMT_SERVE_WORKERS");
-  args.add_u64("queue", "N", "admission queue capacity",
-               "CVMT_SERVE_QUEUE");
+               "prints it)");
+  args.add_u64("workers", "K", "worker threads (0 = all hardware cores)");
+  args.add_u64("queue", "N", "admission queue capacity");
   args.add_string("port-file", "FILE",
                   "write the bound port to FILE once listening (for "
                   "scripts using --port=0)");

@@ -10,8 +10,8 @@
 //      Built once, shared freely across threads.
 //   2. *The artifact cache* — a thread-safe, process-shareable store of
 //      compiled artifacts, keyed canonically (scheme name + canonical tree
-//      + machine, full profile content + machine). Sweep workers share one
-//      cache instead of each keeping a private ProgramLibrary.
+//      + machine, full profile content + machine). Sweep workers share
+//      one cache.
 //   3. *Run state* — everything a single simulation mutates: thread
 //      contexts, cache arrays, merge statistics, the OS scheduler.
 //      SimInstance owns this state and reset()s it in place between runs,
@@ -105,11 +105,10 @@ struct ArtifactCacheStats {
   }
 };
 
-/// Thread-safe cache of compiled artifacts, shared across sweep workers
-/// (replacing the per-runner ProgramLibrary copies). Keys are canonical —
-/// schemes by name + tree + machine, programs by full profile content +
-/// machine — so any two requests for the same logical artifact share one
-/// build.
+/// Thread-safe cache of compiled artifacts, shared across sweep workers.
+/// Keys are canonical — schemes by name + tree + machine, programs by
+/// full profile content + machine — so any two requests for the same
+/// logical artifact share one build.
 ///
 /// Builds are serialized *per key*, not cache-wide: a miss installs a
 /// shared_future under the cache mutex, then builds outside it, so

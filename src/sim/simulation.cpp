@@ -19,13 +19,4 @@ SimResult run_simulation(
   return instance.run(programs);
 }
 
-SimResult run_workload(const Scheme& scheme, const Workload& workload,
-                       ProgramLibrary& library, const SimConfig& config) {
-  std::vector<std::shared_ptr<const SyntheticProgram>> programs;
-  programs.reserve(workload.benchmarks.size());
-  for (const std::string& name : workload.benchmarks)
-    programs.push_back(library.get(name));
-  return run_simulation(scheme, programs, config);
-}
-
 }  // namespace cvmt

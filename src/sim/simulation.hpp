@@ -18,9 +18,11 @@
 namespace cvmt {
 
 /// All knobs of one simulation run. Defaults model the paper's machine at
-/// laptop-scale run lengths (the paper uses a 1M-cycle timeslice and 100M
-/// instruction budget; relative results are stable under the scale-down,
-/// see DESIGN.md "Run-length scale-down").
+/// laptop-scale run lengths: a 400k instruction budget and 50k-cycle
+/// timeslices, 8 timeslices per budget, where the paper runs 100M and 1M,
+/// 100 per budget. The relations against 1S move with the scale:
+/// `cvmt run scale` puts 2SC3 vs 1S between 25.5% and 40.7% (DESIGN.md
+/// "Run-length scale-down").
 struct SimConfig {
   MachineConfig machine = MachineConfig::vex4x4();
   MemorySystemConfig mem;  ///< 64KB 4-way I/D, 20-cycle penalty, shared
@@ -80,11 +82,5 @@ struct SimResult {
     const Scheme& scheme,
     const std::vector<std::shared_ptr<const SyntheticProgram>>& programs,
     const SimConfig& config);
-
-/// Convenience: builds the programs of `workload` from `library` and runs.
-[[nodiscard]] SimResult run_workload(const Scheme& scheme,
-                                     const Workload& workload,
-                                     ProgramLibrary& library,
-                                     const SimConfig& config);
 
 }  // namespace cvmt

@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace cvmt {
 
@@ -22,25 +21,22 @@ void check_new_name(std::string_view name) {
 
 }  // namespace
 
-void ArgParser::add_flag(std::string name, std::string help,
-                         std::string env) {
+void ArgParser::add_flag(std::string name, std::string help) {
   check_new_name(name);
   Option opt;
   opt.name = std::move(name);
   opt.help = std::move(help);
-  opt.env = std::move(env);
   opt.kind = OptKind::kFlag;
   options_.push_back(std::move(opt));
 }
 
 void ArgParser::add_u64(std::string name, std::string value_name,
-                        std::string help, std::string env) {
+                        std::string help) {
   check_new_name(name);
   Option opt;
   opt.name = std::move(name);
   opt.value_name = std::move(value_name);
   opt.help = std::move(help);
-  opt.env = std::move(env);
   opt.kind = OptKind::kU64;
   options_.push_back(std::move(opt));
 }
@@ -57,14 +53,13 @@ void ArgParser::add_double(std::string name, std::string value_name,
 }
 
 void ArgParser::add_string(std::string name, std::string value_name,
-                           std::string help, std::string env,
+                           std::string help,
                            std::vector<std::string> choices) {
   check_new_name(name);
   Option opt;
   opt.name = std::move(name);
   opt.value_name = std::move(value_name);
   opt.help = std::move(help);
-  opt.env = std::move(env);
   opt.choices = std::move(choices);
   opt.kind = OptKind::kString;
   options_.push_back(std::move(opt));
@@ -230,17 +225,13 @@ bool ArgParser::set_on_cli(std::string_view name) const {
 
 bool ArgParser::get_flag(std::string_view name) const {
   const Option& opt = require(name, OptKind::kFlag);
-  if (opt.set) return opt.flag_value;
-  if (!opt.env.empty()) return env_u64(opt.env.c_str(), 0) != 0;
-  return false;
+  return opt.set && opt.flag_value;
 }
 
 std::uint64_t ArgParser::get_u64(std::string_view name,
                                  std::uint64_t fallback) const {
   const Option& opt = require(name, OptKind::kU64);
-  if (opt.set) return opt.u64_value;
-  if (!opt.env.empty()) return env_u64(opt.env.c_str(), fallback);
-  return fallback;
+  return opt.set ? opt.u64_value : fallback;
 }
 
 double ArgParser::get_double(std::string_view name, double fallback) const {
@@ -251,9 +242,7 @@ double ArgParser::get_double(std::string_view name, double fallback) const {
 std::string ArgParser::get_string(std::string_view name,
                                   std::string_view fallback) const {
   const Option& opt = require(name, OptKind::kString);
-  if (opt.set) return opt.string_value;
-  if (!opt.env.empty()) return env_word(opt.env.c_str(), fallback);
-  return std::string(fallback);
+  return opt.set ? opt.string_value : std::string(fallback);
 }
 
 const std::string& ArgParser::positional(std::size_t i) const {
@@ -294,7 +283,6 @@ void ArgParser::print_help(std::ostream& os) const {
       for (const std::string& c : opt.choices) os << ' ' << c;
       os << ')';
     }
-    if (!opt.env.empty()) os << " [env: " << opt.env << "]";
     os << "\n";
   }
   os << "  --help\n      Show this help text.\n";

@@ -1,13 +1,7 @@
 // Command-line flag parser shared by the cvmt driver and the examples.
-// Each option may name a CVMT_* environment variable; values then resolve
-// in layers:
-//
-//   CLI flag  >  environment variable  >  built-in default
-//
-// A malformed CLI value is a hard error (parse() fails with a message on
-// stderr); a malformed environment value only warns and falls back, per
-// the env.hpp contract — the user typed the flag just now, but the
-// variable may be ambient from an unrelated shell.
+// A value comes from its flag or, when the flag is absent, from the
+// caller's fallback; the environment is never consulted. A malformed
+// value is a hard error (parse() fails with a message on stderr).
 //
 // Syntax: --name=value or --name value; bool flags take no value
 // (--name); "--" ends flag parsing; everything else is positional.
@@ -34,17 +28,14 @@ class ArgParser {
   /// `program` and `description` head the --help text.
   ArgParser(std::string program, std::string description);
 
-  // Option declarations. `env` (optional) names the environment variable
-  // the option layers over; it appears in the --help text.
-  void add_flag(std::string name, std::string help, std::string env = {});
-  void add_u64(std::string name, std::string value_name, std::string help,
-               std::string env = {});
+  // Option declarations.
+  void add_flag(std::string name, std::string help);
+  void add_u64(std::string name, std::string value_name, std::string help);
   void add_double(std::string name, std::string value_name,
                   std::string help);
   /// `choices` non-empty restricts CLI values (error otherwise).
   void add_string(std::string name, std::string value_name,
-                  std::string help, std::string env = {},
-                  std::vector<std::string> choices = {});
+                  std::string help, std::vector<std::string> choices = {});
   /// Positional parameter, shown in the usage line as [name].
   void add_positional(std::string name, std::string help);
 
@@ -55,8 +46,8 @@ class ArgParser {
   /// True when the option was explicitly set on the command line.
   [[nodiscard]] bool set_on_cli(std::string_view name) const;
 
-  // Layered getters: CLI > env > fallback. get_flag treats a non-zero
-  // numeric environment value as true.
+  // Getters: the CLI value when the option was given, else `fallback`
+  // (false for flags).
   [[nodiscard]] bool get_flag(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_u64(std::string_view name,
                                       std::uint64_t fallback) const;
@@ -85,7 +76,6 @@ class ArgParser {
     std::string name;
     std::string value_name;
     std::string help;
-    std::string env;
     std::vector<std::string> choices;
     OptKind kind = OptKind::kFlag;
     bool set = false;

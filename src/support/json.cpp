@@ -242,8 +242,14 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > JsonValue::kMaxParseDepth)
+        fail("nesting deeper than " +
+             std::to_string(JsonValue::kMaxParseDepth) + " levels");
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -390,6 +396,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -70,8 +70,14 @@ class JsonValue {
   void write(std::ostream& os, int indent = 2) const;
   [[nodiscard]] std::string dump(int indent = 2) const;
 
+  /// Deepest array/object nesting parse() accepts. Far above any
+  /// document the repo writes; it bounds the recursive parser's stack on
+  /// untrusted input such as a serve request line.
+  static constexpr int kMaxParseDepth = 1024;
+
   /// Parses a complete JSON document (trailing non-whitespace rejected).
-  /// Throws CheckError with position information on malformed input.
+  /// Throws CheckError with position information on malformed input,
+  /// including nesting deeper than kMaxParseDepth.
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:

@@ -38,6 +38,13 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
+std::string excerpt(std::string_view s) {
+  constexpr std::size_t kMaxBytes = 64;
+  std::string out(s.substr(0, kMaxBytes));
+  if (s.size() > kMaxBytes) out += "...";
+  return out;
+}
+
 bool parse_u64_token(std::string_view tok, std::uint64_t& out, int base) {
   if (tok.empty()) return false;
   const char front = tok.front();

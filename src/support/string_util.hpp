@@ -16,6 +16,11 @@ namespace cvmt {
 /// Uppercases ASCII letters.
 [[nodiscard]] std::string to_upper(std::string_view s);
 
+/// At most the first 64 bytes of `s`, with "..." appended when cut.
+/// Error messages echo untrusted input through this, so a huge request
+/// cannot produce a huge response.
+[[nodiscard]] std::string excerpt(std::string_view s);
+
 /// Strict unsigned parse of a whole token. strtoull alone is too
 /// permissive for config surfaces: it skips a leading sign (negating
 /// modulo 2^64, so "-1" becomes 18446744073709551615) and stops at the

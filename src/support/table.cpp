@@ -55,19 +55,6 @@ void TableWriter::print(std::ostream& os) const {
   print_rule();
 }
 
-void TableWriter::print_csv(std::ostream& os) const {
-  const auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  print_row(header_);
-  for (const auto& row : rows_)
-    if (!row.empty()) print_row(row);
-}
-
 void print_banner(std::ostream& os, const std::string& title) {
   os << '\n' << "== " << title << " ==\n\n";
 }

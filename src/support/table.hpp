@@ -1,7 +1,7 @@
-// ASCII / CSV table rendering for bench binaries and examples.
+// Aligned ASCII table rendering for the cvmt driver and the examples.
 //
-// Every bench prints the same rows the paper's table or figure reports;
-// TableWriter keeps that output aligned and optionally machine-readable.
+// Dataset::to_table() renders every experiment table through TableWriter;
+// machine-readable output is Dataset's CSV and JSON, not this class.
 #pragma once
 
 #include <iosfwd>
@@ -27,9 +27,6 @@ class TableWriter {
   /// Renders with padded columns and a header rule.
   void print(std::ostream& os) const;
 
-  /// Renders as CSV (no padding, separator rows skipped).
-  void print_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t num_cols() const { return header_.size(); }
 
@@ -38,7 +35,7 @@ class TableWriter {
   std::vector<std::vector<std::string>> rows_;  // empty vector = separator
 };
 
-/// Prints a figure/table banner ("== Figure 10: ... ==") used by benches.
+/// Prints a figure/table banner ("== Figure 10: ... ==").
 void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace cvmt

@@ -136,14 +136,11 @@ int fuzz_main(int argc, const char* const* argv) {
       "configurations, and reports any SimResult counter mismatch. "
       "Failures shrink (--shrink) to minimal JSON repros; check them in "
       "under tests/corpus/ to pin the regression forever.");
-  parser.add_u64("cases", "n", "Number of generated cases.",
-                 "CVMT_FUZZ_CASES");
-  parser.add_u64("seed", "s", "Sweep seed (case i uses draw i).",
-                 "CVMT_FUZZ_SEED");
+  parser.add_u64("cases", "n", "Number of generated cases.");
+  parser.add_u64("seed", "s", "Sweep seed (case i uses draw i).");
   parser.add_u64("workers", "n",
                  "Worker threads (0 = all hardware cores); outcomes are "
-                 "bit-identical for any count.",
-                 "CVMT_WORKERS");
+                 "bit-identical for any count.");
   parser.add_flag("shrink", "Minimize failing cases before reporting.");
   parser.add_string("corpus", "dir",
                     "Replay every *.json case in this directory before "

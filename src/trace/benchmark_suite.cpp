@@ -98,33 +98,4 @@ const std::vector<Workload>& table2_workloads() {
   return kTable;
 }
 
-ProgramLibrary::ProgramLibrary(MachineConfig machine) : machine_(machine) {
-  machine_.validate();
-}
-
-std::shared_ptr<const SyntheticProgram> ProgramLibrary::get(
-    std::string_view name) {
-  // The (rare) build happens under the lock: a concurrent second request
-  // for the same name blocks until the first finishes, then hits.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = cache_.find(name); it != cache_.end()) return it->second;
-  auto program = std::make_shared<const SyntheticProgram>(
-      profile_by_name(name), machine_);
-  cache_.emplace(std::string(name), program);
-  return program;
-}
-
-std::shared_ptr<const SyntheticProgram> ProgramLibrary::lookup(
-    std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(name);
-  CVMT_CHECK_MSG(it != cache_.end(),
-                 "program not built: " + std::string(name));
-  return it->second;
-}
-
-void ProgramLibrary::build_all() {
-  for (const BenchmarkProfile& p : table1_profiles()) get(p.name);
-}
-
 }  // namespace cvmt

@@ -8,9 +8,6 @@
 #pragma once
 
 #include <array>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,39 +30,5 @@ struct Workload {
 
 /// The 9 workload configurations in Table 2 order.
 [[nodiscard]] const std::vector<Workload>& table2_workloads();
-
-/// Builds and shares SyntheticPrograms for one machine configuration.
-/// Lazily constructs on first use. Thread-safe: concurrent get()/lookup()
-/// calls are serialised by an internal mutex, and a program is built at
-/// most once (concurrent first requests for one name block on the single
-/// build). For machine-keyed sharing across libraries and for non-Table-1
-/// profiles, prefer the session layer's ArtifactCache (sim/session.hpp).
-class ProgramLibrary {
- public:
-  explicit ProgramLibrary(MachineConfig machine);
-
-  /// Returns the (shared, immutable) program for `name`, building it on
-  /// first use. Safe to call concurrently.
-  std::shared_ptr<const SyntheticProgram> get(std::string_view name);
-
-  /// Lookup of an already-built program; throws CheckError if it was
-  /// never built. Safe to call concurrently.
-  [[nodiscard]] std::shared_ptr<const SyntheticProgram> lookup(
-      std::string_view name) const;
-
-  /// Pre-builds every Table 1 program (optional warm-up; concurrent
-  /// get() no longer requires it).
-  void build_all();
-
-  [[nodiscard]] const MachineConfig& machine() const { return machine_; }
-
- private:
-  MachineConfig machine_;
-  /// Guards cache_. Programs themselves are immutable once built.
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const SyntheticProgram>,
-           std::less<>>
-      cache_;
-};
 
 }  // namespace cvmt

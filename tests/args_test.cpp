@@ -1,6 +1,6 @@
-// ArgParser: flag parsing, CLI-over-env layering, positionals, help and
-// bad-input rejection; plus env-vs-CLI precedence for every standard
-// CVMT_* experiment knob in one parameterized suite.
+// ArgParser: flag parsing, positionals, help and bad-input rejection;
+// plus, for every standard experiment knob in one parameterized suite,
+// that its flag sets it and its retired CVMT_* variable has no effect.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,19 +15,12 @@ namespace {
 
 class ArgsTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    ::unsetenv("CVMT_TEST_U64");
-    ::unsetenv("CVMT_TEST_FLAG");
-    ::unsetenv("CVMT_TEST_WORD");
-  }
-
   static ArgParser make() {
     ArgParser p("prog", "Test program.");
-    p.add_flag("verbose", "Be chatty.", "CVMT_TEST_FLAG");
-    p.add_u64("budget", "n", "Budget.", "CVMT_TEST_U64");
+    p.add_flag("verbose", "Be chatty.");
+    p.add_u64("budget", "n", "Budget.");
     p.add_double("scale", "x", "Scale factor.");
-    p.add_string("stats", "level", "Stats level.", "CVMT_TEST_WORD",
-                 {"full", "fast"});
+    p.add_string("stats", "level", "Stats level.", {"full", "fast"});
     p.add_positional("scheme", "Scheme name.");
     p.add_positional("workload", "Workload name.");
     return p;
@@ -61,35 +54,6 @@ TEST_F(ArgsTest, CliValuesBothSyntaxes) {
   EXPECT_TRUE(p.get_flag("verbose"));
   EXPECT_TRUE(p.set_on_cli("budget"));
   EXPECT_FALSE(p.set_on_cli("stats"));
-}
-
-TEST_F(ArgsTest, EnvLayersUnderCli) {
-  ::setenv("CVMT_TEST_U64", "777", 1);
-  ::setenv("CVMT_TEST_FLAG", "1", 1);
-  ::setenv("CVMT_TEST_WORD", "full", 1);
-  {
-    ArgParser p = make();
-    ASSERT_EQ(parse(p, {}), ArgParser::Outcome::kOk);
-    // Env supplies values when the CLI is silent...
-    EXPECT_EQ(p.get_u64("budget", 0), 777u);
-    EXPECT_TRUE(p.get_flag("verbose"));
-    EXPECT_EQ(p.get_string("stats", "fast"), "full");
-  }
-  {
-    ArgParser p = make();
-    ASSERT_EQ(parse(p, {"--budget=1", "--stats=fast"}),
-              ArgParser::Outcome::kOk);
-    // ...and the CLI wins when both are present.
-    EXPECT_EQ(p.get_u64("budget", 0), 1u);
-    EXPECT_EQ(p.get_string("stats", "full"), "fast");
-  }
-}
-
-TEST_F(ArgsTest, MalformedEnvWarnsAndFallsBack) {
-  ::setenv("CVMT_TEST_U64", "12abc", 1);
-  ArgParser p = make();
-  ASSERT_EQ(parse(p, {}), ArgParser::Outcome::kOk);
-  EXPECT_EQ(p.get_u64("budget", 55), 55u);  // env rejected, fallback used
 }
 
 TEST_F(ArgsTest, MalformedCliIsAHardError) {
@@ -141,7 +105,7 @@ TEST_F(ArgsTest, HelpListsOptionsEnvAndPositionals) {
   const std::string help = os.str();
   EXPECT_NE(help.find("usage: prog"), std::string::npos);
   EXPECT_NE(help.find("--budget=<n>"), std::string::npos);
-  EXPECT_NE(help.find("[env: CVMT_TEST_U64]"), std::string::npos);
+  EXPECT_EQ(help.find("env:"), std::string::npos);
   EXPECT_NE(help.find("one of: full fast"), std::string::npos);
   EXPECT_NE(help.find("scheme"), std::string::npos);
   EXPECT_NE(help.find("--help"), std::string::npos);
@@ -210,10 +174,10 @@ TEST_F(ArgsTest, EqualsAndSpaceValueFormsAreEquivalent) {
   }
 }
 
-// ------------------------------------------------- standard CVMT_* knobs
+// ------------------------------------------------ standard experiment knobs
 
-/// One standard experiment knob: its flag, environment variable, and an
-/// env/CLI value pair that must resolve CLI-over-env.
+/// One standard experiment knob: its flag, the CVMT_* variable that used
+/// to set it, a non-default value for that variable, and a CLI value.
 struct Knob {
   const char* flag;
   const char* env;
@@ -229,6 +193,7 @@ void PrintTo(const Knob& k, std::ostream* os) { *os << k.flag; }
 
 class StandardKnobTest : public ::testing::TestWithParam<Knob> {
  protected:
+  void SetUp() override { ::setenv(GetParam().env, GetParam().env_value, 1); }
   void TearDown() override { ::unsetenv(GetParam().env); }
 
   static ArgParser make_standard() {
@@ -238,10 +203,10 @@ class StandardKnobTest : public ::testing::TestWithParam<Knob> {
   }
 };
 
-TEST_P(StandardKnobTest, EnvSuppliesValueAndCliOverrides) {
+TEST_P(StandardKnobTest, CliSetsValueAndEnvIsIgnored) {
   const Knob k = GetParam();
 
-  // Layer 1: nothing set — the fallback wins.
+  // No flag: the fallback wins although the old variable is set.
   {
     ArgParser p = make_standard();
     const char* argv[] = {"prog"};
@@ -257,25 +222,7 @@ TEST_P(StandardKnobTest, EnvSuppliesValueAndCliOverrides) {
     }
   }
 
-  // Layer 2: the environment variable supplies the value.
-  ::setenv(k.env, k.env_value, 1);
-  {
-    ArgParser p = make_standard();
-    const char* argv[] = {"prog"};
-    ASSERT_EQ(p.parse(1, argv), ArgParser::Outcome::kOk);
-    switch (k.kind) {
-      case Knob::Kind::kFlag: EXPECT_TRUE(p.get_flag(k.flag)); break;
-      case Knob::Kind::kU64:
-        EXPECT_EQ(p.get_u64(k.flag, 424242),
-                  std::strtoull(k.env_value, nullptr, 10));
-        break;
-      case Knob::Kind::kString:
-        EXPECT_EQ(p.get_string(k.flag, "fallback"), k.env_value);
-        break;
-    }
-  }
-
-  // Layer 3: an explicit CLI flag beats the environment.
+  // With the flag: the flag's value wins.
   {
     ArgParser p = make_standard();
     const std::string arg =
@@ -307,15 +254,17 @@ INSTANTIATE_TEST_SUITE_P(
              "555"},
         Knob{"workers", "CVMT_WORKERS", Knob::Kind::kU64, "3", "2"},
         Knob{"stats", "CVMT_STATS", Knob::Kind::kString, "full", "fast"},
-        // env_word() canonicalizes environment words to lower case, so
-        // the env-layer expectations must be lower case already; CLI
-        // values pass through verbatim.
         Knob{"schemes", "CVMT_SCHEMES", Knob::Kind::kString, "2sc3,3ccc",
              "1S"},
         Knob{"workloads", "CVMT_WORKLOADS", Knob::Kind::kString, "llhh",
              "HHHH"},
         Knob{"clusters", "CVMT_CLUSTERS", Knob::Kind::kU64, "8", "2"},
-        Knob{"issue", "CVMT_ISSUE", Knob::Kind::kU64, "2", "4"}),
+        Knob{"issue", "CVMT_ISSUE", Knob::Kind::kU64, "2", "4"},
+        Knob{"machine", "CVMT_MACHINE", Knob::Kind::kString, "vex4x2",
+             "l2banked"},
+        Knob{"store", "CVMT_STORE", Knob::Kind::kString, "envstore",
+             "clistore"},
+        Knob{"shard", "CVMT_SHARD", Knob::Kind::kString, "1/2", "0/4"}),
     [](const ::testing::TestParamInfo<Knob>& info) {
       return std::string(info.param.flag);
     });

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,15 +65,23 @@ void expect_identical(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.os.timeslices, b.os.timeslices);
 }
 
+/// Runs `benchmarks` under `scheme` with programs built through `cache`.
+SimResult run_direct(const Scheme& scheme,
+                     std::span<const std::string> benchmarks,
+                     ArtifactCache& cache, const SimConfig& sim) {
+  const auto workload = cache.workload(benchmarks, sim.machine);
+  return run_simulation(scheme, workload->programs, sim);
+}
+
 TEST(Determinism, RunWorkloadTwiceIsBitIdentical) {
   const SimConfig sim = tiny_sim();
   const Scheme scheme = Scheme::parse("2SC3");
   const Workload& wl = table2_workloads().front();
 
-  ProgramLibrary lib_a(sim.machine);
-  const SimResult a = run_workload(scheme, wl, lib_a, sim);
-  ProgramLibrary lib_b(sim.machine);
-  const SimResult b = run_workload(scheme, wl, lib_b, sim);
+  ArtifactCache cache_a;
+  const SimResult a = run_direct(scheme, wl.benchmarks, cache_a, sim);
+  ArtifactCache cache_b;
+  const SimResult b = run_direct(scheme, wl.benchmarks, cache_b, sim);
   expect_identical(a, b);
 }
 
@@ -81,9 +90,9 @@ TEST(Determinism, SharedAndFreshLibraryAgree) {
   const Scheme scheme = Scheme::parse("3CCC");
   const Workload& wl = table2_workloads().back();
 
-  ProgramLibrary shared(sim.machine);
-  const SimResult first = run_workload(scheme, wl, shared, sim);
-  const SimResult again = run_workload(scheme, wl, shared, sim);
+  ArtifactCache shared;
+  const SimResult first = run_direct(scheme, wl.benchmarks, shared, sim);
+  const SimResult again = run_direct(scheme, wl.benchmarks, shared, sim);
   expect_identical(first, again);
 }
 
@@ -112,12 +121,9 @@ TEST(BatchRunner, MatchesDirectRunWorkload) {
   const std::vector<BatchJob> jobs = small_grid();
   const std::vector<SimResult> batch = run_batch(jobs, {.workers = 4});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ProgramLibrary lib(jobs[i].sim.machine);
-    Workload wl;
-    for (std::size_t t = 0; t < jobs[i].benchmarks.size(); ++t)
-      wl.benchmarks[t] = jobs[i].benchmarks[t];
-    expect_identical(batch[i],
-                     run_workload(jobs[i].scheme, wl, lib, jobs[i].sim));
+    ArtifactCache cache;
+    expect_identical(batch[i], run_direct(jobs[i].scheme, jobs[i].benchmarks,
+                                          cache, jobs[i].sim));
   }
 }
 

@@ -1,10 +1,9 @@
-// The cvmt driver: output formats, parameter resolution layering and the
+// The cvmt driver: output formats, parameter resolution and the
 // golden-stability contract — `cvmt run fig10 --format=json` is
 // byte-identical for any batch-runner worker count under fixed seeds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -89,30 +88,14 @@ TEST(Driver, JsonParamsReflectSchemaAndForcedStats) {
 }
 
 TEST(Driver, ParamResolutionLayersCliOverEnv) {
-  ::setenv("CVMT_BUDGET", "111", 1);
-  ::setenv("CVMT_STATS", "full", 1);
-  {
-    ArgParser parser("t", "");
-    ExperimentParams::add_standard_flags(parser);
-    const char* argv[] = {"t"};
-    ASSERT_EQ(parser.parse(1, argv), ArgParser::Outcome::kOk);
-    const ExperimentParams p = ExperimentParams::resolve(parser);
-    EXPECT_EQ(p.cfg.sim.instruction_budget, 111u);
-    EXPECT_EQ(p.cfg.sim.stats, StatsLevel::kFull);
-  }
-  {
-    ArgParser parser("t", "");
-    ExperimentParams::add_standard_flags(parser);
-    const char* argv[] = {"t", "--budget=222", "--stats=fast",
-                          "--workers=3"};
-    ASSERT_EQ(parser.parse(4, argv), ArgParser::Outcome::kOk);
-    const ExperimentParams p = ExperimentParams::resolve(parser);
-    EXPECT_EQ(p.cfg.sim.instruction_budget, 222u);
-    EXPECT_EQ(p.cfg.sim.stats, StatsLevel::kFast);
-    EXPECT_EQ(p.cfg.batch.workers, 3u);
-  }
-  ::unsetenv("CVMT_BUDGET");
-  ::unsetenv("CVMT_STATS");
+  ArgParser parser("t", "");
+  ExperimentParams::add_standard_flags(parser);
+  const char* argv[] = {"t", "--budget=222", "--stats=full", "--workers=3"};
+  ASSERT_EQ(parser.parse(4, argv), ArgParser::Outcome::kOk);
+  const ExperimentParams p = ExperimentParams::resolve(parser);
+  EXPECT_EQ(p.cfg.sim.instruction_budget, 222u);
+  EXPECT_EQ(p.cfg.sim.stats, StatsLevel::kFull);
+  EXPECT_EQ(p.cfg.batch.workers, 3u);
 }
 
 TEST(Driver, FastFlagMatchesEnvFastScale) {

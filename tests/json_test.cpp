@@ -2,6 +2,8 @@
 // and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/check.hpp"
 #include "support/json.hpp"
 
@@ -121,6 +123,30 @@ TEST(Json, DeepNestingRoundTrips) {
   }
   EXPECT_EQ(inner->as_int(), 7);
   EXPECT_EQ(parsed.dump(-1), text);
+}
+
+TEST(Json, NestingCapAcceptsTheCapAndRejectsOneMore) {
+  const auto arrays = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)JsonValue::parse(arrays(JsonValue::kMaxParseDepth)));
+  try {
+    (void)JsonValue::parse(arrays(JsonValue::kMaxParseDepth + 1));
+    ADD_FAILURE() << "nesting past the cap parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 1024 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  // Objects count toward the same cap.
+  std::string objects;
+  for (int i = 0; i <= JsonValue::kMaxParseDepth; ++i) objects += "{\"k\":";
+  objects += "1";
+  objects.append(JsonValue::kMaxParseDepth + 1, '}');
+  EXPECT_THROW((void)JsonValue::parse(objects), CheckError);
+  // An unclosed run far past the cap fails at the cap, not on the stack.
+  EXPECT_THROW((void)JsonValue::parse(std::string(50'000, '[')), CheckError);
 }
 
 TEST(Json, UnicodeEscapesDecodeToUtf8) {

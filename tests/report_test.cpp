@@ -98,18 +98,5 @@ TEST(Report, HeadlinesMentionPaperNumbers) {
   EXPECT_NE(os.str().find("paper: -11%"), std::string::npos);
 }
 
-TEST(Report, EmitHonoursCsvEnvVar) {
-  TableWriter t({"a"});
-  t.add_row({"1"});
-  ::setenv("CVMT_CSV", "1", 1);
-  std::ostringstream with_csv;
-  emit(with_csv, t);
-  EXPECT_NE(with_csv.str().find("[csv]"), std::string::npos);
-  ::unsetenv("CVMT_CSV");
-  std::ostringstream without;
-  emit(without, t);
-  EXPECT_EQ(without.str().find("[csv]"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace cvmt

@@ -1,6 +1,8 @@
 // Tests of scheme parsing, structure and the paper's 16-scheme set.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/scheme.hpp"
 
 namespace cvmt {
@@ -66,6 +68,9 @@ TEST(SchemeParse, RejectsMalformedNames) {
   EXPECT_THROW((void)Scheme::parse("3SC"), CheckError);   // level mismatch
   EXPECT_THROW((void)Scheme::parse("2SCC"), CheckError);  // level mismatch
   EXPECT_THROW((void)Scheme::parse("3S!C"), CheckError);
+  // Counts too long for an int accumulator (more than three digits).
+  EXPECT_THROW((void)Scheme::parse("C4294967298"), CheckError);
+  EXPECT_THROW((void)Scheme::parse("IMT4294967298"), CheckError);
 }
 
 TEST(SchemeParse, RejectsParallelSmt) {
@@ -80,6 +85,44 @@ TEST(SchemeParse, RejectsBadFunctionalSyntax) {
   EXPECT_THROW((void)Scheme::parse("S(0,2)"), CheckError);    // gap
   EXPECT_THROW((void)Scheme::parse("S(1,2)"), CheckError);    // not dense
   EXPECT_THROW((void)Scheme::parse("S(0,1)x"), CheckError);   // trailing
+  EXPECT_THROW((void)Scheme::parse("S(4294967296,1)"), CheckError);
+}
+
+TEST(SchemeParse, NestingCapAcceptsTheCapAndRejectsOneMore) {
+  // A left-deep chain of k blocks has k + 1 leaves, the deepest k + 1
+  // levels down.
+  const auto chain = [](int blocks) {
+    std::string s = "0";
+    for (int i = 1; i <= blocks; ++i)
+      s = "C(" + s + "," + std::to_string(i) + ")";
+    return s;
+  };
+  EXPECT_EQ(Scheme::parse(chain(kMaxThreads - 1)).num_threads(),
+            kMaxThreads);
+  try {
+    (void)Scheme::parse(chain(kMaxThreads));
+    ADD_FAILURE() << "nesting past the cap parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("nests deeper than 16 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string deep;
+  for (int i = 0; i < 100'000; ++i) deep += "C(";
+  EXPECT_THROW((void)Scheme::parse(deep), CheckError);
+}
+
+TEST(SchemeParse, ErrorsEchoABoundedPrefix) {
+  for (const std::string& bad :
+       {"IMT" + std::string(10'000, '7'), std::string(10'000, '5'),
+        "9" + std::string(10'000, 'S'), "3S" + std::string(10'000, 'X')}) {
+    try {
+      (void)Scheme::parse(bad);
+      ADD_FAILURE() << "accepted " << bad.substr(0, 16);
+    } catch (const CheckError& e) {
+      EXPECT_LT(std::string(e.what()).size(), 400u) << e.what();
+    }
+  }
 }
 
 TEST(SchemeParse, RejectsTinySubscript) {

@@ -154,6 +154,28 @@ TEST(Serve, MalformedJsonGetsErrorAndConnectionSurvives) {
   EXPECT_TRUE(c.request(R"({"id":2,"type":"ping"})").get("ok").as_bool());
 }
 
+// Two inputs that would overflow the stack of a recursive parser without
+// a depth cap: a JSON nesting bomb and a run request whose scheme nests
+// C( 100,000 deep. Each gets an error line of bounded size, and the
+// daemon answers the ping after them.
+TEST(Serve, DeepNestingGetsErrorsAndTheDaemonSurvives) {
+  TestServer ts;
+  Client c(ts.server->port());
+  c.send_line(std::string(50'000, '['));
+  std::string scheme;
+  for (int i = 0; i < 100'000; ++i) scheme += "C(";
+  c.send_line(run_request(1, scheme, 1'000));
+  c.send_line(R"({"id":2,"type":"ping"})");
+  std::string line;
+  ASSERT_TRUE(c.recv_line(&line));
+  EXPECT_EQ(error_code_of(JsonValue::parse(line)), "bad_json");
+  ASSERT_TRUE(c.recv_line(&line));
+  EXPECT_EQ(error_code_of(JsonValue::parse(line)), "bad_request");
+  EXPECT_LT(line.size(), 1'000u) << line;
+  ASSERT_TRUE(c.recv_line(&line));
+  EXPECT_TRUE(JsonValue::parse(line).get("ok").as_bool()) << line;
+}
+
 TEST(Serve, UnknownExperimentAndTypeAndFields) {
   TestServer ts;
   Client c(ts.server->port());

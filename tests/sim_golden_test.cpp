@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,15 +21,13 @@ namespace {
 
 const MachineConfig kM = MachineConfig::vex4x4();
 
-ProgramLibrary& library() {
-  static ProgramLibrary lib(kM);
-  return lib;
+std::shared_ptr<const SyntheticProgram> program(std::string_view name) {
+  return ArtifactCache::global().program(name, kM);
 }
 
 std::vector<std::shared_ptr<const SyntheticProgram>> programs() {
   static const std::vector<std::shared_ptr<const SyntheticProgram>> progs =
-      {library().get("mcf"), library().get("djpeg"), library().get("idct"),
-       library().get("x264")};
+      {program("mcf"), program("djpeg"), program("idct"), program("x264")};
   return progs;
 }
 
@@ -136,7 +135,7 @@ TEST(SimGolden, PlanAndFastForwardAreBitIdenticalToReference) {
   for (const Workload& w : table2_workloads())
     if (w.ilp_combo == "LMHH")
       for (const std::string& b : w.benchmarks)
-        lmhh.push_back(library().get(b));
+        lmhh.push_back(program(b));
   ASSERT_EQ(lmhh.size(), 4u);
   SimConfig reference;
   reference.instruction_budget = kFastInstructionBudget;
@@ -165,7 +164,7 @@ TEST(SimGolden, SingleThreadFastForwardIsBitIdentical) {
   SimConfig jumped = golden_config();
   jumped.stall_fast_forward = true;
   const std::vector<std::shared_ptr<const SyntheticProgram>> progs = {
-      library().get("mcf")};
+      program("mcf")};
   const SimResult a = run_simulation(Scheme::single_thread(), progs,
                                      stepped);
   const SimResult b = run_simulation(Scheme::single_thread(), progs,
@@ -201,7 +200,7 @@ TEST(SimGolden, FastForwardRespectsMaxCyclesAndTimeslices) {
   SimConfig cfg = golden_config();
   cfg.max_cycles = 1'000;
   const std::vector<std::shared_ptr<const SyntheticProgram>> progs = {
-      library().get("mcf")};
+      program("mcf")};
   const SimResult r =
       run_simulation(Scheme::single_thread(), progs, cfg);
   EXPECT_EQ(r.cycles, 1'000u);  // the jump never overshoots the guard

@@ -2,7 +2,9 @@
 // multithreaded core, the OS scheduler and end-to-end invariants.
 #include <gtest/gtest.h>
 
-#include "sim/simulation.hpp"
+#include <memory>
+
+#include "sim/session.hpp"
 
 namespace cvmt {
 namespace {
@@ -17,15 +19,15 @@ SimConfig fast_config() {
 }
 
 std::vector<std::shared_ptr<const SyntheticProgram>> programs_of(
-    ProgramLibrary& lib, std::initializer_list<const char*> names) {
+    const MachineConfig& machine, std::initializer_list<const char*> names) {
   std::vector<std::shared_ptr<const SyntheticProgram>> out;
-  for (const char* n : names) out.push_back(lib.get(n));
+  for (const char* n : names)
+    out.push_back(ArtifactCache::global().program(n, machine));
   return out;
 }
 
 TEST(Simulation, DeterministicAcrossRuns) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "djpeg", "idct", "bzip2"});
+  const auto progs = programs_of(kM, {"mcf", "djpeg", "idct", "bzip2"});
   const SimConfig cfg = fast_config();
   const SimResult a = run_simulation(Scheme::parse("3SCC"), progs, cfg);
   const SimResult b = run_simulation(Scheme::parse("3SCC"), progs, cfg);
@@ -35,8 +37,7 @@ TEST(Simulation, DeterministicAcrossRuns) {
 }
 
 TEST(Simulation, OsSeedChangesScheduleButRunsComplete) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "djpeg", "idct", "bzip2"});
+  const auto progs = programs_of(kM, {"mcf", "djpeg", "idct", "bzip2"});
   SimConfig cfg = fast_config();
   // Long enough that the random schedule composition averages out (the
   // run samples many timeslices of each benchmark mix).
@@ -52,9 +53,8 @@ TEST(Simulation, OsSeedChangesScheduleButRunsComplete) {
 }
 
 TEST(Simulation, IpcNeverExceedsIssueWidth) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"colorspace", "idct", "imgpipe", "x264"});
+      programs_of(kM, {"colorspace", "idct", "imgpipe", "x264"});
   const SimResult r =
       run_simulation(Scheme::parse("3SSS"), progs, fast_config());
   EXPECT_LE(r.ipc, static_cast<double>(kM.total_issue_width()));
@@ -62,8 +62,7 @@ TEST(Simulation, IpcNeverExceedsIssueWidth) {
 }
 
 TEST(Simulation, StopsWhenFirstThreadFinishesBudget) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"idct", "mcf"});
+  const auto progs = programs_of(kM, {"idct", "mcf"});
   SimConfig cfg = fast_config();
   cfg.instruction_budget = 5'000;
   const SimResult r = run_simulation(Scheme::parse("1S"), progs, cfg);
@@ -74,8 +73,7 @@ TEST(Simulation, StopsWhenFirstThreadFinishesBudget) {
 }
 
 TEST(Simulation, MaxCyclesGuardStopsRun) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf"});
+  const auto progs = programs_of(kM, {"mcf"});
   SimConfig cfg = fast_config();
   cfg.max_cycles = 1'000;
   const SimResult r = run_simulation(Scheme::single_thread(), progs, cfg);
@@ -83,8 +81,7 @@ TEST(Simulation, MaxCyclesGuardStopsRun) {
 }
 
 TEST(Simulation, PerfectMemoryNeverSlower) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "cjpeg", "x264", "blowfish"});
+  const auto progs = programs_of(kM, {"mcf", "cjpeg", "x264", "blowfish"});
   SimConfig real_cfg = fast_config();
   SimConfig perfect_cfg = fast_config();
   perfect_cfg.mem.perfect = true;
@@ -96,8 +93,7 @@ TEST(Simulation, PerfectMemoryNeverSlower) {
 }
 
 TEST(Simulation, MoreHardwareThreadsHelp) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "blowfish", "x264", "idct"});
+  const auto progs = programs_of(kM, {"mcf", "blowfish", "x264", "idct"});
   const SimConfig cfg = fast_config();
   const double one =
       run_simulation(Scheme::single_thread(), progs, cfg).ipc;
@@ -108,8 +104,7 @@ TEST(Simulation, MoreHardwareThreadsHelp) {
 }
 
 TEST(Simulation, SmtBeatsCsmtWhichBeatsNothing) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "blowfish", "x264", "idct"});
+  const auto progs = programs_of(kM, {"mcf", "blowfish", "x264", "idct"});
   const SimConfig cfg = fast_config();
   const double smt = run_simulation(Scheme::parse("3SSS"), progs, cfg).ipc;
   const double csmt = run_simulation(Scheme::parse("3CCC"), progs, cfg).ipc;
@@ -120,9 +115,8 @@ TEST(Simulation, SmtBeatsCsmtWhichBeatsNothing) {
 }
 
 TEST(Simulation, MixedSchemesLandBetweenExtremes) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"gsmencode", "g721encode", "imgpipe", "colorspace"});
+      programs_of(kM, {"gsmencode", "g721encode", "imgpipe", "colorspace"});
   const SimConfig cfg = fast_config();
   const double smt = run_simulation(Scheme::parse("3SSS"), progs, cfg).ipc;
   const double csmt = run_simulation(Scheme::parse("3CCC"), progs, cfg).ipc;
@@ -134,8 +128,7 @@ TEST(Simulation, MixedSchemesLandBetweenExtremes) {
 TEST(Simulation, SchemeEquivalencesHoldEndToEnd) {
   // C4 == 3CCC and 2SC3 == 3SCC must be cycle-exact in full runs, not just
   // in the engine micro-tests (paper: "identical in terms of performance").
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "cjpeg", "idct", "bzip2"});
+  const auto progs = programs_of(kM, {"mcf", "cjpeg", "idct", "bzip2"});
   const SimConfig cfg = fast_config();
   const SimResult c4 = run_simulation(Scheme::parse("C4"), progs, cfg);
   const SimResult ccc = run_simulation(Scheme::parse("3CCC"), progs, cfg);
@@ -147,24 +140,9 @@ TEST(Simulation, SchemeEquivalencesHoldEndToEnd) {
   EXPECT_EQ(sc3.total_ops, scc.total_ops);
 }
 
-TEST(Simulation, WorkloadHelperMatchesExplicitPrograms) {
-  ProgramLibrary lib(kM);
-  lib.build_all();
-  const Workload& wl = table2_workloads()[0];
-  const SimConfig cfg = fast_config();
-  const SimResult via_helper =
-      run_workload(Scheme::parse("1S"), wl, lib, cfg);
-  std::vector<std::shared_ptr<const SyntheticProgram>> progs;
-  for (const auto& n : wl.benchmarks) progs.push_back(lib.get(n));
-  const SimResult direct = run_simulation(Scheme::parse("1S"), progs, cfg);
-  EXPECT_EQ(via_helper.cycles, direct.cycles);
-  EXPECT_EQ(via_helper.total_ops, direct.total_ops);
-}
-
 TEST(Simulation, ContextSwitchesHappenAtTimeslices) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "bzip2", "blowfish",
-                                       "gsmencode"});
+  const auto progs =
+      programs_of(kM, {"mcf", "bzip2", "blowfish", "gsmencode"});
   SimConfig cfg = fast_config();
   cfg.timeslice_cycles = 1'000;
   const SimResult r = run_simulation(Scheme::parse("1S"), progs, cfg);
@@ -174,9 +152,8 @@ TEST(Simulation, ContextSwitchesHappenAtTimeslices) {
 }
 
 TEST(Simulation, AllSoftwareThreadsMakeProgressUnderRotation) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "bzip2", "blowfish",
-                                       "gsmencode"});
+  const auto progs =
+      programs_of(kM, {"mcf", "bzip2", "blowfish", "gsmencode"});
   SimConfig cfg = fast_config();
   cfg.timeslice_cycles = 2'000;
   const SimResult r = run_simulation(Scheme::parse("3CCC"), progs, cfg);
@@ -185,8 +162,7 @@ TEST(Simulation, AllSoftwareThreadsMakeProgressUnderRotation) {
 }
 
 TEST(Simulation, ResultAccountingIsConsistent) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"g721encode", "g721decode"});
+  const auto progs = programs_of(kM, {"g721encode", "g721decode"});
   const SimResult r =
       run_simulation(Scheme::parse("1S"), progs, fast_config());
   std::uint64_t thread_ops = 0, thread_instrs = 0;
@@ -203,8 +179,7 @@ TEST(Simulation, ResultAccountingIsConsistent) {
 }
 
 TEST(Simulation, MergeStatsAreExposed) {
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "djpeg", "idct", "bzip2"});
+  const auto progs = programs_of(kM, {"mcf", "djpeg", "idct", "bzip2"});
   const SimResult r =
       run_simulation(Scheme::parse("3SCC"), progs, fast_config());
   ASSERT_EQ(r.merge_nodes.size(), 3u);  // S, C, C blocks
@@ -215,9 +190,8 @@ TEST(Simulation, MergeStatsAreExposed) {
 }
 
 TEST(Simulation, SerializedMissesAreSlowerOrEqual) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"colorspace", "mcf", "cjpeg", "imgpipe"});
+      programs_of(kM, {"colorspace", "mcf", "cjpeg", "imgpipe"});
   SimConfig ser = fast_config();
   ser.miss_policy = MissPolicy::kSerialized;
   SimConfig ovl = fast_config();
@@ -230,9 +204,8 @@ TEST(Simulation, SerializedMissesAreSlowerOrEqual) {
 }
 
 TEST(Simulation, PrivateCachesRemoveInterThreadConflicts) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"mcf", "cjpeg", "colorspace", "bzip2"});
+      programs_of(kM, {"mcf", "cjpeg", "colorspace", "bzip2"});
   SimConfig shared = fast_config();
   SimConfig priv = fast_config();
   priv.mem.sharing = CacheSharing::kPrivate;
@@ -244,8 +217,7 @@ TEST(Simulation, PrivateCachesRemoveInterThreadConflicts) {
 TEST(Simulation, BaselineLadderIsOrdered) {
   // Single-thread < BMT/IMT (stall hiding only) < CSMT (adds cluster
   // packing) <= SMT (adds operation packing): the related-work ladder.
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "blowfish", "cjpeg", "idct"});
+  const auto progs = programs_of(kM, {"mcf", "blowfish", "cjpeg", "idct"});
   SimConfig cfg = fast_config();
   const double single =
       run_simulation(Scheme::single_thread(), progs, cfg).ipc;
@@ -265,8 +237,7 @@ TEST(Simulation, GenericMachineShapesRun) {
   for (const auto& [clusters, width] :
        {std::pair{2, 8}, std::pair{8, 2}, std::pair{2, 4}}) {
     const MachineConfig machine = MachineConfig::clustered(clusters, width);
-    ProgramLibrary lib(machine);
-    const auto progs = programs_of(lib, {"mcf", "djpeg"});
+    const auto progs = programs_of(machine, {"mcf", "djpeg"});
     SimConfig cfg = fast_config();
     cfg.machine = machine;
     cfg.instruction_budget = 10'000;
@@ -279,9 +250,8 @@ TEST(Simulation, GenericMachineShapesRun) {
 
 TEST(Simulation, SwitchPoliciesRunDeterministicallyAndDiffer) {
   // 4 software threads on 2 contexts force real timeslice decisions.
-  ProgramLibrary lib(kM);
-  const auto progs = programs_of(lib, {"mcf", "bzip2", "blowfish",
-                                       "gsmencode"});
+  const auto progs =
+      programs_of(kM, {"mcf", "bzip2", "blowfish", "gsmencode"});
   SimConfig cfg = fast_config();
   cfg.timeslice_cycles = 1'000;
   std::vector<std::uint64_t> cycles;
@@ -312,8 +282,7 @@ TEST(Simulation, HeterogeneousMachineRunsEndToEnd) {
       {2, 0b00, 0b10, 0b10},
   };
   const MachineConfig het = MachineConfig::heterogeneous_of(shapes, 4);
-  ProgramLibrary lib(het);
-  const auto progs = programs_of(lib, {"mcf", "djpeg", "idct", "bzip2"});
+  const auto progs = programs_of(het, {"mcf", "djpeg", "idct", "bzip2"});
   SimConfig cfg = fast_config();
   cfg.machine = het;
   cfg.instruction_budget = 10'000;
@@ -327,9 +296,8 @@ TEST(Simulation, HeterogeneousMachineRunsEndToEnd) {
 }
 
 TEST(Simulation, BankConflictsSlowDownMergedMemoryTraffic) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"mcf", "cjpeg", "colorspace", "imgpipe"});
+      programs_of(kM, {"mcf", "cjpeg", "colorspace", "imgpipe"});
   SimConfig flat = fast_config();
   SimConfig banked = fast_config();
   banked.mem.dcache_banks = 2;
@@ -349,9 +317,8 @@ TEST(Simulation, BankConflictsSlowDownMergedMemoryTraffic) {
 }
 
 TEST(Simulation, L2ReducesMissCostOnRethrashedSets) {
-  ProgramLibrary lib(kM);
   const auto progs =
-      programs_of(lib, {"mcf", "cjpeg", "colorspace", "bzip2"});
+      programs_of(kM, {"mcf", "cjpeg", "colorspace", "bzip2"});
   SimConfig small_l1 = fast_config();
   small_l1.mem.dcache = CacheConfig{4096, 64, 2, 20};  // thrashes
   small_l1.mem.icache = small_l1.mem.dcache;
@@ -374,8 +341,7 @@ TEST(Simulation, RejectsEmptyWorkload) {
 }
 
 TEST(Simulation, RejectsProgramForDifferentMachine) {
-  ProgramLibrary lib8(MachineConfig::vex4x2());
-  const auto progs = programs_of(lib8, {"mcf"});
+  const auto progs = programs_of(MachineConfig::vex4x2(), {"mcf"});
   EXPECT_THROW((void)run_simulation(Scheme::single_thread(), progs,
                                     fast_config()),
                CheckError);

@@ -293,15 +293,5 @@ TEST(TableWriter, RendersAlignedColumns) {
   EXPECT_NE(out.find("| longer | 23 |"), std::string::npos);
 }
 
-TEST(TableWriter, CsvSkipsSeparators) {
-  TableWriter t({"a", "b"});
-  t.add_row({"1", "2"});
-  t.add_separator();
-  t.add_row({"3", "4"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 }  // namespace
 }  // namespace cvmt

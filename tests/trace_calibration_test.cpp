@@ -3,7 +3,7 @@
 // 64KB/4-way/20-cycle memory system, IPCp with perfect memory).
 #include <gtest/gtest.h>
 
-#include "sim/simulation.hpp"
+#include "sim/session.hpp"
 
 namespace cvmt {
 namespace {
@@ -20,8 +20,8 @@ struct IpcPair {
 };
 
 IpcPair simulate(const std::string& name) {
-  ProgramLibrary lib(MachineConfig::vex4x4());
-  const auto program = lib.get(name);
+  const auto program =
+      ArtifactCache::global().program(name, MachineConfig::vex4x4());
   const Scheme single = Scheme::single_thread();
 
   SimConfig real_cfg = calibration_config();

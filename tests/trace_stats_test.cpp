@@ -3,14 +3,20 @@
 // op mix, the calibrated miss mix, and the intended locality structure.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mem/cache.hpp"
-#include "sim/simulation.hpp"
+#include "sim/session.hpp"
 #include "trace/trace_generator.hpp"
 
 namespace cvmt {
 namespace {
 
 const MachineConfig kM = MachineConfig::vex4x4();
+
+std::shared_ptr<const SyntheticProgram> program(std::string_view name) {
+  return ArtifactCache::global().program(name, kM);
+}
 
 struct StreamStats {
   std::uint64_t instructions = 0;
@@ -24,8 +30,7 @@ struct StreamStats {
 };
 
 StreamStats run_stream(const char* name, int n) {
-  ProgramLibrary lib(kM);
-  TraceGenerator gen(lib.get(name), 99);
+  TraceGenerator gen(program(name), 99);
   StreamStats s;
   for (int i = 0; i < n; ++i) {
     const Instruction& instr = gen.next();
@@ -87,8 +92,7 @@ TEST_P(TraceStatsTest, MeanOpsPerRealInstructionNearProfile) {
 
 TEST_P(TraceStatsTest, ColdMixMatchesCalibration) {
   const BenchmarkProfile& p = profile_by_name(GetParam());
-  ProgramLibrary lib(kM);
-  const auto prog = lib.get(p.name);
+  const auto prog = program(p.name);
   // Expected cold fraction = trip-weighted mean of per-loop miss_frac.
   double expect = 0.0, weight = 0.0;
   for (const auto& loop : prog->loops()) {
@@ -107,8 +111,7 @@ TEST_P(TraceStatsTest, ColdMixMatchesCalibration) {
 
 TEST_P(TraceStatsTest, HotWorkingSetStaysCacheResident) {
   const BenchmarkProfile& p = profile_by_name(GetParam());
-  ProgramLibrary lib(kM);
-  TraceGenerator gen(lib.get(p.name), 5);
+  TraceGenerator gen(program(p.name), 5);
   SetAssocCache dcache(CacheConfig{});  // the paper's 64KB 4-way
   std::uint64_t hot_total = 0, hot_miss = 0;
   for (int i = 0; i < 100'000; ++i) {
@@ -141,8 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TraceFairness, SymmetricThreadsGetEqualIssueShares) {
   // Round-robin rotation must not starve anyone: four copies of the same
   // benchmark under pure CSMT issue within a few percent of each other.
-  ProgramLibrary lib(kM);
-  const auto prog = lib.get("g721encode");
+  const auto prog = program("g721encode");
   std::vector<std::shared_ptr<const SyntheticProgram>> progs(4, prog);
   SimConfig cfg;
   cfg.instruction_budget = 60'000;

@@ -2,8 +2,8 @@
 // structural validity, determinism, resumability and statistical shape.
 #include <gtest/gtest.h>
 
-#include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,53 +62,6 @@ TEST(BenchmarkSuite, NineWorkloadsMatchTable2) {
                 to_char(profile_by_name(wl.benchmarks[
                     static_cast<std::size_t>(t)]).ilp))
           << wl.ilp_combo << " thread " << t;
-}
-
-TEST(ProgramLibrary, CachesAndLooksUp) {
-  ProgramLibrary lib(kM);
-  const auto a = lib.get("mcf");
-  const auto b = lib.get("mcf");
-  EXPECT_EQ(a.get(), b.get());  // shared
-  EXPECT_THROW((void)lib.lookup("idct"), CheckError);
-  lib.build_all();
-  EXPECT_NO_THROW((void)lib.lookup("idct"));
-}
-
-TEST(ProgramLibrary, ConcurrentGetIsSafeAndBuildsOnce) {
-  // Regression for the batch-runner scenario: many workers hammer one
-  // library with get() on a cold cache. Every caller must receive the
-  // same shared program per name (one build, no torn map state). Run a
-  // few rounds so the cold-start race is actually exercised.
-  for (int round = 0; round < 3; ++round) {
-    ProgramLibrary lib(kM);
-    constexpr int kThreads = 8;
-    const std::vector<std::string> names = {"mcf", "idct", "x264",
-                                            "colorspace"};
-    std::vector<std::future<std::vector<const SyntheticProgram*>>> futs;
-    for (int t = 0; t < kThreads; ++t)
-      futs.push_back(std::async(std::launch::async, [&lib, &names, t] {
-        std::vector<const SyntheticProgram*> got;
-        // Stagger the request order per thread to vary the interleaving.
-        for (std::size_t i = 0; i < names.size(); ++i)
-          got.push_back(
-              lib.get(names[(i + static_cast<std::size_t>(t)) %
-                            names.size()])
-                  .get());
-        return got;
-      }));
-    std::vector<std::vector<const SyntheticProgram*>> all;
-    for (auto& f : futs) all.push_back(f.get());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const SyntheticProgram* expected = lib.get(names[i]).get();
-      for (int t = 0; t < kThreads; ++t) {
-        const std::size_t slot =
-            (names.size() - static_cast<std::size_t>(t) % names.size() + i) %
-            names.size();
-        EXPECT_EQ(all[static_cast<std::size_t>(t)][slot], expected)
-            << names[i];
-      }
-    }
-  }
 }
 
 TEST(TraceGenerator, ResetReplaysBitIdentically) {

@@ -2,13 +2,19 @@
 // hand-written programs, and error reporting.
 #include <gtest/gtest.h>
 
-#include "sim/simulation.hpp"
+#include <memory>
+
+#include "sim/session.hpp"
 #include "trace/vex_asm.hpp"
 
 namespace cvmt {
 namespace {
 
 const MachineConfig kM = MachineConfig::vex4x4();
+
+std::shared_ptr<const SyntheticProgram> program(std::string_view name) {
+  return ArtifactCache::global().program(name, kM);
+}
 
 const char* kMiniProgram = R"(
 # A two-loop hand-written program.
@@ -57,8 +63,7 @@ TEST(VexAsm, ParsedProgramExecutes) {
 
 TEST(VexAsm, RoundTripIsExact) {
   for (const char* name : {"mcf", "idct", "colorspace"}) {
-    ProgramLibrary lib(kM);
-    const auto original = lib.get(name);
+    const auto original = program(name);
     const std::string text = dump_program(*original);
     const auto reparsed = parse_program(text, kM);
     EXPECT_EQ(dump_program(*reparsed), text) << name;
@@ -66,8 +71,7 @@ TEST(VexAsm, RoundTripIsExact) {
 }
 
 TEST(VexAsm, ReparsedProgramSimulatesIdentically) {
-  ProgramLibrary lib(kM);
-  const auto original = lib.get("djpeg");
+  const auto original = program("djpeg");
   const auto reparsed = parse_program(dump_program(*original), kM);
   // Same stream seed => identical dynamic streams.
   TraceGenerator a(original, 11), b(reparsed, 11);
@@ -79,8 +83,7 @@ TEST(VexAsm, ReparsedProgramSimulatesIdentically) {
 }
 
 TEST(VexAsm, ReparsedProgramMatchesEndToEndSimulation) {
-  ProgramLibrary lib(kM);
-  const auto original = lib.get("cjpeg");
+  const auto original = program("cjpeg");
   const auto reparsed = parse_program(dump_program(*original), kM);
   SimConfig cfg;
   cfg.instruction_budget = 20'000;
@@ -93,8 +96,7 @@ TEST(VexAsm, ReparsedProgramMatchesEndToEndSimulation) {
 }
 
 TEST(VexAsm, DumpContainsMachineAndLoops) {
-  ProgramLibrary lib(kM);
-  const std::string text = dump_program(*lib.get("gsmencode"));
+  const std::string text = dump_program(*program("gsmencode"));
   EXPECT_NE(text.find(".program gsmencode"), std::string::npos);
   EXPECT_NE(text.find(".machine clusters=4 issue=4"), std::string::npos);
   EXPECT_NE(text.find(".loop "), std::string::npos);
