@@ -72,15 +72,15 @@ std::vector<Token> tokenize(std::string_view body) {
   std::size_t i = 0;
   while (i < body.size()) {
     const char c = body[i++];
-    CVMT_CHECK_MSG(c == 'S' || c == 'C',
-                   "scheme letter must be S or C: " + excerpt(body));
+    CVMT_REQUIRE(c == 'S' || c == 'C',
+                 "scheme letter must be S or C: " + excerpt(body));
     MergeKind kind = c == 'S' ? MergeKind::kSmt : MergeKind::kCsmt;
     int width = 2;
     if (i < body.size() && std::isdigit(static_cast<unsigned char>(body[i]))) {
       width = body[i++] - '0';
-      CVMT_CHECK_MSG(width >= 2, "block subscript must be >= 2");
-      CVMT_CHECK_MSG(kind == MergeKind::kCsmt,
-                     "parallel SMT blocks (S_k) are not supported");
+      CVMT_REQUIRE(width >= 2, "block subscript must be >= 2");
+      CVMT_REQUIRE(kind == MergeKind::kCsmt,
+                   "parallel SMT blocks (S_k) are not supported");
     }
     tokens.push_back({kind, width});
   }
@@ -110,7 +110,7 @@ class FunctionalParser {
   Scheme::Node parse() {
     Scheme::Node n = expr(1);
     skip_ws();
-    CVMT_CHECK_MSG(pos_ == text_.size(), "trailing input in scheme");
+    CVMT_REQUIRE(pos_ == text_.size(), "trailing input in scheme");
     return n;
   }
 
@@ -121,11 +121,11 @@ class FunctionalParser {
   /// is rejected before recursing, which bounds the stack on untrusted
   /// input.
   Scheme::Node expr(int depth) {
-    CVMT_CHECK_MSG(depth <= kMaxThreads,
-                   "scheme nests deeper than " +
-                       std::to_string(kMaxThreads) + " levels");
+    CVMT_REQUIRE(depth <= kMaxThreads,
+                 "scheme nests deeper than " +
+                     std::to_string(kMaxThreads) + " levels");
     skip_ws();
-    CVMT_CHECK_MSG(pos_ < text_.size(), "unexpected end of scheme");
+    CVMT_REQUIRE(pos_ < text_.size(), "unexpected end of scheme");
     const char c = text_[pos_];
     if (std::isdigit(static_cast<unsigned char>(c))) {
       const std::size_t start = pos_;
@@ -133,7 +133,7 @@ class FunctionalParser {
              std::isdigit(static_cast<unsigned char>(text_[pos_])))
         ++pos_;
       const int port = small_decimal(text_.substr(start, pos_ - start));
-      CVMT_CHECK_MSG(port >= 0, "thread id in scheme has more than 3 digits");
+      CVMT_REQUIRE(port >= 0, "thread id in scheme has more than 3 digits");
       return leaf(port);
     }
     MergeKind kind;
@@ -152,8 +152,8 @@ class FunctionalParser {
         ++pos_;
       }
     } else {
-      CVMT_CHECK_MSG(false, std::string("unexpected character '") + c +
-                                "' in scheme");
+      CVMT_REQUIRE(false, std::string("unexpected character '") + c +
+                              "' in scheme");
       __builtin_unreachable();
     }
     expect('(');
@@ -171,8 +171,8 @@ class FunctionalParser {
 
   void expect(char c) {
     skip_ws();
-    CVMT_CHECK_MSG(pos_ < text_.size() && text_[pos_] == c,
-                   std::string("expected '") + c + "' in scheme");
+    CVMT_REQUIRE(pos_ < text_.size() && text_[pos_] == c,
+                 std::string("expected '") + c + "' in scheme");
     ++pos_;
   }
   void skip_ws() {
@@ -222,12 +222,12 @@ std::string Scheme::validate(const Node& root) {
 Scheme::Scheme(std::string name, Node root)
     : name_(std::move(name)), root_(std::move(root)) {
   const std::string err = validate_tree(root_, num_threads_);
-  CVMT_CHECK_MSG(err.empty(), "malformed scheme tree: " + err);
+  CVMT_REQUIRE(err.empty(), "malformed scheme tree: " + err);
 }
 
 Scheme Scheme::parse(std::string_view text) {
   const std::string s = to_upper(trim(text));
-  CVMT_CHECK_MSG(!s.empty(), "empty scheme name");
+  CVMT_REQUIRE(!s.empty(), "empty scheme name");
 
   if (s.find('(') != std::string::npos) {
     FunctionalParser p(s);
@@ -241,14 +241,16 @@ Scheme Scheme::parse(std::string_view text) {
         return std::isdigit(c) != 0;
       })) {
     const int port = small_decimal(s);
-    CVMT_CHECK_MSG(port >= 0, "scheme cannot be a bare number: " + excerpt(s));
+    CVMT_REQUIRE(port >= 0, "scheme cannot be a bare number: " + excerpt(s));
     return Scheme(s, leaf(port));
   }
 
   // "IMT<k>": the interleaved-multithreading baseline.
   if (s.rfind("IMT", 0) == 0) {
     const int k = small_decimal(std::string_view(s).substr(3));
-    CVMT_CHECK_MSG(k >= 0, "malformed IMT scheme name: " + excerpt(s));
+    CVMT_REQUIRE(k >= 2 && k <= kMaxThreads,
+                 "malformed IMT scheme name (IMT<k>, k in 2.." +
+                     std::to_string(kMaxThreads) + "): " + excerpt(s));
     Scheme sch = imt(k);
     return Scheme(s, sch.root());
   }
@@ -257,19 +259,21 @@ Scheme Scheme::parse(std::string_view text) {
   if (s[0] == 'C' && s.size() >= 2 &&
       std::isdigit(static_cast<unsigned char>(s[1]))) {
     const int k = small_decimal(std::string_view(s).substr(1));
-    CVMT_CHECK_MSG(k >= 0, "malformed parallel scheme name: " + excerpt(s));
+    CVMT_REQUIRE(k >= 2 && k <= kMaxThreads,
+                 "malformed parallel scheme name (C<k>, k in 2.." +
+                     std::to_string(kMaxThreads) + "): " + excerpt(s));
     Scheme sch = parallel_csmt(k);
     return Scheme(s, sch.root());
   }
 
-  CVMT_CHECK_MSG(std::isdigit(static_cast<unsigned char>(s[0])),
-                 "scheme name must start with level count or C<k>: " +
-                     excerpt(s));
+  CVMT_REQUIRE(std::isdigit(static_cast<unsigned char>(s[0])),
+               "scheme name must start with level count or C<k>: " +
+                   excerpt(s));
   const int levels = s[0] - '0';
   const std::vector<Token> tokens = tokenize(std::string_view(s).substr(1));
-  CVMT_CHECK_MSG(static_cast<int>(tokens.size()) == levels,
-                 "level digit does not match number of merge blocks: " +
-                     excerpt(s));
+  CVMT_REQUIRE(static_cast<int>(tokens.size()) == levels,
+               "level digit does not match number of merge blocks: " +
+                   excerpt(s));
 
   // Paper convention: "2XY" with two plain letters is the balanced tree of
   // Fig 8(l)-(o): X merges (T0,T1) and (T2,T3); Y merges the group results.

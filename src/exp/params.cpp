@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 
 #include "core/scheme.hpp"
 #include "isa/machine_file.hpp"
@@ -27,23 +28,26 @@ const char* to_string(ParamKind k) {
 
 void ExperimentParams::add_standard_flags(ArgParser& parser) {
   parser.add_flag("fast", "Smoke-test scale (small budget and timeslice).");
-  parser.add_u64("budget", "instrs", "Instruction budget per thread.");
-  parser.add_u64("timeslice", "cycles", "OS timeslice in cycles.");
+  parser.add_u64("budget", "instrs", "Instruction budget per thread (>= 1).");
+  parser.add_u64("timeslice", "cycles", "OS timeslice in cycles (>= 1).");
   parser.add_u64("workers", "n",
-                 "Batch-runner worker threads (0 = all hardware cores); "
-                 "results are bit-identical for any count.");
+                 "Batch-runner worker threads (0 = all hardware cores; "
+                 "more than 1024 means 1024); results are bit-identical "
+                 "for any count.");
   parser.add_string("stats", "level",
-                    "Merge-statistics accounting for the sweeps.",
-                    {"full", "fast"});
+                    "Merge-statistics accounting for the sweeps: full or "
+                    "fast.");
   parser.add_string("schemes", "a,b,...",
                     "Restrict to these schemes (paper names or functional "
                     "syntax).");
   parser.add_string("workloads", "a,b,...",
                     "Restrict to these Table 2 workloads (ILP combos).");
   parser.add_u64("clusters", "n",
-                 "Machine shape: cluster count (with --issue; default "
+                 "Machine shape: cluster count, 1..8 (with --issue; default "
                  "machine is the paper's 4x4 VEX).");
-  parser.add_u64("issue", "n", "Machine shape: issue width per cluster.");
+  parser.add_u64("issue", "n",
+                 "Machine shape: issue width per cluster, 1..8 (at most 32 "
+                 "slots in all).");
   parser.add_string("machine", "name|file",
                     "Machine description: a built-in name (see `cvmt "
                     "machines`) or a .machine file path. Sets the machine, "
@@ -62,13 +66,95 @@ void ExperimentParams::add_standard_flags(ArgParser& parser) {
                     "machine against a shared DIR.");
 }
 
+ExperimentParams ExperimentParams::from_json(const JsonValue& knobs) {
+  reject_unknown_keys(knobs, "\"params\"",
+                      {"fast", "budget", "timeslice", "workers", "stats",
+                       "schemes", "workloads", "machine", "clusters",
+                       "issue"});
+  ExperimentParams p;
+  SimConfig& sim = p.cfg.sim;
+
+  // Layers 1+2: defaults, then the fast scale. Layer 3: an explicit
+  // budget/timeslice beats the fast scale.
+  p.fast = get_bool_field(knobs, "fast", false);
+  if (p.fast) {
+    sim.instruction_budget = kFastInstructionBudget;
+    sim.timeslice_cycles = kFastTimesliceCycles;
+  }
+  sim.instruction_budget =
+      get_u64_field(knobs, "budget", sim.instruction_budget, 1);
+  sim.timeslice_cycles =
+      get_u64_field(knobs, "timeslice", sim.timeslice_cycles, 1);
+
+  p.cfg.batch.workers = static_cast<unsigned>(
+      std::min(get_u64_field(knobs, "workers", 0), kMaxWorkers));
+
+  // The experiment layer's sweeps are pure-IPC, so the default is kFast
+  // (the library SimConfig default stays kFull).
+  const std::string stats = get_string_field(knobs, "stats", "fast");
+  CVMT_REQUIRE(stats == "full" || stats == "fast",
+               "field \"stats\" must be \"full\" or \"fast\"");
+  sim.stats = stats == "full" ? StatsLevel::kFull : StatsLevel::kFast;
+
+  // Machine: only override the paper's vex4x4 when asked. A machine spec
+  // (built-in name or .machine file) sets machine + memory + switch
+  // policy as one unit and excludes the shape shorthand.
+  const std::string machine = get_string_field(knobs, "machine");
+  const std::uint64_t clusters =
+      get_u64_field(knobs, "clusters", 0, 0, kMaxClusters);
+  const std::uint64_t issue =
+      get_u64_field(knobs, "issue", 0, 0, kMaxIssuePerCluster);
+  if (!machine.empty()) {
+    CVMT_REQUIRE(clusters == 0 && issue == 0,
+                 "\"machine\" conflicts with \"clusters\"/\"issue\" (a "
+                 "machine description fixes the whole shape)");
+    const MachineDescription md = resolve_machine(machine);
+    sim.machine = md.machine;
+    sim.mem = md.mem;
+    sim.switch_policy = md.switch_policy;
+    p.machine_spec = machine;
+  } else if (clusters != 0 || issue != 0) {
+    const int c = clusters != 0 ? static_cast<int>(clusters) : 4;
+    const int w = issue != 0 ? static_cast<int>(issue) : 4;
+    CVMT_REQUIRE(c * w <= kMaxTotalOps,
+                 "\"clusters\" x \"issue\" is " + std::to_string(c * w) +
+                     " issue slots, more than the " +
+                     std::to_string(kMaxTotalOps) + " a machine can have");
+    sim.machine = MachineConfig::clustered(c, w);
+  }
+
+  // Filters, validated eagerly so a typo fails before hours of sweep.
+  p.schemes = get_string_array(knobs, "schemes");
+  for (const std::string& s : p.schemes) {
+    try {
+      (void)Scheme::parse(s);
+    } catch (const CheckError& e) {
+      throw CheckError("bad scheme \"" + excerpt(s) + "\" in \"schemes\": " +
+                       e.what());
+    }
+  }
+  p.workloads = get_string_array(knobs, "workloads");
+  const std::vector<Workload>& table2 = table2_workloads();
+  for (const std::string& w : p.workloads)
+    CVMT_REQUIRE(std::any_of(table2.begin(), table2.end(),
+                             [&](const Workload& t2) {
+                               return t2.ilp_combo == w;
+                             }),
+                 "unknown workload \"" + excerpt(w) +
+                     "\" in \"workloads\" (expected a Table 2 ILP combo "
+                     "such as LLHH)");
+  return p;
+}
+
 namespace {
 
-std::vector<std::string> parse_list(const std::string& csv) {
-  std::vector<std::string> out;
+/// A comma-separated flag value as a JSON array, items trimmed and empty
+/// items dropped.
+JsonValue list_of(const std::string& csv) {
+  JsonValue out = JsonValue::array();
   for (const std::string& item : split(csv, ',')) {
     const std::string_view trimmed = trim(item);
-    if (!trimmed.empty()) out.emplace_back(trimmed);
+    if (!trimmed.empty()) out.push_back(trimmed);
   }
   return out;
 }
@@ -76,76 +162,37 @@ std::vector<std::string> parse_list(const std::string& csv) {
 }  // namespace
 
 ExperimentParams ExperimentParams::resolve(const ArgParser& parser) {
-  ExperimentParams p;
-
-  // Layers 1+2: defaults, then the fast scale.
-  p.fast = parser.get_flag("fast");
-  if (p.fast) {
-    p.cfg.sim.instruction_budget = kFastInstructionBudget;
-    p.cfg.sim.timeslice_cycles = kFastTimesliceCycles;
+  JsonValue knobs = JsonValue::object();
+  if (parser.get_flag("fast")) knobs.set("fast", true);
+  for (const char* name :
+       {"budget", "timeslice", "workers", "clusters", "issue"}) {
+    if (!parser.set_on_cli(name)) continue;
+    // Digits beyond the JSON integer range become a double, as the JSON
+    // reader makes of them, and get the same rejection.
+    const std::uint64_t v = parser.get_u64(name, 0);
+    knobs.set(name, v <= static_cast<std::uint64_t>(
+                             std::numeric_limits<std::int64_t>::max())
+                        ? JsonValue(v)
+                        : JsonValue(static_cast<double>(v)));
   }
-  // Layer 3: an explicit --budget/--timeslice beats the fast scale.
-  p.cfg.sim.instruction_budget =
-      parser.get_u64("budget", p.cfg.sim.instruction_budget);
-  p.cfg.sim.timeslice_cycles =
-      parser.get_u64("timeslice", p.cfg.sim.timeslice_cycles);
-
-  constexpr std::uint64_t kMaxWorkers = std::numeric_limits<unsigned>::max();
-  p.cfg.batch.workers = static_cast<unsigned>(
-      std::min(parser.get_u64("workers", 0), kMaxWorkers));
-
-  // Stats: the experiment layer's sweeps are pure-IPC, so the resolved
-  // default is kFast (the library SimConfig default stays kFull). A bad
-  // --stats value was already rejected by the parser's choices.
-  p.cfg.sim.stats = parser.get_string("stats", "fast") == "full"
-                        ? StatsLevel::kFull
-                        : StatsLevel::kFast;
-
-  // Machine: only override the paper's vex4x4 when asked. A --machine
-  // spec (built-in name or .machine file) sets machine + memory + switch
-  // policy as one unit and excludes the shape shorthand flags.
-  const std::uint64_t clusters = parser.get_u64("clusters", 0);
-  const std::uint64_t issue = parser.get_u64("issue", 0);
-  const std::string machine_spec = parser.get_string("machine", "");
-  if (!machine_spec.empty()) {
-    CVMT_CHECK_MSG(clusters == 0 && issue == 0,
-                   "--machine conflicts with --clusters/--issue (a machine "
-                   "file fixes the whole shape)");
-    const MachineDescription md = resolve_machine(machine_spec);
-    p.cfg.sim.machine = md.machine;
-    p.cfg.sim.mem = md.mem;
-    p.cfg.sim.switch_policy = md.switch_policy;
-    p.machine_spec = machine_spec;
-  } else if (clusters != 0 || issue != 0) {
-    p.cfg.sim.machine =
-        MachineConfig::clustered(static_cast<int>(clusters ? clusters : 4),
-                                 static_cast<int>(issue ? issue : 4));
-  }
+  for (const char* name : {"stats", "machine"})
+    if (parser.set_on_cli(name)) knobs.set(name, parser.get_string(name, ""));
+  for (const char* name : {"schemes", "workloads"})
+    if (parser.set_on_cli(name))
+      knobs.set(name, list_of(parser.get_string(name, "")));
+  ExperimentParams p = from_json(knobs);
 
   // Store and shard, validated eagerly: a malformed --shard must fail up
   // front, not silently compute the whole grid.
   p.store_dir = parser.get_string("store", "");
   const std::string shard = parser.get_string("shard", "");
   if (!shard.empty()) {
-    CVMT_CHECK_MSG(!p.store_dir.empty(),
-                   "--shard requires --store (the shard logs need a "
-                   "directory)");
+    CVMT_REQUIRE(!p.store_dir.empty(),
+                 "--shard requires --store (the shard logs need a "
+                 "directory)");
     const ShardSpec spec = parse_shard_spec(shard);
     p.shard_index = spec.index;
     p.shard_count = spec.count;
-  }
-
-  // Filters, validated eagerly so a typo fails before hours of sweep.
-  p.schemes = parse_list(parser.get_string("schemes", ""));
-  for (const std::string& s : p.schemes) (void)Scheme::parse(s);
-  p.workloads = parse_list(parser.get_string("workloads", ""));
-  for (const std::string& w : p.workloads) {
-    bool known = false;
-    for (const Workload& t2 : table2_workloads())
-      known = known || t2.ilp_combo == w;
-    CVMT_CHECK_MSG(known, "unknown workload \"" + w +
-                              "\" (expected a Table 2 ILP combo such as "
-                              "LLHH)");
   }
   return p;
 }
@@ -174,8 +221,8 @@ JsonValue ExperimentParams::to_manifest_json(std::string_view experiment,
     // the merge would report missing points).
     machine.set("spec", machine_spec);
   } else if (!(cfg.sim.machine == MachineConfig::vex4x4())) {
-    // Without a spec the only non-default shapes resolve() can produce
-    // are the homogeneous --clusters/--issue ones.
+    // Without a spec the only non-default shapes from_json() can produce
+    // are the homogeneous clusters/issue ones.
     machine.set("clusters", cfg.sim.machine.num_clusters);
     machine.set("issue", cfg.sim.machine.issue_per_cluster);
   }
@@ -185,43 +232,32 @@ JsonValue ExperimentParams::to_manifest_json(std::string_view experiment,
 
 ExperimentParams ExperimentParams::from_manifest_json(
     const JsonValue& manifest, std::string* experiment_out) {
-  CVMT_CHECK_MSG(manifest.get("version").as_int() == 1,
-                 "store manifest version " +
-                     std::to_string(manifest.get("version").as_int()) +
-                     " is newer than this build understands");
+  CVMT_REQUIRE(manifest.kind() == JsonValue::Kind::kObject,
+               "store manifest must be a JSON object");
+  const std::uint64_t version = get_u64_field(manifest, "version", 0);
+  CVMT_REQUIRE(version == 1, "store manifest version " +
+                                 std::to_string(version) +
+                                 " is not the version 1 this build reads");
   if (experiment_out != nullptr)
-    *experiment_out = manifest.get("experiment").as_string();
-  ExperimentParams p;
-  p.fast = manifest.get("fast").as_bool();
-  p.cfg.sim.instruction_budget =
-      static_cast<std::uint64_t>(manifest.get("budget").as_int());
-  p.cfg.sim.timeslice_cycles =
-      static_cast<std::uint64_t>(manifest.get("timeslice").as_int());
-  p.cfg.sim.stats = manifest.get("stats").as_string() == "full"
-                        ? StatsLevel::kFull
-                        : StatsLevel::kFast;
-  const JsonValue& machine = manifest.get("machine");
-  if (const JsonValue* spec = machine.find("spec"); spec != nullptr) {
-    const MachineDescription md = resolve_machine(spec->as_string());
-    p.cfg.sim.machine = md.machine;
-    p.cfg.sim.mem = md.mem;
-    p.cfg.sim.switch_policy = md.switch_policy;
-    p.machine_spec = spec->as_string();
-  } else if (const JsonValue* clusters = machine.find("clusters");
-             clusters != nullptr) {
-    p.cfg.sim.machine = MachineConfig::clustered(
-        static_cast<int>(clusters->as_int()),
-        static_cast<int>(machine.get("issue").as_int()));
+    *experiment_out = get_string_field(manifest, "experiment");
+  JsonValue knobs = JsonValue::object();
+  for (const auto& [key, value] : manifest.members()) {
+    if (key == "version" || key == "experiment" || key == "shards") continue;
+    if (key != "machine") {
+      knobs.set(key, value);
+      continue;
+    }
+    // machine: {} (the default), {"spec": ...} or {"clusters", "issue"}.
+    CVMT_REQUIRE(value.kind() == JsonValue::Kind::kObject,
+                 "field \"machine\" of a store manifest must be an object");
+    reject_unknown_keys(value, "manifest \"machine\"",
+                        {"spec", "clusters", "issue"});
+    for (const auto& [field, v] : value.members())
+      knobs.set(field == "spec" ? "machine" : field, v);
   }
-  const JsonValue& scheme_arr = manifest.get("schemes");
-  for (std::size_t i = 0; i < scheme_arr.size(); ++i)
-    p.schemes.push_back(scheme_arr.at(i).as_string());
-  const JsonValue& workload_arr = manifest.get("workloads");
-  for (std::size_t i = 0; i < workload_arr.size(); ++i)
-    p.workloads.push_back(workload_arr.at(i).as_string());
   // shard_index/count stay 0/1: the replay run sees the whole grid (the
   // SweepStore carries the manifest's shard count for its diagnostics).
-  return p;
+  return from_json(knobs);
 }
 
 }  // namespace cvmt

@@ -1,20 +1,40 @@
 // The declared parameter schema of the experiment registry: which knobs an
-// experiment consumes, and the resolution of those knobs from CLI flags.
+// experiment consumes, and the one resolver that turns knobs into
+// parameters.
 //
-// Resolution order (documented contract of the driver):
-//   1. SimConfig built-in defaults (400k budget, 50k timeslice, vex4x4)
-//   2. fast scale (--fast): kFastBudget/kFastTimeslice
-//   3. --budget / --timeslice
-// Workers, stats and machine shape resolve flag > default. The
-// environment is never read: a flag is the only way to set a knob.
+// Every knob reaches a run as a member of one JSON "knob object", the
+// object serve accepts as "params":
+//
+//   fast       bool     smoke scale: kFastInstructionBudget and
+//                       kFastTimesliceCycles
+//   budget     1..      instructions per thread (default 400k)
+//   timeslice  1..      OS timeslice in cycles (default 50k)
+//   workers    0..      batch-runner threads, 0 = all cores; above
+//                       kMaxWorkers it is clamped (results are
+//                       bit-identical for any count)
+//   stats      "full" | "fast" (default "fast")
+//   schemes    [names]  scheme filter, each checked by Scheme::parse
+//   workloads  [names]  Table 2 ILP combos
+//   machine    name or .machine path ("" = not given)
+//   clusters   0..kMaxClusters          0 = not given; the shape is
+//   issue      0..kMaxIssuePerCluster   clusters x issue, 4 when 0, at
+//                                       most kMaxTotalOps slots
+//
+// from_json() applies the rules once: type and range checks before any
+// narrowing cast, the layering (defaults, then fast, then budget/
+// timeslice), the machine vs clusters/issue conflict, eager filter
+// validation and unknown-key rejection. Each entry point only translates
+// its input into a knob object: resolve() the knob flags given on the
+// command line, serve's parse_request a request's "params" or "config",
+// and from_manifest_json() a store manifest. Errors are CheckErrors whose
+// message names the knob and carries no source path.
 //
 // Stats level is an explicit field here, not an implicit split: the
 // library's SimConfig defaults to StatsLevel::kFull (a bare run_simulation
 // call gets full diagnostics), while the experiment layer resolves to
 // kFast because the paper sweeps are pure-IPC. Experiments that read
 // merge-node counters declare `forces_full_stats` and override the
-// resolved level; `cvmt list` surfaces that. An unrecognized --stats
-// value is a hard CLI error.
+// resolved level; `cvmt list` surfaces that.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +63,10 @@ enum class ParamKind : std::uint8_t {
 
 /// Fully resolved parameters handed to an experiment runner.
 struct ExperimentParams {
-  ExperimentConfig cfg;  ///< sim + batch knobs (see resolution order above)
+  ExperimentConfig cfg;  ///< sim + batch knobs (see from_json)
   bool fast = false;     ///< fast scale requested (--fast)
   /// Scheme filter (paper names or functional syntax); empty = the
-  /// experiment's default set. Validated by resolve() via Scheme::parse.
+  /// experiment's default set. Validated by from_json() via Scheme::parse.
   std::vector<std::string> schemes;
   /// Workload filter (Table 2 ILP combos); empty = all nine.
   std::vector<std::string> workloads;
@@ -65,12 +85,22 @@ struct ExperimentParams {
   unsigned shard_index = 0;
   unsigned shard_count = 1;
 
+  /// More batch-runner threads than this are clamped to it.
+  static constexpr std::uint64_t kMaxWorkers = 1024;
+
   /// Declares the standard experiment flags on `parser` (all of them;
   /// whether an experiment consumes a knob is the schema's concern).
   static void add_standard_flags(ArgParser& parser);
 
-  /// Resolves flags over defaults. Throws CheckError on an invalid
-  /// scheme/workload filter value (caller prints the message).
+  /// Resolves a knob object (an object holding the keys listed at the
+  /// top of this file) over the defaults. Throws CheckError naming the
+  /// knob on a wrong type, an out-of-range value, a conflict, a bad
+  /// filter entry or an unknown key.
+  [[nodiscard]] static ExperimentParams from_json(const JsonValue& knobs);
+
+  /// The knob flags set on the command line, resolved by from_json, then
+  /// --store/--shard (validated only after every knob passed, so a bad
+  /// knob touches no store directory). Throws CheckError.
   [[nodiscard]] static ExperimentParams resolve(const ArgParser& parser);
 
   /// The store manifest describing this parameter set for `experiment`
@@ -83,8 +113,10 @@ struct ExperimentParams {
 
   /// Inverse of to_manifest_json: rebuilds the resolved parameter set a
   /// manifest describes (`cvmt merge` runs the experiment under these,
-  /// reproducing the unsharded output bytes). Returns the experiment id
-  /// through `experiment_out`.
+  /// reproducing the unsharded output bytes). A manifest is a knob object
+  /// with the machine nested, plus version, experiment and shard count;
+  /// from_json resolves it. Returns the experiment id through
+  /// `experiment_out`. Throws CheckError.
   [[nodiscard]] static ExperimentParams from_manifest_json(
       const JsonValue& manifest, std::string* experiment_out);
 };

@@ -323,10 +323,10 @@ MachineDescription resolve_machine(const std::string& spec) {
   MachineDescription d;
   if (find_builtin_machine(spec, d)) return d;
   std::ifstream probe(spec);
-  CVMT_CHECK_MSG(probe.good(),
-                 "unknown machine '" + spec +
-                     "': not a built-in machine and not a readable "
-                     ".machine file");
+  CVMT_REQUIRE(probe.good(),
+               "unknown machine '" + excerpt(spec) +
+                   "': not a built-in machine and not a readable "
+                   ".machine file");
   return load_machine_file(spec);
 }
 

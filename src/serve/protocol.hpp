@@ -15,6 +15,11 @@
 //                  {"code": <code>, "message": <text>
 //                   [, "retry_after_ms": N]}}
 //
+// An experiment's "params" and a run's "config" are knob objects, resolved
+// by ExperimentParams::from_json, the resolver `cvmt run` and `cvmt merge`
+// use: the same input is accepted or rejected, with the same message, on
+// every path.
+//
 // Error codes are a closed set (serve_error_code_name); "overloaded"
 // carries retry_after_ms — the admission queue was full and the client
 // should back off, nothing was executed. The full grammar, the
@@ -98,10 +103,12 @@ class RequestError : public std::runtime_error {
   JsonValue id_;
 };
 
-/// Parses one request line; throws RequestError on malformed input.
-/// Parameter resolution is self-contained: defaults + request fields
-/// only — the daemon's own flags never reach a request, so identical
-/// requests yield identical results on any server.
+/// Parses one request line; throws RequestError on malformed input (every
+/// CheckError from a field reader or the resolver becomes bad_request with
+/// the request's id). Parameter resolution is self-contained: defaults +
+/// request fields only — the daemon's own flags never reach a request, so
+/// identical requests yield identical results on any server. An absent
+/// "workers" in "params" means 1, not all cores.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 // --- response builders (compact single-line JSON, no trailing \n) --------

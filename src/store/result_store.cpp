@@ -30,9 +30,8 @@ ShardSpec parse_shard_spec(const std::string& spec) {
       parse_u64_token(spec.substr(0, slash), index) &&
       parse_u64_token(spec.substr(slash + 1), count) && count >= 1 &&
       count <= 4096 && index < count;
-  CVMT_CHECK_MSG(ok, "--shard/CVMT_SHARD must be k/n with 0 <= k < n <= "
-                     "4096, got '" +
-                         spec + "'");
+  CVMT_REQUIRE(ok, "--shard must be k/n with 0 <= k < n <= 4096, got '" +
+                       excerpt(spec) + "'");
   return ShardSpec{static_cast<unsigned>(index),
                    static_cast<unsigned>(count)};
 }

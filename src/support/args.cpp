@@ -41,17 +41,6 @@ void ArgParser::add_u64(std::string name, std::string value_name,
   options_.push_back(std::move(opt));
 }
 
-void ArgParser::add_double(std::string name, std::string value_name,
-                           std::string help) {
-  check_new_name(name);
-  Option opt;
-  opt.name = std::move(name);
-  opt.value_name = std::move(value_name);
-  opt.help = std::move(help);
-  opt.kind = OptKind::kDouble;
-  options_.push_back(std::move(opt));
-}
-
 void ArgParser::add_string(std::string name, std::string value_name,
                            std::string help,
                            std::vector<std::string> choices) {
@@ -109,20 +98,6 @@ bool ArgParser::apply_value(Option& opt, std::string_view value) {
         return false;
       }
       opt.u64_value = v;
-      return true;
-    }
-    case OptKind::kDouble: {
-      double v = 0.0;
-      const auto [p, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), v);
-      if (ec != std::errc() || p != value.data() + value.size() ||
-          value.empty()) {
-        std::fprintf(stderr, "%s: --%s expects a number, got \"%.*s\"\n",
-                     program_.c_str(), opt.name.c_str(),
-                     static_cast<int>(value.size()), value.data());
-        return false;
-      }
-      opt.double_value = v;
       return true;
     }
     case OptKind::kString: {
@@ -232,11 +207,6 @@ std::uint64_t ArgParser::get_u64(std::string_view name,
                                  std::uint64_t fallback) const {
   const Option& opt = require(name, OptKind::kU64);
   return opt.set ? opt.u64_value : fallback;
-}
-
-double ArgParser::get_double(std::string_view name, double fallback) const {
-  const Option& opt = require(name, OptKind::kDouble);
-  return opt.set ? opt.double_value : fallback;
 }
 
 std::string ArgParser::get_string(std::string_view name,

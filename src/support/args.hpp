@@ -31,8 +31,6 @@ class ArgParser {
   // Option declarations.
   void add_flag(std::string name, std::string help);
   void add_u64(std::string name, std::string value_name, std::string help);
-  void add_double(std::string name, std::string value_name,
-                  std::string help);
   /// `choices` non-empty restricts CLI values (error otherwise).
   void add_string(std::string name, std::string value_name,
                   std::string help, std::vector<std::string> choices = {});
@@ -51,8 +49,6 @@ class ArgParser {
   [[nodiscard]] bool get_flag(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_u64(std::string_view name,
                                       std::uint64_t fallback) const;
-  [[nodiscard]] double get_double(std::string_view name,
-                                  double fallback) const;
   [[nodiscard]] std::string get_string(std::string_view name,
                                        std::string_view fallback) const;
 
@@ -70,7 +66,7 @@ class ArgParser {
   void print_help(std::ostream& os) const;
 
  private:
-  enum class OptKind : std::uint8_t { kFlag, kU64, kDouble, kString };
+  enum class OptKind : std::uint8_t { kFlag, kU64, kString };
 
   struct Option {
     std::string name;
@@ -81,7 +77,6 @@ class ArgParser {
     bool set = false;
     bool flag_value = false;
     std::uint64_t u64_value = 0;
-    double double_value = 0.0;
     std::string string_value;
   };
 

@@ -3,7 +3,10 @@
 // CVMT_CHECK is always on (simulation correctness depends on it: a merge
 // engine that silently issues a conflicting packet would corrupt every
 // downstream figure). CVMT_DCHECK compiles out in NDEBUG builds and is meant
-// for hot-loop assertions.
+// for hot-loop assertions. CVMT_REQUIRE rejects bad input: its CheckError
+// carries the message alone, without the expression and source location
+// that a broken invariant reports, because it is addressed to whoever
+// typed the flag, request field or scheme name.
 #pragma once
 
 #include <sstream>
@@ -41,6 +44,11 @@ namespace detail {
   do {                                                                \
     if (!(expr))                                                      \
       ::cvmt::detail::check_failed(#expr, __FILE__, __LINE__, (msg)); \
+  } while (0)
+
+#define CVMT_REQUIRE(expr, msg)                  \
+  do {                                           \
+    if (!(expr)) throw ::cvmt::CheckError(msg);  \
   } while (0)
 
 #ifdef NDEBUG

@@ -18,14 +18,6 @@ std::string_view to_string(ColumnType t) {
   return "?";
 }
 
-ColumnType column_type_from_string(std::string_view s) {
-  if (s == "string") return ColumnType::kString;
-  if (s == "real") return ColumnType::kReal;
-  if (s == "int") return ColumnType::kInt;
-  CVMT_CHECK_MSG(false, "unknown column type: " + std::string(s));
-  __builtin_unreachable();
-}
-
 ColumnSpec ColumnSpec::str(std::string name) {
   ColumnSpec c;
   c.name = std::move(name);
@@ -204,106 +196,6 @@ void Dataset::write_csv(std::ostream& os) const {
   }
 }
 
-Dataset Dataset::from_csv(std::vector<ColumnSpec> columns,
-                          std::string_view text) {
-  // Minimal CSV reader for write_csv output: quoted fields may contain
-  // commas/newlines; "" inside quotes is a literal quote.
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  bool line_has_content = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      line_has_content = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-      line_has_content = true;
-    } else if (c == '\n') {
-      if (line_has_content || !field.empty()) {
-        fields.push_back(std::move(field));
-        records.push_back(std::move(fields));
-      }
-      field.clear();
-      fields.clear();
-      line_has_content = false;
-    } else if (c != '\r') {
-      field += c;
-    }
-  }
-  CVMT_CHECK_MSG(!in_quotes, "unterminated quoted CSV field");
-  if (line_has_content || !field.empty()) {
-    fields.push_back(std::move(field));
-    records.push_back(std::move(fields));
-  }
-  CVMT_CHECK_MSG(!records.empty(), "CSV text has no header row");
-
-  Dataset ds(std::move(columns));
-  CVMT_CHECK_MSG(records.front().size() == ds.columns_.size(),
-                 "CSV header width does not match the declared columns");
-  for (std::size_t c = 0; c < ds.columns_.size(); ++c)
-    CVMT_CHECK_MSG(records.front()[c] == ds.columns_[c].name,
-                   "CSV header mismatch at column " + std::to_string(c));
-
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    const auto& rec = records[r];
-    CVMT_CHECK_MSG(rec.size() == ds.columns_.size(),
-                   "CSV row width mismatch at row " + std::to_string(r));
-    std::vector<Cell> cells;
-    cells.reserve(rec.size());
-    for (std::size_t c = 0; c < rec.size(); ++c) {
-      const std::string& f = rec[c];
-      switch (ds.columns_[c].type) {
-        case ColumnType::kString: cells.emplace_back(f); break;
-        case ColumnType::kReal: {
-          if (f.empty()) {
-            cells.emplace_back(std::monostate{});
-            break;
-          }
-          double d = 0.0;
-          const auto [p, ec] =
-              std::from_chars(f.data(), f.data() + f.size(), d);
-          CVMT_CHECK_MSG(ec == std::errc() && p == f.data() + f.size(),
-                         "bad real CSV field: " + f);
-          cells.emplace_back(d);
-          break;
-        }
-        case ColumnType::kInt: {
-          if (f.empty()) {
-            cells.emplace_back(std::monostate{});
-            break;
-          }
-          std::int64_t i = 0;
-          const auto [p, ec] =
-              std::from_chars(f.data(), f.data() + f.size(), i);
-          CVMT_CHECK_MSG(ec == std::errc() && p == f.data() + f.size(),
-                         "bad integer CSV field: " + f);
-          cells.emplace_back(i);
-          break;
-        }
-      }
-    }
-    ds.add_row(std::move(cells));
-  }
-  return ds;
-}
-
 JsonValue Dataset::to_json() const {
   JsonValue cols = JsonValue::array();
   for (const ColumnSpec& c : columns_) {
@@ -332,39 +224,6 @@ JsonValue Dataset::to_json() const {
   out.set("columns", std::move(cols));
   out.set("rows", std::move(rows));
   return out;
-}
-
-Dataset Dataset::from_json(const JsonValue& v) {
-  const JsonValue& cols = v.get("columns");
-  std::vector<ColumnSpec> specs;
-  for (std::size_t c = 0; c < cols.size(); ++c) {
-    ColumnSpec spec;
-    spec.name = cols.at(c).get("name").as_string();
-    spec.type = column_type_from_string(cols.at(c).get("type").as_string());
-    specs.push_back(std::move(spec));
-  }
-  Dataset ds(std::move(specs));
-  const JsonValue& rows = v.get("rows");
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    const JsonValue& jrow = rows.at(r);
-    CVMT_CHECK_MSG(jrow.size() == ds.columns_.size(),
-                   "JSON row width mismatch at row " + std::to_string(r));
-    std::vector<Cell> cells;
-    for (std::size_t c = 0; c < jrow.size(); ++c) {
-      const JsonValue& jc = jrow.at(c);
-      if (jc.is_null()) {
-        cells.emplace_back(std::monostate{});
-        continue;
-      }
-      switch (ds.columns_[c].type) {
-        case ColumnType::kString: cells.emplace_back(jc.as_string()); break;
-        case ColumnType::kReal: cells.emplace_back(jc.as_double()); break;
-        case ColumnType::kInt: cells.emplace_back(jc.as_int()); break;
-      }
-    }
-    ds.add_row(std::move(cells));
-  }
-  return ds;
 }
 
 }  // namespace cvmt

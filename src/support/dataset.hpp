@@ -3,7 +3,8 @@
 // with a declared type and formatting hints, row-major cells in stable
 // insertion order — that renders to an aligned ASCII table (byte-identical
 // to the historical per-figure TableWriter output), to CSV (full numeric
-// precision) or to JSON (typed values, see to_json/from_json).
+// precision) or to JSON (typed values). It is written, never read back:
+// nothing parses CSV or JSON into a Dataset.
 //
 // The typed per-figure row structs (Table1Row, Fig10Result, ...) remain as
 // thin views for the tests and for computation; a Dataset is what crosses
@@ -29,7 +30,6 @@ enum class ColumnType : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ColumnType t);
-[[nodiscard]] ColumnType column_type_from_string(std::string_view s);
 
 /// Declaration of one Dataset column: the value type plus the formatting
 /// hints that reproduce the paper-style table rendering.
@@ -38,7 +38,7 @@ struct ColumnSpec {
   ColumnType type = ColumnType::kString;
   int decimals = 2;        ///< kReal: fixed fractional digits in tables
   bool grouped = false;    ///< kInt: thousands separators in tables
-  std::string suffix;      ///< appended to table/CSV text ("%", "x")
+  std::string suffix;      ///< appended to table text ("%", "x")
   std::string null_text;   ///< table text for a null cell (default "")
 
   [[nodiscard]] static ColumnSpec str(std::string name);
@@ -92,15 +92,10 @@ class Dataset {
   /// with shortest-round-trip precision (not the table's fixed decimals),
   /// strings are quoted only when they contain ',', '"' or newlines.
   void write_csv(std::ostream& os) const;
-  /// Parses write_csv output back into a Dataset with `columns`.
-  [[nodiscard]] static Dataset from_csv(std::vector<ColumnSpec> columns,
-                                        std::string_view text);
 
   /// JSON object {"columns":[{"name","type"},...],"rows":[[...],...]}.
   /// Null cells become JSON null; separators are dropped.
   [[nodiscard]] JsonValue to_json() const;
-  /// Rebuilds from to_json output (formatting hints reset to defaults).
-  [[nodiscard]] static Dataset from_json(const JsonValue& v);
 
  private:
   std::vector<ColumnSpec> columns_;

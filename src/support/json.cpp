@@ -1,5 +1,6 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -9,6 +10,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/string_util.hpp"
 
 namespace cvmt {
 
@@ -403,6 +405,71 @@ class JsonParser {
 
 JsonValue JsonValue::parse(std::string_view text) {
   return JsonParser(text).parse_document();
+}
+
+// ------------------------------------------------------- field readers
+
+namespace {
+
+std::string field(std::string_view key) {
+  return "field \"" + std::string(key) + "\" ";
+}
+
+}  // namespace
+
+std::uint64_t get_u64_field(const JsonValue& obj, std::string_view key,
+                            std::uint64_t fallback, std::uint64_t min,
+                            std::uint64_t max) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  CVMT_REQUIRE(v->kind() == JsonValue::Kind::kInt && v->as_int() >= 0,
+               field(key) + "must be a non-negative integer below 2^63");
+  const auto u = static_cast<std::uint64_t>(v->as_int());
+  CVMT_REQUIRE(u >= min, field(key) + "must be >= " + std::to_string(min));
+  CVMT_REQUIRE(u <= max, field(key) + "must be <= " + std::to_string(max));
+  return u;
+}
+
+std::string get_string_field(const JsonValue& obj, std::string_view key,
+                             std::string fallback) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  CVMT_REQUIRE(v->kind() == JsonValue::Kind::kString,
+               field(key) + "must be a string");
+  return v->as_string();
+}
+
+bool get_bool_field(const JsonValue& obj, std::string_view key,
+                    bool fallback) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  CVMT_REQUIRE(v->kind() == JsonValue::Kind::kBool,
+               field(key) + "must be a boolean");
+  return v->as_bool();
+}
+
+std::vector<std::string> get_string_array(const JsonValue& obj,
+                                          std::string_view key) {
+  std::vector<std::string> out;
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return out;
+  CVMT_REQUIRE(v->kind() == JsonValue::Kind::kArray,
+               field(key) + "must be an array of strings");
+  for (std::size_t i = 0; i < v->size(); ++i) {
+    CVMT_REQUIRE(v->at(i).kind() == JsonValue::Kind::kString,
+                 field(key) + "must be an array of strings");
+    out.push_back(v->at(i).as_string());
+  }
+  return out;
+}
+
+void reject_unknown_keys(const JsonValue& obj, std::string_view where,
+                         std::initializer_list<std::string_view> known) {
+  for (const auto& member : obj.members())
+    CVMT_REQUIRE(
+        std::find(known.begin(), known.end(), member.first) != known.end(),
+        "unknown field \"" + excerpt(member.first) + "\" in " +
+            std::string(where));
 }
 
 }  // namespace cvmt

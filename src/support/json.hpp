@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,5 +93,30 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+// Typed readers for one member of a JSON object that holds untrusted
+// input: a serve request, a knob object, a store manifest. Each returns
+// `fallback` when `key` is absent and throws CheckError, with a message
+// naming the field, when the value has the wrong type or range.
+
+/// An integer in [min, max]. JSON integers are int64, so `max` defaults
+/// to the largest one; a bigger literal parses as a double and is
+/// rejected like any other non-integer.
+[[nodiscard]] std::uint64_t get_u64_field(
+    const JsonValue& obj, std::string_view key, std::uint64_t fallback,
+    std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::int64_t>::max());
+[[nodiscard]] std::string get_string_field(const JsonValue& obj,
+                                           std::string_view key,
+                                           std::string fallback = {});
+[[nodiscard]] bool get_bool_field(const JsonValue& obj, std::string_view key,
+                                  bool fallback);
+/// An array of strings; empty when absent.
+[[nodiscard]] std::vector<std::string> get_string_array(
+    const JsonValue& obj, std::string_view key);
+/// Throws unless every member of `obj` is one of `known`; `where` names
+/// the object in the message.
+void reject_unknown_keys(const JsonValue& obj, std::string_view where,
+                         std::initializer_list<std::string_view> known);
 
 }  // namespace cvmt

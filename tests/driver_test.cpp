@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -245,6 +246,25 @@ TEST(Driver, MachineFlagConflictsWithShapeFlags) {
   const char* argv[] = {"t", "--machine=vex4x4", "--clusters=2"};
   ASSERT_EQ(parser.parse(3, argv), ArgParser::Outcome::kOk);
   EXPECT_THROW((void)ExperimentParams::resolve(parser), CheckError);
+}
+
+// A rejected knob is a usage error raised before the store directory is
+// touched: no manifest is left behind to refuse every later valid run.
+TEST(Driver, RejectedKnobLeavesNoStoreManifest) {
+  const std::string dir = testing::TempDir() + "cvmt_rejected_knob_store";
+  std::filesystem::remove_all(dir);
+  const std::string store_flag = "--store=" + dir;
+  const char* argv[] = {"cvmt", "run", "fig4", "--budget=0",
+                        store_flag.c_str()};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(cvmt_main(5, argv), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("\"budget\" must be >= 1"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/manifest.json"));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Driver, MachinesSubcommandListsBuiltins) {

@@ -81,8 +81,8 @@ TEST(Registry, SchemaSummaryNamesKnobs) {
 // The headline acceptance test of the experiment API: every registered
 // experiment runs under smoke-scale parameters and yields non-empty,
 // schema-consistent sections. (Dataset::add_row enforces cell/column
-// consistency at insertion; the JSON round trip re-checks every cell
-// against the declared column types.)
+// consistency at insertion; the JSON rendering must carry every data row
+// and every declared column.)
 TEST(Registry, EveryExperimentRunsFastAndYieldsConsistentDatasets) {
   const ExperimentParams params = tiny();
   for (const Experiment* e : ExperimentRegistry::instance().all()) {
@@ -97,9 +97,9 @@ TEST(Registry, EveryExperimentRunsFastAndYieldsConsistentDatasets) {
       EXPECT_GT(s.data.num_rows(), 0u) << s.title;
       for (const ColumnSpec& c : s.data.columns())
         EXPECT_FALSE(c.name.empty()) << s.title;
-      const Dataset round = Dataset::from_json(s.data.to_json());
-      EXPECT_EQ(round.num_rows(), s.data.num_rows()) << s.title;
-      EXPECT_EQ(round.num_cols(), s.data.num_cols()) << s.title;
+      const JsonValue json = s.data.to_json();
+      EXPECT_EQ(json.get("rows").size(), s.data.num_rows()) << s.title;
+      EXPECT_EQ(json.get("columns").size(), s.data.num_cols()) << s.title;
     }
     EXPECT_TRUE(has_data);
   }

@@ -2,11 +2,33 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "core/scheme.hpp"
+#include "support/check.hpp"
 
 namespace cvmt {
 namespace {
+
+/// The message Scheme::parse rejects `text` with. A rejection is about
+/// the input: it carries no CVMT_CHECK prefix and no source path.
+std::string rejection(std::string_view text) {
+  try {
+    (void)Scheme::parse(text);
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("CVMT_CHECK"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    return what;
+  }
+  ADD_FAILURE() << "accepted " << text.substr(0, 32);
+  return {};
+}
+
+void expect_rejected(std::string_view text) {
+  SCOPED_TRACE(std::string(text.substr(0, 32)));
+  EXPECT_FALSE(rejection(text).empty());
+}
 
 TEST(SchemeParse, OneLevelSmt) {
   const Scheme s = Scheme::parse("1S");
@@ -63,29 +85,32 @@ TEST(SchemeParse, LowercaseAndWhitespaceTolerated) {
 }
 
 TEST(SchemeParse, RejectsMalformedNames) {
-  EXPECT_THROW((void)Scheme::parse(""), CheckError);
-  EXPECT_THROW((void)Scheme::parse("XSCC"), CheckError);
-  EXPECT_THROW((void)Scheme::parse("3SC"), CheckError);   // level mismatch
-  EXPECT_THROW((void)Scheme::parse("2SCC"), CheckError);  // level mismatch
-  EXPECT_THROW((void)Scheme::parse("3S!C"), CheckError);
+  expect_rejected("");
+  expect_rejected("XSCC");
+  expect_rejected("3SC");   // level mismatch
+  expect_rejected("2SCC");  // level mismatch
+  expect_rejected("3S!C");
   // Counts too long for an int accumulator (more than three digits).
-  EXPECT_THROW((void)Scheme::parse("C4294967298"), CheckError);
-  EXPECT_THROW((void)Scheme::parse("IMT4294967298"), CheckError);
+  expect_rejected("C4294967298");
+  expect_rejected("IMT4294967298");
+  // Thread counts outside 2..kMaxThreads.
+  for (const char* bad : {"C1", "C17", "IMT1", "IMT17", "IMT0"})
+    expect_rejected(bad);
 }
 
 TEST(SchemeParse, RejectsParallelSmt) {
-  EXPECT_THROW((void)Scheme::parse("2S3C"), CheckError);
-  EXPECT_THROW((void)Scheme::parse("S4"), CheckError);
+  expect_rejected("2S3C");
+  expect_rejected("S4");
 }
 
 TEST(SchemeParse, RejectsBadFunctionalSyntax) {
-  EXPECT_THROW((void)Scheme::parse("S(0)"), CheckError);      // 1 input
-  EXPECT_THROW((void)Scheme::parse("S(0,1"), CheckError);     // unclosed
-  EXPECT_THROW((void)Scheme::parse("S(0,0)"), CheckError);    // dup port
-  EXPECT_THROW((void)Scheme::parse("S(0,2)"), CheckError);    // gap
-  EXPECT_THROW((void)Scheme::parse("S(1,2)"), CheckError);    // not dense
-  EXPECT_THROW((void)Scheme::parse("S(0,1)x"), CheckError);   // trailing
-  EXPECT_THROW((void)Scheme::parse("S(4294967296,1)"), CheckError);
+  expect_rejected("S(0)");      // 1 input
+  expect_rejected("S(0,1");     // unclosed
+  expect_rejected("S(0,0)");    // dup port
+  expect_rejected("S(0,2)");    // gap
+  expect_rejected("S(1,2)");    // not dense
+  expect_rejected("S(0,1)x");   // trailing
+  expect_rejected("S(4294967296,1)");
 }
 
 TEST(SchemeParse, NestingCapAcceptsTheCapAndRejectsOneMore) {
@@ -99,34 +124,26 @@ TEST(SchemeParse, NestingCapAcceptsTheCapAndRejectsOneMore) {
   };
   EXPECT_EQ(Scheme::parse(chain(kMaxThreads - 1)).num_threads(),
             kMaxThreads);
-  try {
-    (void)Scheme::parse(chain(kMaxThreads));
-    ADD_FAILURE() << "nesting past the cap parsed";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("nests deeper than 16 levels"),
-              std::string::npos)
-        << e.what();
-  }
+  const std::string err = rejection(chain(kMaxThreads));
+  EXPECT_NE(err.find("nests deeper than 16 levels"), std::string::npos)
+      << err;
   std::string deep;
   for (int i = 0; i < 100'000; ++i) deep += "C(";
-  EXPECT_THROW((void)Scheme::parse(deep), CheckError);
+  expect_rejected(deep);
 }
 
 TEST(SchemeParse, ErrorsEchoABoundedPrefix) {
   for (const std::string& bad :
        {"IMT" + std::string(10'000, '7'), std::string(10'000, '5'),
         "9" + std::string(10'000, 'S'), "3S" + std::string(10'000, 'X')}) {
-    try {
-      (void)Scheme::parse(bad);
-      ADD_FAILURE() << "accepted " << bad.substr(0, 16);
-    } catch (const CheckError& e) {
-      EXPECT_LT(std::string(e.what()).size(), 400u) << e.what();
-    }
+    const std::string err = rejection(bad);
+    EXPECT_FALSE(err.empty());
+    EXPECT_LT(err.size(), 400u) << err;
   }
 }
 
 TEST(SchemeParse, RejectsTinySubscript) {
-  EXPECT_THROW((void)Scheme::parse("2SC1"), CheckError);
+  expect_rejected("2SC1");
 }
 
 TEST(Scheme, SingleThreadDegenerate) {
@@ -200,7 +217,7 @@ TEST(Scheme, ImtBaselineFactoryAndParse) {
   EXPECT_EQ(s.count_blocks(MergeKind::kSelect), 3);  // serial 4-input node
   EXPECT_EQ(Scheme::parse("imt2").canonical(), "I(0,1)");
   EXPECT_EQ(Scheme::parse("I(0,1,2)").num_threads(), 3);
-  EXPECT_THROW((void)Scheme::parse("IMTx"), CheckError);
+  expect_rejected("IMTx");
 }
 
 TEST(Scheme, SerialMultiInputCountsAsMultipleBlocks) {
@@ -241,7 +258,7 @@ TEST(SchemeValidate, RejectsDuplicateThreadIds) {
   const std::string err =
       Scheme::validate(make_block(MergeKind::kSmt, std::move(kids)));
   EXPECT_NE(err.find("duplicate thread id 0"), std::string::npos) << err;
-  EXPECT_THROW((void)Scheme::parse("S(0,0)"), CheckError);
+  expect_rejected("S(0,0)");
 }
 
 TEST(SchemeValidate, RejectsEmptyAndSingleInputMergeArms) {
@@ -298,7 +315,7 @@ TEST(SchemeParse, CanonicalLeafRoundTrips) {
   EXPECT_EQ(s.canonical(), "0");
   EXPECT_EQ(Scheme::parse(Scheme::single_thread().canonical()).canonical(),
             "0");
-  EXPECT_THROW((void)Scheme::parse("5"), CheckError);
+  expect_rejected("5");
 }
 
 TEST(Scheme, SixteenThreadSchemesSupported) {

@@ -214,6 +214,24 @@ TEST(Serve, ExperimentParamsRejectLanes) {
             "unknown field \"lanes\" in \"params\"");
 }
 
+// A bad entry in a filter is a bad_request that names the entry and the
+// knob; the message is written for the client and carries no source path.
+TEST(Serve, BadSchemeFilterNamesTheSchemeWithoutASourcePath) {
+  TestServer ts;
+  Client c(ts.server->port());
+  const JsonValue r = c.request(
+      R"({"id":8,"type":"experiment","experiment":"fig10",)"
+      R"("params":{"fast":true,"schemes":["2SC3",""]}})");
+  EXPECT_EQ(r.get("id").as_int(), 8);
+  EXPECT_EQ(error_code_of(r), "bad_request");
+  const std::string message = r.get("error").get("message").as_string();
+  EXPECT_NE(message.find("bad scheme \"\" in \"schemes\""),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("CVMT_CHECK"), std::string::npos) << message;
+  EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+}
+
 TEST(Serve, OversizedLineIsRejectedAndClosed) {
   TestServer ts;
   Client c(ts.server->port());
