@@ -45,24 +45,26 @@ void MergeEngine::reset(PriorityPolicy policy, StatsLevel stats_level,
   }
 }
 
-MergeEngine::EvalResult MergeEngine::eval_tree(
-    const Scheme::Node& node, std::span<const Footprint* const> candidates,
-    std::size_t& node_id, bool count_stats) {
+MergePlan::Eval MergeEngine::eval_tree(const Scheme::Node& node,
+                                       const Footprint* const* candidates,
+                                       int rotation, std::size_t& node_id,
+                                       bool count_stats) {
   if (node.is_leaf()) {
     // Rotation maps priority port p to hardware thread (p + rotation) % N.
     const int n = scheme_.num_threads();
-    const int tid = (node.port + rotation_) % n;
-    const Footprint* fp = candidates[static_cast<std::size_t>(tid)];
+    const int tid = (node.port + rotation) % n;
+    const Footprint* fp = candidates[tid];
     if (fp == nullptr) return {};
     return {*fp, 1u << tid};
   }
 
   MergeNodeStats& stats = node_stats_[node_id++];
-  EvalResult acc;
+  MergePlan::Eval acc;
   bool have_acc = false;
   for (const auto& child : node.children) {
-    EvalResult r = eval_tree(child, candidates, node_id, count_stats);
-    if (r.mask == 0) continue;  // nothing offered on this input
+    MergePlan::Eval r =
+        eval_tree(child, candidates, rotation, node_id, count_stats);
+    if (r.issued_mask == 0) continue;  // nothing offered on this input
     if (!have_acc) {
       acc = r;  // highest-priority input seeds the packet unconditionally
       have_acc = true;
@@ -72,18 +74,18 @@ MergeEngine::EvalResult MergeEngine::eval_tree(
     bool ok = false;
     switch (node.kind) {
       case MergeKind::kCsmt:
-        ok = Footprint::csmt_compatible(acc.fp, r.fp);
+        ok = Footprint::csmt_compatible(acc.packet, r.packet);
         break;
       case MergeKind::kSmt:
-        ok = Footprint::smt_compatible(acc.fp, r.fp, config_);
+        ok = Footprint::smt_compatible(acc.packet, r.packet, config_);
         break;
       case MergeKind::kSelect:
         ok = false;  // never merges: the first offering input wins
         break;
     }
     if (ok) {
-      acc.fp.merge_with(r.fp, config_);
-      acc.mask |= r.mask;
+      acc.packet.merge_with(r.packet, config_);
+      acc.issued_mask |= r.issued_mask;
     } else {
       // The whole input packet is dropped: if it was itself a merged group
       // (tree schemes), every thread in it stalls this cycle (§4.1).
@@ -93,44 +95,14 @@ MergeEngine::EvalResult MergeEngine::eval_tree(
   return acc;
 }
 
-MergeDecision MergeEngine::select_tree(
-    std::span<const Footprint* const> candidates) {
-  CVMT_CHECK_MSG(
-      candidates.size() == static_cast<std::size_t>(scheme_.num_threads()),
-      "candidate count must match scheme thread count");
+MergePlan::Eval MergeEngine::select_tree(const Footprint* const* candidates,
+                                         int rotation) {
   std::size_t node_id = 0;
-  const EvalResult r =
-      eval_tree(scheme_.root(), candidates, node_id,
+  const MergePlan::Eval r =
+      eval_tree(scheme_.root(), candidates, rotation, node_id,
                 stats_level_ == StatsLevel::kFull);
   CVMT_DCHECK(node_id == node_stats_.size());
-  MergeDecision d;
-  d.issued_mask = r.mask;
-  d.packet = r.fp;
-  d.num_issued = std::popcount(r.mask);
-  finish_cycle(d.num_issued, candidates);
-  return d;
-}
-
-void MergeEngine::finish_cycle(
-    int num_issued, std::span<const Footprint* const> candidates) {
-  if (stats_level_ == StatsLevel::kFull)
-    issued_histogram_.add(static_cast<std::size_t>(num_issued));
-  ++cycles_;
-  // rotation_ is kept in [0, n) so the wrap is a compare, not a modulo.
-  const int n = scheme_.num_threads();
-  switch (policy_) {
-    case PriorityPolicy::kRoundRobin:
-      rotation_ = rotation_ + 1 == n ? 0 : rotation_ + 1;
-      break;
-    case PriorityPolicy::kStickyOnStall:
-      // Keep the current leader while it offers instructions; hand the
-      // lead to the next thread once it stalls (BMT's switch-on-event).
-      if (candidates[static_cast<std::size_t>(rotation_)] == nullptr)
-        rotation_ = rotation_ + 1 == n ? 0 : rotation_ + 1;
-      break;
-    case PriorityPolicy::kFixed:
-      break;
-  }
+  return r;
 }
 
 }  // namespace cvmt

@@ -88,17 +88,60 @@ class MergeEngine {
   /// into the caller's loop.
   MergeDecision select(std::span<const Footprint* const> candidates);
 
-  /// select() for the cycle loop, which counted the offers while
-  /// gathering them and never reads the merged packet: skips the plan's
-  /// own offer scan and all packet copies, and decides single-offer
-  /// cycles without entering the plan at all — a lone offer always issues
-  /// alone and moves no merge counter. `only_offer` is the offering
-  /// thread when `num_offers` == 1 (ignored otherwise). Decisions and
-  /// statistics are identical to select(). The tree-reference mode
-  /// ignores the hints and takes its usual full walk.
-  std::uint32_t select_mask_gathered(
-      std::span<const Footprint* const> candidates, int num_offers,
-      int only_offer);
+  /// The engine's per-cycle state, held in locals for one window of the
+  /// cycle loop: the rotation and cycle count, the plan's kernel (rotation
+  /// rows, per-leaf block kinds, SMT width), the stats sinks (null under
+  /// kFast) and the priority policy. The loop takes one with window() at
+  /// entry and decides each arbitrated cycle with select(), which is
+  /// inline and calls nothing out of line on the plan path. close() at
+  /// every exit writes the rotation and cycle count back; in between, the
+  /// engine itself must not be used. The engine's own select() is a
+  /// one-cycle window, so every evaluator path is this one.
+  class Window {
+   public:
+    /// Decides one cycle for a caller that counted the offers while
+    /// gathering them: `candidates` has num_threads entries, of which
+    /// exactly `num_offers` are non-null; `only_offer` is the offering
+    /// thread when `num_offers` == 1 (ignored otherwise). A lone offer is
+    /// decided without entering the plan: it always issues alone and
+    /// moves no merge counter. The tree-reference mode ignores the hints
+    /// and takes its full walk. Decisions and statistics equal
+    /// MergeEngine::select()'s.
+    MergePlan::Eval select(const Footprint* const* candidates,
+                           int num_offers, int only_offer);
+
+   private:
+    friend class MergeEngine;
+    MergePlan::Kernel kernel_;
+    MergePlan::Frame* scratch_;
+    MergeNodeStats* node_stats_;  ///< null under kFast
+    Histogram* histogram_;        ///< null under kFast
+    MergeEngine* tree_;           ///< non-null under kTreeReference
+    PriorityPolicy policy_;
+    int rotation_;
+    std::uint64_t cycles_;
+  };
+
+  /// Loads a Window; see Window.
+  [[nodiscard]] Window window() {
+    const bool full = stats_level_ == StatsLevel::kFull;
+    Window w;
+    w.kernel_ = plan_->kernel();
+    w.scratch_ = scratch_.data();
+    w.node_stats_ = full ? node_stats_.data() : nullptr;
+    w.histogram_ = full ? &issued_histogram_ : nullptr;
+    w.tree_ = eval_mode_ == EvalMode::kTreeReference ? this : nullptr;
+    w.policy_ = policy_;
+    w.rotation_ = rotation_;
+    w.cycles_ = cycles_;
+    return w;
+  }
+
+  /// Writes a Window's rotation and cycle count back.
+  void close(const Window& w) {
+    rotation_ = w.rotation_;
+    cycles_ = w.cycles_;
+  }
 
   /// Resets the priority rotation to its initial state (thread i on
   /// priority port i); used when re-seeding runs. This rewinds only the
@@ -132,15 +175,15 @@ class MergeEngine {
   [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
 
  private:
-  struct EvalResult {
-    Footprint fp;
-    std::uint32_t mask = 0;
-  };
-
   /// Reference recursive evaluator (the pre-plan implementation).
-  EvalResult eval_tree(const Scheme::Node& node,
-                       std::span<const Footprint* const> candidates,
-                       std::size_t& node_id, bool count_stats);
+  MergePlan::Eval eval_tree(const Scheme::Node& node,
+                            const Footprint* const* candidates, int rotation,
+                            std::size_t& node_id, bool count_stats);
+
+  /// The tree walk from the root: the kTreeReference branch of
+  /// Window::select(). Out of line: it is the oracle, not the hot path.
+  MergePlan::Eval select_tree(const Footprint* const* candidates,
+                              int rotation);
 
   Scheme scheme_;
   MachineConfig config_;
@@ -157,59 +200,65 @@ class MergeEngine {
   std::vector<MergeNodeStats> node_stats_;
   Histogram issued_histogram_;
   std::uint64_t cycles_ = 0;
-
-  /// Out-of-line pieces of select(): the reference evaluator and the
-  /// decision bookkeeping.
-  MergeDecision select_tree(std::span<const Footprint* const> candidates);
-
-  /// Post-decision bookkeeping shared by both evaluators: histogram (full
-  /// stats only), cycle count and the priority-rotation policy update.
-  /// Private: select()/select_mask_gathered() call it exactly once per
-  /// decision; a second call would double-advance the rotation.
-  void finish_cycle(int num_issued,
-                    std::span<const Footprint* const> candidates);
 };
+
+[[gnu::always_inline]] inline MergePlan::Eval MergeEngine::Window::select(
+    const Footprint* const* candidates, int num_offers, int only_offer) {
+  MergePlan::Eval r;
+  if (tree_ != nullptr) [[unlikely]] {
+    r = tree_->select_tree(candidates, rotation_);
+  } else if (num_offers == 1) {
+    // A lone offer always issues alone: the first non-empty input seeds
+    // its block unconditionally and no merge check fires anywhere.
+    r = {*candidates[only_offer], 1u << static_cast<unsigned>(only_offer)};
+  } else if (num_offers > 1) {
+    r = node_stats_ != nullptr
+            ? kernel_.select_multi<true>(candidates, num_offers, rotation_,
+                                         scratch_, node_stats_)
+            : kernel_.select_multi<false>(candidates, num_offers, rotation_,
+                                          scratch_, nullptr);
+  }
+  // Decision bookkeeping: histogram (full stats only: the popcount is
+  // paid nowhere else), cycle count, and the priority-rotation policy.
+  // rotation_ is kept in [0, n) so the wrap is a compare, not a modulo.
+  if (histogram_ != nullptr)
+    histogram_->add(static_cast<std::size_t>(std::popcount(r.issued_mask)));
+  ++cycles_;
+  const int n = kernel_.num_threads;
+  switch (policy_) {
+    case PriorityPolicy::kRoundRobin:
+      rotation_ = rotation_ + 1 == n ? 0 : rotation_ + 1;
+      break;
+    case PriorityPolicy::kStickyOnStall:
+      // Keep the current leader while it offers instructions; hand the
+      // lead to the next thread once it stalls (BMT's switch-on-event).
+      if (candidates[rotation_] == nullptr)
+        rotation_ = rotation_ + 1 == n ? 0 : rotation_ + 1;
+      break;
+    case PriorityPolicy::kFixed:
+      break;
+  }
+  return r;
+}
 
 inline MergeDecision MergeEngine::select(
     std::span<const Footprint* const> candidates) {
-  if (eval_mode_ == EvalMode::kTreeReference) return select_tree(candidates);
   CVMT_CHECK_MSG(
       candidates.size() == static_cast<std::size_t>(scheme_.num_threads()),
       "candidate count must match scheme thread count");
-  MergeNodeStats* stats =
-      stats_level_ == StatsLevel::kFull ? node_stats_.data() : nullptr;
-  const MergePlan::Eval r =
-      plan_->select(candidates, rotation_, scratch_.data(), stats);
-  MergeDecision d;
-  d.issued_mask = r.issued_mask;
-  d.packet = r.packet;
-  d.num_issued = std::popcount(r.issued_mask);
-  finish_cycle(d.num_issued, candidates);
-  return d;
-}
-
-inline std::uint32_t MergeEngine::select_mask_gathered(
-    std::span<const Footprint* const> candidates, int num_offers,
-    int only_offer) {
-  if (eval_mode_ == EvalMode::kTreeReference)
-    return select_tree(candidates).issued_mask;
-  CVMT_CHECK_MSG(
-      candidates.size() == static_cast<std::size_t>(scheme_.num_threads()),
-      "candidate count must match scheme thread count");
-  std::uint32_t mask = 0;
-  if (num_offers == 1) {
-    // A lone offer always issues alone: the first non-empty input seeds
-    // its block unconditionally and no merge check fires anywhere.
-    mask = 1u << static_cast<unsigned>(only_offer);
-  } else if (num_offers > 1) {
-    MergeNodeStats* stats =
-        stats_level_ == StatsLevel::kFull ? node_stats_.data() : nullptr;
-    mask = plan_->select_multi(candidates, rotation_, scratch_.data(),
-                               stats)
-               .issued_mask;
+  int num_offers = 0;
+  int only_offer = -1;
+  for (std::size_t t = 0; t < candidates.size(); ++t) {
+    if (candidates[t] != nullptr) {
+      ++num_offers;
+      only_offer = static_cast<int>(t);
+    }
   }
-  finish_cycle(std::popcount(mask), candidates);
-  return mask;
+  Window w = window();
+  const MergePlan::Eval r = w.select(candidates.data(), num_offers,
+                                     only_offer);
+  close(w);
+  return {r.issued_mask, r.packet, std::popcount(r.issued_mask)};
 }
 
 }  // namespace cvmt

@@ -51,7 +51,7 @@ MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
   // Compile the node array into leaf steps: simulate the traversal stack
   // once so the per-cycle pass needs no subtree-extent comparisons. Along
   // the way, record which block is innermost-open at each leaf — for
-  // left-deep chains that is all select_linear() needs.
+  // left-deep chains that is all the chain fold needs.
   std::vector<std::uint16_t> open_ends;    // `end` of each open block
   std::vector<std::uint16_t> open_blocks;  // block index of each open block
   std::vector<BlockRef> innermost_at_leaf;
@@ -138,127 +138,16 @@ MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
   }
 }
 
-template <bool kCountStats>
-MergePlan::Eval MergePlan::select_impl(
-    std::span<const Footprint* const> candidates, int rotation,
-    Frame* scratch, MergeNodeStats* stats) const {
-  const std::uint8_t* perm =
-      leaf_tid_.data() + static_cast<std::size_t>(rotation) *
-                             static_cast<std::size_t>(num_threads_);
-
-  Frame* sp = scratch;  // one past the innermost open block
-  Eval root;
-
-  // Greedy in-order combine of one input into the innermost open block —
-  // the body of the recursive evaluator's child loop. Stats counting is a
-  // compile-time branch so the fast path carries no per-merge checks.
-  const auto combine = [&](const Footprint& fp, std::uint32_t mask) {
-    if (sp == scratch) {  // the root's own result (root is a leaf)
-      root.packet = fp;
-      root.issued_mask = mask;
-      return;
-    }
-    Frame& top = sp[-1];
-    if (!top.have) {
-      // The highest-priority input seeds the packet unconditionally.
-      top.fp = fp;
-      top.mask = mask;
-      top.have = true;
-      return;
-    }
-    if constexpr (kCountStats) ++top.stats->attempts;
-    bool ok = false;
-    switch (top.kind) {
-      case MergeKind::kCsmt:
-        ok = Footprint::csmt_compatible(top.fp, fp);
-        break;
-      case MergeKind::kSmt:
-        ok = Footprint::smt_compatible(top.fp, fp, config_);
-        break;
-      case MergeKind::kSelect:
-        ok = false;  // never merges: the first offering input wins
-        break;
-    }
-    if (ok) {
-      top.fp.merge_with(fp, config_);
-      top.mask |= mask;
-    } else {
-      // The whole input packet is dropped: if it was itself a merged
-      // group (tree schemes), every thread in it stalls this cycle (§4.1).
-      if constexpr (kCountStats) ++top.stats->rejects;
-    }
-  };
-
-  for (const LeafStep& step : steps_) {
-    for (std::uint16_t b = 0; b < step.opens; ++b) {
-      const BlockRef& blk =
-          blocks_[static_cast<std::size_t>(step.first_block) + b];
-      sp->mask = 0;
-      sp->kind = blk.kind;
-      sp->have = false;
-      if constexpr (kCountStats) sp->stats = stats + blk.stats_index;
-      ++sp;
-    }
-    const int tid = perm[step.leaf_index];
-    const Footprint* fp = candidates[static_cast<std::size_t>(tid)];
-    if (fp != nullptr) combine(*fp, 1u << static_cast<unsigned>(tid));
-    for (std::uint16_t c = 0; c < step.closes; ++c) {
-      Frame& done = *--sp;
-      if (done.have) {
-        if (sp == scratch) {
-          root.packet = done.fp;
-          root.issued_mask = done.mask;
-        } else {
-          combine(done.fp, done.mask);
-        }
-      }
-    }
-  }
-  CVMT_DCHECK(sp == scratch);
-  return root;
-}
-
-template <bool kCountStats>
-MergePlan::Eval MergePlan::select_linear(
-    std::span<const Footprint* const> candidates, int rotation,
-    MergeNodeStats* stats) const {
-  const std::uint8_t* perm =
-      leaf_tid_.data() + static_cast<std::size_t>(rotation) *
-                             static_cast<std::size_t>(num_threads_);
-  Footprint acc;
-  std::uint32_t mask = 0;
-  for (std::size_t i = 0; i < chain_.size(); ++i) {
-    const int tid = perm[i];
-    const Footprint* fp = candidates[static_cast<std::size_t>(tid)];
-    if (fp == nullptr) continue;  // nothing offered on this input
-    if (mask == 0) {
-      // The highest-priority input seeds the packet unconditionally.
-      acc = *fp;
-      mask = 1u << static_cast<unsigned>(tid);
-      continue;
-    }
-    const BlockRef& blk = chain_[i];
-    if constexpr (kCountStats) ++stats[blk.stats_index].attempts;
-    bool ok = false;
-    switch (blk.kind) {
-      case MergeKind::kCsmt:
-        ok = Footprint::csmt_compatible(acc, *fp);
-        break;
-      case MergeKind::kSmt:
-        ok = Footprint::smt_compatible(acc, *fp, config_);
-        break;
-      case MergeKind::kSelect:
-        ok = false;  // never merges: the first offering input wins
-        break;
-    }
-    if (ok) {
-      acc.merge_with(*fp, config_);
-      mask |= 1u << static_cast<unsigned>(tid);
-    } else {
-      if constexpr (kCountStats) ++stats[blk.stats_index].rejects;
-    }
-  }
-  return {acc, mask};
+MergePlan::Kernel MergePlan::kernel() const {
+  return {leaf_tid_.data(),
+          is_linear() ? chain_.data() : nullptr,
+          steps_.data(),
+          steps_.data() + steps_.size(),
+          blocks_.data(),
+          &config_,
+          Footprint::smt_width(config_),
+          config_.heterogeneous,
+          num_threads_};
 }
 
 MergePlan::Eval MergePlan::select(
@@ -283,21 +172,12 @@ MergePlan::Eval MergePlan::select(
     return {*candidates[static_cast<std::size_t>(only)],
             1u << static_cast<unsigned>(only)};
 
-  return select_multi(candidates, rotation, scratch, stats);
-}
-
-MergePlan::Eval MergePlan::select_multi(
-    std::span<const Footprint* const> candidates, int rotation,
-    Frame* scratch, MergeNodeStats* stats) const {
-  CVMT_DCHECK(candidates.size() == static_cast<std::size_t>(num_threads_));
-  CVMT_DCHECK(rotation >= 0 && rotation < num_threads_);
-  if (is_linear())
-    return stats != nullptr
-               ? select_linear<true>(candidates, rotation, stats)
-               : select_linear<false>(candidates, rotation, stats);
+  const Kernel k = kernel();
   return stats != nullptr
-             ? select_impl<true>(candidates, rotation, scratch, stats)
-             : select_impl<false>(candidates, rotation, scratch, stats);
+             ? k.select_multi<true>(candidates.data(), offers, rotation,
+                                    scratch, stats)
+             : k.select_multi<false>(candidates.data(), offers, rotation,
+                                     scratch, stats);
 }
 
 }  // namespace cvmt

@@ -33,6 +33,7 @@
 
 #include "core/scheme.hpp"
 #include "isa/footprint.hpp"
+#include "support/check.hpp"
 
 namespace cvmt {
 
@@ -100,6 +101,59 @@ class MergePlan {
     std::uint32_t issued_mask = 0;
   };
 
+  /// A merge block as the evaluators see it.
+  struct BlockRef {
+    MergeKind kind;
+    std::uint16_t stats_index;
+  };
+
+  /// Everything one evaluation reads of the plan, as raw pointers and
+  /// constants: the rotation rows (leaf -> thread), the block each leaf
+  /// of a chain merges under or the step program of a tree, and the SMT
+  /// width test. The cycle loop loads one per window (through
+  /// MergeEngine::Window), so an arbitrated cycle neither re-reads the
+  /// plan nor calls out of line; select() builds one per call. Both
+  /// evaluators, the chain fold and the tree pass, are defined inline
+  /// below and exist only here.
+  struct Kernel {
+    const std::uint8_t* leaf_tid;  ///< num_threads entries per rotation
+    const BlockRef* chain;         ///< linear plans only; null for trees
+    const LeafStep* steps;         ///< trees: the leaf-step program
+    const LeafStep* steps_end;
+    const BlockRef* blocks;        ///< trees: merge blocks in preorder
+    const MachineConfig* config;
+    std::uint64_t smt_width;  ///< Footprint::smt_width (homogeneous only)
+    bool heterogeneous;
+    int num_threads;
+
+    /// select() for `num_offers` >= 2 non-null candidates, on raw arrays,
+    /// with the stats choice made at compile time (`stats` is ignored when
+    /// !kCountStats).
+    template <bool kCountStats>
+    [[nodiscard]] Eval select_multi(const Footprint* const* candidates,
+                                    int num_offers, int rotation,
+                                    Frame* scratch,
+                                    MergeNodeStats* stats) const;
+
+   private:
+    [[nodiscard]] bool compatible(MergeKind kind, const Footprint& acc,
+                                  const Footprint& in) const;
+    template <bool kCountStats>
+    [[nodiscard]] Eval fold_chain(const Footprint* const* candidates,
+                                  int num_offers, int rotation,
+                                  MergeNodeStats* stats) const;
+    template <bool kCountStats>
+    [[nodiscard]] Eval tree_pass(const Footprint* const* candidates,
+                                 int rotation, Frame* scratch,
+                                 MergeNodeStats* stats) const;
+    template <bool kCountStats>
+    void combine(Frame* scratch, Frame* sp, Eval& root, const Footprint& fp,
+                 std::uint32_t mask) const;
+  };
+
+  /// This plan's tables, for one window or one select().
+  [[nodiscard]] Kernel kernel() const;
+
   /// Evaluates the scheme against per-thread candidates under priority
   /// rotation `rotation` (in [0, num_threads())). A null `candidates`
   /// entry means the thread offers nothing. `scratch` must hold at least
@@ -109,13 +163,6 @@ class MergePlan {
   [[nodiscard]] Eval select(std::span<const Footprint* const> candidates,
                             int rotation, Frame* scratch,
                             MergeNodeStats* stats) const;
-
-  /// select() minus the offer-count scan: the caller guarantees at least
-  /// two candidates are non-null (the cycle loop already counted them
-  /// while gathering offers, so the scan would be repeated work).
-  [[nodiscard]] Eval select_multi(
-      std::span<const Footprint* const> candidates, int rotation,
-      Frame* scratch, MergeNodeStats* stats) const;
 
   /// Fresh zeroed stats array matching this plan: one entry per merge
   /// block, preorder, labelled with the block's canonical sub-scheme.
@@ -163,23 +210,6 @@ class MergePlan {
   }
 
  private:
-  struct BlockRef {
-    MergeKind kind;
-    std::uint16_t stats_index;
-  };
-
-  /// The generic pass, specialised at compile time on whether stat
-  /// counters are maintained (select() dispatches on stats == nullptr).
-  template <bool kCountStats>
-  Eval select_impl(std::span<const Footprint* const> candidates,
-                   int rotation, Frame* scratch,
-                   MergeNodeStats* stats) const;
-
-  /// The left-deep-chain fold (is_linear() plans only).
-  template <bool kCountStats>
-  Eval select_linear(std::span<const Footprint* const> candidates,
-                     int rotation, MergeNodeStats* stats) const;
-
   MachineConfig config_;
   int num_threads_ = 0;
   int depth_ = 0;
@@ -194,5 +224,135 @@ class MergePlan {
   std::vector<MergeNodeStats> stats_template_;
   std::string signature_;
 };
+
+// The evaluators are forced inline: the cycle loop calls them once per
+// arbitrated cycle, and the call, spill and reload around an outlined
+// copy cost as much as a whole chain fold.
+
+template <bool kCountStats>
+[[gnu::always_inline]] inline MergePlan::Eval MergePlan::Kernel::select_multi(
+    const Footprint* const* candidates, int num_offers, int rotation,
+    Frame* scratch, MergeNodeStats* stats) const {
+  return chain != nullptr
+             ? fold_chain<kCountStats>(candidates, num_offers, rotation,
+                                       stats)
+             : tree_pass<kCountStats>(candidates, rotation, scratch, stats);
+}
+
+[[gnu::always_inline]] inline bool MergePlan::Kernel::compatible(
+    MergeKind kind, const Footprint& acc, const Footprint& in) const {
+  switch (kind) {
+    case MergeKind::kCsmt:
+      return Footprint::csmt_compatible(acc, in);
+    case MergeKind::kSmt:
+      if (heterogeneous) [[unlikely]]
+        return smt_compatible_het(acc, in, *config);
+      return Footprint::smt_fits(acc, in, smt_width);
+    case MergeKind::kSelect:
+      return false;  // never merges: the first offering input wins
+  }
+  return false;
+}
+
+// A left-deep chain: every block opens before the first leaf, so leaf
+// i != 0 merges into the single accumulator under chain[i], and the
+// whole pass folds into registers. The fold stops at the last offer:
+// leaves without one touch nothing.
+template <bool kCountStats>
+[[gnu::always_inline]] inline MergePlan::Eval MergePlan::Kernel::fold_chain(
+    const Footprint* const* candidates, int num_offers, int rotation,
+    MergeNodeStats* stats) const {
+  const std::uint8_t* perm =
+      leaf_tid + static_cast<std::size_t>(rotation) *
+                     static_cast<std::size_t>(num_threads);
+  Footprint acc;
+  std::uint32_t mask = 0;
+  for (int i = 0, left = num_offers; left != 0; ++i) {
+    const int tid = perm[i];
+    const Footprint* fp = candidates[tid];
+    if (fp == nullptr) continue;  // nothing offered on this input
+    --left;
+    if (mask == 0) {
+      // The highest-priority input seeds the packet unconditionally.
+      acc = *fp;
+      mask = 1u << static_cast<unsigned>(tid);
+      continue;
+    }
+    const BlockRef& blk = chain[i];
+    if constexpr (kCountStats) ++stats[blk.stats_index].attempts;
+    if (compatible(blk.kind, acc, *fp)) {
+      acc.merge_with(*fp, *config);
+      mask |= 1u << static_cast<unsigned>(tid);
+    } else {
+      if constexpr (kCountStats) ++stats[blk.stats_index].rejects;
+    }
+  }
+  return {acc, mask};
+}
+
+// Greedy in-order combine of one input into the innermost open block:
+// the body of the recursive evaluator's child loop.
+template <bool kCountStats>
+[[gnu::always_inline]] inline void MergePlan::Kernel::combine(
+    Frame* scratch, Frame* sp, Eval& root, const Footprint& fp,
+    std::uint32_t mask) const {
+  if (sp == scratch) {  // the root's own result (root is a leaf)
+    root = {fp, mask};
+    return;
+  }
+  Frame& top = sp[-1];
+  if (!top.have) {
+    // The highest-priority input seeds the packet unconditionally.
+    top.fp = fp;
+    top.mask = mask;
+    top.have = true;
+    return;
+  }
+  if constexpr (kCountStats) ++top.stats->attempts;
+  if (compatible(top.kind, top.fp, fp)) {
+    top.fp.merge_with(fp, *config);
+    top.mask |= mask;
+  } else {
+    // The whole input packet is dropped: if it was itself a merged group
+    // (tree schemes), every thread in it stalls this cycle (§4.1).
+    if constexpr (kCountStats) ++top.stats->rejects;
+  }
+}
+
+// Any other tree: one linear pass over the leaf steps with an explicit
+// frame stack in caller-owned scratch.
+template <bool kCountStats>
+[[gnu::always_inline]] inline MergePlan::Eval MergePlan::Kernel::tree_pass(
+    const Footprint* const* candidates, int rotation, Frame* scratch,
+    MergeNodeStats* stats) const {
+  const std::uint8_t* perm =
+      leaf_tid + static_cast<std::size_t>(rotation) *
+                     static_cast<std::size_t>(num_threads);
+  Frame* sp = scratch;  // one past the innermost open block
+  Eval root;
+  for (const LeafStep* step = steps; step != steps_end; ++step) {
+    for (std::uint16_t b = 0; b < step->opens; ++b) {
+      const BlockRef& blk =
+          blocks[static_cast<std::size_t>(step->first_block) + b];
+      sp->mask = 0;
+      sp->kind = blk.kind;
+      sp->have = false;
+      if constexpr (kCountStats) sp->stats = stats + blk.stats_index;
+      ++sp;
+    }
+    const int tid = perm[step->leaf_index];
+    const Footprint* fp = candidates[tid];
+    if (fp != nullptr)
+      combine<kCountStats>(scratch, sp, root, *fp,
+                           1u << static_cast<unsigned>(tid));
+    for (std::uint16_t c = 0; c < step->closes; ++c) {
+      Frame& done = *--sp;
+      if (done.have)
+        combine<kCountStats>(scratch, sp, root, done.fp, done.mask);
+    }
+  }
+  CVMT_DCHECK(sp == scratch);
+  return root;
+}
 
 }  // namespace cvmt

@@ -70,6 +70,18 @@ class Footprint {
                                            const Footprint& b,
                                            const MachineConfig& config);
 
+  /// smt_compatible() on a homogeneous machine, split so the per-machine
+  /// part can be computed once: `width` is smt_width(config).
+  [[nodiscard]] static bool smt_fits(const Footprint& a, const Footprint& b,
+                                     std::uint64_t width);
+  /// The issue width of a homogeneous `config`, in the form smt_fits()
+  /// adds to every count lane: sum + (127 - width) has bit 7 set iff
+  /// sum > width.
+  [[nodiscard]] static std::uint64_t smt_width(const MachineConfig& config) {
+    return (127ull - static_cast<std::uint64_t>(config.issue_per_cluster)) *
+           0x0100010001000100ULL;
+  }
+
   /// In-place union (SWAR: OR the fixed-mask lanes, add the count lanes).
   /// Caller must have established compatibility under the merge kind in
   /// use; checked in debug builds for the SMT (weaker) predicate.
@@ -115,18 +127,20 @@ static_assert(kMaxClusters % 4 == 0,
     const Footprint& a, const Footprint& b, const MachineConfig& config) {
   if (config.heterogeneous) [[unlikely]]
     return smt_compatible_het(a, b, config);
+  return smt_fits(a, b, smt_width(config));
+}
+
+[[gnu::always_inline]] inline bool Footprint::smt_fits(const Footprint& a,
+                                                       const Footprint& b,
+                                                       std::uint64_t width) {
   const Lanes& la = a.lanes_;
   const Lanes& lb = b.lanes_;
-  // Per count byte: sum + (127 - width) has bit 7 set iff sum > width.
   // Counts are at most 2 * issue width <= 16, so lanes never carry.
-  const std::uint64_t adjust =
-      (127ull - static_cast<std::uint64_t>(config.issue_per_cluster)) *
-      0x0100010001000100ULL;
   for (std::size_t i = 0; i < la.size(); ++i) {
     if ((la[i] & lb[i] & kFixedLanes) != 0) return false;  // slot collision
     const std::uint64_t sums =
         (la[i] & kCountLanes) + (lb[i] & kCountLanes);
-    if (((sums + adjust) & kCountHighBits) != 0) return false;  // overflow
+    if (((sums + width) & kCountHighBits) != 0) return false;  // overflow
   }
   return true;
 }

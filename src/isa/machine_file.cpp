@@ -35,8 +35,8 @@ std::uint64_t parse_u64(const std::string& tok, int line_no) {
   // garbage, and out-of-range values. Base 0 keeps 0x-prefixed slot
   // masks working.
   std::uint64_t v = 0;
-  CVMT_CHECK_MSG(parse_u64_token(tok, v, 0),
-                 at(line_no) + "not a number: '" + tok + "'");
+  CVMT_REQUIRE(parse_u64_token(tok, v, 0),
+               at(line_no) + "not a number: '" + tok + "'");
   return v;
 }
 
@@ -52,10 +52,10 @@ std::string hex(std::uint32_t v) {
 
 CacheConfig parse_cache(const std::vector<std::string>& tokens,
                         int line_no) {
-  CVMT_CHECK_MSG(tokens.size() == 5,
-                 at(line_no) + "'" + tokens[0] +
-                     "' needs 4 values: size_bytes line_bytes ways "
-                     "miss_penalty");
+  CVMT_REQUIRE(tokens.size() == 5,
+               at(line_no) + "'" + tokens[0] +
+                   "' needs 4 values: size_bytes line_bytes ways "
+                   "miss_penalty");
   CacheConfig c;
   c.size_bytes = parse_u64(tokens[1], line_no);
   c.line_bytes = static_cast<std::uint32_t>(parse_u64(tokens[2], line_no));
@@ -95,12 +95,12 @@ MachineDescription parse_machine_file(std::string_view text) {
     const std::string& key = tok[0];
 
     if (key != "cluster") {
-      CVMT_CHECK_MSG(seen.insert(key).second,
-                     at(line_no) + "duplicate key '" + key + "'");
+      CVMT_REQUIRE(seen.insert(key).second,
+                   at(line_no) + "duplicate key '" + key + "'");
     }
     const auto need = [&](std::size_t args, const char* what) {
-      CVMT_CHECK_MSG(tok.size() == args + 1,
-                     at(line_no) + "'" + key + "' needs " + what);
+      CVMT_REQUIRE(tok.size() == args + 1,
+                   at(line_no) + "'" + key + "' needs " + what);
     };
 
     if (key == "name") {
@@ -168,8 +168,8 @@ MachineDescription parse_machine_file(std::string_view text) {
       } else if (tok[1] == "private") {
         d.mem.sharing = CacheSharing::kPrivate;
       } else {
-        CVMT_CHECK_MSG(false, at(line_no) + "unknown cache sharing '" +
-                                  tok[1] + "' (shared|private)");
+        throw CheckError(at(line_no) + "unknown cache sharing '" + tok[1] +
+                         "' (shared|private)");
       }
     } else if (key == "perfect_memory") {
       need(1, "0 or 1");
@@ -182,39 +182,39 @@ MachineDescription parse_machine_file(std::string_view text) {
       d.mem.bank_conflict_penalty = parse_int(tok[1], line_no);
     } else if (key == "switch_policy") {
       need(1, "'random', 'prestall' or 'poststall'");
-      CVMT_CHECK_MSG(switch_policy_from_string(tok[1], d.switch_policy),
-                     at(line_no) + "unknown switch policy '" + tok[1] +
-                         "' (random|prestall|poststall)");
+      CVMT_REQUIRE(switch_policy_from_string(tok[1], d.switch_policy),
+                   at(line_no) + "unknown switch policy '" + tok[1] +
+                       "' (random|prestall|poststall)");
     } else {
-      CVMT_CHECK_MSG(false, at(line_no) + "unknown key '" + key + "'");
+      throw CheckError(at(line_no) + "unknown key '" + key + "'");
     }
   }
 
   if (!rows.empty()) {
-    CVMT_CHECK_MSG(flat_shape_line == 0,
-                   at(flat_shape_line == 0 ? rows[0].line_no
-                                           : flat_shape_line) +
-                       "'cluster' rows cannot be mixed with flat "
-                       "issue/*_slots keys");
+    CVMT_REQUIRE(flat_shape_line == 0,
+                 at(flat_shape_line == 0 ? rows[0].line_no
+                                         : flat_shape_line) +
+                     "'cluster' rows cannot be mixed with flat "
+                     "issue/*_slots keys");
     d.machine.heterogeneous = true;
     std::array<bool, kMaxClusters> have{};
     for (const ClusterRow& row : rows) {
-      CVMT_CHECK_MSG(row.index >= 0 && row.index < d.machine.num_clusters,
-                     at(row.line_no) + "cluster index " +
-                         std::to_string(row.index) + " out of range (0.." +
-                         std::to_string(d.machine.num_clusters - 1) + ")");
-      CVMT_CHECK_MSG(!have[static_cast<std::size_t>(row.index)],
-                     at(row.line_no) + "duplicate cluster index " +
-                         std::to_string(row.index));
+      CVMT_REQUIRE(row.index >= 0 && row.index < d.machine.num_clusters,
+                   at(row.line_no) + "cluster index " +
+                       std::to_string(row.index) + " out of range (0.." +
+                       std::to_string(d.machine.num_clusters - 1) + ")");
+      CVMT_REQUIRE(!have[static_cast<std::size_t>(row.index)],
+                   at(row.line_no) + "duplicate cluster index " +
+                       std::to_string(row.index));
       have[static_cast<std::size_t>(row.index)] = true;
       d.machine.per_cluster[static_cast<std::size_t>(row.index)] =
           row.shape;
     }
     for (int c = 0; c < d.machine.num_clusters; ++c)
-      CVMT_CHECK_MSG(have[static_cast<std::size_t>(c)],
-                     "missing 'cluster " + std::to_string(c) +
-                         "' row (clusters = " +
-                         std::to_string(d.machine.num_clusters) + ")");
+      CVMT_REQUIRE(have[static_cast<std::size_t>(c)],
+                   "missing 'cluster " + std::to_string(c) +
+                       "' row (clusters = " +
+                       std::to_string(d.machine.num_clusters) + ")");
     // Mirror heterogeneous_of(): keep the ignored flat width coherent.
     d.machine.issue_per_cluster = d.machine.max_issue_per_cluster();
   }
@@ -226,7 +226,7 @@ MachineDescription parse_machine_file(std::string_view text) {
 
 MachineDescription load_machine_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  CVMT_CHECK_MSG(in.good(), "cannot read machine file: " + path);
+  CVMT_REQUIRE(in.good(), "cannot read machine file: " + path);
   std::ostringstream text;
   text << in.rdbuf();
   return parse_machine_file(text.str());

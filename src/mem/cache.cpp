@@ -36,7 +36,7 @@ bool SetAssocCache::fill(std::size_t base, std::uint64_t tag) {
   }
   tags_[victim] = tag;
   stamps_[victim] = clock_;
-  stats_.record(false);
+  ++misses_;
   return false;
 }
 
@@ -50,12 +50,14 @@ bool SetAssocCache::contains(std::uint64_t addr) const {
 
 void SetAssocCache::flush() {
   std::fill(tags_.begin(), tags_.end(), 0);
+  flushed_accesses_ += clock_;
   clock_ = 0;
 }
 
 void SetAssocCache::reset() {
   flush();
-  stats_ = RatioCounter{};
+  flushed_accesses_ = 0;
+  misses_ = 0;
 }
 
 }  // namespace cvmt

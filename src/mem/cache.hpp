@@ -50,7 +50,6 @@ class SetAssocCache {
       hit = tags_[base + w] == tag ? base + w : hit;
     if (hit == kNoWay) return fill(base, tag);
     stamps_[hit] = clock_;
-    stats_.record(true);
     return true;
   }
 
@@ -70,10 +69,15 @@ class SetAssocCache {
   void reset();
 
   [[nodiscard]] const CacheConfig& config() const { return config_; }
-  [[nodiscard]] const RatioCounter& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t misses() const {
-    return stats_.total - stats_.hits;
+  /// Hit and access counts. No counter moves on a hit: every access
+  /// advances the LRU clock and every miss goes through fill(), so the
+  /// accesses are the clock (plus those before the last flush()) and the
+  /// hits are the accesses that did not miss.
+  [[nodiscard]] RatioCounter stats() const {
+    const std::uint64_t total = flushed_accesses_ + clock_;
+    return {total - misses_, total};
   }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
  private:
   static constexpr std::size_t kNoWay = ~std::size_t{0};
@@ -100,7 +104,8 @@ class SetAssocCache {
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> stamps_;
   std::uint64_t clock_ = 0;
-  RatioCounter stats_;
+  std::uint64_t flushed_accesses_ = 0;  ///< accesses before the last flush()
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace cvmt

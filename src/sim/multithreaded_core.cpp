@@ -48,9 +48,24 @@ void MultithreadedCore::set_thread(int slot, ThreadContext* thread) {
 std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
                                            std::uint64_t end,
                                            bool& any_done) {
-  any_done = false;
   const int n = num_slots();
   constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+  // The window works on locals (DESIGN.md §3): the slot bindings, the
+  // memory system, the stall charges, the merge engine's Window (rotation,
+  // cycle count, plan kernel, stats sinks, policy) and the core's own
+  // counters are loaded here. What the window changes is written back at
+  // the single exit below, whether the window reached its end (possibly
+  // by an all-stalled jump) or a thread completed. The per-cycle path
+  // touches no member and calls nothing out of line on the merge side.
+  const std::array<ThreadContext*, kMaxThreads> slots = slots_;
+  MemorySystem& mem = mem_;
+  const StallCosts costs =
+      StallCosts::of(machine_, mem.config(), miss_policy_);
+  const bool fast_forward = options_.stall_fast_forward;
+  MergeEngine::Window merge = engine_.window();
+  CoreStats stats = stats_;
+  bool done = false;
 
   // Per-slot cached issue state, so the per-cycle gather is one compare
   // per slot instead of re-polling the thread contexts: `ready[s]` is the
@@ -64,7 +79,7 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
   std::array<const Footprint*, kMaxThreads> offers;
   std::uint32_t refill_mask = 0;
   for (int s = 0; s < n; ++s) {
-    ThreadContext* t = slots_[static_cast<std::size_t>(s)];
+    ThreadContext* t = slots[static_cast<std::size_t>(s)];
     fps[static_cast<std::size_t>(s)] = nullptr;
     ready[static_cast<std::size_t>(s)] = kNever;
     if (t == nullptr || t->done()) continue;
@@ -75,8 +90,6 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
       refill_mask |= 1u << static_cast<unsigned>(s);
     }
   }
-  const std::span<const Footprint* const> cand_span(
-      offers.data(), static_cast<std::size_t>(n));
 
   while (cycle < end) {
     // Fetch for threads that issued last cycle — same slot order and
@@ -85,43 +98,44 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
     while (refill_mask != 0) {
       const int s = std::countr_zero(refill_mask);
       refill_mask &= refill_mask - 1;
-      ThreadContext* t = slots_[static_cast<std::size_t>(s)];
-      t->refill(cycle, mem_, s);
+      ThreadContext* t = slots[static_cast<std::size_t>(s)];
+      t->refill(cycle, mem, s);
       fps[static_cast<std::size_t>(s)] = t->pending_footprint();
       ready[static_cast<std::size_t>(s)] = t->ready_at();
     }
 
+    // Branch-free: whether a slot offers follows the simulated stalls,
+    // which a branch predictor cannot learn. A slot is ready only while
+    // it holds a fetched instruction, so ready means offering.
     int num_offers = 0;
     int only_offer = -1;
     for (int s = 0; s < n; ++s) {
-      const Footprint* fp = cycle >= ready[static_cast<std::size_t>(s)]
-                                ? fps[static_cast<std::size_t>(s)]
-                                : nullptr;
-      offers[static_cast<std::size_t>(s)] = fp;
-      if (fp != nullptr) {
-        ++num_offers;
-        only_offer = s;
-      }
+      const bool offers_now = cycle >= ready[static_cast<std::size_t>(s)];
+      offers[static_cast<std::size_t>(s)] =
+          offers_now ? fps[static_cast<std::size_t>(s)] : nullptr;
+      num_offers += offers_now ? 1 : 0;
+      only_offer = offers_now ? s : only_offer;
     }
 
     if (num_offers != 0) {
       std::uint32_t mask =
-          engine_.select_mask_gathered(cand_span, num_offers, only_offer);
+          merge.select(offers.data(), num_offers, only_offer).issued_mask;
       while (mask != 0) {
         const int s = std::countr_zero(mask);
         mask &= mask - 1;
-        ThreadContext* t = slots_[static_cast<std::size_t>(s)];
-        const std::uint64_t ops_before = t->stats().ops;
-        t->consume(cycle, mem_, s, machine_, miss_policy_);
-        stats_.total_ops += t->stats().ops - ops_before;
-        ++stats_.total_instructions;
-        any_done |= t->done();
+        ThreadContext* t = slots[static_cast<std::size_t>(s)];
+        stats.total_ops +=
+            static_cast<std::uint64_t>(t->consume(cycle, mem, s, costs));
+        ++stats.total_instructions;
         ready[static_cast<std::size_t>(s)] = kNever;
-        if (!t->done()) refill_mask |= 1u << static_cast<unsigned>(s);
+        if (t->done())
+          done = true;
+        else
+          refill_mask |= 1u << static_cast<unsigned>(s);
       }
-      ++stats_.cycles;
+      ++stats.cycles;
       ++cycle;
-      if (any_done) return cycle;
+      if (done) break;
       continue;
     }
 
@@ -132,7 +146,7 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
     // candidate-less cycle, so rotation and every merge statistic are
     // untouched — exactly as when stepping.
     std::uint64_t next = end;
-    if (options_.stall_fast_forward) {
+    if (fast_forward) {
       for (int s = 0; s < n; ++s)
         next = std::min(next, ready[static_cast<std::size_t>(s)]);
       // All slots empty (or every resident thread done): idle to `end`.
@@ -140,10 +154,14 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
     } else {
       next = cycle + 1;
     }
-    stats_.idle_cycles += next - cycle;
-    stats_.cycles += next - cycle;
+    stats.idle_cycles += next - cycle;
+    stats.cycles += next - cycle;
     cycle = next;
   }
+
+  engine_.close(merge);
+  stats_ = stats;
+  any_done = done;
   return cycle;
 }
 

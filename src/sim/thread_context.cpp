@@ -51,9 +51,8 @@ void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
   }
 }
 
-void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
-                            int hw_tid, const MachineConfig& machine,
-                            MissPolicy policy) {
+int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
+                           int hw_tid, const StallCosts& costs) {
   CVMT_CHECK_MSG(has_pending_ && cycle >= ready_at_,
                  "consume without a ready offer");
   // Execution stalls: taken-branch squash plus DCache misses. Only the
@@ -63,17 +62,19 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
-  const bool banked = mem.config().dcache_banks > 1;
   std::uint32_t banks_touched = 0;
   int bank_conflicts = 0;
+  // Counted without branching on the instruction: whether it is a bubble
+  // or a taken branch follows the random stream.
+  const int ops = gen_.current_op_count();
   ++stats_.instructions;
-  stats_.ops += static_cast<std::uint64_t>(gen_.current_op_count());
-  if (gen_.current_op_count() == 0) ++stats_.bubbles;
+  stats_.ops += static_cast<std::uint64_t>(ops);
+  stats_.bubbles += ops == 0 ? 1 : 0;
   for (const std::uint64_t addr : gen_.current_addresses()) {
     const MemAccessResult r = mem.data_access(hw_tid, addr);
     dmiss_total += r.penalty_cycles;
     dmiss_max = std::max(dmiss_max, r.penalty_cycles);
-    if (banked) {
+    if (costs.banked) {
       // Same-packet accesses to one bank serialize: each repeat pays the
       // conflict penalty (the first access per bank is free).
       const std::uint32_t bit = 1u << r.bank;
@@ -82,24 +83,25 @@ void ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
     }
   }
   if (bank_conflicts > 0) {
-    const int extra =
-        bank_conflicts * mem.config().bank_conflict_penalty;
+    const int extra = bank_conflicts * costs.bank_conflict_penalty;
     stall += static_cast<std::uint64_t>(extra);
     stats_.bank_conflict_cycles += static_cast<std::uint64_t>(extra);
   }
-  const int dmiss =
-      policy == MissPolicy::kSerialized ? dmiss_total : dmiss_max;
+  const int dmiss = costs.miss_policy == MissPolicy::kSerialized
+                        ? dmiss_total
+                        : dmiss_max;
   stall += static_cast<std::uint64_t>(dmiss);
   stats_.dcache_stall_cycles += static_cast<std::uint64_t>(dmiss);
-  if (gen_.current_taken()) {
-    ++stats_.taken_branches;
-    stall += static_cast<std::uint64_t>(machine.taken_branch_penalty);
-    stats_.branch_stall_cycles +=
-        static_cast<std::uint64_t>(machine.taken_branch_penalty);
-  }
+  const bool taken = gen_.current_taken();
+  const std::uint64_t squash =
+      taken ? static_cast<std::uint64_t>(costs.taken_branch_penalty) : 0;
+  stats_.taken_branches += taken ? 1 : 0;
+  stall += squash;
+  stats_.branch_stall_cycles += squash;
   ready_at_ = cycle + stall;
   has_pending_ = false;
   if (stats_.instructions >= budget_) done_ = true;
+  return ops;
 }
 
 }  // namespace cvmt

@@ -24,6 +24,23 @@ enum class MissPolicy : std::uint8_t {
   kOverlapped,  ///< misses overlap (per-cluster LSUs with MLP; ablation)
 };
 
+/// The stall charges consume() applies, read from the machine, the memory
+/// system and the miss policy once per window instead of once per
+/// instruction.
+struct StallCosts {
+  bool banked = false;  ///< the DCache has more than one bank
+  int bank_conflict_penalty = 0;
+  MissPolicy miss_policy = MissPolicy::kSerialized;
+  int taken_branch_penalty = 0;
+
+  [[nodiscard]] static StallCosts of(const MachineConfig& machine,
+                                     const MemorySystemConfig& mem,
+                                     MissPolicy policy) {
+    return {mem.dcache_banks > 1, mem.bank_conflict_penalty, policy,
+            machine.taken_branch_penalty};
+  }
+};
+
 /// Per-thread execution statistics.
 struct ThreadStats {
   std::uint64_t instructions = 0;  ///< issued VLIW instructions (w/ bubbles)
@@ -73,9 +90,10 @@ class ThreadContext {
   }
 
   /// Issues the previously offered instruction: accounts statistics,
-  /// performs DCache accesses and computes the next-issue stall.
-  void consume(std::uint64_t cycle, MemorySystem& mem, int hw_tid,
-               const MachineConfig& machine, MissPolicy policy);
+  /// performs DCache accesses and computes the next-issue stall. Returns
+  /// the instruction's operation count (0 for a bubble).
+  int consume(std::uint64_t cycle, MemorySystem& mem, int hw_tid,
+              const StallCosts& costs);
 
   /// Generates the next instruction and charges the ICache fetch at
   /// `cycle`. Exposed so the cycle loop can cache (ready_at, footprint)

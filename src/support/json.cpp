@@ -205,17 +205,16 @@ class JsonParser {
   JsonValue parse_document() {
     JsonValue v = parse_value();
     skip_ws();
-    CVMT_CHECK_MSG(pos_ == text_.size(),
-                   "trailing characters after JSON document at offset " +
-                       std::to_string(pos_));
+    CVMT_REQUIRE(pos_ == text_.size(),
+                 "trailing characters after JSON document at offset " +
+                     std::to_string(pos_));
     return v;
   }
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    CVMT_CHECK_MSG(false, "JSON parse error at offset " +
-                              std::to_string(pos_) + ": " + what);
-    __builtin_unreachable();
+    throw CheckError("JSON parse error at offset " + std::to_string(pos_) +
+                     ": " + what);
   }
 
   void skip_ws() {

@@ -1,6 +1,5 @@
 #include "support/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace cvmt {
@@ -10,16 +9,17 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) {
   for (auto& w : s_) w = sm.next();
 }
 
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
+Bernoulli::Bernoulli(double p) {
+  if (p <= 0.0) return;  // kNoDraw, false
+  if (p >= 1.0) {
+    threshold_ = kNoDraw | 1;
+    return;
+  }
+  // p in (0, 1) or NaN. NaN compares false everywhere, like the double
+  // draw it replaces: threshold 0 draws and always returns false.
+  threshold_ = std::isnan(p)
+                   ? 0
+                   : static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {

@@ -7,6 +7,7 @@
 // implementations; all distribution code here is self-contained.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -31,6 +32,26 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// A Bernoulli probability compiled once for Xoshiro256::next_bool: the
+/// draw becomes an integer compare, with no conversion to double. With
+/// k = next() >> 11, next_bool(double p) tests k * 2^-53 < p; scaling by
+/// 2^53 is exact, and for an integer k, k < x holds exactly when
+/// k < ceil(x). So k < ceil(p * 2^53) gives the same answer for every
+/// draw. As in next_bool(double), p <= 0 and p >= 1 draw nothing, and a
+/// NaN p draws and returns false.
+class Bernoulli {
+ public:
+  Bernoulli() = default;  ///< p = 0
+  explicit Bernoulli(double p);
+
+ private:
+  friend class Xoshiro256;
+  /// Bit 63 set: no draw, and bit 0 is the result. Otherwise the
+  /// threshold ceil(p * 2^53), in [0, 2^53).
+  static constexpr std::uint64_t kNoDraw = std::uint64_t{1} << 63;
+  std::uint64_t threshold_ = kNoDraw;
+};
+
 /// Xoshiro256**: the workhorse generator. Small state, fast, high quality.
 /// The full state is copyable, which the resumable trace generators rely on.
 class Xoshiro256 {
@@ -39,7 +60,17 @@ class Xoshiro256 {
   /// xoshiro authors (avoids the all-zero state).
   explicit Xoshiro256(std::uint64_t seed);
 
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). Uses Lemire's multiply-shift reduction
   /// with rejection, so results are unbiased. `bound` must be nonzero.
@@ -50,6 +81,13 @@ class Xoshiro256 {
 
   /// Bernoulli draw with probability `p` (clamped to [0,1]).
   bool next_bool(double p);
+
+  /// next_bool(p) for a precompiled `p`: the same draws, the same results.
+  bool next_bool(Bernoulli p) {
+    if ((p.threshold_ & Bernoulli::kNoDraw) != 0)
+      return (p.threshold_ & 1) != 0;
+    return (next() >> 11) < p.threshold_;
+  }
 
   /// Samples an index according to non-negative `weights` (not necessarily
   /// normalised). At least one weight must be positive.

@@ -29,13 +29,12 @@ void TraceGenerator::start_stream(std::uint64_t stream_seed) {
   // 1MB-granular address-space salt: keeps threads disjoint in shared
   // caches while preserving intra-thread set behaviour.
   address_salt_ = (SplitMix64(stream_seed).next() % 2048) * 0x100000ULL;
-  const std::size_t n = program_->loops().size();
-  hot_cursor_.assign(n, 0);
-  cold_cursor_.assign(n, 0);
-  hot_stride_mod_.resize(n);
-  for (std::size_t l = 0; l < n; ++l)
-    hot_stride_mod_[l] =
-        program_->profile().hot_stride % program_->loops()[l].hot_window;
+  mid_branch_taken_ = Bernoulli(program_->profile().mid_branch_taken);
+  const auto& loops = program_->loops();
+  walks_.resize(loops.size());
+  for (std::size_t l = 0; l < loops.size(); ++l)
+    walks_[l] = {0, program_->profile().hot_stride % loops[l].hot_window, 0,
+                 Bernoulli(loops[l].miss_frac)};
   cur_fp_ = nullptr;
   cur_pc_ = 0;
   cur_op_count_ = 0;
@@ -48,13 +47,15 @@ void TraceGenerator::start_stream(std::uint64_t stream_seed) {
 void TraceGenerator::enter_next_loop() {
   const auto& loops = program_->loops();
   loop_idx_ = rng_.next_below(loops.size());
-  trips_left_ = rng_.next_trip_count(loops[loop_idx_].mean_trips);
+  loop_ = &loops[loop_idx_];
+  records_ = loop_->records.data();
+  trips_left_ = rng_.next_trip_count(loop_->mean_trips);
   body_pos_ = 0;
 }
 
 void TraceGenerator::advance() {
-  const SyntheticProgram::Loop& loop = program_->loops()[loop_idx_];
-  const SyntheticProgram::Record& rec = loop.records[body_pos_];
+  const SyntheticProgram::Loop& loop = *loop_;
+  const SyntheticProgram::Record& rec = records_[body_pos_];
 
   cur_fp_ = &loop.footprints[body_pos_];
   cur_pc_ = rec.pc + address_salt_;
@@ -63,22 +64,26 @@ void TraceGenerator::advance() {
   taken_mask_ = 0;
   // Only memory and branch ops (the record's patches) need per-execution
   // data, drawn in op order so the RNG stream is reproducible.
+  LoopWalk& walk = walks_[loop_idx_];
   for (unsigned j = 0; j < rec.num_patches; ++j) {
     if ((rec.mem_mask >> j) & 1u) {
-      if (rng_.next_bool(loop.miss_frac)) {
-        std::uint64_t& cur = cold_cursor_[loop_idx_];
-        addrs_.push_back(loop.cold_base + address_salt_ + cur);
-        cur = (cur + kColdLineBytes) % kColdWrapBytes;
+      // The draw steers a branch on purpose: the cold stream is the rare
+      // outcome (Table 1 loops miss at most 11% of their accesses), so
+      // the branch predicts well, and forming both streams' addresses to
+      // select one by mask measured slower.
+      if (rng_.next_bool(walk.miss)) {
+        addrs_.push_back(loop.cold_base + address_salt_ + walk.cold_cursor);
+        walk.cold_cursor =
+            (walk.cold_cursor + kColdLineBytes) % kColdWrapBytes;
       } else {
-        // cur is maintained in [0, hot_window): same addresses as the
+        // The hot cursor stays in [0, hot_window): same addresses as the
         // raw-cursor modulo, without the division.
-        std::uint64_t& cur = hot_cursor_[loop_idx_];
-        addrs_.push_back(loop.hot_base + address_salt_ + cur);
-        cur += hot_stride_mod_[loop_idx_];
-        if (cur >= loop.hot_window) cur -= loop.hot_window;
+        addrs_.push_back(loop.hot_base + address_salt_ + walk.hot_cursor);
+        walk.hot_cursor += walk.hot_stride;
+        if (walk.hot_cursor >= loop.hot_window)
+          walk.hot_cursor -= loop.hot_window;
       }
-    } else if (rec.last ||
-               rng_.next_bool(program_->profile().mid_branch_taken)) {
+    } else if (rec.last || rng_.next_bool(mid_branch_taken_)) {
       // The loop-closing branch is always taken (back edge or exit
       // jump); mid-body branches resolve randomly.
       taken_mask_ |= 1u << j;
@@ -95,7 +100,7 @@ void TraceGenerator::advance() {
 }
 
 const Instruction& TraceGenerator::next() {
-  const SyntheticProgram::Loop& loop = program_->loops()[loop_idx_];
+  const SyntheticProgram::Loop& loop = *loop_;
   const std::size_t pos = body_pos_;
   advance();
   // Patch the template with what advance() drew, in the same op order.

@@ -83,21 +83,33 @@ class TraceGenerator {
   /// rewinds every cursor, and enters the first loop.
   void start_stream(std::uint64_t stream_seed);
 
-  std::shared_ptr<const SyntheticProgram> program_;
-  Xoshiro256 rng_;
-  std::uint64_t address_salt_ = 0;
-
-  std::size_t loop_idx_ = 0;
-  std::uint64_t trips_left_ = 0;
-  std::size_t body_pos_ = 0;
-
   /// Per-loop persistent walk state (streams continue across re-entries).
   /// The hot cursor is kept already reduced modulo the loop's hot window
   /// (with the stride pre-reduced too), so the per-access address needs a
   /// compare-subtract instead of a 64-bit modulo.
-  std::vector<std::uint64_t> hot_cursor_;
-  std::vector<std::uint64_t> hot_stride_mod_;
-  std::vector<std::uint64_t> cold_cursor_;
+  struct LoopWalk {
+    std::uint64_t hot_cursor = 0;
+    std::uint64_t hot_stride = 0;  ///< profile stride mod hot_window
+    std::uint64_t cold_cursor = 0;
+    Bernoulli miss;  ///< the loop's miss_frac, compiled once per stream
+  };
+
+  std::shared_ptr<const SyntheticProgram> program_;
+  Xoshiro256 rng_;
+  std::uint64_t address_salt_ = 0;
+  /// The profile's mid_branch_taken, compiled once per stream.
+  Bernoulli mid_branch_taken_;
+
+  std::size_t loop_idx_ = 0;
+  /// program_->loops()[loop_idx_] and its record array, set by
+  /// enter_next_loop(). They point into the shared immutable program, so
+  /// generator copies keep them valid.
+  const SyntheticProgram::Loop* loop_ = nullptr;
+  const SyntheticProgram::Record* records_ = nullptr;
+  std::uint64_t trips_left_ = 0;
+  std::size_t body_pos_ = 0;
+
+  std::vector<LoopWalk> walks_;  ///< one per program loop
 
   /// The current instruction. The footprint pointer reaches into program_
   /// (immutable, shared), so generator copies — snapshots — keep it

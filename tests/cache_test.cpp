@@ -92,6 +92,25 @@ TEST(Cache, StatsTrackHitsAndMisses) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
+// The counts are derived from the LRU clock and the misses, not kept per
+// access: a flush must not lose them, and reset must clear them.
+TEST(Cache, StatsSurviveFlushAndResetClearsThem) {
+  SetAssocCache cache(small_cache());
+  cache.access(0x40);  // miss
+  cache.access(0x40);  // hit
+  cache.flush();
+  cache.access(0x40);  // miss: the flush invalidated the line
+  cache.access(0x80);  // miss
+  cache.access(0x40);  // hit
+  EXPECT_EQ(cache.stats().total, 5u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.misses(), 3u);
+  cache.reset();
+  EXPECT_EQ(cache.stats().total, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+}
+
 TEST(Cache, FlushInvalidatesEverything) {
   SetAssocCache cache(small_cache());
   cache.access(0x42);

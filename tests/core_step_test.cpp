@@ -3,7 +3,16 @@
 // programs for cycle-exact expectations.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "isa/machine_file.hpp"
 #include "sim/multithreaded_core.hpp"
+#include "support/rng.hpp"
+#include "trace/benchmark_suite.hpp"
 #include "trace/vex_asm.hpp"
 
 namespace cvmt {
@@ -116,6 +125,188 @@ TEST(CoreStep, RejectsBadSlotIndex) {
   EXPECT_THROW(core.set_thread(2, nullptr), CheckError);
   EXPECT_THROW(core.set_thread(-1, nullptr), CheckError);
 }
+
+// ------------------------------------------- windows against single steps
+
+// run_until() keeps the engine's rotation and cycle count, the core's
+// counters and the stall charges in locals for a whole window and writes
+// them back when the window ends. A core driven in windows of random
+// length must therefore match, after every window, a twin driven one
+// step() (a one-cycle window) at a time.
+
+struct WindowCase {
+  const char* scheme;
+  PriorityPolicy policy;
+  StatsLevel stats;
+  const char* machine;  ///< built-in machine name
+};
+
+std::string case_name(const ::testing::TestParamInfo<WindowCase>& info) {
+  const WindowCase& c = info.param;
+  const char* policy = c.policy == PriorityPolicy::kRoundRobin ? "RoundRobin"
+                       : c.policy == PriorityPolicy::kFixed    ? "Fixed"
+                                                               : "Sticky";
+  return std::string(c.scheme) + "_" + policy +
+         (c.stats == StatsLevel::kFull ? "_Full_" : "_Fast_") + c.machine;
+}
+
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  *os << c.scheme << '/' << static_cast<int>(c.policy) << '/'
+      << (c.stats == StatsLevel::kFull ? "full" : "fast") << '/'
+      << c.machine;
+}
+
+/// One core with its own memory system and four software threads, of
+/// which the first num_slots() are bound. Two rigs built from the same
+/// case are identical.
+struct Rig {
+  Rig(const WindowCase& c, const MachineDescription& d,
+      const std::vector<std::shared_ptr<const SyntheticProgram>>& programs)
+      : mem(d.mem, Scheme::parse(c.scheme).num_threads()),
+        core(d.machine, Scheme::parse(c.scheme), c.policy, mem,
+             MissPolicy::kSerialized, CoreOptions{c.stats}) {
+    for (std::size_t t = 0; t < programs.size(); ++t)
+      threads.push_back(std::make_unique<ThreadContext>(
+          "t" + std::to_string(t), programs[t], 100 + t, 400 + 150 * t));
+    for (int s = 0; s < core.num_slots(); ++s)
+      core.set_thread(s, threads[static_cast<std::size_t>(s)].get());
+  }
+
+  MemorySystem mem;
+  MultithreadedCore core;
+  std::vector<std::unique_ptr<ThreadContext>> threads;
+};
+
+class WindowedRun : public ::testing::TestWithParam<WindowCase> {};
+
+TEST_P(WindowedRun, WindowedRunMatchesPerCycleSteps) {
+  const WindowCase& c = GetParam();
+  MachineDescription d;
+  ASSERT_TRUE(find_builtin_machine(c.machine, d));
+  // Low-IPC programs with cold streams: their misses stall every thread
+  // at once often enough for all-stalled jumps.
+  std::vector<std::shared_ptr<const SyntheticProgram>> programs;
+  for (const char* name : {"mcf", "cjpeg", "blowfish", "colorspace"})
+    programs.push_back(
+        std::make_shared<const SyntheticProgram>(profile_by_name(name),
+                                                 d.machine));
+  Rig win(c, d, programs);
+  Rig step(c, d, programs);
+
+  // A probe packet every thread can offer and no two can share (one
+  // fixed branch slot of cluster 0): the next decision on four copies of
+  // it issues exactly the highest-priority thread, so it reads out the
+  // rotation.
+  const auto probe = parse_program(
+      ".program probe\n.machine clusters=4 issue=4\n.loop trips=1 miss=0 "
+      "code=0x10000 hot=0x20000000+4096 cold=0x40000000\n"
+      "{ c0.3 br }\n.endloop\n",
+      MachineConfig::vex4x4());
+  const Footprint* fp = &probe->loops()[0].footprints[0];
+  const std::array<const Footprint*, kMaxThreads> all = {fp, fp, fp, fp};
+
+  Xoshiro256 rng(0xC0DE);
+  int by_length = 0, by_completion = 0, by_stalled_jump = 0;
+  std::uint64_t cycle = 0;
+  for (int w = 0; w < 300; ++w) {
+    const std::uint64_t end = cycle + 1 + rng.next_below(120);
+    bool win_done = false;
+    const std::uint64_t reached = win.core.run_until(cycle, end, win_done);
+    ASSERT_GT(reached, cycle);
+    ASSERT_LE(reached, end);
+
+    // The twin steps the same cycles; only the last may complete a thread.
+    int trailing_idle = 0;
+    for (std::uint64_t k = cycle; k < reached; ++k) {
+      const std::uint64_t idle = step.core.stats().idle_cycles;
+      const bool done = step.core.step(k);
+      ASSERT_EQ(done, win_done && k + 1 == reached) << "window " << w;
+      trailing_idle =
+          step.core.stats().idle_cycles > idle ? trailing_idle + 1 : 0;
+    }
+    if (win_done)
+      ++by_completion;
+    else if (trailing_idle >= 2)
+      ++by_stalled_jump;  // min(ready) >= end: one jump to the window end
+    else
+      ++by_length;
+    ASSERT_TRUE(win_done || reached == end);
+
+    const CoreStats& a = win.core.stats();
+    const CoreStats& b = step.core.stats();
+    ASSERT_EQ(a.cycles, b.cycles) << "window " << w;
+    ASSERT_EQ(a.total_ops, b.total_ops) << "window " << w;
+    ASSERT_EQ(a.total_instructions, b.total_instructions) << "window " << w;
+    ASSERT_EQ(a.idle_cycles, b.idle_cycles) << "window " << w;
+    const MergeEngine& ea = win.core.engine();
+    const MergeEngine& eb = step.core.engine();
+    ASSERT_EQ(ea.cycles(), eb.cycles()) << "window " << w;
+    const Histogram& ha = ea.issued_histogram();
+    const Histogram& hb = eb.issued_histogram();
+    ASSERT_EQ(ha.total(), hb.total()) << "window " << w;
+    for (std::size_t k = 0; k < ha.num_buckets(); ++k)
+      ASSERT_EQ(ha.bucket(k), hb.bucket(k)) << "window " << w;
+    for (std::size_t k = 0; k < ea.node_stats().size(); ++k) {
+      ASSERT_EQ(ea.node_stats()[k].attempts, eb.node_stats()[k].attempts);
+      ASSERT_EQ(ea.node_stats()[k].rejects, eb.node_stats()[k].rejects);
+    }
+    MergeEngine next_a = ea;
+    MergeEngine next_b = eb;
+    const std::span<const Footprint* const> cands(
+        all.data(), static_cast<std::size_t>(win.core.num_slots()));
+    ASSERT_EQ(next_a.select(cands).issued_mask,
+              next_b.select(cands).issued_mask)
+        << "window " << w;
+    for (std::size_t t = 0; t < win.threads.size(); ++t) {
+      ASSERT_EQ(win.threads[t]->stats().instructions,
+                step.threads[t]->stats().instructions);
+      ASSERT_EQ(win.threads[t]->stats().ops, step.threads[t]->stats().ops);
+    }
+
+    // Between windows, as the OS does: restart finished threads and
+    // sometimes rebind the slots to another arrangement of the four.
+    for (Rig* r : {&win, &step}) {
+      for (std::size_t t = 0; t < r->threads.size(); ++t) {
+        ThreadContext& th = *r->threads[t];
+        if (th.done())
+          th.reset(th.name(), programs[t], 1000 + 7 * w + t,
+                   300 + 37 * static_cast<std::uint64_t>(w % 11));
+      }
+    }
+    if (rng.next_below(4) == 0) {
+      const std::uint64_t shift = rng.next_below(4);
+      for (Rig* r : {&win, &step})
+        for (int s = 0; s < r->core.num_slots(); ++s)
+          r->core.set_thread(
+              s, r->threads[(static_cast<std::size_t>(s) + shift) % 4].get());
+    }
+    cycle = reached;
+  }
+  EXPECT_GT(by_length, 0);
+  EXPECT_GT(by_completion, 0);
+  EXPECT_GT(by_stalled_jump, 0);
+}
+
+std::vector<WindowCase> window_cases() {
+  std::vector<WindowCase> cases;
+  for (const char* scheme : {"3SSS", "2CC", "IMT4", "1S"})
+    for (const PriorityPolicy policy :
+         {PriorityPolicy::kRoundRobin, PriorityPolicy::kFixed,
+          PriorityPolicy::kStickyOnStall})
+      for (const StatsLevel stats : {StatsLevel::kFast, StatsLevel::kFull})
+        cases.push_back({scheme, policy, stats, "vex4x4"});
+  // Heterogeneous clusters take the SMT slow path; the banked DCache with
+  // an L2 exercises every stall charge.
+  for (const char* machine : {"het4422", "l2banked"})
+    for (const char* scheme : {"3SSS", "2CC"})
+      for (const PriorityPolicy policy :
+           {PriorityPolicy::kRoundRobin, PriorityPolicy::kStickyOnStall})
+        cases.push_back({scheme, policy, StatsLevel::kFull, machine});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(CoreStep, WindowedRun,
+                         ::testing::ValuesIn(window_cases()), case_name);
 
 }  // namespace
 }  // namespace cvmt

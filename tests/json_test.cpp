@@ -95,6 +95,30 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)JsonValue::parse("-"), CheckError);
 }
 
+// A parse error is an input error: it names the byte offset and carries
+// no source path.
+TEST(Json, ParseErrorsNameTheOffsetWithoutASourcePath) {
+  const struct {
+    const char* text;
+    const char* needle;
+  } cases[] = {
+      {"{\"id\":1,", "JSON parse error at offset 8"},
+      {"[1,]", "JSON parse error at offset 3"},
+      {"[1] x", "trailing characters after JSON document at offset 4"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)JsonValue::parse(c.text);
+      ADD_FAILURE() << "no error for " << c.text;
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.needle), std::string::npos) << what;
+      EXPECT_EQ(what.find("CVMT_CHECK"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Json, TypedAccessorsCheckKind) {
   EXPECT_THROW((void)JsonValue("s").as_int(), CheckError);
   EXPECT_THROW((void)JsonValue(1.0).as_string(), CheckError);

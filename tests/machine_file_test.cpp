@@ -158,6 +158,28 @@ TEST(MachineFileTest, DuplicateKeyNamesTheLine) {
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
 }
 
+// Errors about the file's content are input errors: each names its line
+// and carries no source path.
+TEST(MachineFileTest, ContentErrorsNameTheLineWithoutASourcePath) {
+  const struct {
+    const char* text;
+    const char* needle;
+  } cases[] = {
+      {"name x\nbogus 1\n", "line 2: unknown key 'bogus'"},
+      {"clusters four\n", "line 1: not a number: 'four'"},
+      {"\nicache 1 2\n", "line 2: 'icache' needs 4 values"},
+      {"issue 4\nissue 4\n", "line 2: duplicate key 'issue'"},
+      {"cache_sharing maybe\n", "line 1: unknown cache sharing 'maybe'"},
+      {"clusters 2\ncluster 5 4 0x3 0x4 0x8\n",
+       "line 2: cluster index 5 out of range"},
+  };
+  for (const auto& c : cases) {
+    const std::string msg = expect_parse_error(c.text, c.needle);
+    EXPECT_EQ(msg.find("CVMT_CHECK"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+  }
+}
+
 TEST(MachineFileTest, OutOfRangeMaskIsRejectedByValidate) {
   // mul slot 4 does not exist in a 2-wide cluster.
   expect_parse_error("clusters 1\nissue 2\nmul_slots 0x4\n",

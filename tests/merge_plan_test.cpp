@@ -274,11 +274,15 @@ TEST(MergePlanStats, FastLevelKeepsDecisionsDropsCounters) {
   EXPECT_EQ(fast.cycles(), full.cycles());  // cycle count is always kept
 }
 
-TEST(MergePlanStats, SelectMaskGatheredMatchesSelect) {
+// The cycle loop decides a whole window through one MergeEngine::Window,
+// handing the offer count over and writing the rotation back only at the
+// end; select() is a one-cycle window. Both must agree cycle by cycle.
+TEST(MergePlanStats, WindowSelectMatchesSelect) {
   const Scheme scheme = Scheme::parse("3SCC");
   MergeEngine a(scheme, kM, PriorityPolicy::kRoundRobin);
   MergeEngine b(scheme, kM, PriorityPolicy::kRoundRobin);
   StreamGen gen(0x9A7);
+  MergeEngine::Window w = b.window();
   for (int cycle = 0; cycle < 1000; ++cycle) {
     std::array<Footprint, kMaxThreads> storage;
     const Candidates cands = gen.draw(storage, 4);
@@ -291,11 +295,12 @@ TEST(MergePlanStats, SelectMaskGatheredMatchesSelect) {
       }
     }
     const MergeDecision da = select(a, cands);
-    const std::uint32_t mb = b.select_mask_gathered(
-        std::span<const Footprint* const>(cands.data(), cands.size()),
-        num_offers, only);
+    const std::uint32_t mb =
+        w.select(cands.data(), num_offers, only).issued_mask;
     ASSERT_EQ(da.issued_mask, mb) << "cycle " << cycle;
   }
+  b.close(w);
+  EXPECT_EQ(a.cycles(), b.cycles());
   for (std::size_t i = 0; i < a.node_stats().size(); ++i) {
     EXPECT_EQ(a.node_stats()[i].attempts, b.node_stats()[i].attempts);
     EXPECT_EQ(a.node_stats()[i].rejects, b.node_stats()[i].rejects);
@@ -303,6 +308,12 @@ TEST(MergePlanStats, SelectMaskGatheredMatchesSelect) {
   for (std::size_t k = 0; k < a.issued_histogram().num_buckets(); ++k)
     EXPECT_EQ(a.issued_histogram().bucket(k),
               b.issued_histogram().bucket(k));
+  // The rotation was written back: the next decisions agree too.
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    std::array<Footprint, kMaxThreads> storage;
+    const Candidates cands = gen.draw(storage, 4);
+    ASSERT_EQ(select(a, cands).issued_mask, select(b, cands).issued_mask);
+  }
 }
 
 // ---------------------------------------------------------- reset_rotation

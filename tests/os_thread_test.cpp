@@ -35,6 +35,12 @@ std::shared_ptr<const SyntheticProgram> double_miss_program() {
       "cold=0x40000000\n{ c0.2 ld ; c1.2 ld }\n{ c0.3 br }\n.endloop\n");
 }
 
+/// The stall charges of kM on `mem` under `policy`.
+StallCosts costs(const MemorySystem& mem,
+                 MissPolicy policy = MissPolicy::kSerialized) {
+  return StallCosts::of(kM, mem.config(), policy);
+}
+
 MemorySystemConfig perfect_mem() {
   MemorySystemConfig cfg;
   cfg.perfect = true;
@@ -47,7 +53,7 @@ TEST(ThreadContext, OffersAndConsumesWithPerfectMemory) {
   const Footprint* fp = t.offer(0, mem, 0);
   ASSERT_NE(fp, nullptr);
   EXPECT_EQ(fp->total_ops(), 1);  // the alu instruction
-  t.consume(0, mem, 0, kM, MissPolicy::kSerialized);
+  t.consume(0, mem, 0, costs(mem));
   EXPECT_EQ(t.stats().instructions, 1u);
   EXPECT_EQ(t.stats().ops, 1u);
   // Non-branch instruction: ready again the very next cycle.
@@ -58,9 +64,9 @@ TEST(ThreadContext, TakenBranchCostsThePenalty) {
   MemorySystem mem(perfect_mem(), 1);
   ThreadContext t("t", alu_branch_program(), 1, 1000);
   t.offer(0, mem, 0);
-  t.consume(0, mem, 0, kM, MissPolicy::kSerialized);  // alu
+  t.consume(0, mem, 0, costs(mem));  // alu
   ASSERT_NE(t.offer(1, mem, 0), nullptr);
-  t.consume(1, mem, 0, kM, MissPolicy::kSerialized);  // taken branch
+  t.consume(1, mem, 0, costs(mem));  // taken branch
   EXPECT_EQ(t.stats().taken_branches, 1u);
   EXPECT_EQ(t.stats().branch_stall_cycles, 2u);
   // Squash penalty: next issue at 1 + 1 + 2 = cycle 4.
@@ -75,7 +81,7 @@ TEST(ThreadContext, SerializedMissesAddUp) {
   // First offer pays the compulsory ICache miss.
   EXPECT_EQ(t.offer(0, mem, 0), nullptr);
   ASSERT_NE(t.offer(20, mem, 0), nullptr);
-  t.consume(20, mem, 0, kM, MissPolicy::kSerialized);
+  t.consume(20, mem, 0, costs(mem));
   EXPECT_EQ(t.stats().dcache_stall_cycles, 40u);  // two misses, serialized
   // Next issue: 20 + 1 + 40 = 61 (plus ICache hit for the next line).
   EXPECT_EQ(t.offer(60, mem, 0), nullptr);
@@ -87,7 +93,7 @@ TEST(ThreadContext, OverlappedMissesPayOnce) {
   ThreadContext t("t", double_miss_program(), 1, 1000);
   EXPECT_EQ(t.offer(0, mem, 0), nullptr);  // compulsory ICache miss
   ASSERT_NE(t.offer(20, mem, 0), nullptr);
-  t.consume(20, mem, 0, kM, MissPolicy::kOverlapped);
+  t.consume(20, mem, 0, costs(mem, MissPolicy::kOverlapped));
   EXPECT_EQ(t.stats().dcache_stall_cycles, 20u);
   EXPECT_NE(t.offer(41, mem, 0), nullptr);
 }
@@ -98,7 +104,7 @@ TEST(ThreadContext, IcacheMissDelaysFirstIssueOnly) {
   EXPECT_EQ(t.offer(0, mem, 0), nullptr);   // compulsory miss
   EXPECT_EQ(t.offer(19, mem, 0), nullptr);
   ASSERT_NE(t.offer(20, mem, 0), nullptr);
-  t.consume(20, mem, 0, kM, MissPolicy::kSerialized);
+  t.consume(20, mem, 0, costs(mem));
   // Both body instructions share one 64B line: next fetch hits.
   EXPECT_NE(t.offer(21, mem, 0), nullptr);
   EXPECT_EQ(t.stats().icache_stall_cycles, 20u);
@@ -110,7 +116,7 @@ TEST(ThreadContext, BudgetCompletionStopsOffers) {
   std::uint64_t cycle = 0;
   while (!t.done()) {
     if (t.offer(cycle, mem, 0) != nullptr)
-      t.consume(cycle, mem, 0, kM, MissPolicy::kSerialized);
+      t.consume(cycle, mem, 0, costs(mem));
     ++cycle;
   }
   EXPECT_EQ(t.stats().instructions, 3u);
@@ -120,7 +126,7 @@ TEST(ThreadContext, BudgetCompletionStopsOffers) {
 TEST(ThreadContext, ConsumeWithoutOfferIsAnError) {
   MemorySystem mem(perfect_mem(), 1);
   ThreadContext t("t", alu_branch_program(), 1, 10);
-  EXPECT_THROW(t.consume(0, mem, 0, kM, MissPolicy::kSerialized),
+  EXPECT_THROW(t.consume(0, mem, 0, costs(mem)),
                CheckError);
 }
 

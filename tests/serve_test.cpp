@@ -154,6 +154,20 @@ TEST(Serve, MalformedJsonGetsErrorAndConnectionSurvives) {
   EXPECT_TRUE(c.request(R"({"id":2,"type":"ping"})").get("ok").as_bool());
 }
 
+// A line that is not JSON gets bad_json with a message naming the byte
+// offset, written for the client: no source path.
+TEST(Serve, BadJsonNamesTheOffsetWithoutASourcePath) {
+  TestServer ts;
+  Client c(ts.server->port());
+  const JsonValue r = c.request(R"({"id":1,)");
+  EXPECT_EQ(error_code_of(r), "bad_json");
+  const std::string message = r.get("error").get("message").as_string();
+  EXPECT_NE(message.find("JSON parse error at offset 8"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("CVMT_CHECK"), std::string::npos) << message;
+  EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+}
+
 // Two inputs that would overflow the stack of a recursive parser without
 // a depth cap: a JSON nesting bomb and a run request whose scheme nests
 // C( 100,000 deep. Each gets an error line of bounded size, and the

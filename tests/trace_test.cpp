@@ -2,6 +2,7 @@
 // structural validity, determinism, resumability and statistical shape.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -266,6 +267,79 @@ TEST(TraceGenerator, BranchDensityRoughlyOnePerBody) {
   const double body = static_cast<double>(n) / taken;
   EXPECT_GT(body, 4.0);
   EXPECT_LT(body, 40.0);
+}
+
+/// FNV-1a over the eight little-endian bytes of `v`.
+void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Digest of the first `count` instructions `advance()` emits: each
+/// contributes its PC, each data address, its taken flag and its op count.
+std::uint64_t stream_digest(const char* program, std::uint64_t seed,
+                            int count) {
+  TraceGenerator gen(make_program(program), seed);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < count; ++i) {
+    gen.advance();
+    fnv1a_mix(h, gen.current_pc());
+    for (const std::uint64_t addr : gen.current_addresses())
+      fnv1a_mix(h, addr);
+    fnv1a_mix(h, gen.current_taken() ? 1 : 0);
+    fnv1a_mix(h, static_cast<std::uint64_t>(gen.current_op_count()));
+  }
+  return h;
+}
+
+TEST(TraceGenerator, StreamDigestsArePinnedDrawForDraw) {
+  // Every simulated number starts from these streams: a generator change
+  // that moves a single random draw, address or branch direction shows
+  // up here, named by program, before it reaches a figure's digest.
+  const std::map<std::string, std::uint64_t> golden = {
+      {"mcf", 0x0fe44e36bbeabba4ULL},
+      {"bzip2", 0x772c32d96736a485ULL},
+      {"blowfish", 0x18e15cf97251c0d4ULL},
+      {"gsmencode", 0x0879bef5daebc70fULL},
+      {"g721encode", 0x899118c9c58e853fULL},
+      {"g721decode", 0x6a4857166101486cULL},
+      {"cjpeg", 0xfeed4c6231da199aULL},
+      {"djpeg", 0x1e8c58c651fa284fULL},
+      {"imgpipe", 0xb63496c6521fbc34ULL},
+      {"x264", 0xde5c92ed74ee2700ULL},
+      {"idct", 0xf4c196f066583566ULL},
+      {"colorspace", 0xf3579b6629879c5dULL},
+  };
+  ASSERT_EQ(golden.size(), table1_profiles().size());
+  for (const BenchmarkProfile& p : table1_profiles()) {
+    const std::uint64_t digest = stream_digest(p.name.c_str(), 7, 200000);
+    EXPECT_EQ(digest, golden.at(p.name))
+        << p.name << ": got 0x" << std::hex << digest;
+  }
+}
+
+// The generator draws through Bernoulli thresholds: the same values and
+// the same answers as next_bool(double), including the probabilities
+// that draw nothing (p <= 0, p >= 1) and NaN, which draws and says no.
+TEST(Xoshiro, IntegerThresholdDrawMatchesNextBool) {
+  std::vector<double> ps = {-1.0, -0.0, 0.0, 0x1p-60, 0x1p-53, 0.25,
+                            1.0 - 0x1p-53, 1.0, 2.0, std::nan("")};
+  for (const BenchmarkProfile& p : table1_profiles()) {
+    ps.push_back(p.mid_branch_taken);
+    const SyntheticProgram prog(p, kM);
+    for (const auto& loop : prog.loops()) ps.push_back(loop.miss_frac);
+  }
+  for (const double p : ps) {
+    Xoshiro256 by_double(0xB0B);
+    Xoshiro256 by_threshold(0xB0B);
+    const Bernoulli compiled(p);
+    for (int i = 0; i < 100000; ++i)
+      ASSERT_EQ(by_threshold.next_bool(compiled), by_double.next_bool(p))
+          << "p = " << std::hexfloat << p << ", draw " << i;
+    EXPECT_TRUE(by_threshold == by_double) << "p = " << std::hexfloat << p;
+  }
 }
 
 TEST(TraceGenerator, ClusterHomesVaryAcrossLoops) {
