@@ -1,9 +1,16 @@
 // ExperimentRegistry: every experiment the driver and CI rely on is
-// registered, and every registered experiment runs at smoke scale and
-// produces non-empty, schema-consistent Dataset sections.
+// registered, and every registered experiment runs at smoke scale,
+// produces non-empty, schema-consistent Dataset sections, and renders to
+// pinned bytes in every output format.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <sstream>
+
+#include "exp/driver.hpp"
 #include "exp/registry.hpp"
+#include "store/result_store.hpp"
 #include "support/check.hpp"
 
 namespace cvmt {
@@ -78,16 +85,74 @@ TEST(Registry, SchemaSummaryNamesKnobs) {
   EXPECT_NE(me->schema_summary().find("stats=full"), std::string::npos);
 }
 
+/// FNV-1a of `print_result` at tiny() for every experiment, as table,
+/// CSV and JSON. These pin the output bytes of all 18 experiments. When an
+/// output change is intended, copy the new digests from the failure
+/// messages here and say so in the change log.
+struct PinnedDigests {
+  const char* id;
+  std::uint64_t fnv1a[3];  ///< table, csv, json
+};
+constexpr PinnedDigests kPinnedDigests[] = {
+    {"table1", {0x2d418d772983fa76, 0xb0fe3284dce668da, 0xb55255799fe9e514}},
+    {"table2", {0xcfa9c32d1593b05f, 0xd563193b2e829a50, 0x82744b8ded72f5d0}},
+    {"fig4", {0x850ddc09b9eb3783, 0x082207efec2c2131, 0x53a497d2be367f4f}},
+    {"fig5", {0x9a4fe17af2696072, 0x90cf8aa56a536f24, 0xad01ec84a0ff4cbf}},
+    {"fig6", {0xa42a30fdcdb306c4, 0x315b930b12ea6b2c, 0x333dc4c2a16b158c}},
+    {"fig9", {0xeca3906a71e9bfda, 0x2024ff66a8fa8576, 0xd95484d17a09f771}},
+    {"fig10", {0x0001442d331dfcb4, 0x5939678f7b448c91, 0xdd8e8d02ba9282a3}},
+    {"fig11", {0x642f357f6c0ec9da, 0xb126941412cb1778, 0x14b2c57a5deadb07}},
+    {"fig12", {0x861e8ee512b8af54, 0x8960fb379c42fc49, 0x7e374af311fd5183}},
+    {"8threads", {0xea6c69e8f977d895, 0x62d6b48de1e74e75, 0x94da327810a26982}},
+    {"baselines", {0x79adc1ce68e58085, 0xd4e9ba8dfbc20e09, 0xa001ec2266f7a90f}},
+    {"design-choices",
+     {0xcfe30927719cbdf1, 0xcf53635fb68cc0bf, 0x811450ce696face2}},
+    {"machine-shapes",
+     {0xe809e616af380355, 0x7d663ca10e8a3266, 0x93712e122133831c}},
+    {"ablation_machine_files",
+     {0xfa431f535e75632b, 0x0c84330d8cf75b61, 0xd0541bdfd39d87bd}},
+    {"miss-penalty",
+     {0xbcaa455e28428386, 0x0277869e5b57b32b, 0xd22a72fa56d563fa}},
+    {"scale", {0xa236273b2c156c0e, 0x00c99a53bd957176, 0x530f23bf4c76d60d}},
+    {"merge-efficiency",
+     {0xe6e09ac84f179832, 0x0d68f6665546d654, 0x77c0235dc2a7c533}},
+    {"fuzz", {0x851058fc39b2931a, 0x165f83a9c2f89c11, 0xe425145fda70f551}},
+};
+
 // The headline acceptance test of the experiment API: every registered
 // experiment runs under smoke-scale parameters and yields non-empty,
 // schema-consistent sections. (Dataset::add_row enforces cell/column
 // consistency at insertion; the JSON rendering must carry every data row
-// and every declared column.)
+// and every declared column.) Its table, CSV and JSON renderings must
+// hash to kPinnedDigests.
 TEST(Registry, EveryExperimentRunsFastAndYieldsConsistentDatasets) {
   const ExperimentParams params = tiny();
+  std::size_t pinned = 0;
   for (const Experiment* e : ExperimentRegistry::instance().all()) {
     SCOPED_TRACE(e->id);
     const ExperimentResult result = e->run(RunContext{params});
+    const PinnedDigests* want = nullptr;
+    for (const PinnedDigests& d : kPinnedDigests)
+      if (e->id == d.id) want = &d;
+    pinned += want != nullptr;
+    for (const OutputFormat format :
+         {OutputFormat::kTable, OutputFormat::kCsv, OutputFormat::kJson}) {
+      std::ostringstream os;
+      print_result(os, *e, params, result, format);
+      const std::uint64_t got = fnv1a64(os.str());
+      char digest[19];
+      std::snprintf(digest, sizeof digest, "0x%016llx",
+                    static_cast<unsigned long long>(got));
+      if (want == nullptr) {
+        ADD_FAILURE() << e->id << " " << to_string(format)
+                      << ": no pinned digest; the output hashes to "
+                      << digest;
+        continue;
+      }
+      EXPECT_EQ(got, want->fnv1a[static_cast<std::size_t>(format)])
+          << e->id << " " << to_string(format)
+          << ": output bytes changed; they now hash to " << digest;
+    }
     EXPECT_TRUE(result.ok);
     ASSERT_FALSE(result.sections.empty());
     bool has_data = false;
@@ -103,6 +168,7 @@ TEST(Registry, EveryExperimentRunsFastAndYieldsConsistentDatasets) {
     }
     EXPECT_TRUE(has_data);
   }
+  EXPECT_EQ(pinned, std::size(kPinnedDigests));
 }
 
 }  // namespace
