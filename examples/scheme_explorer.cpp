@@ -7,11 +7,11 @@
 #include <iostream>
 #include <memory>
 
-#include "exp/report.hpp"
 #include "sim/session.hpp"
 #include "support/args.hpp"
 #include "support/check.hpp"
 #include "support/string_util.hpp"
+#include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cvmt;
@@ -98,7 +98,14 @@ int main(int argc, char** argv) {
 
   std::cout << "\nPer-merge-block reject rates (preorder; each block "
                "labelled by its canonical sub-scheme):\n";
-  render_merge_nodes(r.merge_nodes).to_table().print(std::cout);
+  TableWriter blocks({"Sub-scheme", "Kind", "Attempts", "Rejects",
+                      "Reject %"});
+  for (const MergeNodeStats& n : r.merge_nodes)
+    blocks.add_row({n.label, std::string(1, to_char(n.kind)),
+                    format_grouped(static_cast<long long>(n.attempts)),
+                    format_grouped(static_cast<long long>(n.rejects)),
+                    format_fixed(100.0 * n.reject_rate(), 1)});
+  blocks.print(std::cout);
 
   std::cout << "\nThreads issued per cycle:\n";
   for (std::size_t k = 0; k < r.issued_per_cycle.num_buckets(); ++k)

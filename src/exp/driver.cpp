@@ -105,6 +105,15 @@ JsonValue params_to_json(const Experiment& experiment,
 
 }  // namespace
 
+JsonValue section_to_json(const ResultSection& s) {
+  JsonValue section = JsonValue::object();
+  if (!s.title.empty()) section.set("title", s.title);
+  const JsonValue data = s.data.to_json();
+  section.set("columns", data.get("columns"));
+  section.set("rows", data.get("rows"));
+  return section;
+}
+
 JsonValue result_to_json(const Experiment& experiment,
                          const ExperimentParams& params,
                          const ExperimentResult& result) {
@@ -115,15 +124,8 @@ JsonValue result_to_json(const Experiment& experiment,
   out.set("ok", result.ok);
   out.set("params", params_to_json(experiment, params));
   JsonValue sections = JsonValue::array();
-  for (const ResultSection& s : result.sections) {
-    if (s.data.num_cols() == 0) continue;
-    JsonValue section = JsonValue::object();
-    if (!s.title.empty()) section.set("title", s.title);
-    const JsonValue data = s.data.to_json();
-    section.set("columns", data.get("columns"));
-    section.set("rows", data.get("rows"));
-    sections.push_back(std::move(section));
-  }
+  for (const ResultSection& s : result.sections)
+    if (s.data.num_cols() > 0) sections.push_back(section_to_json(s));
   out.set("sections", std::move(sections));
   return out;
 }
@@ -387,17 +389,8 @@ int cvmt_machines(int argc, const char* const* argv) {
     for (const std::string& name : builtin_machine_names()) {
       MachineDescription desc;
       CVMT_CHECK(find_builtin_machine(name, desc));
-      std::string shape;
-      if (desc.machine.heterogeneous) {
-        for (int c = 0; c < desc.machine.num_clusters; ++c) {
-          if (c) shape += '+';
-          shape += std::to_string(desc.machine.cluster_issue(c));
-        }
-        shape += " (het)";
-      } else {
-        shape = std::to_string(desc.machine.num_clusters) + "x" +
-                std::to_string(desc.machine.issue_per_cluster);
-      }
+      std::string shape = desc.machine.shape_label();
+      if (desc.machine.heterogeneous) shape += " (het)";
       std::string mem = desc.mem.has_l2 ? "L1+L2" : "L1";
       if (desc.mem.dcache_banks > 1)
         mem += ", " + std::to_string(desc.mem.dcache_banks) + "-bank D$";
@@ -437,15 +430,7 @@ int cvmt_list(int argc, const char* const* argv) {
   }
   const OutputFormat format =
       format_from_string(parser.get_string("format", "table"));
-  const Dataset d = list_dataset();
-  switch (format) {
-    case OutputFormat::kTable: d.to_table().print(std::cout); break;
-    case OutputFormat::kCsv: d.write_csv(std::cout); break;
-    case OutputFormat::kJson:
-      d.to_json().write(std::cout);
-      std::cout << '\n';
-      break;
-  }
+  print_dataset(std::cout, list_dataset(), format);
   return 0;
 }
 

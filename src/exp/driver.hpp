@@ -26,6 +26,10 @@ void print_result(std::ostream& os, const Experiment& experiment,
                   const ExperimentParams& params,
                   const ExperimentResult& result, OutputFormat format);
 
+/// JSON form of one result section: its title (when set), columns and
+/// rows.
+[[nodiscard]] JsonValue section_to_json(const ResultSection& section);
+
 /// JSON form of one experiment result (what print_result kJson writes).
 [[nodiscard]] JsonValue result_to_json(const Experiment& experiment,
                                        const ExperimentParams& params,

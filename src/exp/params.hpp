@@ -41,11 +41,24 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiments.hpp"
+#include "exp/batch_runner.hpp"
 #include "support/args.hpp"
 #include "support/json.hpp"
 
 namespace cvmt {
+
+/// The --fast smoke-test scale (the `fast` knob).
+inline constexpr std::uint64_t kFastInstructionBudget = 60'000;
+inline constexpr std::uint64_t kFastTimesliceCycles = 10'000;
+
+/// Common configuration for all simulation-backed experiments.
+struct ExperimentConfig {
+  SimConfig sim;
+  /// Fan-out options for the batch runner (--workers fills the worker
+  /// count, 0 = all hardware cores); results are identical for any
+  /// worker count.
+  BatchOptions batch;
+};
 
 /// One knob of an experiment's declared parameter schema.
 enum class ParamKind : std::uint8_t {

@@ -15,7 +15,8 @@ ExperimentResult run(const RunContext& ctx) {
 
   const char* machines[] = {"vex4x4", "het4422", "l2banked", "prestall",
                             "poststall"};
-  const char* schemes[] = {"1S", "3CCC", "2SC3", "3SSS"};
+  const Scheme schemes[] = {Scheme::parse("1S"), Scheme::parse("3CCC"),
+                            Scheme::parse("2SC3"), Scheme::parse("3SSS")};
 
   Dataset t({ColumnSpec::str("Machine"), ColumnSpec::str("Shape"),
              ColumnSpec::str("Policy"), ColumnSpec::real("1S"),
@@ -30,31 +31,11 @@ ExperimentResult run(const RunContext& ctx) {
     sim.mem = desc.mem;
     sim.switch_policy = desc.switch_policy;
 
-    const auto& wls = table2_workloads();
-    std::vector<BatchJob> jobs;
-    jobs.reserve(std::size(schemes) * wls.size());
-    for (const char* s : schemes)
-      for (const Workload& w : wls)
-        jobs.push_back(make_job(Scheme::parse(s), w, sim));
     const std::vector<double> avg =
-        group_averages(run_batch_ipc(jobs, cfg.batch), wls.size());
-
-    std::string shape;
-    if (desc.machine.heterogeneous) {
-      for (int c = 0; c < desc.machine.num_clusters; ++c) {
-        if (c) shape += '+';
-        shape += std::to_string(desc.machine.cluster_issue(c));
-      }
-    } else {
-      shape = std::to_string(desc.machine.num_clusters) + "x" +
-              std::to_string(desc.machine.issue_per_cluster);
-    }
-    std::vector<Cell> row{std::string(name), std::move(shape),
-                          std::string(to_string(desc.switch_policy))};
-    for (std::size_t si = 0; si < std::size(schemes); ++si)
-      row.emplace_back(avg[si]);
-    row.emplace_back(percent_diff(avg[2], avg[0]));  // 2SC3 vs 1S
-    t.add_row(std::move(row));
+        runners::average_ipc(schemes, sim, cfg.batch);
+    t.add_row({std::string(name), desc.machine.shape_label(),
+               std::string(to_string(desc.switch_policy)), avg[0], avg[1],
+               avg[2], avg[3], percent_diff(avg[2], avg[0])});
   }
   return runners::one_section(
       "Ablation: machine description files", std::move(t),

@@ -16,7 +16,8 @@ ExperimentResult run(const RunContext& ctx) {
       {2, 8}, {4, 4}, {8, 2},  // constant 16-wide
       {4, 2}, {2, 4},          // 8-wide points
   };
-  const char* schemes[] = {"1S", "3CCC", "2SC3", "3SSS"};
+  const Scheme schemes[] = {Scheme::parse("1S"), Scheme::parse("3CCC"),
+                            Scheme::parse("2SC3"), Scheme::parse("3SSS")};
 
   Dataset t({ColumnSpec::str("Machine"),
              ColumnSpec::integer("Total width"), ColumnSpec::real("1S"),
@@ -24,31 +25,15 @@ ExperimentResult run(const RunContext& ctx) {
              ColumnSpec::real("3SSS"),
              ColumnSpec::real("2SC3 vs 3CCC", 1, "%")});
   for (const auto& [clusters, width] : shapes) {
-    const MachineConfig machine = MachineConfig::clustered(clusters, width);
     SimConfig sim = cfg.sim;
-    sim.machine = machine;
-
+    sim.machine = MachineConfig::clustered(clusters, width);
     // One batch per machine shape: every scheme on every workload.
-    const auto& wls = table2_workloads();
-    std::vector<BatchJob> jobs;
-    jobs.reserve(std::size(schemes) * wls.size());
-    for (const char* s : schemes)
-      for (const Workload& w : wls)
-        jobs.push_back(make_job(Scheme::parse(s), w, sim));
     const std::vector<double> avg =
-        group_averages(run_batch_ipc(jobs, cfg.batch), wls.size());
-
-    std::vector<Cell> row{
-        std::to_string(clusters) + "x" + std::to_string(width),
-        Cell{static_cast<std::int64_t>(machine.total_issue_width())}};
-    double csmt = 0.0, mixed = 0.0;
-    for (std::size_t si = 0; si < std::size(schemes); ++si) {
-      if (std::string(schemes[si]) == "3CCC") csmt = avg[si];
-      if (std::string(schemes[si]) == "2SC3") mixed = avg[si];
-      row.emplace_back(avg[si]);
-    }
-    row.emplace_back(percent_diff(mixed, csmt));
-    t.add_row(std::move(row));
+        runners::average_ipc(schemes, sim, cfg.batch);
+    const auto width_total =
+        static_cast<std::int64_t>(sim.machine.total_issue_width());
+    t.add_row({sim.machine.shape_label(), Cell{width_total}, avg[0], avg[1],
+               avg[2], avg[3], percent_diff(avg[2], avg[1])});
   }
   return runners::one_section(
       "Ablation: machine shape (clusters x issue width)", std::move(t),

@@ -11,6 +11,52 @@ const Workload& workload_by_name(std::string_view name) {
   __builtin_unreachable();
 }
 
+std::vector<Workload> table2_rows(const std::vector<std::string>& filter) {
+  std::vector<Workload> out;
+  for (const Workload& w : table2_workloads()) {
+    bool keep = filter.empty();
+    for (const std::string& name : filter) keep = keep || w.ilp_combo == name;
+    if (keep) out.push_back(w);
+  }
+  CVMT_CHECK_MSG(!out.empty(), "workload filter selected nothing");
+  return out;
+}
+
+std::vector<double> average_ipc(std::span<const Scheme> schemes,
+                                const SimConfig& sim,
+                                const BatchOptions& batch) {
+  const auto& wls = table2_workloads();
+  std::vector<BatchJob> jobs;
+  jobs.reserve(schemes.size() * wls.size());
+  for (const Scheme& s : schemes)
+    for (const Workload& w : wls) jobs.push_back(make_job(s, w, sim));
+  return group_averages(run_batch_ipc(jobs, batch), wls.size());
+}
+
+Fig10Grid fig10_grid(const RunContext& ctx) {
+  Fig10Grid g;
+  g.workloads = table2_rows(ctx.params.workloads);
+  if (ctx.params.schemes.empty()) g.schemes = Scheme::paper_schemes_4t();
+  for (const std::string& name : ctx.params.schemes)
+    g.schemes.push_back(Scheme::parse(name));
+
+  // Job w*S+s is workload w under scheme s.
+  std::vector<BatchJob> jobs;
+  jobs.reserve(g.workloads.size() * g.schemes.size());
+  for (const Workload& w : g.workloads)
+    for (const Scheme& s : g.schemes)
+      jobs.push_back(make_job(s, w, ctx.params.cfg.sim));
+  g.ipc = run_batch_ipc(jobs, ctx.params.cfg.batch);
+
+  for (std::size_t s = 0; s < g.schemes.size(); ++s) {
+    double sum = 0.0;
+    for (std::size_t w = 0; w < g.workloads.size(); ++w)
+      sum += g.ipc[w * g.schemes.size() + s];
+    g.average.push_back(sum / static_cast<double>(g.workloads.size()));
+  }
+  return g;
+}
+
 ExperimentResult one_section(std::string title, Dataset data,
                              std::string note, std::string preamble) {
   ResultSection s;

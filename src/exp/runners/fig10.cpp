@@ -3,9 +3,8 @@
 // headline relations. Honours --schemes/--workloads filters (the grouped
 // and headline sections need the full paper sets and are skipped under a
 // filter).
-#include <sstream>
-
 #include "exp/runners/common.hpp"
+#include "support/check.hpp"
 #include "support/string_util.hpp"
 
 namespace cvmt {
@@ -27,20 +26,57 @@ const std::vector<std::vector<std::string>>& legend_groups() {
   return kGroups;
 }
 
-ExperimentResult run(const RunContext& ctx) {
-  const Fig10Result f =
-      run_fig10(ctx.params.cfg, ctx.params.schemes, ctx.params.workloads);
+/// The headline comparisons of the paper's conclusion: `a` vs `b` in
+/// percent, with the paper's value and the prose line around it.
+struct Relation {
+  const char* label;
+  const char* a;
+  const char* b;
+  double paper_pct;
+  const char* prose;
+  const char* paper_prose;
+};
+constexpr Relation kRelations[] = {
+    {"2SC3 vs 3CCC", "2SC3", "3CCC", 14.0,
+     "2SC3 vs 4-thread CSMT (3CCC): ", "% (paper: +14%)\n"},
+    {"2SC3 vs 1S", "2SC3", "1S", 45.0, "2SC3 vs 2-thread SMT (1S):    ",
+     "% (paper: +45%)\n"},
+    {"2SC3 vs 3SSS", "2SC3", "3SSS", -11.0, "2SC3 vs 4-thread SMT (3SSS):  ",
+     "% (paper: -11%)\n"},
+    {"3SSS vs 1S", "3SSS", "1S", 61.0, "3SSS vs 1S:                   ",
+     "% (paper's Fig 4 trend: +61% over 2-thread)\n"},
+};
 
-  ExperimentResult result;
-  {
-    ResultSection s;
-    s.title = "Figure 10: merging schemes performance (IPC)";
-    s.data = render_fig10(f);
-    result.sections.push_back(std::move(s));
+ExperimentResult run(const RunContext& ctx) {
+  const runners::Fig10Grid g = runners::fig10_grid(ctx);
+
+  std::vector<ColumnSpec> columns{ColumnSpec::str("Workload")};
+  for (const Scheme& s : g.schemes)
+    columns.push_back(ColumnSpec::real(s.name()));
+  Dataset grid(std::move(columns));
+  for (std::size_t w = 0; w < g.workloads.size(); ++w) {
+    std::vector<Cell> row{g.workloads[w].ilp_combo};
+    for (std::size_t s = 0; s < g.schemes.size(); ++s)
+      row.emplace_back(g.ipc[w * g.schemes.size() + s]);
+    grid.add_row(std::move(row));
   }
+  grid.add_separator();
+  std::vector<Cell> avg_row{std::string("Average")};
+  for (double v : g.average) avg_row.emplace_back(v);
+  grid.add_row(std::move(avg_row));
+
+  ExperimentResult result = runners::one_section(
+      "Figure 10: merging schemes performance (IPC)", std::move(grid));
   if (!ctx.params.schemes.empty() || !ctx.params.workloads.empty() ||
       runners::partial_grid(ctx))
     return result;
+
+  const auto average_of = [&](std::string_view name) {
+    for (std::size_t s = 0; s < g.schemes.size(); ++s)
+      if (g.schemes[s].name() == name) return g.average[s];
+    CVMT_CHECK_MSG(false, "unknown scheme: " + std::string(name));
+    __builtin_unreachable();
+  };
 
   // Grouped view as in the paper's legend.
   Dataset grouped({ColumnSpec::str("Group"), ColumnSpec::real("Avg IPC")});
@@ -48,7 +84,7 @@ ExperimentResult run(const RunContext& ctx) {
     double sum = 0.0;
     std::string label;
     for (const auto& s : group) {
-      sum += f.average_of(s);
+      sum += average_of(s);
       label += (label.empty() ? "" : ",") + s;
     }
     grouped.add_row({std::move(label),
@@ -61,13 +97,19 @@ ExperimentResult run(const RunContext& ctx) {
     result.sections.push_back(std::move(s));
   }
 
-  const HeadlineRelations h = headline_relations(f);
-  std::ostringstream prose;
-  print_headlines(prose, h);
+  Dataset headlines({ColumnSpec::str("Relation"),
+                     ColumnSpec::real("Simulated %", 1),
+                     ColumnSpec::real("Paper %", 0)});
+  std::string prose;
+  for (const Relation& r : kRelations) {
+    const double pct = percent_diff(average_of(r.a), average_of(r.b));
+    headlines.add_row({std::string(r.label), pct, r.paper_pct});
+    prose += r.prose + format_fixed(pct, 1) + r.paper_prose;
+  }
   ResultSection s;
   s.title = "Headline relations";
-  s.data = render_headlines(h);
-  s.note = prose.str();
+  s.data = std::move(headlines);
+  s.note = std::move(prose);
   s.text_only = true;
   result.sections.push_back(std::move(s));
   return result;

@@ -1,14 +1,20 @@
 // Fig 9: merging-hardware cost (gate delays and transistor count) for the
 // 16 four-thread schemes, in the paper's presentation order.
+#include "cost/scheme_cost.hpp"
 #include "exp/runners/common.hpp"
 
 namespace cvmt {
 namespace {
 
 ExperimentResult run(const RunContext& ctx) {
+  Dataset t({ColumnSpec::str("Scheme"), ColumnSpec::real("Gate delays", 1),
+             ColumnSpec::integer("Transistors", /*grouped=*/true)});
+  for (const Scheme& s : Scheme::paper_schemes_4t()) {
+    const SchemeCost c = scheme_cost(s, ctx.params.cfg.sim.machine);
+    t.add_row({s.name(), c.gate_delay, Cell{c.transistors}});
+  }
   return runners::one_section(
-      "Figure 9: merging hardware cost per scheme",
-      render_fig9(run_fig9(ctx.params.cfg.sim.machine)),
+      "Figure 9: merging hardware cost per scheme", std::move(t),
       "\nKey relations (paper Sec. 4.2):\n"
       "  * CSMT-only schemes (C4, 3CCC, 2CC) cheapest overall\n"
       "  * one-SMT-block schemes (2SC3, 3SCC, ...) cost ~1S\n"

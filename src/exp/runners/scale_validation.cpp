@@ -12,26 +12,6 @@
 namespace cvmt {
 namespace {
 
-struct Relations {
-  double sc3_vs_csmt, sc3_vs_1s, smt4_vs_1s;
-};
-
-Relations measure(const SimConfig& sim, const BatchOptions& batch) {
-  const char* names[] = {"1S", "3CCC", "2SC3", "3SSS"};
-  const auto& wls = table2_workloads();
-
-  // One batch per scale point: every scheme on every workload.
-  std::vector<BatchJob> jobs;
-  jobs.reserve(std::size(names) * wls.size());
-  for (const char* name : names)
-    for (const Workload& w : wls)
-      jobs.push_back(make_job(Scheme::parse(name), w, sim));
-  const std::vector<double> avg =
-      group_averages(run_batch_ipc(jobs, batch), wls.size());
-  return {percent_diff(avg[2], avg[1]), percent_diff(avg[2], avg[0]),
-          percent_diff(avg[3], avg[0])};
-}
-
 ExperimentResult run(const RunContext& ctx) {
   Dataset t({ColumnSpec::integer("Budget (instrs)", /*grouped=*/true),
              ColumnSpec::integer("Timeslice (cycles)", /*grouped=*/true),
@@ -41,6 +21,8 @@ ExperimentResult run(const RunContext& ctx) {
   const std::pair<std::uint64_t, std::uint64_t> points[] = {
       {50'000, 12'500}, {150'000, 25'000}, {400'000, 50'000},
       {400'000, 200'000}, {800'000, 100'000}};
+  const Scheme schemes[] = {Scheme::parse("1S"), Scheme::parse("3CCC"),
+                            Scheme::parse("2SC3"), Scheme::parse("3SSS")};
   for (const auto& [budget, slice] : points) {
     SimConfig sim;
     sim.instruction_budget = budget;
@@ -48,10 +30,13 @@ ExperimentResult run(const RunContext& ctx) {
     // Pure-IPC sweep: skip the merge-stat accounting (the library
     // default is kFull; IPC is bit-identical either way).
     sim.stats = StatsLevel::kFast;
-    const Relations r = measure(sim, ctx.params.cfg.batch);
+    // One batch per scale point: every scheme on every workload.
+    const std::vector<double> avg =
+        runners::average_ipc(schemes, sim, ctx.params.cfg.batch);
     t.add_row({Cell{static_cast<std::int64_t>(budget)},
-               Cell{static_cast<std::int64_t>(slice)}, r.sc3_vs_csmt,
-               r.sc3_vs_1s, r.smt4_vs_1s});
+               Cell{static_cast<std::int64_t>(slice)},
+               percent_diff(avg[2], avg[1]), percent_diff(avg[2], avg[0]),
+               percent_diff(avg[3], avg[0])});
   }
   return runners::one_section(
       "Scale-down validation (paper: 100M instrs, 1M-cycle timeslice)",

@@ -20,21 +20,15 @@ ExperimentResult run(const RunContext& ctx) {
              ColumnSpec::real("3SSS"),
              ColumnSpec::real("2SC3 vs 3CCC", 1, "%"),
              ColumnSpec::real("3SSS vs 1S", 1, "%")});
-  const char* names[] = {"1S", "3CCC", "2SC3", "3SSS"};
+  const Scheme schemes[] = {Scheme::parse("1S"), Scheme::parse("3CCC"),
+                            Scheme::parse("2SC3"), Scheme::parse("3SSS")};
   for (int penalty : {5, 10, 20, 40, 80}) {
     SimConfig sim = cfg.sim;
     sim.mem.icache.miss_penalty = penalty;
     sim.mem.dcache.miss_penalty = penalty;
-
     // One batch per penalty: every scheme on every workload.
-    const auto& wls = table2_workloads();
-    std::vector<BatchJob> jobs;
-    jobs.reserve(std::size(names) * wls.size());
-    for (const char* name : names)
-      for (const Workload& w : wls)
-        jobs.push_back(make_job(Scheme::parse(name), w, sim));
     const std::vector<double> avg =
-        group_averages(run_batch_ipc(jobs, cfg.batch), wls.size());
+        runners::average_ipc(schemes, sim, cfg.batch);
     const double s1 = avg[0], ccc = avg[1], sc3 = avg[2], sss = avg[3];
     t.add_row({Cell{static_cast<std::int64_t>(penalty)}, s1, ccc, sc3, sss,
                percent_diff(sc3, ccc), percent_diff(sss, s1)});

@@ -7,26 +7,34 @@ namespace cvmt {
 namespace {
 
 ExperimentResult run(const RunContext& ctx) {
-  ExperimentResult result;
-  {
-    ResultSection s;
-    s.title = "Table 2: Workload configurations";
-    s.data = render_table2();
-    result.sections.push_back(std::move(s));
-  }
+  Dataset table({ColumnSpec::str("ILP Comb"), ColumnSpec::str("Thread 0"),
+                 ColumnSpec::str("Thread 1"), ColumnSpec::str("Thread 2"),
+                 ColumnSpec::str("Thread 3")});
+  for (const Workload& w : table2_workloads())
+    table.add_row({w.ilp_combo, w.benchmarks[0], w.benchmarks[1],
+                   w.benchmarks[2], w.benchmarks[3]});
+  ExperimentResult result = runners::one_section(
+      "Table 2: Workload configurations", std::move(table));
 
-  const auto t1 = run_table1(ctx.params.cfg);
+  // Job i: Table 1 benchmark i alone with real memory.
+  const auto& profiles = table1_profiles();
+  std::vector<BatchJob> jobs;
+  jobs.reserve(profiles.size());
+  for (const BenchmarkProfile& p : profiles)
+    jobs.push_back({Scheme::single_thread(), {p.name}, ctx.params.cfg.sim});
+  const std::vector<double> ipc = run_batch_ipc(jobs, ctx.params.cfg.batch);
+
   Dataset detail({ColumnSpec::str("Workload"), ColumnSpec::integer("Thread"),
                   ColumnSpec::str("Benchmark"), ColumnSpec::str("ILP"),
                   ColumnSpec::real("IPCr (sim)")});
   for (const Workload& w : table2_workloads()) {
     for (int t = 0; t < 4; ++t) {
-      const auto& name = w.benchmarks[static_cast<std::size_t>(t)];
-      for (const Table1Row& row : t1)
-        if (row.name == name)
+      const std::string& name = w.benchmarks[static_cast<std::size_t>(t)];
+      for (std::size_t i = 0; i < profiles.size(); ++i)
+        if (profiles[i].name == name)
           detail.add_row({w.ilp_combo, Cell{static_cast<std::int64_t>(t)},
-                          name, std::string(1, row.ilp),
-                          row.sim_ipc_real});
+                          name, std::string(1, to_char(profiles[i].ilp)),
+                          ipc[i]});
     }
     detail.add_separator();
   }

@@ -115,6 +115,18 @@ int MachineConfig::max_issue_per_cluster() const {
   return widest;
 }
 
+std::string MachineConfig::shape_label() const {
+  if (!heterogeneous)
+    return std::to_string(num_clusters) + "x" +
+           std::to_string(issue_per_cluster);
+  std::string label;
+  for (int c = 0; c < num_clusters; ++c) {
+    if (c) label += '+';
+    label += std::to_string(cluster_issue(c));
+  }
+  return label;
+}
+
 std::uint32_t MachineConfig::slots_for(OpKind kind, int c) const {
   std::uint32_t all;
   std::uint32_t mul;

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "isa/op_kind.hpp"
 #include "support/check.hpp"
@@ -108,6 +109,10 @@ struct MachineConfig {
       total += per_cluster[static_cast<std::size_t>(c)].issue_width;
     return total;
   }
+
+  /// The cluster layout as text: "4x4" (clusters x issue width), or each
+  /// cluster's issue width joined by '+' ("4+4+2+2") when heterogeneous.
+  [[nodiscard]] std::string shape_label() const;
 
   /// Mask of slots of cluster `c` able to execute `kind` (ALU: all slots).
   [[nodiscard]] std::uint32_t slots_for(OpKind kind, int c) const;

@@ -19,15 +19,6 @@ JsonValue run_experiment(const Request& req) {
   return result_to_json(*experiment, req.params, result);
 }
 
-JsonValue section_to_json(const ResultSection& s) {
-  JsonValue section = JsonValue::object();
-  if (!s.title.empty()) section.set("title", s.title);
-  const JsonValue data = s.data.to_json();
-  section.set("columns", data.get("columns"));
-  section.set("rows", data.get("rows"));
-  return section;
-}
-
 JsonValue run_single(const Request& req, SimSession& session) {
   const Scheme scheme = Scheme::parse(req.scheme);
   const SimResult r = session.run(

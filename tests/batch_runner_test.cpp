@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "exp/batch_runner.hpp"
-#include "exp/experiments.hpp"
 #include "sim/session.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
@@ -171,7 +170,8 @@ TEST(BatchRunner, EmptyBatchReturnsEmpty) {
 
 // ------------------------------------------ decision-equivalent grouping
 
-/// Figure 10's 144 jobs (workload-major, as run_fig10 lays them out).
+/// Figure 10's 144 jobs (workload-major, as the fig10 runner lays them
+/// out).
 std::vector<BatchJob> fig10_grid(StatsLevel stats) {
   SimConfig sim;
   sim.instruction_budget = 2'000;
@@ -275,22 +275,6 @@ TEST(BatchRunner, ShardedStoreTwinsDeriveOnlyFromHeldResults) {
   for (std::size_t i = 0; i < jobs.size(); ++i)
     ASSERT_EQ(result_bytes(replayed[i]), direct[i]) << "job " << i;
   EXPECT_EQ(merged->counters().replayed, jobs.size());
-}
-
-TEST(Experiments, Fig10IdenticalAcrossWorkerCounts) {
-  ExperimentConfig cfg;
-  cfg.sim = tiny_sim();
-  cfg.batch.workers = 1;
-  const Fig10Result serial = run_fig10(cfg);
-  cfg.batch.workers = 4;
-  const Fig10Result parallel = run_fig10(cfg);
-
-  EXPECT_EQ(serial.schemes, parallel.schemes);
-  EXPECT_EQ(serial.workloads, parallel.workloads);
-  ASSERT_EQ(serial.ipc.size(), parallel.ipc.size());
-  for (std::size_t w = 0; w < serial.ipc.size(); ++w)
-    EXPECT_EQ(serial.ipc[w], parallel.ipc[w]) << "workload row " << w;
-  EXPECT_EQ(serial.average, parallel.average);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiments.hpp"
+#include "exp/params.hpp"
 #include "sim/session.hpp"
 
 namespace cvmt {
