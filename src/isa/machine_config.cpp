@@ -11,27 +11,19 @@ constexpr std::uint32_t width_mask(int w) {
   return (w >= 32) ? ~0u : ((1u << static_cast<unsigned>(w)) - 1u);
 }
 
-void validate_shape(const ClusterShape& s, const std::string& where,
-                    bool allow_empty) {
-  CVMT_CHECK_MSG(s.issue_width >= 1 && s.issue_width <= kMaxIssuePerCluster,
-                 where + "issue width out of range");
-  const std::uint32_t all = width_mask(s.issue_width);
-  CVMT_CHECK_MSG((s.mul_slot_mask & ~all) == 0,
-                 where + "mul slot beyond issue width");
-  CVMT_CHECK_MSG((s.mem_slot_mask & ~all) == 0,
-                 where + "mem slot beyond issue width");
-  CVMT_CHECK_MSG((s.branch_slot_mask & ~all) == 0,
-                 where + "branch slot beyond issue width");
-  if (!allow_empty) {
-    CVMT_CHECK_MSG(s.mul_slot_mask != 0,
-                   "machine needs at least one multiplier");
-    CVMT_CHECK_MSG(s.mem_slot_mask != 0, "machine needs at least one LSU");
-    CVMT_CHECK_MSG(s.branch_slot_mask != 0,
-                   "machine needs at least one branch unit");
-  }
-}
-
 }  // namespace
+
+void ClusterShape::validate(const std::string& where) const {
+  CVMT_REQUIRE(issue_width >= 1 && issue_width <= kMaxIssuePerCluster,
+               where + "issue width out of range");
+  const std::uint32_t all = width_mask(issue_width);
+  CVMT_REQUIRE((mul_slot_mask & ~all) == 0,
+               where + "mul slot beyond issue width");
+  CVMT_REQUIRE((mem_slot_mask & ~all) == 0,
+               where + "mem slot beyond issue width");
+  CVMT_REQUIRE((branch_slot_mask & ~all) == 0,
+               where + "branch slot beyond issue width");
+}
 
 MachineConfig MachineConfig::vex4x4() {
   // Built (and validated) once; the factories sit on hot default paths
@@ -166,43 +158,35 @@ int MachineConfig::latency_of(OpKind kind) const {
 }
 
 void MachineConfig::validate() const {
-  CVMT_CHECK_MSG(num_clusters >= 1 && num_clusters <= kMaxClusters,
-                 "cluster count out of range");
-  if (heterogeneous) {
-    // Per-cluster masks may be empty; every capability must exist on at
-    // least one cluster of the machine.
-    int total = 0;
-    std::uint32_t any_mul = 0;
-    std::uint32_t any_mem = 0;
-    std::uint32_t any_branch = 0;
-    for (int c = 0; c < num_clusters; ++c) {
-      const ClusterShape& s = per_cluster[static_cast<std::size_t>(c)];
-      validate_shape(s, "cluster " + std::to_string(c) + ": ",
-                     /*allow_empty=*/true);
-      total += s.issue_width;
-      any_mul |= s.mul_slot_mask;
-      any_mem |= s.mem_slot_mask;
-      any_branch |= s.branch_slot_mask;
-    }
-    CVMT_CHECK_MSG(total <= kMaxTotalOps,
-                   "total issue width exceeds kMaxTotalOps");
-    CVMT_CHECK_MSG(any_mul != 0, "machine needs at least one multiplier");
-    CVMT_CHECK_MSG(any_mem != 0, "machine needs at least one LSU");
-    CVMT_CHECK_MSG(any_branch != 0,
-                   "machine needs at least one branch unit");
-  } else {
-    CVMT_CHECK_MSG(
-        issue_per_cluster >= 1 && issue_per_cluster <= kMaxIssuePerCluster,
-        "issue width out of range");
-    CVMT_CHECK_MSG(num_clusters * issue_per_cluster <= kMaxTotalOps,
-                   "total issue width exceeds kMaxTotalOps");
-    const ClusterShape flat{issue_per_cluster, mul_slot_mask, mem_slot_mask,
-                            branch_slot_mask};
-    validate_shape(flat, "", /*allow_empty=*/false);
+  CVMT_REQUIRE(num_clusters >= 1 && num_clusters <= kMaxClusters,
+               "cluster count out of range");
+  // A homogeneous machine's flat shape is every cluster's shape. Per-
+  // cluster masks may be empty; every capability must exist on at least
+  // one cluster of the machine.
+  int total = 0;
+  std::uint32_t any_mul = 0;
+  std::uint32_t any_mem = 0;
+  std::uint32_t any_branch = 0;
+  for (int c = 0; c < num_clusters; ++c) {
+    const ClusterShape s =
+        heterogeneous ? per_cluster[static_cast<std::size_t>(c)]
+                      : ClusterShape{issue_per_cluster, mul_slot_mask,
+                                     mem_slot_mask, branch_slot_mask};
+    s.validate(heterogeneous ? "cluster " + std::to_string(c) + ": " : "");
+    total += s.issue_width;
+    any_mul |= s.mul_slot_mask;
+    any_mem |= s.mem_slot_mask;
+    any_branch |= s.branch_slot_mask;
   }
-  CVMT_CHECK_MSG(alu_latency >= 1 && mul_latency >= 1 && mem_latency >= 1,
-                 "latencies must be positive");
-  CVMT_CHECK_MSG(taken_branch_penalty >= 0, "negative branch penalty");
+  CVMT_REQUIRE(total <= kMaxTotalOps,
+               "total issue width " + std::to_string(total) + " exceeds " +
+                   std::to_string(kMaxTotalOps));
+  CVMT_REQUIRE(any_mul != 0, "machine needs at least one multiplier");
+  CVMT_REQUIRE(any_mem != 0, "machine needs at least one LSU");
+  CVMT_REQUIRE(any_branch != 0, "machine needs at least one branch unit");
+  CVMT_REQUIRE(alu_latency >= 1 && mul_latency >= 1 && mem_latency >= 1,
+               "latencies must be positive");
+  CVMT_REQUIRE(taken_branch_penalty >= 0, "negative branch penalty");
 }
 
 bool operator==(const MachineConfig& a, const MachineConfig& b) {

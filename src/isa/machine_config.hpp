@@ -39,6 +39,11 @@ struct ClusterShape {
   std::uint32_t mem_slot_mask = 0b0100;
   std::uint32_t branch_slot_mask = 0b1000;
 
+  /// Throws CheckError, its message prefixed by `where`, when the issue
+  /// width is out of range or a mask names a slot beyond it. Masks may be
+  /// empty.
+  void validate(const std::string& where = {}) const;
+
   friend constexpr bool operator==(const ClusterShape&,
                                    const ClusterShape&) = default;
 };
@@ -130,7 +135,8 @@ struct MachineConfig {
 
   /// Throws CheckError when structurally invalid (e.g. capability mask
   /// names a slot beyond the cluster's issue width, or a heterogeneous
-  /// machine lacks a capability on every cluster).
+  /// machine lacks a capability on every cluster). The message names the
+  /// problem and carries no source location: a machine file can fail it.
   void validate() const;
 };
 

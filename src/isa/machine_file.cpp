@@ -1,6 +1,7 @@
 #include "isa/machine_file.hpp"
 
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -29,19 +30,36 @@ std::vector<std::string> tokenize(std::string_view line) {
   return tokens;
 }
 
-std::uint64_t parse_u64(const std::string& tok, int line_no) {
+std::uint64_t parse_u64(const std::string& tok, int line_no,
+                        std::uint64_t max = UINT64_MAX) {
   // parse_u64_token rejects what bare strtoull silently accepts: a
   // leading sign (issue=-1 would wrap to 18446744073709551615), trailing
   // garbage, and out-of-range values. Base 0 keeps 0x-prefixed slot
-  // masks working.
+  // masks working. `max` keeps the narrowing casts below from wrapping.
   std::uint64_t v = 0;
   CVMT_REQUIRE(parse_u64_token(tok, v, 0),
                at(line_no) + "not a number: '" + tok + "'");
+  CVMT_REQUIRE(v <= max, at(line_no) + "out of range: '" + tok + "'");
   return v;
 }
 
 int parse_int(const std::string& tok, int line_no) {
-  return static_cast<int>(parse_u64(tok, line_no));
+  return static_cast<int>(parse_u64(tok, line_no, INT_MAX));
+}
+
+std::uint32_t parse_u32(const std::string& tok, int line_no) {
+  return static_cast<std::uint32_t>(parse_u64(tok, line_no, UINT32_MAX));
+}
+
+/// Runs `check`, prefixing its error with the line that set the rejected
+/// value.
+template <typename Check>
+void on_line(int line_no, const Check& check) {
+  try {
+    check();
+  } catch (const CheckError& e) {
+    throw CheckError(at(line_no) + e.what());
+  }
 }
 
 std::string hex(std::uint32_t v) {
@@ -58,8 +76,8 @@ CacheConfig parse_cache(const std::vector<std::string>& tokens,
                    "miss_penalty");
   CacheConfig c;
   c.size_bytes = parse_u64(tokens[1], line_no);
-  c.line_bytes = static_cast<std::uint32_t>(parse_u64(tokens[2], line_no));
-  c.ways = static_cast<std::uint32_t>(parse_u64(tokens[3], line_no));
+  c.line_bytes = parse_u32(tokens[2], line_no);
+  c.ways = parse_u32(tokens[3], line_no);
   c.miss_penalty = parse_int(tokens[4], line_no);
   return c;
 }
@@ -102,31 +120,37 @@ MachineDescription parse_machine_file(std::string_view text) {
       CVMT_REQUIRE(tok.size() == args + 1,
                    at(line_no) + "'" + key + "' needs " + what);
     };
+    // A machine value that no other key constrains, checked on the
+    // default machine so that an error names this line.
+    const auto machine_scalar = [&](int MachineConfig::*field,
+                                    const char* what) {
+      need(1, what);
+      d.machine.*field = parse_int(tok[1], line_no);
+      MachineConfig alone;
+      alone.*field = d.machine.*field;
+      on_line(line_no, [&] { alone.validate(); });
+    };
 
     if (key == "name") {
       need(1, "a machine name");
       d.name = tok[1];
     } else if (key == "clusters") {
-      need(1, "a cluster count");
-      d.machine.num_clusters = parse_int(tok[1], line_no);
+      machine_scalar(&MachineConfig::num_clusters, "a cluster count");
     } else if (key == "issue") {
       need(1, "an issue width");
       d.machine.issue_per_cluster = parse_int(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "mul_slots") {
       need(1, "a slot mask");
-      d.machine.mul_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[1], line_no));
+      d.machine.mul_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "mem_slots") {
       need(1, "a slot mask");
-      d.machine.mem_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[1], line_no));
+      d.machine.mem_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "branch_slots") {
       need(1, "a slot mask");
-      d.machine.branch_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[1], line_no));
+      d.machine.branch_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "cluster") {
       need(5, "5 values: index issue_width mul_slots mem_slots "
@@ -134,26 +158,20 @@ MachineDescription parse_machine_file(std::string_view text) {
       ClusterRow row;
       row.index = parse_int(tok[1], line_no);
       row.shape.issue_width = parse_int(tok[2], line_no);
-      row.shape.mul_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[3], line_no));
-      row.shape.mem_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[4], line_no));
-      row.shape.branch_slot_mask =
-          static_cast<std::uint32_t>(parse_u64(tok[5], line_no));
+      row.shape.mul_slot_mask = parse_u32(tok[3], line_no);
+      row.shape.mem_slot_mask = parse_u32(tok[4], line_no);
+      row.shape.branch_slot_mask = parse_u32(tok[5], line_no);
+      on_line(line_no, [&] { row.shape.validate(); });
       row.line_no = line_no;
       rows.push_back(row);
     } else if (key == "alu_latency") {
-      need(1, "a latency");
-      d.machine.alu_latency = parse_int(tok[1], line_no);
+      machine_scalar(&MachineConfig::alu_latency, "a latency");
     } else if (key == "mul_latency") {
-      need(1, "a latency");
-      d.machine.mul_latency = parse_int(tok[1], line_no);
+      machine_scalar(&MachineConfig::mul_latency, "a latency");
     } else if (key == "mem_latency") {
-      need(1, "a latency");
-      d.machine.mem_latency = parse_int(tok[1], line_no);
+      machine_scalar(&MachineConfig::mem_latency, "a latency");
     } else if (key == "taken_branch_penalty") {
-      need(1, "a cycle count");
-      d.machine.taken_branch_penalty = parse_int(tok[1], line_no);
+      machine_scalar(&MachineConfig::taken_branch_penalty, "a cycle count");
     } else if (key == "icache") {
       d.mem.icache = parse_cache(tok, line_no);
     } else if (key == "dcache") {
@@ -188,6 +206,9 @@ MachineDescription parse_machine_file(std::string_view text) {
     } else {
       throw CheckError(at(line_no) + "unknown key '" + key + "'");
     }
+    // Every memory value is checked on its own, and the memory system was
+    // valid before this line, so an error here is this line's.
+    on_line(line_no, [&] { d.mem.validate(); });
   }
 
   if (!rows.empty()) {
@@ -217,10 +238,23 @@ MachineDescription parse_machine_file(std::string_view text) {
                        std::to_string(d.machine.num_clusters) + ")");
     // Mirror heterogeneous_of(): keep the ignored flat width coherent.
     d.machine.issue_per_cluster = d.machine.max_issue_per_cluster();
+  } else {
+    // The flat keys together set one shape, checked on the default
+    // cluster count, on which every valid shape fits.
+    MachineConfig flat = d.machine;
+    flat.num_clusters = MachineConfig{}.num_clusters;
+    on_line(flat_shape_line, [&] { flat.validate(); });
   }
 
-  d.machine.validate();
-  d.mem.validate();
+  // What is left spans several keys: the cluster count against the flat
+  // issue width, or the total width and the units of all cluster rows.
+  try {
+    d.machine.validate();
+  } catch (const CheckError& e) {
+    throw CheckError((rows.empty() ? "'clusters' x 'issue': "
+                                   : "'cluster' rows: ") +
+                     std::string(e.what()));
+  }
   return d;
 }
 

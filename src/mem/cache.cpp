@@ -6,15 +6,15 @@
 namespace cvmt {
 
 void CacheConfig::validate() const {
-  CVMT_CHECK_MSG(std::has_single_bit(static_cast<std::uint64_t>(line_bytes)),
+  CVMT_REQUIRE(std::has_single_bit(static_cast<std::uint64_t>(line_bytes)),
                  "line size must be a power of two");
-  CVMT_CHECK_MSG(ways >= 1, "at least one way");
-  CVMT_CHECK_MSG(size_bytes % (static_cast<std::uint64_t>(line_bytes) * ways)
+  CVMT_REQUIRE(ways >= 1, "at least one way");
+  CVMT_REQUIRE(size_bytes % (static_cast<std::uint64_t>(line_bytes) * ways)
                      == 0,
                  "size must be a multiple of line*ways");
-  CVMT_CHECK_MSG(std::has_single_bit(num_sets()),
+  CVMT_REQUIRE(std::has_single_bit(num_sets()),
                  "set count must be a power of two");
-  CVMT_CHECK_MSG(miss_penalty >= 0, "negative miss penalty");
+  CVMT_REQUIRE(miss_penalty >= 0, "negative miss penalty");
 }
 
 SetAssocCache::SetAssocCache(const CacheConfig& config)

@@ -8,11 +8,11 @@ void MemorySystemConfig::validate() const {
   icache.validate();
   dcache.validate();
   if (has_l2) l2.validate();
-  CVMT_CHECK_MSG(dcache_banks >= 1 &&
+  CVMT_REQUIRE(dcache_banks >= 1 &&
                      std::has_single_bit(
                          static_cast<unsigned>(dcache_banks)),
                  "dcache bank count must be a power of two");
-  CVMT_CHECK_MSG(bank_conflict_penalty >= 0,
+  CVMT_REQUIRE(bank_conflict_penalty >= 0,
                  "negative bank conflict penalty");
 }
 

@@ -158,12 +158,14 @@ TEST(MachineFileTest, DuplicateKeyNamesTheLine) {
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
 }
 
-// Errors about the file's content are input errors: each names its line
-// and carries no source path.
+// Errors about the file's content are input errors and carry no source
+// path. Each one that a single key causes starts with that key's line,
+// values that parse but describe an invalid machine included; a check
+// over the whole machine names the keys instead.
 TEST(MachineFileTest, ContentErrorsNameTheLineWithoutASourcePath) {
   const struct {
     const char* text;
-    const char* needle;
+    const char* start;
   } cases[] = {
       {"name x\nbogus 1\n", "line 2: unknown key 'bogus'"},
       {"clusters four\n", "line 1: not a number: 'four'"},
@@ -172,18 +174,44 @@ TEST(MachineFileTest, ContentErrorsNameTheLineWithoutASourcePath) {
       {"cache_sharing maybe\n", "line 1: unknown cache sharing 'maybe'"},
       {"clusters 2\ncluster 5 4 0x3 0x4 0x8\n",
        "line 2: cluster index 5 out of range"},
+      // Values that would wrap in the narrowing casts.
+      {"clusters 4294967297\n", "line 1: out of range: '4294967297'"},
+      {"\nmul_slots 0x100000003\n", "line 2: out of range: '0x100000003'"},
+      // Flat shapes: the line of the last flat key. mul slot 4 does not
+      // exist in a 2-wide cluster.
+      {"clusters 1\nissue 2\nmul_slots 0x4\n",
+       "line 3: mul slot beyond issue width"},
+      {"name x\nmul_slots 0x30\n", "line 2: mul slot beyond issue width"},
+      {"issue 2\n", "line 1: mem slot beyond issue width"},
+      {"issue 9\n", "line 1: issue width out of range"},
+      {"branch_slots 0\n", "line 1: machine needs at least one branch unit"},
+      // Cluster rows: the row's line.
+      {"clusters 2\ncluster 0 4 0x3 0x4 0x8\ncluster 1 2 0x1 0x4 0x2\n",
+       "line 3: mem slot beyond issue width"},
+      {"clusters 1\ncluster 0 9 0x3 0x4 0x8\n",
+       "line 2: issue width out of range"},
+      // Machine values no other key constrains.
+      {"clusters 9\n", "line 1: cluster count out of range"},
+      {"name x\n\nclusters 0\n", "line 3: cluster count out of range"},
+      {"mem_latency 0\n", "line 1: latencies must be positive"},
+      // Caches and the rest of the memory system.
+      {"icache 65536 48 4 20\n", "line 1: line size must be a power of two"},
+      {"name x\ndcache 65536 64 0 20\n", "line 2: at least one way"},
+      {"l2 1000 64 4 80\n", "line 1: size must be a multiple of line*ways"},
+      {"dcache_banks 3\n",
+       "line 1: dcache bank count must be a power of two"},
+      // Checks over the whole machine.
+      {"clusters 8\nissue 8\n",
+       "'clusters' x 'issue': total issue width 64 exceeds 32"},
+      {"clusters 2\ncluster 0 4 0x3 0x0 0x8\ncluster 1 4 0x3 0x0 0x8\n",
+       "'cluster' rows: machine needs at least one LSU"},
   };
   for (const auto& c : cases) {
-    const std::string msg = expect_parse_error(c.text, c.needle);
+    const std::string msg = expect_parse_error(c.text, c.start);
+    EXPECT_EQ(msg.find(c.start), 0u) << msg;
     EXPECT_EQ(msg.find("CVMT_CHECK"), std::string::npos) << msg;
     EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
   }
-}
-
-TEST(MachineFileTest, OutOfRangeMaskIsRejectedByValidate) {
-  // mul slot 4 does not exist in a 2-wide cluster.
-  expect_parse_error("clusters 1\nissue 2\nmul_slots 0x4\n",
-                     "mul slot beyond issue width");
 }
 
 TEST(MachineFileTest, UnknownSwitchPolicyListsTheChoices) {

@@ -25,7 +25,9 @@ namespace {
 struct KnobCase {
   const char* name;
   const char* knobs;  ///< the knob object, as JSON text
-  const char* knob;   ///< the knob a rejection names; nullptr = valid
+  /// The knob a rejection names (a bad .machine file's rejection names
+  /// the file's line instead); nullptr = valid.
+  const char* knob;
 };
 
 void PrintTo(const KnobCase& c, std::ostream* os) { *os << c.name; }
@@ -180,6 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
                  "clusters"},
         KnobCase{"machine_with_clusters",
                  R"({"machine":"vex4x2","clusters":2})", "machine"},
+        KnobCase{"machine_file_mask_beyond_width",
+                 R"({"machine":")" CVMT_SOURCE_DIR
+                 R"(/tests/machines/mul_slot_beyond_width.machine"})",
+                 "line 5: mul slot beyond issue width"},
         KnobCase{"stats_empty", R"({"stats":""})", "stats"},
         KnobCase{"unknown_workload", R"({"workloads":["LLHH","XXXX"]})",
                  "workloads"},
