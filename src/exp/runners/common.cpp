@@ -1,5 +1,8 @@
 #include "exp/runners/common.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "support/check.hpp"
 
 namespace cvmt::runners {
@@ -55,6 +58,26 @@ Fig10Grid fig10_grid(const RunContext& ctx) {
     g.average.push_back(sum / static_cast<double>(g.workloads.size()));
   }
   return g;
+}
+
+Dataset pareto_table(const RunContext& ctx,
+                     bool (*less)(const SchemeCost&, const SchemeCost&)) {
+  const Fig10Grid g = fig10_grid(ctx);
+  std::vector<std::pair<std::size_t, SchemeCost>> points;
+  for (std::size_t s = 0; s < g.schemes.size(); ++s)
+    points.emplace_back(s,
+                        scheme_cost(g.schemes[s], ctx.params.cfg.sim.machine));
+  std::sort(points.begin(), points.end(), [less](const auto& a, const auto& b) {
+    return less(a.second, b.second);
+  });
+
+  Dataset t({ColumnSpec::str("Scheme"), ColumnSpec::real("Avg IPC"),
+             ColumnSpec::integer("Transistors", /*grouped=*/true),
+             ColumnSpec::real("Gate delays", 1)});
+  for (const auto& [s, cost] : points)
+    t.add_row({g.schemes[s].name(), g.average[s], Cell{cost.transistors},
+               cost.gate_delay});
+  return t;
 }
 
 ExperimentResult one_section(std::string title, Dataset data,

@@ -5,6 +5,7 @@
 #include <span>
 #include <string_view>
 
+#include "cost/scheme_cost.hpp"
 #include "exp/registry.hpp"
 #include "trace/benchmark_suite.hpp"
 
@@ -34,6 +35,12 @@ struct Fig10Grid {
   std::vector<double> average;  ///< per scheme, over the workloads
 };
 [[nodiscard]] Fig10Grid fig10_grid(const RunContext& ctx);
+
+/// The scatter of Figs 11 and 12: each scheme of the Fig 10 grid with its
+/// average IPC and merge-control cost, sorted by cost with `less`.
+[[nodiscard]] Dataset pareto_table(const RunContext& ctx,
+                                   bool (*less)(const SchemeCost&,
+                                                const SchemeCost&));
 
 /// One-section result (the common single-table experiment shape).
 [[nodiscard]] ExperimentResult one_section(std::string title, Dataset data,

@@ -1,35 +1,16 @@
 // Fig 11: average performance vs transistors incurred for all schemes
 // (scatter points printed as rows, sorted by transistor count).
-#include <algorithm>
-
-#include "cost/scheme_cost.hpp"
 #include "exp/runners/common.hpp"
 
 namespace cvmt {
 namespace {
 
 ExperimentResult run(const RunContext& ctx) {
-  const runners::Fig10Grid g = runners::fig10_grid(ctx);
-  struct Point {
-    std::size_t scheme;
-    SchemeCost cost;
-  };
-  std::vector<Point> points;
-  for (std::size_t s = 0; s < g.schemes.size(); ++s)
-    points.push_back(
-        {s, scheme_cost(g.schemes[s], ctx.params.cfg.sim.machine)});
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) {
-              return a.cost.transistors < b.cost.transistors;
-            });
-
-  Dataset t({ColumnSpec::str("Scheme"), ColumnSpec::real("Avg IPC"),
-             ColumnSpec::integer("Transistors", /*grouped=*/true),
-             ColumnSpec::real("Gate delays", 1)});
-  for (const Point& p : points)
-    t.add_row({g.schemes[p.scheme].name(), g.average[p.scheme],
-               Cell{p.cost.transistors}, p.cost.gate_delay});
-  return runners::one_section("Figure 11: performance vs transistors incurred", std::move(t));
+  return runners::one_section(
+      "Figure 11: performance vs transistors incurred",
+      runners::pareto_table(ctx, [](const SchemeCost& a, const SchemeCost& b) {
+        return a.transistors < b.transistors;
+      }));
 }
 
 const RegisterExperiment reg{{

@@ -1,35 +1,16 @@
 // Fig 12: average performance vs merge-control gate delays for all
 // schemes (scatter points printed as rows, sorted by delay).
-#include <algorithm>
-
-#include "cost/scheme_cost.hpp"
 #include "exp/runners/common.hpp"
 
 namespace cvmt {
 namespace {
 
 ExperimentResult run(const RunContext& ctx) {
-  const runners::Fig10Grid g = runners::fig10_grid(ctx);
-  struct Point {
-    std::size_t scheme;
-    SchemeCost cost;
-  };
-  std::vector<Point> points;
-  for (std::size_t s = 0; s < g.schemes.size(); ++s)
-    points.push_back(
-        {s, scheme_cost(g.schemes[s], ctx.params.cfg.sim.machine)});
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) {
-              return a.cost.gate_delay < b.cost.gate_delay;
-            });
-
-  Dataset t({ColumnSpec::str("Scheme"), ColumnSpec::real("Avg IPC"),
-             ColumnSpec::integer("Transistors", /*grouped=*/true),
-             ColumnSpec::real("Gate delays", 1)});
-  for (const Point& p : points)
-    t.add_row({g.schemes[p.scheme].name(), g.average[p.scheme],
-               Cell{p.cost.transistors}, p.cost.gate_delay});
-  return runners::one_section("Figure 12: performance vs gate delays", std::move(t));
+  return runners::one_section(
+      "Figure 12: performance vs gate delays",
+      runners::pareto_table(ctx, [](const SchemeCost& a, const SchemeCost& b) {
+        return a.gate_delay < b.gate_delay;
+      }));
 }
 
 const RegisterExperiment reg{{

@@ -6,9 +6,9 @@
 // precision) or to JSON (typed values). It is written, never read back:
 // nothing parses CSV or JSON into a Dataset.
 //
-// The typed per-figure row structs (Table1Row, Fig10Result, ...) remain as
-// thin views for the tests and for computation; a Dataset is what crosses
-// the experiment API boundary to the cvmt driver.
+// Each runner fills its Datasets straight from its batch results, with no
+// typed row struct in between; tests read the values back through
+// col_index() and real_at().
 #pragma once
 
 #include <cstdint>

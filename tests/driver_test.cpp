@@ -88,7 +88,7 @@ TEST(Driver, JsonParamsReflectSchemaAndForcedStats) {
   EXPECT_TRUE(me.get("params").get("stats_forced").as_bool());
 }
 
-TEST(Driver, ParamResolutionLayersCliOverEnv) {
+TEST(Driver, KnobFlagsResolveIntoParams) {
   ArgParser parser("t", "");
   ExperimentParams::add_standard_flags(parser);
   const char* argv[] = {"t", "--budget=222", "--stats=full", "--workers=3"};
@@ -99,7 +99,7 @@ TEST(Driver, ParamResolutionLayersCliOverEnv) {
   EXPECT_EQ(p.cfg.batch.workers, 3u);
 }
 
-TEST(Driver, FastFlagMatchesEnvFastScale) {
+TEST(Driver, FastFlagSetsFastScaleAndBudgetOverridesIt) {
   ArgParser parser("t", "");
   ExperimentParams::add_standard_flags(parser);
   const char* argv[] = {"t", "--fast"};

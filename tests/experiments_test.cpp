@@ -158,8 +158,8 @@ TEST(Experiments, Fig10OrderingMatchesPaper) {
   EXPECT_GT(avg("3SSC"), avg("2SC3") * 0.99);
   // 2SC is the weakest SMT-bearing 4-thread scheme: CSMT-merging two
   // SMT-merged group packets restricts merging (§5.2). The paper even
-  // places it below 3CCC; our synthetic footprints keep the S-groups a
-  // little stronger (a deviation recorded in DESIGN.md).
+  // places it below 3CCC; the synthetic footprints keep the S-groups a
+  // little stronger, so here it only trails the other SMT schemes.
   for (const char* s : {"2SC3", "2CS", "3SSC", "2SS", "3SSS"})
     EXPECT_LT(avg("2SC"), avg(s)) << s;
 }

@@ -192,6 +192,8 @@ TEST(MachineFileTest, ContentErrorsNameTheLineWithoutASourcePath) {
        "line 2: issue width out of range"},
       // Machine values no other key constrains.
       {"clusters 9\n", "line 1: cluster count out of range"},
+      {"clusters 9\ncluster 8 4 0x3 0x4 0x8\n",
+       "line 1: cluster count out of range"},
       {"name x\n\nclusters 0\n", "line 3: cluster count out of range"},
       {"mem_latency 0\n", "line 1: latencies must be positive"},
       // Caches and the rest of the memory system.
