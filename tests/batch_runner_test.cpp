@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "exp/batch_runner.hpp"
+#include "exp/registry.hpp"
 #include "sim/session.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
@@ -225,6 +226,12 @@ TEST(BatchRunner, Fig10GridSimulatesEachDecisionClassOnce) {
     (void)run_batch(fig10_grid(StatsLevel::kFull), {.workers = workers});
     EXPECT_EQ(simulations_run() - before, 144u) << workers << " workers";
   }
+  // The registered fig10 experiment lays its batch out the same way.
+  ExperimentParams params;
+  params.cfg.sim = fig10_grid(StatsLevel::kFast).front().sim;
+  const std::uint64_t before = simulations_run();
+  (void)ExperimentRegistry::instance().find("fig10")->run(RunContext{params});
+  EXPECT_EQ(simulations_run() - before, 117u);
 }
 
 TEST(BatchRunner, GroupedResultsEqualDirectRuns) {

@@ -4,7 +4,8 @@
 // "params" (parse_request) and to `cvmt merge` as a store manifest
 // (from_manifest_json). A valid case resolves to the same parameters on
 // every path; an invalid one is rejected on every path, by a message that
-// names the knob and carries no source path.
+// names the knob (or the line of a bad .machine file) and carries no
+// source path.
 #include <gtest/gtest.h>
 
 #include <optional>
