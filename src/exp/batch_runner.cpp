@@ -1,33 +1,19 @@
 #include "exp/batch_runner.hpp"
 
-#include <future>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
 
-#include "sim/session.hpp"
+#include "sim/worker_pool.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace cvmt {
 namespace {
 
-/// The calling thread's simulation session. Programs and compiled schemes
-/// come from the process-wide ArtifactCache (thread-safe, shared across
-/// batches and machines); the session's SimInstances are this thread's
-/// reusable run state. thread_local scoping means pool workers — which
-/// live for one batch — drop their sessions with the pool, while the
-/// inline workers<=1 path keeps one (bounded) session warm on the calling
-/// thread across batches.
-SimSession& session_for_this_thread() {
-  thread_local SimSession session;
-  return session;
-}
-
-SimResult simulate(const BatchJob& job) {
-  return session_for_this_thread().run(
-      job.scheme, std::span<const std::string>(job.benchmarks), job.sim);
+SimResult simulate(const BatchJob& job, SimSession& session) {
+  return session.run(job.scheme,
+                     std::span<const std::string>(job.benchmarks), job.sim);
 }
 
 /// The decision-equivalent jobs of a batch (DESIGN.md §14): `first[i]` is
@@ -38,7 +24,6 @@ struct DecisionGroups {
   std::vector<std::size_t> first;
   std::vector<std::size_t> plan_of;
   std::vector<std::shared_ptr<const MergePlan>> plans;
-  bool any_twin = false;
 };
 
 DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs) {
@@ -82,7 +67,6 @@ DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs) {
         firsts.emplace(decision_key(jobs[i], signature), i);
     if (inserted) continue;
     g.first[i] = it->second;
-    g.any_twin = true;
   }
   return g;
 }
@@ -108,75 +92,64 @@ BatchJob make_job(const Scheme& scheme, const Workload& workload,
   return job;
 }
 
-unsigned resolve_workers(const BatchOptions& opts, std::size_t num_jobs) {
-  if (num_jobs == 0) return 1;
-  unsigned workers = opts.workers;
-  if (workers == 0) workers = ThreadPool::hardware_workers();
-  if (num_jobs < workers) workers = static_cast<unsigned>(num_jobs);
-  return workers == 0 ? 1u : workers;
-}
-
 std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,
                                  const BatchOptions& opts) {
   std::vector<SimResult> results(jobs.size());
-  DecisionGroups groups;
   SweepStore* const store = opts.store;
   // held[i]: results[i] is job i's real result, not a skipped point's
   // placeholder (char, not bool: pass-1 workers write distinct slots).
   std::vector<char> held(jobs.size(), 1);
 
-  // Pass 1: every group's first job, exactly as without grouping.
-  const auto run_first = [&](std::size_t i) {
-    if (store == nullptr) {
-      results[i] = simulate(jobs[i]);
-      return;
-    }
-    bool real = true;
-    results[i] = store->run_point(
-        jobs[i], [&jobs, i] { return simulate(jobs[i]); }, &real);
-    held[i] = real;
-  };
-  // Pass 2: the other members derive their result from their group's
-  // first — through the store when one is set, so each point is still
-  // logged, resumed or skipped on its own key. A twin whose first job
-  // belongs to another shard (and is not yet logged) simulates itself.
-  const auto run_twin = [&](std::size_t i) {
-    const std::size_t f = groups.first[i];
-    const auto derive = [&, i, f] {
-      return held[f] != 0 ? relabel(results[f], jobs[i],
-                                    *groups.plans[groups.plan_of[i]])
-                          : simulate(jobs[i]);
-    };
-    results[i] = store != nullptr ? store->run_point(jobs[i], derive)
-                                  : derive();
-  };
-  // A pass over the jobs it selects: inline at one worker, otherwise on
-  // `pool`. A second pass rather than waiting on an in-flight first job:
-  // a worker blocked on its twin would idle for a whole run.
-  const auto run_pass = [&](ThreadPool* pool, bool twins, const auto& run) {
-    std::vector<std::future<void>> pending;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if ((groups.first[i] != i) != twins) continue;
-      if (pool == nullptr)
-        run(i);
-      else
-        pending.push_back(pool->submit([&run, i] { run(i); }));
-    }
-    for (auto& f : pending) f.get();  // rethrows the first job failure
-  };
-
-  const unsigned workers = resolve_workers(opts, jobs.size());
   // No pre-build pass: the artifact cache serialises the build of any
   // missing program/scheme under its lock, so concurrent first requests
-  // for one artifact block on a single build and then share it.
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-  groups = group_decision_equivalent(jobs);  // while the workers start
-  run_pass(pool.get(), false, run_first);
-  // Without a store every twin is a copy, cheaper inline than through
-  // the pool; with one, a twin may have to simulate.
-  if (groups.any_twin)
-    run_pass(store != nullptr ? pool.get() : nullptr, true, run_twin);
+  // for one artifact block on a single build and then share it. The pool
+  // is asked for first, so a fresh process's workers start while the
+  // grouping runs.
+  WorkerPool& pool = WorkerPool::current();
+  const DecisionGroups groups = group_decision_equivalent(jobs);
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> twins;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    (groups.first[i] == i ? firsts : twins).push_back(i);
+
+  // Pass 1: every group's first job, exactly as without grouping.
+  pool.for_each(firsts.size(), opts.workers,
+                [&](std::size_t k, SimSession& session) {
+                  const std::size_t i = firsts[k];
+                  if (store == nullptr) {
+                    results[i] = simulate(jobs[i], session);
+                    return;
+                  }
+                  bool real = true;
+                  results[i] = store->run_point(
+                      jobs[i], [&] { return simulate(jobs[i], session); },
+                      &real);
+                  held[i] = real;
+                });
+  // Pass 2: the other members derive their result from their group's
+  // first. A second pass rather than waiting on an in-flight first job: a
+  // worker blocked on its twin would idle for a whole run. Without a
+  // store every twin is a copy, cheaper inline than through the pool.
+  const auto relabel_twin = [&](std::size_t i) {
+    return relabel(results[groups.first[i]], jobs[i],
+                   *groups.plans[groups.plan_of[i]]);
+  };
+  if (store == nullptr) {
+    for (const std::size_t i : twins) results[i] = relabel_twin(i);
+    return results;
+  }
+  // Through the store, each point is still logged, resumed or skipped on
+  // its own key. A twin whose first job belongs to another shard (and is
+  // not yet logged) simulates itself.
+  pool.for_each(twins.size(), opts.workers,
+                [&](std::size_t k, SimSession& session) {
+                  const std::size_t i = twins[k];
+                  results[i] = store->run_point(jobs[i], [&] {
+                    return held[groups.first[i]] != 0
+                               ? relabel_twin(i)
+                               : simulate(jobs[i], session);
+                  });
+                });
   return results;
 }
 

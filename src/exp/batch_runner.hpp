@@ -1,15 +1,15 @@
 // Parallel batch experiment runner: fans independent (scheme, programs,
-// SimConfig) jobs out across a worker pool. Results are bit-identical to
-// running the same jobs serially in order, regardless of worker count or
-// completion order, because no job shares mutable state with another:
-// every job's randomness comes from seeds inside its own SimConfig,
-// compiled artifacts (schemes, programs) come from the process-wide
+// SimConfig) jobs out over the process-wide WorkerPool. Results are
+// bit-identical to running the same jobs serially in order, regardless of
+// worker count or completion order, because no job shares mutable state
+// with another: every job's randomness comes from seeds inside its own
+// SimConfig, compiled artifacts (schemes, programs) come from the
 // thread-safe ArtifactCache and are immutable once built, and each result
-// is written to its own pre-allocated slot. Each worker thread runs its
-// jobs through a private SimSession, so consecutive jobs on the same
-// scheme reuse one SimInstance (reset in place) instead of rebuilding the
-// simulator per grid point — the reuse is invisible in the results (the
-// reset contract is bit-identity, pinned by sim_golden_test).
+// is written to its own pre-allocated slot. Each job runs on its worker's
+// SimSession, which lives as long as the pool, so consecutive jobs on the
+// same scheme reuse one SimInstance (reset in place) across grid points
+// and across batches — the reuse is invisible in the results (the reset
+// contract is bit-identity, pinned by sim_golden_test).
 //
 // Jobs whose schemes make the same merge decision on every cycle (equal
 // MergePlan::signature, e.g. C4 and 3CCC) and whose other inputs all
@@ -43,9 +43,10 @@ struct BatchJob {
                                 const SimConfig& sim);
 
 struct BatchOptions {
-  /// Worker threads. 0 resolves to the hardware concurrency. 1 runs the
-  /// jobs inline on the calling thread (the serial reference path). The
-  /// --workers flag is applied by ExperimentParams::resolve, not here.
+  /// At most this many of the pool's threads (0 = all of them, one per
+  /// core). A batch started on a pool worker, such as a serve request's,
+  /// runs inline on that worker whatever the value. The --workers flag is
+  /// applied by ExperimentParams::resolve, not here.
   unsigned workers = 0;
   /// When set, every job is mediated by the on-disk result store
   /// (src/store/sweep_store.hpp): points outside the store's shard are
@@ -55,11 +56,6 @@ struct BatchOptions {
   /// call.
   SweepStore* store = nullptr;
 };
-
-/// The worker count `opts` resolves to for a batch of `num_jobs` jobs
-/// (never more workers than jobs, never less than 1).
-[[nodiscard]] unsigned resolve_workers(const BatchOptions& opts,
-                                       std::size_t num_jobs);
 
 /// Runs all jobs and returns their results in job order.
 [[nodiscard]] std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,

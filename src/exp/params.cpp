@@ -31,7 +31,7 @@ void ExperimentParams::add_standard_flags(ArgParser& parser) {
   parser.add_u64("budget", "instrs", "Instruction budget per thread (>= 1).");
   parser.add_u64("timeslice", "cycles", "OS timeslice in cycles (>= 1).");
   parser.add_u64("workers", "n",
-                 "Batch-runner worker threads (0 = all hardware cores; "
+                 "Worker threads, at most one per core (0 = all cores; "
                  "more than 1024 means 1024); results are bit-identical "
                  "for any count.");
   parser.add_string("stats", "level",

@@ -9,8 +9,8 @@
 //                       kFastTimesliceCycles
 //   budget     1..      instructions per thread (default 400k)
 //   timeslice  1..      OS timeslice in cycles (default 50k)
-//   workers    0..      batch-runner threads, 0 = all cores; above
-//                       kMaxWorkers it is clamped (results are
+//   workers    0..      batch threads, at most one per core, 0 = all;
+//                       above kMaxWorkers it is clamped (results are
 //                       bit-identical for any count)
 //   stats      "full" | "fast" (default "fast")
 //   schemes    [names]  scheme filter, each checked by Scheme::parse

@@ -37,8 +37,8 @@ struct ResultSection {
 
 struct ExperimentResult {
   std::vector<ResultSection> sections;
-  /// False when a self-validating experiment (the fuzz sweep's oracle
-  /// check) failed; the driver exits non-zero.
+  /// False when a self-validating experiment failed; the driver exits
+  /// non-zero.
   bool ok = true;
 };
 

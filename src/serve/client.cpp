@@ -96,8 +96,6 @@ std::string build_one_shot(const ArgParser& args) {
     req.set("experiment", args.get_string("experiment", ""));
     JsonValue params = JsonValue::object();
     fill_sim_fields(args, &params);
-    if (args.set_on_cli("exp-workers"))
-      params.set("workers", args.get_u64("exp-workers", 1));
     if (args.set_on_cli("schemes"))
       params.set("schemes",
                  string_array(split(args.get_string("schemes", ""), ',')));
@@ -113,10 +111,6 @@ std::string build_one_shot(const ArgParser& args) {
     JsonValue config = JsonValue::object();
     fill_sim_fields(args, &config);
     if (!config.members().empty()) req.set("config", std::move(config));
-  } else if (args.set_on_cli("fuzz")) {
-    req.set("type", "fuzz");
-    req.set("cases", args.get_u64("fuzz", 20));
-    if (args.set_on_cli("seed")) req.set("seed", args.get_u64("seed", 1));
   } else {
     return {};
   }
@@ -291,8 +285,8 @@ std::vector<std::string> build_load_requests(const ArgParser& args,
       "2SC3", "3SCC", "C4", "2CS"};
   const std::vector<std::string> mix = split(mix_spec, ',');
   for (const std::string& m : mix)
-    CVMT_CHECK_MSG(m == "run" || m == "experiment" || m == "fuzz" ||
-                       m == "ping" || m == "stats",
+    CVMT_CHECK_MSG(m == "run" || m == "experiment" || m == "ping" ||
+                       m == "stats",
                    "unknown --mix entry \"" + m + "\"");
   CVMT_CHECK_MSG(!mix.empty(), "--mix must not be empty");
   const std::vector<Workload>& workloads = table2_workloads();
@@ -319,10 +313,6 @@ std::vector<std::string> build_load_requests(const ArgParser& args,
       JsonValue params = JsonValue::object();
       params.set("fast", true);
       req.set("params", std::move(params));
-    } else if (kind == "fuzz") {
-      req.set("type", "fuzz");
-      req.set("cases", std::uint64_t{2});
-      req.set("seed", i + 1);
     } else {
       req.set("type", kind);
     }
@@ -417,8 +407,6 @@ int client_main(int argc, const char* const* argv) {
   args.add_string("scheme", "NAME", "run one simulation of this scheme");
   args.add_string("benchmarks", "A,B,...",
                   "benchmarks of the run (one per thread)");
-  args.add_u64("fuzz", "N", "run an N-case differential fuzz sweep");
-  args.add_u64("seed", "S", "fuzz sweep seed");
 
   args.add_flag("fast", "fast preset (short budget/timeslice)");
   args.add_u64("budget", "N", "per-thread instruction budget");
@@ -429,13 +417,10 @@ int client_main(int argc, const char* const* argv) {
   args.add_u64("issue", "N", "per-cluster issue width (vs --machine)");
   args.add_string("schemes", "A,B,...", "experiment scheme filter");
   args.add_string("workloads", "A,B,...", "experiment workload filter");
-  args.add_u64("exp-workers", "K",
-               "experiment-internal sweep workers (default 1 under serve)");
 
   args.add_u64("load", "N", "load mode: send N mixed requests");
   args.add_string("mix", "T1,T2,...",
-                  "load mix of run/experiment/fuzz/ping/stats "
-                  "(default run)");
+                  "load mix of run/experiment/ping/stats (default run)");
   args.add_u64("connections", "C", "load connections (default 4)");
   args.add_u64("pipeline", "W",
                "max in-flight requests per connection (default 16)");

@@ -1,5 +1,5 @@
 // `cvmt client` — the scripted counterpart of `cvmt serve`: one-shot
-// requests (ping / stats / shutdown / experiment / run / fuzz), raw
+// requests (ping / stats / shutdown / experiment / run), raw
 // request lines for protocol-level scripting, and a multi-connection
 // pipelined load generator with client-side latency percentiles and
 // request-id accounting (the CI smoke test's "zero lost jobs" assertion

@@ -59,7 +59,6 @@ void ServeMetrics::on_job_done(std::size_t worker, std::string_view type,
   latency_all_.record_us(latency_us);
   if (type == "experiment") latency_experiment_.record_us(latency_us);
   if (type == "run") latency_run_.record_us(latency_us);
-  if (type == "fuzz") latency_fuzz_.record_us(latency_us);
 }
 
 std::uint64_t ServeMetrics::mean_exec_us() const {
@@ -96,7 +95,6 @@ JsonValue ServeMetrics::to_json() const {
   latency.set("all", latency_all_.to_json());
   latency.set("experiment", latency_experiment_.to_json());
   latency.set("run", latency_run_.to_json());
-  latency.set("fuzz", latency_fuzz_.to_json());
   out.set("latency", std::move(latency));
   return out;
 }

@@ -99,7 +99,6 @@ class ServeMetrics {
   LatencyHistogram latency_all_;
   LatencyHistogram latency_experiment_;
   LatencyHistogram latency_run_;
-  LatencyHistogram latency_fuzz_;
 };
 
 }  // namespace cvmt

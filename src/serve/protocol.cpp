@@ -11,7 +11,6 @@ std::string_view to_string(RequestType t) {
   switch (t) {
     case RequestType::kExperiment: return "experiment";
     case RequestType::kRun: return "run";
-    case RequestType::kFuzz: return "fuzz";
     case RequestType::kStats: return "stats";
     case RequestType::kPing: return "ping";
     case RequestType::kShutdown: return "shutdown";
@@ -34,11 +33,6 @@ std::string_view serve_error_code_name(ServeError e) {
 }
 
 namespace {
-
-/// Upper bound on one fuzz request: the sweep runs on a single worker
-/// slot, and admission control reasons about request granularity — a
-/// giant sweep belongs in `cvmt fuzz`, not a daemon request.
-constexpr std::uint64_t kMaxFuzzCases = 10'000;
 
 /// An object-valued member of `doc`; an empty object when absent.
 JsonValue object_field(const JsonValue& doc, std::string_view key) {
@@ -72,13 +66,9 @@ void parse_fields(const JsonValue& doc, Request& req) {
     req.experiment = get_string_field(doc, "experiment");
     CVMT_REQUIRE(!req.experiment.empty(),
                  "experiment request needs an \"experiment\" id");
-    // Inner fan-out defaults to 1: the daemon's parallelism is the worker
-    // pool, and every worker spawning its own full-width batch pool would
-    // thrash the machine. Requests may override (0 = all cores) when the
-    // server is known to be otherwise idle.
-    JsonValue params = object_field(doc, "params");
-    if (params.find("workers") == nullptr) params.set("workers", 1);
-    req.params = ExperimentParams::from_json(params);
+    // The batch runs inline on the worker that admits the request, so a
+    // "workers" knob is resolved like any other but has no effect.
+    req.params = ExperimentParams::from_json(object_field(doc, "params"));
     return;
   }
 
@@ -111,18 +101,6 @@ void parse_fields(const JsonValue& doc, Request& req) {
                         {"fast", "budget", "timeslice", "stats", "machine",
                          "clusters", "issue"});
     req.run_config = ExperimentParams::from_json(config).cfg.sim;
-    return;
-  }
-
-  if (t == "fuzz") {
-    reject_unknown_keys(doc, "request", {"id", "type", "cases", "seed"});
-    req.type = RequestType::kFuzz;
-    req.fuzz_cases = get_u64_field(doc, "cases", 20, 1);
-    CVMT_REQUIRE(req.fuzz_cases <= kMaxFuzzCases,
-                 "field \"cases\" must be <= " +
-                     std::to_string(kMaxFuzzCases) +
-                     " per request (use `cvmt fuzz` for deep sweeps)");
-    req.fuzz_seed = get_u64_field(doc, "seed", 1);
     return;
   }
 

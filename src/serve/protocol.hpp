@@ -8,8 +8,7 @@
 // necessarily request order.
 //
 //   request  := {"id": <any json>, "type": <type>, ...type fields}
-//   type     := "experiment" | "run" | "fuzz" | "stats" | "ping"
-//             | "shutdown"
+//   type     := "experiment" | "run" | "stats" | "ping" | "shutdown"
 //   response := {"id": <echoed>, "ok": true,  "result": {...}}
 //             | {"id": <echoed>, "ok": false, "error":
 //                  {"code": <code>, "message": <text>
@@ -46,7 +45,6 @@ inline constexpr std::size_t kMaxRequestLine = 1 << 20;
 enum class RequestType : std::uint8_t {
   kExperiment,  ///< run a registered experiment, result = its JSON
   kRun,         ///< one simulation: scheme + benchmarks + config
-  kFuzz,        ///< a bounded differential-fuzz sweep
   kStats,       ///< server metrics snapshot (handled inline, never queued)
   kPing,        ///< liveness probe (inline)
   kShutdown,    ///< begin graceful drain (inline; ack precedes the drain)
@@ -81,10 +79,6 @@ struct Request {
   std::string scheme;
   std::vector<std::string> benchmarks;
   SimConfig run_config;
-
-  // kFuzz
-  std::uint64_t fuzz_cases = 0;
-  std::uint64_t fuzz_seed = 1;
 };
 
 /// Thrown by parse_request: the error class plus the client-facing
@@ -107,8 +101,7 @@ class RequestError : public std::runtime_error {
 /// CheckError from a field reader or the resolver becomes bad_request with
 /// the request's id). Parameter resolution is self-contained: defaults +
 /// request fields only — the daemon's own flags never reach a request, so
-/// identical requests yield identical results on any server. An absent
-/// "workers" in "params" means 1, not all cores.
+/// identical requests yield identical results on any server.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 // --- response builders (compact single-line JSON, no trailing \n) --------

@@ -2,7 +2,6 @@
 
 #include "exp/driver.hpp"
 #include "support/check.hpp"
-#include "testgen/fuzz_driver.hpp"
 
 namespace cvmt {
 namespace {
@@ -59,41 +58,12 @@ JsonValue run_single(const Request& req, SimSession& session) {
   return out;
 }
 
-JsonValue run_fuzz(const Request& req) {
-  FuzzOptions options;
-  options.cases = req.fuzz_cases;
-  options.seed = req.fuzz_seed;
-  // One worker: the request already occupies one pool slot; its inner
-  // sweep must not fan out underneath the daemon's own parallelism.
-  options.workers = 1;
-  const FuzzSweepResult sweep = run_fuzz_sweep(options);
-
-  JsonValue out = JsonValue::object();
-  out.set("cases", req.fuzz_cases);
-  out.set("seed", req.fuzz_seed);
-  out.set("failures", static_cast<std::uint64_t>(sweep.failures));
-  ResultSection summary;
-  summary.title = "summary";
-  summary.data = sweep.summary();
-  JsonValue sections = JsonValue::array();
-  sections.push_back(section_to_json(summary));
-  if (sweep.failures > 0) {
-    ResultSection failures;
-    failures.title = "failures";
-    failures.data = sweep.failure_table();
-    sections.push_back(section_to_json(failures));
-  }
-  out.set("sections", std::move(sections));
-  return out;
-}
-
 }  // namespace
 
 JsonValue execute_request(const Request& req, SimSession& session) {
   switch (req.type) {
     case RequestType::kExperiment: return run_experiment(req);
     case RequestType::kRun: return run_single(req, session);
-    case RequestType::kFuzz: return run_fuzz(req);
     case RequestType::kStats:
     case RequestType::kPing:
     case RequestType::kShutdown: break;

@@ -3,8 +3,8 @@
 // experiments run through the ExperimentRegistry exactly as the CLI
 // driver runs them (same params type, same result_to_json envelope, so an
 // experiment response is byte-for-byte what `cvmt run <id> --format=json`
-// prints), single simulations run through the worker's warm SimSession,
-// and fuzz requests run a bounded differential sweep.
+// prints, its batch inline on the calling worker), and single simulations
+// run through the worker's warm SimSession.
 #pragma once
 
 #include "serve/protocol.hpp"
@@ -12,7 +12,7 @@
 
 namespace cvmt {
 
-/// Executes a work request (kExperiment / kRun / kFuzz) on the calling
+/// Executes a work request (kExperiment / kRun) on the calling
 /// worker's session. Returns the "result" payload of the ok response.
 /// Throws RequestError for request-level failures (unknown experiment);
 /// anything else that escapes is the server's "internal" error.

@@ -45,14 +45,9 @@ ServeServer::~ServeServer() {
 
 void ServeServer::start() {
   CVMT_CHECK_MSG(!started_, "ServeServer::start() called twice");
-  std::size_t workers = config_.workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  pool_ = std::make_unique<ServeWorkerPool>(workers, config_.queue_capacity,
-                                            cache_);
-  metrics_ = std::make_unique<ServeMetrics>(workers);
+  pool_ = std::make_unique<WorkerPool>(config_.workers,
+                                       config_.queue_capacity, cache_);
+  metrics_ = std::make_unique<ServeMetrics>(pool_->num_workers());
   listener_ = TcpListener::bind_local(config_.port);
   port_ = listener_.port();
   started_at_ = SteadyClock::now();
@@ -62,7 +57,7 @@ void ServeServer::start() {
     std::fprintf(stderr,
                  "cvmt serve: listening on 127.0.0.1:%u (%zu workers, "
                  "queue %zu) — %s\n",
-                 static_cast<unsigned>(port_), workers,
+                 static_cast<unsigned>(port_), pool_->num_workers(),
                  config_.queue_capacity, version_string().c_str());
 }
 
@@ -223,7 +218,6 @@ void ServeServer::handle_line(const std::shared_ptr<Connection>& conn,
     }
     case RequestType::kExperiment:
     case RequestType::kRun:
-    case RequestType::kFuzz:
       submit_work(conn, std::move(req));
       return;
   }
@@ -240,7 +234,7 @@ void ServeServer::submit_work(const std::shared_ptr<Connection>& conn,
   }
   const SteadyClock::time_point admitted_at = SteadyClock::now();
   const JsonValue req_id = req.id;  // the job consumes req; keep the id
-  ServeWorkerPool::Job job =
+  WorkerPool::Job job =
       [this, conn, req = std::move(req), admitted_at](
           std::size_t worker, SimSession& session) {
         const SteadyClock::time_point exec_start = SteadyClock::now();
@@ -263,17 +257,17 @@ void ServeServer::submit_work(const std::shared_ptr<Connection>& conn,
         conn->send_line(response);
       };
   switch (pool_->try_submit(std::move(job))) {
-    case ServeWorkerPool::Submit::kAccepted:
+    case WorkerPool::Submit::kAccepted:
       metrics_->on_queue_depth(pool_->queue_depth());
       return;
-    case ServeWorkerPool::Submit::kFull:
+    case WorkerPool::Submit::kFull:
       metrics_->on_rejected_overload();
       conn->send_line(error_response(
           req_id, ServeError::kOverloaded,
           "admission queue full; retry after the suggested backoff",
           retry_after_ms_estimate()));
       return;
-    case ServeWorkerPool::Submit::kClosed:
+    case WorkerPool::Submit::kClosed:
       metrics_->on_rejected_draining();
       conn->send_line(error_response(req_id, ServeError::kShuttingDown,
                                      "server is draining; request not "
@@ -355,7 +349,8 @@ int serve_main(int argc, const char* const* argv) {
   args.add_u64("port", "N",
                "TCP port on 127.0.0.1 (0 picks an ephemeral port and "
                "prints it)");
-  args.add_u64("workers", "K", "worker threads (0 = all hardware cores)");
+  args.add_u64("workers", "K",
+               "worker threads, at most 1024 (0 = one per hardware core)");
   args.add_u64("queue", "N", "admission queue capacity");
   args.add_string("port-file", "FILE",
                   "write the bound port to FILE once listening (for "
@@ -372,9 +367,14 @@ int serve_main(int argc, const char* const* argv) {
     std::fprintf(stderr, "cvmt serve: --port must be <= 65535\n");
     return 2;
   }
+  const std::uint64_t workers = args.get_u64("workers", 0);
+  if (workers > ExperimentParams::kMaxWorkers) {
+    std::fprintf(stderr, "cvmt serve: --workers must be <= 1024\n");
+    return 2;
+  }
   ServeConfig config;
   config.port = static_cast<std::uint16_t>(port);
-  config.workers = static_cast<std::size_t>(args.get_u64("workers", 0));
+  config.workers = static_cast<std::size_t>(workers);
   config.queue_capacity =
       static_cast<std::size_t>(args.get_u64("queue", 256));
   if (config.queue_capacity == 0) {

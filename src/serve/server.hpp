@@ -1,10 +1,12 @@
 // `cvmt serve` — the long-lived experiment daemon.
 //
-// One accept loop, one reader thread per connection, one bounded worker
-// pool (serve/worker_pool.hpp) executing work requests against the shared
-// process-wide ArtifactCache, which stays warm across requests — the
-// whole point of residency: the second request for a scheme or workload
-// an earlier request compiled pays only the run, never the build.
+// One accept loop, one reader thread per connection, one bounded
+// WorkerPool (sim/worker_pool.hpp) executing work requests against the
+// shared process-wide ArtifactCache, which stays warm across requests —
+// the whole point of residency: the second request for a scheme or
+// workload an earlier request compiled pays only the run, never the
+// build. An `experiment` request's batch runs inline on the worker that
+// admitted it, on that worker's session.
 //
 // Life of a request: the connection reader frames one line, parses it,
 // and either answers inline (ping/stats/shutdown and every protocol
@@ -31,7 +33,7 @@
 
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/worker_pool.hpp"
+#include "sim/worker_pool.hpp"
 #include "support/json.hpp"
 #include "support/socket.hpp"
 
@@ -39,7 +41,7 @@ namespace cvmt {
 
 struct ServeConfig {
   std::uint16_t port = 0;     ///< 0 = ephemeral (read back via port())
-  std::size_t workers = 0;    ///< 0 = all hardware cores
+  std::size_t workers = 0;    ///< 0 = one per hardware core
   std::size_t queue_capacity = 256;
   bool verbose = false;       ///< startup/drain lines on stderr
 };
@@ -110,7 +112,7 @@ class ServeServer {
   std::uint16_t port_ = 0;
 
   TcpListener listener_;
-  std::unique_ptr<ServeWorkerPool> pool_;
+  std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<ServeMetrics> metrics_;
   std::chrono::steady_clock::time_point started_at_;
 

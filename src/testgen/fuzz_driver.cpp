@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <future>
 #include <iostream>
 
-#include "sim/session.hpp"
+#include "exp/params.hpp"
+#include "sim/worker_pool.hpp"
 #include "support/args.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 #include "testgen/generators.hpp"
 
 namespace cvmt {
@@ -98,27 +97,13 @@ FuzzSweepResult run_fuzz_sweep(const FuzzOptions& options) {
     cases.push_back(generate_case(sm.next()));
 
   sweep.outcomes.resize(cases.size());
-  const unsigned workers = std::max<unsigned>(
-      1, std::min<std::size_t>(options.workers == 0
-                                   ? ThreadPool::hardware_workers()
-                                   : options.workers,
-                               cases.size()));
-  const auto run_one = [&](std::size_t i) {
-    FuzzOutcome& o = sweep.outcomes[i];
-    o.c = std::move(cases[i]);
-    o.from_corpus = i < sweep.corpus_cases;
-    o.report = run_oracles(o.c);
-  };
-  if (workers == 1) {
-    for (std::size_t i = 0; i < cases.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(cases.size());
-    for (std::size_t i = 0; i < cases.size(); ++i)
-      pending.push_back(pool.submit([&run_one, i] { run_one(i); }));
-    for (std::future<void>& f : pending) f.get();
-  }
+  WorkerPool::current().for_each(
+      cases.size(), options.workers, [&](std::size_t i, SimSession&) {
+        FuzzOutcome& o = sweep.outcomes[i];
+        o.c = std::move(cases[i]);
+        o.from_corpus = i < sweep.corpus_cases;
+        o.report = run_oracles(o.c);
+      });
   for (const FuzzOutcome& o : sweep.outcomes)
     if (!o.report.ok) ++sweep.failures;
 
@@ -139,8 +124,8 @@ int fuzz_main(int argc, const char* const* argv) {
   parser.add_u64("cases", "n", "Number of generated cases.");
   parser.add_u64("seed", "s", "Sweep seed (case i uses draw i).");
   parser.add_u64("workers", "n",
-                 "Worker threads (0 = all hardware cores); outcomes are "
-                 "bit-identical for any count.");
+                 "Worker threads, at most one per core (0 = all cores); "
+                 "outcomes are bit-identical for any count.");
   parser.add_flag("shrink", "Minimize failing cases before reporting.");
   parser.add_string("corpus", "dir",
                     "Replay every *.json case in this directory before "
@@ -184,8 +169,9 @@ int fuzz_main(int argc, const char* const* argv) {
   FuzzOptions options;
   options.cases = parser.get_u64("cases", options.cases);
   options.seed = parser.get_u64("seed", options.seed);
-  options.workers =
-      static_cast<unsigned>(parser.get_u64("workers", options.workers));
+  options.workers = static_cast<unsigned>(
+      std::min(parser.get_u64("workers", options.workers),
+               ExperimentParams::kMaxWorkers));
   options.shrink = parser.get_flag("shrink");
   options.corpus_dir = parser.get_string("corpus", "");
   options.save_dir = parser.get_string("save", "");

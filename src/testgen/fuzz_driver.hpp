@@ -1,12 +1,12 @@
 // The `cvmt fuzz` sweep: replay a corpus, generate N seeded cases, run
-// the differential oracles over every case (fanned across a worker pool;
-// outcomes land in per-case slots so the sweep is bit-identical for any
-// worker count), optionally shrink failures to minimal repros and persist
-// them as JSON corpus files.
+// the differential oracles over every case (fanned across the process-
+// wide WorkerPool; outcomes land in per-case slots so the sweep is
+// bit-identical for any worker count), optionally shrink failures to
+// minimal repros and persist them as JSON corpus files.
 //
-// run_fuzz_sweep is the testable core (tests/fuzz_test.cpp and the
-// registered "fuzz" experiment call it directly); fuzz_main is the CLI
-// entry the cvmt driver dispatches `cvmt fuzz` to.
+// run_fuzz_sweep is the testable core (tests/fuzz_test.cpp calls it
+// directly); fuzz_main is the CLI entry the cvmt driver dispatches
+// `cvmt fuzz` to, the sweep's one entry point.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@ struct FuzzOptions {
   std::uint64_t cases = 200;  ///< generated cases (corpus replays extra)
   std::uint64_t seed = 1;     ///< sweep seed; case i uses the i-th
                               ///< SplitMix64 draw of this seed
-  unsigned workers = 0;       ///< 0 = all hardware cores
+  unsigned workers = 0;       ///< pool threads to use, 0 = all
   bool shrink = false;        ///< minimize failures before reporting
   std::string corpus_dir;     ///< replayed before generation when set
   std::string save_dir;       ///< failing (shrunk) repros land here

@@ -157,14 +157,6 @@ TEST(BatchRunner, GroupAveragesUnflattensSweepLayout) {
   EXPECT_THROW(group_averages(values, 0), CheckError);
 }
 
-TEST(BatchRunner, ResolveWorkersClampsToJobs) {
-  EXPECT_EQ(resolve_workers({.workers = 8}, 3), 3u);
-  EXPECT_EQ(resolve_workers({.workers = 2}, 100), 2u);
-  EXPECT_EQ(resolve_workers({.workers = 1}, 100), 1u);
-  EXPECT_GE(resolve_workers({.workers = 0}, 100), 1u);
-  EXPECT_EQ(resolve_workers({.workers = 8}, 0), 1u);  // empty batch: no pool
-}
-
 TEST(BatchRunner, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(run_batch({}, {.workers = 4}).empty());
 }

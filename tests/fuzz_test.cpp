@@ -10,7 +10,6 @@
 #include <set>
 #include <sstream>
 
-#include "exp/registry.hpp"
 #include "sim/session.hpp"
 #include "testgen/fuzz_driver.hpp"
 #include "testgen/generators.hpp"
@@ -249,12 +248,6 @@ TEST(FuzzSweepTest, SweepIsWorkerCountInvariant) {
   a.summary().write_csv(sa);
   b.summary().write_csv(sb);
   EXPECT_EQ(sa.str(), sb.str());
-}
-
-TEST(FuzzSweepTest, FuzzExperimentIsRegistered) {
-  const Experiment* e = ExperimentRegistry::instance().find("fuzz");
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->artifact, "validation");
 }
 
 // ------------------------------------------------------------ shrinker

@@ -140,9 +140,7 @@ TEST_P(KnobRules, EveryEntryPointAgrees) {
       }
       EXPECT_EQ(r.params->to_manifest_json("fig4", 1).dump(-1),
                 cli->to_manifest_json("fig4", 1).dump(-1));
-      // Serve's workers default is 1, the others' 0 (all cores).
-      if (knobs.find("workers") != nullptr || path != std::string("serve"))
-        EXPECT_EQ(r.params->cfg.batch.workers, cli->cfg.batch.workers);
+      EXPECT_EQ(r.params->cfg.batch.workers, cli->cfg.batch.workers);
     }
     return;
   }

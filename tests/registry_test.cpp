@@ -30,19 +30,19 @@ TEST(Registry, AllExpectedExperimentsAreRegistered) {
        {"table1", "table2", "fig4", "fig5", "fig6", "fig9", "fig10",
         "fig11", "fig12", "8threads", "baselines", "design-choices",
         "machine-shapes", "miss-penalty", "scale", "merge-efficiency",
-        "ablation_machine_files", "fuzz"}) {
+        "ablation_machine_files"}) {
     const Experiment* e = registry.find(id);
     ASSERT_NE(e, nullptr) << id;
     EXPECT_FALSE(e->description.empty()) << id;
     EXPECT_FALSE(e->artifact.empty()) << id;
   }
-  EXPECT_EQ(registry.size(), 18u);
+  EXPECT_EQ(registry.size(), 17u);
   EXPECT_EQ(registry.find("no-such-experiment"), nullptr);
 }
 
 TEST(Registry, OrderingIsStableAndPaperFirst) {
   const auto all = ExperimentRegistry::instance().all();
-  ASSERT_GE(all.size(), 18u);
+  ASSERT_GE(all.size(), 17u);
   EXPECT_EQ(all.front()->id, "table1");
   for (std::size_t i = 1; i < all.size(); ++i) {
     const bool ordered =
@@ -86,7 +86,7 @@ TEST(Registry, SchemaSummaryNamesKnobs) {
 }
 
 /// FNV-1a of `print_result` at tiny() for every experiment, as table,
-/// CSV and JSON. These pin the output bytes of all 18 experiments. When an
+/// CSV and JSON. These pin the output bytes of all 17 experiments. When an
 /// output change is intended, copy the new digests from the failure
 /// messages here and say so in the change log.
 struct PinnedDigests {
@@ -116,7 +116,6 @@ constexpr PinnedDigests kPinnedDigests[] = {
     {"scale", {0xa236273b2c156c0e, 0x00c99a53bd957176, 0x530f23bf4c76d60d}},
     {"merge-efficiency",
      {0xe6e09ac84f179832, 0x0d68f6665546d654, 0x77c0235dc2a7c533}},
-    {"fuzz", {0x851058fc39b2931a, 0x165f83a9c2f89c11, 0xe425145fda70f551}},
 };
 
 // The headline acceptance test of the experiment API: every registered

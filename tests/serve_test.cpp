@@ -8,6 +8,7 @@
 #include <array>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <future>
 #include <mutex>
 #include <set>
@@ -197,6 +198,9 @@ TEST(Serve, UnknownExperimentAndTypeAndFields) {
                 R"({"id":1,"type":"experiment","experiment":"nope"})")),
             "unknown_experiment");
   EXPECT_EQ(error_code_of(c.request(R"({"id":2,"type":"frobnicate"})")),
+            "unknown_type");
+  // The differential fuzz sweep has one entry point, `cvmt fuzz`.
+  EXPECT_EQ(error_code_of(c.request(R"({"id":2,"type":"fuzz"})")),
             "unknown_type");
   EXPECT_EQ(error_code_of(c.request(R"({"id":3,"type":"run"})")),
             "bad_request");
@@ -409,19 +413,6 @@ TEST(Serve, RunResponsesAreBitIdenticalAcrossConnectionsAndTime) {
             expected.total_instructions);
 }
 
-TEST(Serve, FuzzRequestRunsABoundedSweep) {
-  TestServer ts;
-  Client c(ts.server->port());
-  const JsonValue r =
-      c.request(R"({"id":"f","type":"fuzz","cases":3,"seed":7})");
-  ASSERT_TRUE(r.get("ok").as_bool());
-  EXPECT_EQ(r.get("result").get("cases").as_int(), 3);
-  EXPECT_EQ(r.get("result").get("failures").as_int(), 0);
-  EXPECT_EQ(error_code_of(c.request(
-                R"({"id":"f2","type":"fuzz","cases":1000000})")),
-            "bad_request");
-}
-
 // --- backpressure ---------------------------------------------------------
 
 // Deterministic overload: one worker, queue capacity one, and the
@@ -550,6 +541,24 @@ TEST(Serve, StopUnderLoadLosesNoAdmittedJobs) {
   EXPECT_EQ(req.get("rejected_draining").as_int(),
             static_cast<int>(shutting_down));
   EXPECT_EQ(req.get("failed").as_int(), 0);
+}
+
+// --- flags ----------------------------------------------------------------
+
+// --workers above the knob cap is a usage error before any thread starts.
+// Were it accepted, serve_main would run a daemon until a signal, so the
+// wait is bounded and SIGTERM (the daemon's own stop signal) ends it.
+TEST(Serve, WorkersAboveTheCapAreRejectedBeforeAnythingStarts) {
+  const char* argv[] = {"cvmt serve", "--port=0", "--quiet",
+                        "--workers=1025"};
+  auto code = std::async(std::launch::async, [&argv] {
+    return serve_main(static_cast<int>(std::size(argv)), argv);
+  });
+  if (code.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "serve_main started a daemon for --workers=1025";
+    std::raise(SIGTERM);
+  }
+  EXPECT_EQ(code.get(), 2);
 }
 
 // --- scale ----------------------------------------------------------------
