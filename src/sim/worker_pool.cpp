@@ -97,7 +97,7 @@ void WorkerPool::for_each(std::size_t n, std::size_t workers,
   std::exception_ptr failure;
   const Job runner = [&](std::size_t, SimSession& session) {
     for (;;) {
-      std::size_t i;
+      std::size_t i = 0;
       {
         std::lock_guard<std::mutex> lock(mu);
         if (failure != nullptr || next == n) break;

@@ -200,7 +200,7 @@ TEST(Serve, UnknownExperimentAndTypeAndFields) {
   EXPECT_EQ(error_code_of(c.request(R"({"id":2,"type":"frobnicate"})")),
             "unknown_type");
   // The differential fuzz sweep has one entry point, `cvmt fuzz`.
-  EXPECT_EQ(error_code_of(c.request(R"({"id":2,"type":"fuzz"})")),
+  EXPECT_EQ(error_code_of(c.request(R"({"id":6,"type":"fuzz"})")),
             "unknown_type");
   EXPECT_EQ(error_code_of(c.request(R"({"id":3,"type":"run"})")),
             "bad_request");
