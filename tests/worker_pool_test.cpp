@@ -3,6 +3,9 @@
 // indices taken in order on at most `workers` threads, a return only after
 // every started call returned, the lowest failure rethrown with no index
 // taken after it, and a nested loop run inline instead of deadlocking.
+// The ThreadPool cases check it as a plain thread pool: it never has zero
+// workers, every job handed to it runs, also when the pool is destroyed
+// with jobs still queued, and results do not depend on the pool's size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,6 +254,71 @@ TEST(WorkerPool, NestedForEachRunsInlineOnTheCallingWorker) {
     EXPECT_EQ(threads[i], worker_thread) << i;
     EXPECT_EQ(sessions[i], worker_session) << i;
   }
+}
+
+TEST(ThreadPool, HardwareWorkersAtLeastOne) {
+  EXPECT_GE(WorkerPool::process().num_workers(), 1u);
+}
+
+TEST(ThreadPool, ZeroRequestedWorkersClampsToOne) {
+  // Zero never means no thread: the pool and a for_each asked for zero
+  // workers each run on at least one.
+  WorkerPool pool(0);
+  EXPECT_GE(pool.num_workers(), 1u);
+  std::vector<int> out(4, 0);
+  pool.for_each(out.size(), 0,
+                [&out](std::size_t i, SimSession&) { out[i] = 42; });
+  EXPECT_EQ(out, std::vector<int>(4, 42));
+}
+
+TEST(ThreadPool, SubmitReturnsResults) {
+  std::vector<std::promise<std::size_t>> results(100);
+  std::vector<std::future<std::size_t>> futures;
+  for (auto& r : results) futures.push_back(r.get_future());
+  WorkerPool pool(4);
+  for (std::size_t i = 0; i < results.size(); ++i)
+    ASSERT_EQ(pool.try_submit([&results, i](std::size_t, SimSession&) {
+      results[i].set_value(i * i);
+    }),
+              Submit::kAccepted);
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    EXPECT_EQ(futures[i].get(), i * i);
+}
+
+TEST(ThreadPool, MoreTasksThanWorkersAllRun) {
+  WorkerPool pool(2);
+  std::atomic<int> count{0};
+  pool.for_each(500, 0, [&count](std::size_t, SimSession&) { ++count; });
+  EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ThreadPool, AwaitedTasksAllRunBeforeDestruction) {
+  std::atomic<int> sum{0};
+  {
+    WorkerPool pool(1);
+    // The first job holds the only worker, so destruction begins while
+    // the other 49 are still queued.
+    for (int i = 0; i < 50; ++i)
+      ASSERT_EQ(pool.try_submit([&sum, i](std::size_t, SimSession&) {
+        if (i == 0) std::this_thread::sleep_for(20ms);
+        sum += i;
+      }),
+                Submit::kAccepted);
+  }  // the destructor drains: every admitted job runs before the join
+  EXPECT_EQ(sum.load(), 50 * 49 / 2);
+}
+
+TEST(ThreadPool, ResultsIndependentOfWorkerCount) {
+  const auto run = [](std::size_t workers) {
+    WorkerPool pool(workers);
+    std::vector<std::size_t> out(64);
+    pool.for_each(out.size(), 0,
+                  [&out](std::size_t i, SimSession&) { out[i] = 3 * i + 1; });
+    return out;
+  };
+  const std::vector<std::size_t> one = run(1);
+  EXPECT_EQ(one, run(2));
+  EXPECT_EQ(one, run(8));
 }
 
 }  // namespace
