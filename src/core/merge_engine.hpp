@@ -156,10 +156,6 @@ class MergeEngine {
   [[nodiscard]] StatsLevel stats_level() const { return stats_level_; }
   [[nodiscard]] EvalMode eval_mode() const { return eval_mode_; }
   [[nodiscard]] const MergePlan& plan() const { return *plan_; }
-  /// The shared compiled plan (see the CompiledScheme artifact).
-  [[nodiscard]] const std::shared_ptr<const MergePlan>& shared_plan() const {
-    return plan_;
-  }
 
   /// Per-merge-block statistics, in preorder over the scheme tree, labelled
   /// with each block's canonical sub-scheme (e.g. "S(0,1)"). Under

@@ -23,7 +23,8 @@
 // every cycle — frames hold Footprints, and zero-initialising them per
 // call would dominate the select profile). MergeEngine layers rotation,
 // priority policy and statistics on top. Selections are bit-identical to
-// the recursive tree walk (covered by the plan-vs-tree property tests).
+// the recursive tree walk, proved on every candidate vector of small
+// machines (DESIGN.md §1).
 #pragma once
 
 #include <cstdint>
@@ -192,7 +193,8 @@ class MergePlan {
   /// the same order, share one signature); any other tree by its full
   /// leaf-step program (opened block kinds, leaf port, close count). Stats
   /// indices and labels are not part of it. Sound but not complete: two
-  /// trees with different signatures may still decide alike.
+  /// trees with different signatures may still decide alike (DESIGN.md
+  /// §14 measures how far it is complete).
   [[nodiscard]] const std::string& signature() const { return signature_; }
   /// Maximum number of simultaneously open blocks during a pass (the
   /// frame-stack depth select() needs).

@@ -26,16 +26,17 @@ struct DecisionGroups {
   std::vector<std::shared_ptr<const MergePlan>> plans;
 };
 
-DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs) {
+DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs,
+                                         ArtifactCache& cache) {
   constexpr std::size_t kNone = ~std::size_t{0};
   DecisionGroups g;
   g.first.resize(jobs.size());
   g.plan_of.assign(jobs.size(), kNone);
-  // Each kFast job's plan, resolved once per distinct scheme x machine: a
-  // batch repeats a few schemes over many workloads, and each cache
-  // lookup builds a key string. kFull jobs are never grouped — their
-  // per-block counters differ between equivalent trees (C4 has one
-  // block, 3CCC three).
+  // Each kFast job's plan, resolved once per distinct scheme x machine in
+  // the cache the jobs run on: a batch repeats a few schemes over many
+  // workloads, and each cache lookup builds a key string. kFull jobs are
+  // never grouped — their per-block counters differ between equivalent
+  // trees (C4 has one block, 3CCC three).
   std::vector<std::size_t> resolved_by;  // per plan: the job that resolved it
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     g.first[i] = i;
@@ -51,7 +52,7 @@ DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs) {
     if (g.plan_of[i] != kNone) continue;
     g.plan_of[i] = g.plans.size();
     g.plans.push_back(
-        ArtifactCache::global().scheme(job.scheme, job.sim.machine)->plan());
+        cache.scheme(job.scheme, job.sim.machine)->plan());
     resolved_by.push_back(i);
   }
   // Only a signature that two distinct schemes share can group jobs, so
@@ -106,7 +107,7 @@ std::vector<SimResult> run_batch(std::span<const BatchJob> jobs,
   // is asked for first, so a fresh process's workers start while the
   // grouping runs.
   WorkerPool& pool = WorkerPool::current();
-  const DecisionGroups groups = group_decision_equivalent(jobs);
+  const DecisionGroups groups = group_decision_equivalent(jobs, pool.cache());
   std::vector<std::size_t> firsts;
   std::vector<std::size_t> twins;
   for (std::size_t i = 0; i < jobs.size(); ++i)

@@ -37,9 +37,6 @@ struct ResultSection {
 
 struct ExperimentResult {
   std::vector<ResultSection> sections;
-  /// False when a self-validating experiment failed; the driver exits
-  /// non-zero.
-  bool ok = true;
 };
 
 /// Context handed to a runner. Params are fully resolved; runners that

@@ -412,7 +412,8 @@ int client_main(int argc, const char* const* argv) {
   args.add_u64("budget", "N", "per-thread instruction budget");
   args.add_u64("timeslice", "N", "OS timeslice in cycles");
   args.add_string("stats-level", "L", "stats level", {"full", "fast"});
-  args.add_string("machine", "SPEC", "machine name or .machine file");
+  args.add_string("machine", "NAME",
+                  "built-in machine name (serve reads no machine files)");
   args.add_u64("clusters", "N", "cluster count (vs --machine)");
   args.add_u64("issue", "N", "per-cluster issue width (vs --machine)");
   args.add_string("schemes", "A,B,...", "experiment scheme filter");

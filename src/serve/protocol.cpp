@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include "core/scheme.hpp"
+#include "isa/machine_file.hpp"
 #include "support/check.hpp"
 #include "support/string_util.hpp"
 #include "trace/benchmark_suite.hpp"
@@ -43,6 +44,22 @@ JsonValue object_field(const JsonValue& doc, std::string_view key) {
   return *v;
 }
 
+/// Serve takes only a built-in machine, checked before the knob resolver
+/// runs: a request can neither make the daemon open a path nor read back
+/// a file's contents in an error message.
+void require_builtin_machine(const JsonValue& knobs) {
+  const std::string machine = get_string_field(knobs, "machine");
+  MachineDescription unused;
+  if (machine.empty() || find_builtin_machine(machine, unused)) return;
+  std::string names;
+  for (const std::string& name : builtin_machine_names()) {
+    if (!names.empty()) names += ", ";
+    names += name;
+  }
+  throw CheckError("field \"machine\" must name a built-in machine (" +
+                   names + "); serve reads no machine files");
+}
+
 /// Fills `req` from a request object. Throws CheckError for a malformed
 /// request; parse_request turns it into bad_request.
 void parse_fields(const JsonValue& doc, Request& req) {
@@ -68,7 +85,9 @@ void parse_fields(const JsonValue& doc, Request& req) {
                  "experiment request needs an \"experiment\" id");
     // The batch runs inline on the worker that admits the request, so a
     // "workers" knob is resolved like any other but has no effect.
-    req.params = ExperimentParams::from_json(object_field(doc, "params"));
+    const JsonValue params = object_field(doc, "params");
+    require_builtin_machine(params);
+    req.params = ExperimentParams::from_json(params);
     return;
   }
 
@@ -100,6 +119,7 @@ void parse_fields(const JsonValue& doc, Request& req) {
     reject_unknown_keys(config, "\"config\"",
                         {"fast", "budget", "timeslice", "stats", "machine",
                          "clusters", "issue"});
+    require_builtin_machine(config);
     req.run_config = ExperimentParams::from_json(config).cfg.sim;
     return;
   }

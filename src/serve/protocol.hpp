@@ -17,7 +17,9 @@
 // An experiment's "params" and a run's "config" are knob objects, resolved
 // by ExperimentParams::from_json, the resolver `cvmt run` and `cvmt merge`
 // use: the same input is accepted or rejected, with the same message, on
-// every path.
+// every path, with one exception: "machine" takes only a built-in machine
+// name here, checked before anything could open a path, so a request can
+// make the daemon read no file.
 //
 // Error codes are a closed set (serve_error_code_name); "overloaded"
 // carries retry_after_ms — the admission queue was full and the client

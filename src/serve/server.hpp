@@ -79,10 +79,6 @@ class ServeServer {
   /// The `stats` response payload (also useful for tests/benches).
   [[nodiscard]] JsonValue stats_json() const;
 
-  [[nodiscard]] std::size_t num_workers() const {
-    return pool_ ? pool_->num_workers() : 0;
-  }
-
  private:
   /// One client connection: the stream plus the write-side mutex that
   /// serializes response lines from the reader (inline responses) and

@@ -84,6 +84,8 @@ class WorkerPool {
   /// thread.
   [[nodiscard]] static WorkerPool& current();
 
+  /// The artifact cache every worker's session is bound to.
+  [[nodiscard]] ArtifactCache& cache() const { return cache_; }
   [[nodiscard]] std::size_t num_workers() const { return threads_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t queue_depth() const;

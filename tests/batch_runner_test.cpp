@@ -4,7 +4,9 @@
 // take a decision-equivalent twin's result match their own direct run.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,6 +15,7 @@
 #include "exp/batch_runner.hpp"
 #include "exp/registry.hpp"
 #include "sim/session.hpp"
+#include "sim/worker_pool.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
 
@@ -243,6 +246,38 @@ TEST(BatchRunner, GroupedResultsEqualDirectRuns) {
       }
     }
   }
+}
+
+// A batch run by a job of a pool over its own cache resolves every
+// artifact there, the grouping's plans included: the process-wide cache
+// sees no lookup.
+TEST(BatchRunner, GroupingResolvesPlansInTheRunningPoolsCache) {
+  SimConfig sim = tiny_sim();
+  sim.stats = StatsLevel::kFast;
+  std::vector<BatchJob> jobs;
+  for (const char* name : {"C4", "3CCC"})
+    jobs.push_back(
+        make_job(Scheme::parse(name), table2_workloads().front(), sim));
+  ArtifactCache own;
+  WorkerPool pool(1, WorkerPool::kUnbounded, own);
+  const ArtifactCacheStats before = ArtifactCache::global().stats();
+  std::promise<std::vector<SimResult>> done;
+  ASSERT_EQ(pool.try_submit([&](std::size_t, SimSession&) {
+              try {
+                done.set_value(run_batch(jobs, {}));
+              } catch (...) {
+                done.set_exception(std::current_exception());
+              }
+            }),
+            WorkerPool::Submit::kAccepted);
+  const std::vector<SimResult> results = done.get_future().get();
+  const ArtifactCacheStats after = ArtifactCache::global().stats();
+  EXPECT_EQ(after.hits(), before.hits());
+  EXPECT_EQ(after.misses(), before.misses());
+  EXPECT_EQ(own.stats().scheme_misses, 2u);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1].scheme, "3CCC");
+  EXPECT_EQ(results[1].cycles, results[0].cycles);  // derived, not rerun
 }
 
 TEST(BatchRunner, ShardedStoreTwinsDeriveOnlyFromHeldResults) {

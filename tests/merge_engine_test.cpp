@@ -1,13 +1,11 @@
 // Tests of the per-cycle merge-engine semantics: greedy cascades, atomic
-// tree groups, parallel/serial equivalence and priority rotation.
+// tree groups and priority rotation. The parallel/serial equivalences are
+// proved in merge_exhaustive_test.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <bit>
 #include <vector>
 
 #include "core/merge_engine.hpp"
-#include "support/rng.hpp"
 
 namespace cvmt {
 namespace {
@@ -226,64 +224,6 @@ TEST(MergeEngine, BmtSticksUntilLeaderStalls) {
   EXPECT_EQ(select(e, {&a, nullptr}).issued_mask, 0b01u);
   EXPECT_EQ(select(e, {&a, &b}).issued_mask, 0b01u);
 }
-
-// ----------------------------------------------------- Equivalence laws
-
-/// Random candidate pool: footprints of random small instructions plus
-/// nullptr (stalled) entries.
-class EngineEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
- protected:
-  /// Runs both engines on an identical random stream and requires
-  /// cycle-exact identical selections.
-  void expect_equivalent(const char* scheme_a, const char* scheme_b,
-                         PriorityPolicy policy) {
-    MergeEngine ea(Scheme::parse(scheme_a), kM, policy);
-    MergeEngine eb(Scheme::parse(scheme_b), kM, policy);
-    Xoshiro256 rng(GetParam());
-    for (int cycle = 0; cycle < 2000; ++cycle) {
-      std::array<Footprint, 4> storage;
-      Candidates cands(4, nullptr);
-      for (int t = 0; t < 4; ++t) {
-        if (rng.next_bool(0.2)) continue;  // stalled
-        Instruction instr;
-        std::uint32_t used[kMaxClusters] = {};
-        const int k = 1 + static_cast<int>(rng.next_below(4));
-        for (int j = 0; j < k; ++j) {
-          const int c = static_cast<int>(rng.next_below(4));
-          const int free_slots = 4 - static_cast<int>(
-              std::popcount(used[c]));
-          if (free_slots == 0) continue;
-          const int s = std::countr_zero(~used[c] & 0xFu);
-          used[c] |= 1u << s;
-          instr.add(make_alu(c, s));
-        }
-        storage[static_cast<std::size_t>(t)] = Footprint::of(instr, kM);
-        cands[static_cast<std::size_t>(t)] =
-            &storage[static_cast<std::size_t>(t)];
-      }
-      const MergeDecision da = select(ea, cands);
-      const MergeDecision db = select(eb, cands);
-      ASSERT_EQ(da.issued_mask, db.issued_mask)
-          << scheme_a << " vs " << scheme_b << " diverged at cycle "
-          << cycle;
-    }
-  }
-};
-
-TEST_P(EngineEquivalenceTest, ParallelC4EqualsSerial3CCC) {
-  expect_equivalent("C4", "3CCC", PriorityPolicy::kRoundRobin);
-}
-
-TEST_P(EngineEquivalenceTest, Parallel2SC3EqualsSerial3SCC) {
-  expect_equivalent("2SC3", "3SCC", PriorityPolicy::kRoundRobin);
-}
-
-TEST_P(EngineEquivalenceTest, Parallel2C3SEqualsSerialFunctional) {
-  expect_equivalent("2C3S", "S(C(C(0,1),2),3)", PriorityPolicy::kFixed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceTest,
-                         ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace cvmt

@@ -2,7 +2,9 @@
 // sound decision signatures, and — most importantly — cycle-exact
 // equivalence between the compiled plan evaluator and the reference
 // recursive tree walk for every paper scheme, priority policy and
-// merge-block kind.
+// merge-block kind, sampled on the paper's 4x4 machine and on trees of up
+// to 16 threads. merge_exhaustive_test proves the same on every candidate
+// vector of small machines.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,7 +29,8 @@ MergeDecision select(MergeEngine& e, const Candidates& c) {
   return e.select(std::span<const Footprint* const>(c.data(), c.size()));
 }
 
-/// Random candidate set: small random instructions, ~20% stalled threads.
+/// Random candidate set: small random instructions of every op kind, each
+/// op in a free slot that takes its kind; ~20% stalled threads.
 struct StreamGen {
   explicit StreamGen(std::uint64_t seed) : rng(seed) {}
 
@@ -39,12 +42,15 @@ struct StreamGen {
       std::uint32_t used[kMaxClusters] = {};
       const int k = 1 + static_cast<int>(rng.next_below(4));
       for (int j = 0; j < k; ++j) {
-        const int c = static_cast<int>(rng.next_below(4));
-        const std::uint32_t free = ~used[c] & 0xFu;
+        const OpKind kinds[] = {OpKind::kAlu,  OpKind::kAlu,   OpKind::kMul,
+                                OpKind::kLoad, OpKind::kStore, OpKind::kBranch};
+        const OpKind kind = kinds[rng.next_below(std::size(kinds))];
+        const auto c = static_cast<std::uint8_t>(rng.next_below(4));
+        const std::uint32_t free = kM.slots_for(kind) & ~used[c];
         if (free == 0) continue;
-        const int s = std::countr_zero(free);
+        const auto s = static_cast<std::uint8_t>(std::countr_zero(free));
         used[c] |= 1u << s;
-        instr.add(make_alu(c, s));
+        instr.add({kind, c, s, false, 0});
       }
       storage[static_cast<std::size_t>(t)] = Footprint::of(instr, kM);
       cands[static_cast<std::size_t>(t)] =

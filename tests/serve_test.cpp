@@ -9,6 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <set>
@@ -248,6 +250,36 @@ TEST(Serve, BadSchemeFilterNamesTheSchemeWithoutASourcePath) {
       << message;
   EXPECT_EQ(message.find("CVMT_CHECK"), std::string::npos) << message;
   EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+}
+
+// Serve takes only built-in machines. A request that names a file as its
+// machine gets bad_request naming "machine", and nothing of the file
+// comes back: parsing it would echo its first line in the error.
+TEST(Serve, MachineFileIsRejectedUnread) {
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() / "cvmt_serve_marker.machine";
+  const std::string marker = "serve-must-not-echo-this-line";
+  std::ofstream(file) << marker << "\n";
+  TestServer ts;
+  Client c(ts.server->port());
+  JsonValue knobs = JsonValue::object();
+  knobs.set("machine", file.string());
+  JsonValue run = JsonValue::parse(run_request(1, "2SC3", 100));
+  run.set("config", knobs);
+  JsonValue experiment = JsonValue::object();
+  experiment.set("id", 2);
+  experiment.set("type", "experiment");
+  experiment.set("experiment", "fig4");
+  experiment.set("params", knobs);
+  for (const JsonValue& request : {run, experiment}) {
+    const JsonValue r = c.request(request.dump(-1));
+    EXPECT_EQ(error_code_of(r), "bad_request");
+    const std::string message = r.get("error").get("message").as_string();
+    EXPECT_NE(message.find("\"machine\""), std::string::npos) << message;
+    EXPECT_EQ(r.dump(-1).find(marker), std::string::npos) << message;
+  }
+  EXPECT_TRUE(c.request(R"({"id":3,"type":"ping"})").get("ok").as_bool());
+  std::filesystem::remove(file);
 }
 
 TEST(Serve, OversizedLineIsRejectedAndClosed) {
