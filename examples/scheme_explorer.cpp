@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
   for (std::size_t t = 0; t < r.threads.size(); ++t) {
     const auto& tr = r.threads[t];
     threads.add_row({std::to_string(t), tr.benchmark,
-                     format_grouped(static_cast<long long>(tr.instructions)),
-                     format_grouped(static_cast<long long>(tr.ops)),
+                     format_grouped(static_cast<long long>(
+                         tr.stats.instructions)),
+                     format_grouped(static_cast<long long>(tr.stats.ops)),
                      format_grouped(static_cast<long long>(
                          tr.stats.bubbles)),
                      format_grouped(static_cast<long long>(

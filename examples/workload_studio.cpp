@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
     const SimResult r = session.run(Scheme::parse(name), programs, config);
     std::uint64_t custom_ops = 0, idct_ops = 0;
     for (const auto& tr : r.threads) {
-      if (tr.benchmark == "custom-kernel") custom_ops = tr.ops;
-      if (tr.benchmark == "idct") idct_ops = tr.ops;
+      if (tr.benchmark == "custom-kernel") custom_ops = tr.stats.ops;
+      if (tr.benchmark == "idct") idct_ops = tr.stats.ops;
     }
     t.add_row({name, format_fixed(r.ipc, 2),
                format_grouped(static_cast<long long>(custom_ops)),

@@ -31,20 +31,6 @@ MergeEngine::MergeEngine(Scheme scheme, std::shared_ptr<const MergePlan> plan,
   node_stats_ = plan_->make_stats();
 }
 
-void MergeEngine::reset(PriorityPolicy policy, StatsLevel stats_level,
-                        EvalMode eval_mode) {
-  policy_ = policy;
-  stats_level_ = stats_level;
-  eval_mode_ = eval_mode;
-  rotation_ = 0;
-  cycles_ = 0;
-  issued_histogram_.reset();
-  for (MergeNodeStats& s : node_stats_) {
-    s.attempts = 0;
-    s.rejects = 0;
-  }
-}
-
 MergePlan::Eval MergeEngine::eval_tree(const Scheme::Node& node,
                                        const Footprint* const* candidates,
                                        int rotation, std::size_t& node_id,

@@ -72,14 +72,6 @@ class MergeEngine {
               StatsLevel stats_level = StatsLevel::kFull,
               EvalMode eval_mode = EvalMode::kPlan);
 
-  /// Restores the freshly-constructed state under (possibly new) policy
-  /// knobs: rotation and cycle count rewound, histogram and node counters
-  /// zeroed (labels kept — they come from the immutable plan). Bit-identical
-  /// to building a new engine with the same scheme/plan/machine, but
-  /// without reallocating the scratch, stats or histogram buffers.
-  void reset(PriorityPolicy policy, StatsLevel stats_level,
-             EvalMode eval_mode);
-
   /// Selects the threads to issue this cycle. `candidates` is indexed by
   /// hardware thread id; a null entry means the thread has nothing to issue
   /// (stalled or idle). Size must equal scheme().num_threads().
@@ -142,13 +134,6 @@ class MergeEngine {
     rotation_ = w.rotation_;
     cycles_ = w.cycles_;
   }
-
-  /// Resets the priority rotation to its initial state (thread i on
-  /// priority port i); used when re-seeding runs. This rewinds only the
-  /// rotation *index* — the plan's per-rotation permutation tables are
-  /// immutable — and leaves all statistics in place, so a reset engine
-  /// replays an identical candidate stream into identical decisions.
-  void reset_rotation() { rotation_ = 0; }
 
   [[nodiscard]] const Scheme& scheme() const { return scheme_; }
   [[nodiscard]] const MachineConfig& machine() const { return config_; }

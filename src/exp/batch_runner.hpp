@@ -6,10 +6,8 @@
 // SimConfig, compiled artifacts (schemes, programs) come from the
 // thread-safe ArtifactCache and are immutable once built, and each result
 // is written to its own pre-allocated slot. Each job runs on its worker's
-// SimSession, which lives as long as the pool, so consecutive jobs on the
-// same scheme reuse one SimInstance (reset in place) across grid points
-// and across batches — the reuse is invisible in the results (the reset
-// contract is bit-identity, pinned by sim_golden_test).
+// SimSession, which takes the compiled scheme and workload from the
+// shared cache and builds the job's run state fresh.
 //
 // Jobs whose schemes make the same merge decision on every cycle (equal
 // MergePlan::signature, e.g. C4 and 3CCC) and whose other inputs all

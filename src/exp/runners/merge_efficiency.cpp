@@ -58,7 +58,7 @@ ExperimentResult run(const RunContext& ctx) {
   if (workloads.empty()) workloads = {"LMHH"};
 
   // Programs and compiled schemes come from the shared artifact cache;
-  // the session reuses one SimInstance per scheme across workloads.
+  // each run builds its own run state.
   SimSession session;
 
   std::vector<std::string> schemes = ctx.params.schemes;

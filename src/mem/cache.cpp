@@ -1,6 +1,5 @@
 #include "mem/cache.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace cvmt {
@@ -46,18 +45,6 @@ bool SetAssocCache::contains(std::uint64_t addr) const {
   for (std::size_t w = base; w < base + ways_; ++w)
     if (tags_[w] == tag) return true;
   return false;
-}
-
-void SetAssocCache::flush() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  flushed_accesses_ += clock_;
-  clock_ = 0;
-}
-
-void SetAssocCache::reset() {
-  flush();
-  flushed_accesses_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace cvmt

@@ -57,25 +57,13 @@ class SetAssocCache {
   /// no fill). Used by tests and warm-up inspection.
   [[nodiscard]] bool contains(std::uint64_t addr) const;
 
-  /// Invalidates all lines and resets the LRU clock (stats are kept).
-  void flush();
-
-  /// Restores the freshly-constructed state: every line invalid, LRU clock
-  /// and statistics zeroed. Unlike flush(), a reset cache is bit-identical
-  /// to a newly built one — the session layer reuses cache arrays across
-  /// runs on this guarantee. Clears the tag array (8 KB at the paper's
-  /// 64 KB / 64 B geometry); stamps need no clearing, because an invalid
-  /// way is always the victim before any stamp is compared.
-  void reset();
-
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   /// Hit and access counts. No counter moves on a hit: every access
   /// advances the LRU clock and every miss goes through fill(), so the
-  /// accesses are the clock (plus those before the last flush()) and the
-  /// hits are the accesses that did not miss.
+  /// accesses are the clock and the hits are the accesses that did not
+  /// miss.
   [[nodiscard]] RatioCounter stats() const {
-    const std::uint64_t total = flushed_accesses_ + clock_;
-    return {total - misses_, total};
+    return {clock_ - misses_, clock_};
   }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
 
@@ -104,7 +92,6 @@ class SetAssocCache {
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> stamps_;
   std::uint64_t clock_ = 0;
-  std::uint64_t flushed_accesses_ = 0;  ///< accesses before the last flush()
   std::uint64_t misses_ = 0;
 };
 

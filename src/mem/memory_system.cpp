@@ -66,12 +66,6 @@ MemAccessResult MemorySystem::data_access(int tid, std::uint64_t addr) {
   return {false, penalty, bank};
 }
 
-void MemorySystem::reset() {
-  for (SetAssocCache& c : icaches_) c.reset();
-  for (SetAssocCache& c : dcaches_) c.reset();
-  for (SetAssocCache& c : l2_) c.reset();
-}
-
 RatioCounter MemorySystem::icache_stats() const {
   RatioCounter total;
   for (const auto& c : icaches_) {

@@ -66,12 +66,6 @@ class MemorySystem {
   /// Data access (load or store) by hardware thread `tid`.
   MemAccessResult data_access(int tid, std::uint64_t addr);
 
-  /// Restores the freshly-constructed state of every cache (lines, LRU
-  /// clocks and statistics) without reallocating the arrays. A reset
-  /// memory system is bit-identical to a newly built one; the session
-  /// layer reuses it across runs.
-  void reset();
-
   [[nodiscard]] const MemorySystemConfig& config() const { return config_; }
 
   /// Aggregate hit-rate over all ICache (resp. DCache) instances.

@@ -46,8 +46,8 @@ JsonValue run_single(const Request& req, SimSession& session) {
   for (std::size_t i = 0; i < r.threads.size(); ++i)
     threads.data.add_row(
         {static_cast<std::int64_t>(i), r.threads[i].benchmark,
-         static_cast<std::int64_t>(r.threads[i].instructions),
-         static_cast<std::int64_t>(r.threads[i].ops)});
+         static_cast<std::int64_t>(r.threads[i].stats.instructions),
+         static_cast<std::int64_t>(r.threads[i].stats.ops)});
 
   JsonValue out = JsonValue::object();
   out.set("scheme", r.scheme);

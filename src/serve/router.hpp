@@ -4,7 +4,7 @@
 // driver runs them (same params type, same result_to_json envelope, so an
 // experiment response is byte-for-byte what `cvmt run <id> --format=json`
 // prints, its batch inline on the calling worker), and single simulations
-// run through the worker's warm SimSession.
+// run through the worker's SimSession over the warm artifact cache.
 #pragma once
 
 #include "serve/protocol.hpp"

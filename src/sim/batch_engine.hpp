@@ -2,9 +2,9 @@
 //
 // This surface exists only for perfbench/probe.cpp, which the benchmark
 // compiles on every run and which calls it on the sweep-fast grid. Every
-// job runs one at a time, in enqueue order, through SimSession ->
-// SimInstance — the same path as every CLI command — so the results are
-// bit-identical to SimSession::run by construction. The next change to
+// job runs one at a time, in enqueue order, through SimSession::run — the
+// same path as every CLI command — so the results are bit-identical to it
+// by construction. The next change to
 // the benchmark can drop this file together with the probe's batch pass.
 #pragma once
 
@@ -27,7 +27,7 @@ struct BatchRunSpec {
   SimConfig config;
 };
 
-/// Runs queued specs on one reused SimSession. Not thread-safe.
+/// Runs queued specs on one SimSession. Not thread-safe.
 class SimBatch {
  public:
   /// `lanes` must be 1: jobs run one at a time.

@@ -31,15 +31,6 @@ MultithreadedCore::MultithreadedCore(const MachineConfig& machine,
       miss_policy_(miss_policy),
       options_(options) {}
 
-void MultithreadedCore::reset(PriorityPolicy priority, MissPolicy miss_policy,
-                              CoreOptions options) {
-  miss_policy_ = miss_policy;
-  options_ = options;
-  slots_.fill(nullptr);
-  stats_ = CoreStats{};
-  engine_.reset(priority, options.stats, options.eval_mode);
-}
-
 void MultithreadedCore::set_thread(int slot, ThreadContext* thread) {
   CVMT_CHECK(slot >= 0 && slot < num_slots());
   slots_[static_cast<std::size_t>(slot)] = thread;

@@ -58,13 +58,6 @@ class MultithreadedCore {
                     PriorityPolicy priority, MemorySystem& mem,
                     MissPolicy miss_policy, CoreOptions options = {});
 
-  /// Restores the freshly-constructed state under (possibly new) policy
-  /// knobs: all slots unbound, core counters zeroed, merge engine reset.
-  /// Does NOT touch the memory system (the caller owns it and resets it
-  /// separately). Bit-identical to constructing a new core.
-  void reset(PriorityPolicy priority, MissPolicy miss_policy,
-             CoreOptions options);
-
   /// Number of hardware thread slots (the scheme's thread count).
   [[nodiscard]] int num_slots() const { return engine_.scheme().num_threads(); }
 

@@ -1,8 +1,8 @@
 // Multitasking environment of the paper's §5.1: the hardware thread count
 // is exposed as virtual CPUs; the OS schedules that many software threads
-// per timeslice, picking replacements with a pluggable SwitchPolicy
-// (default: the paper's random replacement). The run ends when any thread
-// completes its instruction budget.
+// per timeslice, picking replacements by its SwitchPolicyKind (default:
+// the paper's random replacement). The run ends when any thread completes
+// its instruction budget.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "sim/multithreaded_core.hpp"
 #include "sim/switch_policy.hpp"
+#include "support/rng.hpp"
 
 namespace cvmt {
 
@@ -42,15 +43,28 @@ class OsScheduler {
   }
 
  private:
-  /// Applies the policy's pick for the slice starting at `cycle` onto the
+  /// Applies pick()'s choice for the slice starting at `cycle` onto the
   /// core's slots, counting context switches.
   void reschedule(MultithreadedCore& core, std::uint64_t cycle);
+
+  /// The policy's decision: fills next_ (one entry per hardware slot,
+  /// prefilled with nullptr) with the threads to run for the coming slice.
+  void pick(const MultithreadedCore& core, std::uint64_t cycle);
+
+  /// Poststall's round-robin claim: the first thread from the cursor on
+  /// that is runnable, not yet placed this pick and, with `skip_stalled`,
+  /// not stalled at `cycle`. Marks it placed and moves the cursor past it.
+  ThreadContext* claim_next(std::uint64_t cycle, bool skip_stalled);
 
   std::vector<std::shared_ptr<ThreadContext>> threads_;
   std::vector<ThreadContext*> pool_;  // raw view of threads_, built once
   std::uint64_t timeslice_;
-  std::unique_ptr<SwitchPolicy> policy_;
-  std::vector<ThreadContext*> next_;  // reschedule scratch
+  SwitchPolicyKind policy_;
+  Xoshiro256 rng_;          // kRandomTimeslice's draws
+  std::size_t cursor_ = 0;  // kPrestall and kPoststall's round-robin point
+  std::vector<ThreadContext*> runnable_;  // pick scratch
+  std::vector<bool> used_;                // poststall scratch, per pool_ entry
+  std::vector<ThreadContext*> next_;      // reschedule scratch
   OsRunStats stats_;
 };
 

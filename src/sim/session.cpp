@@ -232,129 +232,14 @@ ArtifactCache& ArtifactCache::global() {
   return cache;
 }
 
-// --- SimInstance ----------------------------------------------------------
-
-std::shared_ptr<const CompiledScheme> SimInstance::checked(
-    std::shared_ptr<const CompiledScheme> scheme) {
-  CVMT_CHECK_MSG(scheme != nullptr, "SimInstance needs a compiled scheme");
-  return scheme;
-}
-
-SimInstance::SimInstance(std::shared_ptr<const CompiledScheme> scheme,
-                         const SimConfig& config)
-    : scheme_(checked(std::move(scheme))),
-      config_(config),
-      mem_(config_.mem, scheme_->scheme().num_threads()),
-      core_(scheme_->machine(), scheme_->scheme(), scheme_->plan(),
-            config_.priority, mem_, config_.miss_policy,
-            CoreOptions{config_.stats, config_.eval_mode,
-                        config_.stall_fast_forward}) {
-  CVMT_CHECK_MSG(config_.machine == scheme_->machine(),
-                 "SimConfig.machine must equal the compiled scheme's "
-                 "machine");
-}
-
-void SimInstance::set_config(const SimConfig& config) {
-  CVMT_CHECK_MSG(config.machine == scheme_->machine(),
-                 "SimInstance is bound to its compiled scheme's machine");
-  // A memory-geometry change is the one knob construction bakes into the
-  // arrays; everything else is applied by run()'s entry reset.
-  const bool mem_changed = !(config.mem == config_.mem);
-  config_ = config;
-  if (mem_changed)
-    mem_ = MemorySystem(config_.mem, scheme_->scheme().num_threads());
-}
-
-void SimInstance::reset() {
-  mem_.reset();
-  core_.reset(config_.priority, config_.miss_policy,
-              CoreOptions{config_.stats, config_.eval_mode,
-                          config_.stall_fast_forward});
-  threads_.clear();
-}
-
-SimResult SimInstance::run(
-    std::span<const std::shared_ptr<const SyntheticProgram>> programs) {
-  CVMT_CHECK_MSG(!programs.empty(), "empty workload");
-
-  // In-place reset of all run state — bit-identical to constructing every
-  // component afresh (the golden tests pin this), reusing the allocations.
-  mem_.reset();
-  core_.reset(config_.priority, config_.miss_policy,
-              CoreOptions{config_.stats, config_.eval_mode,
-                          config_.stall_fast_forward});
-  if (threads_.size() > programs.size()) threads_.resize(programs.size());
-  threads_.reserve(programs.size());
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    CVMT_CHECK(programs[i] != nullptr);
-    CVMT_CHECK_MSG(programs[i]->machine() == config_.machine,
-                   "program compiled for a different machine");
-    const std::uint64_t stream_seed =
-        config_.stream_seed_base + 0x1000ULL * i;
-    if (i < threads_.size())
-      threads_[i]->reset(programs[i]->profile().name, programs[i],
-                         stream_seed, config_.instruction_budget);
-    else
-      threads_.push_back(std::make_shared<ThreadContext>(
-          programs[i]->profile().name, programs[i], stream_seed,
-          config_.instruction_budget));
-  }
-
-  OsScheduler os(threads_, config_.timeslice_cycles, config_.os_seed,
-                 config_.switch_policy);
-  const std::uint64_t cycles = os.run(core_, config_.max_cycles);
-
-  SimResult r;
-  r.scheme = scheme_->scheme().name();
-  r.cycles = cycles;
-  r.total_ops = core_.stats().total_ops;
-  r.total_instructions = core_.stats().total_instructions;
-  r.idle_cycles = core_.stats().idle_cycles;
-  r.ipc = cycles ? static_cast<double>(r.total_ops) /
-                       static_cast<double>(cycles)
-                 : 0.0;
-  for (const auto& t : threads_) {
-    ThreadResult tr;
-    tr.benchmark = t->name();
-    tr.instructions = t->stats().instructions;
-    tr.ops = t->stats().ops;
-    tr.stats = t->stats();
-    r.threads.push_back(std::move(tr));
-  }
-  r.icache = mem_.icache_stats();
-  r.dcache = mem_.dcache_stats();
-  r.l2 = mem_.l2_stats();
-  r.issued_per_cycle = core_.engine().issued_histogram();
-  r.merge_nodes = core_.engine().node_stats();
-  r.os = os.stats();
-  return r;
-}
-
 // --- SimSession -----------------------------------------------------------
-
-SimInstance& SimSession::instance_for(const Scheme& scheme,
-                                      const SimConfig& config) {
-  const std::string key = CompiledScheme::make_key(scheme, config.machine);
-  if (auto it = instances_.find(key); it != instances_.end()) {
-    it->second->set_config(config);
-    return *it->second;
-  }
-  // Evict a single entry at the bound, not the whole pool: a sweep that
-  // cycles through more than kMaxInstances keys must degrade gradually,
-  // not fall off a rebuild-everything cliff.
-  if (instances_.size() >= kMaxInstances)
-    instances_.erase(instances_.begin());
-  auto compiled = artifacts_.scheme(scheme, config.machine);
-  const auto [it, inserted] = instances_.emplace(
-      key, std::make_unique<SimInstance>(std::move(compiled), config));
-  return *it->second;
-}
 
 SimResult SimSession::run(
     const Scheme& scheme,
     std::span<const std::shared_ptr<const SyntheticProgram>> programs,
     const SimConfig& config) {
-  return instance_for(scheme, config).run(programs);
+  return run_simulation(*artifacts_.scheme(scheme, config.machine), programs,
+                        config);
 }
 
 SimResult SimSession::run(const Scheme& scheme,
@@ -362,7 +247,8 @@ SimResult SimSession::run(const Scheme& scheme,
                           const SimConfig& config) {
   const std::shared_ptr<const CompiledWorkload> workload =
       artifacts_.workload(benchmarks, config.machine);
-  return instance_for(scheme, config).run(*workload);
+  return run_simulation(*artifacts_.scheme(scheme, config.machine),
+                        workload->programs, config);
 }
 
 }  // namespace cvmt

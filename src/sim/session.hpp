@@ -1,27 +1,23 @@
-// The simulation session layer: the build/run split behind every sweep.
+// The session layer: the build/run split behind every sweep.
 //
-// run_simulation() conflates three lifetimes that the dense paper grids
-// (scheme x workload x machine, five oracle configurations per fuzz case)
-// want separated:
+// A simulation has two lifetimes that the dense paper grids (scheme x
+// workload x machine, five oracle configurations per fuzz case) want
+// separated:
 //
 //   1. *Compiled artifacts* — immutable, machine-keyed products of the
 //      expensive build steps: CompiledScheme (validated Scheme + flattened
 //      MergePlan) and CompiledWorkload (materialized SyntheticPrograms).
-//      Built once, shared freely across threads.
-//   2. *The artifact cache* — a thread-safe, process-shareable store of
-//      compiled artifacts, keyed canonically (scheme name + canonical tree
-//      + machine, full profile content + machine). Sweep workers share
-//      one cache.
-//   3. *Run state* — everything a single simulation mutates: thread
+//      Built once in a thread-safe, process-shareable ArtifactCache, keyed
+//      canonically (scheme name + canonical tree + machine, full profile
+//      content + machine), and shared freely across threads.
+//   2. *Run state* — everything a single simulation mutates: thread
 //      contexts, cache arrays, merge statistics, the OS scheduler.
-//      SimInstance owns this state and reset()s it in place between runs,
-//      so a grid of small runs stops paying construction per point.
+//      run_simulation (sim/simulation.hpp) builds it fresh on every call
+//      and drops it on return, so no run can see another's state.
 //
-// The reuse contract is strict bit-identity: a reset instance replays any
-// workload exactly as a freshly constructed one would (sim_golden_test and
-// the fuzz oracle's replay configuration enforce this). run_simulation()
-// remains the one-shot facade, now a thin wrapper over a throwaway
-// SimInstance.
+// SimSession joins the two for a sweep worker: it takes each run's
+// compiled scheme and workload from its ArtifactCache and hands them to
+// run_simulation.
 #pragma once
 
 #include <functional>
@@ -189,79 +185,17 @@ class ArtifactCache {
   std::function<void(std::string_view)> build_hook_;
 };
 
-/// One reusable simulation: the run-state half of the build/run split.
-/// Owns the memory system, the core (with its merge engine) and the thread
-/// contexts; run() rebinds them to a workload in place, so consecutive
-/// runs reuse every allocation. Cheap knobs (priority, miss policy, stats
-/// level, eval mode, budgets, seeds, memory geometry) change between runs
-/// via set_config(); the scheme and machine are fixed at construction.
-/// Not thread-safe — one instance per worker thread.
-class SimInstance {
- public:
-  /// `config.machine` must equal the compiled scheme's machine.
-  SimInstance(std::shared_ptr<const CompiledScheme> scheme,
-              const SimConfig& config);
-
-  // Not copyable or movable: the core holds a reference to this object's
-  // own memory system, so every implicit special member would leave a
-  // copied/moved instance aliasing (and eventually dangling on) the
-  // source's. Hold instances by unique_ptr to store them in containers.
-  SimInstance(const SimInstance&) = delete;
-  SimInstance& operator=(const SimInstance&) = delete;
-
-  /// Runs `programs` (one per software thread). Begins with an in-place
-  /// reset of all run state, so the result is bit-identical to
-  /// run_simulation(scheme, programs, config) — and to any earlier run()
-  /// of this instance with the same inputs.
-  [[nodiscard]] SimResult run(
-      std::span<const std::shared_ptr<const SyntheticProgram>> programs);
-  [[nodiscard]] SimResult run(const CompiledWorkload& workload) {
-    return run(workload.programs);
-  }
-
-  /// Replaces the run configuration. The machine must stay the compiled
-  /// scheme's; a memory-geometry change rebuilds the cache arrays, every
-  /// other knob is a plain store. Takes effect at the next run().
-  void set_config(const SimConfig& config);
-
-  /// Explicitly restores the freshly-constructed state (run state zeroed,
-  /// thread contexts dropped). run() performs the same logical reset on
-  /// entry while *reusing* the context allocations, so calling reset()
-  /// between runs is never required for correctness — it exists to make
-  /// the reuse invariant testable and to release workload references.
-  void reset();
-
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] const CompiledScheme& compiled() const { return *scheme_; }
-
- private:
-  [[nodiscard]] static std::shared_ptr<const CompiledScheme> checked(
-      std::shared_ptr<const CompiledScheme> scheme);
-
-  std::shared_ptr<const CompiledScheme> scheme_;
-  SimConfig config_;
-  MemorySystem mem_;
-  MultithreadedCore core_;
-  /// Recycled across runs (shrunk/grown to the workload size; reset()
-  /// rebinds each kept context in place).
-  std::vector<std::shared_ptr<ThreadContext>> threads_;
-};
-
-/// One worker's simulation session: compiled artifacts come from a shared
-/// ArtifactCache, and SimInstances are kept per (scheme, machine) and
-/// reused across runs. This is what turns a dense grid sweep into
-/// "compile once, run many": consecutive grid points on the same scheme
-/// reset the cached instance instead of rebuilding it. Not thread-safe —
-/// one session per worker thread; the artifact cache it draws from is
-/// shared and thread-safe.
+/// One worker's simulation session: every run takes its compiled scheme
+/// and workload from a shared ArtifactCache and builds its run state
+/// fresh, so a result depends only on the run's own inputs. Cheap to make;
+/// the artifact cache it draws from is shared and thread-safe.
 class SimSession {
  public:
   explicit SimSession(ArtifactCache& artifacts = ArtifactCache::global())
       : artifacts_(artifacts) {}
 
   /// Runs one simulation, bit-identical to run_simulation(scheme,
-  /// programs, config), reusing a cached instance when this session has
-  /// seen the scheme x machine before.
+  /// programs, config), with the scheme compiled through the cache.
   [[nodiscard]] SimResult run(
       const Scheme& scheme,
       std::span<const std::shared_ptr<const SyntheticProgram>> programs,
@@ -273,23 +207,9 @@ class SimSession {
                               const SimConfig& config);
 
   [[nodiscard]] ArtifactCache& artifacts() { return artifacts_; }
-  [[nodiscard]] std::size_t num_instances() const {
-    return instances_.size();
-  }
-  /// Drops the cached instances (artifacts stay in the shared cache).
-  void clear() { instances_.clear(); }
 
  private:
-  /// Instances kept per session before the pool recycles itself; bounds
-  /// memory when a long-lived session sweeps many distinct schemes.
-  static constexpr std::size_t kMaxInstances = 64;
-
-  [[nodiscard]] SimInstance& instance_for(const Scheme& scheme,
-                                          const SimConfig& config);
-
   ArtifactCache& artifacts_;
-  std::map<std::string, std::unique_ptr<SimInstance>, std::less<>>
-      instances_;
 };
 
 }  // namespace cvmt

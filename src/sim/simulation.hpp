@@ -1,13 +1,15 @@
-// Top-level simulation facade: configure machine + memory + scheme +
-// workload, run, collect a structured result. run_simulation is the
-// one-shot entry point; sweeps that run many configurations go through
-// the session layer (sim/session.hpp), which splits the build step
-// (compiled schemes and workloads, cached and shared) from the run step
-// (reusable SimInstances). Both paths are bit-identical.
+// Top-level simulation entry point: configure machine + memory + scheme +
+// workload, run, collect a structured result. run_simulation over a
+// compiled scheme is the one place a run's state is built: it creates the
+// memory system, the core, the thread contexts and the OS scheduler as
+// locals, runs them and harvests the SimResult, so no run state outlives
+// its run. Sweeps reach it through the session layer (sim/session.hpp),
+// which caches the compiled schemes and workloads it takes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,8 +54,6 @@ struct SimConfig {
 /// Per-software-thread outcome.
 struct ThreadResult {
   std::string benchmark;
-  std::uint64_t instructions = 0;
-  std::uint64_t ops = 0;
   ThreadStats stats;
 };
 
@@ -74,10 +74,19 @@ struct SimResult {
   OsRunStats os;
 };
 
-/// Runs `programs` (one per software thread) under `scheme` on the machine
-/// described by `config`. The number of hardware contexts is the scheme's
-/// thread count; the workload may be larger (the OS timeslices it) or
-/// smaller (slots idle).
+class CompiledScheme;
+
+/// Runs `programs` (one per software thread) under the compiled `scheme`
+/// on the machine described by `config`, which must be the scheme's
+/// machine. The number of hardware contexts is the scheme's thread count;
+/// the workload may be larger (the OS timeslices it) or smaller (slots
+/// idle). Every piece of run state is built fresh for this call.
+[[nodiscard]] SimResult run_simulation(
+    const CompiledScheme& scheme,
+    std::span<const std::shared_ptr<const SyntheticProgram>> programs,
+    const SimConfig& config);
+
+/// Same, compiling `scheme` for `config.machine` first.
 [[nodiscard]] SimResult run_simulation(
     const Scheme& scheme,
     const std::vector<std::shared_ptr<const SyntheticProgram>>& programs,

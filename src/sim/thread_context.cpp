@@ -14,29 +14,8 @@ ThreadContext::ThreadContext(std::string name,
   CVMT_CHECK(budget_ >= 1);
 }
 
-void ThreadContext::reset(std::string_view name,
-                          std::shared_ptr<const SyntheticProgram> program,
-                          std::uint64_t stream_seed,
-                          std::uint64_t instruction_budget) {
-  name_.assign(name);
-  pending_program_ = std::move(program);
-  pending_seed_ = stream_seed;
-  gen_stale_ = true;
-  budget_ = instruction_budget;
-  CVMT_CHECK(budget_ >= 1);
-  has_pending_ = false;
-  done_ = false;
-  pending_fp_ = nullptr;
-  ready_at_ = 0;
-  stats_ = ThreadStats{};
-}
-
 void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
                            int hw_tid) {
-  if (gen_stale_) {
-    gen_.reset(std::move(pending_program_), pending_seed_);
-    gen_stale_ = false;
-  }
   gen_.advance();
   pending_fp_ = &gen_.current_footprint();
   has_pending_ = true;

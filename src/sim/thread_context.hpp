@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "isa/machine_config.hpp"
 #include "mem/memory_system.hpp"
@@ -68,14 +67,6 @@ class ThreadContext {
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
-  /// Rebinds this context to a fresh execution, bit-identical to
-  /// constructing a new ThreadContext with the same arguments but reusing
-  /// the string/cursor allocations. The session layer recycles contexts
-  /// across runs on this guarantee.
-  void reset(std::string_view name,
-             std::shared_ptr<const SyntheticProgram> program,
-             std::uint64_t stream_seed, std::uint64_t instruction_budget);
-
   /// Offers this thread's next instruction for merging at `cycle`.
   /// Fetches (and charges ICache penalties) lazily; returns nullptr while
   /// the thread is stalled or has completed its budget. `hw_tid` routes
@@ -127,16 +118,6 @@ class ThreadContext {
   std::string name_;
   TraceGenerator gen_;
   std::uint64_t budget_;
-
-  /// Deferred generator rebind: reset() only records the target stream
-  /// here and refill() arms the generator on first use, so a context
-  /// that is reset but never fetches (a thread the run never schedules)
-  /// skips the stream-start work (RNG seeding, loop setup) entirely —
-  /// bit-identical either way, the stream is a pure function of
-  /// (program, seed).
-  std::shared_ptr<const SyntheticProgram> pending_program_;
-  std::uint64_t pending_seed_ = 0;
-  bool gen_stale_ = false;
 
   bool has_pending_ = false;
   bool done_ = false;

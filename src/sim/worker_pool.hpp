@@ -1,8 +1,8 @@
 // The one worker pool behind every parallel loop in cvmt: the batch
 // runner's grids, the fuzz sweep's cases and the serve daemon's requests.
 // Each worker thread owns one SimSession for the pool's whole life, bound
-// to the pool's shared ArtifactCache, so consecutive jobs on a worker
-// reuse its SimInstances and every compiled artifact is built once.
+// to the pool's shared ArtifactCache, so every compiled artifact is built
+// once; each job's run state is built fresh inside its run.
 //
 // Two ways in:
 //   - try_submit: non-blocking, bounded admission (accepted, full or

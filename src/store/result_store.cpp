@@ -160,8 +160,10 @@ JsonValue sim_result_to_json(const SimResult& r) {
   for (const ThreadResult& t : r.threads) {
     JsonValue tv = JsonValue::object();
     tv.set("benchmark", t.benchmark);
-    tv.set("instructions", t.instructions);
-    tv.set("ops", t.ops);
+    // The record format keeps the two headline counters beside the stats
+    // they copy; the decoder insists that the copies agree.
+    tv.set("instructions", t.stats.instructions);
+    tv.set("ops", t.stats.ops);
     JsonValue sv = JsonValue::object();
     sv.set("instructions", t.stats.instructions);
     sv.set("bubbles", t.stats.bubbles);
@@ -216,8 +218,8 @@ SimResult sim_result_from_json(const JsonValue& v) {
     const JsonValue& tv = threads.at(i);
     ThreadResult t;
     t.benchmark = tv.get("benchmark").as_string();
-    t.instructions = u64_of(tv, "instructions");
-    t.ops = u64_of(tv, "ops");
+    const std::uint64_t instructions = u64_of(tv, "instructions");
+    const std::uint64_t ops = u64_of(tv, "ops");
     const JsonValue& sv = tv.get("stats");
     t.stats.instructions = u64_of(sv, "instructions");
     t.stats.bubbles = u64_of(sv, "bubbles");
@@ -227,6 +229,9 @@ SimResult sim_result_from_json(const JsonValue& v) {
     t.stats.icache_stall_cycles = u64_of(sv, "icache_stall_cycles");
     t.stats.branch_stall_cycles = u64_of(sv, "branch_stall_cycles");
     t.stats.bank_conflict_cycles = u64_of(sv, "bank_conflict_cycles");
+    CVMT_CHECK_MSG(instructions == t.stats.instructions && ops == t.stats.ops,
+                   "store: thread " + std::to_string(i) +
+                       " instructions/ops disagree with its stats");
     r.threads.push_back(std::move(t));
   }
   r.icache = ratio_from_json(v.get("icache"));

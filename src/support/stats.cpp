@@ -1,6 +1,5 @@
 #include "support/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -59,12 +58,6 @@ Histogram Histogram::restored(std::vector<std::uint64_t> counts,
   h.total_ = total;
   h.weighted_sum_ = weighted_sum;
   return h;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  weighted_sum_ = 0;
 }
 
 std::uint64_t Histogram::bucket(std::size_t i) const {

@@ -52,11 +52,6 @@ class Histogram {
                                           std::uint64_t total,
                                           std::uint64_t weighted_sum);
 
-  /// Zeroes every bucket and the totals; the bucket count is kept. A reset
-  /// histogram is indistinguishable from a freshly constructed one (the
-  /// session layer reuses result buffers across runs on this guarantee).
-  void reset();
-
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
   [[nodiscard]] std::size_t num_buckets() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t total() const { return total_; }

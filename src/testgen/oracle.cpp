@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "sim/session.hpp"
+#include "store/result_store.hpp"
 #include "support/check.hpp"
 
 namespace cvmt {
@@ -29,100 +30,55 @@ std::vector<std::shared_ptr<const SyntheticProgram>> case_programs(
   return programs;
 }
 
+/// The first difference between two encodings of a SimResult, as
+/// "path: a != b" (an array length as "path.size: a != b"), or "" when
+/// they are equal. Both come from sim_result_to_json, so they hold the
+/// same keys in the same order.
+std::string first_difference(const JsonValue& a, const JsonValue& b,
+                             const std::string& path) {
+  if (a.kind() == JsonValue::Kind::kArray) {
+    if (a.size() != b.size()) return diff(path + ".size", a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      std::string d = first_difference(a.at(i), b.at(i),
+                                        path + "[" + std::to_string(i) + "]");
+      if (!d.empty()) return d;
+    }
+    return {};
+  }
+  if (a.kind() == JsonValue::Kind::kObject) {
+    for (const auto& [key, value] : a.members()) {
+      std::string d = first_difference(value, b.get(key),
+                                        path.empty() ? key : path + "." + key);
+      if (!d.empty()) return d;
+    }
+    return {};
+  }
+  if (a.dump(-1) == b.dump(-1)) return {};
+  // Strings print bare, so a scheme mismatch reads "scheme: 2SC3 != 3SCC".
+  const auto text = [](const JsonValue& v) {
+    return v.kind() == JsonValue::Kind::kString ? v.as_string() : v.dump(-1);
+  };
+  return diff(path, text(a), text(b));
+}
+
+/// `r` with the counters StatsLevel::kFast leaves at zero zeroed: the
+/// issued histogram and the merge-node attempts and rejects. The node
+/// labels and kinds stay, since both levels fill them.
+SimResult without_merge_counters(SimResult r) {
+  r.issued_per_cycle = Histogram(r.issued_per_cycle.num_buckets());
+  for (MergeNodeStats& node : r.merge_nodes) node.attempts = node.rejects = 0;
+  return r;
+}
+
 }  // namespace
 
 std::string compare_sim_results(const SimResult& a, const SimResult& b,
                                 bool compare_merge_stats) {
-  if (a.scheme != b.scheme) return diff("scheme", a.scheme, b.scheme);
-  if (a.cycles != b.cycles) return diff("cycles", a.cycles, b.cycles);
-  if (a.total_ops != b.total_ops)
-    return diff("total_ops", a.total_ops, b.total_ops);
-  if (a.total_instructions != b.total_instructions)
-    return diff("total_instructions", a.total_instructions,
-                b.total_instructions);
-  if (a.idle_cycles != b.idle_cycles)
-    return diff("idle_cycles", a.idle_cycles, b.idle_cycles);
-  if (a.ipc != b.ipc) return diff("ipc", a.ipc, b.ipc);
-  if (a.threads.size() != b.threads.size())
-    return diff("threads.size", a.threads.size(), b.threads.size());
-  for (std::size_t t = 0; t < a.threads.size(); ++t) {
-    const ThreadResult& ta = a.threads[t];
-    const ThreadResult& tb = b.threads[t];
-    const std::string at = "threads[" + std::to_string(t) + "].";
-    if (ta.benchmark != tb.benchmark)
-      return diff(at + "benchmark", ta.benchmark, tb.benchmark);
-    if (ta.instructions != tb.instructions)
-      return diff(at + "instructions", ta.instructions, tb.instructions);
-    if (ta.ops != tb.ops) return diff(at + "ops", ta.ops, tb.ops);
-    if (ta.stats.instructions != tb.stats.instructions)
-      return diff(at + "stats.instructions", ta.stats.instructions,
-                  tb.stats.instructions);
-    if (ta.stats.bubbles != tb.stats.bubbles)
-      return diff(at + "stats.bubbles", ta.stats.bubbles, tb.stats.bubbles);
-    if (ta.stats.ops != tb.stats.ops)
-      return diff(at + "stats.ops", ta.stats.ops, tb.stats.ops);
-    if (ta.stats.taken_branches != tb.stats.taken_branches)
-      return diff(at + "stats.taken_branches", ta.stats.taken_branches,
-                  tb.stats.taken_branches);
-    if (ta.stats.dcache_stall_cycles != tb.stats.dcache_stall_cycles)
-      return diff(at + "stats.dcache_stall_cycles",
-                  ta.stats.dcache_stall_cycles,
-                  tb.stats.dcache_stall_cycles);
-    if (ta.stats.icache_stall_cycles != tb.stats.icache_stall_cycles)
-      return diff(at + "stats.icache_stall_cycles",
-                  ta.stats.icache_stall_cycles,
-                  tb.stats.icache_stall_cycles);
-    if (ta.stats.branch_stall_cycles != tb.stats.branch_stall_cycles)
-      return diff(at + "stats.branch_stall_cycles",
-                  ta.stats.branch_stall_cycles,
-                  tb.stats.branch_stall_cycles);
-    if (ta.stats.bank_conflict_cycles != tb.stats.bank_conflict_cycles)
-      return diff(at + "stats.bank_conflict_cycles",
-                  ta.stats.bank_conflict_cycles,
-                  tb.stats.bank_conflict_cycles);
-  }
-  if (a.icache.hits != b.icache.hits)
-    return diff("icache.hits", a.icache.hits, b.icache.hits);
-  if (a.icache.total != b.icache.total)
-    return diff("icache.total", a.icache.total, b.icache.total);
-  if (a.dcache.hits != b.dcache.hits)
-    return diff("dcache.hits", a.dcache.hits, b.dcache.hits);
-  if (a.dcache.total != b.dcache.total)
-    return diff("dcache.total", a.dcache.total, b.dcache.total);
-  if (a.l2.hits != b.l2.hits) return diff("l2.hits", a.l2.hits, b.l2.hits);
-  if (a.l2.total != b.l2.total)
-    return diff("l2.total", a.l2.total, b.l2.total);
-  if (a.os.context_switches != b.os.context_switches)
-    return diff("os.context_switches", a.os.context_switches,
-                b.os.context_switches);
-  if (a.os.timeslices != b.os.timeslices)
-    return diff("os.timeslices", a.os.timeslices, b.os.timeslices);
-  if (!compare_merge_stats) return {};
-
-  if (a.issued_per_cycle.num_buckets() != b.issued_per_cycle.num_buckets())
-    return diff("issued_per_cycle.num_buckets",
-                a.issued_per_cycle.num_buckets(),
-                b.issued_per_cycle.num_buckets());
-  for (std::size_t k = 0; k < a.issued_per_cycle.num_buckets(); ++k)
-    if (a.issued_per_cycle.bucket(k) != b.issued_per_cycle.bucket(k))
-      return diff("issued_per_cycle[" + std::to_string(k) + "]",
-                  a.issued_per_cycle.bucket(k), b.issued_per_cycle.bucket(k));
-  if (a.merge_nodes.size() != b.merge_nodes.size())
-    return diff("merge_nodes.size", a.merge_nodes.size(),
-                b.merge_nodes.size());
-  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    const std::string at = "merge_nodes[" + std::to_string(i) + "].";
-    if (a.merge_nodes[i].label != b.merge_nodes[i].label)
-      return diff(at + "label", a.merge_nodes[i].label,
-                  b.merge_nodes[i].label);
-    if (a.merge_nodes[i].attempts != b.merge_nodes[i].attempts)
-      return diff(at + "attempts", a.merge_nodes[i].attempts,
-                  b.merge_nodes[i].attempts);
-    if (a.merge_nodes[i].rejects != b.merge_nodes[i].rejects)
-      return diff(at + "rejects", a.merge_nodes[i].rejects,
-                  b.merge_nodes[i].rejects);
-  }
-  return {};
+  if (compare_merge_stats)
+    return first_difference(sim_result_to_json(a), sim_result_to_json(b),
+                            "");
+  return first_difference(sim_result_to_json(without_merge_counters(a)),
+                          sim_result_to_json(without_merge_counters(b)), "");
 }
 
 std::string OracleReport::to_string() const {
@@ -151,20 +107,17 @@ OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
     baseline_cfg.eval_mode = EvalMode::kPlan;
     baseline_cfg.stall_fast_forward = true;
 
-    // All sweep configurations share one SimInstance: the scheme is
-    // compiled once and the run state is reset in place between
-    // configurations. This exercises the session layer's reuse contract
-    // (mixed stats levels and eval modes on one instance) on every fuzz
-    // case; the replay oracle below closes the loop against the
-    // fresh-construction facade.
-    SimInstance instance(compiled, baseline_cfg);
-    const SimResult baseline = instance.run(programs);
+    // Every configuration runs the one compiled scheme and the case's
+    // programs on run state built fresh by run_simulation.
+    const SimResult baseline =
+        run_simulation(*compiled, programs, baseline_cfg);
     ++report.simulations;
 
     // Shared bookkeeping of every oracle: count the simulation, compare
     // against the baseline, record the first failure.
-    const auto record = [&](const char* name, const SimResult& result,
-                            bool compare_merge_stats) {
+    const auto check = [&](const char* name, const SimConfig& cfg,
+                           bool compare_merge_stats) -> SimResult {
+      SimResult result = run_simulation(*compiled, programs, cfg);
       ++report.simulations;
       const std::string mismatch =
           compare_sim_results(baseline, result, compare_merge_stats);
@@ -173,12 +126,6 @@ OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
         report.failed_oracle = name;
         report.mismatch = mismatch;
       }
-    };
-    const auto check = [&](const char* name, const SimConfig& cfg,
-                           bool compare_merge_stats) -> SimResult {
-      instance.set_config(cfg);
-      SimResult result = instance.run(programs);
-      record(name, result, compare_merge_stats);
       return result;
     };
 
@@ -226,14 +173,9 @@ OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
       }
     }
 
-    // Oracle 4: a fresh identical run reproduces bit-identically. This
-    // one deliberately bypasses the shared instance and goes through the
-    // one-shot run_simulation facade, so it checks determinism AND that
-    // instance reuse (oracles 1-3 reset the same instance) never diverges
-    // from fresh construction.
-    record("baseline-vs-replay",
-           run_simulation(scheme, programs, baseline_cfg),
-           /*compare_merge_stats=*/true);
+    // Oracle 4: determinism. The baseline configuration, run again,
+    // reproduces every field.
+    check("baseline-vs-replay", baseline_cfg, /*compare_merge_stats=*/true);
   } catch (const CheckError& e) {
     report.ok = false;
     report.construction_error = e.what();

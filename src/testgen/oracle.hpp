@@ -5,12 +5,13 @@
 //   tree       recursive tree-reference evaluator, cycle-stepped
 //   stepped    plan evaluator with the fast-forward disabled
 //   faststats  StatsLevel::kFast (merge counters intentionally zeroed)
-//   replay     the baseline re-run from scratch (determinism)
+//   replay     the baseline run again (determinism)
 //
-// and every SimResult counter must agree (faststats: every shared field
-// agrees AND the merge counters are verifiably zeroed). This turns each
-// future hot-path optimization into one more row here instead of a
-// bespoke golden test.
+// and every SimResult field must agree (faststats: every shared field
+// agrees AND the merge counters are verifiably zeroed). Each run goes
+// through run_simulation over one compiled scheme, on run state built
+// fresh. This turns each future hot-path optimization into one more row
+// here instead of a bespoke golden test.
 #pragma once
 
 #include <string>
@@ -40,20 +41,22 @@ struct OracleReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Field-by-field comparison of two results. Returns an empty string when
-/// identical, otherwise "field: a != b" for the first difference.
-/// `compare_merge_stats` false skips the histogram and merge-node counters
-/// (the kFast contract zeroes them on purpose).
+/// Compares two results over every field the result store writes
+/// (sim_result_to_json), as a diff of the two encodings. Returns an empty
+/// string when identical, otherwise "path: a != b" for the first
+/// difference, e.g. "cycles: 1200 != 1199" or "threads[2].stats.bubbles:
+/// 7 != 8" (an array length reads "threads.size: 3 != 4").
+/// `compare_merge_stats` false skips the issued histogram and the
+/// merge-node counters (the kFast contract zeroes them on purpose); the
+/// node labels and kinds are still compared.
 [[nodiscard]] std::string compare_sim_results(const SimResult& a,
                                               const SimResult& b,
                                               bool compare_merge_stats);
 
 /// Runs every oracle over `c`. All simulation configurations share the
 /// case's programs (built once — SyntheticProgram is immutable) and one
-/// reusable SimInstance (compiled once, reset between configurations);
-/// the replay oracle re-runs through the one-shot run_simulation facade,
-/// so instance reuse itself is cross-checked on every case. A run costs
-/// five small simulations.
+/// compiled scheme; each builds its own run state. A run costs five small
+/// simulations.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c);
 
 /// run_oracles with the case's programs materialized through `artifacts`

@@ -14,33 +14,15 @@ TraceGenerator::TraceGenerator(
     : program_(std::move(program)),
       rng_(SplitMix64(stream_seed ^ 0xabcdef12345ULL).next()) {
   CVMT_CHECK(program_ != nullptr);
-  start_stream(stream_seed);
-}
-
-void TraceGenerator::reset(std::shared_ptr<const SyntheticProgram> program,
-                           std::uint64_t stream_seed) {
-  CVMT_CHECK(program != nullptr);
-  program_ = std::move(program);
-  rng_ = Xoshiro256(SplitMix64(stream_seed ^ 0xabcdef12345ULL).next());
-  start_stream(stream_seed);
-}
-
-void TraceGenerator::start_stream(std::uint64_t stream_seed) {
   // 1MB-granular address-space salt: keeps threads disjoint in shared
   // caches while preserving intra-thread set behaviour.
   address_salt_ = (SplitMix64(stream_seed).next() % 2048) * 0x100000ULL;
   mid_branch_taken_ = Bernoulli(program_->profile().mid_branch_taken);
   const auto& loops = program_->loops();
-  walks_.resize(loops.size());
-  for (std::size_t l = 0; l < loops.size(); ++l)
-    walks_[l] = {0, program_->profile().hot_stride % loops[l].hot_window, 0,
-                 Bernoulli(loops[l].miss_frac)};
-  cur_fp_ = nullptr;
-  cur_pc_ = 0;
-  cur_op_count_ = 0;
-  addrs_.clear();
-  taken_mask_ = 0;
-  emitted_ = 0;
+  walks_.reserve(loops.size());
+  for (const SyntheticProgram::Loop& loop : loops)
+    walks_.push_back({0, program_->profile().hot_stride % loop.hot_window,
+                      0, Bernoulli(loop.miss_frac)});
   enter_next_loop();
 }
 

@@ -27,13 +27,6 @@ class TraceGenerator {
   TraceGenerator(std::shared_ptr<const SyntheticProgram> program,
                  std::uint64_t stream_seed);
 
-  /// Rewinds to the start of a fresh execution of `program` under
-  /// `stream_seed`, bit-identical to constructing a new generator with the
-  /// same arguments but reusing the per-loop cursor arrays. The session
-  /// layer resets thread contexts across runs on this guarantee.
-  void reset(std::shared_ptr<const SyntheticProgram> program,
-             std::uint64_t stream_seed);
-
   /// Emits the next dynamic VLIW instruction, fully patched (salted PC,
   /// data addresses, branch directions). The reference stays valid until
   /// the next call. Never ends (programs loop forever); the caller
@@ -79,9 +72,6 @@ class TraceGenerator {
 
  private:
   void enter_next_loop();
-  /// Shared tail of construction and reset(): seeds the RNG and salt,
-  /// rewinds every cursor, and enters the first loop.
-  void start_stream(std::uint64_t stream_seed);
 
   /// Per-loop persistent walk state (streams continue across re-entries).
   /// The hot cursor is kept already reduced modulo the loop's hot window

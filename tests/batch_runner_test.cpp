@@ -18,6 +18,7 @@
 #include "sim/worker_pool.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
+#include "testgen/oracle.hpp"
 
 namespace cvmt {
 namespace {
@@ -27,45 +28,6 @@ SimConfig tiny_sim() {
   sim.instruction_budget = 10'000;
   sim.timeslice_cycles = 2'500;
   return sim;
-}
-
-/// Asserts every field of two SimResults matches exactly (bit-identical
-/// counters and doubles, not approximately equal).
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  EXPECT_EQ(a.total_instructions, b.total_instructions);
-  EXPECT_EQ(a.idle_cycles, b.idle_cycles);
-  EXPECT_EQ(a.ipc, b.ipc);  // exact double equality, on purpose
-  ASSERT_EQ(a.threads.size(), b.threads.size());
-  for (std::size_t i = 0; i < a.threads.size(); ++i) {
-    const ThreadResult& ta = a.threads[i];
-    const ThreadResult& tb = b.threads[i];
-    EXPECT_EQ(ta.benchmark, tb.benchmark);
-    EXPECT_EQ(ta.instructions, tb.instructions);
-    EXPECT_EQ(ta.ops, tb.ops);
-    EXPECT_EQ(ta.stats.bubbles, tb.stats.bubbles);
-    EXPECT_EQ(ta.stats.taken_branches, tb.stats.taken_branches);
-    EXPECT_EQ(ta.stats.dcache_stall_cycles, tb.stats.dcache_stall_cycles);
-    EXPECT_EQ(ta.stats.icache_stall_cycles, tb.stats.icache_stall_cycles);
-    EXPECT_EQ(ta.stats.branch_stall_cycles, tb.stats.branch_stall_cycles);
-  }
-  EXPECT_EQ(a.icache.hits, b.icache.hits);
-  EXPECT_EQ(a.icache.total, b.icache.total);
-  EXPECT_EQ(a.dcache.hits, b.dcache.hits);
-  EXPECT_EQ(a.dcache.total, b.dcache.total);
-  ASSERT_EQ(a.issued_per_cycle.num_buckets(), b.issued_per_cycle.num_buckets());
-  for (std::size_t i = 0; i < a.issued_per_cycle.num_buckets(); ++i)
-    EXPECT_EQ(a.issued_per_cycle.bucket(i), b.issued_per_cycle.bucket(i));
-  ASSERT_EQ(a.merge_nodes.size(), b.merge_nodes.size());
-  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    EXPECT_EQ(a.merge_nodes[i].label, b.merge_nodes[i].label);
-    EXPECT_EQ(a.merge_nodes[i].attempts, b.merge_nodes[i].attempts);
-    EXPECT_EQ(a.merge_nodes[i].rejects, b.merge_nodes[i].rejects);
-  }
-  EXPECT_EQ(a.os.context_switches, b.os.context_switches);
-  EXPECT_EQ(a.os.timeslices, b.os.timeslices);
 }
 
 /// Runs `benchmarks` under `scheme` with programs built through `cache`.
@@ -85,7 +47,7 @@ TEST(Determinism, RunWorkloadTwiceIsBitIdentical) {
   const SimResult a = run_direct(scheme, wl.benchmarks, cache_a, sim);
   ArtifactCache cache_b;
   const SimResult b = run_direct(scheme, wl.benchmarks, cache_b, sim);
-  expect_identical(a, b);
+  EXPECT_EQ(compare_sim_results(a, b, true), "");
 }
 
 TEST(Determinism, SharedAndFreshLibraryAgree) {
@@ -96,7 +58,7 @@ TEST(Determinism, SharedAndFreshLibraryAgree) {
   ArtifactCache shared;
   const SimResult first = run_direct(scheme, wl.benchmarks, shared, sim);
   const SimResult again = run_direct(scheme, wl.benchmarks, shared, sim);
-  expect_identical(first, again);
+  EXPECT_EQ(compare_sim_results(first, again, true), "");
 }
 
 std::vector<BatchJob> small_grid() {
@@ -116,7 +78,8 @@ TEST(BatchRunner, GridIdenticalAcrossWorkerCounts) {
         run_batch(jobs, {.workers = workers});
     ASSERT_EQ(parallel.size(), serial.size()) << workers << " workers";
     for (std::size_t i = 0; i < serial.size(); ++i)
-      expect_identical(serial[i], parallel[i]);
+      EXPECT_EQ(compare_sim_results(serial[i], parallel[i], true), "")
+          << workers << " workers, job " << i;
   }
 }
 
@@ -125,8 +88,13 @@ TEST(BatchRunner, MatchesDirectRunWorkload) {
   const std::vector<SimResult> batch = run_batch(jobs, {.workers = 4});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ArtifactCache cache;
-    expect_identical(batch[i], run_direct(jobs[i].scheme, jobs[i].benchmarks,
-                                          cache, jobs[i].sim));
+    EXPECT_EQ(compare_sim_results(batch[i],
+                                  run_direct(jobs[i].scheme,
+                                             jobs[i].benchmarks, cache,
+                                             jobs[i].sim),
+                                  true),
+              "")
+        << "job " << i;
   }
 }
 
@@ -143,7 +111,7 @@ TEST(BatchRunner, MixedMachineConfigsInOneBatch) {
   const std::vector<SimResult> serial = run_batch(jobs, {.workers = 1});
   const std::vector<SimResult> parallel = run_batch(jobs, {.workers = 3});
   for (std::size_t i = 0; i < jobs.size(); ++i)
-    expect_identical(serial[i], parallel[i]);
+    EXPECT_EQ(compare_sim_results(serial[i], parallel[i], true), "");
   // The two machines genuinely differ.
   EXPECT_NE(serial[0].cycles, serial[1].cycles);
 }

@@ -263,14 +263,20 @@ TEST_P(WindowedRun, WindowedRunMatchesPerCycleSteps) {
       ASSERT_EQ(win.threads[t]->stats().ops, step.threads[t]->stats().ops);
     }
 
-    // Between windows, as the OS does: restart finished threads and
-    // sometimes rebind the slots to another arrangement of the four.
+    // Between windows, as the OS does: replace finished threads with new
+    // ones (rebinding any slot that held them) and sometimes rebind the
+    // slots to another arrangement of the four.
     for (Rig* r : {&win, &step}) {
       for (std::size_t t = 0; t < r->threads.size(); ++t) {
-        ThreadContext& th = *r->threads[t];
-        if (th.done())
-          th.reset(th.name(), programs[t], 1000 + 7 * w + t,
-                   300 + 37 * static_cast<std::uint64_t>(w % 11));
+        std::unique_ptr<ThreadContext>& th = r->threads[t];
+        if (!th->done()) continue;
+        auto next = std::make_unique<ThreadContext>(
+            th->name(), programs[t], 1000 + 7 * w + t,
+            300 + 37 * static_cast<std::uint64_t>(w % 11));
+        for (int s = 0; s < r->core.num_slots(); ++s)
+          if (r->core.thread(s) == th.get())
+            r->core.set_thread(s, next.get());
+        th = std::move(next);
       }
     }
     if (rng.next_below(4) == 0) {

@@ -5,8 +5,10 @@
 // greedy-shrinker minimization under synthetic failure predicates.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <set>
 #include <sstream>
 
@@ -156,6 +158,84 @@ TEST(OracleTest, CompareReportsFirstMismatchingCounter) {
   b = a;
   b.threads.emplace_back();
   EXPECT_EQ(compare_sim_results(a, b, true), "threads.size: 0 != 1");
+}
+
+TEST(OracleTest, CompareNamesEveryEncodedField) {
+  // One field at a time, every field the result store writes: the diff
+  // must name the field's path in the encoding. A thread's instructions
+  // and ops are written twice, first beside its stats, so the diff names
+  // that first copy. Without merge statistics, exactly the kFast-zeroed
+  // counters are skipped.
+  ArtifactCache cache;
+  SimConfig cfg;
+  cfg.instruction_budget = 800;
+  cfg.timeslice_cycles = 300;
+  const std::vector<std::string> names = {"mcf", "idct", "djpeg", "x264"};
+  const SimResult base = run_simulation(
+      Scheme::parse("2SC3"), cache.workload(names, cfg.machine)->programs,
+      cfg);
+  ASSERT_EQ(base.threads.size(), 4u);
+
+  struct Mutation {
+    std::string path;
+    std::function<void(SimResult&)> apply;
+  };
+  // Bumps one counter, named by its member path.
+#define CVMT_BUMP(field) Mutation{#field, [](SimResult& r) { ++r.field; }}
+  const auto histogram = [](std::size_t bucket, std::uint64_t total,
+                            std::uint64_t weighted_sum) {
+    return [=](SimResult& r) {
+      const Histogram& h = r.issued_per_cycle;
+      std::vector<std::uint64_t> counts;
+      for (std::size_t k = 0; k < h.num_buckets(); ++k)
+        counts.push_back(h.bucket(k) + (k == bucket ? 1 : 0));
+      r.issued_per_cycle =
+          Histogram::restored(std::move(counts), h.total() + total,
+                              h.weighted_sum() + weighted_sum);
+    };
+  };
+  const std::vector<Mutation> shared = {
+      CVMT_BUMP(cycles), CVMT_BUMP(total_ops), CVMT_BUMP(total_instructions),
+      CVMT_BUMP(idle_cycles), CVMT_BUMP(threads[1].stats.bubbles),
+      CVMT_BUMP(threads[1].stats.taken_branches),
+      CVMT_BUMP(threads[1].stats.dcache_stall_cycles),
+      CVMT_BUMP(threads[1].stats.icache_stall_cycles),
+      CVMT_BUMP(threads[1].stats.branch_stall_cycles),
+      CVMT_BUMP(threads[1].stats.bank_conflict_cycles),
+      CVMT_BUMP(icache.hits), CVMT_BUMP(icache.total), CVMT_BUMP(dcache.hits),
+      CVMT_BUMP(dcache.total), CVMT_BUMP(l2.hits), CVMT_BUMP(l2.total),
+      CVMT_BUMP(os.context_switches), CVMT_BUMP(os.timeslices),
+      {"threads[1].instructions",
+       [](SimResult& r) { ++r.threads[1].stats.instructions; }},
+      {"threads[1].ops", [](SimResult& r) { ++r.threads[1].stats.ops; }},
+      {"scheme", [](SimResult& r) { r.scheme += "'"; }},
+      {"ipc", [](SimResult& r) { r.ipc = std::nextafter(r.ipc, 9.0); }},
+      {"threads.size", [](SimResult& r) { r.threads.pop_back(); }},
+      {"threads[1].benchmark",
+       [](SimResult& r) { r.threads[1].benchmark = "bzip2"; }},
+      {"merge_nodes[0].label",
+       [](SimResult& r) { r.merge_nodes[0].label += "'"; }},
+      {"merge_nodes[0].kind", [](SimResult& r) {
+         MergeKind& k = r.merge_nodes[0].kind;
+         k = k == MergeKind::kSmt ? MergeKind::kCsmt : MergeKind::kSmt;
+       }}};
+  const std::vector<Mutation> merge_counters = {
+      CVMT_BUMP(merge_nodes[0].attempts), CVMT_BUMP(merge_nodes[0].rejects),
+      {"issued_per_cycle.buckets[2]", histogram(2, 0, 0)},
+      {"issued_per_cycle.total", histogram(99, 1, 0)},
+      {"issued_per_cycle.weighted_sum", histogram(99, 0, 1)}};
+#undef CVMT_BUMP
+  for (const auto* set : {&shared, &merge_counters}) {
+    for (const Mutation& m : *set) {
+      SimResult changed = base;
+      m.apply(changed);
+      const std::string full = compare_sim_results(base, changed, true);
+      EXPECT_EQ(full.rfind(m.path + ": ", 0), 0u) << m.path << ": " << full;
+      EXPECT_EQ(compare_sim_results(base, changed, false),
+                set == &shared ? full : "")
+          << m.path;
+    }
+  }
 }
 
 TEST(OracleTest, MalformedCaseFailsWithConstructionError) {

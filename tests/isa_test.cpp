@@ -165,7 +165,7 @@ TEST(MachineConfig, HeterogeneousValidateNeedsEachCapabilitySomewhere) {
       {2, 0b00, 0b10, 0b10},
       {2, 0b00, 0b10, 0b10},
   };
-  EXPECT_THROW(MachineConfig::heterogeneous_of(shapes, 2), CheckError);
+  EXPECT_THROW((void)MachineConfig::heterogeneous_of(shapes, 2), CheckError);
 }
 
 TEST(MachineConfig, HeterogeneousValidateBoundsTotalWidth) {
@@ -173,7 +173,7 @@ TEST(MachineConfig, HeterogeneousValidateBoundsTotalWidth) {
   for (ClusterShape& s : shapes)
     s = ClusterShape{8, 0b0011, 0b0100, 1u << 7};
   // 8 clusters x 8-wide = 64 ops > kMaxTotalOps.
-  EXPECT_THROW(MachineConfig::heterogeneous_of(shapes, 8), CheckError);
+  EXPECT_THROW((void)MachineConfig::heterogeneous_of(shapes, 8), CheckError);
 }
 
 TEST(MachineConfig, HeterogeneousEqualityComparesActiveClusters) {

@@ -19,7 +19,8 @@ namespace cvmt {
 namespace {
 
 std::string machines_dir() {
-  return std::string(CVMT_SOURCE_DIR) + "/examples/machines";
+  return (std::filesystem::path(CVMT_SOURCE_DIR) / "examples" / "machines")
+      .string();
 }
 
 std::string read_file(const std::string& path) {

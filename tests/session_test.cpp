@@ -1,8 +1,8 @@
-// The session layer: compiled artifacts, the shared ArtifactCache, the
-// reusable SimInstance and the per-worker SimSession. The load-bearing
-// property throughout is strict bit-identity between every reuse path and
-// the one-shot run_simulation facade (compare_sim_results checks every
-// SimResult counter).
+// The session layer: compiled artifacts, the shared ArtifactCache and the
+// per-worker SimSession. The load-bearing property throughout is strict
+// bit-identity between a session run, whatever ran on the session before
+// it, and run_simulation (compare_sim_results checks every SimResult
+// field).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,35 +126,45 @@ TEST(ArtifactCache, ConcurrentMixedRequestsShareBuilds) {
 }
 
 // --- SimInstance ----------------------------------------------------------
+// The suite is named after the reusable instance these tests once pinned.
+// Runs share no state, so each pins that one session across interleaved
+// configs, memory geometries and workload sizes equals run_simulation.
 
 TEST(SimInstance, MatchesRunSimulationExactly) {
   ArtifactCache cache;
+  SimSession session(cache);
   const SimConfig cfg = tiny_config();
   const auto workload = cache.workload(lmhh_names(), kM);
-  SimInstance instance(cache.scheme(Scheme::parse("2SC3"), kM), cfg);
-  const SimResult reused = instance.run(*workload);
-  const SimResult fresh =
-      run_simulation(Scheme::parse("2SC3"), workload->programs, cfg);
-  EXPECT_EQ(compare_sim_results(fresh, reused, true), "");
+  const Scheme scheme = Scheme::parse("2SC3");
+  const SimResult fresh = run_simulation(scheme, workload->programs, cfg);
+  EXPECT_EQ(compare_sim_results(
+                fresh, session.run(scheme, workload->programs, cfg), true),
+            "");
+  EXPECT_EQ(compare_sim_results(
+                fresh,
+                run_simulation(*cache.scheme(scheme, kM), workload->programs,
+                               cfg),
+                true),
+            "");
 }
 
 TEST(SimInstance, RepeatedRunsAreBitIdentical) {
-  ArtifactCache cache;
-  SimInstance instance(cache.scheme(Scheme::parse("3SSS"), kM),
-                       tiny_config());
-  const auto workload = cache.workload(lmhh_names(), kM);
-  const SimResult a = instance.run(*workload);
-  const SimResult b = instance.run(*workload);  // no reset() in between
-  EXPECT_EQ(compare_sim_results(a, b, true), "");
-  instance.reset();  // explicit reset changes nothing either
-  const SimResult c = instance.run(*workload);
-  EXPECT_EQ(compare_sim_results(a, c, true), "");
+  SimSession session;
+  const SimConfig cfg = tiny_config();
+  const Scheme scheme = Scheme::parse("3SSS");
+  const SimResult a = session.run(scheme, lmhh_names(), cfg);
+  for (int rerun = 0; rerun < 2; ++rerun)
+    EXPECT_EQ(compare_sim_results(a, session.run(scheme, lmhh_names(), cfg),
+                                  true),
+              "")
+        << "rerun " << rerun;
 }
 
 TEST(SimInstance, RunsInterleavedConfigsWithoutCrossTalk) {
-  // Mixed budgets/policies/stats on one instance: each run must match its
-  // own fresh-construction result, regardless of what ran before it.
+  // Mixed budgets/policies/stats on one session: each run must match its
+  // own run_simulation result, regardless of what ran before it.
   ArtifactCache cache;
+  SimSession session(cache);
   const auto workload = cache.workload(lmhh_names(), kM);
   SimConfig a = tiny_config();
   SimConfig b = tiny_config();
@@ -167,66 +177,69 @@ TEST(SimInstance, RunsInterleavedConfigsWithoutCrossTalk) {
   c.eval_mode = EvalMode::kTreeReference;
   c.stall_fast_forward = false;
 
-  SimInstance instance(cache.scheme(Scheme::parse("2CS"), kM), a);
+  const Scheme scheme = Scheme::parse("2CS");
   for (const SimConfig* cfg : {&a, &b, &c, &a, &c, &b}) {
-    instance.set_config(*cfg);
-    const SimResult reused = instance.run(*workload);
-    const SimResult fresh =
-        run_simulation(Scheme::parse("2CS"), workload->programs, *cfg);
-    EXPECT_EQ(compare_sim_results(fresh, reused, true), "");
+    const SimResult fresh = run_simulation(scheme, workload->programs, *cfg);
+    EXPECT_EQ(compare_sim_results(
+                  fresh, session.run(scheme, workload->programs, *cfg), true),
+              "");
   }
 }
 
 TEST(SimInstance, MemoryGeometryChangeRebuildsCaches) {
   ArtifactCache cache;
+  SimSession session(cache);
   const auto workload = cache.workload(lmhh_names(), kM);
   SimConfig small = tiny_config();
   small.mem.icache.size_bytes = 8 * 1024;
   small.mem.dcache.size_bytes = 8 * 1024;
   SimConfig priv = tiny_config();
   priv.mem.sharing = CacheSharing::kPrivate;
+  SimConfig plain = tiny_config();
 
-  SimInstance instance(cache.scheme(Scheme::parse("3CCC"), kM),
-                       tiny_config());
-  for (const SimConfig* cfg : {&small, &priv, &small}) {
-    instance.set_config(*cfg);
-    const SimResult reused = instance.run(*workload);
-    const SimResult fresh =
-        run_simulation(Scheme::parse("3CCC"), workload->programs, *cfg);
-    EXPECT_EQ(compare_sim_results(fresh, reused, true), "");
+  const Scheme scheme = Scheme::parse("3CCC");
+  for (const SimConfig* cfg : {&plain, &small, &priv, &small, &plain}) {
+    const SimResult fresh = run_simulation(scheme, workload->programs, *cfg);
+    EXPECT_EQ(compare_sim_results(
+                  fresh, session.run(scheme, workload->programs, *cfg), true),
+              "");
   }
 }
 
 TEST(SimInstance, WorkloadSizeMayShrinkAndGrowAcrossRuns) {
   ArtifactCache cache;
+  SimSession session(cache);
   const SimConfig cfg = tiny_config();
-  SimInstance instance(cache.scheme(Scheme::parse("1S"), kM), cfg);
-  const auto two = cache.workload(std::vector<std::string>{"mcf", "idct"},
-                                  kM);
-  const auto six = cache.workload(
-      std::vector<std::string>{"mcf", "idct", "djpeg", "x264", "bzip2",
-                               "cjpeg"},
-      kM);
-  for (const auto* wl : {&two, &six, &two}) {
-    const SimResult reused = instance.run(**wl);
-    const SimResult fresh =
-        run_simulation(Scheme::parse("1S"), (*wl)->programs, cfg);
-    EXPECT_EQ(compare_sim_results(fresh, reused, true), "");
+  const std::vector<std::string> two = {"mcf", "idct"};
+  const std::vector<std::string> six = {"mcf",  "idct",  "djpeg",
+                                        "x264", "bzip2", "cjpeg"};
+  const Scheme scheme = Scheme::parse("1S");
+  for (const auto* names : {&two, &six, &two}) {
+    const SimResult fresh = run_simulation(
+        scheme, cache.workload(*names, kM)->programs, cfg);
+    EXPECT_EQ(compare_sim_results(fresh, session.run(scheme, *names, cfg),
+                                  true),
+              "");
   }
 }
 
 TEST(SimInstance, RejectsMismatchedMachineAndEmptyWorkload) {
   ArtifactCache cache;
-  SimInstance instance(cache.scheme(Scheme::parse("1S"), kM),
-                       tiny_config());
+  const auto compiled = cache.scheme(Scheme::parse("1S"), kM);
+  const auto workload = cache.workload(lmhh_names(), kM);
   SimConfig other = tiny_config();
   other.machine = MachineConfig::vex4x2();
-  EXPECT_THROW(instance.set_config(other), CheckError);
-  EXPECT_THROW((void)instance.run(CompiledWorkload{}), CheckError);
+  EXPECT_THROW((void)run_simulation(*compiled, workload->programs, other),
+               CheckError);
+  EXPECT_THROW((void)run_simulation(*compiled, CompiledWorkload{}.programs,
+                                    tiny_config()),
+               CheckError);
   // Programs built for a different machine are rejected per run.
   const auto foreign =
       cache.workload(lmhh_names(), MachineConfig::vex4x2());
-  EXPECT_THROW((void)instance.run(*foreign), CheckError);
+  EXPECT_THROW(
+      (void)run_simulation(*compiled, foreign->programs, tiny_config()),
+      CheckError);
 }
 
 // --- SimSession -----------------------------------------------------------
@@ -236,7 +249,7 @@ TEST(SimSession, GridSweepMatchesFacadePointForPoint) {
   SimSession session(cache);
   const SimConfig cfg = tiny_config();
   const std::vector<std::string> names = lmhh_names();
-  for (int pass = 0; pass < 2; ++pass) {  // second pass = all instances warm
+  for (int pass = 0; pass < 2; ++pass) {  // second pass = artifacts cached
     for (const char* scheme : {"1S", "3CCC", "2SC3", "3SSS", "IMT4"}) {
       const SimResult via_session =
           session.run(Scheme::parse(scheme), names, cfg);
@@ -246,7 +259,7 @@ TEST(SimSession, GridSweepMatchesFacadePointForPoint) {
           << scheme << " pass " << pass;
     }
   }
-  EXPECT_EQ(session.num_instances(), 5u);  // one per scheme, reused
+  EXPECT_EQ(cache.stats().scheme_misses, 5u);  // each compiled once
 }
 
 TEST(SimSession, SharedArtifactsAcrossSessions) {
@@ -259,46 +272,39 @@ TEST(SimSession, SharedArtifactsAcrossSessions) {
   const SimResult b =
       worker_b.run(Scheme::parse("2SC"), lmhh_names(), cfg);
   EXPECT_EQ(compare_sim_results(a, b, true), "");
-  // Both sessions drew from one cache; each kept its own instance.
-  EXPECT_EQ(worker_a.num_instances(), 1u);
-  EXPECT_EQ(worker_b.num_instances(), 1u);
-}
-
-TEST(SimSession, InstanceCapEvictsOneAndStaysCorrect) {
-  // 65 distinct compiled-scheme keys (one tree, 65 display names) through
-  // one session whose cap is 64 instances: every miss past the cap evicts
-  // exactly one instance, and every run — including reruns of evicted
-  // keys — equals the one-shot facade.
-  ArtifactCache cache;
-  SimSession session(cache);
-  SimConfig cfg = tiny_config();
-  cfg.instruction_budget = 300;
-  const std::vector<std::string> names = lmhh_names();
-  const Scheme base = Scheme::parse("2SC3");
-  std::vector<Scheme> schemes;
-  for (int k = 0; k < 65; ++k)
-    schemes.emplace_back("cap" + std::to_string(100 + k), base.root());
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Scheme& s : schemes) {
-      const SimResult fresh =
-          run_simulation(s, cache.workload(names, kM)->programs, cfg);
-      EXPECT_EQ(compare_sim_results(fresh, session.run(s, names, cfg), true),
-                "")
-          << s.name() << " pass " << pass;
-      EXPECT_LE(session.num_instances(), 64u);
-    }
-    EXPECT_EQ(session.num_instances(), 64u) << "pass " << pass;
-  }
+  // Both sessions drew one compiled scheme and one workload from the
+  // shared cache.
+  const ArtifactCacheStats s = cache.stats();
+  EXPECT_EQ(s.scheme_misses, 1u);
+  EXPECT_EQ(s.scheme_hits, 1u);
+  EXPECT_EQ(s.workload_misses, 1u);
+  EXPECT_EQ(s.workload_hits, 1u);
 }
 
 TEST(SimSession, ClearDropsInstancesButKeepsCorrectness) {
+  // Named after the instance cache this test once cleared. A session
+  // keeps no run state, so a run that follows runs of other
+  // schemes, configs, memory geometries and workload sizes on the same
+  // session equals the first run and run_simulation.
   SimSession session;  // the process-global artifact cache
   const SimConfig cfg = tiny_config();
-  const SimResult a = session.run(Scheme::parse("2SS"), lmhh_names(), cfg);
-  session.clear();
-  EXPECT_EQ(session.num_instances(), 0u);
-  const SimResult b = session.run(Scheme::parse("2SS"), lmhh_names(), cfg);
+  const Scheme scheme = Scheme::parse("2SS");
+  const SimResult a = session.run(scheme, lmhh_names(), cfg);
+  SimConfig other = tiny_config();
+  other.mem.sharing = CacheSharing::kPrivate;
+  other.switch_policy = SwitchPolicyKind::kPoststall;
+  (void)session.run(Scheme::parse("3SSS"), lmhh_names(), other);
+  (void)session.run(scheme, std::vector<std::string>{"mcf", "idct"}, other);
+  const SimResult b = session.run(scheme, lmhh_names(), cfg);
   EXPECT_EQ(compare_sim_results(a, b, true), "");
+  EXPECT_EQ(compare_sim_results(
+                run_simulation(scheme,
+                               session.artifacts()
+                                   .workload(lmhh_names(), kM)
+                                   ->programs,
+                               cfg),
+                b, true),
+            "");
 }
 
 // --- per-key build locks --------------------------------------------------

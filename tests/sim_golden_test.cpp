@@ -3,9 +3,9 @@
 // the reference recursive-tree, cycle-stepped simulation exactly — every
 // counter, not just IPC — for every paper scheme and priority policy; and
 // StatsLevel::kFast must agree with kFull on every shared result field.
-// The session-reuse contract is pinned here too: a reset SimInstance must
-// replay bit-identically to fresh construction for every paper scheme x
-// policy, including mixed stats levels and eval modes on one instance.
+// Session runs are pinned here too: whatever ran on a session before, its
+// run equals run_simulation for every paper scheme x policy, including
+// mixed stats levels and eval modes on one session.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -15,6 +15,7 @@
 
 #include "exp/params.hpp"
 #include "sim/session.hpp"
+#include "testgen/oracle.hpp"
 
 namespace cvmt {
 namespace {
@@ -36,65 +37,6 @@ SimConfig golden_config() {
   cfg.instruction_budget = 2'500;
   cfg.timeslice_cycles = 600;
   return cfg;
-}
-
-/// Field-by-field equality of two results, including per-thread stats,
-/// cache counters, OS stats and merge-node labels; with
-/// `compare_merge_stats`, also the issued histogram and merge-node
-/// counters (the fields StatsLevel::kFast leaves empty).
-void expect_identical(const SimResult& a, const SimResult& b,
-                      const std::string& what, bool compare_merge_stats) {
-  EXPECT_EQ(a.scheme, b.scheme) << what;
-  EXPECT_EQ(a.cycles, b.cycles) << what;
-  EXPECT_EQ(a.total_ops, b.total_ops) << what;
-  EXPECT_EQ(a.total_instructions, b.total_instructions) << what;
-  EXPECT_EQ(a.idle_cycles, b.idle_cycles) << what;
-  EXPECT_DOUBLE_EQ(a.ipc, b.ipc) << what;
-  ASSERT_EQ(a.threads.size(), b.threads.size()) << what;
-  for (std::size_t t = 0; t < a.threads.size(); ++t) {
-    const ThreadResult& ta = a.threads[t];
-    const ThreadResult& tb = b.threads[t];
-    EXPECT_EQ(ta.benchmark, tb.benchmark) << what;
-    EXPECT_EQ(ta.instructions, tb.instructions) << what;
-    EXPECT_EQ(ta.ops, tb.ops) << what;
-    EXPECT_EQ(ta.stats.instructions, tb.stats.instructions) << what;
-    EXPECT_EQ(ta.stats.bubbles, tb.stats.bubbles) << what;
-    EXPECT_EQ(ta.stats.ops, tb.stats.ops) << what;
-    EXPECT_EQ(ta.stats.taken_branches, tb.stats.taken_branches) << what;
-    EXPECT_EQ(ta.stats.dcache_stall_cycles, tb.stats.dcache_stall_cycles)
-        << what;
-    EXPECT_EQ(ta.stats.icache_stall_cycles, tb.stats.icache_stall_cycles)
-        << what;
-    EXPECT_EQ(ta.stats.branch_stall_cycles, tb.stats.branch_stall_cycles)
-        << what;
-    EXPECT_EQ(ta.stats.bank_conflict_cycles, tb.stats.bank_conflict_cycles)
-        << what;
-  }
-  EXPECT_EQ(a.icache.hits, b.icache.hits) << what;
-  EXPECT_EQ(a.icache.total, b.icache.total) << what;
-  EXPECT_EQ(a.dcache.hits, b.dcache.hits) << what;
-  EXPECT_EQ(a.dcache.total, b.dcache.total) << what;
-  EXPECT_EQ(a.l2.hits, b.l2.hits) << what;
-  EXPECT_EQ(a.l2.total, b.l2.total) << what;
-  EXPECT_EQ(a.os.context_switches, b.os.context_switches) << what;
-  EXPECT_EQ(a.os.timeslices, b.os.timeslices) << what;
-  ASSERT_EQ(a.merge_nodes.size(), b.merge_nodes.size()) << what;
-  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    EXPECT_EQ(a.merge_nodes[i].label, b.merge_nodes[i].label) << what;
-    EXPECT_EQ(a.merge_nodes[i].kind, b.merge_nodes[i].kind) << what;
-  }
-  if (!compare_merge_stats) return;
-  ASSERT_EQ(a.issued_per_cycle.num_buckets(), b.issued_per_cycle.num_buckets())
-      << what;
-  for (std::size_t k = 0; k < a.issued_per_cycle.num_buckets(); ++k)
-    EXPECT_EQ(a.issued_per_cycle.bucket(k), b.issued_per_cycle.bucket(k))
-        << what << " bucket " << k;
-  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    EXPECT_EQ(a.merge_nodes[i].attempts, b.merge_nodes[i].attempts)
-        << what << " node " << i;
-    EXPECT_EQ(a.merge_nodes[i].rejects, b.merge_nodes[i].rejects)
-        << what << " node " << i;
-  }
 }
 
 TEST(SimGolden, PlanAndFastForwardAreBitIdenticalToReference) {
@@ -120,10 +62,8 @@ TEST(SimGolden, PlanAndFastForwardAreBitIdenticalToReference) {
 
       const SimResult a = run_simulation(scheme, programs(), reference);
       const SimResult b = run_simulation(scheme, programs(), rebuilt);
-      expect_identical(a, b,
-                       name + "/policy" +
-                           std::to_string(static_cast<int>(policy)),
-                       /*compare_merge_stats=*/true);
+      EXPECT_EQ(compare_sim_results(a, b, /*compare_merge_stats=*/true), "")
+          << name << "/policy" << static_cast<int>(policy);
     }
   }
 
@@ -149,10 +89,11 @@ TEST(SimGolden, PlanAndFastForwardAreBitIdenticalToReference) {
   sweep_default.stall_fast_forward = true;
   for (const char* name : {"3CCC", "2SC3", "3SSS", "C4"}) {
     const Scheme scheme = Scheme::parse(name);
-    expect_identical(run_simulation(scheme, lmhh, reference),
-                     run_simulation(scheme, lmhh, sweep_default),
-                     std::string("LMHH/") + name,
-                     /*compare_merge_stats=*/false);
+    EXPECT_EQ(compare_sim_results(run_simulation(scheme, lmhh, reference),
+                                  run_simulation(scheme, lmhh, sweep_default),
+                                  /*compare_merge_stats=*/false),
+              "")
+        << "LMHH/" << name;
   }
 }
 
@@ -169,7 +110,7 @@ TEST(SimGolden, SingleThreadFastForwardIsBitIdentical) {
                                      stepped);
   const SimResult b = run_simulation(Scheme::single_thread(), progs,
                                      jumped);
-  expect_identical(a, b, "1T", /*compare_merge_stats=*/true);
+  EXPECT_EQ(compare_sim_results(a, b, /*compare_merge_stats=*/true), "");
   EXPECT_GT(a.idle_cycles, 0u);  // the scenario actually exercises stalls
 }
 
@@ -185,7 +126,8 @@ TEST(SimGolden, FastStatsAgreeOnAllSharedFields) {
                                        fast);
     // Shared fields identical; merge statistics intentionally differ
     // (fast mode leaves them zeroed).
-    expect_identical(a, b, name, /*compare_merge_stats=*/false);
+    EXPECT_EQ(compare_sim_results(a, b, /*compare_merge_stats=*/false), "")
+        << name;
     EXPECT_GT(a.issued_per_cycle.total(), 0u);
     EXPECT_EQ(b.issued_per_cycle.total(), 0u);
     std::uint64_t fast_attempts = 0;
@@ -211,43 +153,42 @@ TEST(SimGolden, FastForwardRespectsMaxCyclesAndTimeslices) {
 }
 
 TEST(SimGolden, InstanceResetAndRerunMatchesFreshConstruction) {
-  // The session layer's core invariant, over every paper scheme x policy:
-  // SimInstance::reset() + rerun (and the implicit reset at each run())
-  // reproduces the freshly-constructed run_simulation result exactly.
+  // Named after the reusable instance's reset-and-rerun contract it once
+  // pinned. Over every paper scheme x policy, one session runs each point
+  // twice, with the whole grid in between, and both runs equal
+  // run_simulation.
   std::vector<std::string> schemes;
   for (const Scheme& s : Scheme::paper_schemes_4t())
     schemes.push_back(s.name());
   schemes.emplace_back("IMT4");
 
   ArtifactCache cache;
-  for (const std::string& name : schemes) {
-    for (const PriorityPolicy policy :
-         {PriorityPolicy::kRoundRobin, PriorityPolicy::kFixed,
-          PriorityPolicy::kStickyOnStall}) {
-      SimConfig cfg = golden_config();
-      cfg.priority = policy;
-      const Scheme scheme = Scheme::parse(name);
-      const SimResult fresh = run_simulation(scheme, programs(), cfg);
-
-      SimInstance instance(cache.scheme(scheme, kM), cfg);
-      const SimResult first = instance.run(programs());
-      instance.reset();
-      const SimResult rerun = instance.run(programs());
-      const std::string what =
-          name + "/policy" + std::to_string(static_cast<int>(policy));
-      expect_identical(fresh, first, what + "/first",
-                       /*compare_merge_stats=*/true);
-      expect_identical(fresh, rerun, what + "/reset-rerun",
-                       /*compare_merge_stats=*/true);
+  SimSession session(cache);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& name : schemes) {
+      for (const PriorityPolicy policy :
+           {PriorityPolicy::kRoundRobin, PriorityPolicy::kFixed,
+            PriorityPolicy::kStickyOnStall}) {
+        SimConfig cfg = golden_config();
+        cfg.priority = policy;
+        const Scheme scheme = Scheme::parse(name);
+        EXPECT_EQ(compare_sim_results(run_simulation(scheme, programs(), cfg),
+                                      session.run(scheme, programs(), cfg),
+                                      /*compare_merge_stats=*/true),
+                  "")
+            << name << "/policy" << static_cast<int>(policy) << "/pass"
+            << pass;
+      }
     }
   }
 }
 
 TEST(SimGolden, OneInstanceSurvivesMixedStatsLevelsAndEvalModes) {
-  // The fuzz oracle's usage pattern: one instance sweeps every hot-path
-  // configuration. Each run must match its own fresh-construction result
-  // — no stats residue, no evaluator cross-talk.
+  // The fuzz oracle's usage pattern: one session sweeps every hot-path
+  // configuration. Each run must match its own run_simulation result —
+  // no stats residue, no evaluator cross-talk.
   ArtifactCache cache;
+  SimSession session(cache);
   struct Mode {
     StatsLevel stats;
     EvalMode eval;
@@ -263,32 +204,30 @@ TEST(SimGolden, OneInstanceSurvivesMixedStatsLevelsAndEvalModes) {
   };
   for (const char* name : {"2SC3", "2CS", "IMT4"}) {
     const Scheme scheme = Scheme::parse(name);
-    SimInstance instance(cache.scheme(scheme, kM), golden_config());
     for (std::size_t m = 0; m < std::size(modes); ++m) {
       SimConfig cfg = golden_config();
       cfg.stats = modes[m].stats;
       cfg.eval_mode = modes[m].eval;
       cfg.stall_fast_forward = modes[m].fast_forward;
-      instance.set_config(cfg);
-      const SimResult reused = instance.run(programs());
-      const SimResult fresh = run_simulation(scheme, programs(), cfg);
-      expect_identical(fresh, reused,
-                       std::string(name) + "/mode" + std::to_string(m),
-                       /*compare_merge_stats=*/true);
+      EXPECT_EQ(compare_sim_results(run_simulation(scheme, programs(), cfg),
+                                    session.run(scheme, programs(), cfg),
+                                    /*compare_merge_stats=*/true),
+                "")
+          << name << "/mode" << m;
     }
   }
 }
 
 TEST(SimGolden, ReseededRunsReproduceBitIdentically) {
-  // End-to-end cover for MergeEngine::reset_rotation semantics: two
-  // fresh runs with identical seeds share every counter.
+  // Every run starts at rotation zero: two runs with identical seeds
+  // share every counter.
   SimConfig cfg = golden_config();
   cfg.priority = PriorityPolicy::kStickyOnStall;
   const SimResult a = run_simulation(Scheme::parse("2SC3"), programs(),
                                      cfg);
   const SimResult b = run_simulation(Scheme::parse("2SC3"), programs(),
                                      cfg);
-  expect_identical(a, b, "reseeded", /*compare_merge_stats=*/true);
+  EXPECT_EQ(compare_sim_results(a, b, /*compare_merge_stats=*/true), "");
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(Simulation, StopsWhenFirstThreadFinishesBudget) {
   const SimResult r = run_simulation(Scheme::parse("1S"), progs, cfg);
   std::uint64_t max_instrs = 0;
   for (const auto& t : r.threads)
-    max_instrs = std::max(max_instrs, t.instructions);
+    max_instrs = std::max(max_instrs, t.stats.instructions);
   EXPECT_EQ(max_instrs, cfg.instruction_budget);
 }
 
@@ -158,7 +158,7 @@ TEST(Simulation, AllSoftwareThreadsMakeProgressUnderRotation) {
   cfg.timeslice_cycles = 2'000;
   const SimResult r = run_simulation(Scheme::parse("3CCC"), progs, cfg);
   for (const auto& t : r.threads)
-    EXPECT_GT(t.instructions, 0u) << t.benchmark;
+    EXPECT_GT(t.stats.instructions, 0u) << t.benchmark;
 }
 
 TEST(Simulation, ResultAccountingIsConsistent) {
@@ -167,8 +167,8 @@ TEST(Simulation, ResultAccountingIsConsistent) {
       run_simulation(Scheme::parse("1S"), progs, fast_config());
   std::uint64_t thread_ops = 0, thread_instrs = 0;
   for (const auto& t : r.threads) {
-    thread_ops += t.ops;
-    thread_instrs += t.instructions;
+    thread_ops += t.stats.ops;
+    thread_instrs += t.stats.instructions;
   }
   EXPECT_EQ(thread_ops, r.total_ops);
   EXPECT_EQ(thread_instrs, r.total_instructions);
@@ -265,7 +265,7 @@ TEST(Simulation, SwitchPoliciesRunDeterministicallyAndDiffer) {
     EXPECT_EQ(a.total_ops, b.total_ops) << to_string(policy);
     // Every software thread still progresses under every policy.
     for (const auto& t : a.threads)
-      EXPECT_GT(t.instructions, 0u)
+      EXPECT_GT(t.stats.instructions, 0u)
           << to_string(policy) << " starved " << t.benchmark;
     cycles.push_back(a.cycles);
   }

@@ -19,6 +19,7 @@
 #include "store/result_store.hpp"
 #include "store/sweep_store.hpp"
 #include "support/check.hpp"
+#include "testgen/oracle.hpp"
 
 namespace cvmt {
 namespace {
@@ -61,55 +62,6 @@ JsonValue test_manifest(unsigned shard_count) {
   ExperimentParams p;
   p.cfg.sim = tiny_sim();
   return p.to_manifest_json("fig10", shard_count);
-}
-
-/// Every field of two SimResults, bit for bit — including the histogram's
-/// internal weighted sum, which buckets alone cannot reproduce.
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.total_ops, b.total_ops);
-  EXPECT_EQ(a.total_instructions, b.total_instructions);
-  EXPECT_EQ(a.idle_cycles, b.idle_cycles);
-  EXPECT_EQ(a.ipc, b.ipc);  // exact double equality, on purpose
-  ASSERT_EQ(a.threads.size(), b.threads.size());
-  for (std::size_t i = 0; i < a.threads.size(); ++i) {
-    const ThreadResult& ta = a.threads[i];
-    const ThreadResult& tb = b.threads[i];
-    EXPECT_EQ(ta.benchmark, tb.benchmark);
-    EXPECT_EQ(ta.instructions, tb.instructions);
-    EXPECT_EQ(ta.ops, tb.ops);
-    EXPECT_EQ(ta.stats.instructions, tb.stats.instructions);
-    EXPECT_EQ(ta.stats.bubbles, tb.stats.bubbles);
-    EXPECT_EQ(ta.stats.ops, tb.stats.ops);
-    EXPECT_EQ(ta.stats.taken_branches, tb.stats.taken_branches);
-    EXPECT_EQ(ta.stats.dcache_stall_cycles, tb.stats.dcache_stall_cycles);
-    EXPECT_EQ(ta.stats.icache_stall_cycles, tb.stats.icache_stall_cycles);
-    EXPECT_EQ(ta.stats.branch_stall_cycles, tb.stats.branch_stall_cycles);
-    EXPECT_EQ(ta.stats.bank_conflict_cycles, tb.stats.bank_conflict_cycles);
-  }
-  EXPECT_EQ(a.icache.hits, b.icache.hits);
-  EXPECT_EQ(a.icache.total, b.icache.total);
-  EXPECT_EQ(a.dcache.hits, b.dcache.hits);
-  EXPECT_EQ(a.dcache.total, b.dcache.total);
-  EXPECT_EQ(a.l2.hits, b.l2.hits);
-  EXPECT_EQ(a.l2.total, b.l2.total);
-  ASSERT_EQ(a.issued_per_cycle.num_buckets(),
-            b.issued_per_cycle.num_buckets());
-  for (std::size_t i = 0; i < a.issued_per_cycle.num_buckets(); ++i)
-    EXPECT_EQ(a.issued_per_cycle.bucket(i), b.issued_per_cycle.bucket(i));
-  EXPECT_EQ(a.issued_per_cycle.total(), b.issued_per_cycle.total());
-  EXPECT_EQ(a.issued_per_cycle.weighted_sum(),
-            b.issued_per_cycle.weighted_sum());
-  ASSERT_EQ(a.merge_nodes.size(), b.merge_nodes.size());
-  for (std::size_t i = 0; i < a.merge_nodes.size(); ++i) {
-    EXPECT_EQ(a.merge_nodes[i].label, b.merge_nodes[i].label);
-    EXPECT_EQ(a.merge_nodes[i].kind, b.merge_nodes[i].kind);
-    EXPECT_EQ(a.merge_nodes[i].attempts, b.merge_nodes[i].attempts);
-    EXPECT_EQ(a.merge_nodes[i].rejects, b.merge_nodes[i].rejects);
-  }
-  EXPECT_EQ(a.os.context_switches, b.os.context_switches);
-  EXPECT_EQ(a.os.timeslices, b.os.timeslices);
 }
 
 // --- hashing and sharding -------------------------------------------------
@@ -266,9 +218,39 @@ TEST(Store, SimResultJsonRoundTripIsBitExact) {
     // Through the actual on-disk representation: dumped and reparsed.
     const JsonValue reread = JsonValue::parse(direct.dump(-1));
     const SimResult back = sim_result_from_json(reread);
-    expect_identical(r, back);
+    EXPECT_EQ(compare_sim_results(r, back, true), "");
     // And the re-serialization is byte-stable.
     EXPECT_EQ(sim_result_to_json(back).dump(-1), direct.dump(-1));
+  }
+}
+
+TEST(Store, DecoderRejectsThreadCountersThatDisagreeWithStats) {
+  // A record writes each thread's instructions and ops twice: beside its
+  // stats and inside them. SimResult holds them once, so a record whose
+  // two copies disagree is corrupt and must not load.
+  std::vector<BatchJob> jobs = small_grid(StatsLevel::kFull);
+  jobs.resize(1);
+  const SimResult r = run_batch(jobs, {.workers = 1}).front();
+  const ThreadStats& t0 = r.threads.front().stats;
+  const std::string text = sim_result_to_json(r).dump(-1);
+  EXPECT_EQ(compare_sim_results(
+                r, sim_result_from_json(JsonValue::parse(text)), true),
+            "");
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"instructions\":" + std::to_string(t0.instructions) + ",\"ops\"",
+       "\"instructions\":" + std::to_string(t0.instructions + 1) +
+           ",\"ops\""},
+      {"\"ops\":" + std::to_string(t0.ops) + ",\"stats\"",
+       "\"ops\":" + std::to_string(t0.ops + 1) + ",\"stats\""},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    EXPECT_THROW((void)sim_result_from_json(JsonValue::parse(bad)),
+                 CheckError)
+        << to;
   }
 }
 
@@ -298,7 +280,7 @@ TEST(Store, ShardsComputeDisjointSubsetsAndUnionIsTheGrid) {
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const unsigned owner = shard_of(point_key(jobs[i]), 2);
       if (owner <= k)
-        expect_identical(partial[i], reference[i]);
+        EXPECT_EQ(compare_sim_results(partial[i], reference[i], true), "");
       else
         EXPECT_EQ(partial[i].cycles, 0u);
     }
@@ -312,7 +294,7 @@ TEST(Store, ShardsComputeDisjointSubsetsAndUnionIsTheGrid) {
   opts.store = merged.get();
   const std::vector<SimResult> replayed = run_batch(jobs, opts);
   for (std::size_t i = 0; i < jobs.size(); ++i)
-    expect_identical(replayed[i], reference[i]);
+    EXPECT_EQ(compare_sim_results(replayed[i], reference[i], true), "");
   const SweepStore::Counters c = merged->counters();
   EXPECT_EQ(c.replayed, jobs.size());
   EXPECT_EQ(c.computed, 0u);
@@ -344,7 +326,7 @@ TEST(Store, ResumeRecomputesNothing) {
       ++simulations;
       return SimResult{};
     });
-    expect_identical(r, first[i]);
+    EXPECT_EQ(compare_sim_results(r, first[i], true), "");
   }
   EXPECT_EQ(simulations, 0u);
   EXPECT_EQ(store->counters().computed, 0u);

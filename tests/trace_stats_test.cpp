@@ -152,8 +152,8 @@ TEST(TraceFairness, SymmetricThreadsGetEqualIssueShares) {
   const SimResult r = run_simulation(Scheme::parse("3CCC"), progs, cfg);
   std::uint64_t lo = ~0ull, hi = 0;
   for (const auto& t : r.threads) {
-    lo = std::min(lo, t.instructions);
-    hi = std::max(hi, t.instructions);
+    lo = std::min(lo, t.stats.instructions);
+    hi = std::max(hi, t.stats.instructions);
   }
   EXPECT_LT(static_cast<double>(hi - lo) / static_cast<double>(hi), 0.12);
 }
