@@ -4,32 +4,22 @@
 
 namespace cvmt {
 
-MergeEngine::MergeEngine(Scheme scheme, MachineConfig config,
+MergeEngine::MergeEngine(std::shared_ptr<const MergePlan> plan,
                          PriorityPolicy policy, StatsLevel stats_level,
                          EvalMode eval_mode)
-    // Reading `scheme` while its copy is passed to the other parameter is
-    // fine: make_shared only reads the source, the copy does not modify it.
-    : MergeEngine(scheme, std::make_shared<const MergePlan>(scheme, config),
-                  config, policy, stats_level, eval_mode) {}
-
-MergeEngine::MergeEngine(Scheme scheme, std::shared_ptr<const MergePlan> plan,
-                         MachineConfig config, PriorityPolicy policy,
-                         StatsLevel stats_level, EvalMode eval_mode)
-    : scheme_(std::move(scheme)),
-      config_(config),
+    : plan_(std::move(plan)),
       policy_(policy),
       stats_level_(stats_level),
       eval_mode_(eval_mode),
-      plan_(std::move(plan)),
-      issued_histogram_(static_cast<std::size_t>(scheme_.num_threads()) + 1) {
-  config_.validate();
-  CVMT_CHECK_MSG(plan_ != nullptr &&
-                     plan_->num_threads() == scheme_.num_threads() &&
-                     plan_->machine() == config_,
-                 "merge plan was compiled for a different scheme or machine");
-  scratch_ = plan_->make_scratch();
-  node_stats_ = plan_->make_stats();
-}
+      scratch_(plan_->make_scratch()),
+      node_stats_(plan_->make_stats()),
+      issued_histogram_(static_cast<std::size_t>(plan_->num_threads()) + 1) {}
+
+MergeEngine::MergeEngine(Scheme scheme, const MachineConfig& config,
+                         PriorityPolicy policy, StatsLevel stats_level,
+                         EvalMode eval_mode)
+    : MergeEngine(std::make_shared<const MergePlan>(std::move(scheme), config),
+                  policy, stats_level, eval_mode) {}
 
 MergePlan::Eval MergeEngine::eval_tree(const Scheme::Node& node,
                                        const Footprint* const* candidates,
@@ -37,7 +27,7 @@ MergePlan::Eval MergeEngine::eval_tree(const Scheme::Node& node,
                                        bool count_stats) {
   if (node.is_leaf()) {
     // Rotation maps priority port p to hardware thread (p + rotation) % N.
-    const int n = scheme_.num_threads();
+    const int n = plan_->num_threads();
     const int tid = (node.port + rotation) % n;
     const Footprint* fp = candidates[tid];
     if (fp == nullptr) return {};
@@ -63,14 +53,14 @@ MergePlan::Eval MergeEngine::eval_tree(const Scheme::Node& node,
         ok = Footprint::csmt_compatible(acc.packet, r.packet);
         break;
       case MergeKind::kSmt:
-        ok = Footprint::smt_compatible(acc.packet, r.packet, config_);
+        ok = Footprint::smt_fits(acc.packet, r.packet, plan_->smt_width());
         break;
       case MergeKind::kSelect:
         ok = false;  // never merges: the first offering input wins
         break;
     }
     if (ok) {
-      acc.packet.merge_with(r.packet, config_);
+      acc.packet.merge_with(r.packet, plan_->machine());
       acc.issued_mask |= r.issued_mask;
     } else {
       // The whole input packet is dropped: if it was itself a merged group
@@ -85,7 +75,7 @@ MergePlan::Eval MergeEngine::select_tree(const Footprint* const* candidates,
                                          int rotation) {
   std::size_t node_id = 0;
   const MergePlan::Eval r =
-      eval_tree(scheme_.root(), candidates, rotation, node_id,
+      eval_tree(plan_->scheme().root(), candidates, rotation, node_id,
                 stats_level_ == StatsLevel::kFull);
   CVMT_DCHECK(node_id == node_stats_.size());
   return r;

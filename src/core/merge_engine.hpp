@@ -6,11 +6,12 @@
 // across threads for fairness, as in the CSMT base design.
 //
 // The engine is a thin stateful wrapper over an immutable MergePlan: the
-// plan owns the flattened scheme and the per-rotation permutation tables;
-// the engine owns the rotation index, the priority policy and the
-// statistics. The original recursive tree walk is retained as
-// EvalMode::kTreeReference — bit-identical by construction, the oracle of
-// the equivalence tests and the differential fuzzer.
+// plan owns the scheme, the machine, the flattened tree and the
+// per-rotation permutation tables; the engine owns the rotation index,
+// the priority policy and the statistics. The original recursive tree
+// walk is retained as EvalMode::kTreeReference — bit-identical by
+// construction, the oracle of the equivalence tests and the differential
+// fuzzer.
 #pragma once
 
 #include <bit>
@@ -57,17 +58,15 @@ struct MergeDecision {
 /// Evaluates one scheme against per-cycle candidates and keeps statistics.
 class MergeEngine {
  public:
-  MergeEngine(Scheme scheme, MachineConfig config,
-              PriorityPolicy policy = PriorityPolicy::kRoundRobin,
-              StatsLevel stats_level = StatsLevel::kFull,
-              EvalMode eval_mode = EvalMode::kPlan);
+  /// An engine over `plan`, which engines for the same scheme x machine
+  /// share (the artifact cache hands out one per pair).
+  explicit MergeEngine(std::shared_ptr<const MergePlan> plan,
+                       PriorityPolicy policy = PriorityPolicy::kRoundRobin,
+                       StatsLevel stats_level = StatsLevel::kFull,
+                       EvalMode eval_mode = EvalMode::kPlan);
 
-  /// Construction from a pre-compiled plan (the session layer's
-  /// CompiledScheme shares one immutable MergePlan across every engine for
-  /// the same scheme x machine, skipping the per-engine compilation).
-  /// `plan` must have been built for exactly this scheme and machine.
-  MergeEngine(Scheme scheme, std::shared_ptr<const MergePlan> plan,
-              MachineConfig config,
+  /// Same, compiling `scheme` for `config` first.
+  MergeEngine(Scheme scheme, const MachineConfig& config,
               PriorityPolicy policy = PriorityPolicy::kRoundRobin,
               StatsLevel stats_level = StatsLevel::kFull,
               EvalMode eval_mode = EvalMode::kPlan);
@@ -135,8 +134,10 @@ class MergeEngine {
     cycles_ = w.cycles_;
   }
 
-  [[nodiscard]] const Scheme& scheme() const { return scheme_; }
-  [[nodiscard]] const MachineConfig& machine() const { return config_; }
+  [[nodiscard]] const Scheme& scheme() const { return plan_->scheme(); }
+  [[nodiscard]] const MachineConfig& machine() const {
+    return plan_->machine();
+  }
   [[nodiscard]] PriorityPolicy policy() const { return policy_; }
   [[nodiscard]] StatsLevel stats_level() const { return stats_level_; }
   [[nodiscard]] EvalMode eval_mode() const { return eval_mode_; }
@@ -166,15 +167,13 @@ class MergeEngine {
   MergePlan::Eval select_tree(const Footprint* const* candidates,
                               int rotation);
 
-  Scheme scheme_;
-  MachineConfig config_;
+  /// Immutable and shareable: engines for the same scheme x machine
+  /// point at one plan.
+  std::shared_ptr<const MergePlan> plan_;
   PriorityPolicy policy_;
   StatsLevel stats_level_;
   EvalMode eval_mode_;
-  /// Immutable and shareable: engines for the same scheme x machine (e.g.
-  /// a cached CompiledScheme's instances) point at one plan.
-  std::shared_ptr<const MergePlan> plan_;
-  /// Reusable frame stack for plan_.select (constructed once; see
+  /// Reusable frame stack for the tree pass (constructed once; see
   /// MergePlan::make_scratch).
   std::vector<MergePlan::Frame> scratch_;
   int rotation_ = 0;
@@ -225,7 +224,7 @@ class MergeEngine {
 inline MergeDecision MergeEngine::select(
     std::span<const Footprint* const> candidates) {
   CVMT_CHECK_MSG(
-      candidates.size() == static_cast<std::size_t>(scheme_.num_threads()),
+      candidates.size() == static_cast<std::size_t>(plan_->num_threads()),
       "candidate count must match scheme thread count");
   int num_offers = 0;
   int only_offer = -1;

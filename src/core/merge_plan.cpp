@@ -1,6 +1,7 @@
 #include "core/merge_plan.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -36,12 +37,15 @@ void flatten(const Scheme::Node& node, FlattenState& st, int depth) {
 
 }  // namespace
 
-MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
-    : config_(config), num_threads_(scheme.num_threads()) {
+MergePlan::MergePlan(Scheme scheme, const MachineConfig& config)
+    : scheme_(std::move(scheme)),
+      config_(config),
+      smt_width_(Footprint::smt_width(config)),
+      num_threads_(scheme_.num_threads()) {
   config_.validate();
 
   FlattenState st;
-  flatten(scheme.root(), st, /*depth=*/1);
+  flatten(scheme_.root(), st, /*depth=*/1);
   nodes_ = std::move(st.nodes);
   stats_template_ = std::move(st.stats);
   depth_ = st.max_depth;
@@ -118,8 +122,8 @@ MergePlan::MergePlan(const Scheme& scheme, const MachineConfig& config)
       leaf_tid_[r * n + i] =
           static_cast<std::uint8_t>((st.ports[i] + r) % n);
 
-  // The decision signature encodes exactly what select() reads besides
-  // the candidates: the leaf->thread tables (thread count + ports) and,
+  // The decision signature encodes exactly what an evaluation reads
+  // besides the candidates: the leaf->thread tables (thread count + ports) and,
   // per evaluator, the fold kinds or the step program.
   signature_ = (is_linear() ? "L" : "T") + std::to_string(num_threads_) + ':';
   if (is_linear()) {
@@ -145,39 +149,8 @@ MergePlan::Kernel MergePlan::kernel() const {
           steps_.data() + steps_.size(),
           blocks_.data(),
           &config_,
-          Footprint::smt_width(config_),
-          config_.heterogeneous,
+          smt_width_,
           num_threads_};
-}
-
-MergePlan::Eval MergePlan::select(
-    std::span<const Footprint* const> candidates, int rotation,
-    Frame* scratch, MergeNodeStats* stats) const {
-  CVMT_DCHECK(candidates.size() == static_cast<std::size_t>(num_threads_));
-  CVMT_DCHECK(rotation >= 0 && rotation < num_threads_);
-
-  // Fast path: with zero or one offering thread no merge check can fire
-  // (the first non-empty input always seeds its block unconditionally), so
-  // the decision is immediate and no stat counter moves either way.
-  int offers = 0;
-  int only = -1;
-  for (std::size_t t = 0; t < candidates.size(); ++t) {
-    if (candidates[t] != nullptr) {
-      ++offers;
-      only = static_cast<int>(t);
-    }
-  }
-  if (offers == 0) return {};
-  if (offers == 1)
-    return {*candidates[static_cast<std::size_t>(only)],
-            1u << static_cast<unsigned>(only)};
-
-  const Kernel k = kernel();
-  return stats != nullptr
-             ? k.select_multi<true>(candidates.data(), offers, rotation,
-                                    scratch, stats)
-             : k.select_multi<false>(candidates.data(), offers, rotation,
-                                     scratch, stats);
 }
 
 }  // namespace cvmt

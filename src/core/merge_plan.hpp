@@ -8,7 +8,7 @@
 //   * a preorder node array with explicit subtree extents (kept for
 //     introspection and structural tests), compiled further into a leaf
 //     step sequence: per leaf, how many merge blocks open before it and
-//     close after it — one select() is a single linear pass over the
+//     close after it — one evaluation is a single linear pass over the
 //     leaves with a small explicit frame stack, no recursion;
 //   * per-rotation leaf permutation tables: leaf_thread(r, i) precomputes
 //     (port + r) % num_threads for every rotation r and leaf i, removing
@@ -16,19 +16,24 @@
 //   * a stats template (canonical sub-scheme labels, preorder over merge
 //     blocks) that callers can instantiate once and pass back per cycle —
 //     or not pass at all: with a null stats pointer the plan skips every
-//     counter write (the StatsLevel::kFast policy of the engine).
+//     counter write (the StatsLevel::kFast policy of the engine);
+//   * the machine's per-cluster issue widths in the SWAR form of the SMT
+//     check (Footprint::smt_width), one lane per cluster, so homogeneous
+//     and heterogeneous machines take the same check.
 //
-// The plan is immutable after construction and holds no per-cycle state:
-// the frame stack lives in caller-owned scratch (constructed once, reused
-// every cycle — frames hold Footprints, and zero-initialising them per
-// call would dominate the select profile). MergeEngine layers rotation,
-// priority policy and statistics on top. Selections are bit-identical to
-// the recursive tree walk, proved on every candidate vector of small
-// machines (DESIGN.md §1).
+// A plan is the one compiled form of a scheme on a machine: it keeps the
+// validated Scheme and MachineConfig it was built from, the engine and
+// the core are built from it alone, and the artifact cache shares one
+// per scheme x machine. It is immutable after construction and holds no
+// per-cycle state: the frame stack lives in caller-owned scratch
+// (constructed once, reused every cycle — frames hold Footprints, and
+// zero-initialising them per call would dominate the select profile).
+// MergeEngine layers rotation, priority policy and statistics on top.
+// Selections are bit-identical to the recursive tree walk, proved on
+// every candidate vector of small machines (DESIGN.md §1).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -61,7 +66,9 @@ struct MergeNodeStats {
 /// Flattened, immutable evaluator for one scheme on one machine.
 class MergePlan {
  public:
-  MergePlan(const Scheme& scheme, const MachineConfig& config);
+  /// Compiles `scheme` for `config`; throws CheckError when the machine
+  /// is invalid.
+  MergePlan(Scheme scheme, const MachineConfig& config);
 
   /// One scheme-tree node in preorder. Block nodes carry the preorder
   /// index one past their subtree (`end`) and their slot in the stats
@@ -86,7 +93,7 @@ class MergePlan {
   };
 
   /// One open (still accumulating) merge block during a pass. Allocate via
-  /// make_scratch() once and reuse; select() never reads a frame before
+  /// make_scratch() once and reuse; a pass never reads a frame before
   /// writing it, so stale contents are harmless.
   struct Frame {
     Footprint fp;
@@ -113,9 +120,8 @@ class MergePlan {
   /// of a chain merges under or the step program of a tree, and the SMT
   /// width test. The cycle loop loads one per window (through
   /// MergeEngine::Window), so an arbitrated cycle neither re-reads the
-  /// plan nor calls out of line; select() builds one per call. Both
-  /// evaluators, the chain fold and the tree pass, are defined inline
-  /// below and exist only here.
+  /// plan nor calls out of line. Both evaluators, the chain fold and the
+  /// tree pass, are defined inline below and exist only here.
   struct Kernel {
     const std::uint8_t* leaf_tid;  ///< num_threads entries per rotation
     const BlockRef* chain;         ///< linear plans only; null for trees
@@ -123,13 +129,14 @@ class MergePlan {
     const LeafStep* steps_end;
     const BlockRef* blocks;        ///< trees: merge blocks in preorder
     const MachineConfig* config;
-    std::uint64_t smt_width;  ///< Footprint::smt_width (homogeneous only)
-    bool heterogeneous;
+    Footprint::SmtWidth smt_width;
     int num_threads;
 
-    /// select() for `num_offers` >= 2 non-null candidates, on raw arrays,
-    /// with the stats choice made at compile time (`stats` is ignored when
-    /// !kCountStats).
+    /// Decides `num_offers` >= 2 non-null candidates (null entries offer
+    /// nothing) under priority rotation `rotation` in [0, num_threads).
+    /// `scratch` holds depth() + 1 frames (make_scratch()); `stats` points
+    /// at num_blocks() slots (make_stats()) and is ignored when
+    /// !kCountStats.
     template <bool kCountStats>
     [[nodiscard]] Eval select_multi(const Footprint* const* candidates,
                                     int num_offers, int rotation,
@@ -152,18 +159,8 @@ class MergePlan {
                  std::uint32_t mask) const;
   };
 
-  /// This plan's tables, for one window or one select().
+  /// This plan's tables, for one window of the cycle loop.
   [[nodiscard]] Kernel kernel() const;
-
-  /// Evaluates the scheme against per-thread candidates under priority
-  /// rotation `rotation` (in [0, num_threads())). A null `candidates`
-  /// entry means the thread offers nothing. `scratch` must hold at least
-  /// depth() frames (see make_scratch()). When `stats` is non-null it must
-  /// point at num_blocks() slots (see make_stats()) and receives the
-  /// attempt/reject counts; when null, no counter is touched.
-  [[nodiscard]] Eval select(std::span<const Footprint* const> candidates,
-                            int rotation, Frame* scratch,
-                            MergeNodeStats* stats) const;
 
   /// Fresh zeroed stats array matching this plan: one entry per merge
   /// block, preorder, labelled with the block's canonical sub-scheme.
@@ -171,7 +168,8 @@ class MergePlan {
     return stats_template_;
   }
 
-  /// Frame stack sized for this plan, for passing back into select().
+  /// Frame stack sized for this plan, for passing back into
+  /// Kernel::select_multi().
   [[nodiscard]] std::vector<Frame> make_scratch() const {
     return std::vector<Frame>(static_cast<std::size_t>(depth_) + 1);
   }
@@ -186,8 +184,8 @@ class MergePlan {
   /// trees (2CC-style) use the general stack pass.
   [[nodiscard]] bool is_linear() const { return !chain_.empty(); }
   /// The decision signature, computed at construction: two plans on one
-  /// machine with equal signatures return the same Eval from select() for
-  /// every candidate vector and every rotation. A left-deep chain is keyed
+  /// machine with equal signatures return the same Eval for every
+  /// candidate vector and every rotation. A left-deep chain is keyed
   /// by its thread count, leaf ports and the block kind each leaf i >= 1
   /// merges under (so C4 and 3CCC, which fold the same ports under CSMT in
   /// the same order, share one signature); any other tree by its full
@@ -197,11 +195,17 @@ class MergePlan {
   /// §14 measures how far it is complete).
   [[nodiscard]] const std::string& signature() const { return signature_; }
   /// Maximum number of simultaneously open blocks during a pass (the
-  /// frame-stack depth select() needs).
+  /// frame-stack depth a tree pass needs).
   [[nodiscard]] int depth() const { return depth_; }
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] const std::vector<LeafStep>& steps() const { return steps_; }
+  /// The scheme and machine this plan was compiled from.
+  [[nodiscard]] const Scheme& scheme() const { return scheme_; }
   [[nodiscard]] const MachineConfig& machine() const { return config_; }
+  /// Footprint::smt_width(machine()), computed once.
+  [[nodiscard]] const Footprint::SmtWidth& smt_width() const {
+    return smt_width_;
+  }
 
   /// The hardware thread that the priority port of leaf `leaf_index` maps
   /// to under `rotation` — reads the precomputed permutation table.
@@ -212,7 +216,9 @@ class MergePlan {
   }
 
  private:
+  Scheme scheme_;
   MachineConfig config_;
+  Footprint::SmtWidth smt_width_;
   int num_threads_ = 0;
   int depth_ = 0;
   std::vector<Node> nodes_;
@@ -247,8 +253,6 @@ template <bool kCountStats>
     case MergeKind::kCsmt:
       return Footprint::csmt_compatible(acc, in);
     case MergeKind::kSmt:
-      if (heterogeneous) [[unlikely]]
-        return smt_compatible_het(acc, in, *config);
       return Footprint::smt_fits(acc, in, smt_width);
     case MergeKind::kSelect:
       return false;  // never merges: the first offering input wins

@@ -51,8 +51,7 @@ DecisionGroups group_decision_equivalent(std::span<const BatchJob> jobs,
     }
     if (g.plan_of[i] != kNone) continue;
     g.plan_of[i] = g.plans.size();
-    g.plans.push_back(
-        cache.scheme(job.scheme, job.sim.machine)->plan());
+    g.plans.push_back(cache.scheme(job.scheme, job.sim.machine));
     resolved_by.push_back(i);
   }
   // Only a signature that two distinct schemes share can group jobs, so

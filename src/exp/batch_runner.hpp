@@ -3,11 +3,13 @@
 // bit-identical to running the same jobs serially in order, regardless of
 // worker count or completion order, because no job shares mutable state
 // with another: every job's randomness comes from seeds inside its own
-// SimConfig, compiled artifacts (schemes, programs) come from the
+// SimConfig, compiled artifacts (merge plans, programs) come from the
 // thread-safe ArtifactCache and are immutable once built, and each result
 // is written to its own pre-allocated slot. Each job runs on its worker's
-// SimSession, which takes the compiled scheme and workload from the
-// shared cache and builds the job's run state fresh.
+// SimSession, which takes the job's merge plan and workload from the
+// shared cache and builds the job's run state fresh. Every experiment
+// runner runs its grid through run_batch, so every grid point goes
+// through the store when one is set.
 //
 // Jobs whose schemes make the same merge decision on every cycle (equal
 // MergePlan::signature, e.g. C4 and 3CCC) and whose other inputs all

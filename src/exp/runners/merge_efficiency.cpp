@@ -5,15 +5,14 @@
 // the leftovers. Forces StatsLevel::kFull regardless of --stats: the
 // whole point is reading per-block reject counters.
 #include "exp/runners/common.hpp"
-#include "sim/session.hpp"
 #include "support/string_util.hpp"
 
 namespace cvmt {
 namespace {
 
-Dataset efficiency_table(const ExperimentConfig& cfg,
-                         const std::vector<std::string>& schemes,
-                         const Workload& wl, SimSession& session) {
+/// One workload's table: `results[s]` is the run of `schemes[s]`.
+Dataset efficiency_table(const std::vector<std::string>& schemes,
+                         std::span<const SimResult> results) {
   // Histogram buckets past a scheme's thread count do not exist; those
   // cells are null and render as "-".
   const auto bucket = [](const char* name) {
@@ -25,12 +24,9 @@ Dataset efficiency_table(const ExperimentConfig& cfg,
              ColumnSpec::real("avg issued"), bucket("0 thr %"),
              bucket("1 thr %"), bucket("2 thr %"), bucket("3 thr %"),
              bucket("4 thr %"), ColumnSpec::str("reject % per block")});
-  const std::span<const std::string> benchmarks(wl.benchmarks.begin(),
-                                                wl.benchmarks.end());
-  for (const std::string& name : schemes) {
-    const SimResult r =
-        session.run(Scheme::parse(name), benchmarks, cfg.sim);
-    std::vector<Cell> row{name, r.ipc, r.issued_per_cycle.mean()};
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    const SimResult& r = results[s];
+    std::vector<Cell> row{schemes[s], r.ipc, r.issued_per_cycle.mean()};
     for (std::size_t k = 0; k <= 4; ++k) {
       if (k < r.issued_per_cycle.num_buckets())
         row.emplace_back(100.0 * r.issued_per_cycle.fraction(k));
@@ -57,20 +53,28 @@ ExperimentResult run(const RunContext& ctx) {
   std::vector<std::string> workloads = ctx.params.workloads;
   if (workloads.empty()) workloads = {"LMHH"};
 
-  // Programs and compiled schemes come from the shared artifact cache;
-  // each run builds its own run state.
-  SimSession session;
-
   std::vector<std::string> schemes = ctx.params.schemes;
   if (schemes.empty())
     schemes = {"1S", "3CCC", "2CC", "2SC3", "2CS", "2SC", "3SSC", "3SSS"};
 
-  ExperimentResult result;
+  // Job w*S+s is workload w under scheme s. Full-stats jobs never group,
+  // so each runs on its own and goes through the store like any grid.
+  std::vector<BatchJob> jobs;
+  jobs.reserve(workloads.size() * schemes.size());
   for (const std::string& workload_name : workloads) {
+    const Workload& wl = runners::workload_by_name(workload_name);
+    for (const std::string& name : schemes)
+      jobs.push_back(make_job(Scheme::parse(name), wl, cfg.sim));
+  }
+  const std::vector<SimResult> results = run_batch(jobs, cfg.batch);
+
+  ExperimentResult result;
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
     ResultSection s;
-    s.title = "Merge efficiency per scheme (workload " + workload_name + ")";
+    s.title = "Merge efficiency per scheme (workload " + workloads[w] + ")";
     s.data = efficiency_table(
-        cfg, schemes, runners::workload_by_name(workload_name), session);
+        schemes, std::span<const SimResult>(results).subspan(
+                     w * schemes.size(), schemes.size()));
     result.sections.push_back(std::move(s));
   }
   result.sections.back().note =
@@ -85,8 +89,8 @@ const RegisterExperiment reg{{
     .artifact = "extension",
     .description = "Per-scheme issued-threads histogram and per-block "
                    "reject rates.",
-    .schema = {ParamKind::kBudget, ParamKind::kTimeslice, ParamKind::kStats,
-               ParamKind::kMachine, ParamKind::kSchemes,
+    .schema = {ParamKind::kBudget, ParamKind::kTimeslice, ParamKind::kWorkers,
+               ParamKind::kStats, ParamKind::kMachine, ParamKind::kSchemes,
                ParamKind::kWorkloads},
     .forces_full_stats = true,
     .sort_key = 260,

@@ -26,6 +26,16 @@ Footprint Footprint::of(const Instruction& instr,
   return fp;
 }
 
+Footprint::SmtWidth Footprint::smt_width(const MachineConfig& config) {
+  SmtWidth width{};
+  for (int c = 0; c < kMaxClusters; ++c) {
+    const int issue = c < config.num_clusters ? config.cluster_issue(c) : 0;
+    width[static_cast<std::size_t>(c) / 4] |=
+        (127ull - static_cast<std::uint64_t>(issue)) << (lane_shift(c) + 8);
+  }
+  return width;
+}
+
 bool smt_compatible_het(const Footprint& a, const Footprint& b,
                         const MachineConfig& config) {
   // Only clusters used by both packets can conflict; walk their overlap.

@@ -5,11 +5,16 @@
 //
 //   * CSMT merges two packets iff their *cluster* footprints are disjoint.
 //   * SMT merges two packets iff, in every cluster, fixed-slot operations do
-//     not collide slot-wise and the combined operation count fits the issue
-//     width (ALU operations can be rerouted to any free slot).
+//     not collide slot-wise and the combined operation count fits that
+//     cluster's issue width (ALU operations can be rerouted to any free
+//     slot).
 //
-// Packets always merge in their entirety (no partial issue) — VLIW
-// semantics forbid splitting an instruction.
+// Both checks are SWAR ("SIMD within a register"): one word holds four
+// clusters, so a check is a few ALU ops whatever the machine, and the SMT
+// check adds one issue width per cluster, so homogeneous and
+// heterogeneous machines take the same path. Packets always merge in
+// their entirety (no partial issue) — VLIW semantics forbid splitting an
+// instruction.
 #pragma once
 
 #include <array>
@@ -63,24 +68,25 @@ class Footprint {
 
   /// SMT check: per-cluster fixed-slot disjointness + issue-width fit.
   /// Implemented as byte-lane SWAR over the packed ClusterUse lanes (all
-  /// clusters checked at once; unused clusters are vacuously compatible,
-  /// so the result equals the per-shared-cluster walk). Hot: called for
-  /// every SMT merge attempt of every simulated cycle.
+  /// clusters checked at once, each against its own width; unused
+  /// clusters are vacuously compatible, so the result equals the
+  /// per-shared-cluster walk smt_compatible_het on every machine).
   [[nodiscard]] static bool smt_compatible(const Footprint& a,
                                            const Footprint& b,
                                            const MachineConfig& config);
 
-  /// smt_compatible() on a homogeneous machine, split so the per-machine
-  /// part can be computed once: `width` is smt_width(config).
+  /// The issue widths of a machine in the form smt_fits() adds to the
+  /// count lanes: cluster c's count byte holds 127 - (its issue width),
+  /// so sum + width has bit 7 set iff sum exceeds the width. Lanes past
+  /// the last cluster take width 0; their counts are always 0.
+  using SmtWidth = std::array<std::uint64_t, kMaxClusters / 4>;
+  [[nodiscard]] static SmtWidth smt_width(const MachineConfig& config);
+
+  /// smt_compatible() split so the per-machine part is computed once:
+  /// `width` is smt_width(config). Hot: called for every SMT merge
+  /// attempt of every simulated cycle.
   [[nodiscard]] static bool smt_fits(const Footprint& a, const Footprint& b,
-                                     std::uint64_t width);
-  /// The issue width of a homogeneous `config`, in the form smt_fits()
-  /// adds to every count lane: sum + (127 - width) has bit 7 set iff
-  /// sum > width.
-  [[nodiscard]] static std::uint64_t smt_width(const MachineConfig& config) {
-    return (127ull - static_cast<std::uint64_t>(config.issue_per_cluster)) *
-           0x0100010001000100ULL;
-  }
+                                     const SmtWidth& width);
 
   /// In-place union (SWAR: OR the fixed-mask lanes, add the count lanes).
   /// Caller must have established compatibility under the merge kind in
@@ -114,8 +120,9 @@ class Footprint {
 static_assert(kMaxClusters % 4 == 0,
               "SWAR predicates pack four 16-bit clusters per lane");
 
-/// Heterogeneous-machine slow path of smt_compatible (per-cluster widths
-/// break the single-adjust SWAR trick); out of line, rarely taken.
+/// The SMT check as a walk over the clusters both packets use, one
+/// cluster at a time: the reference the SWAR form is proved against
+/// (merge_exhaustive_test). The simulator never calls it.
 [[nodiscard]] bool smt_compatible_het(const Footprint& a, const Footprint& b,
                                       const MachineConfig& config);
 
@@ -125,14 +132,11 @@ static_assert(kMaxClusters % 4 == 0,
 // comparable to the work itself.
 [[gnu::always_inline]] inline bool Footprint::smt_compatible(
     const Footprint& a, const Footprint& b, const MachineConfig& config) {
-  if (config.heterogeneous) [[unlikely]]
-    return smt_compatible_het(a, b, config);
   return smt_fits(a, b, smt_width(config));
 }
 
-[[gnu::always_inline]] inline bool Footprint::smt_fits(const Footprint& a,
-                                                       const Footprint& b,
-                                                       std::uint64_t width) {
+[[gnu::always_inline]] inline bool Footprint::smt_fits(
+    const Footprint& a, const Footprint& b, const SmtWidth& width) {
   const Lanes& la = a.lanes_;
   const Lanes& lb = b.lanes_;
   // Counts are at most 2 * issue width <= 16, so lanes never carry.
@@ -140,7 +144,7 @@ static_assert(kMaxClusters % 4 == 0,
     if ((la[i] & lb[i] & kFixedLanes) != 0) return false;  // slot collision
     const std::uint64_t sums =
         (la[i] & kCountLanes) + (lb[i] & kCountLanes);
-    if (((sums + width) & kCountHighBits) != 0) return false;  // overflow
+    if (((sums + width[i]) & kCountHighBits) != 0) return false;  // overflow
   }
   return true;
 }

@@ -7,9 +7,10 @@
 // (dedicated merge pipeline stage).
 //
 // Machines are optionally heterogeneous: every cluster may carry its own
-// issue width and capability masks (per_cluster[]), behind the homogeneous
-// fast path the paper's machines use. The machine-file layer
-// (isa/machine_file.hpp) parses either form from `.machine` config files.
+// issue width and capability masks (per_cluster[]). The simulator's merge
+// checks treat both forms alike (the SWAR SMT check takes one width per
+// cluster). The machine-file layer (isa/machine_file.hpp) parses either
+// form from `.machine` config files.
 #pragma once
 
 #include <array>
@@ -65,8 +66,8 @@ struct MachineConfig {
   std::uint32_t branch_slot_mask = 0b1000;
 
   /// Heterogeneous clusters: per_cluster[c] describes cluster c and the
-  /// flat width/mask fields above are ignored. The homogeneous fast paths
-  /// (SWAR SMT compatibility, uniform-width loops) key off this flag.
+  /// flat width/mask fields above are ignored. The per-cluster accessors
+  /// below (cluster_issue, slots_for) key off this flag.
   bool heterogeneous = false;
   std::array<ClusterShape, kMaxClusters> per_cluster{};
 

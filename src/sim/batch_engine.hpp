@@ -18,10 +18,10 @@
 
 namespace cvmt {
 
-/// One queued simulation: compiled scheme, materialized programs, knobs.
-/// The machine of `config` must equal the compiled scheme's machine.
+/// One queued simulation: compiled scheme (its merge plan), materialized
+/// programs, knobs. The machine of `config` must equal the plan's machine.
 struct BatchRunSpec {
-  std::shared_ptr<const CompiledScheme> scheme;
+  std::shared_ptr<const MergePlan> scheme;
   std::shared_ptr<const std::vector<std::shared_ptr<const SyntheticProgram>>>
       shared_programs;
   SimConfig config;

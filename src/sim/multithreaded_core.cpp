@@ -2,31 +2,16 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace cvmt {
 
-MultithreadedCore::MultithreadedCore(const MachineConfig& machine,
-                                     Scheme scheme, PriorityPolicy priority,
-                                     MemorySystem& mem,
-                                     MissPolicy miss_policy,
-                                     CoreOptions options)
-    : machine_(machine),
-      engine_(std::move(scheme), machine, priority, options.stats,
-              options.eval_mode),
-      mem_(mem),
-      miss_policy_(miss_policy),
-      options_(options) {}
-
-MultithreadedCore::MultithreadedCore(const MachineConfig& machine,
-                                     Scheme scheme,
-                                     std::shared_ptr<const MergePlan> plan,
+MultithreadedCore::MultithreadedCore(std::shared_ptr<const MergePlan> plan,
                                      PriorityPolicy priority,
                                      MemorySystem& mem,
                                      MissPolicy miss_policy,
                                      CoreOptions options)
-    : machine_(machine),
-      engine_(std::move(scheme), std::move(plan), machine, priority,
-              options.stats, options.eval_mode),
+    : engine_(std::move(plan), priority, options.stats, options.eval_mode),
       mem_(mem),
       miss_policy_(miss_policy),
       options_(options) {}
@@ -52,7 +37,7 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
   const std::array<ThreadContext*, kMaxThreads> slots = slots_;
   MemorySystem& mem = mem_;
   const StallCosts costs =
-      StallCosts::of(machine_, mem.config(), miss_policy_);
+      StallCosts::of(engine_.machine(), mem.config(), miss_policy_);
   const bool fast_forward = options_.stall_fast_forward;
   MergeEngine::Window merge = engine_.window();
   CoreStats stats = stats_;

@@ -1,6 +1,8 @@
 // The multithreaded clustered VLIW core: per cycle, every resident thread
 // offers its next instruction and the merge engine selects the subset that
-// issues as a single execution packet.
+// issues as a single execution packet. A core is built from a MergePlan
+// alone: the plan fixes the scheme (so the slot count) and the machine,
+// and the core reads both from its engine.
 //
 // The cycle loop runs in windows (run_until): cycles where at least one
 // thread offers are arbitrated one at a time, but an all-stalled window is
@@ -46,15 +48,7 @@ struct CoreOptions {
 /// Hardware: N thread slots, one merge network, one memory system.
 class MultithreadedCore {
  public:
-  MultithreadedCore(const MachineConfig& machine, Scheme scheme,
-                    PriorityPolicy priority, MemorySystem& mem,
-                    MissPolicy miss_policy, CoreOptions options = {});
-
-  /// Construction from a pre-compiled merge plan (shared via the session
-  /// layer's CompiledScheme); behaves exactly like the compiling
-  /// constructor.
-  MultithreadedCore(const MachineConfig& machine, Scheme scheme,
-                    std::shared_ptr<const MergePlan> plan,
+  MultithreadedCore(std::shared_ptr<const MergePlan> plan,
                     PriorityPolicy priority, MemorySystem& mem,
                     MissPolicy miss_policy, CoreOptions options = {});
 
@@ -85,7 +79,6 @@ class MultithreadedCore {
   [[nodiscard]] const CoreOptions& options() const { return options_; }
 
  private:
-  MachineConfig machine_;
   MergeEngine engine_;
   MemorySystem& mem_;
   MissPolicy miss_policy_;

@@ -86,17 +86,7 @@ std::string profile_program_key(const BenchmarkProfile& p,
 
 }  // namespace
 
-// --- CompiledScheme -------------------------------------------------------
-
-CompiledScheme::CompiledScheme(Scheme scheme, const MachineConfig& machine)
-    : scheme_(std::move(scheme)), machine_(machine) {
-  machine_.validate();
-  plan_ = std::make_shared<const MergePlan>(scheme_, machine_);
-  key_ = make_key(scheme_, machine_);
-}
-
-std::string CompiledScheme::make_key(const Scheme& scheme,
-                                     const MachineConfig& machine) {
+std::string scheme_key(const Scheme& scheme, const MachineConfig& machine) {
   // The display name is keyed alongside the canonical tree: SimResult
   // carries the name, so "3SCC" and a functionally identical
   // "C(C(S(0,1),2),3)" must not share one artifact.
@@ -154,13 +144,13 @@ std::shared_ptr<const T> ArtifactCache::lookup_or_build(
   }
 }
 
-std::shared_ptr<const CompiledScheme> ArtifactCache::scheme(
+std::shared_ptr<const MergePlan> ArtifactCache::scheme(
     const Scheme& scheme, const MachineConfig& machine) {
-  const std::string key = CompiledScheme::make_key(scheme, machine);
+  const std::string key = scheme_key(scheme, machine);
   return lookup_or_build(schemes_, key, &stats_.scheme_hits,
                          &stats_.scheme_misses, [&] {
-                           return std::make_shared<const CompiledScheme>(
-                               scheme, machine);
+                           return std::make_shared<const MergePlan>(scheme,
+                                                                    machine);
                          });
 }
 
@@ -196,7 +186,6 @@ std::shared_ptr<const CompiledWorkload> ArtifactCache::workload(
       workloads_, key, &stats_.workload_hits, &stats_.workload_misses,
       [&]() -> std::shared_ptr<const CompiledWorkload> {
         auto compiled = std::make_shared<CompiledWorkload>();
-        compiled->key = key;
         compiled->programs.reserve(benchmarks.size());
         for (const std::string& b : benchmarks)
           compiled->programs.push_back(program(b, machine));
@@ -238,7 +227,7 @@ SimResult SimSession::run(
     const Scheme& scheme,
     std::span<const std::shared_ptr<const SyntheticProgram>> programs,
     const SimConfig& config) {
-  return run_simulation(*artifacts_.scheme(scheme, config.machine), programs,
+  return run_simulation(artifacts_.scheme(scheme, config.machine), programs,
                         config);
 }
 
@@ -247,7 +236,7 @@ SimResult SimSession::run(const Scheme& scheme,
                           const SimConfig& config) {
   const std::shared_ptr<const CompiledWorkload> workload =
       artifacts_.workload(benchmarks, config.machine);
-  return run_simulation(*artifacts_.scheme(scheme, config.machine),
+  return run_simulation(artifacts_.scheme(scheme, config.machine),
                         workload->programs, config);
 }
 

@@ -5,9 +5,10 @@
 // separated:
 //
 //   1. *Compiled artifacts* — immutable, machine-keyed products of the
-//      expensive build steps: CompiledScheme (validated Scheme + flattened
-//      MergePlan) and CompiledWorkload (materialized SyntheticPrograms).
-//      Built once in a thread-safe, process-shareable ArtifactCache, keyed
+//      expensive build steps: the MergePlan of a scheme on a machine
+//      (core/merge_plan.hpp: the validated Scheme and machine, compiled)
+//      and CompiledWorkload (materialized SyntheticPrograms). Built once
+//      in a thread-safe, process-shareable ArtifactCache, keyed
 //      canonically (scheme name + canonical tree + machine, full profile
 //      content + machine), and shared freely across threads.
 //   2. *Run state* — everything a single simulation mutates: thread
@@ -15,9 +16,8 @@
 //      run_simulation (sim/simulation.hpp) builds it fresh on every call
 //      and drops it on return, so no run can see another's state.
 //
-// SimSession joins the two for a sweep worker: it takes each run's
-// compiled scheme and workload from its ArtifactCache and hands them to
-// run_simulation.
+// SimSession joins the two for a sweep worker: it takes each run's plan
+// and workload from its ArtifactCache and hands them to run_simulation.
 #pragma once
 
 #include <functional>
@@ -38,39 +38,18 @@ namespace cvmt {
 /// key embeds (and the result store's keys after them).
 void append_machine_key(std::string& out, const MachineConfig& machine);
 
-/// Immutable compiled form of one scheme on one machine: the validated
-/// Scheme, its flattened MergePlan (shared by every engine built from this
-/// artifact) and the canonical cache key. Thread-safe by immutability.
-class CompiledScheme {
- public:
-  CompiledScheme(Scheme scheme, const MachineConfig& machine);
-
-  [[nodiscard]] const Scheme& scheme() const { return scheme_; }
-  [[nodiscard]] const MachineConfig& machine() const { return machine_; }
-  [[nodiscard]] const std::shared_ptr<const MergePlan>& plan() const {
-    return plan_;
-  }
-  /// The cache key this artifact is stored under (see make_key).
-  [[nodiscard]] const std::string& key() const { return key_; }
-
-  /// Canonical key of (scheme, machine): display name + canonical tree +
-  /// the full machine configuration. The display name is part of the key
-  /// because SimResult::scheme carries it — two schemes with identical
-  /// trees but different names are distinct artifacts.
-  [[nodiscard]] static std::string make_key(const Scheme& scheme,
-                                            const MachineConfig& machine);
-
- private:
-  Scheme scheme_;
-  MachineConfig machine_;
-  std::shared_ptr<const MergePlan> plan_;
-  std::string key_;
-};
+/// Canonical key of (scheme, machine), under which the artifact cache
+/// keeps the scheme's MergePlan and the result store's point keys start:
+/// display name + canonical tree + the full machine configuration. The
+/// display name is part of the key because SimResult::scheme carries it —
+/// two schemes with identical trees but different names are distinct
+/// artifacts.
+[[nodiscard]] std::string scheme_key(const Scheme& scheme,
+                                     const MachineConfig& machine);
 
 /// Immutable compiled form of one multiprogrammed workload on one machine:
 /// the materialized programs, one per software thread, in thread order.
 struct CompiledWorkload {
-  std::string key;
   std::vector<std::shared_ptr<const SyntheticProgram>> programs;
 };
 
@@ -118,8 +97,8 @@ class ArtifactCache {
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
-  /// The compiled form of `scheme` on `machine`, building it on first use.
-  [[nodiscard]] std::shared_ptr<const CompiledScheme> scheme(
+  /// The merge plan of `scheme` on `machine`, compiling it on first use.
+  [[nodiscard]] std::shared_ptr<const MergePlan> scheme(
       const Scheme& scheme, const MachineConfig& machine);
 
   /// The program realising `profile` on `machine`, building on first use.
@@ -178,24 +157,24 @@ class ArtifactCache {
       std::uint64_t* misses, Builder&& build);
 
   mutable std::mutex mu_;
-  SlotMap<CompiledScheme> schemes_;
+  SlotMap<MergePlan> schemes_;
   SlotMap<SyntheticProgram> programs_;
   SlotMap<CompiledWorkload> workloads_;
   ArtifactCacheStats stats_;
   std::function<void(std::string_view)> build_hook_;
 };
 
-/// One worker's simulation session: every run takes its compiled scheme
-/// and workload from a shared ArtifactCache and builds its run state
-/// fresh, so a result depends only on the run's own inputs. Cheap to make;
-/// the artifact cache it draws from is shared and thread-safe.
+/// One worker's simulation session: every run takes its merge plan and
+/// workload from a shared ArtifactCache and builds its run state fresh, so
+/// a result depends only on the run's own inputs. Cheap to make; the
+/// artifact cache it draws from is shared and thread-safe.
 class SimSession {
  public:
   explicit SimSession(ArtifactCache& artifacts = ArtifactCache::global())
       : artifacts_(artifacts) {}
 
   /// Runs one simulation, bit-identical to run_simulation(scheme,
-  /// programs, config), with the scheme compiled through the cache.
+  /// programs, config), with the scheme's plan taken from the cache.
   [[nodiscard]] SimResult run(
       const Scheme& scheme,
       std::span<const std::shared_ptr<const SyntheticProgram>> programs,

@@ -1,19 +1,16 @@
 #include "sim/simulation.hpp"
 
-#include "sim/session.hpp"
-
 namespace cvmt {
 
 SimResult run_simulation(
-    const CompiledScheme& scheme,
+    const std::shared_ptr<const MergePlan>& plan,
     std::span<const std::shared_ptr<const SyntheticProgram>> programs,
     const SimConfig& config) {
-  MemorySystem mem(config.mem, scheme.scheme().num_threads());
-  MultithreadedCore core(scheme.machine(), scheme.scheme(), scheme.plan(),
-                         config.priority, mem, config.miss_policy,
+  MemorySystem mem(config.mem, plan->num_threads());
+  MultithreadedCore core(plan, config.priority, mem, config.miss_policy,
                          CoreOptions{config.stats, config.eval_mode,
                                      config.stall_fast_forward});
-  CVMT_CHECK_MSG(config.machine == scheme.machine(),
+  CVMT_CHECK_MSG(config.machine == plan->machine(),
                  "SimConfig.machine must equal the compiled scheme's "
                  "machine");
   CVMT_CHECK_MSG(!programs.empty(), "empty workload");
@@ -34,7 +31,7 @@ SimResult run_simulation(
   const std::uint64_t cycles = os.run(core, config.max_cycles);
 
   SimResult r;
-  r.scheme = scheme.scheme().name();
+  r.scheme = plan->scheme().name();
   r.cycles = cycles;
   r.total_ops = core.stats().total_ops;
   r.total_instructions = core.stats().total_instructions;
@@ -59,8 +56,9 @@ SimResult run_simulation(
     const std::vector<std::shared_ptr<const SyntheticProgram>>& programs,
     const SimConfig& config) {
   CVMT_CHECK_MSG(!programs.empty(), "empty workload");
-  return run_simulation(CompiledScheme(scheme, config.machine), programs,
-                        config);
+  return run_simulation(std::make_shared<const MergePlan>(scheme,
+                                                         config.machine),
+                        programs, config);
 }
 
 }  // namespace cvmt

@@ -1,10 +1,10 @@
 // Top-level simulation entry point: configure machine + memory + scheme +
-// workload, run, collect a structured result. run_simulation over a
-// compiled scheme is the one place a run's state is built: it creates the
-// memory system, the core, the thread contexts and the OS scheduler as
-// locals, runs them and harvests the SimResult, so no run state outlives
-// its run. Sweeps reach it through the session layer (sim/session.hpp),
-// which caches the compiled schemes and workloads it takes.
+// workload, run, collect a structured result. run_simulation over a merge
+// plan (the compiled scheme x machine) is the one place a run's state is
+// built: it creates the memory system, the core, the thread contexts and
+// the OS scheduler as locals, runs them and harvests the SimResult, so no
+// run state outlives its run. Sweeps reach it through the session layer
+// (sim/session.hpp), which caches the plans and workloads it takes.
 #pragma once
 
 #include <cstdint>
@@ -74,15 +74,13 @@ struct SimResult {
   OsRunStats os;
 };
 
-class CompiledScheme;
-
-/// Runs `programs` (one per software thread) under the compiled `scheme`
-/// on the machine described by `config`, which must be the scheme's
-/// machine. The number of hardware contexts is the scheme's thread count;
-/// the workload may be larger (the OS timeslices it) or smaller (slots
-/// idle). Every piece of run state is built fresh for this call.
+/// Runs `programs` (one per software thread) under the scheme `plan` was
+/// compiled from, on the machine described by `config`, which must be the
+/// plan's machine. The number of hardware contexts is the scheme's thread
+/// count; the workload may be larger (the OS timeslices it) or smaller
+/// (slots idle). Every piece of run state is built fresh for this call.
 [[nodiscard]] SimResult run_simulation(
-    const CompiledScheme& scheme,
+    const std::shared_ptr<const MergePlan>& plan,
     std::span<const std::shared_ptr<const SyntheticProgram>> programs,
     const SimConfig& config);
 

@@ -104,7 +104,7 @@ void append_run_inputs(std::string& key, const BatchJob& job) {
 
 std::string point_key(const BatchJob& job) {
   std::string key = "R1|";
-  key += CompiledScheme::make_key(job.scheme, job.sim.machine);
+  key += scheme_key(job.scheme, job.sim.machine);
   append_run_inputs(key, job);
   return key;
 }

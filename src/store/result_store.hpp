@@ -11,7 +11,7 @@
 // semantics: the lost points simply recompute on resume).
 //
 // Keys reuse the session layer's canonical artifact keys
-// (CompiledScheme::make_key; the workload and config serializations
+// (scheme_key; the workload and config serializations
 // mirror sim/session.cpp), so a record written by one shard is
 // recognised by any later run with the same logical inputs, regardless
 // of process, worker count or lane count.
@@ -44,8 +44,8 @@ struct ShardSpec {
 /// silently become "the whole grid".
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& spec);
 
-/// The canonical key of one grid point: the compiled scheme's cache key
-/// (name + canonical tree + machine) plus the workload and the full
+/// The canonical key of one grid point: the scheme's scheme_key (name +
+/// canonical tree + machine) plus the workload and the full
 /// SimConfig, every double by bit pattern. Two BatchJobs collide on this
 /// key only when the simulator contract guarantees bit-identical results.
 [[nodiscard]] std::string point_key(const BatchJob& job);

@@ -149,16 +149,6 @@ MachineConfig machine_from_json(const JsonValue& o) {
 
 Scheme FuzzCase::parse_scheme() const { return Scheme::parse(scheme); }
 
-std::vector<std::shared_ptr<const SyntheticProgram>>
-FuzzCase::build_programs() const {
-  CVMT_CHECK_MSG(!profiles.empty(), "fuzz case has no software threads");
-  std::vector<std::shared_ptr<const SyntheticProgram>> programs;
-  programs.reserve(profiles.size());
-  for (const BenchmarkProfile& p : profiles)
-    programs.push_back(std::make_shared<SyntheticProgram>(p, sim.machine));
-  return programs;
-}
-
 std::string FuzzCase::summary() const {
   std::ostringstream os;
   os << scheme << " | " << profiles.size() << " sw-thread"

@@ -37,12 +37,9 @@ struct FuzzCase {
   /// Machine + memory + policies + budgets + seeds of the run.
   SimConfig sim;
 
-  /// Builds the per-thread programs and the parsed scheme. Throws
-  /// CheckError when the case is malformed (unparseable scheme, profile
-  /// knobs out of range) — the oracle treats that as a failure too.
+  /// The parsed scheme. Throws CheckError when it does not parse — the
+  /// oracle treats that as a failure too, like profile knobs out of range.
   [[nodiscard]] Scheme parse_scheme() const;
-  [[nodiscard]] std::vector<std::shared_ptr<const SyntheticProgram>>
-  build_programs() const;
 
   /// One-line human-readable summary ("S(0,1) 2sw 4x4 budget=800 ...").
   [[nodiscard]] std::string summary() const;

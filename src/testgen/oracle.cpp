@@ -17,16 +17,15 @@ std::string diff(const std::string& what, const T& a, const T& b) {
   return os.str();
 }
 
-/// The case's programs, through `artifacts` when provided (profile-content
-/// keyed, so repeated builds of an unchanged profile are cache hits).
+/// The case's programs through `artifacts` (profile-content keyed, so
+/// repeated builds of an unchanged profile are cache hits).
 std::vector<std::shared_ptr<const SyntheticProgram>> case_programs(
-    const FuzzCase& c, ArtifactCache* artifacts) {
-  if (artifacts == nullptr) return c.build_programs();
+    const FuzzCase& c, ArtifactCache& artifacts) {
   CVMT_CHECK_MSG(!c.profiles.empty(), "fuzz case has no software threads");
   std::vector<std::shared_ptr<const SyntheticProgram>> programs;
   programs.reserve(c.profiles.size());
   for (const BenchmarkProfile& p : c.profiles)
-    programs.push_back(artifacts->program(p, c.sim.machine));
+    programs.push_back(artifacts.program(p, c.sim.machine));
   return programs;
 }
 
@@ -88,36 +87,35 @@ std::string OracleReport::to_string() const {
   return failed_oracle + ": " + mismatch;
 }
 
-namespace {
+OracleReport run_oracles(const FuzzCase& c) {
+  ArtifactCache artifacts;
+  return run_oracles(c, artifacts);
+}
 
-OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
+OracleReport run_oracles(const FuzzCase& c, ArtifactCache& artifacts) {
   OracleReport report;
   try {
     const Scheme scheme = c.parse_scheme();
     const std::vector<std::shared_ptr<const SyntheticProgram>> programs =
         case_programs(c, artifacts);
-
-    const std::shared_ptr<const CompiledScheme> compiled =
-        artifacts != nullptr
-            ? artifacts->scheme(scheme, c.sim.machine)
-            : std::make_shared<const CompiledScheme>(scheme, c.sim.machine);
+    const std::shared_ptr<const MergePlan> plan =
+        artifacts.scheme(scheme, c.sim.machine);
 
     SimConfig baseline_cfg = c.sim;
     baseline_cfg.stats = StatsLevel::kFull;
     baseline_cfg.eval_mode = EvalMode::kPlan;
     baseline_cfg.stall_fast_forward = true;
 
-    // Every configuration runs the one compiled scheme and the case's
-    // programs on run state built fresh by run_simulation.
-    const SimResult baseline =
-        run_simulation(*compiled, programs, baseline_cfg);
+    // Every configuration runs the one plan and the case's programs on
+    // run state built fresh by run_simulation.
+    const SimResult baseline = run_simulation(plan, programs, baseline_cfg);
     ++report.simulations;
 
     // Shared bookkeeping of every oracle: count the simulation, compare
     // against the baseline, record the first failure.
     const auto check = [&](const char* name, const SimConfig& cfg,
                            bool compare_merge_stats) -> SimResult {
-      SimResult result = run_simulation(*compiled, programs, cfg);
+      SimResult result = run_simulation(plan, programs, cfg);
       ++report.simulations;
       const std::string mismatch =
           compare_sim_results(baseline, result, compare_merge_stats);
@@ -181,16 +179,6 @@ OracleReport run_oracles_impl(const FuzzCase& c, ArtifactCache* artifacts) {
     report.construction_error = e.what();
   }
   return report;
-}
-
-}  // namespace
-
-OracleReport run_oracles(const FuzzCase& c) {
-  return run_oracles_impl(c, nullptr);
-}
-
-OracleReport run_oracles(const FuzzCase& c, ArtifactCache& artifacts) {
-  return run_oracles_impl(c, &artifacts);
 }
 
 }  // namespace cvmt

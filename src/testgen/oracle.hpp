@@ -9,9 +9,9 @@
 //
 // and every SimResult field must agree (faststats: every shared field
 // agrees AND the merge counters are verifiably zeroed). Each run goes
-// through run_simulation over one compiled scheme, on run state built
-// fresh. This turns each future hot-path optimization into one more row
-// here instead of a bespoke golden test.
+// through run_simulation over one merge plan, on run state built fresh.
+// This turns each future hot-path optimization into one more row here
+// instead of a bespoke golden test.
 #pragma once
 
 #include <string>
@@ -53,18 +53,18 @@ struct OracleReport {
                                               const SimResult& b,
                                               bool compare_merge_stats);
 
-/// Runs every oracle over `c`. All simulation configurations share the
-/// case's programs (built once — SyntheticProgram is immutable) and one
-/// compiled scheme; each builds its own run state. A run costs five small
-/// simulations.
-[[nodiscard]] OracleReport run_oracles(const FuzzCase& c);
-
-/// run_oracles with the case's programs materialized through `artifacts`
-/// (keyed by full profile content + machine). The shrinker uses this: its
-/// candidates mutate budgets, machine shape and the scheme far more often
-/// than the profiles, so consecutive attempts on one failing case mostly
-/// hit the cache instead of rebuilding every program.
+/// Runs every oracle over `c`, with the case's programs and merge plan
+/// built through `artifacts` (keyed by full profile content + machine).
+/// All simulation configurations share them (both are immutable); each
+/// builds its own run state. A run costs five small simulations. The
+/// shrinker passes one cache for all its attempts: its candidates mutate
+/// budgets, machine shape and the scheme far more often than the
+/// profiles, so consecutive attempts on one failing case mostly hit the
+/// cache instead of rebuilding every program.
 [[nodiscard]] OracleReport run_oracles(const FuzzCase& c,
                                        ArtifactCache& artifacts);
+
+/// Same, on a fresh cache of its own, so nothing is kept across cases.
+[[nodiscard]] OracleReport run_oracles(const FuzzCase& c);
 
 }  // namespace cvmt

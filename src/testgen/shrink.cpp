@@ -192,18 +192,17 @@ std::vector<FuzzCase> candidates(const FuzzCase& c) {
 }  // namespace
 
 ShrinkResult shrink_case(const FuzzCase& failing,
-                         const std::function<bool(const FuzzCase&)>& fails,
-                         const ShrinkOptions& options) {
+                         const std::function<bool(const FuzzCase&)>& fails) {
   ShrinkResult r;
   r.minimized = failing;
   ++r.attempts;
   if (!fails(r.minimized)) return r;  // not reproducible: nothing to do
 
   bool progress = true;
-  while (progress && r.attempts < options.max_attempts) {
+  while (progress && r.attempts < kShrinkMaxAttempts) {
     progress = false;
     for (FuzzCase& cand : candidates(r.minimized)) {
-      if (r.attempts >= options.max_attempts) break;
+      if (r.attempts >= kShrinkMaxAttempts) break;
       ++r.attempts;
       if (fails(cand)) {
         r.minimized = std::move(cand);

@@ -3,9 +3,10 @@
 // renumber the thread ids densely, shorten budgets/timeslices/traces,
 // simplify policies toward defaults) and keeps any candidate on which
 // `fails` still returns true, iterating to a fixpoint under an attempt
-// budget. The failure predicate is injected — production passes
-// "the oracle fails", the tests pass synthetic predicates — so shrinking
-// logic is testable without planting real simulator bugs.
+// budget (kShrinkMaxAttempts). The failure predicate is injected —
+// production passes "the oracle fails", the tests pass synthetic
+// predicates — so shrinking logic is testable without planting real
+// simulator bugs.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +16,9 @@
 
 namespace cvmt {
 
-struct ShrinkOptions {
-  /// Upper bound on predicate evaluations (each costs one oracle run in
-  /// production, i.e. five small simulations).
-  int max_attempts = 400;
-};
+/// Upper bound on predicate evaluations of one shrink (each costs one
+/// oracle run in production, i.e. five small simulations).
+inline constexpr int kShrinkMaxAttempts = 400;
 
 struct ShrinkResult {
   FuzzCase minimized;
@@ -32,7 +31,6 @@ struct ShrinkResult {
 /// still fails, and no further candidate from one whole pass fails.
 [[nodiscard]] ShrinkResult shrink_case(
     const FuzzCase& failing,
-    const std::function<bool(const FuzzCase&)>& fails,
-    const ShrinkOptions& options = {});
+    const std::function<bool(const FuzzCase&)>& fails);
 
 }  // namespace cvmt

@@ -7,6 +7,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/machine_file.hpp"
@@ -19,6 +20,15 @@ namespace cvmt {
 namespace {
 
 const MachineConfig kM = MachineConfig::vex4x4();
+
+/// A core running `scheme` on the paper's machine over `mem`.
+MultithreadedCore make_core(
+    Scheme scheme, MemorySystem& mem,
+    PriorityPolicy priority = PriorityPolicy::kRoundRobin) {
+  return MultithreadedCore(
+      std::make_shared<const MergePlan>(std::move(scheme), kM), priority, mem,
+      MissPolicy::kSerialized);
+}
 
 std::shared_ptr<const SyntheticProgram> cluster_program(int cluster) {
   const std::string text =
@@ -41,9 +51,7 @@ MemorySystemConfig perfect() {
 
 TEST(CoreStep, DisjointThreadsIssueTogetherUnderCsmt) {
   MemorySystem mem(perfect(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1C"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1C"), mem);
   ThreadContext t0("t0", cluster_program(0), 1, 1u << 20);
   ThreadContext t1("t1", cluster_program(2), 2, 1u << 20);
   core.set_thread(0, &t0);
@@ -57,9 +65,7 @@ TEST(CoreStep, DisjointThreadsIssueTogetherUnderCsmt) {
 
 TEST(CoreStep, SameClusterThreadsAlternateUnderCsmt) {
   MemorySystem mem(perfect(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1C"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1C"), mem);
   ThreadContext t0("t0", cluster_program(1), 1, 1u << 20);
   ThreadContext t1("t1", cluster_program(1), 2, 1u << 20);
   core.set_thread(0, &t0);
@@ -77,9 +83,7 @@ TEST(CoreStep, SameClusterThreadsAlternateUnderCsmt) {
 
 TEST(CoreStep, EmptySlotsAreIdleCycles) {
   MemorySystem mem(perfect(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1S"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   core.step(0);  // no threads bound at all
   EXPECT_EQ(core.stats().idle_cycles, 1u);
   EXPECT_EQ(core.stats().cycles, 1u);
@@ -88,9 +92,7 @@ TEST(CoreStep, EmptySlotsAreIdleCycles) {
 
 TEST(CoreStep, ReportsCompletionCycle) {
   MemorySystem mem(perfect(), 1);
-  MultithreadedCore core(kM, Scheme::single_thread(),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::single_thread(), mem);
   ThreadContext t0("t0", cluster_program(0), 1, 3);
   core.set_thread(0, &t0);
   std::uint64_t cycle = 0;
@@ -102,9 +104,8 @@ TEST(CoreStep, ReportsCompletionCycle) {
 
 TEST(CoreStep, StalledThreadLeavesMachineToOthers) {
   MemorySystem mem(perfect(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1S"),
-                         PriorityPolicy::kFixed, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core =
+      make_core(Scheme::parse("1S"), mem, PriorityPolicy::kFixed);
   ThreadContext t0("t0", cluster_program(0), 1, 1u << 20);
   ThreadContext t1("t1", cluster_program(0), 2, 1u << 20);
   core.set_thread(0, &t0);
@@ -119,9 +120,7 @@ TEST(CoreStep, StalledThreadLeavesMachineToOthers) {
 
 TEST(CoreStep, RejectsBadSlotIndex) {
   MemorySystem mem(perfect(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1S"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   EXPECT_THROW(core.set_thread(2, nullptr), CheckError);
   EXPECT_THROW(core.set_thread(-1, nullptr), CheckError);
 }
@@ -163,8 +162,9 @@ struct Rig {
   Rig(const WindowCase& c, const MachineDescription& d,
       const std::vector<std::shared_ptr<const SyntheticProgram>>& programs)
       : mem(d.mem, Scheme::parse(c.scheme).num_threads()),
-        core(d.machine, Scheme::parse(c.scheme), c.policy, mem,
-             MissPolicy::kSerialized, CoreOptions{c.stats}) {
+        core(std::make_shared<const MergePlan>(Scheme::parse(c.scheme),
+                                               d.machine),
+             c.policy, mem, MissPolicy::kSerialized, CoreOptions{c.stats}) {
     for (std::size_t t = 0; t < programs.size(); ++t)
       threads.push_back(std::make_unique<ThreadContext>(
           "t" + std::to_string(t), programs[t], 100 + t, 400 + 150 * t));
@@ -301,8 +301,8 @@ std::vector<WindowCase> window_cases() {
           PriorityPolicy::kStickyOnStall})
       for (const StatsLevel stats : {StatsLevel::kFast, StatsLevel::kFull})
         cases.push_back({scheme, policy, stats, "vex4x4"});
-  // Heterogeneous clusters take the SMT slow path; the banked DCache with
-  // an L2 exercises every stall charge.
+  // Heterogeneous clusters check SMT merges against per-cluster widths;
+  // the banked DCache with an L2 exercises every stall charge.
   for (const char* machine : {"het4422", "l2banked"})
     for (const char* scheme : {"3SSS", "2CC"})
       for (const PriorityPolicy policy :

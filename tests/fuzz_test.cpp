@@ -248,14 +248,16 @@ TEST(OracleTest, MalformedCaseFailsWithConstructionError) {
 }
 
 TEST(OracleTest, CacheBackedOraclesMatchThePlainPath) {
-  // The shrinker's variant: programs come from an ArtifactCache (keyed
-  // by profile content) instead of being rebuilt per evaluation. Same
-  // verdicts, same simulation count — and repeated evaluations of one
-  // case reuse the cached programs.
+  // The shrinker's variant shares one ArtifactCache (keyed by profile
+  // content) across evaluations; the plain form builds on a fresh cache
+  // of its own and leaves the process-wide one alone. Same verdicts, same
+  // simulation count — and repeated evaluations reuse cached programs.
   ArtifactCache artifacts;
+  const std::size_t global = ArtifactCache::global().size();
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const FuzzCase c = generate_case(seed);
     const OracleReport plain = run_oracles(c);
+    EXPECT_EQ(ArtifactCache::global().size(), global);
     const OracleReport cached = run_oracles(c, artifacts);
     EXPECT_EQ(plain.ok, cached.ok) << c.summary();
     EXPECT_EQ(plain.simulations, cached.simulations);

@@ -20,9 +20,10 @@
 //   * the SWAR form of the SMT check equals its per-cluster walk on every
 //     pair of footprints.
 //
-// The same proof over the full 2x2 domain (memory and branch ops too),
-// 4x1, 1x4 and a heterogeneous machine takes minutes, so those cases are
-// DISABLED_ and run nightly with --gtest_also_run_disabled_tests.
+// A heterogeneous machine, whose clusters differ in width, is proved in
+// tier 1 too. Over the full 2x2 domain (memory and branch ops too), 4x1
+// and 1x4 the proof takes minutes, so those cases are DISABLED_ and run
+// nightly with --gtest_also_run_disabled_tests.
 //
 // The paper's 4x4 machine is too wide to enumerate (48 usages per
 // cluster). The sampled tests at the end draw every op kind on it and
@@ -321,10 +322,10 @@ TEST(MergeExhaustive, DISABLED_OneByFour) {
   prove({MachineConfig::clustered(1, 4), kEveryKind, 49, 13});
 }
 
-// Per-cluster widths take the heterogeneous SMT check: a 2-slot cluster
-// with the multiplier and a 1-slot cluster with the memory and branch
-// units, 8 x 3 footprints.
-TEST(MergeExhaustive, DISABLED_Heterogeneous) {
+// Per-cluster widths in the SWAR SMT check: a 2-slot cluster with the
+// multiplier and a 1-slot cluster with the memory and branch units, 8 x 3
+// footprints and 25^4 = 390,625 vectors, cheap enough for tier 1.
+TEST(MergeExhaustive, Heterogeneous) {
   const ClusterShape shapes[] = {{2, 0b01, 0b10, 0b10}, {1, 0, 0b1, 0b1}};
   prove({MachineConfig::heterogeneous_of(shapes, 2), kEveryKind, 25, 13});
 }

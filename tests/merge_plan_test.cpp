@@ -10,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,38 +150,38 @@ Scheme::Node left_nested(const Scheme::Node& node) {
 
 TEST(MergePlanSignature, EqualSignaturesSelectAlikeAtEveryRotation) {
   // Soundness: plans that share a signature must return the same packet
-  // for every candidate vector under every rotation.
+  // for every candidate vector under every rotation. Two round-robin
+  // engines rotate in lockstep, so deciding each vector num_threads()
+  // times visits every rotation.
   SchemeGen gen(0x5161);
-  std::map<std::string, std::vector<MergePlan>> by_signature;
+  std::map<std::string, std::vector<std::shared_ptr<const MergePlan>>>
+      by_signature;
   for (int i = 0; i < 300; ++i) {
     const Scheme s = gen.next();
     for (const Scheme& variant :
          {s, Scheme(s.name() + "/nested", left_nested(s.root()))}) {
-      MergePlan plan(variant, kM);
-      by_signature[plan.signature()].push_back(std::move(plan));
+      auto plan = std::make_shared<const MergePlan>(variant, kM);
+      by_signature[plan->signature()].push_back(std::move(plan));
     }
   }
   StreamGen draws(0xD1CE);
   int pairs = 0;
   for (const auto& [signature, plans] : by_signature) {
-    const MergePlan& a = plans.front();
-    std::vector<MergePlan::Frame> scratch_a = a.make_scratch();
     for (std::size_t k = 1; k < plans.size(); ++k) {
-      const MergePlan& b = plans[k];
-      std::vector<MergePlan::Frame> scratch_b = b.make_scratch();
+      MergeEngine a(plans.front(), PriorityPolicy::kRoundRobin,
+                    StatsLevel::kFast);
+      MergeEngine b(plans[k], PriorityPolicy::kRoundRobin,
+                    StatsLevel::kFast);
       ++pairs;
       for (int trial = 0; trial < 40; ++trial) {
         std::array<Footprint, kMaxThreads> storage;
-        const Candidates c = draws.draw(storage, a.num_threads());
-        const std::span<const Footprint* const> span(c.data(), c.size());
-        for (int r = 0; r < a.num_threads(); ++r) {
-          const MergePlan::Eval ea =
-              a.select(span, r, scratch_a.data(), nullptr);
-          const MergePlan::Eval eb =
-              b.select(span, r, scratch_b.data(), nullptr);
-          ASSERT_EQ(ea.issued_mask, eb.issued_mask)
+        const Candidates c = draws.draw(storage, plans[k]->num_threads());
+        for (int r = 0; r < plans[k]->num_threads(); ++r) {
+          const MergeDecision da = select(a, c);
+          const MergeDecision db = select(b, c);
+          ASSERT_EQ(da.issued_mask, db.issued_mask)
               << signature << " rotation " << r;
-          ASSERT_TRUE(ea.packet == eb.packet) << signature;
+          ASSERT_TRUE(da.packet == db.packet) << signature;
         }
       }
     }
@@ -335,7 +336,7 @@ TEST(MergeEngineReset, ResetRotationReplaysBitIdentically) {
        {PriorityPolicy::kRoundRobin, PriorityPolicy::kStickyOnStall}) {
     std::vector<std::uint32_t> first;
     for (int pass = 0; pass < 2; ++pass) {
-      MergeEngine e(Scheme::parse("2SC3"), plan, kM, policy);
+      MergeEngine e(plan, policy);
       StreamGen gen(0x5EED);  // identical stream each pass
       for (int cycle = 0; cycle < 500; ++cycle) {
         std::array<Footprint, kMaxThreads> storage;

@@ -12,6 +12,15 @@ namespace {
 
 const MachineConfig kM = MachineConfig::vex4x4();
 
+/// A core running `scheme` on the paper's machine over `mem`.
+MultithreadedCore make_core(
+    Scheme scheme, MemorySystem& mem,
+    PriorityPolicy priority = PriorityPolicy::kRoundRobin) {
+  return MultithreadedCore(
+      std::make_shared<const MergePlan>(std::move(scheme), kM), priority, mem,
+      MissPolicy::kSerialized);
+}
+
 std::shared_ptr<const SyntheticProgram> program_from(
     const std::string& loops) {
   const std::string text =
@@ -144,9 +153,7 @@ std::vector<std::shared_ptr<ThreadContext>> make_pool(int n,
 
 TEST(OsScheduler, RunsUntilFirstCompletion) {
   MemorySystem mem(perfect_mem(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1S"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   auto pool = make_pool(4, 500);
   OsScheduler os(pool, 100, 42);
   const std::uint64_t cycles = os.run(core, 1u << 30);
@@ -159,9 +166,7 @@ TEST(OsScheduler, RunsUntilFirstCompletion) {
 
 TEST(OsScheduler, CountsTimeslicesAndSwitches) {
   MemorySystem mem(perfect_mem(), 2);
-  MultithreadedCore core(kM, Scheme::parse("1S"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   auto pool = make_pool(4, 2'000);
   OsScheduler os(pool, 50, 7);
   const std::uint64_t cycles = os.run(core, 1u << 30);
@@ -171,9 +176,7 @@ TEST(OsScheduler, CountsTimeslicesAndSwitches) {
 
 TEST(OsScheduler, FewerThreadsThanSlotsLeavesSlotsIdle) {
   MemorySystem mem(perfect_mem(), 4);
-  MultithreadedCore core(kM, Scheme::parse("3CCC"),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::parse("3CCC"), mem);
   auto pool = make_pool(2, 300);
   OsScheduler os(pool, 100, 9);
   os.run(core, 1u << 30);
@@ -183,9 +186,7 @@ TEST(OsScheduler, FewerThreadsThanSlotsLeavesSlotsIdle) {
 
 TEST(OsScheduler, AllThreadsProgressUnderRandomReplacement) {
   MemorySystem mem(perfect_mem(), 1);
-  MultithreadedCore core(kM, Scheme::single_thread(),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::single_thread(), mem);
   auto pool = make_pool(4, 3'000);
   OsScheduler os(pool, 64, 11);
   os.run(core, 1u << 30);
@@ -195,9 +196,7 @@ TEST(OsScheduler, AllThreadsProgressUnderRandomReplacement) {
 
 TEST(OsScheduler, MaxCyclesBoundIsRespected) {
   MemorySystem mem(perfect_mem(), 1);
-  MultithreadedCore core(kM, Scheme::single_thread(),
-                         PriorityPolicy::kRoundRobin, mem,
-                         MissPolicy::kSerialized);
+  MultithreadedCore core = make_core(Scheme::single_thread(), mem);
   auto pool = make_pool(1, 1u << 30);
   OsScheduler os(pool, 100, 13);
   EXPECT_EQ(os.run(core, 777), 777u);

@@ -1,8 +1,8 @@
-// The session layer: compiled artifacts, the shared ArtifactCache and the
-// per-worker SimSession. The load-bearing property throughout is strict
-// bit-identity between a session run, whatever ran on the session before
-// it, and run_simulation (compare_sim_results checks every SimResult
-// field).
+// The session layer: compiled artifacts (merge plans and workloads), the
+// shared ArtifactCache and the per-worker SimSession. The load-bearing
+// property throughout is strict bit-identity between a session run,
+// whatever ran on the session before it, and run_simulation
+// (compare_sim_results checks every SimResult field).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,37 +33,34 @@ std::vector<std::string> lmhh_names() {
   return {"mcf", "g721encode", "imgpipe", "colorspace"};
 }
 
-// --- CompiledScheme -------------------------------------------------------
+// --- the compiled scheme: MergePlan and scheme_key -----------------------
 
 TEST(CompiledScheme, CarriesSchemePlanAndKey) {
-  const CompiledScheme c(Scheme::parse("2SC3"), kM);
-  EXPECT_EQ(c.scheme().name(), "2SC3");
-  EXPECT_EQ(c.machine(), kM);
-  ASSERT_NE(c.plan(), nullptr);
-  EXPECT_EQ(c.plan()->num_threads(), 4);
-  EXPECT_EQ(c.key(), CompiledScheme::make_key(Scheme::parse("2SC3"), kM));
+  const MergePlan plan(Scheme::parse("2SC3"), kM);
+  EXPECT_EQ(plan.scheme().name(), "2SC3");
+  EXPECT_EQ(plan.machine(), kM);
+  EXPECT_EQ(plan.num_threads(), 4);
+  std::string key = "S|2SC3|CP(S(0,1),2,3)@";  // as existing stores hold it
+  append_machine_key(key, kM);
+  EXPECT_EQ(scheme_key(plan.scheme(), plan.machine()), key);
 }
 
 TEST(CompiledScheme, KeySeparatesSchemesNamesAndMachines) {
   const Scheme sc3 = Scheme::parse("2SC3");
-  EXPECT_EQ(CompiledScheme::make_key(sc3, kM),
-            CompiledScheme::make_key(Scheme::parse("2SC3"), kM));
-  EXPECT_NE(CompiledScheme::make_key(sc3, kM),
-            CompiledScheme::make_key(Scheme::parse("3CCC"), kM));
-  EXPECT_NE(CompiledScheme::make_key(sc3, kM),
-            CompiledScheme::make_key(sc3, MachineConfig::vex4x2()));
+  EXPECT_EQ(scheme_key(sc3, kM), scheme_key(Scheme::parse("2SC3"), kM));
+  EXPECT_NE(scheme_key(sc3, kM), scheme_key(Scheme::parse("3CCC"), kM));
+  EXPECT_NE(scheme_key(sc3, kM), scheme_key(sc3, MachineConfig::vex4x2()));
   // Same tree under a different display name is a different artifact
   // (SimResult::scheme carries the name).
   const Scheme functional = Scheme::parse("CP(S(0,1),2,3)");
   EXPECT_EQ(functional.canonical(), sc3.canonical());
-  EXPECT_NE(CompiledScheme::make_key(functional, kM),
-            CompiledScheme::make_key(sc3, kM));
+  EXPECT_NE(scheme_key(functional, kM), scheme_key(sc3, kM));
 }
 
 TEST(CompiledScheme, RejectsInvalidMachine) {
   MachineConfig bad = kM;
   bad.num_clusters = 0;
-  EXPECT_THROW((void)CompiledScheme(Scheme::parse("1S"), bad), CheckError);
+  EXPECT_THROW((void)MergePlan(Scheme::parse("1S"), bad), CheckError);
 }
 
 // --- ArtifactCache --------------------------------------------------------
@@ -142,7 +139,7 @@ TEST(SimInstance, MatchesRunSimulationExactly) {
             "");
   EXPECT_EQ(compare_sim_results(
                 fresh,
-                run_simulation(*cache.scheme(scheme, kM), workload->programs,
+                run_simulation(cache.scheme(scheme, kM), workload->programs,
                                cfg),
                 true),
             "");
@@ -225,21 +222,20 @@ TEST(SimInstance, WorkloadSizeMayShrinkAndGrowAcrossRuns) {
 
 TEST(SimInstance, RejectsMismatchedMachineAndEmptyWorkload) {
   ArtifactCache cache;
-  const auto compiled = cache.scheme(Scheme::parse("1S"), kM);
+  const auto plan = cache.scheme(Scheme::parse("1S"), kM);
   const auto workload = cache.workload(lmhh_names(), kM);
   SimConfig other = tiny_config();
   other.machine = MachineConfig::vex4x2();
-  EXPECT_THROW((void)run_simulation(*compiled, workload->programs, other),
+  EXPECT_THROW((void)run_simulation(plan, workload->programs, other),
                CheckError);
-  EXPECT_THROW((void)run_simulation(*compiled, CompiledWorkload{}.programs,
+  EXPECT_THROW((void)run_simulation(plan, CompiledWorkload{}.programs,
                                     tiny_config()),
                CheckError);
   // Programs built for a different machine are rejected per run.
   const auto foreign =
       cache.workload(lmhh_names(), MachineConfig::vex4x2());
-  EXPECT_THROW(
-      (void)run_simulation(*compiled, foreign->programs, tiny_config()),
-      CheckError);
+  EXPECT_THROW((void)run_simulation(plan, foreign->programs, tiny_config()),
+               CheckError);
 }
 
 // --- SimSession -----------------------------------------------------------
@@ -272,8 +268,8 @@ TEST(SimSession, SharedArtifactsAcrossSessions) {
   const SimResult b =
       worker_b.run(Scheme::parse("2SC"), lmhh_names(), cfg);
   EXPECT_EQ(compare_sim_results(a, b, true), "");
-  // Both sessions drew one compiled scheme and one workload from the
-  // shared cache.
+  // Both sessions drew one merge plan and one workload from the shared
+  // cache.
   const ArtifactCacheStats s = cache.stats();
   EXPECT_EQ(s.scheme_misses, 1u);
   EXPECT_EQ(s.scheme_hits, 1u);

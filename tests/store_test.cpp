@@ -532,5 +532,24 @@ TEST(StoreCli, MergeOfAPartialStoreFailsWithTheResumeCommand) {
   EXPECT_NE(err.find("--shard"), std::string::npos) << err;
 }
 
+// merge-efficiency runs its grid through run_batch like every runner: a
+// --store run logs each of its 8 points, and `cvmt merge` replays them
+// without simulating — so with the log gone it fails, naming a point.
+TEST(StoreCli, MergeEfficiencyLogsEveryPointAndReplayNeverSimulates) {
+  const std::string store = fresh_dir("cli_merge_efficiency") + "/store";
+  ASSERT_EQ(run_cli({"cvmt", "run", "merge-efficiency", "--budget=10000",
+                     "--timeslice=2500", "--store=" + store}),
+            0);
+  const std::string log = shard_log_path(store, 0, 1);
+  EXPECT_EQ(scan_log(log).records.size(), 8u);
+  std::filesystem::remove(log);
+  testing::internal::CaptureStderr();
+  const int code = run_cli({"cvmt", "merge", "--store=" + store});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("cvmt run merge-efficiency"), std::string::npos) << err;
+  EXPECT_NE(err.find("missing key: R1|S|"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace cvmt
