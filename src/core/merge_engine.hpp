@@ -138,9 +138,6 @@ class MergeEngine {
   [[nodiscard]] const MachineConfig& machine() const {
     return plan_->machine();
   }
-  [[nodiscard]] PriorityPolicy policy() const { return policy_; }
-  [[nodiscard]] StatsLevel stats_level() const { return stats_level_; }
-  [[nodiscard]] EvalMode eval_mode() const { return eval_mode_; }
   [[nodiscard]] const MergePlan& plan() const { return *plan_; }
 
   /// Per-merge-block statistics, in preorder over the scheme tree, labelled

@@ -18,8 +18,8 @@
 //     or not pass at all: with a null stats pointer the plan skips every
 //     counter write (the StatsLevel::kFast policy of the engine);
 //   * the machine's per-cluster issue widths in the SWAR form of the SMT
-//     check (Footprint::smt_width), one lane per cluster, so homogeneous
-//     and heterogeneous machines take the same check.
+//     check (Footprint::smt_width), one lane per cluster, so every machine
+//     takes the same check whatever its cluster shapes.
 //
 // A plan is the one compiled form of a scheme on a machine: it keeps the
 // validated Scheme and MachineConfig it was built from, the engine and

@@ -88,12 +88,12 @@ JsonValue params_to_json(const Experiment& experiment,
     JsonValue machine = JsonValue::object();
     machine.set("clusters", params.cfg.sim.machine.num_clusters);
     machine.set("issue_per_cluster",
-                params.cfg.sim.machine.issue_per_cluster);
+                params.cfg.sim.machine.max_issue_per_cluster());
     // The spec (and the het marker) appear only for --machine runs:
     // default runs keep the exact historical bytes.
     if (!params.machine_spec.empty())
       machine.set("spec", params.machine_spec);
-    if (params.cfg.sim.machine.heterogeneous)
+    if (!params.cfg.sim.machine.uniform())
       machine.set("heterogeneous", true);
     out.set("machine", std::move(machine));
   }
@@ -394,7 +394,7 @@ int cvmt_machines(int argc, const char* const* argv) {
       MachineDescription desc;
       CVMT_CHECK(find_builtin_machine(name, desc));
       std::string shape = desc.machine.shape_label();
-      if (desc.machine.heterogeneous) shape += " (het)";
+      if (!desc.machine.uniform()) shape += " (het)";
       std::string mem = desc.mem.has_l2 ? "L1+L2" : "L1";
       if (desc.mem.dcache_banks > 1)
         mem += ", " + std::to_string(desc.mem.dcache_banks) + "-bank D$";

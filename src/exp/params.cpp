@@ -222,9 +222,9 @@ JsonValue ExperimentParams::to_manifest_json(std::string_view experiment,
     machine.set("spec", machine_spec);
   } else if (!(cfg.sim.machine == MachineConfig::vex4x4())) {
     // Without a spec the only non-default shapes from_json() can produce
-    // are the homogeneous clusters/issue ones.
+    // are the uniform clusters/issue ones.
     machine.set("clusters", cfg.sim.machine.num_clusters);
-    machine.set("issue", cfg.sim.machine.issue_per_cluster);
+    machine.set("issue", cfg.sim.machine.per_cluster[0].issue_width);
   }
   out.set("machine", std::move(machine));
   return out;

@@ -11,9 +11,9 @@
 //
 // Both checks are SWAR ("SIMD within a register"): one word holds four
 // clusters, so a check is a few ALU ops whatever the machine, and the SMT
-// check adds one issue width per cluster, so homogeneous and
-// heterogeneous machines take the same path. Packets always merge in
-// their entirety (no partial issue) — VLIW semantics forbid splitting an
+// check adds one issue width per cluster, so every machine takes the same
+// path whether or not its clusters share one shape. Packets always merge
+// in their entirety (no partial issue) — VLIW semantics forbid splitting an
 // instruction.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "isa/machine_config.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 namespace cvmt {
@@ -25,35 +24,25 @@ void ClusterShape::validate(const std::string& where) const {
                where + "branch slot beyond issue width");
 }
 
+ClusterShape ClusterShape::standard(int issue_width) {
+  const int w = issue_width;
+  if (w >= 4) return {w, 0b0011, 1u << (w - 2), 1u << (w - 1)};
+  if (w == 3) return {w, 0b001, 0b010, 0b100};
+  // With two slots the fixed units share them: slot 0 carries the
+  // multiplier, slot 1 the LSU and branch unit.
+  if (w == 2) return {w, 0b01, 0b10, 0b10};
+  return {w, 0b1, 0b1, 0b1};
+}
+
 MachineConfig MachineConfig::vex4x4() {
   // Built (and validated) once; the factories sit on hot default paths
   // (every default-constructed SimConfig copies one).
-  static const MachineConfig c = [] {
-    MachineConfig m;
-    m.num_clusters = 4;
-    m.issue_per_cluster = 4;
-    m.mul_slot_mask = 0b0011;
-    m.mem_slot_mask = 0b0100;
-    m.branch_slot_mask = 0b1000;
-    m.validate();
-    return m;
-  }();
+  static const MachineConfig c = clustered(4, 4);
   return c;
 }
 
 MachineConfig MachineConfig::vex4x2() {
-  static const MachineConfig c = [] {
-    MachineConfig m;
-    m.num_clusters = 4;
-    m.issue_per_cluster = 2;
-    // With two slots per cluster the fixed units share them: slot 0
-    // carries the multiplier, slot 1 the LSU and branch unit.
-    m.mul_slot_mask = 0b01;
-    m.mem_slot_mask = 0b10;
-    m.branch_slot_mask = 0b10;
-    m.validate();
-    return m;
-  }();
+  static const MachineConfig c = clustered(4, 2);
   return c;
 }
 
@@ -61,87 +50,65 @@ MachineConfig MachineConfig::clustered(int num_clusters,
                                        int issue_per_cluster) {
   MachineConfig c;
   c.num_clusters = num_clusters;
-  c.issue_per_cluster = issue_per_cluster;
-  const int w = issue_per_cluster;
-  if (w >= 4) {
-    c.mul_slot_mask = 0b0011;
-    c.mem_slot_mask = 1u << (w - 2);
-    c.branch_slot_mask = 1u << (w - 1);
-  } else if (w == 3) {
-    c.mul_slot_mask = 0b001;
-    c.mem_slot_mask = 0b010;
-    c.branch_slot_mask = 0b100;
-  } else if (w == 2) {
-    c.mul_slot_mask = 0b01;
-    c.mem_slot_mask = 0b10;
-    c.branch_slot_mask = 0b10;
-  } else {
-    c.mul_slot_mask = c.mem_slot_mask = c.branch_slot_mask = 0b1;
-  }
+  c.per_cluster.fill(ClusterShape::standard(issue_per_cluster));
   c.validate();
   return c;
 }
 
 MachineConfig MachineConfig::heterogeneous_of(const ClusterShape* shapes,
                                               int count) {
-  MachineConfig c;
-  c.heterogeneous = true;
-  c.num_clusters = count;
   CVMT_CHECK_MSG(count >= 1 && count <= kMaxClusters,
                  "cluster count out of range");
-  for (int i = 0; i < count; ++i)
-    c.per_cluster[static_cast<std::size_t>(i)] = shapes[i];
-  // Keep the (ignored) flat fields coherent with the widest cluster so
-  // accidental flat reads fail loudly in validate() rather than silently.
-  c.issue_per_cluster = c.max_issue_per_cluster();
+  MachineConfig c;
+  c.num_clusters = count;
+  std::copy_n(shapes, count, c.per_cluster.begin());
   c.validate();
   return c;
 }
 
 int MachineConfig::max_issue_per_cluster() const {
-  if (!heterogeneous) return issue_per_cluster;
   int widest = 1;
-  for (int c = 0; c < num_clusters; ++c)
-    widest = std::max(widest,
-                      per_cluster[static_cast<std::size_t>(c)].issue_width);
+  for (const ClusterShape& s : clusters())
+    widest = std::max(widest, s.issue_width);
   return widest;
 }
 
+int MachineConfig::total_issue_width() const {
+  int total = 0;
+  for (const ClusterShape& s : clusters()) total += s.issue_width;
+  return total;
+}
+
+bool MachineConfig::uniform() const {
+  const std::span<const ClusterShape> shapes = clusters();
+  return std::all_of(shapes.begin(), shapes.end(),
+                     [&](const ClusterShape& s) { return s == shapes[0]; });
+}
+
+ClusterShape MachineConfig::flat_shape() const {
+  return uniform() ? per_cluster[0] : ClusterShape{max_issue_per_cluster()};
+}
+
 std::string MachineConfig::shape_label() const {
-  if (!heterogeneous)
+  if (uniform())
     return std::to_string(num_clusters) + "x" +
-           std::to_string(issue_per_cluster);
+           std::to_string(per_cluster[0].issue_width);
   std::string label;
-  for (int c = 0; c < num_clusters; ++c) {
-    if (c) label += '+';
-    label += std::to_string(cluster_issue(c));
+  for (const ClusterShape& s : clusters()) {
+    if (!label.empty()) label += '+';
+    label += std::to_string(s.issue_width);
   }
   return label;
 }
 
 std::uint32_t MachineConfig::slots_for(OpKind kind, int c) const {
-  std::uint32_t all;
-  std::uint32_t mul;
-  std::uint32_t mem;
-  std::uint32_t branch;
-  if (heterogeneous) {
-    const ClusterShape& s = per_cluster[static_cast<std::size_t>(c)];
-    all = width_mask(s.issue_width);
-    mul = s.mul_slot_mask;
-    mem = s.mem_slot_mask;
-    branch = s.branch_slot_mask;
-  } else {
-    all = width_mask(issue_per_cluster);
-    mul = mul_slot_mask;
-    mem = mem_slot_mask;
-    branch = branch_slot_mask;
-  }
+  const ClusterShape& s = per_cluster[static_cast<std::size_t>(c)];
   switch (kind) {
-    case OpKind::kAlu: return all;
-    case OpKind::kMul: return mul;
+    case OpKind::kAlu: return width_mask(s.issue_width);
+    case OpKind::kMul: return s.mul_slot_mask;
     case OpKind::kLoad:
-    case OpKind::kStore: return mem;
-    case OpKind::kBranch: return branch;
+    case OpKind::kStore: return s.mem_slot_mask;
+    case OpKind::kBranch: return s.branch_slot_mask;
   }
   return 0;
 }
@@ -160,19 +127,17 @@ int MachineConfig::latency_of(OpKind kind) const {
 void MachineConfig::validate() const {
   CVMT_REQUIRE(num_clusters >= 1 && num_clusters <= kMaxClusters,
                "cluster count out of range");
-  // A homogeneous machine's flat shape is every cluster's shape. Per-
-  // cluster masks may be empty; every capability must exist on at least
-  // one cluster of the machine.
+  // Per-cluster masks may be empty; every capability must exist on at
+  // least one cluster of the machine. Errors name the cluster unless every
+  // cluster has the same shape.
+  const bool flat = uniform();
   int total = 0;
   std::uint32_t any_mul = 0;
   std::uint32_t any_mem = 0;
   std::uint32_t any_branch = 0;
   for (int c = 0; c < num_clusters; ++c) {
-    const ClusterShape s =
-        heterogeneous ? per_cluster[static_cast<std::size_t>(c)]
-                      : ClusterShape{issue_per_cluster, mul_slot_mask,
-                                     mem_slot_mask, branch_slot_mask};
-    s.validate(heterogeneous ? "cluster " + std::to_string(c) + ": " : "");
+    const ClusterShape& s = per_cluster[static_cast<std::size_t>(c)];
+    s.validate(flat ? "" : "cluster " + std::to_string(c) + ": ");
     total += s.issue_width;
     any_mul |= s.mul_slot_mask;
     any_mem |= s.mem_slot_mask;
@@ -190,22 +155,13 @@ void MachineConfig::validate() const {
 }
 
 bool operator==(const MachineConfig& a, const MachineConfig& b) {
-  if (a.heterogeneous != b.heterogeneous ||
-      a.num_clusters != b.num_clusters || a.alu_latency != b.alu_latency ||
-      a.mul_latency != b.mul_latency || a.mem_latency != b.mem_latency ||
-      a.taken_branch_penalty != b.taken_branch_penalty)
-    return false;
-  if (a.heterogeneous) {
-    for (int c = 0; c < a.num_clusters; ++c)
-      if (!(a.per_cluster[static_cast<std::size_t>(c)] ==
-            b.per_cluster[static_cast<std::size_t>(c)]))
-        return false;
-    return true;
-  }
-  return a.issue_per_cluster == b.issue_per_cluster &&
-         a.mul_slot_mask == b.mul_slot_mask &&
-         a.mem_slot_mask == b.mem_slot_mask &&
-         a.branch_slot_mask == b.branch_slot_mask;
+  const std::span<const ClusterShape> ca = a.clusters();
+  const std::span<const ClusterShape> cb = b.clusters();
+  return a.num_clusters == b.num_clusters &&
+         a.alu_latency == b.alu_latency && a.mul_latency == b.mul_latency &&
+         a.mem_latency == b.mem_latency &&
+         a.taken_branch_penalty == b.taken_branch_penalty &&
+         std::equal(ca.begin(), ca.end(), cb.begin(), cb.end());
 }
 
 }  // namespace cvmt

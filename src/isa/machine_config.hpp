@@ -6,15 +6,19 @@
 // multiply latency, no branch predictor and a 2-cycle taken-branch penalty
 // (dedicated merge pipeline stage).
 //
-// Machines are optionally heterogeneous: every cluster may carry its own
-// issue width and capability masks (per_cluster[]). The simulator's merge
-// checks treat both forms alike (the SWAR SMT check takes one width per
-// cluster). The machine-file layer (isa/machine_file.hpp) parses either
-// form from `.machine` config files.
+// A machine is described cluster by cluster: per_cluster[c] carries
+// cluster c's issue width and capability masks. A machine is *uniform*
+// when every cluster has cluster 0's shape (every VEX machine is); whether
+// it is follows from the shapes and is never stored. The simulator's merge
+// checks read only the per-cluster shapes (the SWAR SMT check takes one
+// width per cluster). The machine-file layer (isa/machine_file.hpp)
+// parses machines from `.machine` config files.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "isa/op_kind.hpp"
@@ -30,15 +34,22 @@ inline constexpr int kMaxIssuePerCluster = 8;
 inline constexpr int kMaxTotalOps = 32;
 inline constexpr int kMaxThreads = 16;
 
-/// Shape of one cluster of a heterogeneous machine: its own issue width
-/// and capability masks. Capability masks may be zero here (a cluster
-/// without a multiplier is the point of heterogeneity); validate() only
+/// Shape of one cluster: its issue width and capability masks (bit i set
+/// <=> slot i has the unit). The defaults are the VEX cluster: 2
+/// multipliers in the low slots, 1 LSU, 1 branch unit. Capability masks
+/// may be zero here (a cluster without a multiplier); validate() only
 /// requires each capability to exist somewhere on the machine.
 struct ClusterShape {
   int issue_width = 4;
   std::uint32_t mul_slot_mask = 0b0011;
   std::uint32_t mem_slot_mask = 0b0100;
   std::uint32_t branch_slot_mask = 0b1000;
+
+  /// The standard layout of a `issue_width`-wide cluster: ALUs in every
+  /// slot, up to two multipliers in the low slots, the LSU and branch
+  /// unit in the high slots (they share a slot on narrow clusters). The
+  /// 4-wide one is the VEX cluster.
+  [[nodiscard]] static ClusterShape standard(int issue_width);
 
   /// Throws CheckError, its message prefixed by `where`, when the issue
   /// width is out of range or a mask names a slot beyond it. Masks may be
@@ -49,26 +60,11 @@ struct ClusterShape {
                                    const ClusterShape&) = default;
 };
 
-/// Static description of one clustered VLIW machine. Homogeneous by
-/// default (as in VEX): the flat slot capability masks apply to each
-/// cluster. When `heterogeneous` is set, per_cluster[0..num_clusters)
-/// carries each cluster's own shape and the flat fields are ignored.
+/// Static description of one clustered VLIW machine: cluster c's shape is
+/// per_cluster[c] for c < num_clusters (the entries past it are unused).
 struct MachineConfig {
   int num_clusters = 4;
-  int issue_per_cluster = 4;
-
-  /// Bit i set <=> slot i of every cluster has a multiplier. VEX: 2 per
-  /// cluster, in the two low slots.
-  std::uint32_t mul_slot_mask = 0b0011;
-  /// Bit i set <=> slot i can issue loads/stores. VEX: 1 LSU per cluster.
-  std::uint32_t mem_slot_mask = 0b0100;
-  /// Bit i set <=> slot i can issue branches. One branch unit per cluster.
-  std::uint32_t branch_slot_mask = 0b1000;
-
-  /// Heterogeneous clusters: per_cluster[c] describes cluster c and the
-  /// flat width/mask fields above are ignored. The per-cluster accessors
-  /// below (cluster_issue, slots_for) key off this flag.
-  bool heterogeneous = false;
+  /// Every entry defaults to the VEX cluster.
   std::array<ClusterShape, kMaxClusters> per_cluster{};
 
   /// Operation latencies in cycles (paper: memory and multiply 2, rest 1).
@@ -87,63 +83,61 @@ struct MachineConfig {
   /// (4 clusters x 2 issue).
   [[nodiscard]] static MachineConfig vex4x2();
 
-  /// A generic clustered machine for shape-sweep ablations: ALUs in every
-  /// slot, up to two multipliers in the low slots, the LSU and branch unit
-  /// in the high slots (they share a slot on narrow clusters).
+  /// A uniform machine of `num_clusters` standard clusters
+  /// (ClusterShape::standard) for shape-sweep ablations.
   [[nodiscard]] static MachineConfig clustered(int num_clusters,
                                                int issue_per_cluster);
 
-  /// A heterogeneous machine from explicit per-cluster shapes
-  /// (`shapes[0..count)`); latencies keep their defaults.
+  /// A machine from explicit per-cluster shapes (`shapes[0..count)`);
+  /// latencies keep their defaults.
   [[nodiscard]] static MachineConfig heterogeneous_of(
       const ClusterShape* shapes, int count);
 
+  /// The shapes of clusters 0..num_clusters, the count clamped to
+  /// 0..kMaxClusters so that reading them is safe on any value.
+  [[nodiscard]] std::span<const ClusterShape> clusters() const {
+    return {per_cluster.data(), static_cast<std::size_t>(std::clamp(
+                                    num_clusters, 0, kMaxClusters))};
+  }
+
   /// Issue width of cluster `c`.
   [[nodiscard]] int cluster_issue(int c) const {
-    return heterogeneous ? per_cluster[static_cast<std::size_t>(c)].issue_width
-                         : issue_per_cluster;
+    return per_cluster[static_cast<std::size_t>(c)].issue_width;
   }
 
-  /// The widest cluster's issue width (the homogeneous width when not
-  /// heterogeneous). Cost models size their slot-level circuits off this.
+  /// The widest cluster's issue width. Cost models size their slot-level
+  /// circuits off this.
   [[nodiscard]] int max_issue_per_cluster() const;
 
-  [[nodiscard]] int total_issue_width() const {
-    if (!heterogeneous) return num_clusters * issue_per_cluster;
-    int total = 0;
-    for (int c = 0; c < num_clusters; ++c)
-      total += per_cluster[static_cast<std::size_t>(c)].issue_width;
-    return total;
-  }
+  [[nodiscard]] int total_issue_width() const;
 
-  /// The cluster layout as text: "4x4" (clusters x issue width), or each
-  /// cluster's issue width joined by '+' ("4+4+2+2") when heterogeneous.
+  /// True when every cluster has cluster 0's shape.
+  [[nodiscard]] bool uniform() const;
+
+  /// The shape that the flat forms (the machine key, the fuzz-case JSON)
+  /// write for this machine: cluster 0's shape when uniform, else the
+  /// widest cluster's width with the VEX masks.
+  [[nodiscard]] ClusterShape flat_shape() const;
+
+  /// The cluster layout as text: "4x4" (clusters x issue width) when
+  /// uniform, else each cluster's issue width joined by '+' ("4+4+2+2").
   [[nodiscard]] std::string shape_label() const;
 
   /// Mask of slots of cluster `c` able to execute `kind` (ALU: all slots).
   [[nodiscard]] std::uint32_t slots_for(OpKind kind, int c) const;
 
-  /// Homogeneous-machine shorthand for slots_for(kind, c); asserts the
-  /// machine is not heterogeneous (per-cluster callers must say which
-  /// cluster they mean).
-  [[nodiscard]] std::uint32_t slots_for(OpKind kind) const {
-    CVMT_DCHECK(!heterogeneous);
-    return slots_for(kind, 0);
-  }
-
   /// Latency in cycles of `kind` under this machine.
   [[nodiscard]] int latency_of(OpKind kind) const;
 
   /// Throws CheckError when structurally invalid (e.g. capability mask
-  /// names a slot beyond the cluster's issue width, or a heterogeneous
-  /// machine lacks a capability on every cluster). The message names the
-  /// problem and carries no source location: a machine file can fail it.
+  /// names a slot beyond the cluster's issue width, or the machine lacks
+  /// a capability on every cluster). The message names the problem and
+  /// carries no source location: a machine file can fail it.
   void validate() const;
 };
 
-/// Value equality (used by tests and config plumbing). Heterogeneous
-/// machines compare their active per_cluster prefix; homogeneous machines
-/// compare the flat fields.
+/// Value equality (used by tests and config plumbing): the cluster count,
+/// the shapes of clusters 0..num_clusters and the latencies.
 [[nodiscard]] bool operator==(const MachineConfig& a, const MachineConfig& b);
 
 }  // namespace cvmt

@@ -101,6 +101,7 @@ MachineDescription parse_machine_file(std::string_view text) {
   MachineDescription d;
   std::set<std::string> seen;
   std::vector<ClusterRow> rows;
+  ClusterShape flat;        // what issue/*_slots set for every cluster
   int flat_shape_line = 0;  // last line that set issue/*_slots, 0 if none
 
   int line_no = 0;
@@ -138,19 +139,19 @@ MachineDescription parse_machine_file(std::string_view text) {
       machine_scalar(&MachineConfig::num_clusters, "a cluster count");
     } else if (key == "issue") {
       need(1, "an issue width");
-      d.machine.issue_per_cluster = parse_int(tok[1], line_no);
+      flat.issue_width = parse_int(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "mul_slots") {
       need(1, "a slot mask");
-      d.machine.mul_slot_mask = parse_u32(tok[1], line_no);
+      flat.mul_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "mem_slots") {
       need(1, "a slot mask");
-      d.machine.mem_slot_mask = parse_u32(tok[1], line_no);
+      flat.mem_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "branch_slots") {
       need(1, "a slot mask");
-      d.machine.branch_slot_mask = parse_u32(tok[1], line_no);
+      flat.branch_slot_mask = parse_u32(tok[1], line_no);
       flat_shape_line = line_no;
     } else if (key == "cluster") {
       need(5, "5 values: index issue_width mul_slots mem_slots "
@@ -217,7 +218,6 @@ MachineDescription parse_machine_file(std::string_view text) {
                                          : flat_shape_line) +
                      "'cluster' rows cannot be mixed with flat "
                      "issue/*_slots keys");
-    d.machine.heterogeneous = true;
     std::array<bool, kMaxClusters> have{};
     for (const ClusterRow& row : rows) {
       CVMT_REQUIRE(row.index >= 0 && row.index < d.machine.num_clusters,
@@ -236,14 +236,13 @@ MachineDescription parse_machine_file(std::string_view text) {
                    "missing 'cluster " + std::to_string(c) +
                        "' row (clusters = " +
                        std::to_string(d.machine.num_clusters) + ")");
-    // Mirror heterogeneous_of(): keep the ignored flat width coherent.
-    d.machine.issue_per_cluster = d.machine.max_issue_per_cluster();
   } else {
-    // The flat keys together set one shape, checked on the default
-    // cluster count, on which every valid shape fits.
-    MachineConfig flat = d.machine;
-    flat.num_clusters = MachineConfig{}.num_clusters;
-    on_line(flat_shape_line, [&] { flat.validate(); });
+    // The flat keys together set one shape for every cluster, checked on
+    // the default cluster count, on which every valid shape fits.
+    d.machine.per_cluster.fill(flat);
+    MachineConfig alone = d.machine;
+    alone.num_clusters = MachineConfig{}.num_clusters;
+    on_line(flat_shape_line, [&] { alone.validate(); });
   }
 
   // What is left spans several keys: the cluster count against the flat
@@ -272,18 +271,19 @@ std::string serialize_machine(const MachineDescription& desc) {
   os << "# cvmt machine description\n";
   os << "name " << desc.name << "\n";
   os << "clusters " << m.num_clusters << "\n";
-  if (m.heterogeneous) {
+  if (m.uniform()) {
+    const ClusterShape& s = m.per_cluster[0];
+    os << "issue " << s.issue_width << "\n";
+    os << "mul_slots " << hex(s.mul_slot_mask) << "\n";
+    os << "mem_slots " << hex(s.mem_slot_mask) << "\n";
+    os << "branch_slots " << hex(s.branch_slot_mask) << "\n";
+  } else {
     for (int c = 0; c < m.num_clusters; ++c) {
       const ClusterShape& s = m.per_cluster[static_cast<std::size_t>(c)];
       os << "cluster " << c << ' ' << s.issue_width << ' '
          << hex(s.mul_slot_mask) << ' ' << hex(s.mem_slot_mask) << ' '
          << hex(s.branch_slot_mask) << "\n";
     }
-  } else {
-    os << "issue " << m.issue_per_cluster << "\n";
-    os << "mul_slots " << hex(m.mul_slot_mask) << "\n";
-    os << "mem_slots " << hex(m.mem_slot_mask) << "\n";
-    os << "branch_slots " << hex(m.branch_slot_mask) << "\n";
   }
   os << "alu_latency " << m.alu_latency << "\n";
   os << "mul_latency " << m.mul_latency << "\n";

@@ -5,10 +5,13 @@
 // The format is simtrax-style `KEY value...` lines (one setting per line,
 // `#` starts a comment). Every key is optional and defaults to the paper's
 // vex4x4 evaluation machine, so a file only states its deltas; unknown or
-// duplicate keys are hard errors with line numbers. Heterogeneous machines
-// replace the flat `issue`/`*_slots` keys with one `cluster` row per
-// cluster. serialize_machine() emits a canonical form that parses back to
-// a value-equal description (round-trip pinned by tests), and the built-in
+// duplicate keys are hard errors with line numbers. The flat
+// `issue`/`*_slots` keys set the shape of every cluster; a file may
+// instead give one `cluster` row per cluster (the two forms do not mix),
+// and rows that all have one shape describe the same machine as the flat
+// keys. serialize_machine() emits a canonical form (flat keys for a
+// uniform machine, rows otherwise) that parses back to a value-equal
+// description (round-trip pinned by tests), and the built-in
 // machines are exactly the parsed equivalents of the files under
 // examples/machines/ — that is the bit-identity contract of DESIGN.md §9.
 #pragma once

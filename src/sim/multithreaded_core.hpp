@@ -75,8 +75,6 @@ class MultithreadedCore {
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] const MergeEngine& engine() const { return engine_; }
-  [[nodiscard]] MemorySystem& memory() { return mem_; }
-  [[nodiscard]] const CoreOptions& options() const { return options_; }
 
  private:
   MergeEngine engine_;

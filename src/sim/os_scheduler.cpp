@@ -13,17 +13,15 @@ bool stalled(const ThreadContext& t, std::uint64_t cycle) {
 
 }  // namespace
 
-OsScheduler::OsScheduler(std::vector<std::shared_ptr<ThreadContext>> threads,
+OsScheduler::OsScheduler(std::vector<ThreadContext*> threads,
                          std::uint64_t timeslice, std::uint64_t seed,
                          SwitchPolicyKind policy)
-    : threads_(std::move(threads)),
+    : pool_(std::move(threads)),
       timeslice_(timeslice),
       policy_(policy),
       rng_(seed) {
-  CVMT_CHECK_MSG(!threads_.empty(), "workload needs at least one thread");
+  CVMT_CHECK_MSG(!pool_.empty(), "workload needs at least one thread");
   CVMT_CHECK_MSG(timeslice_ >= 1, "timeslice must be positive");
-  pool_.reserve(threads_.size());
-  for (const auto& t : threads_) pool_.push_back(t.get());
 }
 
 void OsScheduler::reschedule(MultithreadedCore& core, std::uint64_t cycle) {

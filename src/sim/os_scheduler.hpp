@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/multithreaded_core.hpp"
@@ -24,12 +23,12 @@ struct OsRunStats {
 /// Timeslice scheduler over a pool of software threads.
 class OsScheduler {
  public:
-  /// `threads` is the workload pool (ownership shared with the caller so
-  /// results can be read afterwards). `timeslice` is in cycles. `policy`
-  /// picks the resident set at each slice boundary; `seed` feeds the
-  /// random policy's RNG.
-  OsScheduler(std::vector<std::shared_ptr<ThreadContext>> threads,
-              std::uint64_t timeslice, std::uint64_t seed,
+  /// `threads` is the workload pool; the caller owns the contexts, keeps
+  /// them alive while the scheduler runs and reads their results
+  /// afterwards. `timeslice` is in cycles. `policy` picks the resident set
+  /// at each slice boundary; `seed` feeds the random policy's RNG.
+  OsScheduler(std::vector<ThreadContext*> threads, std::uint64_t timeslice,
+              std::uint64_t seed,
               SwitchPolicyKind policy = SwitchPolicyKind::kRandomTimeslice);
 
   /// Runs `core` until any thread finishes its budget or `max_cycles`
@@ -37,10 +36,6 @@ class OsScheduler {
   std::uint64_t run(MultithreadedCore& core, std::uint64_t max_cycles);
 
   [[nodiscard]] const OsRunStats& stats() const { return stats_; }
-  [[nodiscard]] const std::vector<std::shared_ptr<ThreadContext>>& threads()
-      const {
-    return threads_;
-  }
 
  private:
   /// Applies pick()'s choice for the slice starting at `cycle` onto the
@@ -56,8 +51,7 @@ class OsScheduler {
   /// not stalled at `cycle`. Marks it placed and moves the cursor past it.
   ThreadContext* claim_next(std::uint64_t cycle, bool skip_stalled);
 
-  std::vector<std::shared_ptr<ThreadContext>> threads_;
-  std::vector<ThreadContext*> pool_;  // raw view of threads_, built once
+  std::vector<ThreadContext*> pool_;  // the workload, owned by the caller
   std::uint64_t timeslice_;
   SwitchPolicyKind policy_;
   Xoshiro256 rng_;          // kRandomTimeslice's draws

@@ -30,21 +30,21 @@ void append_double(std::string& out, double v) {
 }  // namespace
 
 void append_machine_key(std::string& out, const MachineConfig& m) {
+  const ClusterShape flat = m.flat_shape();
   append_i64(out, m.num_clusters);
-  append_i64(out, m.issue_per_cluster);
-  append_u64(out, m.mul_slot_mask);
-  append_u64(out, m.mem_slot_mask);
-  append_u64(out, m.branch_slot_mask);
+  append_i64(out, flat.issue_width);
+  append_u64(out, flat.mul_slot_mask);
+  append_u64(out, flat.mem_slot_mask);
+  append_u64(out, flat.branch_slot_mask);
   append_i64(out, m.alu_latency);
   append_i64(out, m.mul_latency);
   append_i64(out, m.mem_latency);
   append_i64(out, m.taken_branch_penalty);
-  // Heterogeneous machines extend the key with the per-cluster shapes;
-  // homogeneous machines keep the exact legacy key bytes.
-  if (m.heterogeneous) {
+  // A machine that is not uniform extends the key with every cluster's
+  // shape; uniform machines keep the exact legacy key bytes.
+  if (!m.uniform()) {
     out += "het:";
-    for (int c = 0; c < m.num_clusters; ++c) {
-      const ClusterShape& s = m.per_cluster[static_cast<std::size_t>(c)];
+    for (const ClusterShape& s : m.clusters()) {
       append_i64(out, s.issue_width);
       append_u64(out, s.mul_slot_mask);
       append_u64(out, s.mem_slot_mask);

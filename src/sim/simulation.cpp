@@ -15,18 +15,21 @@ SimResult run_simulation(
                  "machine");
   CVMT_CHECK_MSG(!programs.empty(), "empty workload");
 
-  std::vector<std::shared_ptr<ThreadContext>> threads;
+  std::vector<std::unique_ptr<ThreadContext>> threads;
+  std::vector<ThreadContext*> pool;
   threads.reserve(programs.size());
+  pool.reserve(programs.size());
   for (std::size_t i = 0; i < programs.size(); ++i) {
     CVMT_CHECK(programs[i] != nullptr);
     CVMT_CHECK_MSG(programs[i]->machine() == config.machine,
                    "program compiled for a different machine");
-    threads.push_back(std::make_shared<ThreadContext>(
+    threads.push_back(std::make_unique<ThreadContext>(
         programs[i]->profile().name, programs[i],
         config.stream_seed_base + 0x1000ULL * i, config.instruction_budget));
+    pool.push_back(threads.back().get());
   }
 
-  OsScheduler os(threads, config.timeslice_cycles, config.os_seed,
+  OsScheduler os(std::move(pool), config.timeslice_cycles, config.os_seed,
                  config.switch_policy);
   const std::uint64_t cycles = os.run(core, config.max_cycles);
 

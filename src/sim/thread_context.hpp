@@ -62,8 +62,8 @@ class ThreadContext {
                 std::uint64_t stream_seed,
                 std::uint64_t instruction_budget);
 
-  // Not copyable: contexts are shared by pointer (see OsScheduler), never
-  // by value — a copy would fork one software thread's execution.
+  // Not copyable: contexts are referenced by pointer (see OsScheduler),
+  // never copied — a copy would fork one software thread's execution.
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
@@ -112,7 +112,6 @@ class ThreadContext {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const ThreadStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t budget() const { return budget_; }
 
  private:
   std::string name_;

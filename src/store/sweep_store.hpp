@@ -63,7 +63,6 @@ class SweepStore {
   [[nodiscard]] Counters counters() const;
   [[nodiscard]] const JsonValue& manifest() const { return manifest_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
-  [[nodiscard]] ShardSpec shard() const { return shard_; }
   /// Number of distinct grid points loaded from the logs at open.
   [[nodiscard]] std::size_t loaded_points() const { return loaded_; }
 

@@ -83,23 +83,24 @@ CacheConfig cache_from_json(const JsonValue& o) {
 }
 
 JsonValue machine_to_json(const MachineConfig& m) {
+  const ClusterShape flat = m.flat_shape();
   JsonValue o = JsonValue::object();
   o.set("num_clusters", m.num_clusters);
-  o.set("issue_per_cluster", m.issue_per_cluster);
-  o.set("mul_slot_mask", static_cast<std::uint64_t>(m.mul_slot_mask));
-  o.set("mem_slot_mask", static_cast<std::uint64_t>(m.mem_slot_mask));
-  o.set("branch_slot_mask", static_cast<std::uint64_t>(m.branch_slot_mask));
+  o.set("issue_per_cluster", flat.issue_width);
+  o.set("mul_slot_mask", static_cast<std::uint64_t>(flat.mul_slot_mask));
+  o.set("mem_slot_mask", static_cast<std::uint64_t>(flat.mem_slot_mask));
+  o.set("branch_slot_mask",
+        static_cast<std::uint64_t>(flat.branch_slot_mask));
   o.set("alu_latency", m.alu_latency);
   o.set("mul_latency", m.mul_latency);
   o.set("mem_latency", m.mem_latency);
   o.set("taken_branch_penalty", m.taken_branch_penalty);
-  // Heterogeneous extension (fuzz-case JSON stays v1: the key is simply
-  // absent for the classic homogeneous machines, so old corpora and old
-  // readers keep working byte-for-byte).
-  if (m.heterogeneous) {
+  // A machine that is not uniform adds its clusters (fuzz-case JSON stays
+  // v1: the key is simply absent for uniform machines, so old corpora and
+  // old readers keep working byte-for-byte).
+  if (!m.uniform()) {
     JsonValue rows = JsonValue::array();
-    for (int c = 0; c < m.num_clusters; ++c) {
-      const ClusterShape& s = m.per_cluster[static_cast<std::size_t>(c)];
+    for (const ClusterShape& s : m.clusters()) {
       JsonValue row = JsonValue::object();
       row.set("issue", s.issue_width);
       row.set("mul", static_cast<std::uint64_t>(s.mul_slot_mask));
@@ -114,15 +115,22 @@ JsonValue machine_to_json(const MachineConfig& m) {
 
 MachineConfig machine_from_json(const JsonValue& o) {
   MachineConfig m;
-  m.num_clusters = static_cast<int>(o.get("num_clusters").as_int());
-  m.issue_per_cluster =
-      static_cast<int>(o.get("issue_per_cluster").as_int());
-  m.mul_slot_mask =
+  // Checked before any cluster is written: per_cluster holds kMaxClusters.
+  const std::int64_t clusters = o.get("num_clusters").as_int();
+  CVMT_REQUIRE(clusters >= 1 && clusters <= kMaxClusters,
+               "fuzz case: num_clusters " + std::to_string(clusters) +
+                   " out of range (1.." + std::to_string(kMaxClusters) +
+                   ")");
+  m.num_clusters = static_cast<int>(clusters);
+  ClusterShape flat;
+  flat.issue_width = static_cast<int>(o.get("issue_per_cluster").as_int());
+  flat.mul_slot_mask =
       static_cast<std::uint32_t>(o.get("mul_slot_mask").as_int());
-  m.mem_slot_mask =
+  flat.mem_slot_mask =
       static_cast<std::uint32_t>(o.get("mem_slot_mask").as_int());
-  m.branch_slot_mask =
+  flat.branch_slot_mask =
       static_cast<std::uint32_t>(o.get("branch_slot_mask").as_int());
+  m.per_cluster.fill(flat);
   m.alu_latency = static_cast<int>(o.get("alu_latency").as_int());
   m.mul_latency = static_cast<int>(o.get("mul_latency").as_int());
   m.mem_latency = static_cast<int>(o.get("mem_latency").as_int());
@@ -131,7 +139,6 @@ MachineConfig machine_from_json(const JsonValue& o) {
   if (const JsonValue* rows = o.find("clusters")) {
     CVMT_CHECK_MSG(rows->size() == static_cast<std::size_t>(m.num_clusters),
                    "fuzz case: clusters array does not match num_clusters");
-    m.heterogeneous = true;
     for (std::size_t c = 0; c < rows->size(); ++c) {
       const JsonValue& row = rows->at(c);
       ClusterShape& s = m.per_cluster[c];
@@ -153,8 +160,9 @@ std::string FuzzCase::summary() const {
   std::ostringstream os;
   os << scheme << " | " << profiles.size() << " sw-thread"
      << (profiles.size() == 1 ? "" : "s") << " | machine "
-     << sim.machine.num_clusters << "x" << sim.machine.issue_per_cluster
-     << (sim.machine.heterogeneous ? " het" : "")
+     << sim.machine.num_clusters << "x"
+     << sim.machine.max_issue_per_cluster()
+     << (sim.machine.uniform() ? "" : " het")
      << (sim.mem.has_l2 ? " +L2" : "")
      << (sim.mem.dcache_banks > 1 ? " banked" : "")
      << " | policy " << to_string(sim.switch_policy)

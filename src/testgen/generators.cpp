@@ -180,12 +180,8 @@ MachineConfig MachineGen::next_machine() {
     for (int c = 0; c < clusters; ++c) {
       const int w = static_cast<int>(
           uniform_u64(rng_, 1, static_cast<std::uint64_t>(max_issue)));
-      const MachineConfig proto = MachineConfig::clustered(1, w);
       ClusterShape& s = shapes[static_cast<std::size_t>(c)];
-      s.issue_width = w;
-      s.mul_slot_mask = proto.mul_slot_mask;
-      s.mem_slot_mask = proto.mem_slot_mask;
-      s.branch_slot_mask = proto.branch_slot_mask;
+      s = ClusterShape::standard(w);
       if (rng_.next_bool(0.2)) s.mul_slot_mask = 0;
     }
     bool any_mul = false;
@@ -194,7 +190,7 @@ MachineConfig MachineGen::next_machine() {
                                    .mul_slot_mask != 0;
     if (!any_mul)
       shapes[0].mul_slot_mask =
-          MachineConfig::clustered(1, shapes[0].issue_width).mul_slot_mask;
+          ClusterShape::standard(shapes[0].issue_width).mul_slot_mask;
     m = MachineConfig::heterogeneous_of(shapes.data(), clusters);
   } else {
     const int issue = static_cast<int>(

@@ -133,22 +133,21 @@ std::vector<FuzzCase> candidates(const FuzzCase& c) {
   }
 
   // 4. Simpler machine and memory.
-  if (c.sim.machine.heterogeneous) {
+  const int widest = c.sim.machine.max_issue_per_cluster();
+  if (!c.sim.machine.uniform()) {
     FuzzCase cand = c;
     const int width =
-        std::min(c.sim.machine.max_issue_per_cluster(),
-                 kMaxTotalOps / c.sim.machine.num_clusters);
+        std::min(widest, kMaxTotalOps / c.sim.machine.num_clusters);
     cand.sim.machine =
         MachineConfig::clustered(c.sim.machine.num_clusters, width);
     out.push_back(std::move(cand));
   }
   if (c.sim.machine.num_clusters > 1) {
     FuzzCase cand = c;
-    cand.sim.machine =
-        MachineConfig::clustered(1, c.sim.machine.issue_per_cluster);
+    cand.sim.machine = MachineConfig::clustered(1, widest);
     out.push_back(std::move(cand));
   }
-  if (c.sim.machine.issue_per_cluster > 2) {
+  if (widest > 2) {
     FuzzCase cand = c;
     cand.sim.machine =
         MachineConfig::clustered(c.sim.machine.num_clusters, 2);

@@ -118,11 +118,10 @@ Instruction parse_instruction(std::string_view body, int line_no) {
   return instr;
 }
 
-/// The `.machine` directive's issue= field: the flat width, or a
-/// comma-separated per-cluster list for heterogeneous machines
-/// (e.g. "4,4,2,1").
+/// The `.machine` directive's issue= field: the one width of a uniform
+/// machine, else a comma-separated per-cluster list (e.g. "4,4,2,1").
 std::string issue_field_of(const MachineConfig& m) {
-  if (!m.heterogeneous) return std::to_string(m.issue_per_cluster);
+  if (m.uniform()) return std::to_string(m.cluster_issue(0));
   std::string out;
   for (int c = 0; c < m.num_clusters; ++c) {
     if (c) out += ',';

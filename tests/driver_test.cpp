@@ -225,7 +225,7 @@ TEST(Driver, MachineShapeFlagChangesTheMachine) {
   ASSERT_EQ(parser.parse(3, argv), ArgParser::Outcome::kOk);
   const ExperimentParams p = ExperimentParams::resolve(parser);
   EXPECT_EQ(p.cfg.sim.machine.num_clusters, 2);
-  EXPECT_EQ(p.cfg.sim.machine.issue_per_cluster, 8);
+  EXPECT_EQ(p.cfg.sim.machine.cluster_issue(1), 8);
 }
 
 TEST(Driver, MachineFlagResolvesBuiltinsAsOneUnit) {

@@ -29,7 +29,7 @@ Footprint random_footprint(Xoshiro256& rng) {
     const OpKind kind = kinds[rng.next_below(std::size(kinds))];
     for (int probe = 0; probe < 4; ++probe) {
       const int c = (home + probe) % 4;
-      const std::uint32_t free = kM.slots_for(kind) & ~occupied[c];
+      const std::uint32_t free = kM.slots_for(kind, c) & ~occupied[c];
       if (free == 0) continue;
       const int slot = std::countr_zero(free);
       occupied[c] |= 1u << slot;
@@ -86,7 +86,7 @@ TEST_P(EngineInvariantsTest, PacketsAlwaysExecutable) {
     for (int c = 0; c < kM.num_clusters; ++c) {
       ASSERT_EQ(d.packet.cluster(c).op_count,
                 expected_count[static_cast<std::size_t>(c)]);
-      ASSERT_LE(d.packet.cluster(c).op_count, kM.issue_per_cluster)
+      ASSERT_LE(d.packet.cluster(c).op_count, kM.cluster_issue(c))
           << "cluster over-subscribed";
     }
     // 3. At least the highest-priority offering thread issues.

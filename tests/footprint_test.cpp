@@ -248,7 +248,7 @@ Instruction random_instruction(Xoshiro256& rng, const MachineConfig& m,
     const OpKind kind = kinds[rng.next_below(std::size(kinds))];
     const int c = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(m.num_clusters)));
-    const std::uint32_t free = m.slots_for(kind) & ~occupied[c];
+    const std::uint32_t free = m.slots_for(kind, c) & ~occupied[c];
     if (free == 0) continue;
     const int slot = std::countr_zero(free);
     occupied[c] |= 1u << slot;

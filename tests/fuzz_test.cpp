@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -79,7 +80,7 @@ TEST(MachineGenTest, ShapesValidateAndStayWithinTotalOps) {
   for (int i = 0; i < 100; ++i) {
     const MachineConfig m = gen.next_machine();
     m.validate();
-    EXPECT_LE(m.num_clusters * m.issue_per_cluster, kMaxTotalOps);
+    EXPECT_LE(m.num_clusters * m.max_issue_per_cluster(), kMaxTotalOps);
     const MemorySystemConfig mem = gen.next_memory();
     mem.icache.validate();
     mem.dcache.validate();
@@ -97,7 +98,7 @@ TEST(MachineGenTest, NewMachineAxesAreAllExercised) {
     const FuzzCase c = generate_case(seed);
     c.sim.machine.validate();
     c.sim.mem.validate();
-    if (c.sim.machine.heterogeneous) {
+    if (!c.sim.machine.uniform()) {
       ++het;
       const MachineConfig& m = c.sim.machine;
       for (int cl = 1; cl < m.num_clusters; ++cl)
@@ -142,6 +143,45 @@ TEST(CaseGenTest, JsonAndFileRoundTrip) {
   save_case(path, a);
   const FuzzCase c = load_case(path);
   EXPECT_EQ(a.to_json().dump(), c.to_json().dump());
+  std::remove(path.c_str());
+}
+
+TEST(CaseGenTest, ClusterCountBeyondTheMachineCapIsRejectedOnLoad) {
+  // Nine clusters and nine rows: per_cluster holds kMaxClusters (8)
+  // shapes, so the count must be refused before any row is written, and
+  // `cvmt fuzz --case=` exits 2 as for any other malformed file.
+  JsonValue v = generate_case(1).to_json();
+  JsonValue sim = v.get("sim");
+  JsonValue machine = sim.get("machine");
+  machine.set("num_clusters", kMaxClusters + 1);
+  JsonValue rows = JsonValue::array();
+  for (int c = 0; c <= kMaxClusters; ++c) {
+    JsonValue row = JsonValue::object();
+    row.set("issue", 1);
+    row.set("mul", 1);
+    row.set("mem", 1);
+    row.set("branch", 1);
+    rows.push_back(std::move(row));
+  }
+  machine.set("clusters", std::move(rows));
+  sim.set("machine", std::move(machine));
+  v.set("sim", std::move(sim));
+  try {
+    (void)FuzzCase::from_json(v);
+    ADD_FAILURE() << "a nine-cluster case loaded";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("num_clusters 9"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "cvmt_fuzz_nine.json")
+          .string();
+  std::ofstream(path) << v.dump();
+  const std::string flag = "--case=" + path;
+  const char* argv[] = {"fuzz", flag.c_str()};
+  EXPECT_EQ(fuzz_main(2, argv), 2);
   std::remove(path.c_str());
 }
 

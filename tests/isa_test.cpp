@@ -33,7 +33,8 @@ TEST(OpKind, Names) {
 TEST(MachineConfig, Vex4x4IsThePaperMachine) {
   const MachineConfig m = MachineConfig::vex4x4();
   EXPECT_EQ(m.num_clusters, 4);
-  EXPECT_EQ(m.issue_per_cluster, 4);
+  EXPECT_TRUE(m.uniform());
+  EXPECT_EQ(m.cluster_issue(0), 4);
   EXPECT_EQ(m.total_issue_width(), 16);
   EXPECT_EQ(m.mem_latency, 2);
   EXPECT_EQ(m.mul_latency, 2);
@@ -42,11 +43,11 @@ TEST(MachineConfig, Vex4x4IsThePaperMachine) {
 
 TEST(MachineConfig, Vex4x4SlotCapabilities) {
   const MachineConfig m = MachineConfig::vex4x4();
-  EXPECT_EQ(m.slots_for(OpKind::kAlu), 0b1111u);    // any slot
-  EXPECT_EQ(m.slots_for(OpKind::kMul), 0b0011u);    // 2 multipliers
-  EXPECT_EQ(m.slots_for(OpKind::kLoad), 0b0100u);   // 1 LSU
-  EXPECT_EQ(m.slots_for(OpKind::kStore), 0b0100u);  // shares the LSU
-  EXPECT_EQ(m.slots_for(OpKind::kBranch), 0b1000u);
+  EXPECT_EQ(m.slots_for(OpKind::kAlu, 0), 0b1111u);    // any slot
+  EXPECT_EQ(m.slots_for(OpKind::kMul, 0), 0b0011u);    // 2 multipliers
+  EXPECT_EQ(m.slots_for(OpKind::kLoad, 0), 0b0100u);   // 1 LSU
+  EXPECT_EQ(m.slots_for(OpKind::kStore, 0), 0b0100u);  // shares the LSU
+  EXPECT_EQ(m.slots_for(OpKind::kBranch, 0), 0b1000u);
 }
 
 TEST(MachineConfig, LatencyTable) {
@@ -60,7 +61,7 @@ TEST(MachineConfig, LatencyTable) {
 TEST(MachineConfig, Vex4x2IsTheFig1Machine) {
   const MachineConfig m = MachineConfig::vex4x2();
   EXPECT_EQ(m.num_clusters, 4);
-  EXPECT_EQ(m.issue_per_cluster, 2);
+  EXPECT_EQ(m.cluster_issue(0), 2);
   EXPECT_EQ(m.total_issue_width(), 8);
 }
 
@@ -70,12 +71,13 @@ TEST(MachineConfig, ClusteredFactoryCoversShapes) {
       if (clusters * width > kMaxTotalOps) continue;
       const MachineConfig m = MachineConfig::clustered(clusters, width);
       EXPECT_EQ(m.num_clusters, clusters);
-      EXPECT_EQ(m.issue_per_cluster, width);
+      EXPECT_TRUE(m.uniform());
+      EXPECT_EQ(m.cluster_issue(0), width);
       EXPECT_NO_THROW(m.validate());
       // Every op kind must be executable somewhere.
       for (OpKind k : {OpKind::kAlu, OpKind::kMul, OpKind::kLoad,
                        OpKind::kStore, OpKind::kBranch})
-        EXPECT_NE(m.slots_for(k), 0u);
+        EXPECT_NE(m.slots_for(k, 0), 0u);
     }
   }
 }
@@ -88,13 +90,13 @@ TEST(MachineConfig, ClusteredMatchesNamedConfigs) {
 
 TEST(MachineConfig, RejectsSlotMaskBeyondWidth) {
   MachineConfig m = MachineConfig::vex4x4();
-  m.mem_slot_mask = 1u << 5;  // slot 5 does not exist on a 4-issue cluster
+  m.per_cluster[0].mem_slot_mask = 1u << 5;  // no slot 5 on a 4-issue cluster
   EXPECT_THROW(m.validate(), CheckError);
 }
 
 TEST(MachineConfig, RejectsZeroCapability) {
   MachineConfig m = MachineConfig::vex4x4();
-  m.mul_slot_mask = 0;
+  for (ClusterShape& s : m.per_cluster) s.mul_slot_mask = 0;
   EXPECT_THROW(m.validate(), CheckError);
 }
 
@@ -103,7 +105,7 @@ TEST(MachineConfig, RejectsOutOfRangeShape) {
   m.num_clusters = kMaxClusters + 1;
   EXPECT_THROW(m.validate(), CheckError);
   m = MachineConfig::vex4x4();
-  m.issue_per_cluster = 0;
+  m.per_cluster[0].issue_width = 0;
   EXPECT_THROW(m.validate(), CheckError);
 }
 
@@ -120,22 +122,25 @@ TEST(MachineConfig, NarrowClustersShareSlotsAndStillValidate) {
   // a 2-wide cluster shares slot 1 between them, a 1-wide cluster runs
   // everything through its single slot. validate() must accept both.
   const MachineConfig w2 = MachineConfig::clustered(4, 2);
-  EXPECT_EQ(w2.mul_slot_mask, 0b01u);
-  EXPECT_EQ(w2.mem_slot_mask, 0b10u);
-  EXPECT_EQ(w2.branch_slot_mask, 0b10u);
-  EXPECT_EQ(w2.mem_slot_mask, w2.branch_slot_mask);  // shared slot
+  const ClusterShape& s2 = w2.per_cluster[0];
+  EXPECT_EQ(s2.mul_slot_mask, 0b01u);
+  EXPECT_EQ(s2.mem_slot_mask, 0b10u);
+  EXPECT_EQ(s2.branch_slot_mask, 0b10u);
+  EXPECT_EQ(s2.mem_slot_mask, s2.branch_slot_mask);  // shared slot
   EXPECT_NO_THROW(w2.validate());
 
   const MachineConfig w1 = MachineConfig::clustered(2, 1);
-  EXPECT_EQ(w1.mul_slot_mask, 0b1u);
-  EXPECT_EQ(w1.mem_slot_mask, 0b1u);
-  EXPECT_EQ(w1.branch_slot_mask, 0b1u);
+  const ClusterShape& s1 = w1.per_cluster[0];
+  EXPECT_EQ(s1.mul_slot_mask, 0b1u);
+  EXPECT_EQ(s1.mem_slot_mask, 0b1u);
+  EXPECT_EQ(s1.branch_slot_mask, 0b1u);
   EXPECT_NO_THROW(w1.validate());
 
   // At width 3 each unit gets its own (single) slot: no sharing needed.
   const MachineConfig w3 = MachineConfig::clustered(2, 3);
-  EXPECT_EQ(w3.mul_slot_mask & w3.mem_slot_mask, 0u);
-  EXPECT_EQ(w3.mem_slot_mask & w3.branch_slot_mask, 0u);
+  const ClusterShape& s3 = w3.per_cluster[0];
+  EXPECT_EQ(s3.mul_slot_mask & s3.mem_slot_mask, 0u);
+  EXPECT_EQ(s3.mem_slot_mask & s3.branch_slot_mask, 0u);
   EXPECT_NO_THROW(w3.validate());
 }
 
@@ -146,7 +151,7 @@ TEST(MachineConfig, HeterogeneousFactoryAndAccessors) {
       {1, 0b0, 0b1, 0b1},  // no multiplier here
   };
   const MachineConfig m = MachineConfig::heterogeneous_of(shapes, 3);
-  EXPECT_TRUE(m.heterogeneous);
+  EXPECT_FALSE(m.uniform());
   EXPECT_EQ(m.num_clusters, 3);
   EXPECT_EQ(m.cluster_issue(0), 4);
   EXPECT_EQ(m.cluster_issue(1), 2);
@@ -189,7 +194,7 @@ TEST(MachineConfig, HeterogeneousEqualityComparesActiveClusters) {
   b.per_cluster[1].mem_slot_mask = 0b1;
   b.per_cluster[1].branch_slot_mask = 0b1;
   EXPECT_FALSE(a == b);
-  // A homogeneous machine never equals a heterogeneous one.
+  // Machines of different cluster shapes never compare equal.
   EXPECT_FALSE(MachineConfig::vex4x4() ==
                MachineConfig::heterogeneous_of(shapes, 2));
 }

@@ -9,7 +9,9 @@
 #include <sstream>
 
 #include "isa/machine_file.hpp"
+#include "sim/session.hpp"
 #include "support/check.hpp"
+#include "testgen/generators.hpp"
 
 #ifndef CVMT_SOURCE_DIR
 #error "CVMT_SOURCE_DIR must be defined (see CMakeLists.txt)"
@@ -99,7 +101,7 @@ TEST(MachineFileTest, ExampleFilesAreTheBuiltinsSerializations) {
 TEST(MachineFileTest, HeterogeneousExampleIsActuallyHeterogeneous) {
   const MachineDescription d =
       load_machine_file(machines_dir() + "/het4422.machine");
-  EXPECT_TRUE(d.machine.heterogeneous);
+  EXPECT_FALSE(d.machine.uniform());
   EXPECT_EQ(d.machine.num_clusters, 4);
   EXPECT_EQ(d.machine.cluster_issue(0), 4);
   EXPECT_EQ(d.machine.cluster_issue(2), 2);
@@ -107,6 +109,50 @@ TEST(MachineFileTest, HeterogeneousExampleIsActuallyHeterogeneous) {
   // Cluster 3 has no multiplier: the mask really parsed as empty.
   EXPECT_EQ(d.machine.slots_for(OpKind::kMul, 3), 0u);
   EXPECT_NE(d.machine.slots_for(OpKind::kMul, 0), 0u);
+}
+
+// A machine has one value however it is written down: rows that all have
+// one shape, in a .machine file or in a fuzz case's "clusters" array, are
+// the flat machine. They compare equal to it, key like it and serialize
+// in its flat form.
+TEST(MachineFileTest, IdenticalClusterRowsAreTheFlatMachine) {
+  const MachineConfig flat = MachineConfig::vex4x4();
+  std::string flat_key;
+  append_machine_key(flat_key, flat);
+
+  const MachineDescription d = parse_machine_file(
+      "cluster 0 4 0x3 0x4 0x8\ncluster 1 4 0x3 0x4 0x8\n"
+      "cluster 2 4 0x3 0x4 0x8\ncluster 3 4 0x3 0x4 0x8\n");
+  EXPECT_TRUE(d.machine.uniform());
+  EXPECT_EQ(d.machine, flat);
+  std::string key;
+  append_machine_key(key, d.machine);
+  EXPECT_EQ(key, flat_key);
+  EXPECT_EQ(serialize_machine(d), serialize_machine(MachineDescription{}));
+
+  FuzzCase c = generate_case(1);
+  c.sim.machine = flat;
+  JsonValue v = c.to_json();
+  JsonValue sim = v.get("sim");
+  JsonValue machine = sim.get("machine");
+  JsonValue rows = JsonValue::array();
+  for (int i = 0; i < flat.num_clusters; ++i) {
+    JsonValue row = JsonValue::object();
+    row.set("issue", 4);
+    row.set("mul", 0x3);
+    row.set("mem", 0x4);
+    row.set("branch", 0x8);
+    rows.push_back(std::move(row));
+  }
+  machine.set("clusters", std::move(rows));
+  sim.set("machine", std::move(machine));
+  v.set("sim", std::move(sim));
+  const FuzzCase loaded = FuzzCase::from_json(v);
+  EXPECT_EQ(loaded.sim.machine, flat);
+  key.clear();
+  append_machine_key(key, loaded.sim.machine);
+  EXPECT_EQ(key, flat_key);
+  EXPECT_EQ(loaded.to_json().dump(), c.to_json().dump());
 }
 
 TEST(MachineFileTest, L2BankedExampleConfiguresTheHierarchy) {
@@ -139,16 +185,16 @@ TEST(MachineFileTest, CommentsAndBlankLinesAreIgnored) {
       "branch_slots 0x2\n");
   EXPECT_EQ(d.name, "tiny");
   EXPECT_EQ(d.machine.num_clusters, 1);
-  EXPECT_EQ(d.machine.issue_per_cluster, 2);
+  EXPECT_EQ(d.machine.cluster_issue(0), 2);
 }
 
 TEST(MachineFileTest, DecimalAndHexMasksAreBothAccepted) {
   const MachineDescription d = parse_machine_file(
       "clusters 1\nissue 4\nmul_slots 3\nmem_slots 0x4\n"
       "branch_slots 8\n");
-  EXPECT_EQ(d.machine.mul_slot_mask, 0b0011u);
-  EXPECT_EQ(d.machine.mem_slot_mask, 0b0100u);
-  EXPECT_EQ(d.machine.branch_slot_mask, 0b1000u);
+  EXPECT_EQ(d.machine.slots_for(OpKind::kMul, 0), 0b0011u);
+  EXPECT_EQ(d.machine.slots_for(OpKind::kLoad, 0), 0b0100u);
+  EXPECT_EQ(d.machine.slots_for(OpKind::kBranch, 0), 0b1000u);
 }
 
 // ---------------------------------------------------------- diagnostics
@@ -259,8 +305,8 @@ TEST(MachineFileTest, HexMasksStillParseAfterTheStrictness) {
       "clusters 1\nissue 2\nmul_slots 0x2\nmem_slots 0x1\n"
       "branch_slots 0x2\n");
   EXPECT_EQ(d.machine.num_clusters, 1);
-  EXPECT_EQ(d.machine.issue_per_cluster, 2);
-  EXPECT_EQ(d.machine.mul_slot_mask, 0x2u);
+  EXPECT_EQ(d.machine.cluster_issue(0), 2);
+  EXPECT_EQ(d.machine.slots_for(OpKind::kMul, 0), 0x2u);
 }
 
 TEST(MachineFileTest, WrongCacheArityIsDiagnosed) {
@@ -295,7 +341,7 @@ TEST(MachineFileTest, MissingClusterRowIsDiagnosed) {
 
 TEST(MachineFileTest, ResolveFindsBuiltinsByName) {
   const MachineDescription d = resolve_machine("het4422");
-  EXPECT_TRUE(d.machine.heterogeneous);
+  EXPECT_FALSE(d.machine.uniform());
 }
 
 TEST(MachineFileTest, ResolveLoadsFilesByPath) {

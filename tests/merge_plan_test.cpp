@@ -47,7 +47,7 @@ struct StreamGen {
                                 OpKind::kLoad, OpKind::kStore, OpKind::kBranch};
         const OpKind kind = kinds[rng.next_below(std::size(kinds))];
         const auto c = static_cast<std::uint8_t>(rng.next_below(4));
-        const std::uint32_t free = kM.slots_for(kind) & ~used[c];
+        const std::uint32_t free = kM.slots_for(kind, c) & ~used[c];
         if (free == 0) continue;
         const auto s = static_cast<std::uint8_t>(std::countr_zero(free));
         used[c] |= 1u << s;

@@ -141,21 +141,29 @@ TEST(ThreadContext, ConsumeWithoutOfferIsAnError) {
 
 // ------------------------------------------------------------ Scheduler
 
-std::vector<std::shared_ptr<ThreadContext>> make_pool(int n,
+std::vector<std::unique_ptr<ThreadContext>> make_pool(int n,
                                                       std::uint64_t budget) {
-  std::vector<std::shared_ptr<ThreadContext>> pool;
+  std::vector<std::unique_ptr<ThreadContext>> pool;
   for (int i = 0; i < n; ++i)
-    pool.push_back(std::make_shared<ThreadContext>(
+    pool.push_back(std::make_unique<ThreadContext>(
         "t" + std::to_string(i), alu_branch_program(),
         static_cast<std::uint64_t>(i) + 1, budget));
   return pool;
+}
+
+/// The scheduler's non-owning view of `pool`.
+std::vector<ThreadContext*> view(
+    const std::vector<std::unique_ptr<ThreadContext>>& pool) {
+  std::vector<ThreadContext*> threads;
+  for (const auto& t : pool) threads.push_back(t.get());
+  return threads;
 }
 
 TEST(OsScheduler, RunsUntilFirstCompletion) {
   MemorySystem mem(perfect_mem(), 2);
   MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   auto pool = make_pool(4, 500);
-  OsScheduler os(pool, 100, 42);
+  OsScheduler os(view(pool), 100, 42);
   const std::uint64_t cycles = os.run(core, 1u << 30);
   EXPECT_GT(cycles, 0u);
   std::uint64_t max_instrs = 0;
@@ -168,7 +176,7 @@ TEST(OsScheduler, CountsTimeslicesAndSwitches) {
   MemorySystem mem(perfect_mem(), 2);
   MultithreadedCore core = make_core(Scheme::parse("1S"), mem);
   auto pool = make_pool(4, 2'000);
-  OsScheduler os(pool, 50, 7);
+  OsScheduler os(view(pool), 50, 7);
   const std::uint64_t cycles = os.run(core, 1u << 30);
   EXPECT_EQ(os.stats().timeslices, (cycles + 49) / 50);
   EXPECT_GT(os.stats().context_switches, 2u);
@@ -178,7 +186,7 @@ TEST(OsScheduler, FewerThreadsThanSlotsLeavesSlotsIdle) {
   MemorySystem mem(perfect_mem(), 4);
   MultithreadedCore core = make_core(Scheme::parse("3CCC"), mem);
   auto pool = make_pool(2, 300);
-  OsScheduler os(pool, 100, 9);
+  OsScheduler os(view(pool), 100, 9);
   os.run(core, 1u << 30);
   // Both threads ran; the other two slots stayed empty and harmless.
   for (const auto& t : pool) EXPECT_GT(t->stats().instructions, 0u);
@@ -188,7 +196,7 @@ TEST(OsScheduler, AllThreadsProgressUnderRandomReplacement) {
   MemorySystem mem(perfect_mem(), 1);
   MultithreadedCore core = make_core(Scheme::single_thread(), mem);
   auto pool = make_pool(4, 3'000);
-  OsScheduler os(pool, 64, 11);
+  OsScheduler os(view(pool), 64, 11);
   os.run(core, 1u << 30);
   for (const auto& t : pool)
     EXPECT_GT(t->stats().instructions, 100u) << t->name();
@@ -198,13 +206,14 @@ TEST(OsScheduler, MaxCyclesBoundIsRespected) {
   MemorySystem mem(perfect_mem(), 1);
   MultithreadedCore core = make_core(Scheme::single_thread(), mem);
   auto pool = make_pool(1, 1u << 30);
-  OsScheduler os(pool, 100, 13);
+  OsScheduler os(view(pool), 100, 13);
   EXPECT_EQ(os.run(core, 777), 777u);
 }
 
 TEST(OsScheduler, RejectsEmptyPoolAndZeroTimeslice) {
+  const auto pool = make_pool(1, 10);
   EXPECT_THROW(OsScheduler({}, 100, 1), CheckError);
-  EXPECT_THROW(OsScheduler(make_pool(1, 10), 0, 1), CheckError);
+  EXPECT_THROW(OsScheduler(view(pool), 0, 1), CheckError);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "isa/machine_file.hpp"
 #include "sim/session.hpp"
 #include "support/check.hpp"
 #include "testgen/oracle.hpp"
@@ -40,9 +41,15 @@ TEST(CompiledScheme, CarriesSchemePlanAndKey) {
   EXPECT_EQ(plan.scheme().name(), "2SC3");
   EXPECT_EQ(plan.machine(), kM);
   EXPECT_EQ(plan.num_threads(), 4);
-  std::string key = "S|2SC3|CP(S(0,1),2,3)@";  // as existing stores hold it
-  append_machine_key(key, kM);
-  EXPECT_EQ(scheme_key(plan.scheme(), plan.machine()), key);
+  // The whole key, as existing stores hold it: a uniform machine's flat
+  // shape, and after "het:" every cluster of a machine that is not.
+  EXPECT_EQ(scheme_key(plan.scheme(), plan.machine()),
+            "S|2SC3|CP(S(0,1),2,3)@4,4,3,4,8,1,2,2,2,");
+  MachineDescription het;
+  ASSERT_TRUE(find_builtin_machine("het4422", het));
+  EXPECT_EQ(scheme_key(plan.scheme(), het.machine),
+            "S|2SC3|CP(S(0,1),2,3)@4,4,3,4,8,1,2,2,2,"
+            "het:4,3,4,8,4,3,4,8,2,1,2,2,2,0,2,2,");
 }
 
 TEST(CompiledScheme, KeySeparatesSchemesNamesAndMachines) {
