@@ -2,9 +2,16 @@
 // hand-written programs, and error reporting.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "isa/machine_file.hpp"
 #include "sim/session.hpp"
+#include "store/result_store.hpp"
+#include "trace/benchmark_suite.hpp"
 #include "trace/vex_asm.hpp"
 
 namespace cvmt {
@@ -62,11 +69,58 @@ TEST(VexAsm, ParsedProgramExecutes) {
 }
 
 TEST(VexAsm, RoundTripIsExact) {
-  for (const char* name : {"mcf", "idct", "colorspace"}) {
-    const auto original = program(name);
+  for (const BenchmarkProfile& p : table1_profiles()) {
+    const auto original = program(p.name);
     const std::string text = dump_program(*original);
     const auto reparsed = parse_program(text, kM);
-    EXPECT_EQ(dump_program(*reparsed), text) << name;
+    EXPECT_EQ(dump_program(*reparsed), text) << p.name;
+  }
+}
+
+TEST(VexAsm, DumpDigestsArePinnedPerProgramAndMachine) {
+  // The bytes of every built Table 1 program: placement, bubbles, PCs,
+  // trip counts, miss mix and data regions. A builder change that moves
+  // any of them shows up here, named by program and machine, before it
+  // reaches a stream or a figure.
+  const std::map<std::pair<std::string, std::string>, std::uint64_t>
+      golden = {
+          {{"vex4x4", "mcf"}, 0xad50384aaabbb0e0ULL},
+          {{"vex4x4", "bzip2"}, 0x714ca7fcc616ccfdULL},
+          {{"vex4x4", "blowfish"}, 0x53983018b5a5fb18ULL},
+          {{"vex4x4", "gsmencode"}, 0xbd86532edc408d64ULL},
+          {{"vex4x4", "g721encode"}, 0x0dc5bb03e7866991ULL},
+          {{"vex4x4", "g721decode"}, 0x336f78ee02c63801ULL},
+          {{"vex4x4", "cjpeg"}, 0x55d4851a302530f7ULL},
+          {{"vex4x4", "djpeg"}, 0xfe86d7954eb397efULL},
+          {{"vex4x4", "imgpipe"}, 0x612dc3a217963a83ULL},
+          {{"vex4x4", "x264"}, 0x1148a8f86d38476dULL},
+          {{"vex4x4", "idct"}, 0x8344a38cbf05ce91ULL},
+          {{"vex4x4", "colorspace"}, 0x06d715bb3c5af779ULL},
+          {{"het4422", "mcf"}, 0x9691a4cf62bafabbULL},
+          {{"het4422", "bzip2"}, 0x1ad1805454579fb0ULL},
+          {{"het4422", "blowfish"}, 0x4dacf58b47410d99ULL},
+          {{"het4422", "gsmencode"}, 0xb537587a7ab2dc16ULL},
+          {{"het4422", "g721encode"}, 0x742fe9b6eb64be42ULL},
+          {{"het4422", "g721decode"}, 0xd36f3c824b0cbb4fULL},
+          {{"het4422", "cjpeg"}, 0xb71cdc873042f633ULL},
+          {{"het4422", "djpeg"}, 0x15b84f4bdc29dafbULL},
+          {{"het4422", "imgpipe"}, 0x5bab4ecf75fa678aULL},
+          {{"het4422", "x264"}, 0xdd3447060f9671d1ULL},
+          {{"het4422", "idct"}, 0x9f65785eacd08f53ULL},
+          {{"het4422", "colorspace"}, 0x1e3ec65e28917b7dULL},
+      };
+  for (const char* machine_name : {"vex4x4", "het4422"}) {
+    MachineDescription d;
+    ASSERT_TRUE(find_builtin_machine(machine_name, d));
+    for (const BenchmarkProfile& p : table1_profiles()) {
+      const SyntheticProgram prog(p, d.machine);
+      const std::uint64_t digest = fnv1a64(dump_program(prog));
+      const auto it = golden.find({machine_name, p.name});
+      EXPECT_TRUE(it != golden.end() && it->second == digest)
+          << "{{\"" << machine_name << "\", \"" << p.name << "\"}, 0x"
+          << std::hex << std::setw(16) << std::setfill('0') << digest
+          << "ULL},";
+    }
   }
 }
 
