@@ -3,12 +3,35 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "support/check.hpp"
 
 namespace cvmt {
 namespace {
+
+/// `o[key]` as a T, checked before it is narrowed: a value that does not
+/// fit T (a negative one, for an unsigned T) is an error naming the field
+/// `where.key`, not the value the cast would wrap it to.
+template <class T>
+T int_field(const JsonValue& o, const std::string& where,
+            const char* key) {
+  const std::int64_t v = o.get(key).as_int();
+  CVMT_REQUIRE(std::in_range<T>(v),
+               "fuzz case: " + where + "." + key + " " + std::to_string(v) +
+                   " out of range (" +
+                   std::to_string(std::numeric_limits<T>::min()) + ".." +
+                   std::to_string(std::numeric_limits<T>::max()) + ")");
+  return static_cast<T>(v);
+}
+
+/// `o[key]` as a seed. to_json writes a 64-bit seed as the int64 with its
+/// bit pattern, so every JSON integer is a seed and none is narrowed.
+std::uint64_t seed_field(const JsonValue& o, const char* key) {
+  return static_cast<std::uint64_t>(o.get(key).as_int());
+}
 
 JsonValue profile_to_json(const BenchmarkProfile& p) {
   JsonValue o = JsonValue::object();
@@ -34,7 +57,8 @@ JsonValue profile_to_json(const BenchmarkProfile& p) {
   return o;
 }
 
-BenchmarkProfile profile_from_json(const JsonValue& o) {
+BenchmarkProfile profile_from_json(const JsonValue& o,
+                                   const std::string& where) {
   BenchmarkProfile p;
   p.name = o.get("name").as_string();
   const std::string ilp = o.get("ilp").as_string();
@@ -44,7 +68,7 @@ BenchmarkProfile profile_from_json(const JsonValue& o) {
                      : (ilp == "M" ? IlpDegree::kMedium : IlpDegree::kHigh);
   p.target_ipc_real = o.get("target_ipc_real").as_double();
   p.target_ipc_perfect = o.get("target_ipc_perfect").as_double();
-  p.num_loops = static_cast<int>(o.get("num_loops").as_int());
+  p.num_loops = int_field<int>(o, where, "num_loops");
   p.mean_body_instrs = o.get("mean_body_instrs").as_double();
   p.mean_trip_count = o.get("mean_trip_count").as_double();
   p.mean_ops_per_instr = o.get("mean_ops_per_instr").as_double();
@@ -54,13 +78,12 @@ BenchmarkProfile profile_from_json(const JsonValue& o) {
   p.mid_branch_frac = o.get("mid_branch_frac").as_double();
   p.mid_branch_taken = o.get("mid_branch_taken").as_double();
   p.ops_per_cluster_target = o.get("ops_per_cluster_target").as_double();
-  p.hot_bytes = static_cast<std::uint64_t>(o.get("hot_bytes").as_int());
-  p.hot_stride = static_cast<std::uint64_t>(o.get("hot_stride").as_int());
-  p.assumed_miss_penalty =
-      static_cast<int>(o.get("assumed_miss_penalty").as_int());
+  p.hot_bytes = int_field<std::uint64_t>(o, where, "hot_bytes");
+  p.hot_stride = int_field<std::uint64_t>(o, where, "hot_stride");
+  p.assumed_miss_penalty = int_field<int>(o, where, "assumed_miss_penalty");
   p.code_bytes_per_instr =
-      static_cast<std::uint64_t>(o.get("code_bytes_per_instr").as_int());
-  p.seed = static_cast<std::uint64_t>(o.get("seed").as_int());
+      int_field<std::uint64_t>(o, where, "code_bytes_per_instr");
+  p.seed = seed_field(o, "seed");
   return p;
 }
 
@@ -73,12 +96,12 @@ JsonValue cache_to_json(const CacheConfig& c) {
   return o;
 }
 
-CacheConfig cache_from_json(const JsonValue& o) {
+CacheConfig cache_from_json(const JsonValue& o, const std::string& where) {
   CacheConfig c;
-  c.size_bytes = static_cast<std::uint64_t>(o.get("size_bytes").as_int());
-  c.line_bytes = static_cast<std::uint32_t>(o.get("line_bytes").as_int());
-  c.ways = static_cast<std::uint32_t>(o.get("ways").as_int());
-  c.miss_penalty = static_cast<int>(o.get("miss_penalty").as_int());
+  c.size_bytes = int_field<std::uint64_t>(o, where, "size_bytes");
+  c.line_bytes = int_field<std::uint32_t>(o, where, "line_bytes");
+  c.ways = int_field<std::uint32_t>(o, where, "ways");
+  c.miss_penalty = int_field<int>(o, where, "miss_penalty");
   return c;
 }
 
@@ -114,6 +137,7 @@ JsonValue machine_to_json(const MachineConfig& m) {
 }
 
 MachineConfig machine_from_json(const JsonValue& o) {
+  const std::string where = "sim.machine";
   MachineConfig m;
   // Checked before any cluster is written: per_cluster holds kMaxClusters.
   const std::int64_t clusters = o.get("num_clusters").as_int();
@@ -123,30 +147,27 @@ MachineConfig machine_from_json(const JsonValue& o) {
                    ")");
   m.num_clusters = static_cast<int>(clusters);
   ClusterShape flat;
-  flat.issue_width = static_cast<int>(o.get("issue_per_cluster").as_int());
-  flat.mul_slot_mask =
-      static_cast<std::uint32_t>(o.get("mul_slot_mask").as_int());
-  flat.mem_slot_mask =
-      static_cast<std::uint32_t>(o.get("mem_slot_mask").as_int());
+  flat.issue_width = int_field<int>(o, where, "issue_per_cluster");
+  flat.mul_slot_mask = int_field<std::uint32_t>(o, where, "mul_slot_mask");
+  flat.mem_slot_mask = int_field<std::uint32_t>(o, where, "mem_slot_mask");
   flat.branch_slot_mask =
-      static_cast<std::uint32_t>(o.get("branch_slot_mask").as_int());
+      int_field<std::uint32_t>(o, where, "branch_slot_mask");
   m.per_cluster.fill(flat);
-  m.alu_latency = static_cast<int>(o.get("alu_latency").as_int());
-  m.mul_latency = static_cast<int>(o.get("mul_latency").as_int());
-  m.mem_latency = static_cast<int>(o.get("mem_latency").as_int());
-  m.taken_branch_penalty =
-      static_cast<int>(o.get("taken_branch_penalty").as_int());
+  m.alu_latency = int_field<int>(o, where, "alu_latency");
+  m.mul_latency = int_field<int>(o, where, "mul_latency");
+  m.mem_latency = int_field<int>(o, where, "mem_latency");
+  m.taken_branch_penalty = int_field<int>(o, where, "taken_branch_penalty");
   if (const JsonValue* rows = o.find("clusters")) {
     CVMT_CHECK_MSG(rows->size() == static_cast<std::size_t>(m.num_clusters),
                    "fuzz case: clusters array does not match num_clusters");
     for (std::size_t c = 0; c < rows->size(); ++c) {
       const JsonValue& row = rows->at(c);
+      const std::string at = where + ".clusters[" + std::to_string(c) + "]";
       ClusterShape& s = m.per_cluster[c];
-      s.issue_width = static_cast<int>(row.get("issue").as_int());
-      s.mul_slot_mask = static_cast<std::uint32_t>(row.get("mul").as_int());
-      s.mem_slot_mask = static_cast<std::uint32_t>(row.get("mem").as_int());
-      s.branch_slot_mask =
-          static_cast<std::uint32_t>(row.get("branch").as_int());
+      s.issue_width = int_field<int>(row, at, "issue");
+      s.mul_slot_mask = int_field<std::uint32_t>(row, at, "mul");
+      s.mem_slot_mask = int_field<std::uint32_t>(row, at, "mem");
+      s.branch_slot_mask = int_field<std::uint32_t>(row, at, "branch");
     }
   }
   return m;
@@ -220,27 +241,28 @@ FuzzCase FuzzCase::from_json(const JsonValue& v) {
                  "unknown fuzz-case version");
   FuzzCase c;
   c.label = v.get("label").as_string();
-  c.seed = static_cast<std::uint64_t>(v.get("seed").as_int());
+  c.seed = seed_field(v, "seed");
   c.scheme = v.get("scheme").as_string();
   const JsonValue& profs = v.get("profiles");
   for (std::size_t i = 0; i < profs.size(); ++i)
-    c.profiles.push_back(profile_from_json(profs.at(i)));
+    c.profiles.push_back(profile_from_json(
+        profs.at(i), "profiles[" + std::to_string(i) + "]"));
   const JsonValue& s = v.get("sim");
   c.sim.machine = machine_from_json(s.get("machine"));
   const JsonValue& mem = s.get("mem");
-  c.sim.mem.icache = cache_from_json(mem.get("icache"));
-  c.sim.mem.dcache = cache_from_json(mem.get("dcache"));
+  c.sim.mem.icache = cache_from_json(mem.get("icache"), "sim.mem.icache");
+  c.sim.mem.dcache = cache_from_json(mem.get("dcache"), "sim.mem.dcache");
   c.sim.mem.sharing = mem.get("shared").as_bool() ? CacheSharing::kShared
                                                   : CacheSharing::kPrivate;
   c.sim.mem.perfect = mem.get("perfect").as_bool();
   if (const JsonValue* l2 = mem.find("l2")) {
     c.sim.mem.has_l2 = true;
-    c.sim.mem.l2 = cache_from_json(*l2);
+    c.sim.mem.l2 = cache_from_json(*l2, "sim.mem.l2");
   }
-  if (const JsonValue* banks = mem.find("dcache_banks")) {
-    c.sim.mem.dcache_banks = static_cast<int>(banks->as_int());
+  if (mem.find("dcache_banks") != nullptr) {
+    c.sim.mem.dcache_banks = int_field<int>(mem, "sim.mem", "dcache_banks");
     c.sim.mem.bank_conflict_penalty =
-        static_cast<int>(mem.get("bank_conflict_penalty").as_int());
+        int_field<int>(mem, "sim.mem", "bank_conflict_penalty");
   }
   const std::int64_t priority = s.get("priority").as_int();
   CVMT_CHECK_MSG(priority >= 0 && priority <= 2,
@@ -250,13 +272,12 @@ FuzzCase FuzzCase::from_json(const JsonValue& v) {
   CVMT_CHECK_MSG(miss >= 0 && miss <= 1, "bad miss policy in fuzz case");
   c.sim.miss_policy = static_cast<MissPolicy>(miss);
   c.sim.timeslice_cycles =
-      static_cast<std::uint64_t>(s.get("timeslice_cycles").as_int());
+      int_field<std::uint64_t>(s, "sim", "timeslice_cycles");
   c.sim.instruction_budget =
-      static_cast<std::uint64_t>(s.get("instruction_budget").as_int());
-  c.sim.max_cycles = static_cast<std::uint64_t>(s.get("max_cycles").as_int());
-  c.sim.os_seed = static_cast<std::uint64_t>(s.get("os_seed").as_int());
-  c.sim.stream_seed_base =
-      static_cast<std::uint64_t>(s.get("stream_seed_base").as_int());
+      int_field<std::uint64_t>(s, "sim", "instruction_budget");
+  c.sim.max_cycles = int_field<std::uint64_t>(s, "sim", "max_cycles");
+  c.sim.os_seed = seed_field(s, "os_seed");
+  c.sim.stream_seed_base = seed_field(s, "stream_seed_base");
   if (const JsonValue* pol = s.find("switch_policy")) {
     CVMT_CHECK_MSG(
         switch_policy_from_string(pol->as_string(), c.sim.switch_policy),

@@ -11,7 +11,10 @@
 #include <fstream>
 #include <functional>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/session.hpp"
 #include "testgen/fuzz_driver.hpp"
@@ -179,6 +182,88 @@ TEST(CaseGenTest, ClusterCountBeyondTheMachineCapIsRejectedOnLoad) {
       (std::filesystem::temp_directory_path() / "cvmt_fuzz_nine.json")
           .string();
   std::ofstream(path) << v.dump();
+  const std::string flag = "--case=" + path;
+  const char* argv[] = {"fuzz", flag.c_str()};
+  EXPECT_EQ(fuzz_main(2, argv), 2);
+  std::remove(path.c_str());
+}
+
+/// `v` with the integer at `path` set to `value`. Each step is an object
+/// key, or an array index written in decimal; the last key may be absent.
+JsonValue with_int(const JsonValue& v, std::span<const std::string> path,
+                   std::int64_t value) {
+  if (path.empty()) return JsonValue(value);
+  if (v.kind() == JsonValue::Kind::kArray) {
+    const std::size_t index = std::stoul(path[0]);
+    JsonValue out = JsonValue::array();
+    for (std::size_t i = 0; i < v.size(); ++i)
+      out.push_back(i == index ? with_int(v.at(i), path.subspan(1), value)
+                               : v.at(i));
+    return out;
+  }
+  JsonValue out = v;
+  out.set(path[0], path.size() == 1
+                       ? JsonValue(value)
+                       : with_int(v.get(path[0]), path.subspan(1), value));
+  return out;
+}
+
+TEST(CaseGenTest, IntegersThatDoNotFitTheirFieldAreRejectedOnLoad) {
+  // Each integer is checked against its field's type before the cast:
+  // raised by 2^32, an int or uint32 field used to wrap back to the value
+  // it was raised from and replay "ok", and a negative size or count
+  // wrapped to a huge unsigned one. Seeds are the one exception: to_json
+  // writes them as the int64 with their bit pattern.
+  JsonValue base = generate_case(1).to_json();
+  base = with_int(base, std::vector<std::string>{"sim", "mem",
+                                                 "bank_conflict_penalty"},
+                  1);
+  base = with_int(base,
+                  std::vector<std::string>{"sim", "mem", "dcache_banks"}, 2);
+  ASSERT_NO_THROW((void)FuzzCase::from_json(base));
+  constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+  const struct {
+    std::vector<std::string> path;
+    std::int64_t value;
+    const char* name;
+  } cases[] = {
+      {{"sim", "machine", "issue_per_cluster"}, 4 + k2to32,
+       "sim.machine.issue_per_cluster 4294967300"},
+      {{"sim", "machine", "mul_latency"}, 2 + k2to32,
+       "sim.machine.mul_latency 4294967298"},
+      {{"sim", "machine", "mul_slot_mask"}, 3 + k2to32,
+       "sim.machine.mul_slot_mask 4294967299"},
+      {{"profiles", "0", "num_loops"}, 2 + k2to32,
+       "profiles[0].num_loops 4294967298"},
+      {{"profiles", "0", "hot_bytes"}, -4096, "profiles[0].hot_bytes -4096"},
+      {{"sim", "mem", "dcache", "line_bytes"}, 64 + k2to32,
+       "sim.mem.dcache.line_bytes 4294967360"},
+      {{"sim", "mem", "icache", "ways"}, -4, "sim.mem.icache.ways -4"},
+      {{"sim", "mem", "dcache", "miss_penalty"}, 20 + k2to32,
+       "sim.mem.dcache.miss_penalty 4294967316"},
+      {{"sim", "mem", "dcache_banks"}, 2 + k2to32,
+       "sim.mem.dcache_banks 4294967298"},
+      {{"sim", "instruction_budget"}, -1, "sim.instruction_budget -1"},
+  };
+  for (const auto& c : cases) {
+    const JsonValue v = with_int(base, c.path, c.value);
+    try {
+      (void)FuzzCase::from_json(v);
+      ADD_FAILURE() << c.name << " loaded";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()).find(std::string("fuzz case: ") +
+                                           c.name + " out of range"),
+                0u)
+          << e.what();
+    }
+  }
+
+  // The replay command refuses the file as malformed input.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "cvmt_fuzz_wrap.json")
+          .string();
+  std::ofstream(path) << with_int(base, cases[0].path, cases[0].value)
+                             .dump();
   const std::string flag = "--case=" + path;
   const char* argv[] = {"fuzz", flag.c_str()};
   EXPECT_EQ(fuzz_main(2, argv), 2);
