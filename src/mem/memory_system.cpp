@@ -1,6 +1,7 @@
 #include "mem/memory_system.hpp"
 
 #include <bit>
+#include <string>
 
 namespace cvmt {
 
@@ -12,6 +13,9 @@ void MemorySystemConfig::validate() const {
                      std::has_single_bit(
                          static_cast<unsigned>(dcache_banks)),
                  "dcache bank count must be a power of two");
+  CVMT_REQUIRE(dcache_banks <= kMaxDcacheBanks,
+               "dcache bank count " + std::to_string(dcache_banks) +
+                   " exceeds " + std::to_string(kMaxDcacheBanks));
   CVMT_REQUIRE(bank_conflict_penalty >= 0,
                  "negative bank conflict penalty");
 }

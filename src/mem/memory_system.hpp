@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,12 @@ enum class CacheSharing : std::uint8_t {
   kShared,   ///< one ICache + one DCache for all threads (default)
   kPrivate,  ///< per-thread caches (ablation)
 };
+
+/// The DCache banks one issued packet touches, one bit per bank: the
+/// core charges a same-packet bank conflict from it, so its width caps a
+/// machine's bank count.
+using BankMask = std::uint32_t;
+inline constexpr int kMaxDcacheBanks = std::numeric_limits<BankMask>::digits;
 
 /// Configuration of the whole memory system.
 struct MemorySystemConfig {
@@ -35,9 +42,10 @@ struct MemorySystemConfig {
   bool has_l2 = false;
   CacheConfig l2{256 * 1024, 64, 8, 80};
 
-  /// Line-interleaved DCache banks (power of two). With banks > 1, each
-  /// data access reports its bank so the core can charge serialization
-  /// when one packet's accesses collide on a bank. 1 = unbanked.
+  /// Line-interleaved DCache banks (power of two, at most
+  /// kMaxDcacheBanks). With banks > 1, each data access reports its bank
+  /// so the core can charge serialization when one packet's accesses
+  /// collide on a bank. 1 = unbanked.
   int dcache_banks = 1;
   /// Extra cycles per same-packet access that re-touches a busy bank.
   int bank_conflict_penalty = 1;

@@ -41,7 +41,7 @@ int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
-  std::uint32_t banks_touched = 0;
+  BankMask banks_touched = 0;
   int bank_conflicts = 0;
   // Counted without branching on the instruction: whether it is a bubble
   // or a taken branch follows the random stream.
@@ -56,7 +56,7 @@ int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
     if (costs.banked) {
       // Same-packet accesses to one bank serialize: each repeat pays the
       // conflict penalty (the first access per bank is free).
-      const std::uint32_t bit = 1u << r.bank;
+      const BankMask bit = BankMask{1} << r.bank;
       if ((banks_touched & bit) != 0) ++bank_conflicts;
       banks_touched |= bit;
     }

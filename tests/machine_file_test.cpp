@@ -249,6 +249,9 @@ TEST(MachineFileTest, ContentErrorsNameTheLineWithoutASourcePath) {
       {"l2 1000 64 4 80\n", "line 1: size must be a multiple of line*ways"},
       {"dcache_banks 3\n",
        "line 1: dcache bank count must be a power of two"},
+      // A packet's banks are one bit each of a 32-bit mask.
+      {"name x\ndcache_banks 64\n",
+       "line 2: dcache bank count 64 exceeds 32"},
       // Checks over the whole machine.
       {"clusters 8\nissue 8\n",
        "'clusters' x 'issue': total issue width 64 exceeds 32"},
