@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::cout << "dynamic VLIW stream of '" << name << "' (one line per\n"
             << "instruction; clusters separated by '|', '-' = empty slot):\n\n";
   for (int i = 0; i < count; ++i) {
-    const Instruction& instr = gen.next();
+    const Instruction instr = gen.next();
     std::cout << (instr.empty() ? "  [bubble] " : "  ")
               << instr.to_string(machine);
     if (const Operation* br = instr.taken_branch())
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   std::cout << "\nmerge checks against '" << other_name << "':\n\n";
   int csmt_ok = 0, smt_ok = 0, trials = 0;
   for (int i = 0; i < 2000; ++i) {
-    const Instruction& a = gen.next();
-    const Instruction& b = other.next();
+    const Instruction a = gen.next();
+    const Instruction b = other.next();
     if (a.empty() || b.empty()) continue;
     const Footprint fa = Footprint::of(a, machine);
     const Footprint fb = Footprint::of(b, machine);

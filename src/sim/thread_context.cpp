@@ -16,12 +16,10 @@ ThreadContext::ThreadContext(std::string name,
 
 void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
                            int hw_tid) {
-  gen_.advance();
-  pending_fp_ = &gen_.current_footprint();
-  has_pending_ = true;
+  pending_ = &gen_.peek();
   // Fetch starts once the previous instruction's stalls resolve; an
   // ICache miss then delays issue further.
-  const MemAccessResult fetch = mem.fetch(hw_tid, gen_.current_pc());
+  const MemAccessResult fetch = mem.fetch(hw_tid, gen_.peek_pc());
   if (!fetch.hit) {
     ready_at_ = std::max(ready_at_, cycle) +
                 static_cast<std::uint64_t>(fetch.penalty_cycles);
@@ -32,12 +30,12 @@ void ThreadContext::refill(std::uint64_t cycle, MemorySystem& mem,
 
 int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
                            int hw_tid, const StallCosts& costs) {
-  CVMT_CHECK_MSG(has_pending_ && cycle >= ready_at_,
+  CVMT_CHECK_MSG(pending_ != nullptr && cycle >= ready_at_,
                  "consume without a ready offer");
   // Execution stalls: taken-branch squash plus DCache misses. Only the
-  // memory and branch ops are timing-relevant, and the generator hands
-  // over exactly their per-execution data: the data addresses in op order
-  // and whether a branch is taken.
+  // memory and branch ops are timing-relevant, and retiring the
+  // instruction draws exactly their per-execution data: each data address
+  // in op order, accessed here as it is drawn, and the branch directions.
   std::uint64_t stall = 1;
   int dmiss_total = 0;
   int dmiss_max = 0;
@@ -45,11 +43,11 @@ int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
   int bank_conflicts = 0;
   // Counted without branching on the instruction: whether it is a bubble
   // or a taken branch follows the random stream.
-  const int ops = gen_.current_op_count();
+  const int ops = pending_->op_count;
   ++stats_.instructions;
   stats_.ops += static_cast<std::uint64_t>(ops);
   stats_.bubbles += ops == 0 ? 1 : 0;
-  for (const std::uint64_t addr : gen_.current_addresses()) {
+  const bool taken = gen_.retire([&](std::uint64_t addr) {
     const MemAccessResult r = mem.data_access(hw_tid, addr);
     dmiss_total += r.penalty_cycles;
     dmiss_max = std::max(dmiss_max, r.penalty_cycles);
@@ -60,7 +58,7 @@ int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
       if ((banks_touched & bit) != 0) ++bank_conflicts;
       banks_touched |= bit;
     }
-  }
+  }) != 0;
   if (bank_conflicts > 0) {
     const int extra = bank_conflicts * costs.bank_conflict_penalty;
     stall += static_cast<std::uint64_t>(extra);
@@ -71,14 +69,13 @@ int ThreadContext::consume(std::uint64_t cycle, MemorySystem& mem,
                         : dmiss_max;
   stall += static_cast<std::uint64_t>(dmiss);
   stats_.dcache_stall_cycles += static_cast<std::uint64_t>(dmiss);
-  const bool taken = gen_.current_taken();
   const std::uint64_t squash =
       taken ? static_cast<std::uint64_t>(costs.taken_branch_penalty) : 0;
   stats_.taken_branches += taken ? 1 : 0;
   stall += squash;
   stats_.branch_stall_cycles += squash;
   ready_at_ = cycle + stall;
-  has_pending_ = false;
+  pending_ = nullptr;
   if (stats_.instructions >= budget_) done_ = true;
   return ops;
 }

@@ -4,6 +4,11 @@
 // environment with 1M-cycle timeslices): all position, stall and stat
 // state lives here, and the core merely points at the contexts currently
 // occupying hardware thread slots.
+//
+// An instruction passes through in one read of the program image: fetch
+// (refill) takes the step under the generator's cursor and charges its
+// ICache line, and issue (consume) retires it, making each data access
+// as the generator draws its address. Nothing is buffered in between.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +81,8 @@ class ThreadContext {
   const Footprint* offer(std::uint64_t cycle, MemorySystem& mem,
                          int hw_tid) {
     if (done_) return nullptr;
-    if (!has_pending_) refill(cycle, mem, hw_tid);
-    return cycle >= ready_at_ ? pending_fp_ : nullptr;
+    if (pending_ == nullptr) refill(cycle, mem, hw_tid);
+    return cycle >= ready_at_ ? &pending_->footprint : nullptr;
   }
 
   /// Issues the previously offered instruction: accounts statistics,
@@ -86,16 +91,17 @@ class ThreadContext {
   int consume(std::uint64_t cycle, MemorySystem& mem, int hw_tid,
               const StallCosts& costs);
 
-  /// Generates the next instruction and charges the ICache fetch at
-  /// `cycle`. Exposed so the cycle loop can cache (ready_at, footprint)
-  /// per slot and refill exactly once per issued instruction instead of
-  /// re-polling offer() every cycle; offer() calls it lazily for all
-  /// other callers. Precondition: !done() and !has_pending().
+  /// Fetches the instruction under the generator's cursor and charges
+  /// its ICache access at `cycle`; draws nothing. Exposed so the cycle
+  /// loop can cache (ready_at, footprint) per slot and refill exactly
+  /// once per issued instruction instead of re-polling offer() every
+  /// cycle; offer() calls it lazily for all other callers.
+  /// Precondition: !done() and !has_pending().
   void refill(std::uint64_t cycle, MemorySystem& mem, int hw_tid);
 
   /// Footprint of the pending instruction (valid while has_pending()).
   [[nodiscard]] const Footprint* pending_footprint() const {
-    return pending_fp_;
+    return &pending_->footprint;
   }
 
   /// True once `instruction_budget` instructions have issued.
@@ -103,7 +109,7 @@ class ThreadContext {
 
   /// True while a fetched instruction is waiting to issue (offer() has been
   /// called since the last consume()).
-  [[nodiscard]] bool has_pending() const { return has_pending_; }
+  [[nodiscard]] bool has_pending() const { return pending_ != nullptr; }
 
   /// First cycle at which the pending instruction can issue. Meaningful
   /// only while has_pending(); the stall fast-forward uses it to jump over
@@ -118,12 +124,11 @@ class ThreadContext {
   TraceGenerator gen_;
   std::uint64_t budget_;
 
-  bool has_pending_ = false;
   bool done_ = false;
-  /// The pending instruction is the generator's current one (it does not
-  /// advance between refill() and consume()); its footprint points into
-  /// the shared immutable program.
-  const Footprint* pending_fp_ = nullptr;
+  /// The fetched instruction, null until the next refill(): the step
+  /// under the generator's cursor (it moves only when consume() retires
+  /// it), in the shared immutable program.
+  const SyntheticProgram::Step* pending_ = nullptr;
   std::uint64_t ready_at_ = 0;
 
   ThreadStats stats_;

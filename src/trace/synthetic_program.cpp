@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "support/rng.hpp"
 
@@ -50,23 +51,58 @@ bool place_op(Instruction& instr, std::uint32_t occupied[kMaxClusters],
   return false;
 }
 
-/// Appends the derived caches of body instruction `i` (its PC already
-/// set): its footprint and the trace generator's record.
-void cache_instruction(SyntheticProgram::Loop& loop, std::size_t i,
-                       const MachineConfig& machine) {
-  const Instruction& instr = loop.body[i];
-  SyntheticProgram::Record rec;
-  rec.pc = instr.pc();
-  rec.op_count = static_cast<std::uint8_t>(instr.op_count());
-  for (const Operation& op : instr) {
-    if (is_memory(op.kind))
-      rec.mem_mask |= 1u << rec.num_patches++;
-    else if (op.kind == OpKind::kBranch)
-      ++rec.num_patches;
+/// Compiles `body` (its PCs set) into `loop`'s image: one step and the
+/// op templates per instruction, the tallies and the expected cycles.
+/// `body` can be released afterwards; the image holds all of it but the
+/// per-execution fields, which no template carries.
+void compile_loop(SyntheticProgram::Loop& loop,
+                  const std::vector<Instruction>& body,
+                  const BenchmarkProfile& profile,
+                  const MachineConfig& machine) {
+  std::size_t num_ops = 0;
+  for (const Instruction& instr : body) num_ops += instr.op_count();
+  CVMT_CHECK_MSG(num_ops <= std::numeric_limits<std::uint32_t>::max(),
+                 "loop has more operations than a 32-bit index reaches");
+  loop.steps.clear();
+  loop.ops.clear();
+  loop.op_start.clear();
+  loop.steps.reserve(body.size());
+  loop.ops.reserve(num_ops);
+  loop.op_start.reserve(body.size());
+  loop.real_instrs = 0;
+  loop.total_ops = static_cast<std::int64_t>(num_ops);
+  loop.mem_ops = 0;
+  double penalty = 0.0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const Instruction& instr = body[i];
+    SyntheticProgram::Step step;
+    step.footprint = Footprint::of(instr, machine);
+    step.pc = instr.pc();
+    step.op_count = static_cast<std::uint8_t>(instr.op_count());
+    step.last = i + 1 == body.size();
+    loop.op_start.push_back(static_cast<std::uint32_t>(loop.ops.size()));
+    bool has_branch = false;
+    for (const Operation& op : instr) {
+      loop.ops.push_back({op.kind, op.cluster, op.slot});
+      if (is_memory(op.kind)) {
+        step.mem_mask |= 1u << step.num_patches++;
+        ++loop.mem_ops;
+      } else if (op.kind == OpKind::kBranch) {
+        ++step.num_patches;
+        has_branch = true;
+      }
+    }
+    if (step.last) {
+      CVMT_CHECK_MSG(has_branch, "loop must end with a branch");
+      penalty += machine.taken_branch_penalty;
+    } else if (has_branch) {
+      penalty += profile.mid_branch_taken * machine.taken_branch_penalty;
+    }
+    if (!instr.empty()) ++loop.real_instrs;
+    loop.steps.push_back(step);
   }
-  rec.last = i + 1 == loop.body.size();
-  loop.footprints.push_back(Footprint::of(instr, machine));
-  loop.records.push_back(rec);
+  loop.expected_cycles_perfect =
+      static_cast<double>(body.size()) + penalty;
 }
 
 }  // namespace
@@ -94,6 +130,7 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
         static_cast<std::uint64_t>(m)));
 
     // --- Schedule the real instructions -----------------------------
+    std::vector<Instruction> body;
     double expected_penalty = 0.0;
     for (int i = 0; i < n_real; ++i) {
       const bool is_last = i == n_real - 1;
@@ -132,55 +169,44 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
           kind = OpKind::kMul;
         place_op(instr, occupied, kind, preferred, machine_);
       }
-      loop.body.push_back(instr);
+      body.push_back(instr);
     }
 
     // --- Tally, then insert bubbles to hit the IPCp target ----------
     std::int64_t total_ops = 0;
-    std::int64_t mem_ops = 0;
-    for (const Instruction& instr : loop.body) {
+    for (const Instruction& instr : body)
       total_ops += static_cast<std::int64_t>(instr.op_count());
-      for (const Operation& op : instr)
-        if (is_memory(op.kind)) ++mem_ops;
-    }
     const double ops = static_cast<double>(total_ops);
     const std::int64_t bubbles = std::max<std::int64_t>(
         0, std::llround(ops / profile_.target_ipc_perfect -
                         static_cast<double>(n_real) - expected_penalty));
     for (std::int64_t b = 0; b < bubbles; ++b) {
       // Insert before the final (branch) instruction.
-      const auto pos = static_cast<std::ptrdiff_t>(
-          rng.next_below(loop.body.size()));
-      loop.body.insert(loop.body.begin() + pos, Instruction{});
+      const auto pos =
+          static_cast<std::ptrdiff_t>(rng.next_below(body.size()));
+      body.insert(body.begin() + pos, Instruction{});
     }
 
-    // --- Assign PCs and cache the footprints -------------------------
+    // --- Assign PCs and compile the body into the image ----------------
     loop.code_base = std::uint64_t{0x10000} + lu * std::uint64_t{0x1000};
-    CVMT_CHECK_MSG(loop.body.size() * profile_.code_bytes_per_instr <=
+    CVMT_CHECK_MSG(body.size() * profile_.code_bytes_per_instr <=
                        std::uint64_t{0x1000},
                    "loop body overflows its code region");
-    for (std::size_t i = 0; i < loop.body.size(); ++i) {
-      loop.body[i].set_pc(loop.code_base +
-                          static_cast<std::uint64_t>(i) *
-                              profile_.code_bytes_per_instr);
-      cache_instruction(loop, i, machine_);
-    }
+    for (std::size_t i = 0; i < body.size(); ++i)
+      body[i].set_pc(loop.code_base + static_cast<std::uint64_t>(i) *
+                                          profile_.code_bytes_per_instr);
+    compile_loop(loop, body, profile_, machine_);
 
     // --- Timing bookkeeping and the IPCr miss mix ---------------------
-    loop.real_instrs = n_real;
-    loop.total_ops = total_ops;
-    loop.mem_ops = mem_ops;
     loop.mean_trips = profile_.mean_trip_count;
-    loop.expected_cycles_perfect =
-        static_cast<double>(loop.body.size()) + expected_penalty;
-    if (mem_ops > 0 && profile_.target_ipc_real <
-                           profile_.target_ipc_perfect) {
+    if (loop.mem_ops > 0 && profile_.target_ipc_real <
+                                profile_.target_ipc_perfect) {
       const double misses_needed =
           (ops / profile_.target_ipc_real - ops /
            profile_.target_ipc_perfect) /
           profile_.assumed_miss_penalty;
       loop.miss_frac = std::clamp(
-          misses_needed / static_cast<double>(mem_ops), 0.0, 0.95);
+          misses_needed / static_cast<double>(loop.mem_ops), 0.0, 0.95);
     }
 
     // --- Data regions --------------------------------------------------
@@ -196,49 +222,36 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
 
 SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                                    MachineConfig machine,
-                                   std::vector<Loop> loops)
-    : profile_(std::move(profile)),
-      machine_(machine),
-      loops_(std::move(loops)) {
+                                   std::vector<LoopSource> loops)
+    : profile_(std::move(profile)), machine_(machine) {
   profile_.validate();
   machine_.validate();
-  CVMT_CHECK_MSG(!loops_.empty(), "program needs at least one loop");
-  for (Loop& loop : loops_) {
-    CVMT_CHECK_MSG(!loop.body.empty(), "loop body cannot be empty");
+  CVMT_CHECK_MSG(!loops.empty(), "program needs at least one loop");
+  loops_.reserve(loops.size());
+  for (LoopSource& source : loops) {
+    Loop& loop = loops_.emplace_back(std::move(source.loop));
+    CVMT_CHECK_MSG(!source.body.empty(), "loop body cannot be empty");
     CVMT_CHECK_MSG(loop.mean_trips >= 1.0, "trip count below 1");
     CVMT_CHECK_MSG(loop.miss_frac >= 0.0 && loop.miss_frac <= 1.0,
                    "miss fraction out of range");
     CVMT_CHECK_MSG(loop.hot_window >= 1, "hot window must be non-empty");
-    loop.footprints.clear();
-    loop.records.clear();
-    loop.real_instrs = 0;
-    loop.total_ops = 0;
-    loop.mem_ops = 0;
-    double penalty = 0.0;
-    for (std::size_t i = 0; i < loop.body.size(); ++i) {
-      const Instruction& instr = loop.body[i];
+    for (const Instruction& instr : source.body) {
       const std::string err = instr.validate(machine_);
       CVMT_CHECK_MSG(err.empty(), "invalid instruction in loop: " + err);
-      cache_instruction(loop, i, machine_);
-      if (!instr.empty()) ++loop.real_instrs;
-      loop.total_ops += static_cast<std::int64_t>(instr.op_count());
-      bool has_branch = false;
-      for (const Operation& op : instr) {
-        if (is_memory(op.kind)) ++loop.mem_ops;
-        has_branch |= op.kind == OpKind::kBranch;
-      }
-      const bool is_last = i + 1 == loop.body.size();
-      if (is_last) {
-        CVMT_CHECK_MSG(has_branch, "loop must end with a branch");
-        penalty += machine_.taken_branch_penalty;
-      } else if (has_branch) {
-        penalty += profile_.mid_branch_taken *
-                   machine_.taken_branch_penalty;
-      }
     }
-    loop.expected_cycles_perfect =
-        static_cast<double>(loop.body.size()) + penalty;
+    compile_loop(loop, source.body, profile_, machine_);
+    source.body = {};
   }
+}
+
+Instruction SyntheticProgram::Loop::instruction(std::size_t i) const {
+  const Step& step = steps[i];
+  Instruction instr;
+  instr.set_pc(step.pc);
+  const OpTemplate* op = ops.data() + op_start[i];
+  for (std::uint8_t k = 0; k < step.op_count; ++k, ++op)
+    instr.add({op->kind, op->cluster, op->slot, false, 0});
+  return instr;
 }
 
 double SyntheticProgram::expected_ipc_perfect() const {

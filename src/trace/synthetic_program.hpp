@@ -14,8 +14,15 @@
 //  * every loop ends in a (taken) backward branch;
 //  * the fraction of memory operations routed to an always-miss streaming
 //    region is solved from the IPCr target.
+//
+// A built program keeps each static instruction once, as a compact image:
+// per loop, one Step per instruction (exactly what fetch, the merge
+// network and issue read) and the operations' placement packed into one
+// array. The Instructions a loop is built from exist only while it is
+// compiled; Loop::instruction(i) rebuilds one for tools and tests.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -30,12 +37,12 @@ namespace cvmt {
 /// shared_ptr (it is read-only after construction).
 class SyntheticProgram {
  public:
-  /// What the trace generator's hot path needs of one body instruction,
-  /// in 16 bytes instead of the instruction's full template. Its patches
-  /// are the memory ops (which get a data address at emission) and the
-  /// branches (which get a direction), in op order.
-  struct Record {
-    std::uint64_t pc = 0;        ///< unsalted PC of the template
+  /// One static instruction as the window loop reads it. Its patches are
+  /// the memory ops (which get a data address when the instruction
+  /// issues) and the branches (which get a direction), in op order.
+  struct Step {
+    Footprint footprint;         ///< what the merge network sees
+    std::uint64_t pc = 0;        ///< unsalted PC
     std::uint32_t mem_mask = 0;  ///< bit j: patch j is a memory op
                                  ///< (otherwise a branch)
     std::uint8_t op_count = 0;   ///< 0 = bubble
@@ -43,12 +50,21 @@ class SyntheticProgram {
     bool last = false;           ///< the loop-closing instruction
   };
 
+  /// Where an operation sits and what it does. Data addresses and branch
+  /// directions belong to an execution (TraceGenerator), not the program.
+  struct OpTemplate {
+    OpKind kind = OpKind::kAlu;
+    std::uint8_t cluster = 0;
+    std::uint8_t slot = 0;
+  };
+
   /// One scheduled loop.
   struct Loop {
-    std::vector<Instruction> body;      ///< templates; empty = bubble
-    std::vector<Footprint> footprints;  ///< cached per body instruction
-    std::vector<Record> records;        ///< cached per body instruction
-    std::uint64_t code_base = 0;  ///< PC of body[0]
+    std::vector<Step> steps;       ///< one per body instruction
+    std::vector<OpTemplate> ops;   ///< every step's operations, in order
+    /// ops[op_start[i] .. op_start[i] + steps[i].op_count) are step i's.
+    std::vector<std::uint32_t> op_start;
+    std::uint64_t code_base = 0;  ///< PC of the first instruction
     std::uint64_t hot_base = 0;   ///< cache-resident data region base
     std::uint64_t hot_window = 0;
     std::uint64_t cold_base = 0;  ///< streaming always-miss region base
@@ -60,17 +76,28 @@ class SyntheticProgram {
     /// Expected cycles per iteration under perfect memory: instructions +
     /// bubbles + branch squash penalties.
     double expected_cycles_perfect = 0.0;
+
+    /// Body instruction `i` as a template: unsalted PC, placement and
+    /// kinds, no data addresses, no branch taken.
+    [[nodiscard]] Instruction instruction(std::size_t i) const;
+  };
+
+  /// A loop as the VEX-asm loader or a test writes it: the loop-level
+  /// fields (code base, data regions, trips, miss fraction) and the body's
+  /// instructions, each with its PC set. The image and the tallies are
+  /// derived from the body; values the caller put there are ignored.
+  struct LoopSource {
+    Loop loop;
+    std::vector<Instruction> body;
   };
 
   SyntheticProgram(BenchmarkProfile profile, MachineConfig machine);
 
-  /// Constructs directly from pre-built loops. Used by the VEX-asm loader
-  /// (trace/vex_asm.hpp) and by tests that need hand-crafted programs.
-  /// Derived per-loop fields (footprints, records, op totals, expected
-  /// cycles) are recomputed from the bodies; caller-provided values are
-  /// ignored.
+  /// Constructs from hand-written loops (trace/vex_asm.hpp and tests).
+  /// Every instruction is validated against the machine, since the text
+  /// it came from is outside the program's control.
   SyntheticProgram(BenchmarkProfile profile, MachineConfig machine,
-                   std::vector<Loop> loops);
+                   std::vector<LoopSource> loops);
 
   [[nodiscard]] const BenchmarkProfile& profile() const { return profile_; }
   [[nodiscard]] const MachineConfig& machine() const { return machine_; }
@@ -87,5 +114,8 @@ class SyntheticProgram {
   MachineConfig machine_;
   std::vector<Loop> loops_;
 };
+
+static_assert(sizeof(SyntheticProgram::Step) <= 40,
+              "the window loop reads one step per fetched instruction");
 
 }  // namespace cvmt

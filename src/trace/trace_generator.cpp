@@ -1,12 +1,6 @@
 #include "trace/trace_generator.hpp"
 
 namespace cvmt {
-namespace {
-/// Cold streams advance one line per access (guaranteed compulsory miss)
-/// and wrap after 64MB — long evicted by then.
-constexpr std::uint64_t kColdLineBytes = 64;
-constexpr std::uint64_t kColdWrapBytes = 64ULL << 20;
-}  // namespace
 
 TraceGenerator::TraceGenerator(
     std::shared_ptr<const SyntheticProgram> program,
@@ -30,76 +24,30 @@ void TraceGenerator::enter_next_loop() {
   const auto& loops = program_->loops();
   loop_idx_ = rng_.next_below(loops.size());
   loop_ = &loops[loop_idx_];
-  records_ = loop_->records.data();
+  steps_ = loop_->steps.data();
   trips_left_ = rng_.next_trip_count(loop_->mean_trips);
   body_pos_ = 0;
 }
 
-void TraceGenerator::advance() {
-  const SyntheticProgram::Loop& loop = *loop_;
-  const SyntheticProgram::Record& rec = records_[body_pos_];
-
-  cur_fp_ = &loop.footprints[body_pos_];
-  cur_pc_ = rec.pc + address_salt_;
-  cur_op_count_ = rec.op_count;
-  addrs_.clear();
-  taken_mask_ = 0;
-  // Only memory and branch ops (the record's patches) need per-execution
-  // data, drawn in op order so the RNG stream is reproducible.
-  LoopWalk& walk = walks_[loop_idx_];
-  for (unsigned j = 0; j < rec.num_patches; ++j) {
-    if ((rec.mem_mask >> j) & 1u) {
-      // The draw steers a branch on purpose: the cold stream is the rare
-      // outcome (Table 1 loops miss at most 11% of their accesses), so
-      // the branch predicts well, and forming both streams' addresses to
-      // select one by mask measured slower.
-      if (rng_.next_bool(walk.miss)) {
-        addrs_.push_back(loop.cold_base + address_salt_ + walk.cold_cursor);
-        walk.cold_cursor =
-            (walk.cold_cursor + kColdLineBytes) % kColdWrapBytes;
-      } else {
-        // The hot cursor stays in [0, hot_window): same addresses as the
-        // raw-cursor modulo, without the division.
-        addrs_.push_back(loop.hot_base + address_salt_ + walk.hot_cursor);
-        walk.hot_cursor += walk.hot_stride;
-        if (walk.hot_cursor >= loop.hot_window)
-          walk.hot_cursor -= loop.hot_window;
-      }
-    } else if (rec.last || rng_.next_bool(mid_branch_taken_)) {
-      // The loop-closing branch is always taken (back edge or exit
-      // jump); mid-body branches resolve randomly.
-      taken_mask_ |= 1u << j;
-    }
-  }
-
-  ++emitted_;
-  if (rec.last) {
-    body_pos_ = 0;
-    if (--trips_left_ == 0) enter_next_loop();
-  } else {
-    ++body_pos_;
-  }
-}
-
-const Instruction& TraceGenerator::next() {
-  const SyntheticProgram::Loop& loop = *loop_;
-  const std::size_t pos = body_pos_;
-  advance();
-  // Patch the template with what advance() drew, in the same op order.
-  scratch_ = loop.body[pos];
-  scratch_.set_pc(cur_pc_);
-  std::size_t patch = 0;
-  std::size_t next_addr = 0;
-  for (std::size_t i = 0; i < scratch_.op_count(); ++i) {
-    Operation& op = scratch_.op(i);
-    if (is_memory(op.kind)) {
-      op.addr = addrs_[next_addr++];
+Instruction TraceGenerator::next() {
+  Instruction instr = loop_->instruction(body_pos_);
+  instr.set_pc(peek_pc());
+  // retire() hands over the data addresses in op order, one per memory
+  // op, and the directions as a mask over the memory and branch ops.
+  std::size_t mem = 0;
+  const std::uint32_t taken = retire([&](std::uint64_t addr) {
+    while (!is_memory(instr.op(mem).kind)) ++mem;
+    instr.op(mem++).addr = addr;
+  });
+  unsigned patch = 0;
+  for (std::size_t i = 0; i < instr.op_count(); ++i) {
+    Operation& op = instr.op(i);
+    if (is_memory(op.kind))
       ++patch;
-    } else if (op.kind == OpKind::kBranch) {
-      op.taken = ((taken_mask_ >> patch++) & 1u) != 0;
-    }
+    else if (op.kind == OpKind::kBranch)
+      op.taken = ((taken >> patch++) & 1u) != 0;
   }
-  return scratch_;
+  return instr;
 }
 
 }  // namespace cvmt

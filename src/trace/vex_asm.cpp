@@ -147,7 +147,8 @@ std::string dump_program(const SyntheticProgram& program) {
        << " miss=" << format_fixed(loop.miss_frac, 6)
        << " code=" << hex(loop.code_base) << " hot=" << hex(loop.hot_base)
        << "+" << loop.hot_window << " cold=" << hex(loop.cold_base) << "\n";
-    for (const Instruction& instr : loop.body) {
+    for (std::size_t k = 0; k < loop.steps.size(); ++k) {
+      const Instruction instr = loop.instruction(k);
       os << "{ ";
       for (std::size_t i = 0; i < instr.op_count(); ++i) {
         if (i) os << " ; ";
@@ -169,8 +170,8 @@ std::shared_ptr<const SyntheticProgram> parse_program(
   profile.target_ipc_real = 1.0;
   profile.target_ipc_perfect = 1.0;
 
-  std::vector<SyntheticProgram::Loop> loops;
-  SyntheticProgram::Loop current;
+  std::vector<SyntheticProgram::LoopSource> loops;
+  SyntheticProgram::LoopSource current;
   bool in_loop = false;
   bool machine_seen = false;
   std::uint64_t next_pc = 0;
@@ -205,21 +206,22 @@ std::shared_ptr<const SyntheticProgram> parse_program(
     } else if (line.rfind(".loop", 0) == 0) {
       CVMT_CHECK_MSG(!in_loop, "line " + std::to_string(line_no) +
                                    ": nested .loop");
-      current = SyntheticProgram::Loop{};
-      current.mean_trips = lp.field_double("trips");
-      current.miss_frac = lp.field_double("miss");
-      current.code_base = lp.field_u64("code");
+      current = SyntheticProgram::LoopSource{};
+      SyntheticProgram::Loop& loop = current.loop;
+      loop.mean_trips = lp.field_double("trips");
+      loop.miss_frac = lp.field_double("miss");
+      loop.code_base = lp.field_u64("code");
       const std::string hot = lp.field("hot");
       const std::size_t plus = hot.find('+');
       CVMT_CHECK_MSG(plus != std::string::npos,
                      "line " + std::to_string(line_no) +
                          ": hot= needs base+window");
-      current.hot_base = parse_u64_or_die(
+      loop.hot_base = parse_u64_or_die(
           std::string_view(hot).substr(0, plus), line_no, "hot= base");
-      current.hot_window = parse_u64_or_die(
+      loop.hot_window = parse_u64_or_die(
           std::string_view(hot).substr(plus + 1), line_no, "hot= window");
-      current.cold_base = lp.field_u64("cold");
-      next_pc = current.code_base;
+      loop.cold_base = lp.field_u64("cold");
+      next_pc = loop.code_base;
       in_loop = true;
     } else if (line == ".endloop") {
       CVMT_CHECK_MSG(in_loop, "line " + std::to_string(line_no) +

@@ -202,7 +202,7 @@ TEST_P(WindowedRun, WindowedRunMatchesPerCycleSteps) {
       "code=0x10000 hot=0x20000000+4096 cold=0x40000000\n"
       "{ c0.3 br }\n.endloop\n",
       MachineConfig::vex4x4());
-  const Footprint* fp = &probe->loops()[0].footprints[0];
+  const Footprint* fp = &probe->loops()[0].steps[0].footprint;
   const std::array<const Footprint*, kMaxThreads> all = {fp, fp, fp, fp};
 
   Xoshiro256 rng(0xC0DE);

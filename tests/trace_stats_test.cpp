@@ -33,7 +33,7 @@ StreamStats run_stream(const char* name, int n) {
   TraceGenerator gen(program(name), 99);
   StreamStats s;
   for (int i = 0; i < n; ++i) {
-    const Instruction& instr = gen.next();
+    const Instruction instr = gen.next();
     ++s.instructions;
     if (!instr.empty()) ++s.non_bubble;
     s.ops += instr.op_count();
@@ -115,7 +115,7 @@ TEST_P(TraceStatsTest, HotWorkingSetStaysCacheResident) {
   SetAssocCache dcache(CacheConfig{});  // the paper's 64KB 4-way
   std::uint64_t hot_total = 0, hot_miss = 0;
   for (int i = 0; i < 100'000; ++i) {
-    const Instruction& instr = gen.next();
+    const Instruction instr = gen.next();
     for (const Operation& op : instr) {
       if (!is_memory(op.kind)) continue;
       const bool cold = op.addr - gen.address_salt() >= 0x40000000ULL;

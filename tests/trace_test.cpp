@@ -11,6 +11,7 @@
 #include "support/stats.hpp"
 #include "trace/benchmark_suite.hpp"
 #include "trace/trace_generator.hpp"
+#include "trace/vex_asm.hpp"
 
 namespace cvmt {
 namespace {
@@ -70,23 +71,23 @@ TEST(TraceGenerator, ResetReplaysBitIdentically) {
   // same program and seed it reproduces the stream exactly, whatever
   // generators ran before it, including one over another program.
   const auto prog = make_program("mcf");
+  const auto skip = [](std::uint64_t) {};
   TraceGenerator first(prog, 42);
   std::vector<std::uint64_t> pcs;
-  std::vector<const Footprint*> fps;
+  std::vector<const SyntheticProgram::Step*> steps;
   for (int i = 0; i < 500; ++i) {
-    first.advance();
-    pcs.push_back(first.current_pc());
-    fps.push_back(&first.current_footprint());
+    pcs.push_back(first.peek_pc());
+    steps.push_back(&first.peek());
+    (void)first.retire(skip);
   }
   TraceGenerator other(make_program("idct"), 7);
-  for (int i = 0; i < 500; ++i) other.advance();
+  for (int i = 0; i < 500; ++i) (void)other.retire(skip);
   TraceGenerator again(prog, 42);
   EXPECT_EQ(again.address_salt(), first.address_salt());
   for (int i = 0; i < 500; ++i) {
-    again.advance();
-    ASSERT_EQ(again.current_pc(), pcs[static_cast<std::size_t>(i)]) << i;
-    ASSERT_EQ(&again.current_footprint(), fps[static_cast<std::size_t>(i)])
-        << i;
+    ASSERT_EQ(again.peek_pc(), pcs[static_cast<std::size_t>(i)]) << i;
+    ASSERT_EQ(&again.peek(), steps[static_cast<std::size_t>(i)]) << i;
+    (void)again.retire(skip);
   }
 }
 
@@ -96,8 +97,8 @@ TEST(SyntheticProgram, EveryTemplateInstructionIsValid) {
     ASSERT_EQ(static_cast<int>(prog.loops().size()), p.num_loops);
     for (const auto& loop : prog.loops()) {
       EXPECT_GE(loop.real_instrs, 2);
-      for (const Instruction& instr : loop.body)
-        EXPECT_EQ(instr.validate(kM), "") << p.name;
+      for (std::size_t i = 0; i < loop.steps.size(); ++i)
+        EXPECT_EQ(loop.instruction(i).validate(kM), "") << p.name;
     }
   }
 }
@@ -105,7 +106,7 @@ TEST(SyntheticProgram, EveryTemplateInstructionIsValid) {
 TEST(SyntheticProgram, LoopsEndWithABranch) {
   const auto prog = make_program("gsmencode");
   for (const auto& loop : prog->loops()) {
-    const Instruction& last = loop.body.back();
+    const Instruction last = loop.instruction(loop.steps.size() - 1);
     bool has_branch = false;
     for (const Operation& op : last)
       has_branch |= op.kind == OpKind::kBranch;
@@ -114,11 +115,29 @@ TEST(SyntheticProgram, LoopsEndWithABranch) {
 }
 
 TEST(SyntheticProgram, FootprintCacheMatchesBodies) {
+  // Each step caches what the window loop reads of its instruction; it
+  // must agree with the instruction the templates rebuild.
   const auto prog = make_program("djpeg");
   for (const auto& loop : prog->loops()) {
-    ASSERT_EQ(loop.footprints.size(), loop.body.size());
-    for (std::size_t i = 0; i < loop.body.size(); ++i)
-      EXPECT_TRUE(loop.footprints[i] == Footprint::of(loop.body[i], kM));
+    ASSERT_EQ(loop.op_start.size(), loop.steps.size());
+    for (std::size_t i = 0; i < loop.steps.size(); ++i) {
+      const SyntheticProgram::Step& step = loop.steps[i];
+      const Instruction instr = loop.instruction(i);
+      EXPECT_TRUE(step.footprint == Footprint::of(instr, kM));
+      EXPECT_EQ(step.pc, instr.pc());
+      EXPECT_EQ(step.op_count, instr.op_count());
+      EXPECT_EQ(step.last, i + 1 == loop.steps.size());
+      std::uint32_t mem_mask = 0;
+      unsigned patches = 0;
+      for (const Operation& op : instr) {
+        if (is_memory(op.kind))
+          mem_mask |= 1u << patches++;
+        else if (op.kind == OpKind::kBranch)
+          ++patches;
+      }
+      EXPECT_EQ(step.mem_mask, mem_mask);
+      EXPECT_EQ(step.num_patches, patches);
+    }
   }
 }
 
@@ -143,7 +162,7 @@ TEST(SyntheticProgram, HighIlpProgramsAreWider) {
     double ops = 0, instrs = 0;
     for (const auto& loop : p.loops()) {
       ops += static_cast<double>(loop.total_ops);
-      instrs += static_cast<double>(loop.body.size());
+      instrs += static_cast<double>(loop.steps.size());
     }
     return ops / instrs;
   };
@@ -156,9 +175,10 @@ TEST(SyntheticProgram, SameProfileSameProgram) {
   const SyntheticProgram b(profile_by_name("cjpeg"), kM);
   ASSERT_EQ(a.loops().size(), b.loops().size());
   for (std::size_t l = 0; l < a.loops().size(); ++l) {
-    ASSERT_EQ(a.loops()[l].body.size(), b.loops()[l].body.size());
-    for (std::size_t i = 0; i < a.loops()[l].body.size(); ++i)
-      EXPECT_TRUE(a.loops()[l].body[i] == b.loops()[l].body[i]);
+    ASSERT_EQ(a.loops()[l].steps.size(), b.loops()[l].steps.size());
+    for (std::size_t i = 0; i < a.loops()[l].steps.size(); ++i)
+      EXPECT_TRUE(a.loops()[l].instruction(i) ==
+                  b.loops()[l].instruction(i));
   }
 }
 
@@ -166,8 +186,8 @@ TEST(TraceGenerator, DeterministicForSameSeed) {
   const auto prog = make_program("mcf");
   TraceGenerator a(prog, 42), b(prog, 42);
   for (int i = 0; i < 5000; ++i) {
-    const Instruction& ia = a.next();
-    const Instruction& ib = b.next();
+    const Instruction ia = a.next();
+    const Instruction ib = b.next();
     ASSERT_TRUE(ia == ib) << "diverged at " << i;
   }
 }
@@ -186,8 +206,8 @@ TEST(TraceGenerator, CopyResumesIdentically) {
   for (int i = 0; i < 1234; ++i) a.next();
   TraceGenerator b = a;  // snapshot mid-loop
   for (int i = 0; i < 2000; ++i) {
-    const Instruction& ia = a.next();
-    const Instruction& ib = b.next();
+    const Instruction ia = a.next();
+    const Instruction ib = b.next();
     ASSERT_TRUE(ia == ib) << "diverged at " << i;
   }
 }
@@ -203,8 +223,9 @@ TEST(TraceGenerator, FootprintMatchesEmittedInstruction) {
   const auto prog = make_program("imgpipe");
   TraceGenerator gen(prog, 4);
   for (int i = 0; i < 2000; ++i) {
-    const Instruction& instr = gen.next();
-    EXPECT_TRUE(gen.current_footprint() == Footprint::of(instr, kM));
+    const Footprint fp = gen.peek().footprint;
+    const Instruction instr = gen.next();
+    EXPECT_TRUE(fp == Footprint::of(instr, kM));
   }
 }
 
@@ -220,7 +241,7 @@ TEST(TraceGenerator, MemOpsCarryAddressesInTheRightRegions) {
   TraceGenerator gen(prog, 6);
   int hot = 0, cold = 0;
   for (int i = 0; i < 20000; ++i) {
-    const Instruction& instr = gen.next();
+    const Instruction instr = gen.next();
     for (const Operation& op : instr) {
       if (!is_memory(op.kind)) continue;
       EXPECT_NE(op.addr, 0u);
@@ -275,21 +296,69 @@ void fnv1a_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// Digest of the first `count` instructions `advance()` emits: each
+/// Digest of the first `count` instructions the generator retires: each
 /// contributes its PC, each data address, its taken flag and its op count.
 std::uint64_t stream_digest(const char* program, std::uint64_t seed,
                             int count) {
   TraceGenerator gen(make_program(program), seed);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (int i = 0; i < count; ++i) {
-    gen.advance();
-    fnv1a_mix(h, gen.current_pc());
-    for (const std::uint64_t addr : gen.current_addresses())
-      fnv1a_mix(h, addr);
-    fnv1a_mix(h, gen.current_taken() ? 1 : 0);
-    fnv1a_mix(h, static_cast<std::uint64_t>(gen.current_op_count()));
+    const SyntheticProgram::Step& step = gen.peek();
+    fnv1a_mix(h, gen.peek_pc());
+    const bool taken =
+        gen.retire([&](std::uint64_t addr) { fnv1a_mix(h, addr); }) != 0;
+    fnv1a_mix(h, taken ? 1 : 0);
+    fnv1a_mix(h, step.op_count);
   }
   return h;
+}
+
+/// Checks that next() patches what peek() and retire() report over
+/// `count` instructions of two generators with the same seed.
+void expect_next_matches_retire(
+    const std::shared_ptr<const SyntheticProgram>& prog, int count) {
+  TraceGenerator by_next(prog, 17), by_retire(prog, 17);
+  for (int i = 0; i < count; ++i) {
+    const Instruction instr = by_next.next();
+    ASSERT_EQ(instr.pc(), by_retire.peek_pc()) << i;
+    ASSERT_EQ(instr.op_count(), by_retire.peek().op_count) << i;
+    std::vector<std::uint64_t> addrs;
+    const std::uint32_t taken = by_retire.retire(
+        [&](std::uint64_t addr) { addrs.push_back(addr); });
+    std::size_t mem = 0;
+    unsigned patch = 0;
+    for (const Operation& op : instr) {
+      if (is_memory(op.kind)) {
+        ASSERT_LT(mem, addrs.size()) << i;
+        EXPECT_EQ(op.addr, addrs[mem++]) << i;
+        ++patch;
+      } else if (op.kind == OpKind::kBranch) {
+        EXPECT_EQ(op.taken, ((taken >> patch++) & 1u) != 0) << i;
+      } else {
+        EXPECT_EQ(op.addr, 0u) << i;
+        EXPECT_FALSE(op.taken) << i;
+      }
+    }
+    EXPECT_EQ(mem, addrs.size()) << i;
+  }
+  EXPECT_EQ(by_next.instructions_emitted(), by_retire.instructions_emitted());
+}
+
+TEST(TraceGenerator, NextPatchesWhatRetireDraws) {
+  // next() is built on peek() and retire(), so both ways of reading the
+  // stream see the same draws; this pins how next() writes them back.
+  for (const BenchmarkProfile& p : table1_profiles())
+    expect_next_matches_retire(make_program(p.name.c_str()), 3000);
+  // Hand-written code may hold one branch per cluster in one
+  // instruction; each gets its own direction.
+  expect_next_matches_retire(
+      parse_program(".machine clusters=4 issue=4\n.midtaken 0.5\n"
+                    ".loop trips=3 miss=0.5 code=0x10000 "
+                    "hot=0x20000000+4096 cold=0x40000000\n"
+                    "{ c0.3 br ; c0.2 ld ; c1.3 br ; c1.2 st }\n"
+                    "{ c2.2 ld ; c0.3 br }\n.endloop\n",
+                    kM),
+      3000);
 }
 
 TEST(TraceGenerator, StreamDigestsArePinnedDrawForDraw) {
@@ -346,7 +415,8 @@ TEST(TraceGenerator, ClusterHomesVaryAcrossLoops) {
   std::map<std::uint32_t, int> mask_census;
   for (const auto& loop : prog->loops()) {
     std::uint32_t combined = 0;
-    for (const auto& fp : loop.footprints) combined |= fp.cluster_mask();
+    for (const auto& step : loop.steps)
+      combined |= step.footprint.cluster_mask();
     ++mask_census[combined];
   }
   // At least two distinct home-cluster patterns across the 12 loops.

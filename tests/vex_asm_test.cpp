@@ -46,13 +46,14 @@ TEST(VexAsm, ParsesHandWrittenProgram) {
   EXPECT_EQ(prog->profile().name, "mini");
   ASSERT_EQ(prog->loops().size(), 2u);
   const auto& l0 = prog->loops()[0];
-  EXPECT_EQ(l0.body.size(), 3u);
+  EXPECT_EQ(l0.steps.size(), 3u);
   EXPECT_EQ(l0.real_instrs, 2);
   EXPECT_EQ(l0.total_ops, 3);
   EXPECT_EQ(l0.mem_ops, 1);
   EXPECT_DOUBLE_EQ(l0.mean_trips, 10.0);
   EXPECT_EQ(l0.code_base, 0x10000u);
-  EXPECT_EQ(l0.body[1].op_count(), 0u);  // the bubble
+  EXPECT_EQ(l0.steps[1].op_count, 0u);  // the bubble
+  EXPECT_EQ(l0.instruction(1).op_count(), 0u);
   // cycles = 3 instructions + 2 taken-branch penalty.
   EXPECT_DOUBLE_EQ(l0.expected_cycles_perfect, 5.0);
   const auto& l1 = prog->loops()[1];
@@ -130,8 +131,8 @@ TEST(VexAsm, ReparsedProgramSimulatesIdentically) {
   // Same stream seed => identical dynamic streams.
   TraceGenerator a(original, 11), b(reparsed, 11);
   for (int i = 0; i < 4000; ++i) {
-    const Instruction& ia = a.next();
-    const Instruction& ib = b.next();
+    const Instruction ia = a.next();
+    const Instruction ib = b.next();
     ASSERT_TRUE(ia == ib) << "diverged at " << i;
   }
 }
