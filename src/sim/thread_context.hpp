@@ -85,9 +85,11 @@ class ThreadContext {
     return cycle >= ready_at_ ? &pending_->footprint : nullptr;
   }
 
-  /// Issues the previously offered instruction: accounts statistics,
-  /// performs DCache accesses and computes the next-issue stall. Returns
-  /// the instruction's operation count (0 for a bubble).
+  /// Issues the previously offered instruction: retires it in the
+  /// generator, which draws its data addresses and branch directions,
+  /// performs each DCache access as its address is drawn, accounts
+  /// statistics and computes the next-issue stall. Returns the
+  /// instruction's operation count (0 for a bubble).
   int consume(std::uint64_t cycle, MemorySystem& mem, int hw_tid,
               const StallCosts& costs);
 
@@ -125,9 +127,9 @@ class ThreadContext {
   std::uint64_t budget_;
 
   bool done_ = false;
-  /// The fetched instruction, null until the next refill(): the step
-  /// under the generator's cursor (it moves only when consume() retires
-  /// it), in the shared immutable program.
+  /// The fetched instruction, null from consume() to the next refill():
+  /// the step under the generator's cursor (it moves only when consume()
+  /// retires it), in the shared immutable program.
   const SyntheticProgram::Step* pending_ = nullptr;
   std::uint64_t ready_at_ = 0;
 
