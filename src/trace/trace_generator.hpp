@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "isa/footprint.hpp"
 #include "support/rng.hpp"
 #include "trace/synthetic_program.hpp"
 
@@ -68,7 +67,6 @@ class TraceGenerator {
   [[nodiscard]] std::uint64_t instructions_emitted() const {
     return emitted_;
   }
-  [[nodiscard]] const SyntheticProgram& program() const { return *program_; }
 
   /// The address-space offset this execution adds to every PC and data
   /// address (models separate address spaces in shared caches). Tools can
@@ -129,7 +127,7 @@ std::uint32_t TraceGenerator::retire(OnAddress&& on_address) {
       // outcome (Table 1 loops miss at most 11% of their accesses), so
       // the branch predicts well, and forming both streams' addresses to
       // select one by mask measured slower.
-      std::uint64_t addr;
+      std::uint64_t addr = 0;
       if (rng_.next_bool(walk.miss)) {
         addr = loop.cold_base + address_salt_ + walk.cold_cursor;
         walk.cold_cursor =
