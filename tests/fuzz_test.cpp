@@ -209,11 +209,12 @@ JsonValue with_int(const JsonValue& v, std::span<const std::string> path,
 }
 
 TEST(CaseGenTest, IntegersThatDoNotFitTheirFieldAreRejectedOnLoad) {
-  // Each integer is checked against its field's type before the cast:
-  // raised by 2^32, an int or uint32 field used to wrap back to the value
-  // it was raised from and replay "ok", and a negative size or count
-  // wrapped to a huge unsigned one. Seeds are the one exception: to_json
-  // writes them as the int64 with their bit pattern.
+  // Each integer is checked against its field's type before the cast.
+  // Unchecked, an int or uint32 field raised by 2^32 would wrap back to
+  // the value it was raised from and the case would replay "ok", and a
+  // negative size or count would wrap to a huge unsigned one. Seeds are
+  // the one exception: to_json writes them as the int64 with their bit
+  // pattern.
   JsonValue base = generate_case(1).to_json();
   base = with_int(base, std::vector<std::string>{"sim", "mem",
                                                  "bank_conflict_penalty"},
