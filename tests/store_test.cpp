@@ -205,6 +205,61 @@ TEST(Store, CorruptChecksumStopsTheScanAtTheLastGoodRecord) {
   EXPECT_EQ(tail.good_bytes, encode_record("good", r).size());
 }
 
+// Every way a crash or a bad disk can damage a 3-record log: each prefix
+// keeps exactly the records that end inside it, and each single-byte
+// flip stops the scan at the start of the record that holds the byte (a
+// changed byte always changes FNV-1a over the same length, and a changed
+// header misframes the record or fails its checksum).
+TEST(Store, EveryTruncationAndEveryByteFlipScansToTheIntactPrefix) {
+  const std::string dir = fresh_dir("every_cut");
+  const std::string path = shard_log_path(dir, 0, 1);
+  std::vector<std::uint64_t> ends;  // file offset after each record
+  {
+    ShardLogWriter w(path);
+    for (int i = 0; i < 3; ++i) {
+      JsonValue r = JsonValue::object();
+      r.set("cycles", 1000 + i);
+      r.set("scheme", std::string(static_cast<std::size_t>(i) + 1, 'x'));
+      w.append("key-" + std::to_string(i), r);  // flushes the record
+      ends.push_back(std::filesystem::file_size(path));
+    }
+  }
+  const std::string full = read_file(path);
+  ASSERT_EQ(full.size(), ends.back());
+  const auto write_log = [&](const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  };
+
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    write_log(full.substr(0, cut));
+    const LogScan scan = scan_log(path);
+    std::size_t intact = 0;
+    std::uint64_t good = 0;
+    for (const std::uint64_t end : ends)
+      if (end <= cut) {
+        ++intact;
+        good = end;
+      }
+    EXPECT_EQ(scan.records.size(), intact) << "cut at " << cut;
+    EXPECT_EQ(scan.good_bytes, good) << "cut at " << cut;
+    EXPECT_EQ(scan.torn, good != cut) << "cut at " << cut;
+  }
+
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    std::string bytes = full;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    write_log(bytes);
+    const LogScan scan = scan_log(path);
+    std::size_t holder = 0;  // the record that holds byte `at`
+    while (ends[holder] <= at) ++holder;
+    const std::uint64_t start = holder == 0 ? 0 : ends[holder - 1];
+    EXPECT_EQ(scan.records.size(), holder) << "flip at " << at;
+    EXPECT_EQ(scan.good_bytes, start) << "flip at " << at;
+    EXPECT_TRUE(scan.torn) << "flip at " << at;
+  }
+}
+
 // --- the SimResult JSON round trip ----------------------------------------
 
 TEST(Store, SimResultJsonRoundTripIsBitExact) {
