@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -29,8 +30,9 @@ ShardSpec parse_shard_spec(const std::string& spec) {
       slash != std::string::npos &&
       parse_u64_token(spec.substr(0, slash), index) &&
       parse_u64_token(spec.substr(slash + 1), count) && count >= 1 &&
-      count <= 4096 && index < count;
-  CVMT_REQUIRE(ok, "--shard must be k/n with 0 <= k < n <= 4096, got '" +
+      count <= kMaxShards && index < count;
+  CVMT_REQUIRE(ok, "--shard must be k/n with 0 <= k < n <= " +
+                       std::to_string(kMaxShards) + ", got '" +
                        excerpt(spec) + "'");
   return ShardSpec{static_cast<unsigned>(index),
                    static_cast<unsigned>(count)};
@@ -290,10 +292,10 @@ std::uint64_t get_le(const char* p, int bytes) {
 
 }  // namespace
 
-std::string encode_record(const std::string& key, const JsonValue& result) {
+std::string encode_record(const std::string& key, JsonValue result) {
   JsonValue payload = JsonValue::object();
   payload.set("key", key);
-  payload.set("result", result);
+  payload.set("result", std::move(result));
   const std::string body = payload.dump(-1);
   std::string out;
   out.reserve(kHeaderBytes + body.size());
@@ -304,44 +306,54 @@ std::string encode_record(const std::string& key, const JsonValue& result) {
   return out;
 }
 
-LogScan scan_log(const std::string& path) {
+LogScan scan_log(const std::string& path, const RecordVisitor& on_record) {
   LogScan scan;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) return scan;  // absent log = empty log
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
+  const std::streamoff end = in.tellg();
+  const std::uint64_t size = end > 0 ? static_cast<std::uint64_t>(end) : 0;
+  in.seekg(0);
 
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < kHeaderBytes ||
-        bytes.compare(off, sizeof kMagic, kMagic, sizeof kMagic) != 0)
+  char header[kHeaderBytes];
+  std::string body;  // one record's payload, reused
+  std::uint64_t off = 0;
+  while (off < size) {
+    if (size - off < kHeaderBytes || !in.read(header, kHeaderBytes) ||
+        std::memcmp(header, kMagic, sizeof kMagic) != 0)
       break;
-    const std::uint64_t len = get_le(bytes.data() + off + 4, 4);
-    const std::uint64_t sum = get_le(bytes.data() + off + 8, 8);
-    if (len > kMaxPayloadBytes || bytes.size() - off - kHeaderBytes < len)
+    const std::uint64_t len = get_le(header + 4, 4);
+    const std::uint64_t sum = get_le(header + 8, 8);
+    // Against the bytes left, before the buffer grows: a torn header
+    // must not allocate what its length field claims.
+    if (len > kMaxPayloadBytes || size - off - kHeaderBytes < len) break;
+    body.resize(static_cast<std::size_t>(len));
+    if (!in.read(body.data(), static_cast<std::streamsize>(len)) ||
+        fnv1a64(body) != sum)
       break;
-    const std::string_view body(bytes.data() + off + kHeaderBytes,
-                                static_cast<std::size_t>(len));
-    if (fnv1a64(body) != sum) break;
-    StoreRecord rec;
+    JsonValue payload;
+    const std::string* key = nullptr;
+    const JsonValue* result = nullptr;
     try {
-      JsonValue payload = JsonValue::parse(body);
-      rec.key = payload.get("key").as_string();
-      rec.result = payload.get("result");
+      payload = JsonValue::parse(body);
+      key = &payload.get("key").as_string();
+      result = &payload.get("result");
     } catch (const CheckError&) {
       break;  // checksummed but unparsable: treat as torn, same as above
     }
-    scan.records.push_back(std::move(rec));
-    off += kHeaderBytes + static_cast<std::size_t>(len);
+    if (on_record) on_record(*key, *result);
+    ++scan.records;
+    off += kHeaderBytes + len;
   }
   scan.good_bytes = off;
-  scan.torn = off != bytes.size();
+  scan.torn = off != size;
   return scan;
 }
 
-ShardLogWriter::ShardLogWriter(std::string path) : path_(std::move(path)) {
-  const LogScan scan = scan_log(path_);
+ShardLogWriter::ShardLogWriter(std::string path)
+    : ShardLogWriter(path, scan_log(path)) {}
+
+ShardLogWriter::ShardLogWriter(std::string path, const LogScan& scan)
+    : path_(std::move(path)) {
   if (scan.torn) {
     std::fprintf(stderr,
                  "cvmt store: %s: discarding torn tail after %llu intact "
@@ -355,19 +367,22 @@ ShardLogWriter::ShardLogWriter(std::string path) : path_(std::move(path)) {
                  "store: cannot open shard log for append: " + path_);
 }
 
-void ShardLogWriter::append(const std::string& key,
-                            const JsonValue& result) {
-  const std::string record = encode_record(key, result);
+void ShardLogWriter::append(const std::string& key, JsonValue result) {
+  const std::string record = encode_record(key, std::move(result));
   out_.write(record.data(),
              static_cast<std::streamsize>(record.size()));
   out_.flush();
   CVMT_CHECK_MSG(out_.good(), "store: error appending to " + path_);
 }
 
+std::string shard_log_name(unsigned index, unsigned count) {
+  return "shard-" + std::to_string(index) + "-of-" + std::to_string(count) +
+         ".log";
+}
+
 std::string shard_log_path(const std::string& dir, unsigned index,
                            unsigned count) {
-  return dir + "/shard-" + std::to_string(index) + "-of-" +
-         std::to_string(count) + ".log";
+  return dir + "/" + shard_log_name(index, count);
 }
 
 std::vector<std::string> list_shard_logs(const std::string& dir) {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,11 @@ struct ShardSpec {
   unsigned count = 1;
 };
 
-/// Parses the --shard argument "k/n" (k in [0, n), n in [1, 4096]).
+/// The most shards one sweep may split into, for --shard and for a
+/// store manifest's "shards" alike.
+inline constexpr unsigned kMaxShards = 4096;
+
+/// Parses the --shard argument "k/n" (k in [0, n), n in [1, kMaxShards]).
 /// Throws CheckError on anything else — a malformed shard spec must not
 /// silently become "the whole grid".
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& spec);
@@ -70,40 +75,47 @@ struct ShardSpec {
 [[nodiscard]] JsonValue sim_result_to_json(const SimResult& r);
 [[nodiscard]] SimResult sim_result_from_json(const JsonValue& v);
 
-/// One decoded log record.
-struct StoreRecord {
-  std::string key;
-  JsonValue result;
-};
-
 /// Encodes one record: magic "CVS1", u32 payload length, u64 FNV-1a of
 /// the payload (all little-endian), then the payload (compact JSON
-/// {"key":..., "result":...}).
+/// {"key":..., "result":...}). `result` moves into the payload.
 [[nodiscard]] std::string encode_record(const std::string& key,
-                                        const JsonValue& result);
+                                        JsonValue result);
 
 /// Outcome of scanning one shard log.
 struct LogScan {
-  std::vector<StoreRecord> records;  ///< every intact record, in order
-  std::uint64_t good_bytes = 0;      ///< file offset after the last one
-  bool torn = false;                 ///< trailing bytes were not a record
+  std::uint64_t records = 0;     ///< intact records, each one visited
+  std::uint64_t good_bytes = 0;  ///< file offset after the last one
+  bool torn = false;             ///< trailing bytes were not a record
 };
 
-/// Decodes `path` front to back, stopping at the first record that is
-/// short, misframed or fails its checksum (`torn` set, `good_bytes` at
-/// the last intact boundary). A missing file is an empty, untorn log.
-[[nodiscard]] LogScan scan_log(const std::string& path);
+/// Receives one intact record of a scan. The key and the result live
+/// only for the call; a throw ends the scan and leaves through scan_log.
+using RecordVisitor =
+    std::function<void(const std::string& key, const JsonValue& result)>;
 
-/// Append-only writer for one shard's log. On open, the existing file is
-/// scanned and truncated to its last intact record boundary, so a tail
-/// torn by a crash is discarded before anything new lands after it.
-/// append() flushes per record; callers serialise access (the SweepStore
-/// holds the lock).
+/// Reads `path` front to back one record at a time, into one reused
+/// buffer, and hands each intact record to `on_record`. The scan stops at
+/// the first record that is short, misframed or fails its checksum, or
+/// whose payload is not a JSON {"key", "result"} object (`torn` set,
+/// `good_bytes` at the last intact boundary). A record's length is
+/// checked against the bytes left in the file before anything is
+/// allocated for it, so a torn header costs no memory. A missing file is
+/// an empty, untorn log.
+[[nodiscard]] LogScan scan_log(const std::string& path,
+                               const RecordVisitor& on_record = {});
+
+/// Append-only writer for one shard's log. On open, a tail torn by a
+/// crash is truncated to the last intact record boundary, so it is
+/// discarded before anything new lands after it. append() flushes per
+/// record; callers serialise access (the SweepStore holds the lock).
 class ShardLogWriter {
  public:
+  /// Scans `path` itself, then opens it as below.
   explicit ShardLogWriter(std::string path);
+  /// Opens `path` with `scan`, the caller's scan_log of the same file.
+  ShardLogWriter(std::string path, const LogScan& scan);
 
-  void append(const std::string& key, const JsonValue& result);
+  void append(const std::string& key, JsonValue result);
 
   [[nodiscard]] const std::string& path() const { return path_; }
 
@@ -111,6 +123,9 @@ class ShardLogWriter {
   std::string path_;
   std::ofstream out_;
 };
+
+/// The file name of shard `index` of `count`'s log.
+[[nodiscard]] std::string shard_log_name(unsigned index, unsigned count);
 
 /// The log file of shard `index` of `count` inside the store directory.
 [[nodiscard]] std::string shard_log_path(const std::string& dir,

@@ -72,7 +72,9 @@ class SweepStore {
   SweepStore(Mode mode, std::string dir, ShardSpec shard,
              JsonValue manifest);
 
-  void load_logs();
+  /// Loads every shard log in the directory and returns the scan of the
+  /// one named `own_log`, so the writer need not read it again.
+  LogScan load_logs(std::string_view own_log);
 
   const Mode mode_;
   const std::string dir_;

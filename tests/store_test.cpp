@@ -1,10 +1,13 @@
 // The on-disk result store behind sharded, resumable sweeps: record
-// framing and torn-tail recovery, the lossless SimResult JSON round trip,
-// deterministic shard partitioning, resume-without-recompute (pinned by a
-// compute-call counter), replay's missing-point diagnostics, and the
-// end-to-end byte-identity contract — shard + merge reproduces the
-// unsharded `cvmt run --format=json` bytes exactly.
+// framing and torn-tail recovery (every truncation, every byte flip, a
+// length beyond the file), the memory a store's open holds, the lossless
+// SimResult JSON round trip, deterministic shard partitioning,
+// resume-without-recompute (pinned by a compute-call counter), replay's
+// missing-point diagnostics, and the end-to-end byte-identity contract —
+// shard + merge reproduces the unsharded `cvmt run --format=json` bytes
+// exactly.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -55,6 +58,27 @@ std::vector<BatchJob> small_grid(StatsLevel stats = StatsLevel::kFast) {
     for (const Workload& w : table2_workloads())
       jobs.push_back(make_job(Scheme::parse(name), w, sim));
   return jobs;
+}
+
+/// One record as the scan's visitor saw it, copied out of the call.
+struct SeenRecord {
+  std::string key;
+  JsonValue result;
+};
+
+/// scan_log, with every record it visits copied into `seen` in order.
+LogScan scan_into(const std::string& path, std::vector<SeenRecord>& seen) {
+  seen.clear();
+  return scan_log(path, [&](const std::string& key, const JsonValue& result) {
+    seen.push_back({key, result});
+  });
+}
+
+/// This process's peak resident set so far, in KB.
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
 }
 
 /// The manifest the driver would install for this test's parameters.
@@ -138,17 +162,20 @@ TEST(Store, LogRoundTripsRecordsAndDetectsTornTail) {
     w.append("key-one", r1);
     w.append("key-two", r2);
   }
-  const LogScan intact = scan_log(path);
-  ASSERT_EQ(intact.records.size(), 2u);
+  std::vector<SeenRecord> seen;
+  const LogScan intact = scan_into(path, seen);
+  EXPECT_EQ(intact.records, 2u);
   EXPECT_FALSE(intact.torn);
   EXPECT_EQ(intact.good_bytes, std::filesystem::file_size(path));
-  EXPECT_EQ(intact.records[0].key, "key-one");
-  EXPECT_EQ(intact.records[1].key, "key-two");
-  EXPECT_EQ(intact.records[1].result.get("cycles").as_int(), 456);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].key, "key-one");
+  EXPECT_EQ(seen[1].key, "key-two");
+  EXPECT_EQ(seen[1].result.get("cycles").as_int(), 456);
 
   // A missing file is an empty, untorn log.
-  const LogScan missing = scan_log(dir + "/no-such.log");
-  EXPECT_TRUE(missing.records.empty());
+  const LogScan missing = scan_into(dir + "/no-such.log", seen);
+  EXPECT_EQ(missing.records, 0u);
+  EXPECT_TRUE(seen.empty());
   EXPECT_FALSE(missing.torn);
 
   // SIGKILL mid-append: only a prefix of the last record made it out.
@@ -157,21 +184,23 @@ TEST(Store, LogRoundTripsRecordsAndDetectsTornTail) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << full.substr(0, full.size() - 5);
   }
-  const LogScan torn = scan_log(path);
-  ASSERT_EQ(torn.records.size(), 1u);
+  const LogScan torn = scan_into(path, seen);
+  EXPECT_EQ(torn.records, 1u);
   EXPECT_TRUE(torn.torn);
-  EXPECT_EQ(torn.records[0].key, "key-one");
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].key, "key-one");
 
   // Reopening the writer truncates the torn tail before appending.
   {
     ShardLogWriter w(path);
     w.append("key-three", r2);
   }
-  const LogScan recovered = scan_log(path);
-  ASSERT_EQ(recovered.records.size(), 2u);
+  const LogScan recovered = scan_into(path, seen);
+  EXPECT_EQ(recovered.records, 2u);
   EXPECT_FALSE(recovered.torn);
-  EXPECT_EQ(recovered.records[0].key, "key-one");
-  EXPECT_EQ(recovered.records[1].key, "key-three");
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].key, "key-one");
+  EXPECT_EQ(seen[1].key, "key-three");
 }
 
 TEST(Store, CorruptChecksumStopsTheScanAtTheLastGoodRecord) {
@@ -190,17 +219,19 @@ TEST(Store, CorruptChecksumStopsTheScanAtTheLastGoodRecord) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << bytes;
   }
-  const LogScan scan = scan_log(path);
-  ASSERT_EQ(scan.records.size(), 1u);
+  std::vector<SeenRecord> seen;
+  const LogScan scan = scan_into(path, seen);
+  EXPECT_EQ(scan.records, 1u);
   EXPECT_TRUE(scan.torn);
-  EXPECT_EQ(scan.records[0].key, "good");
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].key, "good");
   // Garbage appended after intact records is likewise quarantined.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << encode_record("good", r) << "XYZ";
   }
   const LogScan tail = scan_log(path);
-  ASSERT_EQ(tail.records.size(), 1u);
+  EXPECT_EQ(tail.records, 1u);
   EXPECT_TRUE(tail.torn);
   EXPECT_EQ(tail.good_bytes, encode_record("good", r).size());
 }
@@ -241,7 +272,7 @@ TEST(Store, EveryTruncationAndEveryByteFlipScansToTheIntactPrefix) {
         ++intact;
         good = end;
       }
-    EXPECT_EQ(scan.records.size(), intact) << "cut at " << cut;
+    EXPECT_EQ(scan.records, intact) << "cut at " << cut;
     EXPECT_EQ(scan.good_bytes, good) << "cut at " << cut;
     EXPECT_EQ(scan.torn, good != cut) << "cut at " << cut;
   }
@@ -254,10 +285,66 @@ TEST(Store, EveryTruncationAndEveryByteFlipScansToTheIntactPrefix) {
     std::size_t holder = 0;  // the record that holds byte `at`
     while (ends[holder] <= at) ++holder;
     const std::uint64_t start = holder == 0 ? 0 : ends[holder - 1];
-    EXPECT_EQ(scan.records.size(), holder) << "flip at " << at;
+    EXPECT_EQ(scan.records, holder) << "flip at " << at;
     EXPECT_EQ(scan.good_bytes, start) << "flip at " << at;
     EXPECT_TRUE(scan.torn) << "flip at " << at;
   }
+}
+
+// A torn header can claim any length up to the 1 GiB framing bound. The
+// scan compares it with the bytes left in the file before it sizes its
+// buffer; without that check this log would allocate and zero 1 GiB.
+TEST(Store, ALengthBeyondTheFileIsTornWithoutAllocatingIt) {
+  const std::string dir = fresh_dir("huge_length");
+  const std::string path = shard_log_path(dir, 0, 1);
+  JsonValue r = JsonValue::object();
+  r.set("cycles", 1);
+  const std::string good = encode_record("good", r);
+  std::string bytes = good + "CVS1";
+  const std::uint32_t claimed = (1u << 30) - 1;
+  for (int i = 0; i < 4; ++i)
+    bytes.push_back(static_cast<char>(claimed >> (8 * i)));
+  bytes.append(8, '\0');  // the checksum
+  bytes += "abc";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  const long before_kb = peak_rss_kb();
+  const LogScan scan = scan_log(path);
+  const long grown_kb = peak_rss_kb() - before_kb;
+  EXPECT_EQ(scan.records, 1u);
+  EXPECT_EQ(scan.good_bytes, good.size());
+  EXPECT_TRUE(scan.torn);
+  EXPECT_LT(grown_kb, 64 * 1024);
+}
+
+// Opening a store decodes each record as it is read and drops its JSON,
+// so what an open holds grows with the decoded points, not with the log:
+// one real result logged under 4,000 keys makes a log of about 5.6 MB,
+// whose records held as JSON trees would take about 58 MB.
+TEST(Store, OpeningAStoreHoldsOneRecordsJsonAtATime) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer keeps freed memory resident";
+#endif
+  const std::string dir = fresh_dir("many_records");
+  write_or_check_manifest(dir, test_manifest(1));
+  std::vector<BatchJob> jobs = small_grid(StatsLevel::kFull);
+  jobs.resize(1);
+  const SimResult r = run_batch(jobs, {.workers = 1}).front();
+  constexpr std::size_t kPoints = 4000;
+  {
+    ShardLogWriter w(shard_log_path(dir, 0, 1));
+    for (std::size_t i = 0; i < kPoints; ++i)
+      w.append("point-" + std::to_string(i), sim_result_to_json(r));
+  }
+  const long before_kb = peak_rss_kb();
+  const auto store = SweepStore::open_merge(dir);
+  const long grown_kb = peak_rss_kb() - before_kb;
+  EXPECT_EQ(store->loaded_points(), kPoints);
+  EXPECT_LT(grown_kb, 24 * 1024)
+      << "log of " << std::filesystem::file_size(shard_log_path(dir, 0, 1))
+      << " bytes";
 }
 
 // --- the SimResult JSON round trip ----------------------------------------
@@ -412,6 +499,45 @@ TEST(Store, PointsFromOtherShardsAreResumedNotRecomputed) {
     });
   }
   EXPECT_EQ(recomputed_shard0_points, 0u);
+}
+
+// Resume after a torn tail, through a store path spelled DIR/: the own
+// log is found in the directory listing by file name, so the torn record
+// is truncated before the recomputed point is appended. Were it matched
+// by path string (DIR//shard-... against DIR/shard-...), the append would
+// land after the torn bytes and the merge would miss that point.
+TEST(Store, ATornTailResumedThroughATrailingSlashIsTruncatedFirst) {
+  const std::string dir = fresh_dir("slash");
+  const std::vector<BatchJob> jobs = small_grid();
+  const std::vector<SimResult> reference = run_batch(jobs, {.workers = 1});
+  const auto run_shard = [&](const std::string& store_dir, unsigned k) {
+    auto store = SweepStore::open_shard(store_dir, ShardSpec{k, 2},
+                                        test_manifest(2));
+    BatchOptions opts;
+    opts.workers = 1;
+    opts.store = store.get();
+    (void)run_batch(jobs, opts);
+    return store->counters();
+  };
+  (void)run_shard(dir, 0);
+  (void)run_shard(dir, 1);
+  const std::string log = shard_log_path(dir, 1, 2);
+  const std::string finished = read_file(log);
+  std::filesystem::resize_file(log, finished.size() - 5);
+  ASSERT_TRUE(scan_log(log).torn);
+
+  EXPECT_EQ(run_shard(dir + "/", 1).computed, 1u);
+  // Truncated, then the same point appended again: the finished bytes.
+  EXPECT_EQ(read_file(log), finished);
+
+  auto merged = SweepStore::open_merge(dir);
+  BatchOptions opts;
+  opts.workers = 1;
+  opts.store = merged.get();
+  const std::vector<SimResult> replayed = run_batch(jobs, opts);
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(compare_sim_results(replayed[i], reference[i], true), "");
+  EXPECT_EQ(merged->counters().replayed, jobs.size());
 }
 
 TEST(Store, ReplayOfAnIncompleteStoreNamesTheResumeCommand) {
@@ -587,6 +713,39 @@ TEST(StoreCli, MergeOfAPartialStoreFailsWithTheResumeCommand) {
   EXPECT_NE(err.find("--shard"), std::string::npos) << err;
 }
 
+// The manifest's shard count is checked before it narrows to unsigned:
+// on a store whose logs hold every point, a missing, non-integer or
+// out-of-range count is a usage error that names the field, never a
+// broken invariant or a run.
+TEST(StoreCli, MergeRejectsAManifestShardCountOutOfRange) {
+  const std::string store = fresh_dir("cli_shards") + "/store";
+  ASSERT_EQ(run_cli({"cvmt", "run", "fig4", "--budget=10000",
+                     "--timeslice=2500", "--store=" + store}),
+            0);
+  const std::string path = store + "/manifest.json";
+  const std::string manifest = read_file(path);
+  const std::string field = "\"shards\": 1";
+  const std::size_t at = manifest.find(field);
+  ASSERT_NE(at, std::string::npos) << manifest;
+  ASSERT_EQ(run_cli({"cvmt", "merge", "--store=" + store}), 0);
+  for (const char* edit :
+       {"\"shards\": 0", "\"shards\": -1", "\"shards\": 4294967298",
+        "\"shards\": \"1\"", "\"shardz\": 1"}) {
+    std::string edited = manifest;
+    edited.replace(at, field.size(), edit);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << edited;
+    }
+    testing::internal::CaptureStderr();
+    const int code = run_cli({"cvmt", "merge", "--store=" + store});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << edit;
+    EXPECT_NE(err.find("\"shards\""), std::string::npos) << err;
+    EXPECT_EQ(err.find("CVMT_CHECK"), std::string::npos) << err;
+  }
+}
+
 // merge-efficiency runs its grid through run_batch like every runner: a
 // --store run logs each of its 8 points, and `cvmt merge` replays them
 // without simulating — so with the log gone it fails, naming a point.
@@ -596,7 +755,7 @@ TEST(StoreCli, MergeEfficiencyLogsEveryPointAndReplayNeverSimulates) {
                      "--timeslice=2500", "--store=" + store}),
             0);
   const std::string log = shard_log_path(store, 0, 1);
-  EXPECT_EQ(scan_log(log).records.size(), 8u);
+  EXPECT_EQ(scan_log(log).records, 8u);
   std::filesystem::remove(log);
   testing::internal::CaptureStderr();
   const int code = run_cli({"cvmt", "merge", "--store=" + store});
