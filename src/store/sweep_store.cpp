@@ -62,7 +62,7 @@ std::unique_ptr<SweepStore> SweepStore::open_merge(const std::string& dir) {
       get_u64_field(manifest, "shards", 0, 1, kMaxShards));
   std::unique_ptr<SweepStore> store(new SweepStore(
       Mode::kReplay, dir, ShardSpec{0, count}, std::move(manifest)));
-  (void)store->load_logs({});
+  store->load_logs({});
   return store;
 }
 
