@@ -540,6 +540,38 @@ TEST(Store, ATornTailResumedThroughATrailingSlashIsTruncatedFirst) {
   EXPECT_EQ(merged->counters().replayed, jobs.size());
 }
 
+// An open decodes a key's first record and skips its duplicates (first
+// record wins), and a record that parses as JSON but is not a SimResult
+// fails the open with the decoder's error instead of passing for a torn
+// tail.
+TEST(Store, OpenKeepsEachKeysFirstRecordAndRejectsANonResult) {
+  const std::string dir = fresh_dir("first_wins");
+  write_or_check_manifest(dir, test_manifest(1));
+  std::vector<BatchJob> jobs = small_grid();
+  jobs.resize(1);
+  const SimResult first = run_batch(jobs, {.workers = 1}).front();
+  SimResult second = first;
+  ++second.cycles;
+  const std::string path = shard_log_path(dir, 0, 1);
+  {
+    ShardLogWriter w(path);
+    w.append(point_key(jobs[0]), sim_result_to_json(first));
+    w.append(point_key(jobs[0]), sim_result_to_json(second));
+  }
+  const auto store = SweepStore::open_merge(dir);
+  EXPECT_EQ(store->loaded_points(), 1u);
+  const SimResult replayed =
+      store->run_point(jobs[0], []() -> SimResult { return {}; });
+  EXPECT_EQ(compare_sim_results(replayed, first, true), "");
+
+  {
+    ShardLogWriter w(path);
+    w.append("not-a-result", JsonValue::object());
+  }
+  EXPECT_THROW((void)SweepStore::open_merge(dir), CheckError);
+  EXPECT_FALSE(scan_log(path).torn);
+}
+
 TEST(Store, ReplayOfAnIncompleteStoreNamesTheResumeCommand) {
   const std::string dir = fresh_dir("incomplete");
   const std::vector<BatchJob> jobs = small_grid();
