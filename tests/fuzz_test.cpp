@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/machine_file.hpp"
 #include "sim/session.hpp"
 #include "testgen/fuzz_driver.hpp"
 #include "testgen/generators.hpp"
@@ -133,6 +134,28 @@ TEST(CaseGenTest, CasesAreReproducibleFromTheirSeed) {
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
   const FuzzCase c = generate_case(12346);
   EXPECT_NE(a.to_json().dump(), c.to_json().dump());
+}
+
+// A case's machine, memory system and switch policy are one `.machine`
+// description: for every machine the fuzzer makes and every corpus
+// case's, the canonical text parses back to the same description.
+TEST(CaseGenTest, EveryGeneratedMachineRoundTripsThroughMachineText) {
+  std::vector<FuzzCase> cases = load_corpus_dir(corpus_dir());
+  ASSERT_GE(cases.size(), 5u) << "corpus missing at " << corpus_dir();
+  for (std::uint64_t seed = 0; seed < 2000; ++seed)
+    cases.push_back(generate_case(seed));
+  for (const FuzzCase& c : cases) {
+    MachineDescription d;
+    d.machine = c.sim.machine;
+    d.mem = c.sim.mem;
+    d.switch_policy = c.sim.switch_policy;
+    const std::string text = serialize_machine(d);
+    try {
+      EXPECT_TRUE(parse_machine_file(text) == d) << c.label << ":\n" << text;
+    } catch (const CheckError& e) {
+      ADD_FAILURE() << c.label << ": " << e.what() << "\n" << text;
+    }
+  }
 }
 
 TEST(CaseGenTest, JsonAndFileRoundTrip) {
