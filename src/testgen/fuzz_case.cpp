@@ -7,10 +7,50 @@
 #include <sstream>
 #include <utility>
 
+#include "isa/machine_file.hpp"
 #include "support/check.hpp"
+#include "support/string_util.hpp"
 
 namespace cvmt {
 namespace {
+
+/// The version to_json writes and from_json reads.
+constexpr int kCaseVersion = 2;
+
+/// The name of field `key` of the object at `where` ("" for the case).
+std::string field_name(const std::string& where, const char* key) {
+  return where.empty() ? std::string(key) : where + "." + key;
+}
+
+/// `o[key]`, where `o` is the object at `where`. A value that is absent
+/// or not a `kind` (an integer counts as a number) is an error naming
+/// the field.
+const JsonValue& member(const JsonValue& o, const std::string& where,
+                        const char* key, JsonValue::Kind kind) {
+  static constexpr const char* kKindNames[] = {
+      "null",     "a bool",   "an integer", "a number",
+      "a string", "an array", "an object"};
+  CVMT_REQUIRE(o.kind() == JsonValue::Kind::kObject,
+               "fuzz case: " + (where.empty() ? "the case" : where) +
+                   " is not an object");
+  const JsonValue* v = o.find(key);
+  CVMT_REQUIRE(v != nullptr, "fuzz case: missing " + field_name(where, key));
+  CVMT_REQUIRE(v->kind() == kind || (kind == JsonValue::Kind::kDouble &&
+                                     v->kind() == JsonValue::Kind::kInt),
+               "fuzz case: " + field_name(where, key) + " is not " +
+                   kKindNames[static_cast<int>(kind)]);
+  return *v;
+}
+
+const std::string& string_field(const JsonValue& o, const std::string& where,
+                                const char* key) {
+  return member(o, where, key, JsonValue::Kind::kString).as_string();
+}
+
+double double_field(const JsonValue& o, const std::string& where,
+                    const char* key) {
+  return member(o, where, key, JsonValue::Kind::kDouble).as_double();
+}
 
 /// `o[key]` as a T, checked before it is narrowed: a value that does not
 /// fit T (a negative one, for an unsigned T) is an error naming the field
@@ -18,10 +58,10 @@ namespace {
 template <class T>
 T int_field(const JsonValue& o, const std::string& where,
             const char* key) {
-  const std::int64_t v = o.get(key).as_int();
+  const std::int64_t v = member(o, where, key, JsonValue::Kind::kInt).as_int();
   CVMT_REQUIRE(std::in_range<T>(v),
-               "fuzz case: " + where + "." + key + " " + std::to_string(v) +
-                   " out of range (" +
+               "fuzz case: " + field_name(where, key) + " " +
+                   std::to_string(v) + " out of range (" +
                    std::to_string(std::numeric_limits<T>::min()) + ".." +
                    std::to_string(std::numeric_limits<T>::max()) + ")");
   return static_cast<T>(v);
@@ -29,8 +69,10 @@ T int_field(const JsonValue& o, const std::string& where,
 
 /// `o[key]` as a seed. to_json writes a 64-bit seed as the int64 with its
 /// bit pattern, so every JSON integer is a seed and none is narrowed.
-std::uint64_t seed_field(const JsonValue& o, const char* key) {
-  return static_cast<std::uint64_t>(o.get(key).as_int());
+std::uint64_t seed_field(const JsonValue& o, const std::string& where,
+                         const char* key) {
+  return static_cast<std::uint64_t>(
+      member(o, where, key, JsonValue::Kind::kInt).as_int());
 }
 
 JsonValue profile_to_json(const BenchmarkProfile& p) {
@@ -60,40 +102,32 @@ JsonValue profile_to_json(const BenchmarkProfile& p) {
 BenchmarkProfile profile_from_json(const JsonValue& o,
                                    const std::string& where) {
   BenchmarkProfile p;
-  p.name = o.get("name").as_string();
-  const std::string ilp = o.get("ilp").as_string();
-  CVMT_CHECK_MSG(ilp == "L" || ilp == "M" || ilp == "H",
-                 "bad ilp letter in fuzz case: " + ilp);
+  p.name = string_field(o, where, "name");
+  const std::string& ilp = string_field(o, where, "ilp");
+  CVMT_REQUIRE(ilp == "L" || ilp == "M" || ilp == "H",
+               "fuzz case: " + where + ".ilp '" + excerpt(ilp) +
+                   "' is not L, M or H");
   p.ilp = ilp == "L" ? IlpDegree::kLow
                      : (ilp == "M" ? IlpDegree::kMedium : IlpDegree::kHigh);
-  p.target_ipc_real = o.get("target_ipc_real").as_double();
-  p.target_ipc_perfect = o.get("target_ipc_perfect").as_double();
+  p.target_ipc_real = double_field(o, where, "target_ipc_real");
+  p.target_ipc_perfect = double_field(o, where, "target_ipc_perfect");
   p.num_loops = int_field<int>(o, where, "num_loops");
-  p.mean_body_instrs = o.get("mean_body_instrs").as_double();
-  p.mean_trip_count = o.get("mean_trip_count").as_double();
-  p.mean_ops_per_instr = o.get("mean_ops_per_instr").as_double();
-  p.mem_op_frac = o.get("mem_op_frac").as_double();
-  p.store_frac = o.get("store_frac").as_double();
-  p.mul_op_frac = o.get("mul_op_frac").as_double();
-  p.mid_branch_frac = o.get("mid_branch_frac").as_double();
-  p.mid_branch_taken = o.get("mid_branch_taken").as_double();
-  p.ops_per_cluster_target = o.get("ops_per_cluster_target").as_double();
+  p.mean_body_instrs = double_field(o, where, "mean_body_instrs");
+  p.mean_trip_count = double_field(o, where, "mean_trip_count");
+  p.mean_ops_per_instr = double_field(o, where, "mean_ops_per_instr");
+  p.mem_op_frac = double_field(o, where, "mem_op_frac");
+  p.store_frac = double_field(o, where, "store_frac");
+  p.mul_op_frac = double_field(o, where, "mul_op_frac");
+  p.mid_branch_frac = double_field(o, where, "mid_branch_frac");
+  p.mid_branch_taken = double_field(o, where, "mid_branch_taken");
+  p.ops_per_cluster_target = double_field(o, where, "ops_per_cluster_target");
   p.hot_bytes = int_field<std::uint64_t>(o, where, "hot_bytes");
   p.hot_stride = int_field<std::uint64_t>(o, where, "hot_stride");
   p.assumed_miss_penalty = int_field<int>(o, where, "assumed_miss_penalty");
   p.code_bytes_per_instr =
       int_field<std::uint64_t>(o, where, "code_bytes_per_instr");
-  p.seed = seed_field(o, "seed");
+  p.seed = seed_field(o, where, "seed");
   return p;
-}
-
-JsonValue cache_to_json(const CacheConfig& c) {
-  JsonValue o = JsonValue::object();
-  o.set("size_bytes", c.size_bytes);
-  o.set("line_bytes", static_cast<std::uint64_t>(c.line_bytes));
-  o.set("ways", static_cast<std::uint64_t>(c.ways));
-  o.set("miss_penalty", c.miss_penalty);
-  return o;
 }
 
 CacheConfig cache_from_json(const JsonValue& o, const std::string& where) {
@@ -103,37 +137,6 @@ CacheConfig cache_from_json(const JsonValue& o, const std::string& where) {
   c.ways = int_field<std::uint32_t>(o, where, "ways");
   c.miss_penalty = int_field<int>(o, where, "miss_penalty");
   return c;
-}
-
-JsonValue machine_to_json(const MachineConfig& m) {
-  const ClusterShape flat = m.flat_shape();
-  JsonValue o = JsonValue::object();
-  o.set("num_clusters", m.num_clusters);
-  o.set("issue_per_cluster", flat.issue_width);
-  o.set("mul_slot_mask", static_cast<std::uint64_t>(flat.mul_slot_mask));
-  o.set("mem_slot_mask", static_cast<std::uint64_t>(flat.mem_slot_mask));
-  o.set("branch_slot_mask",
-        static_cast<std::uint64_t>(flat.branch_slot_mask));
-  o.set("alu_latency", m.alu_latency);
-  o.set("mul_latency", m.mul_latency);
-  o.set("mem_latency", m.mem_latency);
-  o.set("taken_branch_penalty", m.taken_branch_penalty);
-  // A machine that is not uniform adds its clusters (fuzz-case JSON stays
-  // v1: the key is simply absent for uniform machines, so old corpora and
-  // old readers keep working byte-for-byte).
-  if (!m.uniform()) {
-    JsonValue rows = JsonValue::array();
-    for (const ClusterShape& s : m.clusters()) {
-      JsonValue row = JsonValue::object();
-      row.set("issue", s.issue_width);
-      row.set("mul", static_cast<std::uint64_t>(s.mul_slot_mask));
-      row.set("mem", static_cast<std::uint64_t>(s.mem_slot_mask));
-      row.set("branch", static_cast<std::uint64_t>(s.branch_slot_mask));
-      rows.push_back(std::move(row));
-    }
-    o.set("clusters", std::move(rows));
-  }
-  return o;
 }
 
 MachineConfig machine_from_json(const JsonValue& o) {
@@ -173,6 +176,40 @@ MachineConfig machine_from_json(const JsonValue& o) {
   return m;
 }
 
+/// The case's machine, memory system and switch policy as the lines of
+/// their `.machine` description, without its comment and name: a case's
+/// machine has none.
+JsonValue machine_lines(const SimConfig& sim) {
+  MachineDescription d;
+  d.machine = sim.machine;
+  d.mem = sim.mem;
+  d.switch_policy = sim.switch_policy;
+  JsonValue lines = JsonValue::array();
+  for (const std::string& line : split(serialize_machine(d), '\n'))
+    if (!line.empty() && line[0] != '#' && !line.starts_with("name "))
+      lines.push_back(line);
+  return lines;
+}
+
+/// Parses the lines machine_lines wrote, counting them from 1 in errors.
+MachineDescription machine_from_lines(const JsonValue& lines) {
+  std::string text;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const JsonValue& line = lines.at(i);
+    CVMT_REQUIRE(line.kind() == JsonValue::Kind::kString &&
+                     line.as_string().find('\n') == std::string::npos,
+                 "fuzz case: sim.machine: line " + std::to_string(i + 1) +
+                     " is not one line of text");
+    text += line.as_string();
+    text += '\n';
+  }
+  try {
+    return parse_machine_file(text);
+  } catch (const CheckError& e) {
+    throw CheckError("fuzz case: sim.machine: " + std::string(e.what()));
+  }
+}
+
 }  // namespace
 
 Scheme FuzzCase::parse_scheme() const { return Scheme::parse(scheme); }
@@ -200,7 +237,7 @@ std::string FuzzCase::summary() const {
 
 JsonValue FuzzCase::to_json() const {
   JsonValue o = JsonValue::object();
-  o.set("version", 1);
+  o.set("version", kCaseVersion);
   o.set("label", label);
   o.set("seed", seed);
   o.set("scheme", scheme);
@@ -209,20 +246,7 @@ JsonValue FuzzCase::to_json() const {
     profs.push_back(profile_to_json(p));
   o.set("profiles", std::move(profs));
   JsonValue s = JsonValue::object();
-  s.set("machine", machine_to_json(sim.machine));
-  JsonValue mem = JsonValue::object();
-  mem.set("icache", cache_to_json(sim.mem.icache));
-  mem.set("dcache", cache_to_json(sim.mem.dcache));
-  mem.set("shared", sim.mem.sharing == CacheSharing::kShared);
-  mem.set("perfect", sim.mem.perfect);
-  // Hierarchy extensions: keys are emitted only when the feature is on,
-  // so legacy cases serialize exactly as before.
-  if (sim.mem.has_l2) mem.set("l2", cache_to_json(sim.mem.l2));
-  if (sim.mem.dcache_banks != 1) {
-    mem.set("dcache_banks", sim.mem.dcache_banks);
-    mem.set("bank_conflict_penalty", sim.mem.bank_conflict_penalty);
-  }
-  s.set("mem", std::move(mem));
+  s.set("machine", machine_lines(sim));
   s.set("priority", static_cast<int>(sim.priority));
   s.set("miss_policy", static_cast<int>(sim.miss_policy));
   s.set("timeslice_cycles", sim.timeslice_cycles);
@@ -230,73 +254,88 @@ JsonValue FuzzCase::to_json() const {
   s.set("max_cycles", sim.max_cycles);
   s.set("os_seed", sim.os_seed);
   s.set("stream_seed_base", sim.stream_seed_base);
-  if (sim.switch_policy != SwitchPolicyKind::kRandomTimeslice)
-    s.set("switch_policy", std::string(to_string(sim.switch_policy)));
   o.set("sim", std::move(s));
   return o;
 }
 
 FuzzCase FuzzCase::from_json(const JsonValue& v) {
-  CVMT_CHECK_MSG(v.get("version").as_int() == 1,
-                 "unknown fuzz-case version");
+  const std::int64_t version =
+      member(v, "", "version", JsonValue::Kind::kInt).as_int();
+  CVMT_REQUIRE(version == 1 || version == kCaseVersion,
+               "fuzz case: version " + std::to_string(version) +
+                   " is not one this build reads (" +
+                   std::to_string(kCaseVersion) + ")");
   FuzzCase c;
-  c.label = v.get("label").as_string();
-  c.seed = seed_field(v, "seed");
-  c.scheme = v.get("scheme").as_string();
-  const JsonValue& profs = v.get("profiles");
+  c.label = string_field(v, "", "label");
+  c.seed = seed_field(v, "", "seed");
+  c.scheme = string_field(v, "", "scheme");
+  const JsonValue& profs = member(v, "", "profiles", JsonValue::Kind::kArray);
   for (std::size_t i = 0; i < profs.size(); ++i)
     c.profiles.push_back(profile_from_json(
         profs.at(i), "profiles[" + std::to_string(i) + "]"));
-  const JsonValue& s = v.get("sim");
-  c.sim.machine = machine_from_json(s.get("machine"));
-  const JsonValue& mem = s.get("mem");
-  c.sim.mem.icache = cache_from_json(mem.get("icache"), "sim.mem.icache");
-  c.sim.mem.dcache = cache_from_json(mem.get("dcache"), "sim.mem.dcache");
-  c.sim.mem.sharing = mem.get("shared").as_bool() ? CacheSharing::kShared
-                                                  : CacheSharing::kPrivate;
-  c.sim.mem.perfect = mem.get("perfect").as_bool();
-  if (const JsonValue* l2 = mem.find("l2")) {
-    c.sim.mem.has_l2 = true;
-    c.sim.mem.l2 = cache_from_json(*l2, "sim.mem.l2");
+  const JsonValue& s = member(v, "", "sim", JsonValue::Kind::kObject);
+  if (version == kCaseVersion) {
+    const MachineDescription d = machine_from_lines(
+        member(s, "sim", "machine", JsonValue::Kind::kArray));
+    c.sim.machine = d.machine;
+    c.sim.mem = d.mem;
+    c.sim.switch_policy = d.switch_policy;
+  } else {
+    c.sim.machine = machine_from_json(s.get("machine"));
+    const JsonValue& mem = s.get("mem");
+    c.sim.mem.icache = cache_from_json(mem.get("icache"), "sim.mem.icache");
+    c.sim.mem.dcache = cache_from_json(mem.get("dcache"), "sim.mem.dcache");
+    c.sim.mem.sharing = mem.get("shared").as_bool() ? CacheSharing::kShared
+                                                    : CacheSharing::kPrivate;
+    c.sim.mem.perfect = mem.get("perfect").as_bool();
+    if (const JsonValue* l2 = mem.find("l2")) {
+      c.sim.mem.has_l2 = true;
+      c.sim.mem.l2 = cache_from_json(*l2, "sim.mem.l2");
+    }
+    if (mem.find("dcache_banks") != nullptr) {
+      c.sim.mem.dcache_banks = int_field<int>(mem, "sim.mem", "dcache_banks");
+      c.sim.mem.bank_conflict_penalty =
+          int_field<int>(mem, "sim.mem", "bank_conflict_penalty");
+    }
+    if (const JsonValue* pol = s.find("switch_policy")) {
+      CVMT_CHECK_MSG(
+          switch_policy_from_string(pol->as_string(), c.sim.switch_policy),
+          "bad switch policy in fuzz case: " + pol->as_string());
+    }
   }
-  if (mem.find("dcache_banks") != nullptr) {
-    c.sim.mem.dcache_banks = int_field<int>(mem, "sim.mem", "dcache_banks");
-    c.sim.mem.bank_conflict_penalty =
-        int_field<int>(mem, "sim.mem", "bank_conflict_penalty");
-  }
-  const std::int64_t priority = s.get("priority").as_int();
-  CVMT_CHECK_MSG(priority >= 0 && priority <= 2,
-                 "bad priority policy in fuzz case");
+  const std::int64_t priority =
+      member(s, "sim", "priority", JsonValue::Kind::kInt).as_int();
+  CVMT_REQUIRE(priority >= 0 && priority <= 2,
+               "fuzz case: sim.priority " + std::to_string(priority) +
+                   " out of range (0..2)");
   c.sim.priority = static_cast<PriorityPolicy>(priority);
-  const std::int64_t miss = s.get("miss_policy").as_int();
-  CVMT_CHECK_MSG(miss >= 0 && miss <= 1, "bad miss policy in fuzz case");
+  const std::int64_t miss =
+      member(s, "sim", "miss_policy", JsonValue::Kind::kInt).as_int();
+  CVMT_REQUIRE(miss >= 0 && miss <= 1,
+               "fuzz case: sim.miss_policy " + std::to_string(miss) +
+                   " out of range (0..1)");
   c.sim.miss_policy = static_cast<MissPolicy>(miss);
   c.sim.timeslice_cycles =
       int_field<std::uint64_t>(s, "sim", "timeslice_cycles");
   c.sim.instruction_budget =
       int_field<std::uint64_t>(s, "sim", "instruction_budget");
   c.sim.max_cycles = int_field<std::uint64_t>(s, "sim", "max_cycles");
-  c.sim.os_seed = seed_field(s, "os_seed");
-  c.sim.stream_seed_base = seed_field(s, "stream_seed_base");
-  if (const JsonValue* pol = s.find("switch_policy")) {
-    CVMT_CHECK_MSG(
-        switch_policy_from_string(pol->as_string(), c.sim.switch_policy),
-        "bad switch policy in fuzz case: " + pol->as_string());
-  }
+  c.sim.os_seed = seed_field(s, "sim", "os_seed");
+  c.sim.stream_seed_base = seed_field(s, "sim", "stream_seed_base");
   return c;
 }
 
 void save_case(const std::string& path, const FuzzCase& c) {
   std::ofstream out(path);
-  CVMT_CHECK_MSG(out.good(), "cannot open for writing: " + path);
+  CVMT_REQUIRE(out.good(), "cannot open for writing: " + path);
   c.to_json().write(out);
   out << '\n';
-  CVMT_CHECK_MSG(out.good(), "write failed: " + path);
+  CVMT_REQUIRE(out.good(), "write failed: " + path);
 }
 
 FuzzCase load_case(const std::string& path) {
   std::ifstream in(path);
-  CVMT_CHECK_MSG(in.good(), "cannot open fuzz case: " + path);
+  CVMT_REQUIRE(in.good(), "cannot open fuzz case: " + path);
   std::ostringstream text;
   text << in.rdbuf();
   FuzzCase c = FuzzCase::from_json(JsonValue::parse(text.str()));

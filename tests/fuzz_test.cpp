@@ -18,6 +18,7 @@
 
 #include "isa/machine_file.hpp"
 #include "sim/session.hpp"
+#include "support/string_util.hpp"
 #include "testgen/fuzz_driver.hpp"
 #include "testgen/generators.hpp"
 
@@ -159,56 +160,83 @@ TEST(CaseGenTest, EveryGeneratedMachineRoundTripsThroughMachineText) {
 }
 
 TEST(CaseGenTest, JsonAndFileRoundTrip) {
-  const FuzzCase a = generate_case(99);
-  const FuzzCase b = FuzzCase::from_json(a.to_json());
-  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+  // Seed 99 has a uniform machine; seed 11 has cluster rows, an L2, a
+  // banked DCache and a switch policy other than the default.
+  for (std::uint64_t seed : {99u, 11u}) {
+    const FuzzCase a = generate_case(seed);
+    const JsonValue v = a.to_json();
+    EXPECT_EQ(v.get("version").as_int(), 2);
+    const FuzzCase b = FuzzCase::from_json(v);
+    EXPECT_EQ(b.sim.machine, a.sim.machine);
+    EXPECT_TRUE(b.sim.mem == a.sim.mem);
+    EXPECT_EQ(b.sim.switch_policy, a.sim.switch_policy);
+    EXPECT_EQ(v.dump(), b.to_json().dump());
 
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "cvmt_fuzz_rt.json")
+            .string();
+    save_case(path, a);
+    const FuzzCase c = load_case(path);
+    EXPECT_EQ(v.dump(), c.to_json().dump());
+    std::remove(path.c_str());
+  }
+}
+
+/// The sim.machine lines of the case `v`.
+std::vector<std::string> machine_lines_of(const JsonValue& v) {
+  std::vector<std::string> lines;
+  const JsonValue& machine = v.get("sim").get("machine");
+  for (std::size_t i = 0; i < machine.size(); ++i)
+    lines.push_back(machine.at(i).as_string());
+  return lines;
+}
+
+/// `v` with `lines` as its sim.machine lines.
+JsonValue with_machine_lines(const JsonValue& v,
+                             const std::vector<std::string>& lines) {
+  JsonValue machine = JsonValue::array();
+  for (const std::string& line : lines) machine.push_back(line);
+  JsonValue sim = v.get("sim");
+  sim.set("machine", std::move(machine));
+  JsonValue out = v;
+  out.set("sim", std::move(sim));
+  return out;
+}
+
+/// `cvmt fuzz --case=` on a file holding `text`: its exit code, and what
+/// `load_case` rejects the file with ("" when it loads).
+std::pair<int, std::string> replay_file(const std::string& text) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "cvmt_fuzz_rt.json")
+      (std::filesystem::temp_directory_path() / "cvmt_fuzz_bad.json")
           .string();
-  save_case(path, a);
-  const FuzzCase c = load_case(path);
-  EXPECT_EQ(a.to_json().dump(), c.to_json().dump());
+  std::ofstream(path) << text;
+  std::string error;
+  try {
+    (void)load_case(path);
+  } catch (const CheckError& e) {
+    error = e.what();
+  }
+  const std::string flag = "--case=" + path;
+  const char* argv[] = {"fuzz", flag.c_str()};
+  const int code = error.empty() ? -1 : fuzz_main(2, argv);
   std::remove(path.c_str());
+  return {code, error};
 }
 
 TEST(CaseGenTest, ClusterCountBeyondTheMachineCapIsRejectedOnLoad) {
   // Nine clusters and nine rows: per_cluster holds kMaxClusters (8)
   // shapes, so the count must be refused before any row is written, and
   // `cvmt fuzz --case=` exits 2 as for any other malformed file.
-  JsonValue v = generate_case(1).to_json();
-  JsonValue sim = v.get("sim");
-  JsonValue machine = sim.get("machine");
-  machine.set("num_clusters", kMaxClusters + 1);
-  JsonValue rows = JsonValue::array();
-  for (int c = 0; c <= kMaxClusters; ++c) {
-    JsonValue row = JsonValue::object();
-    row.set("issue", 1);
-    row.set("mul", 1);
-    row.set("mem", 1);
-    row.set("branch", 1);
-    rows.push_back(std::move(row));
-  }
-  machine.set("clusters", std::move(rows));
-  sim.set("machine", std::move(machine));
-  v.set("sim", std::move(sim));
-  try {
-    (void)FuzzCase::from_json(v);
-    ADD_FAILURE() << "a nine-cluster case loaded";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("num_clusters 9"),
-              std::string::npos)
-        << e.what();
-  }
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cvmt_fuzz_nine.json")
-          .string();
-  std::ofstream(path) << v.dump();
-  const std::string flag = "--case=" + path;
-  const char* argv[] = {"fuzz", flag.c_str()};
-  EXPECT_EQ(fuzz_main(2, argv), 2);
-  std::remove(path.c_str());
+  std::vector<std::string> lines = {"clusters 9"};
+  for (int c = 0; c <= kMaxClusters; ++c)
+    lines.push_back("cluster " + std::to_string(c) + " 1 0x1 0x1 0x1");
+  const JsonValue v = with_machine_lines(generate_case(1).to_json(), lines);
+  const auto [code, error] = replay_file(v.dump());
+  EXPECT_EQ(error.find("fuzz case: sim.machine: line 1: cluster count out "
+                       "of range"),
+            0u)
+      << error;
+  EXPECT_EQ(code, 2);
 }
 
 /// `v` with the integer at `path` set to `value`. Each step is an object
@@ -238,38 +266,56 @@ TEST(CaseGenTest, IntegersThatDoNotFitTheirFieldAreRejectedOnLoad) {
   // negative size or count would wrap to a huge unsigned one. Seeds are
   // the one exception: to_json writes them as the int64 with their bit
   // pattern.
-  JsonValue base = generate_case(1).to_json();
-  base = with_int(base, std::vector<std::string>{"sim", "mem",
-                                                 "bank_conflict_penalty"},
-                  1);
-  base = with_int(base,
-                  std::vector<std::string>{"sim", "mem", "dcache_banks"}, 2);
-  ASSERT_NO_THROW((void)FuzzCase::from_json(base));
+  const JsonValue base = generate_case(1).to_json();
   constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+
+  // The machine and memory system: one value of a sim.machine line,
+  // raised by 2^32. Cluster rows read "cluster index issue mul mem
+  // branch"; caches read "size line ways miss_penalty".
+  const struct {
+    const char* key;
+    std::size_t token;
+  } line_cases[] = {
+      {"cluster", 2},      {"mul_latency", 1}, {"cluster", 3},
+      {"dcache", 2},       {"icache", 3},      {"dcache", 4},
+      {"dcache_banks", 1}, {"bank_conflict_penalty", 1},
+  };
+  for (const auto& c : line_cases) {
+    std::vector<std::string> lines = machine_lines_of(base);
+    std::size_t at = 0;
+    while (at < lines.size() && lines[at].rfind(std::string(c.key) + " ", 0))
+      ++at;
+    ASSERT_LT(at, lines.size()) << c.key;
+    std::vector<std::string> tokens = split(lines[at], ' ');
+    tokens[c.token] = std::to_string(
+        static_cast<std::int64_t>(std::stoull(tokens[c.token], nullptr, 0)) +
+        k2to32);
+    lines[at] = tokens[0];
+    for (std::size_t t = 1; t < tokens.size(); ++t)
+      lines[at] += " " + tokens[t];
+    const std::string want = "fuzz case: sim.machine: line " +
+                             std::to_string(at + 1) + ": out of range: '" +
+                             tokens[c.token] + "'";
+    try {
+      (void)FuzzCase::from_json(with_machine_lines(base, lines));
+      ADD_FAILURE() << lines[at] << " loaded";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+
+  // The profiles and the run: a JSON field.
   const struct {
     std::vector<std::string> path;
     std::int64_t value;
     const char* name;
-  } cases[] = {
-      {{"sim", "machine", "issue_per_cluster"}, 4 + k2to32,
-       "sim.machine.issue_per_cluster 4294967300"},
-      {{"sim", "machine", "mul_latency"}, 2 + k2to32,
-       "sim.machine.mul_latency 4294967298"},
-      {{"sim", "machine", "mul_slot_mask"}, 3 + k2to32,
-       "sim.machine.mul_slot_mask 4294967299"},
+  } field_cases[] = {
       {{"profiles", "0", "num_loops"}, 2 + k2to32,
        "profiles[0].num_loops 4294967298"},
       {{"profiles", "0", "hot_bytes"}, -4096, "profiles[0].hot_bytes -4096"},
-      {{"sim", "mem", "dcache", "line_bytes"}, 64 + k2to32,
-       "sim.mem.dcache.line_bytes 4294967360"},
-      {{"sim", "mem", "icache", "ways"}, -4, "sim.mem.icache.ways -4"},
-      {{"sim", "mem", "dcache", "miss_penalty"}, 20 + k2to32,
-       "sim.mem.dcache.miss_penalty 4294967316"},
-      {{"sim", "mem", "dcache_banks"}, 2 + k2to32,
-       "sim.mem.dcache_banks 4294967298"},
       {{"sim", "instruction_budget"}, -1, "sim.instruction_budget -1"},
   };
-  for (const auto& c : cases) {
+  for (const auto& c : field_cases) {
     const JsonValue v = with_int(base, c.path, c.value);
     try {
       (void)FuzzCase::from_json(v);
@@ -283,15 +329,76 @@ TEST(CaseGenTest, IntegersThatDoNotFitTheirFieldAreRejectedOnLoad) {
   }
 
   // The replay command refuses the file as malformed input.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cvmt_fuzz_wrap.json")
-          .string();
-  std::ofstream(path) << with_int(base, cases[0].path, cases[0].value)
-                             .dump();
-  const std::string flag = "--case=" + path;
-  const char* argv[] = {"fuzz", flag.c_str()};
-  EXPECT_EQ(fuzz_main(2, argv), 2);
-  std::remove(path.c_str());
+  std::vector<std::string> lines = machine_lines_of(base);
+  lines[0] = "clusters 4294967301";
+  EXPECT_EQ(replay_file(with_machine_lines(base, lines).dump()).first, 2);
+}
+
+// A case file that cannot load is a usage error (exit 2) whose message
+// names the field, the version or the sim.machine line at fault, and
+// carries no source path.
+TEST(CaseGenTest, MalformedCaseFilesAreRejectedByName) {
+  const JsonValue base = generate_case(99).to_json();
+  const auto with = [&](const char* key, JsonValue value) {
+    JsonValue v = base;
+    v.set(key, std::move(value));
+    return v.dump();
+  };
+  const auto with_sim = [&](const char* key, JsonValue value) {
+    JsonValue sim = base.get("sim");
+    sim.set(key, std::move(value));
+    return with("sim", std::move(sim));
+  };
+  std::vector<std::string> bad_line = machine_lines_of(base);
+  bad_line[1] = "issue four";
+  std::vector<std::string> unknown_key = machine_lines_of(base);
+  unknown_key.push_back("turbo 1");
+  JsonValue profiles = JsonValue::array();
+  profiles.push_back(JsonValue::object());
+  const struct {
+    std::string text;
+    const char* start;
+  } cases[] = {
+      {with("version", 3), "fuzz case: version 3 "},
+      {R"({"version":2})", "fuzz case: missing label"},
+      {"[2]", "fuzz case: the case is not an object"},
+      {with("label", 5), "fuzz case: label is not a string"},
+      {with("seed", "x"), "fuzz case: seed is not an integer"},
+      {with("profiles", profiles), "fuzz case: missing profiles[0].name"},
+      {with("profiles", JsonValue::object()),
+       "fuzz case: profiles is not an array"},
+      {with("sim", JsonValue::array()), "fuzz case: sim is not an object"},
+      {with_sim("machine", "clusters 4"),
+       "fuzz case: sim.machine is not an array"},
+      {with_sim("priority", 3), "fuzz case: sim.priority 3 out of range"},
+      {with_sim("miss_policy", 2),
+       "fuzz case: sim.miss_policy 2 out of range"},
+      {with_sim("os_seed", 1.5), "fuzz case: sim.os_seed is not an integer"},
+      {with_machine_lines(base, bad_line).dump(),
+       "fuzz case: sim.machine: line 2: not a number: 'four'"},
+      {with_machine_lines(base, unknown_key).dump(),
+       "fuzz case: sim.machine: line 17: unknown key 'turbo'"},
+      {with_machine_lines(base, {"clusters 4\nissue 2"}).dump(),
+       "fuzz case: sim.machine: line 1 is not one line of text"},
+  };
+  for (const auto& c : cases) {
+    const auto [code, error] = replay_file(c.text);
+    EXPECT_EQ(error.find(c.start), 0u) << error;
+    EXPECT_EQ(error.find("CVMT_CHECK"), std::string::npos) << error;
+    EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+    EXPECT_EQ(code, 2) << c.start;
+  }
+  {
+    JsonValue v = base;
+    JsonValue profs = JsonValue::array();
+    JsonValue p = base.get("profiles").at(0);
+    p.set("ilp", "Q");
+    profs.push_back(std::move(p));
+    v.set("profiles", std::move(profs));
+    const auto [code, error] = replay_file(v.dump());
+    EXPECT_EQ(error, "fuzz case: profiles[0].ilp 'Q' is not L, M or H");
+    EXPECT_EQ(code, 2);
+  }
 }
 
 // ------------------------------------------------------------- oracles
