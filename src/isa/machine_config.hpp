@@ -114,9 +114,9 @@ struct MachineConfig {
   /// True when every cluster has cluster 0's shape.
   [[nodiscard]] bool uniform() const;
 
-  /// The shape that the flat forms (the machine key, the fuzz-case JSON)
-  /// write for this machine: cluster 0's shape when uniform, else the
-  /// widest cluster's width with the VEX masks.
+  /// The shape that the machine key's flat fields write for this machine:
+  /// cluster 0's shape when uniform, else the widest cluster's width with
+  /// the VEX masks.
   [[nodiscard]] ClusterShape flat_shape() const;
 
   /// The cluster layout as text: "4x4" (clusters x issue width) when

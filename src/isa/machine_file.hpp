@@ -14,6 +14,8 @@
 // description (round-trip pinned by tests), and the built-in
 // machines are exactly the parsed equivalents of the files under
 // examples/machines/ — that is the bit-identity contract of DESIGN.md §9.
+// A fuzz case file (testgen/fuzz_case.hpp) stores its machine as these
+// lines too, so this is the one machine format and the one parser.
 #pragma once
 
 #include <string>

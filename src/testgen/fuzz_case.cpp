@@ -67,6 +67,17 @@ T int_field(const JsonValue& o, const std::string& where,
   return static_cast<T>(v);
 }
 
+/// `o[key]` as an enum, written as its value 0..max.
+std::int64_t enum_field(const JsonValue& o, const std::string& where,
+                        const char* key, std::int64_t max) {
+  const std::int64_t v = member(o, where, key, JsonValue::Kind::kInt).as_int();
+  CVMT_REQUIRE(v >= 0 && v <= max,
+               "fuzz case: " + field_name(where, key) + " " +
+                   std::to_string(v) + " out of range (0.." +
+                   std::to_string(max) + ")");
+  return v;
+}
+
 /// `o[key]` as a seed. to_json writes a 64-bit seed as the int64 with its
 /// bit pattern, so every JSON integer is a seed and none is narrowed.
 std::uint64_t seed_field(const JsonValue& o, const std::string& where,
@@ -128,52 +139,6 @@ BenchmarkProfile profile_from_json(const JsonValue& o,
       int_field<std::uint64_t>(o, where, "code_bytes_per_instr");
   p.seed = seed_field(o, where, "seed");
   return p;
-}
-
-CacheConfig cache_from_json(const JsonValue& o, const std::string& where) {
-  CacheConfig c;
-  c.size_bytes = int_field<std::uint64_t>(o, where, "size_bytes");
-  c.line_bytes = int_field<std::uint32_t>(o, where, "line_bytes");
-  c.ways = int_field<std::uint32_t>(o, where, "ways");
-  c.miss_penalty = int_field<int>(o, where, "miss_penalty");
-  return c;
-}
-
-MachineConfig machine_from_json(const JsonValue& o) {
-  const std::string where = "sim.machine";
-  MachineConfig m;
-  // Checked before any cluster is written: per_cluster holds kMaxClusters.
-  const std::int64_t clusters = o.get("num_clusters").as_int();
-  CVMT_REQUIRE(clusters >= 1 && clusters <= kMaxClusters,
-               "fuzz case: num_clusters " + std::to_string(clusters) +
-                   " out of range (1.." + std::to_string(kMaxClusters) +
-                   ")");
-  m.num_clusters = static_cast<int>(clusters);
-  ClusterShape flat;
-  flat.issue_width = int_field<int>(o, where, "issue_per_cluster");
-  flat.mul_slot_mask = int_field<std::uint32_t>(o, where, "mul_slot_mask");
-  flat.mem_slot_mask = int_field<std::uint32_t>(o, where, "mem_slot_mask");
-  flat.branch_slot_mask =
-      int_field<std::uint32_t>(o, where, "branch_slot_mask");
-  m.per_cluster.fill(flat);
-  m.alu_latency = int_field<int>(o, where, "alu_latency");
-  m.mul_latency = int_field<int>(o, where, "mul_latency");
-  m.mem_latency = int_field<int>(o, where, "mem_latency");
-  m.taken_branch_penalty = int_field<int>(o, where, "taken_branch_penalty");
-  if (const JsonValue* rows = o.find("clusters")) {
-    CVMT_CHECK_MSG(rows->size() == static_cast<std::size_t>(m.num_clusters),
-                   "fuzz case: clusters array does not match num_clusters");
-    for (std::size_t c = 0; c < rows->size(); ++c) {
-      const JsonValue& row = rows->at(c);
-      const std::string at = where + ".clusters[" + std::to_string(c) + "]";
-      ClusterShape& s = m.per_cluster[c];
-      s.issue_width = int_field<int>(row, at, "issue");
-      s.mul_slot_mask = int_field<std::uint32_t>(row, at, "mul");
-      s.mem_slot_mask = int_field<std::uint32_t>(row, at, "mem");
-      s.branch_slot_mask = int_field<std::uint32_t>(row, at, "branch");
-    }
-  }
-  return m;
 }
 
 /// The case's machine, memory system and switch policy as the lines of
@@ -261,9 +226,9 @@ JsonValue FuzzCase::to_json() const {
 FuzzCase FuzzCase::from_json(const JsonValue& v) {
   const std::int64_t version =
       member(v, "", "version", JsonValue::Kind::kInt).as_int();
-  CVMT_REQUIRE(version == 1 || version == kCaseVersion,
+  CVMT_REQUIRE(version == kCaseVersion,
                "fuzz case: version " + std::to_string(version) +
-                   " is not one this build reads (" +
+                   " is not the version this build reads (" +
                    std::to_string(kCaseVersion) + ")");
   FuzzCase c;
   c.label = string_field(v, "", "label");
@@ -274,47 +239,15 @@ FuzzCase FuzzCase::from_json(const JsonValue& v) {
     c.profiles.push_back(profile_from_json(
         profs.at(i), "profiles[" + std::to_string(i) + "]"));
   const JsonValue& s = member(v, "", "sim", JsonValue::Kind::kObject);
-  if (version == kCaseVersion) {
-    const MachineDescription d = machine_from_lines(
-        member(s, "sim", "machine", JsonValue::Kind::kArray));
-    c.sim.machine = d.machine;
-    c.sim.mem = d.mem;
-    c.sim.switch_policy = d.switch_policy;
-  } else {
-    c.sim.machine = machine_from_json(s.get("machine"));
-    const JsonValue& mem = s.get("mem");
-    c.sim.mem.icache = cache_from_json(mem.get("icache"), "sim.mem.icache");
-    c.sim.mem.dcache = cache_from_json(mem.get("dcache"), "sim.mem.dcache");
-    c.sim.mem.sharing = mem.get("shared").as_bool() ? CacheSharing::kShared
-                                                    : CacheSharing::kPrivate;
-    c.sim.mem.perfect = mem.get("perfect").as_bool();
-    if (const JsonValue* l2 = mem.find("l2")) {
-      c.sim.mem.has_l2 = true;
-      c.sim.mem.l2 = cache_from_json(*l2, "sim.mem.l2");
-    }
-    if (mem.find("dcache_banks") != nullptr) {
-      c.sim.mem.dcache_banks = int_field<int>(mem, "sim.mem", "dcache_banks");
-      c.sim.mem.bank_conflict_penalty =
-          int_field<int>(mem, "sim.mem", "bank_conflict_penalty");
-    }
-    if (const JsonValue* pol = s.find("switch_policy")) {
-      CVMT_CHECK_MSG(
-          switch_policy_from_string(pol->as_string(), c.sim.switch_policy),
-          "bad switch policy in fuzz case: " + pol->as_string());
-    }
-  }
-  const std::int64_t priority =
-      member(s, "sim", "priority", JsonValue::Kind::kInt).as_int();
-  CVMT_REQUIRE(priority >= 0 && priority <= 2,
-               "fuzz case: sim.priority " + std::to_string(priority) +
-                   " out of range (0..2)");
-  c.sim.priority = static_cast<PriorityPolicy>(priority);
-  const std::int64_t miss =
-      member(s, "sim", "miss_policy", JsonValue::Kind::kInt).as_int();
-  CVMT_REQUIRE(miss >= 0 && miss <= 1,
-               "fuzz case: sim.miss_policy " + std::to_string(miss) +
-                   " out of range (0..1)");
-  c.sim.miss_policy = static_cast<MissPolicy>(miss);
+  const MachineDescription d = machine_from_lines(
+      member(s, "sim", "machine", JsonValue::Kind::kArray));
+  c.sim.machine = d.machine;
+  c.sim.mem = d.mem;
+  c.sim.switch_policy = d.switch_policy;
+  c.sim.priority =
+      static_cast<PriorityPolicy>(enum_field(s, "sim", "priority", 2));
+  c.sim.miss_policy =
+      static_cast<MissPolicy>(enum_field(s, "sim", "miss_policy", 1));
   c.sim.timeslice_cycles =
       int_field<std::uint64_t>(s, "sim", "timeslice_cycles");
   c.sim.instruction_budget =

@@ -7,9 +7,11 @@
 // must be (a) reproducible from its own fields alone — no hidden state —
 // and (b) serializable: failures are persisted as JSON repro files under
 // tests/corpus/ and replayed by tests/fuzz_test.cpp forever after. The
-// oracle-controlled knobs (StatsLevel, EvalMode, stall fast-forward) are
-// deliberately NOT part of a case: the oracle sweeps them, the case pins
-// everything else.
+// file holds the machine, memory system and switch policy as the lines of
+// their `.machine` description (isa/machine_file.hpp), which the machine
+// file parser reads back. The oracle-controlled knobs (StatsLevel,
+// EvalMode, stall fast-forward) are deliberately NOT part of a case: the
+// oracle sweeps them, the case pins everything else.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +46,8 @@ struct FuzzCase {
   /// One-line human-readable summary ("S(0,1) 2sw 4x4 budget=800 ...").
   [[nodiscard]] std::string summary() const;
 
+  /// The case file's content (DESIGN.md §6). from_json throws CheckError
+  /// naming the field, the version or the `sim.machine` line it rejects.
   [[nodiscard]] JsonValue to_json() const;
   [[nodiscard]] static FuzzCase from_json(const JsonValue& v);
 };

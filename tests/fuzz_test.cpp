@@ -359,6 +359,7 @@ TEST(CaseGenTest, MalformedCaseFilesAreRejectedByName) {
     std::string text;
     const char* start;
   } cases[] = {
+      {R"({"version":1})", "fuzz case: version 1 "},
       {with("version", 3), "fuzz case: version 3 "},
       {R"({"version":2})", "fuzz case: missing label"},
       {"[2]", "fuzz case: the case is not an object"},
