@@ -349,9 +349,6 @@ LogScan scan_log(const std::string& path, const RecordVisitor& on_record) {
   return scan;
 }
 
-ShardLogWriter::ShardLogWriter(std::string path)
-    : ShardLogWriter(path, scan_log(path)) {}
-
 ShardLogWriter::ShardLogWriter(std::string path, const LogScan& scan)
     : path_(std::move(path)) {
   if (scan.torn) {
@@ -360,11 +357,14 @@ ShardLogWriter::ShardLogWriter(std::string path, const LogScan& scan)
                  "bytes (crash recovery)\n",
                  path_.c_str(),
                  static_cast<unsigned long long>(scan.good_bytes));
-    std::filesystem::resize_file(path_, scan.good_bytes);
+    std::error_code ec;
+    std::filesystem::resize_file(path_, scan.good_bytes, ec);
+    CVMT_REQUIRE(!ec, "store: cannot truncate " + path_ + ": " +
+                          ec.message());
   }
   out_.open(path_, std::ios::binary | std::ios::app);
-  CVMT_CHECK_MSG(out_.is_open(),
-                 "store: cannot open shard log for append: " + path_);
+  CVMT_REQUIRE(out_.is_open(),
+               "store: cannot open shard log for append: " + path_);
 }
 
 void ShardLogWriter::append(const std::string& key, JsonValue result) {
@@ -372,7 +372,7 @@ void ShardLogWriter::append(const std::string& key, JsonValue result) {
   out_.write(record.data(),
              static_cast<std::streamsize>(record.size()));
   out_.flush();
-  CVMT_CHECK_MSG(out_.good(), "store: error appending to " + path_);
+  CVMT_REQUIRE(out_.good(), "store: error appending to " + path_);
 }
 
 std::string shard_log_name(unsigned index, unsigned count) {
@@ -411,11 +411,16 @@ std::string manifest_path(const std::string& dir) {
 
 void write_or_check_manifest(const std::string& dir,
                              const JsonValue& manifest) {
-  std::filesystem::create_directories(dir);
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  CVMT_REQUIRE(!ec, "store: cannot create the store directory " + dir +
+                        ": " + ec.message());
   const std::string path = manifest_path(dir);
-  if (std::filesystem::exists(path)) {
+  const bool exists = std::filesystem::exists(path, ec);
+  CVMT_REQUIRE(!ec, "store: cannot read " + path + ": " + ec.message());
+  if (exists) {
     const JsonValue existing = read_manifest(dir);
-    CVMT_CHECK_MSG(
+    CVMT_REQUIRE(
         existing.dump(-1) == manifest.dump(-1),
         "store: " + path +
             " describes a different sweep than this command.\n  on disk: " +
@@ -430,19 +435,18 @@ void write_or_check_manifest(const std::string& dir,
     manifest.write(out);
     out << '\n';
     out.flush();
-    CVMT_CHECK_MSG(out.good(), "store: cannot write " + tmp);
+    CVMT_REQUIRE(out.good(), "store: cannot write " + tmp);
   }
-  std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
-  CVMT_CHECK_MSG(!ec, "store: cannot install " + path);
+  CVMT_REQUIRE(!ec, "store: cannot install " + path + ": " + ec.message());
 }
 
 JsonValue read_manifest(const std::string& dir) {
   std::ifstream in(manifest_path(dir), std::ios::binary);
-  CVMT_CHECK_MSG(in.is_open(),
-                 "store: no manifest in '" + dir +
-                     "' (is this a --store directory written by `cvmt run "
-                     "--store`?)");
+  CVMT_REQUIRE(in.is_open(),
+               "store: no manifest in '" + dir +
+                   "' (is this a --store directory written by `cvmt run "
+                   "--store`?)");
   std::ostringstream buf;
   buf << in.rdbuf();
   return JsonValue::parse(buf.str());

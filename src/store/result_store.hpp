@@ -110,9 +110,9 @@ using RecordVisitor =
 /// record; callers serialise access (the SweepStore holds the lock).
 class ShardLogWriter {
  public:
-  /// Scans `path` itself, then opens it as below.
-  explicit ShardLogWriter(std::string path);
   /// Opens `path` with `scan`, the caller's scan_log of the same file.
+  /// Throws CheckError naming the path when it cannot be truncated or
+  /// opened.
   ShardLogWriter(std::string path, const LogScan& scan);
 
   void append(const std::string& key, JsonValue result);
@@ -140,7 +140,9 @@ class ShardLogWriter {
 /// one already exists — verifies byte-for-byte agreement and throws
 /// CheckError on mismatch: a store directory binds one experiment with
 /// one parameter set, and mixing two sweeps in it must fail loudly, not
-/// merge into nonsense.
+/// merge into nonsense. A directory that cannot be made or read (a path
+/// through a regular file, say) throws CheckError naming the path and
+/// the OS reason.
 void write_or_check_manifest(const std::string& dir,
                              const JsonValue& manifest);
 

@@ -158,7 +158,7 @@ TEST(Store, LogRoundTripsRecordsAndDetectsTornTail) {
   JsonValue r2 = JsonValue::object();
   r2.set("cycles", 456);
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     w.append("key-one", r1);
     w.append("key-two", r2);
   }
@@ -192,7 +192,7 @@ TEST(Store, LogRoundTripsRecordsAndDetectsTornTail) {
 
   // Reopening the writer truncates the torn tail before appending.
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     w.append("key-three", r2);
   }
   const LogScan recovered = scan_into(path, seen);
@@ -209,7 +209,7 @@ TEST(Store, CorruptChecksumStopsTheScanAtTheLastGoodRecord) {
   JsonValue r = JsonValue::object();
   r.set("v", 1);
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     w.append("good", r);
     w.append("flipped", r);
   }
@@ -246,7 +246,7 @@ TEST(Store, EveryTruncationAndEveryByteFlipScansToTheIntactPrefix) {
   const std::string path = shard_log_path(dir, 0, 1);
   std::vector<std::uint64_t> ends;  // file offset after each record
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     for (int i = 0; i < 3; ++i) {
       JsonValue r = JsonValue::object();
       r.set("cycles", 1000 + i);
@@ -334,7 +334,8 @@ TEST(Store, OpeningAStoreHoldsOneRecordsJsonAtATime) {
   const SimResult r = run_batch(jobs, {.workers = 1}).front();
   constexpr std::size_t kPoints = 4000;
   {
-    ShardLogWriter w(shard_log_path(dir, 0, 1));
+    const std::string path = shard_log_path(dir, 0, 1);
+    ShardLogWriter w(path, scan_log(path));
     for (std::size_t i = 0; i < kPoints; ++i)
       w.append("point-" + std::to_string(i), sim_result_to_json(r));
   }
@@ -554,7 +555,7 @@ TEST(Store, OpenKeepsEachKeysFirstRecordAndRejectsANonResult) {
   ++second.cycles;
   const std::string path = shard_log_path(dir, 0, 1);
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     w.append(point_key(jobs[0]), sim_result_to_json(first));
     w.append(point_key(jobs[0]), sim_result_to_json(second));
   }
@@ -565,7 +566,7 @@ TEST(Store, OpenKeepsEachKeysFirstRecordAndRejectsANonResult) {
   EXPECT_EQ(compare_sim_results(replayed, first, true), "");
 
   {
-    ShardLogWriter w(path);
+    ShardLogWriter w(path, scan_log(path));
     w.append("not-a-result", JsonValue::object());
   }
   EXPECT_THROW((void)SweepStore::open_merge(dir), CheckError);
@@ -614,13 +615,29 @@ TEST(Store, ManifestMismatchFailsLoudly) {
   ExperimentParams other;
   other.cfg.sim = tiny_sim();
   other.cfg.sim.instruction_budget = 999;
-  EXPECT_THROW((void)SweepStore::open_shard(
-                   dir, ShardSpec{0, 2},
-                   other.to_manifest_json("fig10", 2)),
-               CheckError);
+  // Both are usage errors, addressed to whoever typed the flags: their
+  // messages carry no source path.
+  std::vector<std::string> errors;
+  try {
+    (void)SweepStore::open_shard(dir, ShardSpec{0, 2},
+                                 other.to_manifest_json("fig10", 2));
+  } catch (const CheckError& e) {
+    errors.push_back(e.what());
+  }
   // Merge of a directory without a manifest is a usage error.
-  EXPECT_THROW((void)SweepStore::open_merge(fresh_dir("no_manifest")),
-               CheckError);
+  try {
+    (void)SweepStore::open_merge(fresh_dir("no_manifest"));
+  } catch (const CheckError& e) {
+    errors.push_back(e.what());
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_NE(errors[0].find("describes a different sweep"), std::string::npos)
+      << errors[0];
+  EXPECT_NE(errors[1].find("no manifest"), std::string::npos) << errors[1];
+  for (const std::string& error : errors) {
+    EXPECT_EQ(error.find("CVMT_CHECK"), std::string::npos) << error;
+    EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+  }
 }
 
 TEST(Store, ManifestRoundTripsThroughExperimentParams) {
@@ -743,6 +760,24 @@ TEST(StoreCli, MergeOfAPartialStoreFailsWithTheResumeCommand) {
   EXPECT_EQ(code, 1);
   EXPECT_NE(err.find("cvmt run fig4"), std::string::npos) << err;
   EXPECT_NE(err.find("--shard"), std::string::npos) << err;
+}
+
+// A --store path that is, or runs through, a regular file is a usage
+// error naming the path, not an uncaught filesystem exception, and the
+// file is left as it was.
+TEST(StoreCli, AStorePathThroughARegularFileIsAUsageError) {
+  const std::string file = fresh_dir("cli_regular_file") + "/afile";
+  std::ofstream(file) << "not a store\n";
+  for (const std::string& store : {file, file + "/sub"}) {
+    testing::internal::CaptureStderr();
+    const int code = run_cli({"cvmt", "run", "fig4", "--budget=10000",
+                              "--timeslice=2500", "--store=" + store});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << store;
+    EXPECT_NE(err.find(store), std::string::npos) << err;
+    EXPECT_EQ(err.find("CVMT_CHECK"), std::string::npos) << err;
+  }
+  EXPECT_EQ(read_file(file), "not a store\n");
 }
 
 // The manifest's shard count is checked before it narrows to unsigned:
