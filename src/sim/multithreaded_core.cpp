@@ -68,9 +68,9 @@ std::uint64_t MultithreadedCore::run_until(std::uint64_t cycle,
   }
 
   while (cycle < end) {
-    // Fetch for threads that issued last cycle — same slot order and
-    // cycle number as the lazy offer() path, so shared-ICache state
-    // evolves identically.
+    // Fetch for threads that issued last cycle, in slot order at the
+    // cycle after the issue: that order is how a shared ICache sees the
+    // fetches.
     while (refill_mask != 0) {
       const int s = std::countr_zero(refill_mask);
       refill_mask &= refill_mask - 1;

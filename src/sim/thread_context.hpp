@@ -72,20 +72,7 @@ class ThreadContext {
   ThreadContext(const ThreadContext&) = delete;
   ThreadContext& operator=(const ThreadContext&) = delete;
 
-  /// Offers this thread's next instruction for merging at `cycle`.
-  /// Fetches (and charges ICache penalties) lazily; returns nullptr while
-  /// the thread is stalled or has completed its budget. `hw_tid` routes
-  /// cache accesses when caches are private. Inline: the overwhelmingly
-  /// common case (an instruction already fetched, still stalled or ready)
-  /// is two compares; the fetch lives out of line in refill().
-  const Footprint* offer(std::uint64_t cycle, MemorySystem& mem,
-                         int hw_tid) {
-    if (done_) return nullptr;
-    if (pending_ == nullptr) refill(cycle, mem, hw_tid);
-    return cycle >= ready_at_ ? &pending_->footprint : nullptr;
-  }
-
-  /// Issues the previously offered instruction: retires it in the
+  /// Issues the fetched instruction: retires it in the
   /// generator, which draws its data addresses and branch directions,
   /// performs each DCache access as its address is drawn, accounts
   /// statistics and computes the next-issue stall. Returns the
@@ -94,10 +81,10 @@ class ThreadContext {
               const StallCosts& costs);
 
   /// Fetches the instruction under the generator's cursor and charges
-  /// its ICache access at `cycle`; draws nothing. Exposed so the cycle
-  /// loop can cache (ready_at, footprint) per slot and refill exactly
-  /// once per issued instruction instead of re-polling offer() every
-  /// cycle; offer() calls it lazily for all other callers.
+  /// its ICache access at `cycle`; draws nothing. `hw_tid` routes cache
+  /// accesses when caches are private. The window loop calls it once per
+  /// issued instruction and caches (ready_at, footprint) per slot; the
+  /// thread offers the instruction from cycle ready_at() on.
   /// Precondition: !done() and !has_pending().
   void refill(std::uint64_t cycle, MemorySystem& mem, int hw_tid);
 
@@ -109,8 +96,8 @@ class ThreadContext {
   /// True once `instruction_budget` instructions have issued.
   [[nodiscard]] bool done() const { return done_; }
 
-  /// True while a fetched instruction is waiting to issue (offer() has been
-  /// called since the last consume()).
+  /// True while a fetched instruction is waiting to issue (refill() has
+  /// been called since the last consume()).
   [[nodiscard]] bool has_pending() const { return pending_ != nullptr; }
 
   /// First cycle at which the pending instruction can issue. Meaningful

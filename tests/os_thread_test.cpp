@@ -50,6 +50,17 @@ StallCosts costs(const MemorySystem& mem,
   return StallCosts::of(kM, mem.config(), policy);
 }
 
+/// What the window loop (MultithreadedCore::run_until) offers from `t`
+/// at `cycle` in hardware slot 0: it fetches when no instruction is
+/// pending, and the fetched instruction is offered once it is ready.
+/// nullptr while the thread is stalled or done.
+const Footprint* offer(ThreadContext& t, std::uint64_t cycle,
+                       MemorySystem& mem) {
+  if (t.done()) return nullptr;
+  if (!t.has_pending()) t.refill(cycle, mem, 0);
+  return cycle >= t.ready_at() ? t.pending_footprint() : nullptr;
+}
+
 MemorySystemConfig perfect_mem() {
   MemorySystemConfig cfg;
   cfg.perfect = true;
@@ -59,63 +70,63 @@ MemorySystemConfig perfect_mem() {
 TEST(ThreadContext, OffersAndConsumesWithPerfectMemory) {
   MemorySystem mem(perfect_mem(), 1);
   ThreadContext t("t", alu_branch_program(), 1, 1000);
-  const Footprint* fp = t.offer(0, mem, 0);
+  const Footprint* fp = offer(t, 0, mem);
   ASSERT_NE(fp, nullptr);
   EXPECT_EQ(fp->total_ops(), 1);  // the alu instruction
   t.consume(0, mem, 0, costs(mem));
   EXPECT_EQ(t.stats().instructions, 1u);
   EXPECT_EQ(t.stats().ops, 1u);
   // Non-branch instruction: ready again the very next cycle.
-  EXPECT_NE(t.offer(1, mem, 0), nullptr);
+  EXPECT_NE(offer(t, 1, mem), nullptr);
 }
 
 TEST(ThreadContext, TakenBranchCostsThePenalty) {
   MemorySystem mem(perfect_mem(), 1);
   ThreadContext t("t", alu_branch_program(), 1, 1000);
-  t.offer(0, mem, 0);
+  offer(t, 0, mem);
   t.consume(0, mem, 0, costs(mem));  // alu
-  ASSERT_NE(t.offer(1, mem, 0), nullptr);
+  ASSERT_NE(offer(t, 1, mem), nullptr);
   t.consume(1, mem, 0, costs(mem));  // taken branch
   EXPECT_EQ(t.stats().taken_branches, 1u);
   EXPECT_EQ(t.stats().branch_stall_cycles, 2u);
   // Squash penalty: next issue at 1 + 1 + 2 = cycle 4.
-  EXPECT_EQ(t.offer(2, mem, 0), nullptr);
-  EXPECT_EQ(t.offer(3, mem, 0), nullptr);
-  EXPECT_NE(t.offer(4, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, 2, mem), nullptr);
+  EXPECT_EQ(offer(t, 3, mem), nullptr);
+  EXPECT_NE(offer(t, 4, mem), nullptr);
 }
 
 TEST(ThreadContext, SerializedMissesAddUp) {
   MemorySystem mem(MemorySystemConfig{}, 1);
   ThreadContext t("t", double_miss_program(), 1, 1000);
   // First offer pays the compulsory ICache miss.
-  EXPECT_EQ(t.offer(0, mem, 0), nullptr);
-  ASSERT_NE(t.offer(20, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, 0, mem), nullptr);
+  ASSERT_NE(offer(t, 20, mem), nullptr);
   t.consume(20, mem, 0, costs(mem));
   EXPECT_EQ(t.stats().dcache_stall_cycles, 40u);  // two misses, serialized
   // Next issue: 20 + 1 + 40 = 61 (plus ICache hit for the next line).
-  EXPECT_EQ(t.offer(60, mem, 0), nullptr);
-  EXPECT_NE(t.offer(61, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, 60, mem), nullptr);
+  EXPECT_NE(offer(t, 61, mem), nullptr);
 }
 
 TEST(ThreadContext, OverlappedMissesPayOnce) {
   MemorySystem mem(MemorySystemConfig{}, 1);
   ThreadContext t("t", double_miss_program(), 1, 1000);
-  EXPECT_EQ(t.offer(0, mem, 0), nullptr);  // compulsory ICache miss
-  ASSERT_NE(t.offer(20, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, 0, mem), nullptr);  // compulsory ICache miss
+  ASSERT_NE(offer(t, 20, mem), nullptr);
   t.consume(20, mem, 0, costs(mem, MissPolicy::kOverlapped));
   EXPECT_EQ(t.stats().dcache_stall_cycles, 20u);
-  EXPECT_NE(t.offer(41, mem, 0), nullptr);
+  EXPECT_NE(offer(t, 41, mem), nullptr);
 }
 
 TEST(ThreadContext, IcacheMissDelaysFirstIssueOnly) {
   MemorySystem mem(MemorySystemConfig{}, 1);
   ThreadContext t("t", alu_branch_program(), 1, 1000);
-  EXPECT_EQ(t.offer(0, mem, 0), nullptr);   // compulsory miss
-  EXPECT_EQ(t.offer(19, mem, 0), nullptr);
-  ASSERT_NE(t.offer(20, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, 0, mem), nullptr);   // compulsory miss
+  EXPECT_EQ(offer(t, 19, mem), nullptr);
+  ASSERT_NE(offer(t, 20, mem), nullptr);
   t.consume(20, mem, 0, costs(mem));
   // Both body instructions share one 64B line: next fetch hits.
-  EXPECT_NE(t.offer(21, mem, 0), nullptr);
+  EXPECT_NE(offer(t, 21, mem), nullptr);
   EXPECT_EQ(t.stats().icache_stall_cycles, 20u);
 }
 
@@ -124,12 +135,12 @@ TEST(ThreadContext, BudgetCompletionStopsOffers) {
   ThreadContext t("t", alu_branch_program(), 1, 3);
   std::uint64_t cycle = 0;
   while (!t.done()) {
-    if (t.offer(cycle, mem, 0) != nullptr)
+    if (offer(t, cycle, mem) != nullptr)
       t.consume(cycle, mem, 0, costs(mem));
     ++cycle;
   }
   EXPECT_EQ(t.stats().instructions, 3u);
-  EXPECT_EQ(t.offer(cycle, mem, 0), nullptr);
+  EXPECT_EQ(offer(t, cycle, mem), nullptr);
 }
 
 TEST(ThreadContext, ConsumeWithoutOfferIsAnError) {
