@@ -23,21 +23,21 @@ std::string hex(std::uint64_t v) {
 std::uint64_t parse_u64_or_die(std::string_view tok, int line_no,
                                std::string_view what) {
   std::uint64_t v = 0;
-  CVMT_CHECK_MSG(parse_u64_token(tok, v, 0),
-                 "line " + std::to_string(line_no) + ": " +
-                     std::string(what) + " is not an unsigned number: '" +
-                     std::string(tok) + "'");
+  CVMT_REQUIRE(parse_u64_token(tok, v, 0),
+               "line " + std::to_string(line_no) + ": " +
+                   std::string(what) + " is not an unsigned number: '" +
+                   std::string(tok) + "'");
   return v;
 }
 
 double parse_double_or_die(std::string_view tok, int line_no,
                            std::string_view what) {
   double v = 0.0;
-  CVMT_CHECK_MSG(parse_double_token(tok, v),
-                 "line " + std::to_string(line_no) + ": " +
-                     std::string(what) +
-                     " is not a non-negative number: '" +
-                     std::string(tok) + "'");
+  CVMT_REQUIRE(parse_double_token(tok, v),
+               "line " + std::to_string(line_no) + ": " +
+                   std::string(what) +
+                   " is not a non-negative number: '" +
+                   std::string(tok) + "'");
   return v;
 }
 
@@ -47,9 +47,8 @@ OpKind kind_from_token(std::string_view tok, int line_no) {
   if (tok == "ld") return OpKind::kLoad;
   if (tok == "st") return OpKind::kStore;
   if (tok == "br") return OpKind::kBranch;
-  CVMT_CHECK_MSG(false, "line " + std::to_string(line_no) +
-                            ": unknown op kind '" + std::string(tok) + "'");
-  __builtin_unreachable();
+  throw CheckError("line " + std::to_string(line_no) +
+                   ": unknown op kind '" + std::string(tok) + "'");
 }
 
 /// Minimal tokenizer state over one line.
@@ -62,9 +61,9 @@ class LineParser {
   [[nodiscard]] std::string field(std::string_view key) {
     const std::string pat = std::string(key) + "=";
     const std::size_t pos = line_.find(pat);
-    CVMT_CHECK_MSG(pos != std::string_view::npos,
-                   "line " + std::to_string(line_no_) + ": missing '" +
-                       std::string(key) + "='");
+    CVMT_REQUIRE(pos != std::string_view::npos,
+                 "line " + std::to_string(line_no_) + ": missing '" +
+                     std::string(key) + "='");
     std::size_t end = pos + pat.size();
     while (end < line_.size() && line_[end] != ' ') ++end;
     return std::string(line_.substr(pos + pat.size(),
@@ -91,19 +90,19 @@ Instruction parse_instruction(std::string_view body, int line_no) {
     part = trim(part);
     if (part.empty()) continue;
     // "c<cluster>.<slot> <kind>"
-    CVMT_CHECK_MSG(part.size() >= 5 && part[0] == 'c',
-                   "line " + std::to_string(line_no) +
-                       ": malformed operation '" + std::string(part) + "'");
+    CVMT_REQUIRE(part.size() >= 5 && part[0] == 'c',
+                 "line " + std::to_string(line_no) +
+                     ": malformed operation '" + std::string(part) + "'");
     const std::size_t dot = part.find('.');
     const std::size_t space = part.find(' ', dot);
-    CVMT_CHECK_MSG(dot != std::string_view::npos &&
-                       space != std::string_view::npos,
-                   "line " + std::to_string(line_no) +
-                       ": malformed operation '" + std::string(part) + "'");
+    CVMT_REQUIRE(dot != std::string_view::npos &&
+                     space != std::string_view::npos,
+                 "line " + std::to_string(line_no) +
+                     ": malformed operation '" + std::string(part) + "'");
     Operation op;
     std::uint64_t cluster = 0;
     std::uint64_t slot = 0;
-    CVMT_CHECK_MSG(
+    CVMT_REQUIRE(
         parse_u64_token(part.substr(1, dot - 1), cluster, 10) &&
             parse_u64_token(part.substr(dot + 1, space - dot - 1), slot,
                             10) &&
@@ -173,6 +172,7 @@ std::shared_ptr<const SyntheticProgram> parse_program(
   std::vector<SyntheticProgram::LoopSource> loops;
   SyntheticProgram::LoopSource current;
   bool in_loop = false;
+  int loop_line = 0;  // the line of the open .loop
   bool machine_seen = false;
   std::uint64_t next_pc = 0;
 
@@ -188,11 +188,11 @@ std::shared_ptr<const SyntheticProgram> parse_program(
     if (line.rfind(".program", 0) == 0) {
       profile.name = std::string(trim(line.substr(8)));
     } else if (line.rfind(".machine", 0) == 0) {
-      CVMT_CHECK_MSG(static_cast<int>(lp.field_u64("clusters")) ==
-                             machine.num_clusters &&
-                         lp.field("issue") == issue_field_of(machine),
-                     "line " + std::to_string(line_no) +
-                         ": .machine does not match the target machine");
+      CVMT_REQUIRE(static_cast<int>(lp.field_u64("clusters")) ==
+                           machine.num_clusters &&
+                       lp.field("issue") == issue_field_of(machine),
+                   "line " + std::to_string(line_no) +
+                       ": .machine does not match the target machine");
       machine_seen = true;
     } else if (line.rfind(".stride", 0) == 0) {
       profile.hot_stride =
@@ -204,8 +204,9 @@ std::shared_ptr<const SyntheticProgram> parse_program(
       profile.mid_branch_taken =
           parse_double_or_die(trim(line.substr(9)), line_no, ".midtaken");
     } else if (line.rfind(".loop", 0) == 0) {
-      CVMT_CHECK_MSG(!in_loop, "line " + std::to_string(line_no) +
-                                   ": nested .loop");
+      CVMT_REQUIRE(!in_loop, "line " + std::to_string(line_no) +
+                                 ": nested .loop");
+      loop_line = line_no;
       current = SyntheticProgram::LoopSource{};
       SyntheticProgram::Loop& loop = current.loop;
       loop.mean_trips = lp.field_double("trips");
@@ -213,9 +214,9 @@ std::shared_ptr<const SyntheticProgram> parse_program(
       loop.code_base = lp.field_u64("code");
       const std::string hot = lp.field("hot");
       const std::size_t plus = hot.find('+');
-      CVMT_CHECK_MSG(plus != std::string::npos,
-                     "line " + std::to_string(line_no) +
-                         ": hot= needs base+window");
+      CVMT_REQUIRE(plus != std::string::npos,
+                   "line " + std::to_string(line_no) +
+                       ": hot= needs base+window");
       loop.hot_base = parse_u64_or_die(
           std::string_view(hot).substr(0, plus), line_no, "hot= base");
       loop.hot_window = parse_u64_or_die(
@@ -224,29 +225,30 @@ std::shared_ptr<const SyntheticProgram> parse_program(
       next_pc = loop.code_base;
       in_loop = true;
     } else if (line == ".endloop") {
-      CVMT_CHECK_MSG(in_loop, "line " + std::to_string(line_no) +
-                                  ": .endloop outside a loop");
+      CVMT_REQUIRE(in_loop, "line " + std::to_string(line_no) +
+                                ": .endloop outside a loop");
       loops.push_back(std::move(current));
       in_loop = false;
     } else if (line.front() == '{') {
-      CVMT_CHECK_MSG(in_loop, "line " + std::to_string(line_no) +
-                                  ": instruction outside a loop");
+      CVMT_REQUIRE(in_loop, "line " + std::to_string(line_no) +
+                                ": instruction outside a loop");
       const std::size_t close = line.rfind('}');
-      CVMT_CHECK_MSG(close != std::string_view::npos,
-                     "line " + std::to_string(line_no) + ": missing '}'");
+      CVMT_REQUIRE(close != std::string_view::npos,
+                   "line " + std::to_string(line_no) + ": missing '}'");
       Instruction instr =
           parse_instruction(line.substr(1, close - 1), line_no);
       instr.set_pc(next_pc);
       next_pc += profile.code_bytes_per_instr;
       current.body.push_back(std::move(instr));
     } else {
-      CVMT_CHECK_MSG(false, "line " + std::to_string(line_no) +
-                                ": unrecognised directive '" +
-                                std::string(line) + "'");
+      throw CheckError("line " + std::to_string(line_no) +
+                       ": unrecognised directive '" + std::string(line) +
+                       "'");
     }
   }
-  CVMT_CHECK_MSG(!in_loop, "unterminated .loop at end of input");
-  CVMT_CHECK_MSG(machine_seen, "missing .machine directive");
+  CVMT_REQUIRE(!in_loop, "line " + std::to_string(loop_line) +
+                             ": unterminated .loop at end of input");
+  CVMT_REQUIRE(machine_seen, "missing .machine directive");
   profile.num_loops = static_cast<int>(loops.size());
   return std::make_shared<const SyntheticProgram>(profile, machine,
                                                   std::move(loops));

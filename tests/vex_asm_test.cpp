@@ -274,6 +274,42 @@ TEST(VexAsm, MalformedOperationDigitsAreRejected) {
                      "malformed operation");
 }
 
+// Every rejection is an input error: it names the line at fault (a
+// missing .machine names the directive) and carries no source path.
+TEST(VexAsm, ErrorsNameTheLineWithoutASourcePath) {
+  const std::string loop =
+      ".loop trips=1 miss=0 code=0x0 hot=0x0+64 cold=0x0\n";
+  const struct {
+    std::string text;
+    const char* start;
+  } cases[] = {
+      {".machine clusters=4 issue=4\n.stride 8x\n",
+       "line 2: .stride is not an unsigned number: '8x'"},
+      {".program x\n", "missing .machine directive"},
+      {".machine clusters=4 issue=4\n{ c0.0 alu }\n",
+       "line 2: instruction outside a loop"},
+      {".machine clusters=4 issue=4\n\n" + loop + "{ c0.0 alu }\n",
+       "line 3: unterminated .loop at end of input"},
+      {".machine clusters=4 issue=4\n" + loop + "{ c0.0 fma }\n.endloop\n",
+       "line 3: unknown op kind 'fma'"},
+      {".machine clusters=4 issue=4\n.bogus\n",
+       "line 2: unrecognised directive '.bogus'"},
+      {".machine clusters=4 issue=2\n",
+       "line 1: .machine does not match the target machine"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)parse_program(c.text, kM);
+      ADD_FAILURE() << "no error for:\n" << c.text;
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_EQ(msg.find(c.start), 0u) << msg;
+      EXPECT_EQ(msg.find("CVMT_CHECK"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cpp:"), std::string::npos) << msg;
+    }
+  }
+}
+
 TEST(VexAsm, CommentsAndBlankLinesIgnored) {
   const std::string text = std::string("# leading comment\n\n") +
                            kMiniProgram + "\n# trailing\n";
