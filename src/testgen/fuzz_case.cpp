@@ -25,8 +25,8 @@ std::string field_name(const std::string& where, const char* key) {
 /// `o[key]`, where `o` is the object at `where`. A value that is absent
 /// or not a `kind` (an integer counts as a number) is an error naming
 /// the field.
-const JsonValue& member(const JsonValue& o, const std::string& where,
-                        const char* key, JsonValue::Kind kind) {
+const JsonValue& field(const JsonValue& o, const std::string& where,
+                       const char* key, JsonValue::Kind kind) {
   static constexpr const char* kKindNames[] = {
       "null",     "a bool",   "an integer", "a number",
       "a string", "an array", "an object"};
@@ -44,12 +44,12 @@ const JsonValue& member(const JsonValue& o, const std::string& where,
 
 const std::string& string_field(const JsonValue& o, const std::string& where,
                                 const char* key) {
-  return member(o, where, key, JsonValue::Kind::kString).as_string();
+  return field(o, where, key, JsonValue::Kind::kString).as_string();
 }
 
 double double_field(const JsonValue& o, const std::string& where,
                     const char* key) {
-  return member(o, where, key, JsonValue::Kind::kDouble).as_double();
+  return field(o, where, key, JsonValue::Kind::kDouble).as_double();
 }
 
 /// `o[key]` as a T, checked before it is narrowed: a value that does not
@@ -58,7 +58,7 @@ double double_field(const JsonValue& o, const std::string& where,
 template <class T>
 T int_field(const JsonValue& o, const std::string& where,
             const char* key) {
-  const std::int64_t v = member(o, where, key, JsonValue::Kind::kInt).as_int();
+  const std::int64_t v = field(o, where, key, JsonValue::Kind::kInt).as_int();
   CVMT_REQUIRE(std::in_range<T>(v),
                "fuzz case: " + field_name(where, key) + " " +
                    std::to_string(v) + " out of range (" +
@@ -70,7 +70,7 @@ T int_field(const JsonValue& o, const std::string& where,
 /// `o[key]` as an enum, written as its value 0..max.
 std::int64_t enum_field(const JsonValue& o, const std::string& where,
                         const char* key, std::int64_t max) {
-  const std::int64_t v = member(o, where, key, JsonValue::Kind::kInt).as_int();
+  const std::int64_t v = field(o, where, key, JsonValue::Kind::kInt).as_int();
   CVMT_REQUIRE(v >= 0 && v <= max,
                "fuzz case: " + field_name(where, key) + " " +
                    std::to_string(v) + " out of range (0.." +
@@ -83,7 +83,7 @@ std::int64_t enum_field(const JsonValue& o, const std::string& where,
 std::uint64_t seed_field(const JsonValue& o, const std::string& where,
                          const char* key) {
   return static_cast<std::uint64_t>(
-      member(o, where, key, JsonValue::Kind::kInt).as_int());
+      field(o, where, key, JsonValue::Kind::kInt).as_int());
 }
 
 JsonValue profile_to_json(const BenchmarkProfile& p) {
@@ -225,7 +225,7 @@ JsonValue FuzzCase::to_json() const {
 
 FuzzCase FuzzCase::from_json(const JsonValue& v) {
   const std::int64_t version =
-      member(v, "", "version", JsonValue::Kind::kInt).as_int();
+      field(v, "", "version", JsonValue::Kind::kInt).as_int();
   CVMT_REQUIRE(version == kCaseVersion,
                "fuzz case: version " + std::to_string(version) +
                    " is not the version this build reads (" +
@@ -234,13 +234,13 @@ FuzzCase FuzzCase::from_json(const JsonValue& v) {
   c.label = string_field(v, "", "label");
   c.seed = seed_field(v, "", "seed");
   c.scheme = string_field(v, "", "scheme");
-  const JsonValue& profs = member(v, "", "profiles", JsonValue::Kind::kArray);
+  const JsonValue& profs = field(v, "", "profiles", JsonValue::Kind::kArray);
   for (std::size_t i = 0; i < profs.size(); ++i)
     c.profiles.push_back(profile_from_json(
         profs.at(i), "profiles[" + std::to_string(i) + "]"));
-  const JsonValue& s = member(v, "", "sim", JsonValue::Kind::kObject);
+  const JsonValue& s = field(v, "", "sim", JsonValue::Kind::kObject);
   const MachineDescription d = machine_from_lines(
-      member(s, "sim", "machine", JsonValue::Kind::kArray));
+      field(s, "sim", "machine", JsonValue::Kind::kArray));
   c.sim.machine = d.machine;
   c.sim.mem = d.mem;
   c.sim.switch_policy = d.switch_policy;
