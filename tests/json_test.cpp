@@ -2,10 +2,15 @@
 // and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 
 namespace cvmt {
 namespace {
@@ -17,11 +22,32 @@ TEST(Json, WritesScalars) {
   EXPECT_EQ(JsonValue(std::int64_t{-42}).dump(), "-42");
   EXPECT_EQ(JsonValue(1.5).dump(), "1.5");
   EXPECT_EQ(JsonValue("hi").dump(), "\"hi\"");
+  EXPECT_EQ(JsonValue(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(JsonValue(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+  // JSON has no NaN or infinity: both are written as null.
+  EXPECT_EQ(JsonValue(std::numeric_limits<double>::quiet_NaN()).dump(),
+            "null");
+  EXPECT_EQ(JsonValue(std::numeric_limits<double>::infinity()).dump(),
+            "null");
+  EXPECT_EQ(JsonValue(-std::numeric_limits<double>::infinity()).dump(-1),
+            "null");
 }
 
 TEST(Json, EscapesStrings) {
   EXPECT_EQ(JsonValue("a\"b\\c\nd").dump(), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(JsonValue(std::string("\x01", 1)).dump(), "\"\\u0001\"");
+  EXPECT_EQ(JsonValue("\r\t").dump(), "\"\\r\\t\"");
+  EXPECT_EQ(JsonValue("\x1f").dump(), "\"\\u001f\"");
+  // DEL and bytes from 0x80 up are written raw.
+  EXPECT_EQ(JsonValue("a\x7f" "b").dump(), "\"a\x7f" "b\"");
+  EXPECT_EQ(JsonValue("\xc3\xa9\xff").dump(), "\"\xc3\xa9\xff\"");
+  // An object key is escaped like any other string.
+  JsonValue obj = JsonValue::object();
+  obj.set("k\"\n\x02", 1);
+  EXPECT_EQ(obj.dump(-1), "{\"k\\\"\\n\\u0002\":1}");
+  EXPECT_EQ(obj.dump(2), "{\n  \"k\\\"\\n\\u0002\": 1\n}");
 }
 
 TEST(Json, ObjectKeepsInsertionOrderAndOverwrites) {
@@ -42,6 +68,16 @@ TEST(Json, PrettyPrintIsStable) {
   arr.push_back("two");
   obj.set("xs", std::move(arr));
   EXPECT_EQ(obj.dump(2), "{\n  \"xs\": [\n    1,\n    \"two\"\n  ]\n}");
+  // Empty containers stay on one line at any indent, nested or not.
+  for (const int indent : {-1, 2}) {
+    EXPECT_EQ(JsonValue::array().dump(indent), "[]");
+    EXPECT_EQ(JsonValue::object().dump(indent), "{}");
+  }
+  JsonValue empties = JsonValue::array();
+  empties.push_back(JsonValue::array());
+  empties.push_back(JsonValue::object());
+  EXPECT_EQ(empties.dump(-1), "[[],{}]");
+  EXPECT_EQ(empties.dump(2), "[\n  [],\n  {}\n]");
 }
 
 TEST(Json, ParsesDocument) {
@@ -117,6 +153,56 @@ TEST(Json, ParseErrorsNameTheOffsetWithoutASourcePath) {
       EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
     }
   }
+}
+
+// Every parse error, word for word: the message and the byte offset it
+// names are part of what a serve client or a store reader sees.
+TEST(Json, ParseErrorTextsAndOffsetsArePinned) {
+  const struct {
+    const char* text;
+    const char* error;
+  } cases[] = {
+      {"", "JSON parse error at offset 0: unexpected end of input"},
+      {" ", "JSON parse error at offset 1: unexpected end of input"},
+      {"}", "JSON parse error at offset 0: bad number"},
+      {"[1 2]", "JSON parse error at offset 4: expected ',' or ']'"},
+      {"{\"a\" 1}", "JSON parse error at offset 5: expected ':'"},
+      {"{\"a\":1,}", "JSON parse error at offset 7: expected '\"'"},
+      {"{\"a\":1 \"b\":2}",
+       "JSON parse error at offset 8: expected ',' or '}'"},
+      {"nulx", "JSON parse error at offset 0: bad literal"},
+      {"\"abc", "JSON parse error at offset 4: unterminated string"},
+      {"\"a\\", "JSON parse error at offset 3: unterminated escape"},
+      {"\"a\\q\"", "JSON parse error at offset 4: bad escape character"},
+      {"\"\\u12\"", "JSON parse error at offset 3: truncated \\u escape"},
+      {"\"\\u12G4\"", "JSON parse error at offset 6: bad \\u escape"},
+      {"--1", "JSON parse error at offset 3: bad number"},
+      {"+1", "JSON parse error at offset 2: bad number"},
+      {"1.2.3", "JSON parse error at offset 5: bad number"},
+      {"1e999", "JSON parse error at offset 5: bad number"},
+      {"[\"a\",", "JSON parse error at offset 5: unexpected end of input"},
+      {"42abc", "trailing characters after JSON document at offset 2"},
+      {"\"ok\"\"extra\"",
+       "trailing characters after JSON document at offset 4"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)JsonValue::parse(c.text);
+      ADD_FAILURE() << "no error for " << c.text;
+    } catch (const CheckError& e) {
+      EXPECT_STREQ(e.what(), c.error) << c.text;
+    }
+  }
+}
+
+// A key that repeats keeps the place of its first occurrence and the
+// value of its last, as set() does.
+TEST(Json, ParsedDuplicateKeyKeepsFirstPositionAndLastValue) {
+  const JsonValue v = JsonValue::parse(R"({"a":1,"b":2,"a":{"c":3}})");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.members()[0].first, "a");
+  EXPECT_EQ(v.get("a").get("c").as_int(), 3);
+  EXPECT_EQ(v.dump(-1), R"({"a":{"c":3},"b":2})");
 }
 
 TEST(Json, TypedAccessorsCheckKind) {
@@ -220,6 +306,81 @@ TEST(Json, RejectsTrailingGarbage) {
   EXPECT_THROW((void)JsonValue::parse("\"ok\"\"extra\""), CheckError);
   // Trailing whitespace is not garbage.
   EXPECT_EQ(JsonValue::parse("7 \n\t ").as_int(), 7);
+}
+
+// --- the writer's round trip over generated documents ---------------------
+
+/// One byte from each class the writer treats differently: plain ASCII,
+/// the two escaped characters, the three named control escapes, the other
+/// control characters (\u00XX), DEL and the bytes from 0x80 up (raw).
+char random_byte(Xoshiro256& rng) {
+  switch (rng.next_below(8)) {
+    case 0: return '"';
+    case 1: return '\\';
+    case 2: return "\n\r\t"[rng.next_below(3)];
+    case 3: return static_cast<char>(rng.next_below(0x20));
+    case 4: return '\x7f';
+    case 5: return static_cast<char>(0x80 + rng.next_below(0x80));
+    default: return static_cast<char>(' ' + rng.next_below(95));
+  }
+}
+
+std::string random_string(Xoshiro256& rng) {
+  std::string s(rng.next_below(12), ' ');
+  for (char& c : s) c = random_byte(rng);
+  return s;
+}
+
+double random_double(Xoshiro256& rng) {
+  double d = 0.0;
+  switch (rng.next_below(4)) {
+    case 0: {  // any bit pattern: subnormals, huge values, NaN, infinity
+      const std::uint64_t bits = rng.next();
+      std::memcpy(&d, &bits, sizeof d);
+      break;
+    }
+    case 1: d = rng.next_double() * 1000.0 - 500.0; break;
+    case 2: d = static_cast<double>(rng.next_below(100)); break;
+    default: d = rng.next_double() * 1e20; break;
+  }
+  // -0.0 is written "-0", which reads back as the integer 0: the one
+  // double whose text does not survive a round trip.
+  return d == 0.0 ? 0.0 : d;
+}
+
+/// A document of every kind, nested at most 8 levels deep.
+JsonValue random_value(Xoshiro256& rng, int depth) {
+  switch (rng.next_below(depth < 8 ? 7 : 5)) {
+    case 0: return JsonValue();
+    case 1: return JsonValue(rng.next_below(2) == 1);
+    case 2: return JsonValue(static_cast<std::int64_t>(rng.next()));
+    case 3: return JsonValue(random_double(rng));
+    case 4: return JsonValue(random_string(rng));
+    case 5: {
+      JsonValue arr = JsonValue::array();
+      for (std::uint64_t n = rng.next_below(5); n > 0; --n)
+        arr.push_back(random_value(rng, depth + 1));
+      return arr;
+    }
+    default: {
+      JsonValue obj = JsonValue::object();
+      for (std::uint64_t n = rng.next_below(5); n > 0; --n)
+        obj.set(random_string(rng), random_value(rng, depth + 1));
+      return obj;
+    }
+  }
+}
+
+TEST(Json, GeneratedDocumentsReadBackToTheSameText) {
+  Xoshiro256 rng(31);
+  for (int doc = 0; doc < 2000; ++doc) {
+    const JsonValue v = random_value(rng, 0);
+    for (const int indent : {-1, 2}) {
+      const std::string text = v.dump(indent);
+      EXPECT_EQ(JsonValue::parse(text).dump(indent), text)
+          << "document " << doc << " at indent " << indent;
+    }
+  }
 }
 
 }  // namespace

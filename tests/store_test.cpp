@@ -3,7 +3,8 @@
 // length beyond the file), the memory a store's open holds, the lossless
 // SimResult JSON round trip, deterministic shard partitioning,
 // resume-without-recompute (pinned by a compute-call counter), replay's
-// missing-point diagnostics, and the end-to-end byte-identity contract —
+// missing-point diagnostics, the pinned bytes of a one-worker log, and
+// the end-to-end byte-identity contract —
 // shard + merge reproduces the unsharded `cvmt run --format=json` bytes
 // exactly.
 #include <gtest/gtest.h>
@@ -760,6 +761,31 @@ TEST(StoreCli, MergeOfAPartialStoreFailsWithTheResumeCommand) {
   EXPECT_EQ(code, 1);
   EXPECT_NE(err.find("cvmt run fig4"), std::string::npos) << err;
   EXPECT_NE(err.find("--shard"), std::string::npos) << err;
+}
+
+// The bytes of a store log are an on-disk contract: a store written by
+// an earlier build resumes and merges under a later one. One worker
+// appends in job order (at the default count the order varies), so the
+// log's digest is pinned; and every record re-encodes through the
+// decoder and the encoder to the bytes it was read from.
+TEST(StoreCli, ALogWrittenOnOneWorkerHasPinnedBytes) {
+  const std::string store = fresh_dir("cli_pinned_log") + "/store";
+  ASSERT_EQ(run_cli({"cvmt", "run", "fig4", "--budget=10000",
+                     "--timeslice=2500", "--workers=1", "--store=" + store}),
+            0);
+  const std::string log = read_file(shard_log_path(store, 0, 1));
+  EXPECT_EQ(fnv1a64(log), 0x86e3e532dc5a73ddULL)
+      << "log of " << log.size() << " bytes";
+  std::string reencoded;
+  const LogScan scan = scan_log(
+      shard_log_path(store, 0, 1),
+      [&](const std::string& key, const JsonValue& result) {
+        reencoded += encode_record(
+            key, sim_result_to_json(sim_result_from_json(result)));
+      });
+  EXPECT_FALSE(scan.torn);
+  EXPECT_GT(scan.records, 0u);
+  EXPECT_TRUE(reencoded == log) << "the re-encoded log differs";
 }
 
 // A --store path that is, or runs through, a regular file is a usage
