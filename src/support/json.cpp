@@ -1,13 +1,10 @@
 #include "support/json.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
 #include "support/check.hpp"
 #include "support/string_util.hpp"
@@ -16,64 +13,83 @@ namespace cvmt {
 
 JsonValue JsonValue::array() {
   JsonValue v;
-  v.kind_ = Kind::kArray;
+  v.value_.emplace<Array>();
   return v;
 }
 
 JsonValue JsonValue::object() {
   JsonValue v;
-  v.kind_ = Kind::kObject;
+  v.value_.emplace<Object>();
   return v;
 }
 
 bool JsonValue::as_bool() const {
-  CVMT_CHECK_MSG(kind_ == Kind::kBool, "JSON value is not a bool");
-  return bool_;
+  const bool* b = std::get_if<bool>(&value_);
+  CVMT_CHECK_MSG(b != nullptr, "JSON value is not a bool");
+  return *b;
 }
 
 std::int64_t JsonValue::as_int() const {
-  CVMT_CHECK_MSG(kind_ == Kind::kInt, "JSON value is not an integer");
-  return int_;
+  const std::int64_t* i = std::get_if<std::int64_t>(&value_);
+  CVMT_CHECK_MSG(i != nullptr, "JSON value is not an integer");
+  return *i;
 }
 
 double JsonValue::as_double() const {
-  if (kind_ == Kind::kInt) return static_cast<double>(int_);
-  CVMT_CHECK_MSG(kind_ == Kind::kDouble, "JSON value is not a number");
-  return double_;
+  if (const std::int64_t* i = std::get_if<std::int64_t>(&value_))
+    return static_cast<double>(*i);
+  const double* d = std::get_if<double>(&value_);
+  CVMT_CHECK_MSG(d != nullptr, "JSON value is not a number");
+  return *d;
 }
 
 const std::string& JsonValue::as_string() const {
-  CVMT_CHECK_MSG(kind_ == Kind::kString, "JSON value is not a string");
-  return string_;
+  const std::string* s = std::get_if<std::string>(&value_);
+  CVMT_CHECK_MSG(s != nullptr, "JSON value is not a string");
+  return *s;
 }
 
 void JsonValue::push_back(JsonValue v) {
-  CVMT_CHECK_MSG(kind_ == Kind::kArray, "JSON value is not an array");
-  array_.push_back(std::move(v));
+  Array* items = std::get_if<Array>(&value_);
+  CVMT_CHECK_MSG(items != nullptr, "JSON value is not an array");
+  items->push_back(std::move(v));
 }
 
 std::size_t JsonValue::size() const {
-  if (kind_ == Kind::kArray) return array_.size();
-  if (kind_ == Kind::kObject) return object_.size();
+  if (const Array* items = std::get_if<Array>(&value_)) return items->size();
+  if (const Object* members = std::get_if<Object>(&value_))
+    return members->size();
   CVMT_CHECK_MSG(false, "JSON value has no size");
   return 0;
 }
 
 const JsonValue& JsonValue::at(std::size_t i) const {
-  CVMT_CHECK_MSG(kind_ == Kind::kArray, "JSON value is not an array");
-  CVMT_CHECK_MSG(i < array_.size(), "JSON array index out of range");
-  return array_[i];
+  const Array* items = std::get_if<Array>(&value_);
+  CVMT_CHECK_MSG(items != nullptr, "JSON value is not an array");
+  CVMT_CHECK_MSG(i < items->size(), "JSON array index out of range");
+  return (*items)[i];
+}
+
+void JsonValue::reserve(std::size_t n) {
+  if (Array* items = std::get_if<Array>(&value_)) {
+    items->reserve(n);
+    return;
+  }
+  Object* members = std::get_if<Object>(&value_);
+  CVMT_CHECK_MSG(members != nullptr, "JSON value is not an array or object");
+  members->reserve(n);
 }
 
 void JsonValue::set(std::string key, JsonValue v) {
-  CVMT_CHECK_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  for (auto& [k, existing] : object_) {
+  Object* members = std::get_if<Object>(&value_);
+  CVMT_CHECK_MSG(members != nullptr, "JSON value is not an object");
+  for (auto& [k, existing] : *members) {
     if (k == key) {
       existing = std::move(v);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(v));
+  members->emplace_back(std::move(key), std::move(v));
 }
 
 const JsonValue& JsonValue::get(std::string_view key) const {
@@ -83,124 +99,155 @@ const JsonValue& JsonValue::get(std::string_view key) const {
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  CVMT_CHECK_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  for (const auto& [k, v] : object_)
+  for (const auto& [k, v] : members())
     if (k == key) return &v;
   return nullptr;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
-  CVMT_CHECK_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  return object_;
+const JsonValue::Object& JsonValue::members() const {
+  const Object* members = std::get_if<Object>(&value_);
+  CVMT_CHECK_MSG(members != nullptr, "JSON value is not an object");
+  return *members;
 }
+
+// ------------------------------------------------------------------ writer
 
 namespace {
 
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
+void write_escaped(std::string& out, std::string_view s) {
+  out.push_back('"');
+  const char* run = s.data();  // start of the plain bytes not yet copied
+  const char* const end = s.data() + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const auto ch = static_cast<unsigned char>(*p);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(run, static_cast<std::size_t>(p - run));
+    run = p + 1;
     switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x",
-                        static_cast<unsigned>(ch));
-          os << buf.data();
-        } else {
-          os << ch;
-        }
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[ch >> 4],
+                               kHex[ch & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  os << '"';
+  out.append(run, static_cast<std::size_t>(end - run));
+  out.push_back('"');
 }
 
-void write_double(std::ostream& os, double d) {
+void write_int(std::string& out, std::int64_t i) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, i);
+  out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+void write_double(std::string& out, double d) {
   // JSON has no Inf/NaN; experiments never produce them, but a crash here
   // would mask the real bug, so degrade to null.
   if (!std::isfinite(d)) {
-    os << "null";
+    out += "null";
     return;
   }
-  std::array<char, 32> buf{};
-  const auto [end, ec] =
-      std::to_chars(buf.data(), buf.data() + buf.size(), d);
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, d);
   CVMT_CHECK(ec == std::errc());
-  os << std::string_view(buf.data(),
-                         static_cast<std::size_t>(end - buf.data()));
+  out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
-void newline_indent(std::ostream& os, int indent, int depth) {
+void newline_indent(std::string& out, int indent, int depth) {
   if (indent < 0) return;
-  os << '\n' << std::string(static_cast<std::size_t>(indent * depth), ' ');
+  out.push_back('\n');
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
 }  // namespace
 
-void JsonValue::write_impl(std::ostream& os, int indent, int depth) const {
-  switch (kind_) {
-    case Kind::kNull: os << "null"; return;
-    case Kind::kBool: os << (bool_ ? "true" : "false"); return;
-    case Kind::kInt: os << int_; return;
-    case Kind::kDouble: write_double(os, double_); return;
-    case Kind::kString: write_escaped(os, string_); return;
+void JsonValue::write_impl(std::string& out, int indent, int depth) const {
+  switch (kind()) {
+    case Kind::kNull: out += "null"; return;
+    case Kind::kBool:
+      out += *std::get_if<bool>(&value_) ? "true" : "false";
+      return;
+    case Kind::kInt:
+      write_int(out, *std::get_if<std::int64_t>(&value_));
+      return;
+    case Kind::kDouble:
+      write_double(out, *std::get_if<double>(&value_));
+      return;
+    case Kind::kString:
+      write_escaped(out, *std::get_if<std::string>(&value_));
+      return;
     case Kind::kArray: {
-      if (array_.empty()) {
-        os << "[]";
+      const Array& items = *std::get_if<Array>(&value_);
+      if (items.empty()) {
+        out += "[]";
         return;
       }
-      os << '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i) os << ',';
-        newline_indent(os, indent, depth + 1);
-        array_[i].write_impl(os, indent, depth + 1);
+      out.push_back('[');
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i) out.push_back(',');
+        newline_indent(out, indent, depth + 1);
+        items[i].write_impl(out, indent, depth + 1);
       }
-      newline_indent(os, indent, depth);
-      os << ']';
+      newline_indent(out, indent, depth);
+      out.push_back(']');
       return;
     }
     case Kind::kObject: {
-      if (object_.empty()) {
-        os << "{}";
+      const Object& members = *std::get_if<Object>(&value_);
+      if (members.empty()) {
+        out += "{}";
         return;
       }
-      os << '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i) os << ',';
-        newline_indent(os, indent, depth + 1);
-        write_escaped(os, object_[i].first);
-        os << (indent < 0 ? ":" : ": ");
-        object_[i].second.write_impl(os, indent, depth + 1);
+      out.push_back('{');
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i) out.push_back(',');
+        newline_indent(out, indent, depth + 1);
+        write_escaped(out, members[i].first);
+        out.append(": ", indent < 0 ? 1 : 2);
+        members[i].second.write_impl(out, indent, depth + 1);
       }
-      newline_indent(os, indent, depth);
-      os << '}';
+      newline_indent(out, indent, depth);
+      out.push_back('}');
       return;
     }
   }
 }
 
-void JsonValue::write(std::ostream& os, int indent) const {
-  write_impl(os, indent, 0);
+std::string JsonValue::dump(int indent) const {
+  std::string out;
+  write_impl(out, indent, 0);
+  return out;
 }
 
-std::string JsonValue::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent);
-  return os.str();
+void JsonValue::dump_to(std::string& out, int indent) const {
+  write_impl(out, indent, 0);
+}
+
+void JsonValue::write(std::ostream& os, int indent) const {
+  const std::string text = dump(indent);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 // ------------------------------------------------------------------ parser
 
-namespace {
-
+/// Recursive descent over one document. The elements of the arrays and
+/// the members of the objects being read wait on two stacks shared by
+/// the whole parse; a closing bracket moves its container's entries into
+/// one vector of their final size.
 class JsonParser {
  public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {
+    // Room for a store record's deepest stack, so neither grows on one.
+    elements_.reserve(32);
+    members_.reserve(32);
+  }
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
@@ -275,18 +322,29 @@ class JsonParser {
       ++pos_;
       return obj;
     }
+    const std::size_t base = members_.size();
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj.set(std::move(key), parse_value());
+      JsonValue value = parse_value();
+      // A repeated key keeps its first place and takes the last value,
+      // as set() does.
+      std::size_t i = base;
+      while (i < members_.size() && members_[i].first != key) ++i;
+      if (i < members_.size())
+        members_[i].second = std::move(value);
+      else
+        members_.emplace_back(std::move(key), std::move(value));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == '}') return obj;
+      if (c == '}') break;
       if (c != ',') fail("expected ',' or '}'");
     }
+    obj.value_.emplace<JsonValue::Object>(take(members_, base));
+    return obj;
   }
 
   JsonValue parse_array() {
@@ -297,27 +355,45 @@ class JsonParser {
       ++pos_;
       return arr;
     }
+    const std::size_t base = elements_.size();
     while (true) {
-      arr.push_back(parse_value());
+      elements_.push_back(parse_value());
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == ']') return arr;
+      if (c == ']') break;
       if (c != ',') fail("expected ',' or ']'");
     }
+    arr.value_.emplace<JsonValue::Array>(take(elements_, base));
+    return arr;
+  }
+
+  /// Moves the entries of `stack` from `base` on into a vector of their
+  /// own and pops them.
+  template <typename T>
+  static std::vector<T> take(std::vector<T>& stack, std::size_t base) {
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<T> out(std::make_move_iterator(first),
+                       std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+    return out;
+  }
+
+  /// The end of the run of plain bytes from `p`: the first '"' or '\\'
+  /// at or after it, or the end of the text.
+  [[nodiscard]] std::size_t plain_run_end(std::size_t p) const {
+    while (p < text_.size() && text_[p] != '"' && text_[p] != '\\') ++p;
+    return p;
   }
 
   std::string parse_string() {
     expect('"');
-    std::string out;
+    std::size_t end = plain_run_end(pos_);
+    std::string out(text_.substr(pos_, end - pos_));
     while (true) {
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -329,36 +405,40 @@ class JsonParser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              fail("bad \\u escape");
-          }
-          // UTF-8 encode (no surrogate-pair support; the experiment
-          // output is ASCII).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
+        case 'u': append_unicode_escape(out); break;
         default: fail("bad escape character");
       }
+      end = plain_run_end(pos_);
+      out.append(text_.substr(pos_, end - pos_));
+    }
+  }
+
+  /// The four hex digits after "\u", appended as UTF-8.
+  void append_unicode_escape(std::string& out) {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f')
+        code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F')
+        code |= static_cast<unsigned>(h - 'A' + 10);
+      else
+        fail("bad \\u escape");
+    }
+    // UTF-8 encode (no surrogate-pair support; the experiment output is
+    // ASCII).
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
     }
   }
 
@@ -368,7 +448,7 @@ class JsonParser {
     bool is_double = false;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (c >= '0' && c <= '9') {
         ++pos_;
       } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
         is_double = true;
@@ -398,9 +478,9 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;  ///< open arrays/objects around pos_
+  std::vector<JsonValue> elements_;  ///< of the open arrays, innermost last
+  JsonValue::Object members_;        ///< of the open objects, innermost last
 };
-
-}  // namespace
 
 JsonValue JsonValue::parse(std::string_view text) {
   return JsonParser(text).parse_document();

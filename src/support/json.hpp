@@ -1,9 +1,15 @@
-// Minimal JSON value: enough for machine-readable experiment output and
-// for reading it back in tests. Object keys keep insertion order so output
-// is deterministic (the golden-stability tests compare bytes).
+// Minimal JSON value: enough for machine-readable experiment output, the
+// result store's records and the serve protocol. Object keys keep
+// insertion order so output is deterministic (the golden-stability tests
+// compare bytes).
 //
-// Writing uses shortest-round-trip formatting for doubles (std::to_chars),
-// so a parse(write(v)) round trip reproduces every numeric value exactly.
+// A value is one std::variant alternative (40 bytes with libstdc++), so a
+// move, copy or destroy touches only the kind it holds. The writer
+// appends to one std::string: runs of plain characters go in bulk, and
+// integers and doubles go through std::to_chars, doubles in their
+// shortest round-trip form, so a parse(write(v)) round trip reproduces
+// every numeric value exactly. The parser scans string runs in bulk and
+// builds each array or object in one allocation of its final size.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace cvmt {
@@ -28,24 +35,29 @@ class JsonValue {
     kArray,
     kObject,
   };
+  using Array = std::vector<JsonValue>;
+  using Object = std::vector<std::pair<std::string, JsonValue>>;
 
   JsonValue() = default;  // null
   JsonValue(std::nullptr_t) {}
-  JsonValue(bool b) : kind_(Kind::kBool), bool_(b) {}
-  JsonValue(std::int64_t i) : kind_(Kind::kInt), int_(i) {}
+  JsonValue(bool b) : value_(std::in_place_type<bool>, b) {}
+  JsonValue(std::int64_t i) : value_(std::in_place_type<std::int64_t>, i) {}
   JsonValue(int i) : JsonValue(static_cast<std::int64_t>(i)) {}
-  JsonValue(std::uint64_t u)
-      : kind_(Kind::kInt), int_(static_cast<std::int64_t>(u)) {}
-  JsonValue(double d) : kind_(Kind::kDouble), double_(d) {}
-  JsonValue(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}
-  JsonValue(std::string_view s) : JsonValue(std::string(s)) {}
-  JsonValue(const char* s) : JsonValue(std::string(s)) {}
+  JsonValue(std::uint64_t u) : JsonValue(static_cast<std::int64_t>(u)) {}
+  JsonValue(double d) : value_(std::in_place_type<double>, d) {}
+  JsonValue(std::string s)
+      : value_(std::in_place_type<std::string>, std::move(s)) {}
+  JsonValue(std::string_view s)
+      : value_(std::in_place_type<std::string>, s) {}
+  JsonValue(const char* s) : value_(std::in_place_type<std::string>, s) {}
 
   [[nodiscard]] static JsonValue array();
   [[nodiscard]] static JsonValue object();
 
-  [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
+  [[nodiscard]] Kind kind() const {
+    return static_cast<Kind>(value_.index());
+  }
+  [[nodiscard]] bool is_null() const { return kind() == Kind::kNull; }
 
   /// Typed accessors; CVMT_CHECK on kind mismatch (as_double also accepts
   /// kInt, mirroring JSON's single number type).
@@ -59,18 +71,23 @@ class JsonValue {
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const JsonValue& at(std::size_t i) const;
 
+  /// Makes room for `n` elements of an array or members of an object, for
+  /// a builder that knows its size; CVMT_CHECK on any other kind.
+  void reserve(std::size_t n);
+
   // Object access. set() appends or overwrites; get() throws CheckError on
   // a missing key, find() returns nullptr instead.
   void set(std::string key, JsonValue v);
   [[nodiscard]] const JsonValue& get(std::string_view key) const;
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
-  members() const;
+  [[nodiscard]] const Object& members() const;
 
   /// Serializes. `indent` < 0 renders compact (single line); otherwise
-  /// pretty-prints with `indent` spaces per nesting level.
-  void write(std::ostream& os, int indent = 2) const;
+  /// pretty-prints with `indent` spaces per nesting level. dump_to
+  /// appends the text to `out`, and write() writes it to `os` in one call.
   [[nodiscard]] std::string dump(int indent = 2) const;
+  void dump_to(std::string& out, int indent = 2) const;
+  void write(std::ostream& os, int indent = 2) const;
 
   /// Deepest array/object nesting parse() accepts. Far above any
   /// document the repo writes; it bounds the recursive parser's stack on
@@ -83,15 +100,14 @@ class JsonValue {
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:
-  void write_impl(std::ostream& os, int indent, int depth) const;
+  friend class JsonParser;  // fills arrays and objects in place
 
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::vector<std::pair<std::string, JsonValue>> object_;
+  void write_impl(std::string& out, int indent, int depth) const;
+
+  /// Alternatives in Kind order: index() is the kind.
+  std::variant<std::monostate, bool, std::int64_t, double, std::string,
+               Array, Object>
+      value_;
 };
 
 // Typed readers for one member of a JSON object that holds untrusted
