@@ -107,10 +107,9 @@ JsonValue params_to_json(const Experiment& experiment,
 
 JsonValue section_to_json(const ResultSection& s) {
   JsonValue section = JsonValue::object();
+  section.reserve(3);
   if (!s.title.empty()) section.set("title", s.title);
-  const JsonValue data = s.data.to_json();
-  section.set("columns", data.get("columns"));
-  section.set("rows", data.get("rows"));
+  s.data.add_json_members(section);
   return section;
 }
 
@@ -118,6 +117,7 @@ JsonValue result_to_json(const Experiment& experiment,
                          const ExperimentParams& params,
                          const ExperimentResult& result) {
   JsonValue out = JsonValue::object();
+  out.reserve(6);
   out.set("id", experiment.id);
   out.set("artifact", experiment.artifact);
   out.set("description", experiment.description);
@@ -126,6 +126,7 @@ JsonValue result_to_json(const Experiment& experiment,
   out.set("ok", true);
   out.set("params", params_to_json(experiment, params));
   JsonValue sections = JsonValue::array();
+  sections.reserve(result.sections.size());
   for (const ResultSection& s : result.sections)
     if (s.data.num_cols() > 0) sections.push_back(section_to_json(s));
   out.set("sections", std::move(sections));

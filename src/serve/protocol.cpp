@@ -157,6 +157,7 @@ std::string response_line(const JsonValue& response) {
 
 std::string ok_response(const JsonValue& id, JsonValue result) {
   JsonValue r = JsonValue::object();
+  r.reserve(3);
   r.set("id", id);
   r.set("ok", true);
   r.set("result", std::move(result));

@@ -50,8 +50,10 @@ JsonValue run_single(const Request& req, SimSession& session) {
          static_cast<std::int64_t>(r.threads[i].stats.ops)});
 
   JsonValue out = JsonValue::object();
+  out.reserve(2);
   out.set("scheme", r.scheme);
   JsonValue sections = JsonValue::array();
+  sections.reserve(2);
   sections.push_back(section_to_json(summary));
   sections.push_back(section_to_json(threads));
   out.set("sections", std::move(sections));

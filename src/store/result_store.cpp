@@ -132,6 +132,7 @@ namespace {
 
 JsonValue ratio_to_json(const RatioCounter& r) {
   JsonValue v = JsonValue::object();
+  v.reserve(2);
   v.set("hits", r.hits);
   v.set("total", r.total);
   return v;
@@ -152,6 +153,7 @@ std::uint64_t u64_of(const JsonValue& v, std::string_view key) {
 
 JsonValue sim_result_to_json(const SimResult& r) {
   JsonValue out = JsonValue::object();
+  out.reserve(13);
   out.set("scheme", r.scheme);
   out.set("cycles", r.cycles);
   out.set("total_ops", r.total_ops);
@@ -159,14 +161,17 @@ JsonValue sim_result_to_json(const SimResult& r) {
   out.set("idle_cycles", r.idle_cycles);
   out.set("ipc", r.ipc);
   JsonValue threads = JsonValue::array();
+  threads.reserve(r.threads.size());
   for (const ThreadResult& t : r.threads) {
     JsonValue tv = JsonValue::object();
+    tv.reserve(4);
     tv.set("benchmark", t.benchmark);
     // The record format keeps the two headline counters beside the stats
     // they copy; the decoder insists that the copies agree.
     tv.set("instructions", t.stats.instructions);
     tv.set("ops", t.stats.ops);
     JsonValue sv = JsonValue::object();
+    sv.reserve(8);
     sv.set("instructions", t.stats.instructions);
     sv.set("bubbles", t.stats.bubbles);
     sv.set("ops", t.stats.ops);
@@ -183,7 +188,9 @@ JsonValue sim_result_to_json(const SimResult& r) {
   out.set("dcache", ratio_to_json(r.dcache));
   out.set("l2", ratio_to_json(r.l2));
   JsonValue hist = JsonValue::object();
+  hist.reserve(3);
   JsonValue buckets = JsonValue::array();
+  buckets.reserve(r.issued_per_cycle.num_buckets());
   for (std::size_t i = 0; i < r.issued_per_cycle.num_buckets(); ++i)
     buckets.push_back(r.issued_per_cycle.bucket(i));
   hist.set("buckets", std::move(buckets));
@@ -191,8 +198,10 @@ JsonValue sim_result_to_json(const SimResult& r) {
   hist.set("weighted_sum", r.issued_per_cycle.weighted_sum());
   out.set("issued_per_cycle", std::move(hist));
   JsonValue nodes = JsonValue::array();
+  nodes.reserve(r.merge_nodes.size());
   for (const MergeNodeStats& n : r.merge_nodes) {
     JsonValue nv = JsonValue::object();
+    nv.reserve(4);
     nv.set("label", n.label);
     nv.set("kind", std::string(1, to_char(n.kind)));
     nv.set("attempts", n.attempts);
@@ -201,6 +210,7 @@ JsonValue sim_result_to_json(const SimResult& r) {
   }
   out.set("merge_nodes", std::move(nodes));
   JsonValue os = JsonValue::object();
+  os.reserve(2);
   os.set("context_switches", r.os.context_switches);
   os.set("timeslices", r.os.timeslices);
   out.set("os", std::move(os));
@@ -277,9 +287,9 @@ constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 /// (one grid point's JSON is a few KB).
 constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 30;
 
-void put_le(std::string& out, std::uint64_t v, int bytes) {
+void put_le(char* p, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 std::uint64_t get_le(const char* p, int bytes) {
@@ -290,19 +300,31 @@ std::uint64_t get_le(const char* p, int bytes) {
   return v;
 }
 
+/// Appends one record to `out`: the payload is written in place after
+/// room for the header, which is filled in once its length and checksum
+/// are known.
+void append_record(std::string& out, const std::string& key,
+                   JsonValue result) {
+  JsonValue payload = JsonValue::object();
+  payload.reserve(2);
+  payload.set("key", key);
+  payload.set("result", std::move(result));
+  const std::size_t start = out.size();
+  out.append(kHeaderBytes, '\0');
+  payload.dump_to(out, -1);
+  const std::size_t len = out.size() - start - kHeaderBytes;
+  char* header = out.data() + start;
+  std::memcpy(header, kMagic, sizeof kMagic);
+  put_le(header + 4, len, 4);
+  put_le(header + 8,
+         fnv1a64(std::string_view(header + kHeaderBytes, len)), 8);
+}
+
 }  // namespace
 
 std::string encode_record(const std::string& key, JsonValue result) {
-  JsonValue payload = JsonValue::object();
-  payload.set("key", key);
-  payload.set("result", std::move(result));
-  const std::string body = payload.dump(-1);
   std::string out;
-  out.reserve(kHeaderBytes + body.size());
-  out.append(kMagic, sizeof kMagic);
-  put_le(out, body.size(), 4);
-  put_le(out, fnv1a64(body), 8);
-  out += body;
+  append_record(out, key, std::move(result));
   return out;
 }
 
@@ -368,9 +390,10 @@ ShardLogWriter::ShardLogWriter(std::string path, const LogScan& scan)
 }
 
 void ShardLogWriter::append(const std::string& key, JsonValue result) {
-  const std::string record = encode_record(key, std::move(result));
-  out_.write(record.data(),
-             static_cast<std::streamsize>(record.size()));
+  record_.clear();
+  append_record(record_, key, std::move(result));
+  out_.write(record_.data(),
+             static_cast<std::streamsize>(record_.size()));
   out_.flush();
   CVMT_REQUIRE(out_.good(), "store: error appending to " + path_);
 }

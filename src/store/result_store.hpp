@@ -122,6 +122,7 @@ class ShardLogWriter {
  private:
   std::string path_;
   std::ofstream out_;
+  std::string record_;  ///< the record being appended, reused
 };
 
 /// The file name of shard `index` of `count`'s log.

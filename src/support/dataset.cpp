@@ -197,17 +197,28 @@ void Dataset::write_csv(std::ostream& os) const {
 }
 
 JsonValue Dataset::to_json() const {
+  JsonValue out = JsonValue::object();
+  out.reserve(2);
+  add_json_members(out);
+  return out;
+}
+
+void Dataset::add_json_members(JsonValue& out) const {
   JsonValue cols = JsonValue::array();
+  cols.reserve(columns_.size());
   for (const ColumnSpec& c : columns_) {
     JsonValue col = JsonValue::object();
+    col.reserve(2);
     col.set("name", c.name);
     col.set("type", to_string(c.type));
     cols.push_back(std::move(col));
   }
   JsonValue rows = JsonValue::array();
+  rows.reserve(num_rows());
   for (const auto& row : rows_) {
     if (row.empty()) continue;
     JsonValue jrow = JsonValue::array();
+    jrow.reserve(row.size());
     for (const Cell& cell : row) {
       if (std::holds_alternative<std::monostate>(cell))
         jrow.push_back(JsonValue());
@@ -220,10 +231,8 @@ JsonValue Dataset::to_json() const {
     }
     rows.push_back(std::move(jrow));
   }
-  JsonValue out = JsonValue::object();
   out.set("columns", std::move(cols));
   out.set("rows", std::move(rows));
-  return out;
 }
 
 }  // namespace cvmt

@@ -96,6 +96,9 @@ class Dataset {
   /// JSON object {"columns":[{"name","type"},...],"rows":[[...],...]}.
   /// Null cells become JSON null; separators are dropped.
   [[nodiscard]] JsonValue to_json() const;
+  /// Sets to_json()'s two members on the object `out`, after the members
+  /// it already has.
+  void add_json_members(JsonValue& out) const;
 
  private:
   std::vector<ColumnSpec> columns_;
