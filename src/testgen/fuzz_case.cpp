@@ -271,7 +271,12 @@ FuzzCase load_case(const std::string& path) {
   CVMT_REQUIRE(in.good(), "cannot open fuzz case: " + path);
   std::ostringstream text;
   text << in.rdbuf();
-  FuzzCase c = FuzzCase::from_json(JsonValue::parse(text.str()));
+  FuzzCase c;
+  try {
+    c = FuzzCase::from_json(JsonValue::parse(text.str()));
+  } catch (const CheckError& e) {
+    throw CheckError(path + ": " + e.what());
+  }
   if (c.label.empty())
     c.label = std::filesystem::path(path).stem().string();
   return c;

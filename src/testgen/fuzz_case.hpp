@@ -53,7 +53,7 @@ struct FuzzCase {
 };
 
 /// File persistence for corpus repro files. Paths are plain filesystem
-/// paths; save_case overwrites.
+/// paths; save_case overwrites. load_case's errors begin with the path.
 void save_case(const std::string& path, const FuzzCase& c);
 [[nodiscard]] FuzzCase load_case(const std::string& path);
 /// Loads every *.json under `dir` (sorted by filename so replay order is

@@ -36,9 +36,18 @@ void shrink_failures(FuzzSweepResult& sweep) {
   }
 }
 
+/// Makes the --save directory before the sweep runs, so a path that
+/// cannot be one (a regular file, say) is a usage error, not a lost sweep.
+void make_save_dir(const std::string& dir) {
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  CVMT_REQUIRE(!ec, "cannot create the save directory " + dir + ": " +
+                        ec.message());
+}
+
 void save_outcomes(const FuzzSweepResult& sweep, const FuzzOptions& opt) {
   if (opt.save_dir.empty()) return;
-  std::filesystem::create_directories(opt.save_dir);
   for (const FuzzOutcome& o : sweep.outcomes) {
     if (o.report.ok && !opt.save_all) continue;
     const FuzzCase& to_save = o.shrunk ? o.minimized : o.c;
@@ -91,6 +100,7 @@ FuzzSweepResult run_fuzz_sweep(const FuzzOptions& options) {
   // Corpus replays first (sorted by filename), then generated cases in
   // seed order: a stable outcome order for any worker count.
   std::vector<FuzzCase> cases = load_corpus_dir(options.corpus_dir);
+  make_save_dir(options.save_dir);
   sweep.corpus_cases = cases.size();
   SplitMix64 sm(options.seed);
   for (std::uint64_t i = 0; i < options.cases; ++i)

@@ -204,7 +204,8 @@ JsonValue with_machine_lines(const JsonValue& v,
 }
 
 /// `cvmt fuzz --case=` on a file holding `text`: its exit code, and what
-/// `load_case` rejects the file with ("" when it loads).
+/// `load_case` rejects the file with after the path it names first (""
+/// when it loads).
 std::pair<int, std::string> replay_file(const std::string& text) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "cvmt_fuzz_bad.json")
@@ -215,6 +216,8 @@ std::pair<int, std::string> replay_file(const std::string& text) {
     (void)load_case(path);
   } catch (const CheckError& e) {
     error = e.what();
+    EXPECT_EQ(error.find(path + ": "), 0u) << error;
+    error.erase(0, path.size() + 2);
   }
   const std::string flag = "--case=" + path;
   const char* argv[] = {"fuzz", flag.c_str()};
@@ -552,6 +555,64 @@ TEST(FuzzSweepTest, CheckedInCorpusReplaysClean) {
     const OracleReport r = run_oracles(c);
     EXPECT_TRUE(r.ok) << c.label << ": " << r.to_string();
   }
+}
+
+/// `cvmt fuzz` with `args`: its exit code and what it printed on stderr.
+std::pair<int, std::string> fuzz_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "fuzz");
+  std::vector<const char*> argv;
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int code = fuzz_main(static_cast<int>(argv.size()), argv.data());
+  (void)testing::internal::GetCapturedStdout();
+  return {code, testing::internal::GetCapturedStderr()};
+}
+
+// A corpus file that does not load stops the sweep with a usage error
+// that names the file, so the one to fix among many is plain.
+TEST(FuzzSweepTest, ACorpusFileThatDoesNotLoadIsNamed) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "cvmt_fuzz_bad_corpus";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  save_case((dir / "a.json").string(), generate_case(1));
+  std::ofstream(dir / "c.json") << "not json\n";
+  const auto [code, err] =
+      fuzz_cli({"--cases=0", "--corpus=" + dir.string()});
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(err.find((dir / "c.json").string() +
+                     ": JSON parse error at offset 0: bad literal"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find(".cpp:"), std::string::npos) << err;
+  std::filesystem::remove_all(dir);
+}
+
+// A --save path that is, or runs through, a regular file is a usage error
+// naming the path and the OS reason, found before the sweep runs; the
+// file is left as it was.
+TEST(FuzzSweepTest, ASavePathThroughARegularFileIsAUsageError) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "cvmt_fuzz_save_file";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string file = (dir / "afile").string();
+  std::ofstream(file) << "not a directory\n";
+  for (const std::string& save : {file, file + "/sub"}) {
+    const auto [code, err] =
+        fuzz_cli({"--cases=1", "--save=" + save, "--save-all"});
+    EXPECT_EQ(code, 2) << save;
+    EXPECT_NE(err.find("cannot create the save directory " + save + ": "),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("CVMT_CHECK"), std::string::npos) << err;
+  }
+  std::ifstream in(file);
+  std::string content;
+  std::getline(in, content);
+  EXPECT_EQ(content, "not a directory");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FuzzSweepTest, Deterministic200CaseSweepPasses) {
