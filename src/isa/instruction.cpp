@@ -16,6 +16,12 @@ bool Instruction::has_memory_op() const {
   return false;
 }
 
+bool Instruction::has_branch() const {
+  for (const Operation& op : ops_)
+    if (op.kind == OpKind::kBranch) return true;
+  return false;
+}
+
 std::string Instruction::validate(const MachineConfig& config) const {
   std::uint64_t used[kMaxClusters] = {};  // slot bitmask per cluster
   for (const Operation& op : ops_) {

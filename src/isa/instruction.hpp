@@ -41,6 +41,8 @@ class Instruction {
 
   /// True if any operation is a load or store.
   [[nodiscard]] bool has_memory_op() const;
+  /// True if any operation is a branch.
+  [[nodiscard]] bool has_branch() const;
 
   /// Checks structural validity against `config`: placement in range,
   /// capability of the slot, and slot exclusivity within a cluster.

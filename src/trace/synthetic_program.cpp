@@ -224,21 +224,23 @@ SyntheticProgram::SyntheticProgram(BenchmarkProfile profile,
                                    MachineConfig machine,
                                    std::vector<LoopSource> loops)
     : profile_(std::move(profile)), machine_(machine) {
+  CVMT_REQUIRE(!loops.empty(), "program needs at least one loop");
   profile_.validate();
   machine_.validate();
-  CVMT_CHECK_MSG(!loops.empty(), "program needs at least one loop");
   loops_.reserve(loops.size());
   for (LoopSource& source : loops) {
     Loop& loop = loops_.emplace_back(std::move(source.loop));
-    CVMT_CHECK_MSG(!source.body.empty(), "loop body cannot be empty");
-    CVMT_CHECK_MSG(loop.mean_trips >= 1.0, "trip count below 1");
-    CVMT_CHECK_MSG(loop.miss_frac >= 0.0 && loop.miss_frac <= 1.0,
-                   "miss fraction out of range");
-    CVMT_CHECK_MSG(loop.hot_window >= 1, "hot window must be non-empty");
+    CVMT_REQUIRE(!source.body.empty(), "loop body cannot be empty");
+    CVMT_REQUIRE(loop.mean_trips >= 1.0, "trip count below 1");
+    CVMT_REQUIRE(loop.miss_frac >= 0.0 && loop.miss_frac <= 1.0,
+                 "miss fraction out of range");
+    CVMT_REQUIRE(loop.hot_window >= 1, "hot window must be non-empty");
     for (const Instruction& instr : source.body) {
       const std::string err = instr.validate(machine_);
-      CVMT_CHECK_MSG(err.empty(), "invalid instruction in loop: " + err);
+      CVMT_REQUIRE(err.empty(), "invalid instruction in loop: " + err);
     }
+    CVMT_REQUIRE(source.body.back().has_branch(),
+                 "loop must end with a branch");
     compile_loop(loop, source.body, profile_, machine_);
     source.body = {};
   }

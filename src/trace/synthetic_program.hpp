@@ -95,7 +95,9 @@ class SyntheticProgram {
 
   /// Constructs from hand-written loops (trace/vex_asm.hpp and tests).
   /// Every instruction is validated against the machine, since the text
-  /// it came from is outside the program's control.
+  /// it came from is outside the program's control; a loop that is empty,
+  /// does not end with a branch or has an out-of-range field throws
+  /// CheckError without a source path (parse_program names the line).
   SyntheticProgram(BenchmarkProfile profile, MachineConfig machine,
                    std::vector<LoopSource> loops);
 

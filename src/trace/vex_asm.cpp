@@ -176,6 +176,7 @@ std::shared_ptr<const SyntheticProgram> parse_program(
   bool machine_seen = false;
   std::uint64_t next_pc = 0;
 
+  int last_instr_line = 0;  // the line of the open loop's last instruction
   int line_no = 0;
   for (std::string raw : split(text, '\n')) {
     ++line_no;
@@ -187,6 +188,8 @@ std::shared_ptr<const SyntheticProgram> parse_program(
 
     if (line.rfind(".program", 0) == 0) {
       profile.name = std::string(trim(line.substr(8)));
+      CVMT_REQUIRE(!profile.name.empty(), "line " + std::to_string(line_no) +
+                                              ": .program needs a name");
     } else if (line.rfind(".machine", 0) == 0) {
       CVMT_REQUIRE(static_cast<int>(lp.field_u64("clusters")) ==
                            machine.num_clusters &&
@@ -200,9 +203,15 @@ std::shared_ptr<const SyntheticProgram> parse_program(
     } else if (line.rfind(".codebytes", 0) == 0) {
       profile.code_bytes_per_instr =
           parse_u64_or_die(trim(line.substr(10)), line_no, ".codebytes");
+      CVMT_REQUIRE(profile.code_bytes_per_instr >= 1,
+                   "line " + std::to_string(line_no) +
+                       ": .codebytes must be at least 1");
     } else if (line.rfind(".midtaken", 0) == 0) {
       profile.mid_branch_taken =
           parse_double_or_die(trim(line.substr(9)), line_no, ".midtaken");
+      CVMT_REQUIRE(profile.mid_branch_taken <= 1.0,
+                   "line " + std::to_string(line_no) +
+                       ": .midtaken must be at most 1");
     } else if (line.rfind(".loop", 0) == 0) {
       CVMT_REQUIRE(!in_loop, "line " + std::to_string(line_no) +
                                  ": nested .loop");
@@ -222,11 +231,26 @@ std::shared_ptr<const SyntheticProgram> parse_program(
       loop.hot_window = parse_u64_or_die(
           std::string_view(hot).substr(plus + 1), line_no, "hot= window");
       loop.cold_base = lp.field_u64("cold");
+      CVMT_REQUIRE(loop.mean_trips >= 1.0,
+                   "line " + std::to_string(line_no) +
+                       ": trips= must be at least 1");
+      CVMT_REQUIRE(loop.miss_frac <= 1.0,
+                   "line " + std::to_string(line_no) +
+                       ": miss= must be at most 1");
+      CVMT_REQUIRE(loop.hot_window >= 1,
+                   "line " + std::to_string(line_no) +
+                       ": hot= window must be at least 1");
       next_pc = loop.code_base;
       in_loop = true;
     } else if (line == ".endloop") {
       CVMT_REQUIRE(in_loop, "line " + std::to_string(line_no) +
                                 ": .endloop outside a loop");
+      CVMT_REQUIRE(!current.body.empty(),
+                   "line " + std::to_string(loop_line) +
+                       ": loop has no instructions");
+      CVMT_REQUIRE(current.body.back().has_branch(),
+                   "line " + std::to_string(last_instr_line) +
+                       ": loop must end with a branch");
       loops.push_back(std::move(current));
       in_loop = false;
     } else if (line.front() == '{') {
@@ -237,6 +261,10 @@ std::shared_ptr<const SyntheticProgram> parse_program(
                    "line " + std::to_string(line_no) + ": missing '}'");
       Instruction instr =
           parse_instruction(line.substr(1, close - 1), line_no);
+      const std::string err = instr.validate(machine);
+      CVMT_REQUIRE(err.empty(), "line " + std::to_string(line_no) +
+                                    ": invalid instruction: " + err);
+      last_instr_line = line_no;
       instr.set_pc(next_pc);
       next_pc += profile.code_bytes_per_instr;
       current.body.push_back(std::move(instr));
@@ -249,6 +277,7 @@ std::shared_ptr<const SyntheticProgram> parse_program(
   CVMT_REQUIRE(!in_loop, "line " + std::to_string(loop_line) +
                              ": unterminated .loop at end of input");
   CVMT_REQUIRE(machine_seen, "missing .machine directive");
+  CVMT_REQUIRE(!loops.empty(), "no .loop in the program");
   profile.num_loops = static_cast<int>(loops.size());
   return std::make_shared<const SyntheticProgram>(profile, machine,
                                                   std::move(loops));

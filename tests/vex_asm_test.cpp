@@ -296,6 +296,29 @@ TEST(VexAsm, ErrorsNameTheLineWithoutASourcePath) {
        "line 2: unrecognised directive '.bogus'"},
       {".machine clusters=4 issue=2\n",
        "line 1: .machine does not match the target machine"},
+      {".machine clusters=4 issue=4\n" + loop +
+           "{ c0.0 alu }\n\n{ c0.1 alu }\n.endloop\n",
+       "line 5: loop must end with a branch"},
+      {".machine clusters=4 issue=4\n" + loop + "{ c0.0 ld }\n{ c0.3 br }\n"
+       ".endloop\n",
+       "line 3: invalid instruction: ld not executable in slot 0"},
+      {".machine clusters=4 issue=4\n" + loop + ".endloop\n",
+       "line 2: loop has no instructions"},
+      {".machine clusters=4 issue=4\n"
+       ".loop trips=0.5 miss=0 code=0x0 hot=0x0+64 cold=0x0\n",
+       "line 2: trips= must be at least 1"},
+      {".machine clusters=4 issue=4\n"
+       ".loop trips=1 miss=1.5 code=0x0 hot=0x0+64 cold=0x0\n",
+       "line 2: miss= must be at most 1"},
+      {".machine clusters=4 issue=4\n"
+       ".loop trips=1 miss=0 code=0x0 hot=0x0+0 cold=0x0\n",
+       "line 2: hot= window must be at least 1"},
+      {".machine clusters=4 issue=4\n.midtaken 2\n",
+       "line 2: .midtaken must be at most 1"},
+      {".machine clusters=4 issue=4\n.codebytes 0\n",
+       "line 2: .codebytes must be at least 1"},
+      {".program\n", "line 1: .program needs a name"},
+      {".machine clusters=4 issue=4\n", "no .loop in the program"},
   };
   for (const auto& c : cases) {
     try {
