@@ -226,6 +226,7 @@ SimResult sim_result_from_json(const JsonValue& v) {
   r.idle_cycles = u64_of(v, "idle_cycles");
   r.ipc = v.get("ipc").as_double();
   const JsonValue& threads = v.get("threads");
+  r.threads.reserve(threads.size());
   for (std::size_t i = 0; i < threads.size(); ++i) {
     const JsonValue& tv = threads.at(i);
     ThreadResult t;
@@ -259,6 +260,7 @@ SimResult sim_result_from_json(const JsonValue& v) {
       std::move(counts), u64_of(hist, "total"),
       u64_of(hist, "weighted_sum"));
   const JsonValue& nodes = v.get("merge_nodes");
+  r.merge_nodes.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const JsonValue& nv = nodes.at(i);
     MergeNodeStats n;
